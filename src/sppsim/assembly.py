@@ -25,10 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pml as pml_mod
-from .fespace import (EDGE_CORNERS, N_DOFS_CELL, REF, ConstraintSet,
-                      EdgeFESpace, FieldSolution, _edge_ref_points, gauss01)
-from .mesh import boundary_faces, cell_geometry, cells_intersecting_disk, \
-    interface_faces, jacobian_det
+from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
+                      FieldSolution, _mapped_basis, face_quadrature, shape_eval)
+from .mesh import boundary_faces, cells_intersecting_disk, interface_faces
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -96,32 +95,33 @@ CHUNK_CELLS = 16384
 
 def _volume_tables(space: EdgeFESpace, cids=None):
     """Geometry and physical bases at the standard quadrature points, batched."""
-    mesh = space.mesh
     if cids is None:
         cids = space.active
-    ranks = np.array([space.rank[c] for c in cids])
-    phys, jac = cell_geometry(mesh, cids, REF.quad_pts)
-    det = jacobian_det(jac)
-    if det.min() <= 0:
-        raise AssemblyError("nonpositive Jacobian during assembly")
-    jinv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
-    n, p = det.shape
-    vals = np.empty((n, p, N_DOFS_CELL, 2))
-    curls = np.empty((n, p, N_DOFS_CELL))
-    for oidx in np.unique(space.orient_idx[ranks]):
-        sel = np.nonzero(space.orient_idx[ranks] == oidx)[0]
-        vref, cref = REF.basis_at_quad(int(oidx))
-        vals[sel] = np.einsum("npij,pbj->npbi", jinv_t[sel], vref)
-        curls[sel] = cref[None, :, :] / det[sel][:, :, None]
-    return ranks, phys, det, vals, curls
+    ranks = np.array([space.rank[c] for c in cids], dtype=np.int64)
+    return (ranks,) + _mapped_basis(space, cids, REF.quad_pts, REF.basis_at_quad)
 
 
-def iter_volume_tables(space: EdgeFESpace, cids=None, chunk: int = CHUNK_CELLS):
+def iter_volume_tables(space: EdgeFESpace, cids=None):
     """Chunked _volume_tables; bounds peak memory on large meshes."""
     if cids is None:
         cids = space.active
-    for lo in range(0, len(cids), chunk):
-        yield _volume_tables(space, cids[lo:lo + chunk])
+    for lo in range(0, len(cids), CHUNK_CELLS):
+        yield _volume_tables(space, cids[lo:lo + CHUNK_CELLS])
+
+
+def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.coo_matrix:
+    """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
+    cids = [f.owner for f in faces]
+    ref, phys, wds, tangent = face_quadrature(space.mesh, cids,
+                                              [f.owner_edge for f in faces])
+    vals, _ = shape_eval(space, cids, ref)
+    tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
+    local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
+    dofs = space.cell_dofs[[space.rank[c] for c in cids]]
+    rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
+    cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(space.n_dofs, space.n_dofs))
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
@@ -143,66 +143,20 @@ def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csr_ma
         cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
         mats.append(sp.coo_matrix((local.ravel(), (rows, cols)),
                                   shape=(space.n_dofs, space.n_dofs)).tocsr())
-
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    te, we = gauss01(4)
-    brows, bcols, bdata = [], [], []
-    for face in boundary_faces(space.mesh):
-        cid, ledge = face.owner, face.owner_edge
-        ref = _edge_ref_points(ledge, te)
-        _, jac = cell_geometry(space.mesh, [cid], ref)
-        tau_ref = np.zeros(2)
-        a, b = EDGE_CORNERS[ledge]
-        tau_ref[:] = np.subtract(((0, 0), (1, 0), (1, 1), (0, 1))[b],
-                                 ((0, 0), (1, 0), (1, 1), (0, 1))[a])
-        dxdt = np.einsum("pij,j->pi", jac[0], tau_ref)
-        speed = np.linalg.norm(dxdt, axis=1)
-        that = dxdt / speed[:, None]
-        bvals, _ = _basis_on_edge(space, cid, ledge, ref, jac[0])
-        tang = np.einsum("pbi,pi->pb", bvals, that)
-        fmat = -1j * impedance * np.einsum("p,pb,pd->bd", we * speed, tang, tang)
-        gdofs = space.cell_dofs[space.rank[cid]]
-        brows.append(np.repeat(gdofs, N_DOFS_CELL))
-        bcols.append(np.tile(gdofs, N_DOFS_CELL))
-        bdata.append(fmat.ravel())
-    if bdata:
-        mats.append(sp.coo_matrix(
-            (np.concatenate(bdata), (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(space.n_dofs, space.n_dofs)))
+    mats.append(_face_matrix(space, boundary_faces(space.mesh),
+                             lambda x: -1j * impedance))
     return sum(m.tocsr() for m in mats)
-
-
-def _basis_on_edge(space, cid, ledge, ref_pts, jac):
-    from .fespace import orientation_index
-    vref, cref = REF.basis_at(orientation_index(space.mesh, cid), ref_pts)
-    det = jacobian_det(jac[None, ...])[0]
-    jinv_t = np.linalg.inv(jac).transpose(0, 2, 1)
-    vals = np.einsum("pij,pbj->pbi", jinv_t, vref)
-    curls = cref / det[:, None]
-    return vals, curls
 
 
 def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
     """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, full dof set."""
     if model.sigma_r == 0:
         return sp.csr_matrix((space.n_dofs, space.n_dofs), dtype=complex)
-    te, we = gauss01(4)
-    rows, cols, data = [], [], []
-    for face in interface_faces(space.mesh):
-        cid, ledge = face.owner, face.owner_edge
-        ref = _edge_ref_points(ledge, te)
-        phys, jac = cell_geometry(space.mesh, [cid], ref)
-        bvals, _ = _basis_on_edge(space, cid, ledge, ref, jac[0])
-        tang = bvals[:, :, 0]  # sheet tangent is e_x
-        sigma_eff = pml_mod.sheet_arrays(phys[0], model.sigma_r, model.pml)
-        fmat = -1j * np.einsum("p,pb,pd->bd", we * face.length * sigma_eff, tang, tang)
-        gdofs = space.cell_dofs[space.rank[cid]]
-        rows.append(np.repeat(gdofs, N_DOFS_CELL))
-        cols.append(np.tile(gdofs, N_DOFS_CELL))
-        data.append(fmat.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, space.n_dofs)).tocsr()
+    return _face_matrix(
+        space, interface_faces(space.mesh),
+        lambda x: -1j * pml_mod.sheet_arrays(x.reshape(-1, 2), model.sigma_r,
+                                             model.pml).reshape(x.shape[:2])).tocsr()
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
@@ -256,14 +210,3 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
 def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
     C = constraints.matrix
     return (C.T @ (matrix @ C)).tocsr(), C.T @ rhs
-
-
-def assemble_system(space: EdgeFESpace, model: SheetModel,
-                    constraints: ConstraintSet | None = None) -> ComplexSystem:
-    """Full condensed system for the given sheet model."""
-    from .fespace import build_constraints
-    cs = constraints if constraints is not None else build_constraints(space)
-    full = assemble_volume_boundary(space, model) + assemble_interface(space, model)
-    rhs = assemble_dipole_rhs(space, model)
-    mat_c, rhs_c = condense(full, rhs, cs)
-    return ComplexSystem(matrix=mat_c, rhs=rhs_c, space=space, constraints=cs)

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pml as pml_mod
-from .assembly import SheetModel, _volume_tables, iter_volume_tables
-from .fespace import (EDGE_CORNERS, REF, EdgeFESpace, FieldSolution,
-                      _edge_ref_points, gauss01, orientation_index,
-                      vector_monomials)
+from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
+from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
+                      sheet_ref_points, vector_monomials)
 from .mesh import (Mesh, boundary_faces, cell_geometry, interface_faces,
                    jacobian_det)
 
@@ -117,17 +116,17 @@ _QUADRANTS = ((0, 0), (1, 0), (1, 1), (0, 1))
 class PatchReconstruction:
     """Higher-order recovery on parent patches, used through differences only.
 
-    Clean 2x2 patches are fitted in one batched normal-equation solve; the
-    differences at the standard quadrature points are precomputed for every
-    active cell.  Irregular patches loop through the generic path.
+    Each active cell below a patch keeps its embedding (offset, scale) in the
+    parent's reference frame and the fitted coefficients of its patch.  Clean
+    2x2 patches are fitted in one batched normal-equation solve; irregular
+    patches get one least-squares fit each.  The differences at the standard
+    quadrature points are precomputed for every active cell.
     """
 
     def __init__(self, sol: FieldSolution, space: EdgeFESpace, field_quad=None):
         self.sol = sol
         self.space = space
         mesh = space.mesh
-        self._entry: dict[int, tuple | None] = {}
-        self._rank = {cid: i for i, cid in enumerate(space.active)}
         if field_quad is None:
             qd = QuadData(space, (sol,))
             field_quad = (qd.values[0], qd.curls[0], qd.det)
@@ -135,15 +134,18 @@ class PatchReconstruction:
         n, p = self._det_quad.shape
         self.dvals_quad = np.zeros((n, p, 2), dtype=complex)
         self.dcurls_quad = np.zeros((n, p), dtype=complex)
+        self._order = np.zeros(n, dtype=np.int64)   # 0: no patch, difference vanishes
+        self._parent = np.zeros(n, dtype=np.int64)
+        self._offset = np.zeros((n, 2))
+        self._scale = np.zeros(n)
+        self._coeffs = {2: np.zeros((n, 12), dtype=complex),
+                        3: np.zeros((n, 24), dtype=complex)}
 
         clean_parents, other_parents = [], []
         seen = set()
         for cid in space.active:
             parent = mesh.cells[cid].parent
-            if parent is None:
-                self._entry[cid] = None  # no patch; difference vanishes
-                continue
-            if parent in seen:
+            if parent is None or parent in seen:
                 continue
             seen.add(parent)
             kids = mesh.cells[parent].children
@@ -153,8 +155,34 @@ class PatchReconstruction:
                 other_parents.append(parent)
         if clean_parents:
             self._fit_clean(clean_parents)
-        for parent in other_parents:
-            self._fit_generic(parent)
+        if other_parents:
+            self._fit_generic(other_parents)
+
+    def _parent_frame(self, parents, offsets, scales, ref_pts, order):
+        """Monomials and parent Jacobians at cell reference points mapped into parents."""
+        ppts = offsets[:, None, :] + scales[:, None, None] * np.asarray(ref_pts, dtype=float)
+        n, p = ppts.shape[:2]
+        mono, mono_curl = vector_monomials(ppts.reshape(-1, 2), order=order)
+        _, jac = cell_geometry(self.space.mesh, parents, ppts)
+        n_mono = mono.shape[1]
+        return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
+
+    def _recovered(self, ranks, ref_pts):
+        """pi u values (n, p, 2) and curls (n, p) at reference points of cells."""
+        ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
+        vals = np.zeros(ref_pts.shape, dtype=complex)
+        curls = np.zeros(ref_pts.shape[:2], dtype=complex)
+        for order, coeffs in self._coeffs.items():
+            sel = np.nonzero(self._order[ranks] == order)[0]
+            r = ranks[sel]
+            c = coeffs[r]
+            mono, mono_curl, jac = self._parent_frame(
+                self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], order)
+            jinv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
+            hat = np.einsum("npmc,nm->npc", mono, c)
+            vals[sel] = np.einsum("npij,npj->npi", jinv_t, hat)
+            curls[sel] = (mono_curl @ c[:, :, None])[..., 0] / jacobian_det(jac)
+        return vals, curls
 
     # -- clean 2x2 patches, fully batched -----------------------------------
 
@@ -166,7 +194,7 @@ class PatchReconstruction:
         mono, mono_curl = vector_monomials(ppts, order=3)          # (4p, 24, 2)
         _, jac_p = cell_geometry(mesh, parents, ppts)
         det_p = jacobian_det(jac_p)
-        kid_ranks = np.array([[self._rank[k] for k in mesh.cells[par].children]
+        kid_ranks = np.array([[self.space.rank[k] for k in mesh.cells[par].children]
                               for par in parents])
         u = self._u_quad[kid_ranks].reshape(len(parents), 4 * p, 2)
         det_c = self._det_quad[kid_ranks].reshape(len(parents), 4 * p)
@@ -179,92 +207,63 @@ class PatchReconstruction:
         hat = np.einsum("kmc,nm->nkc", mono, coeffs)
         pi_vals = np.einsum("nkij,nkj->nki", jinv_t, hat)
         pi_curls = np.einsum("km,nm->nk", mono_curl, coeffs) / det_p
-        for ip, par in enumerate(parents):
-            for q, kid in enumerate(mesh.cells[par].children):
-                r = self._rank[kid]
-                sl = slice(q * p, (q + 1) * p)
-                self.dvals_quad[r] = pi_vals[ip, sl] - self._u_quad[r]
-                self.dcurls_quad[r] = pi_curls[ip, sl] - self._uc_quad[r]
-                off = 0.5 * np.asarray(_QUADRANTS[q], dtype=float)
-                self._entry[kid] = (par, off, 0.5, coeffs[ip], 3)
+        shape = kid_ranks.shape + (p,)
+        self.dvals_quad[kid_ranks] = pi_vals.reshape(shape + (2,)) - self._u_quad[kid_ranks]
+        self.dcurls_quad[kid_ranks] = pi_curls.reshape(shape) - self._uc_quad[kid_ranks]
+        self._order[kid_ranks] = 3
+        self._parent[kid_ranks] = np.asarray(parents)[:, None]
+        self._offset[kid_ranks] = 0.5 * np.asarray(_QUADRANTS, dtype=float)
+        self._scale[kid_ranks] = 0.5
+        self._coeffs[3][kid_ranks] = coeffs[:, None, :]
 
     # -- irregular patches: order-2 fit over all active descendants ---------
 
-    def _fit_generic(self, parent: int):
+    def _fit_generic(self, parents: list[int]):
         mesh = self.space.mesh
-        members = _active_descendants(mesh, parent)
-        rows_a, rows_b = [], []
-        pts = REF.quad_pts
-        for cid, offset, scale in members:
-            r = self._rank[cid]
-            ppts = offset[None, :] + scale * pts
-            _, jac_p = cell_geometry(mesh, [parent], ppts)
-            pulled = np.einsum("pji,pj->pi", jac_p[0], self._u_quad[r])
-            mono, _ = vector_monomials(ppts, order=2)
-            wts = np.sqrt(REF.quad_wts * self._det_quad[r])
-            rows_a.append(np.concatenate([mono[:, :, 0] * wts[:, None],
-                                          mono[:, :, 1] * wts[:, None]], axis=0))
-            rows_b.append(np.concatenate([pulled[:, 0] * wts, pulled[:, 1] * wts]))
-        A = np.concatenate(rows_a, axis=0)
-        b = np.concatenate(rows_b, axis=0)
-        coeffs, *_ = np.linalg.lstsq(A.astype(complex), b, rcond=None)
-        for cid, offset, scale in members:
-            self._entry[cid] = (parent, offset, scale, coeffs, 2)
-            r = self._rank[cid]
-            dv, dc = self._diff_from_entry(self._entry[cid], cid, REF.quad_pts,
-                                           self._u_quad[r], self._uc_quad[r])
-            self.dvals_quad[r] = dv
-            self.dcurls_quad[r] = dc
+        members = [(parent, cid, offset, scale) for parent in parents
+                   for cid, offset, scale in _active_descendants(mesh, parent)]
+        ranks = np.array([self.space.rank[m[1]] for m in members], dtype=np.int64)
+        owner = np.array([m[0] for m in members], dtype=np.int64)
+        offsets = np.array([m[2] for m in members]).reshape(-1, 2)
+        scales = np.array([m[3] for m in members])
+        mono, _, jac_p = self._parent_frame(owner, offsets, scales, REF.quad_pts, 2)
+        pulled = np.einsum("npji,npj->npi", jac_p, self._u_quad[ranks])
+        wts = np.sqrt(REF.quad_wts * self._det_quad[ranks])[:, :, None]
+        rows_a = np.concatenate([mono[..., 0] * wts, mono[..., 1] * wts], axis=1)
+        rows_b = np.concatenate([pulled[..., 0:1] * wts, pulled[..., 1:2] * wts],
+                                axis=1)
+        # one least-squares problem per parent over its consecutive members; a
+        # cell below two irregular parents keeps the fit of the later one
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        for lo, hi in zip(starts, list(starts[1:]) + [len(members)]):
+            coeffs, *_ = np.linalg.lstsq(rows_a[lo:hi].reshape(-1, 12).astype(complex),
+                                         rows_b[lo:hi].ravel(), rcond=None)
+            sl = slice(lo, hi)
+            self._order[ranks[sl]] = 2
+            self._parent[ranks[sl]] = owner[sl]
+            self._offset[ranks[sl]] = offsets[sl]
+            self._scale[ranks[sl]] = scales[sl]
+            self._coeffs[2][ranks[sl]] = coeffs
+        self.dvals_quad[ranks], self.dcurls_quad[ranks] = self.diff(
+            [m[1] for m in members], REF.quad_pts)
 
-    def _diff_from_entry(self, entry, cid, ref_pts, u_vals, u_curls):
-        parent, offset, scale, coeffs, order = entry
-        mesh = self.space.mesh
-        ppts = offset[None, :] + scale * np.asarray(ref_pts, dtype=float)
-        mono, mono_curl = vector_monomials(ppts, order=order)
-        _, jac_p = cell_geometry(mesh, [parent], ppts)
-        det_p = jacobian_det(jac_p)[0]
-        jinv_t = np.linalg.inv(jac_p[0]).transpose(0, 2, 1)
-        hat = np.einsum("pmc,m->pc", mono, coeffs)
-        pi_vals = np.einsum("pij,pj->pi", jinv_t, hat)
-        pi_curls = (mono_curl @ coeffs) / det_p
-        return pi_vals - u_vals, pi_curls - u_curls
+    def diff(self, cids, ref_pts):
+        """(pi u - u) values (n, p, 2) and curls (n, p) at reference points of cells.
 
-    def diff(self, cid: int, ref_pts: np.ndarray):
-        """(pi u - u) values and curls at reference points of an active cell."""
-        entry = self._entry[cid]
-        u_vals = self.sol.values(cid, ref_pts)
-        u_curls = self.sol.curls(cid, ref_pts)
-        if entry is None:
-            return np.zeros_like(u_vals), np.zeros_like(u_curls)
-        return self._diff_from_entry(entry, cid, ref_pts, u_vals, u_curls)
+        ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; cells
+        outside every patch get zero differences.
+        """
+        ranks = np.array([self.space.rank[c] for c in cids], dtype=np.int64)
+        pi_vals, pi_curls = self._recovered(ranks, ref_pts)
+        patched = (self._order[ranks] > 0)[:, None]
+        dvals = np.where(patched[..., None], pi_vals - self.sol.values(cids, ref_pts), 0)
+        dcurls = np.where(patched, pi_curls - self.sol.curls(cids, ref_pts), 0)
+        return dvals, dcurls
 
 
 def reconstruct(sol: FieldSolution, space: EdgeFESpace,
                 field_quad=None) -> PatchReconstruction:
     return PatchReconstruction(sol, space, field_quad=field_quad)
-
-
-def _face_quadrature(mesh: Mesh, cid: int, ledge: int, n: int = 4):
-    te, we = gauss01(n)
-    ref = _edge_ref_points(ledge, te)
-    phys, jac = cell_geometry(mesh, [cid], ref)
-    a, b = EDGE_CORNERS[ledge]
-    corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    tau_ref = corners[b] - corners[a]
-    dxdt = np.einsum("pij,j->pi", jac[0], tau_ref)
-    speed = np.linalg.norm(dxdt, axis=1)
-    return ref, phys[0], we * speed, dxdt / speed[:, None]
-
-
-def _sheet_ref_points_at(mesh: Mesh, cid: int, xs: np.ndarray):
-    from .fespace import sheet_edge_of
-    ledge = sheet_edge_of(mesh, cid)
-    cell = mesh.cells[cid]
-    a, b = EDGE_CORNERS[ledge]
-    xa = mesh.vertices[cell.verts[a], 0]
-    xb = mesh.vertices[cell.verts[b], 0]
-    t = (xs - xa) / (xb - xa)
-    return _edge_ref_points(ledge, t)
 
 
 def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
@@ -290,9 +289,8 @@ def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
     n = len(space.active)
     rho = np.empty(n, dtype=complex)
     rho_ast = np.empty(n, dtype=complex)
-    chunk = 16384
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
+    for lo in range(0, n, CHUNK_CELLS):
+        sl = slice(lo, min(lo + CHUNK_CELLS, n))
         flat = phys[sl].reshape(-1, 2)
         inv_mu, eps_eff = pml_mod.material_arrays(flat, model.mu_r, model.eps_r,
                                                   model.pml)
@@ -314,39 +312,47 @@ def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
                         eps_eff, ve_vals[sl])
         rho_ast[sl] = ra
 
-    rank_of = {cid: i for i, cid in enumerate(space.active)}
-    # sheet faces: half of each face integral to either adjacent cell
-    for face in interface_faces(mesh):
-        ref, fphys, fw, _ = _face_quadrature(mesh, face.owner, face.owner_edge)
-        sigma_eff = pml_mod.sheet_arrays(fphys, model.sigma_r, model.pml)
-        for cid in (face.above, face.below):
-            if cid is None:
-                continue
-            if cid == face.owner:
-                cref = ref
-            else:
-                cref = _sheet_ref_points_at(mesh, cid, fphys[:, 0])
-            e_t = E_H.values(cid, cref)[:, 0]
-            z_t = Z_H.values(cid, cref)[:, 0]
-            wz_t = recon_Z.diff(cid, cref)[0][:, 0]
-            ve_t = recon_E.diff(cid, cref)[0][:, 0]
-            share = 0.5
-            contrib_p = 1j * share * np.sum(fw * sigma_eff * e_t * np.conj(wz_t))
-            contrib_d = 1j * share * np.sum(fw * sigma_eff * ve_t * np.conj(z_t))
-            i = rank_of[cid]
-            rho[i] += contrib_p
-            rho_ast[i] += contrib_d
+    # sheet faces: half of each face integral to either adjacent cell, in face
+    # order; a coarse neighbor maps the owner's quadrature points into its frame
+    faces = interface_faces(mesh)
+    owners = np.array([f.owner for f in faces], dtype=np.int64)
+    ref, fphys, fw, _ = face_quadrature(mesh, owners, [f.owner_edge for f in faces])
+    sigma_eff = pml_mod.sheet_arrays(fphys.reshape(-1, 2), model.sigma_r,
+                                     model.pml).reshape(fw.shape)
+    sides = [(k, cid) for k, f in enumerate(faces) for cid in (f.above, f.below)
+             if cid is not None]
+    fid = np.array([k for k, _ in sides], dtype=np.int64)
+    cids = np.array([cid for _, cid in sides], dtype=np.int64)
+    cref = ref[fid]
+    coarse = cids != owners[fid]
+    p = ref.shape[1]
+    cref[coarse] = sheet_ref_points(mesh, np.repeat(cids[coarse], p),
+                                    fphys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
+    e_t = E_H.values(cids, cref)[..., 0]
+    z_t = Z_H.values(cids, cref)[..., 0]
+    wz_t = recon_Z.diff(cids, cref)[0][..., 0]
+    ve_t = recon_E.diff(cids, cref)[0][..., 0]
+    fws = fw[fid] * sigma_eff[fid]
+    ranks = [space.rank[c] for c in cids]
+    share = 0.5
+    np.add.at(rho, ranks, 1j * share * np.sum(fws * e_t * np.conj(wz_t), axis=1))
+    np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
+
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    for face in boundary_faces(mesh):
-        cid = face.owner
-        ref, fphys, fw, that = _face_quadrature(mesh, cid, face.owner_edge)
-        e_t = np.einsum("pi,pi->p", E_H.values(cid, ref), that)
-        z_t = np.einsum("pi,pi->p", Z_H.values(cid, ref), that)
-        wz_t = np.einsum("pi,pi->p", recon_Z.diff(cid, ref)[0], that)
-        ve_t = np.einsum("pi,pi->p", recon_E.diff(cid, ref)[0], that)
-        i = rank_of[cid]
-        rho[i] += 1j * impedance * np.sum(fw * e_t * np.conj(wz_t))
-        rho_ast[i] += 1j * impedance * np.sum(fw * ve_t * np.conj(z_t))
+    rim = boundary_faces(mesh)
+    cids = np.array([f.owner for f in rim], dtype=np.int64)
+    ref, _, fw, that = face_quadrature(mesh, cids, [f.owner_edge for f in rim])
+
+    def tangential(v):
+        return np.einsum("fpi,fpi->fp", v, that)
+
+    e_t = tangential(E_H.values(cids, ref))
+    z_t = tangential(Z_H.values(cids, ref))
+    wz_t = tangential(recon_Z.diff(cids, ref)[0])
+    ve_t = tangential(recon_E.diff(cids, ref)[0])
+    ranks = [space.rank[c] for c in cids]
+    np.add.at(rho, ranks, 1j * impedance * np.sum(fw * e_t * np.conj(wz_t), axis=1))
+    np.add.at(rho_ast, ranks, 1j * impedance * np.sum(fw * ve_t * np.conj(z_t), axis=1))
 
     eta = 0.5 * np.abs(rho + rho_ast)
     return {cid: float(eta[i]) for i, cid in enumerate(space.active)}

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import EDGE_CORNERS, GeometryError, Mesh, cell_geometry, jacobian_det
+from .mesh import (EDGE_CORNERS, GeometryError, Mesh, _corner_array, cell_geometry,
+                   jacobian_det)
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -103,7 +104,6 @@ class ReferenceElement:
         XI, ETA = np.meshgrid(x, x, indexing="ij")
         self.quad_pts = np.column_stack([XI.ravel(), ETA.ravel()])
         self.quad_wts = np.outer(w, w).ravel()
-        self._edge_t, self._edge_w = gauss01(quad_order)
         tb, wb = gauss01(3)
         XB, YB = np.meshgrid(tb, tb, indexing="ij")
         self._bulk_pts = np.column_stack([XB.ravel(), YB.ravel()])
@@ -154,11 +154,6 @@ class ReferenceElement:
         vals, curls = self.basis_at(oidx, self.quad_pts)
         return vals, curls
 
-    @lru_cache(maxsize=64)
-    def basis_at_edge(self, oidx: int, ledge: int):
-        pts = _edge_ref_points(ledge, self._edge_t)
-        return self.basis_at(oidx, pts)
-
 
 REF = ReferenceElement()
 
@@ -185,9 +180,6 @@ class EdgeFESpace:
     face_index: dict[tuple[int, int], int]
     n_faces: int
     n_dofs: int
-
-    def cell_rank(self, cid: int) -> int:
-        return self.rank[cid]
 
 
 def distribute_dofs(mesh: Mesh, order: int = 2) -> EdgeFESpace:
@@ -229,28 +221,59 @@ class FieldSolution:
     space: EdgeFESpace
     coeffs: np.ndarray
 
-    def values(self, cid: int, ref_pts):
-        vals, _ = shape_eval(self.space, cid, ref_pts)
-        local = self.coeffs[self.space.cell_dofs[self.space.rank[cid]]]
-        return np.einsum("b,bpc->pc", local, vals)
+    def _local(self, cids):
+        return self.coeffs[self.space.cell_dofs[[self.space.rank[c] for c in cids]]]
 
-    def curls(self, cid: int, ref_pts):
-        _, curls = shape_eval(self.space, cid, ref_pts)
-        local = self.coeffs[self.space.cell_dofs[self.space.rank[cid]]]
-        return np.einsum("b,bp->p", local, curls)
+    def values(self, cids, ref_pts):
+        """Field values (n, p, 2) at reference points of the cells cids."""
+        vals, _ = shape_eval(self.space, cids, ref_pts)
+        return np.einsum("nb,npbc->npc", self._local(cids), vals)
+
+    def curls(self, cids, ref_pts):
+        """Scalar curls (n, p) at reference points of the cells cids."""
+        _, curls = shape_eval(self.space, cids, ref_pts)
+        return np.einsum("nb,npb->np", self._local(cids), curls)
 
 
-def shape_eval(space: EdgeFESpace, cid: int, ref_pts):
-    """Physical basis values (12, npts, 2) and curls (12, npts) on one cell."""
+def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
+    """Physical points, det J, basis values and curls on many cells at once.
+
+    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell.  Returns
+    phys (n, p, 2), det (n, p), vals (n, p, 12, 2) and curls (n, p, 12); the
+    reference basis is evaluated once per edge-orientation signature, by
+    shared_basis(oidx) when given (a cache for fixed shared points).
+    """
     ref_pts = np.asarray(ref_pts, dtype=float)
-    _, jac = cell_geometry(space.mesh, [cid], ref_pts)
-    det = jacobian_det(jac)[0]
+    phys, jac = cell_geometry(space.mesh, cids, ref_pts)
+    det = jacobian_det(jac)
     if np.any(det <= 0):
-        raise GeometryError(f"degenerate Jacobian on cell {cid}")
-    vals_ref, curls_ref = REF.basis_at(orientation_index(space.mesh, cid), ref_pts)
-    jinv_t = np.linalg.inv(jac[0]).transpose(0, 2, 1)
-    vals = np.einsum("pij,pbj->bpi", jinv_t, vals_ref)
-    curls = (curls_ref / det[:, None]).T
+        raise GeometryError("nonpositive Jacobian")
+    jinv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
+    n, p = det.shape
+    vals = np.empty((n, p, N_DOFS_CELL, 2))
+    curls = np.empty((n, p, N_DOFS_CELL))
+    orient = space.orient_idx[[space.rank[c] for c in cids]]
+    for oidx in np.unique(orient):
+        sel = np.nonzero(orient == oidx)[0]
+        if ref_pts.ndim == 3:
+            vref, cref = REF.basis_at(int(oidx), ref_pts[sel].reshape(-1, 2))
+        elif shared_basis is not None:
+            vref, cref = shared_basis(int(oidx))
+        else:
+            vref, cref = REF.basis_at(int(oidx), ref_pts)
+        vref = np.broadcast_to(vref.reshape(-1, p, N_DOFS_CELL, 2),
+                               (len(sel), p, N_DOFS_CELL, 2))
+        vals[sel] = np.einsum("npij,npbj->npbi", jinv_t[sel], vref)
+        curls[sel] = cref.reshape(-1, p, N_DOFS_CELL) / det[sel][:, :, None]
+    return phys, det, vals, curls
+
+
+def shape_eval(space: EdgeFESpace, cids, ref_pts):
+    """Physical basis values (n, p, 12, 2) and curls (n, p, 12) on many cells.
+
+    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell.
+    """
+    _, _, vals, curls = _mapped_basis(space, cids, ref_pts)
     return vals, curls
 
 
@@ -334,55 +357,80 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
 
 def interpolate(space: EdgeFESpace, fun) -> np.ndarray:
     """Dof-moment interpolation of an analytic vector field fun(points)->(n,2)."""
-    mesh = space.mesh
+    mesh, cids = space.mesh, space.active
+    n = len(cids)
+    local = np.empty((n, N_DOFS_CELL), dtype=complex)
+    te, _ = gauss01(3)
+    for ledge in range(4):
+        _, phys, wds, tangent = face_quadrature(mesh, cids, np.full(n, ledge), 3)
+        ftan = wds * np.einsum("npi,npi->np", fun(phys.reshape(-1, 2)).reshape(phys.shape),
+                               tangent)
+        sign = 1 - 2 * ((space.orient_idx >> ledge) & 1)   # global edge direction
+        local[:, 2 * ledge] = sign * ftan.sum(axis=1)
+        local[:, 2 * ledge + 1] = ftan @ (2 * te - 1)
+    phys, jac = cell_geometry(mesh, cids, REF._bulk_pts)
+    pull = np.einsum("npji,npj->npi", jac, fun(phys.reshape(-1, 2)).reshape(phys.shape))
+    xi, eta = REF._bulk_pts.T
+    w = REF._bulk_wts
+    local[:, 8] = pull[:, :, 0] @ w
+    local[:, 9] = pull[:, :, 0] @ (w * (2 * xi - 1))
+    local[:, 10] = pull[:, :, 1] @ w
+    local[:, 11] = pull[:, :, 1] @ (w * (2 * eta - 1))
     coeffs = np.zeros(space.n_dofs, dtype=complex)
-    te, we = gauss01(3)
-    tb_pts, tb_wts = REF._bulk_pts, REF._bulk_wts
-    for r, cid in enumerate(space.active):
-        cell = mesh.cells[cid]
-        local = np.empty(N_DOFS_CELL, dtype=complex)
-        for ledge in range(4):
-            pts = _edge_ref_points(ledge, te)
-            phys, jac = cell_geometry(mesh, [cid], pts)
-            tau = np.asarray(_EDGE_TANGENT[ledge])
-            dxdt = np.einsum("pij,j->pi", jac[0], tau)
-            ftan = np.einsum("pi,pi->p", fun(phys[0]), dxdt)
-            a, b = EDGE_CORNERS[ledge]
-            o = 1.0 if cell.verts[a] < cell.verts[b] else -1.0
-            local[2 * ledge] = o * np.sum(we * ftan)
-            local[2 * ledge + 1] = np.sum(we * (2 * te - 1) * ftan)
-        phys, jac = cell_geometry(mesh, [cid], tb_pts)
-        pull = np.einsum("pji,pj->pi", jac[0], fun(phys[0]))  # J^T f
-        xi, eta = tb_pts[:, 0], tb_pts[:, 1]
-        local[8] = np.sum(tb_wts * pull[:, 0])
-        local[9] = np.sum(tb_wts * (2 * xi - 1) * pull[:, 0])
-        local[10] = np.sum(tb_wts * pull[:, 1])
-        local[11] = np.sum(tb_wts * (2 * eta - 1) * pull[:, 1])
-        coeffs[space.cell_dofs[r]] = local
+    coeffs[space.cell_dofs] = local
     return coeffs
 
 
-def sheet_edge_of(mesh: Mesh, cid: int) -> int:
-    """Local edge of a cell lying on {y = 0}; KeyError if none."""
-    cell = mesh.cells[cid]
-    for ledge in range(4):
-        a, b = EDGE_CORNERS[ledge]
-        if mesh.on_interface(cell.verts[a]) and mesh.on_interface(cell.verts[b]):
-            return ledge
-    raise KeyError(f"cell {cid} has no edge on the sheet")
+def face_quadrature(mesh: Mesh, cids, ledges, n: int = 4):
+    """Gauss rule with n points on the local edge ledges[k] of cell cids[k].
+
+    Returns reference points (f, n, 2), physical points (f, n, 2), weights
+    times the edge speed |dx/dt| (f, n) and unit tangents (f, n, 2) along the
+    reference edge direction.
+    """
+    te, we = gauss01(n)
+    ledges = np.asarray(ledges, dtype=np.int64)
+    ref = np.stack([_edge_ref_points(e, te) for e in range(4)])[ledges]
+    phys, jac = cell_geometry(mesh, cids, ref)
+    dxdt = np.einsum("fpij,fj->fpi", jac, np.asarray(_EDGE_TANGENT)[ledges])
+    # a straight edge's tangent is its chord; the blended map reproduces the
+    # chord only up to rounding where the edge meets an arc
+    rows = np.arange(len(ledges))
+    straight = ~np.array([mesh.cells[c].arc for c in cids], dtype=bool).reshape(-1, 4)[
+        rows, ledges]
+    start, end = np.array(EDGE_CORNERS)[ledges].T
+    corners = _corner_array(mesh, cids)
+    chord = corners[rows, end] - corners[rows, start]
+    dxdt[straight] = chord[straight][:, None, :]
+    speed = np.linalg.norm(dxdt, axis=2)
+    return ref, phys, we * speed, dxdt / speed[..., None]
+
+
+def sheet_ref_points(mesh: Mesh, cids, xs) -> np.ndarray:
+    """Reference points (m, 2) of the sheet positions xs[k] in the cells cids[k].
+
+    Each point lies on the cell's edge on {y = 0}; KeyError if a cell has none.
+    """
+    xs = np.asarray(xs, dtype=float)
+    corners = _corner_array(mesh, cids)
+    on_sheet = np.abs(corners[:, :, 1]) <= mesh._tol
+    start, end = np.array(EDGE_CORNERS).T
+    hit = on_sheet[:, start] & on_sheet[:, end]
+    if not np.all(hit.any(axis=1)):
+        raise KeyError("cell has no edge on the sheet")
+    ledge = hit.argmax(axis=1)
+    rows = np.arange(len(xs))
+    xa = corners[rows, start[ledge], 0]
+    xb = corners[rows, end[ledge], 0]
+    t = (xs - xa) / (xb - xa)
+    ref_corners = np.asarray(_CORNER_XY)
+    return (1 - t)[:, None] * ref_corners[start[ledge]] + t[:, None] * ref_corners[end[ledge]]
 
 
 def tangential_trace(sol: FieldSolution, face, xs, side: str = "above") -> np.ndarray:
     """E·e_x sampled at positions xs on a sheet face, from the requested side."""
-    mesh = sol.space.mesh
     cid = face.above if side == "above" else face.below
     if cid is None:
         raise ValueError(f"face has no cell on side {side!r}")
-    ledge = sheet_edge_of(mesh, cid)
-    cell = mesh.cells[cid]
-    a, b = EDGE_CORNERS[ledge]
-    xa = mesh.vertices[cell.verts[a], 0]
-    xb = mesh.vertices[cell.verts[b], 0]
-    t = (np.asarray(xs, dtype=float) - xa) / (xb - xa)
-    pts = _edge_ref_points(ledge, t)
-    return sol.values(cid, pts)[:, 0]
+    ref = sheet_ref_points(sol.space.mesh, [cid] * len(xs), xs)
+    return sol.values([cid], ref[None])[0, :, 0]

@@ -250,13 +250,14 @@ def build_disk_mesh(R: float, initial_refines: int = 0) -> Mesh:
 # -- reference-to-physical geometry -----------------------------------------
 
 def _edge_points(a, b, arc_mask, t, R):
-    """Curve positions/derivatives for a batch of edges at shared parameters.
+    """Curve positions/derivatives for a batch of edges.
 
-    a, b: (n, 2) endpoint arrays in reference direction; t: (p,) parameters.
-    Straight chords by default, circle arcs of radius R where flagged.
+    a, b: (n, 2) endpoint arrays in reference direction; t: (1, p) shared or
+    (n, p) per-edge parameters.  Straight chords by default, circle arcs of
+    radius R where flagged.
     """
-    n, p = a.shape[0], t.shape[0]
-    tt = t[None, :, None]
+    n, p = a.shape[0], t.shape[1]
+    tt = t[:, :, None]
     pos = (1.0 - tt) * a[:, None, :] + tt * b[:, None, :]
     dpos = np.broadcast_to((b - a)[:, None, :], (n, p, 2)).copy()
     if np.any(arc_mask):
@@ -265,7 +266,7 @@ def _edge_points(a, b, arc_mask, t, R):
         ta = np.arctan2(aa[:, 1], aa[:, 0])
         tb = np.arctan2(bb[:, 1], bb[:, 0])
         dt = (tb - ta + np.pi) % (2 * np.pi) - np.pi
-        ang = ta[:, None] + t[None, :] * dt[:, None]
+        ang = ta[:, None] + np.broadcast_to(t, (n, p))[idx] * dt[:, None]
         pos[idx, :, 0] = R * np.cos(ang)
         pos[idx, :, 1] = R * np.sin(ang)
         dpos[idx, :, 0] = -R * dt[:, None] * np.sin(ang)
@@ -276,16 +277,18 @@ def _edge_points(a, b, arc_mask, t, R):
 def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     """Physical coordinates and Jacobians of the reference map for many cells.
 
-    ref_pts: (p, 2) shared reference points.  Returns (phys (n,p,2),
-    jac (n,p,2,2)).  The map blends the four edge curves (transfinite
-    interpolation); with straight edges it reduces to the bilinear map.
+    ref_pts: (p, 2) reference points shared by all cells, or (n, p, 2) one set
+    per cell.  Returns (phys (n,p,2), jac (n,p,2,2)).  The map blends the four
+    edge curves (transfinite interpolation); with straight edges it reduces to
+    the bilinear map.
     """
     cids = list(cids)
-    verts = mesh.vertices
-    corners = np.stack([verts[list(mesh.cells[cid].verts)] for cid in cids])
-    arcs = np.array([mesh.cells[cid].arc for cid in cids], dtype=bool)
-    xi = np.asarray(ref_pts[:, 0], dtype=float)
-    eta = np.asarray(ref_pts[:, 1], dtype=float)
+    corners = _corner_array(mesh, cids)
+    arcs = np.array([mesh.cells[cid].arc for cid in cids], dtype=bool).reshape(-1, 4)
+    ref = np.asarray(ref_pts, dtype=float)
+    if ref.ndim == 2:
+        ref = ref[None]
+    xi, eta = ref[..., 0], ref[..., 1]
     v0, v1, v2, v3 = (corners[:, k] for k in range(4))
 
     c0, d0 = _edge_points(v0, v1, arcs[:, 0], xi, mesh.R)
@@ -293,8 +296,8 @@ def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     c1, d1 = _edge_points(v1, v2, arcs[:, 1], eta, mesh.R)
     c3, d3 = _edge_points(v0, v3, arcs[:, 3], eta, mesh.R)
 
-    xi_ = xi[None, :, None]
-    eta_ = eta[None, :, None]
+    xi_ = xi[..., None]
+    eta_ = eta[..., None]
     bl = ((1 - xi_) * (1 - eta_) * v0[:, None] + xi_ * (1 - eta_) * v1[:, None]
           + xi_ * eta_ * v2[:, None] + (1 - xi_) * eta_ * v3[:, None])
     phys = (1 - eta_) * c0 + eta_ * c2 + (1 - xi_) * c3 + xi_ * c1 - bl
@@ -306,7 +309,7 @@ def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     dxdxi = (1 - eta_) * d0 + eta_ * d2 + (c1 - c3) - dbl_dxi
     dxdeta = (1 - xi_) * d3 + xi_ * d1 + (c2 - c0) - dbl_deta
 
-    jac = np.empty((len(cids), len(xi), 2, 2))
+    jac = np.empty((len(cids), xi.shape[1], 2, 2))
     jac[..., 0] = dxdxi
     jac[..., 1] = dxdeta
     return phys, jac
@@ -420,7 +423,7 @@ def boundary_faces(mesh: Mesh) -> list[Face]:
 
 def _corner_array(mesh: Mesh, cids) -> np.ndarray:
     idx = np.array([mesh.cells[cid].verts for cid in cids], dtype=np.int64)
-    return mesh.vertices[idx]
+    return mesh.vertices[idx.reshape(-1, 4)]
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> list[int]:

@@ -209,11 +209,20 @@ def tail_integrand(s, x, a, sigma, mu=1.0, eps=1.0):
     return s * rad * np.exp(-sqme * x * s) / den * _trig_factor(rad, a, sigma, sqme)
 
 
-def _branchcut_once(x, a, sigma, mu, eps, h):
-    n1 = max(int(np.ceil(1.0 / h)), 2)
-    grid1 = np.linspace(0.0, 1.0, n1 + 1)
+# largest trapezoid grid one halving step may build; non-convergence beyond it
+# is reported instead of allocating further
+MAX_GRID_POINTS = 2**22
+
+
+def _grid_intervals(x, h):
+    """Intervals of the light-cone grid and of the tail grid, and the tail cutoff."""
     s_max = 1.0 / np.sqrt(h * x)
-    n2 = max(int(np.ceil(s_max / h)), 2)
+    return max(int(np.ceil(1.0 / h)), 2), max(int(np.ceil(s_max / h)), 2), s_max
+
+
+def _branchcut_once(x, a, sigma, mu, eps, h):
+    n1, n2, s_max = _grid_intervals(x, h)
+    grid1 = np.linspace(0.0, 1.0, n1 + 1)
     grid2 = np.linspace(0.0, s_max, n2 + 1)
     den_min = np.min(np.abs(grid2**2 - 4.0 * mu * eps / sigma**2 + 1.0))
     if den_min < 1e-9:
@@ -228,7 +237,8 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
     """Branch-cut part of the scattered tangential field on the sheet, x > 0.
 
     The step h is halved (and the tail cutoff 1/sqrt(h*x) co-refined) until the
-    total changes by less than quad.rel_tol relative; non-convergence raises
+    total changes by less than quad.rel_tol relative; non-convergence within
+    quad.max_halvings steps or MAX_GRID_POINTS grid points raises
     QuadratureError carrying the last two iterates.
     """
     spec = quad or QuadratureSpec()
@@ -238,22 +248,21 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
     out = np.empty(xs.shape, dtype=complex)
     for idx, xv in enumerate(xs):
         h = spec.h0
-        prev = _branchcut_once(xv, a, sigma_r, mu_r, eps_r, h)
-        converged = False
+        last_two = (None, _branchcut_once(xv, a, sigma_r, mu_r, eps_r, h))
         for _ in range(spec.max_halvings):
             h *= 0.5
+            if max(_grid_intervals(xv, h)[:2]) + 1 > MAX_GRID_POINTS:
+                raise QuadratureError(
+                    f"trapezoid halving at x={xv} needs more than {MAX_GRID_POINTS} "
+                    "grid points", last_two=last_two)
             cur = _branchcut_once(xv, a, sigma_r, mu_r, eps_r, h)
-            scale = abs(cur)
-            if scale == 0.0 or abs(cur - prev) < spec.rel_tol * scale:
-                converged = True
-                prev = cur
+            last_two = (last_two[1], cur)
+            if cur == 0.0 or abs(cur - last_two[0]) < spec.rel_tol * abs(cur):
                 break
-            prev = cur
-        if not converged:
-            raise QuadratureError(
-                f"trapezoid halving did not converge at x={xv}",
-                last_two=(prev, cur))
-        out[idx] = prev
+        else:
+            raise QuadratureError(f"trapezoid halving did not converge at x={xv}",
+                                  last_two=last_two)
+        out[idx] = cur
     if np.ndim(x) == 0:
         return complex(out[0])
     return out

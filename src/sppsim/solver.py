@@ -1,10 +1,11 @@
 """Direct sparse solution of the condensed complex systems.
 
-A sparse LU factorization is the production path; one factorization serves
-the primal and the adjoint solve because the assembled matrix is complex
-symmetric (M = M^T), so the adjoint pairing reduces to a conjugated solve
-with the same factors.  An unpreconditioned GMRES fallback exists only for
-memory-constrained smoke tests and is excluded from acceptance runs.
+Every solve goes through a sparse LU factorization with iterative
+refinement; a conservatively pivoted refactorization is the fallback when
+the fast ordering leaves the residual above RESIDUAL_TOL.  One factorization
+serves the primal and the adjoint solve because the assembled matrix is
+complex symmetric (M = M^T), so the adjoint pairing reduces to a conjugated
+solve with the same factors.
 """
 
 from __future__ import annotations
@@ -86,19 +87,9 @@ def _direct_solve(matrix, b, factor: Factorization | None):
     return x
 
 
-def solve(system: ComplexSystem, factor: Factorization | None = None,
-          method: str = "direct") -> FieldSolution:
+def solve(system: ComplexSystem, factor: Factorization | None = None) -> FieldSolution:
     """Primal solve; constraints are redistributed onto the returned field."""
-    if method == "iterative":
-        x, info = spla.gmres(system.matrix, system.rhs, rtol=1e-10, maxiter=20000)
-        if info != 0:
-            raise SolverError(f"gmres did not converge (info={info})")
-        if _residual(system.matrix, x, system.rhs) > 1e-8:
-            raise SolverError("iterative fallback residual too large")
-    elif method == "direct":
-        x = _direct_solve(system.matrix, system.rhs, factor)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = _direct_solve(system.matrix, system.rhs, factor)
     full = system.constraints.distribute(x)
     return FieldSolution(space=system.space, coeffs=full)
 

@@ -5,10 +5,11 @@ import scipy.sparse as sp
 from sppsim import mesh as msh
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
                              assemble_dipole_rhs, assemble_dual_rhs,
-                             assemble_interface, assemble_system,
-                             assemble_volume_boundary, condense)
+                             assemble_interface, assemble_volume_boundary,
+                             condense)
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
-                            distribute_dofs, shape_eval)
+                            distribute_dofs, interpolate, shape_eval)
+from sppsim.harness import solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
@@ -74,10 +75,10 @@ class TestMatrixStructure:
         XI, ETA = np.meshgrid(x, x, indexing="ij")
         pts = np.column_stack([XI.ravel(), ETA.ravel()])
         wts = np.outer(w, w).ravel()
-        vals, curls = shape_eval(space, 0, pts)
+        vals, curls = shape_eval(space, [0], pts)
         for b in range(12):
-            expected = np.sum(wts * curls[b] ** 2) - np.sum(
-                wts * np.einsum("pi,pi->p", vals[b], vals[b]))
+            expected = np.sum(wts * curls[0, :, b] ** 2) - np.sum(
+                wts * np.einsum("pi,pi->p", vals[0, :, b], vals[0, :, b]))
             assert mat[b, b] == pytest.approx(expected, rel=1e-12)
 
     def test_dissipative_sign_structure(self):
@@ -103,6 +104,16 @@ class TestMatrixStructure:
         coo = m1.tocoo()
         assert set(coo.row).issubset(sheet_dofs)
         assert set(coo.col).issubset(sheet_dofs)
+
+    def test_sheet_term_of_unit_tangential_field(self):
+        # E = e_x has unit trace on the sheet; without the layer the sheet term
+        # is -i sigma times the sheet length 2R
+        space, _ = disk_space(2, extra_marks=1)
+        sigma = 0.01 + 0.15j
+        c = interpolate(space, lambda p: np.column_stack([np.ones(len(p)),
+                                                          np.zeros(len(p))]))
+        m_sheet = assemble_interface(space, model(sigma=sigma, s0=0.0))
+        assert c @ (m_sheet @ c) == pytest.approx(-1j * sigma * 2 * R, rel=1e-11)
 
     def test_traversal_order_independence(self):
         from sppsim.assembly import _volume_tables
@@ -225,7 +236,7 @@ class TestDualRhs:
 
 
 class TestFullSystem:
-    def test_assemble_system_composes_terms(self):
+    def test_solve_pair_composes_terms(self):
         m = msh.build_disk_mesh(R, 2)
         # resolve the dipole with a generous regularization radius
         dip = DipoleSpec(height=1.0, radius=1.2)
@@ -238,7 +249,7 @@ class TestFullSystem:
         space = distribute_dofs(m)
         cs = build_constraints(space)
         mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
-        system = assemble_system(space, mdl, cs)
+        _, _, system, _ = solve_pair(space, cs, mdl)
         assert system.matrix.shape == (cs.n_master, cs.n_master)
         assert np.any(system.rhs != 0)
         full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)

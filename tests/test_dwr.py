@@ -127,7 +127,7 @@ class TestReconstruction:
             for i, cid in enumerate(space.active):
                 phys, jac = cell_geometry(m, [cid], REF.quad_pts)
                 det = jacobian_det(jac)[0]
-                u = sol.values(cid, REF.quad_pts)
+                u = sol.values([cid], REF.quad_pts)[0]
                 err_true += np.sum(REF.quad_wts * det *
                                    np.sum(np.abs(u - f(phys[0])) ** 2, axis=1))
                 err_rec += np.sum(REF.quad_wts * det *

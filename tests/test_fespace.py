@@ -50,7 +50,7 @@ def trace_jumps(space, sol):
         def trace_from(cid, ledge):
             ts = np.array([edge_param_of_point(mesh, cid, ledge, p) for p in phys])
             ref = fes._edge_ref_points(ledge, ts)
-            return sol.values(cid, ref) @ tau
+            return sol.values([cid], ref[None])[0] @ tau
 
         sides = []
         for cid, ledge in owners:
@@ -122,7 +122,7 @@ class TestShapeFunctions:
         space = distribute_dofs(grid_mesh(1, 1))
         rng = np.random.default_rng(0)
         pts = rand_pts(20, rng, 0.1, 0.9)
-        vals, curls = shape_eval(space, 0, pts)
+        vals, curls = shape_eval(space, [0], pts)
         h = 1e-5
         for axis, sgn in ((0, 1), (1, -1)):
             pass
@@ -130,10 +130,12 @@ class TestShapeFunctions:
         dxm = pts.copy(); dxm[:, 0] -= h
         dyp = pts.copy(); dyp[:, 1] += h
         dym = pts.copy(); dym[:, 1] -= h
-        vy_x = (shape_eval(space, 0, dxp)[0][:, :, 1] - shape_eval(space, 0, dxm)[0][:, :, 1]) / (2 * h)
-        vx_y = (shape_eval(space, 0, dyp)[0][:, :, 0] - shape_eval(space, 0, dym)[0][:, :, 0]) / (2 * h)
+        vy_x = (shape_eval(space, [0], dxp)[0][0, :, :, 1]
+                - shape_eval(space, [0], dxm)[0][0, :, :, 1]) / (2 * h)
+        vx_y = (shape_eval(space, [0], dyp)[0][0, :, :, 0]
+                - shape_eval(space, [0], dym)[0][0, :, :, 0]) / (2 * h)
         fd = vy_x - vx_y
-        assert np.max(np.abs(fd - curls)) < 1e-6
+        assert np.max(np.abs(fd - curls[0])) < 1e-6
 
     def test_gradient_fields_have_zero_curl_on_affine_cell(self):
         # gradients of biquadratic scalars lie in the space; their curl vanishes
@@ -156,8 +158,8 @@ class TestShapeFunctions:
         coeffs = interpolate(space, grad_p)
         sol = FieldSolution(space, coeffs)
         pts = rand_pts(40, rng)
-        assert np.max(np.abs(sol.curls(0, pts))) < 1e-10
-        assert np.max(np.abs(sol.values(0, pts) - grad_p(
+        assert np.max(np.abs(sol.curls([0], pts)[0])) < 1e-10
+        assert np.max(np.abs(sol.values([0], pts)[0] - grad_p(
             msh.cell_geometry(space.mesh, [0], pts)[0][0]))) < 1e-10
 
     def test_edge_moments_preserved_on_mapped_cell(self):
@@ -180,7 +182,7 @@ class TestShapeFunctions:
             tau = np.asarray(fes._EDGE_TANGENT[ledge])
             dxdt = np.einsum("pij,j->pi", jac[0], tau)
             m0_true = np.sum(w * np.einsum("pi,pi->p", f(phys[0]), dxdt))
-            m0_interp = np.sum(w * np.einsum("pi,pi->p", sol.values(0, ref), dxdt))
+            m0_interp = np.sum(w * np.einsum("pi,pi->p", sol.values([0], ref)[0], dxdt))
             assert m0_interp == pytest.approx(m0_true, abs=1e-12)
 
     def test_exact_sequence_gradients_representable(self):
@@ -255,7 +257,7 @@ class TestConstraints:
         for cid in space.active:
             pts = rand_pts(10, rng)
             phys = msh.cell_geometry(m, [cid], pts)[0][0]
-            assert np.max(np.abs(sol.values(cid, pts) - f(phys))) < 1e-12
+            assert np.max(np.abs(sol.values([cid], pts)[0] - f(phys))) < 1e-12
 
 
 class TestTangentialTrace:

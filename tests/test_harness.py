@@ -93,6 +93,33 @@ class TestScatteredTrace:
         scale = np.max(np.abs(tr.values))
         assert np.max(np.abs(folded)) < 0.02 * scale
 
+    def test_linear_field_reproduced_on_hanging_sheet_faces(self):
+        from sppsim import mesh as msh
+        from sppsim.fespace import interpolate
+        R = 4 * np.pi
+        mesh = msh.build_disk_mesh(R, 1)
+        below = [c for c in mesh.active_ids()
+                 if mesh.cell_corners(c)[:, 1].max() <= 0
+                 and np.sum(mesh.cell_corners(c)[:, 1] == 0) == 2]
+        mesh.refine(below[1:3])
+        faces = msh.interface_faces(mesh)
+        hanging = [f for f in faces if f.above is not None
+                   and mesh.cells[f.above].level < mesh.cells[f.owner].level]
+        assert hanging
+        space = distribute_dofs(mesh)
+
+        def f(p):
+            return np.column_stack([0.3 + 0.7 * p[:, 0] - 0.4 * p[:, 1],
+                                    -0.2 + 0.5 * p[:, 0] + 0.9 * p[:, 1]])
+
+        lin = FieldSolution(space, interpolate(space, f))
+        zero = FieldSolution(space, np.zeros(space.n_dofs, dtype=complex))
+        xs = np.linspace(-0.95 * R, 0.95 * R, 301)
+        assert any(np.any((xs > h.x_lo) & (xs < h.x_hi)) for h in hanging)
+        tr = hn.scattered_trace(lin, zero, xs)
+        exact = f(np.column_stack([xs, np.zeros_like(xs)]))[:, 0]
+        assert np.max(np.abs(tr.values - exact)) < 1e-11
+
     def test_different_spaces_rejected(self, tiny_solutions):
         cfg, space, total, primary = tiny_solutions
         other_mesh = hn.build_initial_mesh(cfg)

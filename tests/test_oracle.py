@@ -204,6 +204,15 @@ class TestBranchcutContribution:
                                    quad=QuadratureSpec(rel_tol=1e-14, max_halvings=3))
         assert err.value.last_two is not None
 
+    def test_unreachable_tolerance_stops_at_grid_cap(self):
+        # the tail grid grows like h**-1.5; the cap stops the halving before it
+        # builds a grid beyond MAX_GRID_POINTS (at x = 2 the last one built has
+        # about 2e6 points)
+        with pytest.raises(oracle.QuadratureError, match="grid points") as err:
+            branchcut_contribution(2.0, 1.0, 2.56e-4 + 0.160j,
+                                   quad=QuadratureSpec(rel_tol=1e-15))
+        assert None not in err.value.last_two
+
 
 class TestInterfaceField:
     def test_antisymmetric_in_position(self):

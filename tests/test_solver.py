@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from sppsim import mesh as msh
 from sppsim.assembly import (ComplexSystem, DipoleSpec, SheetModel,
-                             assemble_interface, assemble_system,
-                             assemble_volume_boundary, condense)
+                             assemble_interface, assemble_volume_boundary,
+                             condense)
 from sppsim.fespace import build_constraints, distribute_dofs
 from sppsim.pml import PmlSpec
 from sppsim.solver import Factorization, SolverError, factorize, solve, solve_adjoint
@@ -71,30 +71,6 @@ class TestDirectSolve:
         x1 = factorize(system.matrix).solve(system.rhs)
         x2 = factorize(system.matrix).solve(system.rhs)
         assert np.array_equal(x1, x2)
-
-    def test_iterative_fallback_smoke(self):
-        # tiny well-conditioned system only; excluded from acceptance paths
-        n = 40
-        rng = np.random.default_rng(5)
-        mat = sp.eye(n, format="csr", dtype=complex) * 3.0
-        mat = mat + sp.random(n, n, density=0.05, random_state=1, dtype=float) * 0.1
-        mat = (mat + mat.T).tocsr()
-        rhs = rng.standard_normal(n) + 0j
-
-        class Dummy:
-            pass
-
-        sys_obj = Dummy()
-        sys_obj.matrix = mat
-        sys_obj.rhs = rhs
-        identity = sp.eye(n, format="csr")
-        from sppsim.fespace import ConstraintSet
-        sys_obj.constraints = ConstraintSet(n_dofs=n, rows={}, matrix=identity,
-                                            master_dofs=np.arange(n))
-        sys_obj.space = None
-        sol = solve(sys_obj, method="iterative")
-        assert np.linalg.norm(mat @ sys_obj.constraints.restrict(sol.coeffs) - rhs) \
-            < 1e-8 * np.linalg.norm(rhs)
 
 
 class TestAdjointSolve:
