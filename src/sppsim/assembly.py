@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
                       FieldSolution, _mapped_basis, face_quadrature, shape_eval)
-from .mesh import boundary_faces, cells_intersecting_disk, interface_faces
+from .mesh import (boundary_faces, cell_diameters, cells_intersecting_disk,
+                   interface_faces)
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -73,7 +74,6 @@ class SheetModel:
     dipole: DipoleSpec
     mu_r: complex = 1.0
     eps_r: complex = 1.0
-    magnetic_current: object = None   # callable pts -> z-component, or None
 
     def __post_init__(self):
         if complex(self.sigma_r).imag < 0:
@@ -97,7 +97,7 @@ def _volume_tables(space: EdgeFESpace, cids=None):
     """Geometry and physical bases at the standard quadrature points, batched."""
     if cids is None:
         cids = space.active
-    ranks = np.array([space.rank[c] for c in cids], dtype=np.int64)
+    ranks = space.rank[cids]
     return (ranks,) + _mapped_basis(space, cids, REF.quad_pts, REF.basis_at_quad)
 
 
@@ -111,13 +111,13 @@ def iter_volume_tables(space: EdgeFESpace, cids=None):
 
 def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.coo_matrix:
     """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
-    cids = [f.owner for f in faces]
+    cids = np.array([f.owner for f in faces], dtype=np.int64)
     ref, phys, wds, tangent = face_quadrature(space.mesh, cids,
                                               [f.owner_edge for f in faces])
     vals, _ = shape_eval(space, cids, ref)
     tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
     local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-    dofs = space.cell_dofs[[space.rank[c] for c in cids]]
+    dofs = space.cell_dofs[space.rank[cids]]
     rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
     cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -160,33 +160,22 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
-    """F_i = i int j_reg . conj(phi_i), plus the optional magnetic-current term."""
+    """F_i = i int j_reg . conj(phi_i)."""
     dip = model.dipole
     cids = cells_intersecting_disk(space.mesh, dip.position, dip.radius)
-    if not cids:
+    if len(cids) == 0:
         raise AssemblyError("no cells near the dipole; mesh does not cover it")
-    from .mesh import cell_diameters
     dmax = cell_diameters(space.mesh, cids).max()
     if dmax > 0.5 * dip.radius:
         raise AssemblyError(
             f"dipole regularization unresolved: cell diameter {dmax:.3g} exceeds "
             f"half the radius {dip.radius:.3g}; refine the mesh near the dipole")
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    ranks, phys, det, vals, curls = _volume_tables(space, cids)
-    w = REF.quad_wts
+    ranks, phys, det, vals, _ = _volume_tables(space, cids)
     dens = dip.density(phys.reshape(-1, 2)).reshape(det.shape)
-    local = 1j * np.einsum("np,npb->nb", w[None, :] * det * dens, vals[:, :, :, 1])
-    for i, r in enumerate(ranks):
-        rhs[space.cell_dofs[r]] += local[i]
-    if model.magnetic_current is not None:
-        ranks, phys, det, vals, curls = _volume_tables(space)
-        flat = phys.reshape(-1, 2)
-        inv_mu, _ = pml_mod.material_arrays(flat, model.mu_r, model.eps_r, model.pml)
-        mz = np.asarray(model.magnetic_current(flat), dtype=complex)
-        coef = (inv_mu * mz).reshape(det.shape)
-        local = -np.einsum("np,npb->nb", w[None, :] * det * coef, curls)
-        for i, r in enumerate(ranks):
-            rhs[space.cell_dofs[r]] += local[i]
+    local = 1j * np.einsum("np,npb->nb", REF.quad_wts[None, :] * det * dens,
+                           vals[:, :, :, 1])
+    np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
     return rhs
 
 

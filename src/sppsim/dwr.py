@@ -28,8 +28,8 @@ from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
 from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
                       sheet_ref_points, vector_monomials)
-from .mesh import (Mesh, boundary_faces, cell_geometry, interface_faces,
-                   jacobian_det)
+from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry,
+                   interface_faces, jacobian_det)
 
 
 class QuadData:
@@ -92,25 +92,32 @@ def qoi(sol: FieldSolution, weight: WeightFunction) -> float:
     return total
 
 
-def _active_descendants(mesh: Mesh, parent: int):
-    """(cid, offset, scale) embeddings of active cells below one parent."""
-    out = []
-    stack = [(kid, 0.5 * np.array(off, dtype=float), 0.5)
-             for kid, off in zip(mesh.cells[parent].children,
-                                 ((0, 0), (1, 0), (1, 1), (0, 1)))]
-    while stack:
-        cid, offset, scale = stack.pop()
-        cell = mesh.cells[cid]
-        if cell.active:
-            out.append((cid, offset, scale))
-        else:
-            for kid, off in zip(cell.children, ((0, 0), (1, 0), (1, 1), (0, 1))):
-                stack.append((kid, offset + scale * 0.5 * np.array(off, dtype=float),
-                              scale * 0.5))
-    return out
+def _active_descendants(mesh: Mesh, parents):
+    """Embeddings (owner, cid, offset, scale) of the active cells below each parent.
 
-
-_QUADRANTS = ((0, 0), (1, 0), (1, 1), (0, 1))
+    Grouped by parent in the given order; within a parent the cells come in
+    depth-first order with the last quadrant first, the order in which their
+    least-squares rows are stacked.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    quads = np.asarray(CHILD_OFFSETS, dtype=float)
+    n = len(parents)
+    inner = (np.arange(n), parents, np.zeros((n, 2)), np.ones(n), np.zeros(n))
+    found = []
+    while len(inner[1]):
+        group, _, offset, scale, path = (np.repeat(c, 4, axis=0) for c in inner)
+        quad = np.tile(np.arange(4), len(inner[1]))
+        cid = mesh.children[inner[1]].ravel()
+        scale = 0.5 * scale
+        offset = offset + scale[:, None] * quads[quad]
+        path = path + quad * scale**2          # quadrant path as base-4 digits
+        leaf = mesh.children[cid, 0] < 0
+        cols = (group, cid, offset, scale, path)
+        found.append([c[leaf] for c in cols])
+        inner = [c[~leaf] for c in cols]
+    group, cid, offset, scale, path = (np.concatenate(c) for c in zip(*found))
+    order = np.lexsort((-path, group))
+    return parents[group[order]], cid[order], offset[order], scale[order]
 
 
 class PatchReconstruction:
@@ -141,22 +148,15 @@ class PatchReconstruction:
         self._coeffs = {2: np.zeros((n, 12), dtype=complex),
                         3: np.zeros((n, 24), dtype=complex)}
 
-        clean_parents, other_parents = [], []
-        seen = set()
-        for cid in space.active:
-            parent = mesh.cells[cid].parent
-            if parent is None or parent in seen:
-                continue
-            seen.add(parent)
-            kids = mesh.cells[parent].children
-            if all(mesh.cells[k].active for k in kids):
-                clean_parents.append(parent)
-            else:
-                other_parents.append(parent)
-        if clean_parents:
-            self._fit_clean(clean_parents)
-        if other_parents:
-            self._fit_generic(other_parents)
+        # parents in order of first appearance over the active cells
+        parents = mesh.parent[space.active]
+        parents = parents[parents >= 0]
+        parents = parents[np.sort(np.unique(parents, return_index=True)[1])]
+        clean = (mesh.children[mesh.children[parents], 0] < 0).all(axis=1)
+        if clean.any():
+            self._fit_clean(parents[clean])
+        if not clean.all():
+            self._fit_generic(parents[~clean])
 
     def _parent_frame(self, parents, offsets, scales, ref_pts, order):
         """Monomials and parent Jacobians at cell reference points mapped into parents."""
@@ -190,12 +190,11 @@ class PatchReconstruction:
         mesh = self.space.mesh
         p = len(REF.quad_wts)
         ppts = np.concatenate([0.5 * np.asarray(off, dtype=float)[None, :]
-                               + 0.5 * REF.quad_pts for off in _QUADRANTS])
+                               + 0.5 * REF.quad_pts for off in CHILD_OFFSETS])
         mono, mono_curl = vector_monomials(ppts, order=3)          # (4p, 24, 2)
         _, jac_p = cell_geometry(mesh, parents, ppts)
         det_p = jacobian_det(jac_p)
-        kid_ranks = np.array([[self.space.rank[k] for k in mesh.cells[par].children]
-                              for par in parents])
+        kid_ranks = self.space.rank[mesh.children[parents]]
         u = self._u_quad[kid_ranks].reshape(len(parents), 4 * p, 2)
         det_c = self._det_quad[kid_ranks].reshape(len(parents), 4 * p)
         w2 = np.tile(REF.quad_wts, 4)[None, :] * det_c
@@ -211,21 +210,16 @@ class PatchReconstruction:
         self.dvals_quad[kid_ranks] = pi_vals.reshape(shape + (2,)) - self._u_quad[kid_ranks]
         self.dcurls_quad[kid_ranks] = pi_curls.reshape(shape) - self._uc_quad[kid_ranks]
         self._order[kid_ranks] = 3
-        self._parent[kid_ranks] = np.asarray(parents)[:, None]
-        self._offset[kid_ranks] = 0.5 * np.asarray(_QUADRANTS, dtype=float)
+        self._parent[kid_ranks] = parents[:, None]
+        self._offset[kid_ranks] = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
         self._scale[kid_ranks] = 0.5
         self._coeffs[3][kid_ranks] = coeffs[:, None, :]
 
     # -- irregular patches: order-2 fit over all active descendants ---------
 
-    def _fit_generic(self, parents: list[int]):
-        mesh = self.space.mesh
-        members = [(parent, cid, offset, scale) for parent in parents
-                   for cid, offset, scale in _active_descendants(mesh, parent)]
-        ranks = np.array([self.space.rank[m[1]] for m in members], dtype=np.int64)
-        owner = np.array([m[0] for m in members], dtype=np.int64)
-        offsets = np.array([m[2] for m in members]).reshape(-1, 2)
-        scales = np.array([m[3] for m in members])
+    def _fit_generic(self, parents):
+        owner, members, offsets, scales = _active_descendants(self.space.mesh, parents)
+        ranks = self.space.rank[members]
         mono, _, jac_p = self._parent_frame(owner, offsets, scales, REF.quad_pts, 2)
         pulled = np.einsum("npji,npj->npi", jac_p, self._u_quad[ranks])
         wts = np.sqrt(REF.quad_wts * self._det_quad[ranks])[:, :, None]
@@ -244,8 +238,7 @@ class PatchReconstruction:
             self._offset[ranks[sl]] = offsets[sl]
             self._scale[ranks[sl]] = scales[sl]
             self._coeffs[2][ranks[sl]] = coeffs
-        self.dvals_quad[ranks], self.dcurls_quad[ranks] = self.diff(
-            [m[1] for m in members], REF.quad_pts)
+        self.dvals_quad[ranks], self.dcurls_quad[ranks] = self.diff(members, REF.quad_pts)
 
     def diff(self, cids, ref_pts):
         """(pi u - u) values (n, p, 2) and curls (n, p) at reference points of cells.
@@ -253,7 +246,7 @@ class PatchReconstruction:
         ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; cells
         outside every patch get zero differences.
         """
-        ranks = np.array([self.space.rank[c] for c in cids], dtype=np.int64)
+        ranks = self.space.rank[cids]
         pi_vals, pi_curls = self._recovered(ranks, ref_pts)
         patched = (self._order[ranks] > 0)[:, None]
         dvals = np.where(patched[..., None], pi_vals - self.sol.values(cids, ref_pts), 0)
@@ -270,7 +263,7 @@ def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
                Z_H: FieldSolution, recon_E: PatchReconstruction,
                recon_Z: PatchReconstruction, weight: WeightFunction,
                geom=None) -> dict[int, float]:
-    """Cell indicators eta_Q from the mixed primal/dual residual form.
+    """Per-cell indicators eta_Q from the mixed primal/dual residual form.
 
     Only discrete quantities enter; the exact solutions never do.
     """
@@ -333,7 +326,7 @@ def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
     wz_t = recon_Z.diff(cids, cref)[0][..., 0]
     ve_t = recon_E.diff(cids, cref)[0][..., 0]
     fws = fw[fid] * sigma_eff[fid]
-    ranks = [space.rank[c] for c in cids]
+    ranks = space.rank[cids]
     share = 0.5
     np.add.at(rho, ranks, 1j * share * np.sum(fws * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
@@ -350,12 +343,12 @@ def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
     z_t = tangential(Z_H.values(cids, ref))
     wz_t = tangential(recon_Z.diff(cids, ref)[0])
     ve_t = tangential(recon_E.diff(cids, ref)[0])
-    ranks = [space.rank[c] for c in cids]
+    ranks = space.rank[cids]
     np.add.at(rho, ranks, 1j * impedance * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * impedance * np.sum(fw * ve_t * np.conj(z_t), axis=1))
 
     eta = 0.5 * np.abs(rho + rho_ast)
-    return {cid: float(eta[i]) for i, cid in enumerate(space.active)}
+    return dict(zip(space.active.tolist(), eta.tolist()))
 
 
 def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
@@ -363,14 +356,13 @@ def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
     """Top cells by indicator plus the forced, geometrically tightening band."""
     if cycle < 1:
         raise ValueError("cycles are counted from 1")
-    active = sorted(indicator_map)
-    n_top = math.ceil(fraction * len(active))
-    by_eta = sorted(active, key=lambda c: (-indicator_map[c], c))
-    selected = set(by_eta[:n_top])
-    centers = np.array([mesh.cell_corners(c).mean(axis=0) for c in active])
-    wvals = weight(centers)
+    active = np.array(sorted(indicator_map), dtype=np.int64)
+    eta = np.array([indicator_map[c] for c in active.tolist()])
+    selected = np.zeros(len(active), dtype=bool)
+    # largest indicators first, ties by ascending cell id
+    selected[np.lexsort((active, -eta))[:math.ceil(fraction * len(active))]] = True
+    wvals = weight(mesh.cell_corners(active).mean(axis=1))
     wmax = wvals.max()
     if wmax > 0:
-        threshold = 1.0 - 0.5 ** (cycle - 1)
-        selected.update(c for c, w in zip(active, wvals) if w / wmax > threshold)
-    return sorted(c for c in selected if mesh.cells[c].level < level_cap)
+        selected |= wvals / wmax > 1.0 - 0.5 ** (cycle - 1)
+    return active[selected & (mesh.level[active] < level_cap)].tolist()

@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EDGE_CORNERS, GeometryError, Mesh, _corner_array, cell_geometry,
-                   jacobian_det)
+from .mesh import EDGE_CORNERS, GeometryError, Mesh, cell_geometry, jacobian_det
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -158,60 +157,53 @@ class ReferenceElement:
 REF = ReferenceElement()
 
 
-def orientation_index(mesh: Mesh, cid: int) -> int:
-    cell = mesh.cells[cid]
-    idx = 0
-    for ledge, (a, b) in enumerate(EDGE_CORNERS):
-        if cell.verts[a] > cell.verts[b]:
-            idx |= 1 << ledge
-    return idx
-
-
 @dataclass
 class EdgeFESpace:
-    """Global dof layout: two moments per leaf face, then four per active cell."""
+    """Global dof layout: two moments per leaf face, then four per active cell.
+
+    rank maps every cell id to its row in cell_dofs/orient_idx; inactive cells
+    map to n_active, one past the last row, so using them raises IndexError.
+    """
 
     mesh: Mesh
-    order: int
-    active: list[int]
-    rank: dict[int, int]
+    active: np.ndarray         # (n_active,) cell ids, ascending
+    rank: np.ndarray           # (n_cells,)
     cell_dofs: np.ndarray      # (n_active, 12) global indices
-    orient_idx: np.ndarray     # (n_active,)
+    orient_idx: np.ndarray     # (n_active,) edge-orientation signature
     face_index: dict[tuple[int, int], int]
     n_faces: int
     n_dofs: int
 
 
-def distribute_dofs(mesh: Mesh, order: int = 2) -> EdgeFESpace:
-    """Deterministic global enumeration over the active mesh."""
-    if order != 2:
-        raise ValueError("only order-2 edge elements are supported")
-    active = sorted(mesh.active_ids())
-    face_index: dict[tuple[int, int], int] = {}
-    for cid in active:
-        cell = mesh.cells[cid]
-        for ledge in range(4):
-            key = cell.edge_key(ledge)
-            if key not in face_index:
-                face_index[key] = len(face_index)
-    n_faces = len(face_index)
-    cell_dofs = np.empty((len(active), N_DOFS_CELL), dtype=np.int64)
-    orient = np.empty(len(active), dtype=np.int8)
-    rank = {}
-    for r, cid in enumerate(active):
-        rank[cid] = r
-        cell = mesh.cells[cid]
-        for ledge in range(4):
-            f = face_index[cell.edge_key(ledge)]
-            cell_dofs[r, 2 * ledge] = 2 * f
-            cell_dofs[r, 2 * ledge + 1] = 2 * f + 1
-        base = 2 * n_faces + 4 * r
-        cell_dofs[r, 8:] = np.arange(base, base + 4)
-        orient[r] = orientation_index(mesh, cid)
-    return EdgeFESpace(mesh=mesh, order=order, active=active, rank=rank,
+def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
+    """Deterministic global enumeration over the active mesh.
+
+    Faces are numbered in order of first appearance over (active cell, local
+    edge); that numbering fixes the dof ids and with them the LU ordering.
+    """
+    active = mesh.active_ids()
+    n = len(active)
+    keys = mesh.edge_keys(active).reshape(-1, 2)
+    _, first, inverse = np.unique(keys[:, 0] * len(mesh.vertices) + keys[:, 1],
+                                  return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    face_of = np.empty_like(by_appearance)
+    face_of[by_appearance] = np.arange(len(first))
+    faces = face_of[inverse].reshape(n, 4)
+    n_faces = len(first)
+    face_index = {tuple(key): f for f, key in enumerate(keys[first[by_appearance]].tolist())}
+    cell_dofs = np.empty((n, N_DOFS_CELL), dtype=np.int64)
+    cell_dofs[:, 0:8:2] = 2 * faces
+    cell_dofs[:, 1:8:2] = 2 * faces + 1
+    cell_dofs[:, 8:] = 2 * n_faces + 4 * np.arange(n)[:, None] + np.arange(4)
+    ends = mesh.cells[active][:, np.array(EDGE_CORNERS)]
+    orient = ((ends[..., 0] > ends[..., 1]) << np.arange(4)).sum(axis=1).astype(np.int8)
+    rank = np.full(len(mesh.cells), n, dtype=np.int64)
+    rank[active] = np.arange(n)
+    return EdgeFESpace(mesh=mesh, active=active, rank=rank,
                        cell_dofs=cell_dofs, orient_idx=orient,
                        face_index=face_index, n_faces=n_faces,
-                       n_dofs=2 * n_faces + 4 * len(active))
+                       n_dofs=2 * n_faces + 4 * n)
 
 
 @dataclass
@@ -222,7 +214,7 @@ class FieldSolution:
     coeffs: np.ndarray
 
     def _local(self, cids):
-        return self.coeffs[self.space.cell_dofs[[self.space.rank[c] for c in cids]]]
+        return self.coeffs[self.space.cell_dofs[self.space.rank[cids]]]
 
     def values(self, cids, ref_pts):
         """Field values (n, p, 2) at reference points of the cells cids."""
@@ -252,7 +244,7 @@ def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
     n, p = det.shape
     vals = np.empty((n, p, N_DOFS_CELL, 2))
     curls = np.empty((n, p, N_DOFS_CELL))
-    orient = space.orient_idx[[space.rank[c] for c in cids]]
+    orient = space.orient_idx[space.rank[cids]]
     for oidx in np.unique(orient):
         sel = np.nonzero(orient == oidx)[0]
         if ref_pts.ndim == 3:
@@ -395,11 +387,11 @@ def face_quadrature(mesh: Mesh, cids, ledges, n: int = 4):
     dxdt = np.einsum("fpij,fj->fpi", jac, np.asarray(_EDGE_TANGENT)[ledges])
     # a straight edge's tangent is its chord; the blended map reproduces the
     # chord only up to rounding where the edge meets an arc
-    rows = np.arange(len(ledges))
-    straight = ~np.array([mesh.cells[c].arc for c in cids], dtype=bool).reshape(-1, 4)[
-        rows, ledges]
+    cids = np.asarray(cids, dtype=np.int64)
+    straight = ~mesh.arc[cids, ledges]
     start, end = np.array(EDGE_CORNERS)[ledges].T
-    corners = _corner_array(mesh, cids)
+    corners = mesh.cell_corners(cids)
+    rows = np.arange(len(ledges))
     chord = corners[rows, end] - corners[rows, start]
     dxdt[straight] = chord[straight][:, None, :]
     speed = np.linalg.norm(dxdt, axis=2)
@@ -412,7 +404,7 @@ def sheet_ref_points(mesh: Mesh, cids, xs) -> np.ndarray:
     Each point lies on the cell's edge on {y = 0}; KeyError if a cell has none.
     """
     xs = np.asarray(xs, dtype=float)
-    corners = _corner_array(mesh, cids)
+    corners = mesh.cell_corners(cids)
     on_sheet = np.abs(corners[:, :, 1]) <= mesh._tol
     start, end = np.array(EDGE_CORNERS).T
     hit = on_sheet[:, start] & on_sheet[:, end]

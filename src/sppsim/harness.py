@@ -50,10 +50,6 @@ class RunConfig:
     x_min: float = 0.5
     quad_rel_tol: float = 5e-3
     write_artifacts: bool = True
-    # optional pre-resolved strips around the sheet: ((half_width, diameter), ...);
-    # band_cycle_offset shifts the forced-band threshold accordingly
-    seed_strips: tuple = ()
-    band_cycle_offset: int = 0
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -107,29 +103,24 @@ def resolve_dipole(mesh: Mesh, config: RunConfig) -> Mesh:
     while True:
         cids = cells_intersecting_disk(mesh, center, config.d_reg)
         diam = cell_diameters(mesh, cids)
-        too_big = [c for c, dm in zip(cids, diam) if dm > target]
-        if not too_big:
+        too_big = cids[diam > target]
+        if len(too_big) == 0:
             return mesh
         mesh.refine(too_big)
 
 
 def build_initial_mesh(config: RunConfig) -> Mesh:
     mesh = build_disk_mesh(config.R, config.initial_refines)
-    for half_width, diam in config.seed_strips:
-        band_refine(mesh, half_width, diam)
     return resolve_dipole(mesh, config)
 
 
 def band_refine(mesh: Mesh, half_width: float, target_diameter: float) -> Mesh:
     """Refine every cell overlapping |y| < half_width down to a diameter."""
-    from .mesh import _corner_array
     while True:
         cids = mesh.active_ids()
-        corners = _corner_array(mesh, cids)
-        overlap = np.abs(corners[:, :, 1]).min(axis=1) < half_width
-        big = cell_diameters(mesh, cids) > target_diameter
-        marked = [cid for cid, hit in zip(cids, overlap & big) if hit]
-        if not marked:
+        overlap = np.abs(mesh.cell_corners(cids)[:, :, 1]).min(axis=1) < half_width
+        marked = cids[overlap & (cell_diameters(mesh, cids) > target_diameter)]
+        if len(marked) == 0:
             return mesh
         mesh.refine(marked)
 
@@ -243,8 +234,7 @@ def run_adaptive(config: RunConfig):
         eta = dwr_mod.indicators(space, model, total, adjoint, recon_e,
                                  recon_z, weight, geom=(qd.phys, qd.det))
         out.cycle_outputs(cycle, mesh, space, trace, reference, eta)
-        marked = dwr_mod.mark(eta, mesh, weight,
-                              cycle + config.band_cycle_offset,
+        marked = dwr_mod.mark(eta, mesh, weight, cycle,
                               fraction=config.marking_fraction,
                               level_cap=config.level_cap)
         mesh.refine(marked)

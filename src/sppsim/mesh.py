@@ -7,6 +7,12 @@ than one refinement level (closure refinement restores this after every call).
 Cells touching the outer circle carry arc edges and use a transfinite
 (polar-blended) reference map; all other cells are bilinear.
 
+The mesh is stored as numpy columns indexed by vertex or cell id (a linear
+quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
+ids, ``level``, ``parent`` (-1 for a root cell), ``children`` (nc, 4; -1
+while the cell is active) and ``arc`` (nc, 4) flags.  Ids are append-only, so
+every cell ever created keeps its row.
+
 Local conventions on the reference square [0,1]^2 with corners numbered
 counterclockwise from the origin:
 
@@ -34,26 +40,20 @@ EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 # children quadrant offsets, aligned with parent reference coordinates
 CHILD_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
+# per-cell columns: name -> (row shape, dtype)
+_CELL_COLUMNS = {"cells": ((4,), np.int64), "level": ((), np.int64),
+                 "parent": ((), np.int64), "children": ((4,), np.int64),
+                 "arc": ((4,), bool)}
 
-class Cell:
-    __slots__ = ("id", "level", "verts", "parent", "children", "arc")
 
-    def __init__(self, cid, level, verts, parent, arc):
-        self.id = cid
-        self.level = level
-        self.verts = tuple(verts)
-        self.parent = parent
-        self.children = None
-        self.arc = tuple(arc)
+def _grown(arr: np.ndarray) -> np.ndarray:
+    """arr with its row capacity doubled (amortised O(1) appends)."""
+    return np.concatenate([arr, np.empty_like(arr)])
 
-    @property
-    def active(self):
-        return self.children is None
 
-    def edge_key(self, ledge):
-        a, b = EDGE_CORNERS[ledge]
-        va, vb = self.verts[a], self.verts[b]
-        return (va, vb) if va < vb else (vb, va)
+def _cell_column(name):
+    return property(lambda self: self._cols[name][:self._nc],
+                    doc=f"per-cell column {name!r} over all cells created")
 
 
 class Mesh:
@@ -63,78 +63,90 @@ class Mesh:
         if not R > 0:
             raise ValueError("disk radius must be positive")
         self.R = float(R)
-        self._verts: list[tuple[float, float]] = []
-        self._vert_cache: np.ndarray | None = None
-        self.cells: list[Cell] = []
+        self._xy = np.empty((16, 2))
+        self._nv = 0
+        self._cols = {name: np.empty((16,) + shape, dtype=dtype)
+                      for name, (shape, dtype) in _CELL_COLUMNS.items()}
+        self._nc = 0
         self.edge_mid: dict[tuple[int, int], int] = {}
         self.mid_of: dict[int, tuple[int, int]] = {}
         self.edge_to_cells: dict[tuple[int, int], set[int]] = {}
         self._tol = 1e-9 * float(R)
 
+    vertices = property(lambda self: self._xy[:self._nv], doc="(nv, 2) coordinates")
+    cells = _cell_column("cells")
+    level = _cell_column("level")
+    parent = _cell_column("parent")
+    children = _cell_column("children")
+    arc = _cell_column("arc")
+
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, x: float, y: float) -> int:
-        self._verts.append((float(x), float(y)))
-        self._vert_cache = None
-        return len(self._verts) - 1
+        if self._nv == len(self._xy):
+            self._xy = _grown(self._xy)
+        self._xy[self._nv] = (x, y)
+        self._nv += 1
+        return self._nv - 1
 
     def add_cell(self, verts, level, parent, arc) -> int:
-        cid = len(self.cells)
-        cell = Cell(cid, level, verts, parent, arc)
-        self.cells.append(cell)
-        for ledge in range(4):
-            self.edge_to_cells.setdefault(cell.edge_key(ledge), set()).add(cid)
+        """Append a cell; parent is -1 for a root cell."""
+        cid = self._nc
+        if cid == len(self._cols["cells"]):
+            self._cols = {name: _grown(col) for name, col in self._cols.items()}
+        row = {"cells": verts, "level": level, "parent": parent, "children": -1,
+               "arc": arc}
+        for name, value in row.items():
+            self._cols[name][cid] = value
+        self._nc += 1
+        for key in self._keys_of(cid):
+            self.edge_to_cells.setdefault(key, set()).add(cid)
         return cid
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def vertices(self) -> np.ndarray:
-        if self._vert_cache is None or len(self._vert_cache) != len(self._verts):
-            self._vert_cache = np.asarray(self._verts, dtype=float)
-        return self._vert_cache
-
-    def active_ids(self) -> list[int]:
-        return [c.id for c in self.cells if c.active]
+    def active_ids(self) -> np.ndarray:
+        """Ids of the active (unsplit) cells, ascending."""
+        return np.flatnonzero(self.children[:, 0] < 0)
 
     def n_active(self) -> int:
-        return sum(1 for c in self.cells if c.active)
+        return len(self.active_ids())
 
-    def cell_corners(self, cid: int) -> np.ndarray:
-        return self.vertices[list(self.cells[cid].verts)]
+    def cell_corners(self, cids) -> np.ndarray:
+        """Corner coordinates (n, 4, 2) of the cells cids."""
+        return self.vertices[self.cells[np.asarray(cids, dtype=np.int64)]]
 
-    def on_boundary(self, vid: int) -> bool:
-        x, y = self._verts[vid]
-        return abs(np.hypot(x, y) - self.R) <= self._tol
+    def edge_keys(self, cids) -> np.ndarray:
+        """Sorted vertex-id pairs (n, 4, 2) of the four edges of the cells cids."""
+        ends = self.cells[np.asarray(cids, dtype=np.int64)][:, np.array(EDGE_CORNERS)]
+        return np.sort(ends, axis=2)
 
-    def on_interface(self, vid: int) -> bool:
-        return abs(self._verts[vid][1]) <= self._tol
+    def _keys_of(self, cid: int) -> list[tuple[int, int]]:
+        """Edge keys of one cell as tuples, for the edge dictionaries."""
+        return [tuple(key) for key in self.edge_keys([cid])[0].tolist()]
 
-    def cell_edge_index(self, cid: int, key) -> int:
-        cell = self.cells[cid]
-        for ledge in range(4):
-            if cell.edge_key(ledge) == key:
-                return ledge
-        raise KeyError(f"edge {key} not on cell {cid}")
+    def on_boundary(self) -> np.ndarray:
+        """Mask over vertices: on the outer circle."""
+        x, y = self.vertices.T
+        return np.abs(np.hypot(x, y) - self.R) <= self._tol
+
+    def on_interface(self) -> np.ndarray:
+        """Mask over vertices: on the sheet {y = 0}."""
+        return np.abs(self.vertices[:, 1]) <= self._tol
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        verts = self.vertices
-        for cid in self.active_ids():
-            h.update(np.round(verts[list(self.cells[cid].verts)], 12).tobytes())
-        return h.hexdigest()
+        corners = self.cell_corners(self.active_ids())
+        return hashlib.sha256(np.round(corners, 12).tobytes()).hexdigest()
 
     # -- refinement --------------------------------------------------------
 
-    def _edge_midpoint(self, cell: Cell, ledge: int) -> int:
-        key = cell.edge_key(ledge)
+    def _edge_midpoint(self, cid: int, ledge: int) -> int:
+        key = self._keys_of(cid)[ledge]
         mid = self.edge_mid.get(key)
         if mid is not None:
             return mid
-        va, vb = key
-        ax, ay = self._verts[va]
-        bx, by = self._verts[vb]
-        if cell.arc[ledge]:
+        (ax, ay), (bx, by) = self.vertices[list(key)].tolist()
+        if self.arc[cid, ledge]:
             ta = np.arctan2(ay, ax)
             tb = np.arctan2(by, bx)
             dt = (tb - ta + np.pi) % (2 * np.pi) - np.pi
@@ -146,56 +158,49 @@ class Mesh:
         self.mid_of[mid] = key
         return mid
 
-    def _coarser_neighbor(self, cell: Cell, ledge: int):
-        """Active cell owning the parent edge if this edge is a hanging child."""
-        key = cell.edge_key(ledge)
+    def _coarser_neighbor(self, cid: int, ledge: int):
+        """(cid, ledge) of the active cell owning the parent edge if this edge
+        is a hanging child, else None."""
+        key = self._keys_of(cid)[ledge]
         for vid in key:
             parent_key = self.mid_of.get(vid)
-            if parent_key is None:
-                continue
             other = key[0] if key[1] == vid else key[1]
-            if other in parent_key:
-                owners = self.edge_to_cells.get(parent_key, ())
-                for cid in owners:
-                    if self.cells[cid].active:
-                        return cid
+            if parent_key is None or other not in parent_key:
+                continue
+            # only active cells are registered under an edge
+            for coarse in self.edge_to_cells.get(parent_key, ()):
+                return coarse, self._keys_of(coarse).index(parent_key)
         return None
 
     def _split(self, cid: int):
-        cell = self.cells[cid]
-        if not cell.active:
+        if self.children[cid, 0] >= 0:
             return
+        level = self.level[cid]
         # closure: neighbors across each edge must reach this cell's level first
         for ledge in range(4):
-            coarse = self._coarser_neighbor(cell, ledge)
-            if coarse is not None and self.cells[coarse].level < cell.level:
-                self._split(coarse)
-        v0, v1, v2, v3 = cell.verts
-        m0 = self._edge_midpoint(cell, 0)
-        m1 = self._edge_midpoint(cell, 1)
-        m2 = self._edge_midpoint(cell, 2)
-        m3 = self._edge_midpoint(cell, 3)
+            coarse = self._coarser_neighbor(cid, ledge)
+            if coarse is not None and self.level[coarse[0]] < level:
+                self._split(coarse[0])
+        v0, v1, v2, v3 = self.cells[cid].tolist()
+        m0, m1, m2, m3 = (self._edge_midpoint(cid, ledge) for ledge in range(4))
         center_xy = cell_geometry(self, [cid], np.array([[0.5, 0.5]]))[0][0, 0]
         cc = self.add_vertex(center_xy[0], center_xy[1])
-        a0, a1, a2, a3 = cell.arc
+        a0, a1, a2, a3 = self.arc[cid].tolist()
         spec = [
             ((v0, m0, cc, m3), (a0, False, False, a3)),
             ((m0, v1, m1, cc), (a0, a1, False, False)),
             ((cc, m1, v2, m2), (False, a1, a2, False)),
             ((m3, cc, m2, v3), (False, False, a2, a3)),
         ]
-        for ledge in range(4):
-            self.edge_to_cells[cell.edge_key(ledge)].discard(cid)
-        kids = tuple(self.add_cell(verts, cell.level + 1, cid, arc)
-                     for verts, arc in spec)
-        cell.children = kids
+        for key in self._keys_of(cid):
+            self.edge_to_cells[key].discard(cid)
+        kids = [self.add_cell(verts, level + 1, cid, arc) for verts, arc in spec]
+        self.children[cid] = kids
 
     def refine(self, marked) -> "Mesh":
         """Split each marked active cell into 4; closure keeps 1-irregularity."""
         for cid in sorted(set(int(c) for c in marked)):
-            if not self.cells[cid].active:
-                continue  # already split by closure
-            self._split(cid)
+            self._split(cid)    # no-op for a cell already split by closure
         return self
 
     def uniform_refine(self, times: int = 1) -> "Mesh":
@@ -234,15 +239,15 @@ def build_disk_mesh(R: float, initial_refines: int = 0) -> Mesh:
 
     def mirrored(vid):
         if vid not in mirror:
-            x, y = mesh._verts[vid]
+            x, y = mesh.vertices[vid]
             mirror[vid] = vid if abs(y) <= mesh._tol else mesh.add_vertex(x, -y)
         return mirror[vid]
 
     for verts, arc in upper:
-        mesh.add_cell(verts, 0, None, arc)
+        mesh.add_cell(verts, 0, -1, arc)
     for (w0, w1, w2, w3), (a0, a1, a2, a3) in upper:
         verts = (mirrored(w0), mirrored(w3), mirrored(w2), mirrored(w1))
-        mesh.add_cell(verts, 0, None, (a3, a2, a1, a0))
+        mesh.add_cell(verts, 0, -1, (a3, a2, a1, a0))
     mesh.uniform_refine(initial_refines)
     return mesh
 
@@ -282,9 +287,9 @@ def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     edge curves (transfinite interpolation); with straight edges it reduces to
     the bilinear map.
     """
-    cids = list(cids)
-    corners = _corner_array(mesh, cids)
-    arcs = np.array([mesh.cells[cid].arc for cid in cids], dtype=bool).reshape(-1, 4)
+    cids = np.asarray(cids, dtype=np.int64)
+    corners = mesh.cell_corners(cids)
+    arcs = mesh.arc[cids]
     ref = np.asarray(ref_pts, dtype=float)
     if ref.ndim == 2:
         ref = ref[None]
@@ -335,14 +340,15 @@ class Face:
     length: float
 
 
-def _leaf_edges(mesh: Mesh, predicate):
+def _leaf_edges(mesh: Mesh, on_vertex: np.ndarray):
+    """Leaf faces whose both ends satisfy the vertex mask, with their (cid, ledge) owners."""
+    active = mesh.active_ids()
+    keys = mesh.edge_keys(active)
+    rows, ledges = np.nonzero(on_vertex[keys].all(axis=2))
     present = {}
-    for cid in mesh.active_ids():
-        cell = mesh.cells[cid]
-        for ledge in range(4):
-            key = cell.edge_key(ledge)
-            if predicate(key):
-                present.setdefault(key, []).append((cid, ledge))
+    for cid, ledge, key in zip(active[rows].tolist(), ledges.tolist(),
+                               keys[rows, ledges].tolist()):
+        present.setdefault(tuple(key), []).append((cid, ledge))
     leaves = {}
     for key, owners in present.items():
         mid = mesh.edge_mid.get(key)
@@ -358,40 +364,20 @@ def _leaf_edges(mesh: Mesh, predicate):
 
 def interface_faces(mesh: Mesh) -> list[Face]:
     """Active leaf faces on the sheet {y = 0}, sorted by x, oriented with +x."""
-
-    def on_sheet(key):
-        return mesh.on_interface(key[0]) and mesh.on_interface(key[1])
-
     verts = mesh.vertices
+    center_y = verts[mesh.cells, 1].mean(axis=1)
     faces = []
-    for key, owners in _leaf_edges(mesh, on_sheet).items():
+    for key, owners in _leaf_edges(mesh, mesh.on_interface()).items():
         xs = sorted((verts[key[0], 0], verts[key[1], 0]))
-        above = below = None
-        for cid, ledge in owners:
-            cy = mesh.cell_corners(cid)[:, 1].mean()
-            if cy > 0:
-                above = (cid, ledge)
-            else:
-                below = (cid, ledge)
-        if above is None or below is None:
+        sides = list(owners)
+        if len(owners) == 1:
             # hanging face: the missing side is a coarser cell over the parent edge
-            for vid in key:
-                parent_key = mesh.mid_of.get(vid)
-                if parent_key is None:
-                    continue
-                other = key[0] if key[1] == vid else key[1]
-                if other not in parent_key:
-                    continue
-                for cid in mesh.edge_to_cells.get(parent_key, ()):
-                    if not mesh.cells[cid].active:
-                        continue
-                    ledge = mesh.cell_edge_index(cid, parent_key)
-                    cy = mesh.cell_corners(cid)[:, 1].mean()
-                    if cy > 0 and above is None:
-                        above = (cid, ledge)
-                    elif cy < 0 and below is None:
-                        below = (cid, ledge)
-        owner = above if above is not None and above[0] in [o[0] for o in owners] else owners[0]
+            coarse = mesh._coarser_neighbor(*owners[0])
+            if coarse is not None:
+                sides.append(coarse)
+        above = next((s for s in sides if center_y[s[0]] > 0), None)
+        below = next((s for s in sides if center_y[s[0]] < 0), None)
+        owner = above if above in owners else owners[0]
         faces.append(Face(key=key, x_lo=xs[0], x_hi=xs[1],
                           owner=owner[0], owner_edge=owner[1],
                           above=above[0] if above else None,
@@ -405,13 +391,9 @@ def interface_faces(mesh: Mesh) -> list[Face]:
 
 def boundary_faces(mesh: Mesh) -> list[Face]:
     """Active leaf faces on the outer circle (arc edges), each owned by one cell."""
-
-    def on_rim(key):
-        return mesh.on_boundary(key[0]) and mesh.on_boundary(key[1])
-
     verts = mesh.vertices
     faces = []
-    for key, owners in _leaf_edges(mesh, on_rim).items():
+    for key, owners in _leaf_edges(mesh, mesh.on_boundary()).items():
         cid, ledge = owners[0]
         xs = sorted((verts[key[0], 0], verts[key[1], 0]))
         faces.append(Face(key=key, x_lo=xs[0], x_hi=xs[1], owner=cid,
@@ -421,24 +403,19 @@ def boundary_faces(mesh: Mesh) -> list[Face]:
     return faces
 
 
-def _corner_array(mesh: Mesh, cids) -> np.ndarray:
-    idx = np.array([mesh.cells[cid].verts for cid in cids], dtype=np.int64)
-    return mesh.vertices[idx.reshape(-1, 4)]
-
-
-def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> list[int]:
+def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:
     """Active cells whose bounding circle meets the given disk."""
     center = np.asarray(center, dtype=float)
     cids = mesh.active_ids()
-    corners = _corner_array(mesh, cids)
+    corners = mesh.cell_corners(cids)
     mids = corners.mean(axis=1)
     rads = np.linalg.norm(corners - mids[:, None, :], axis=2).max(axis=1)
     hit = np.linalg.norm(mids - center[None, :], axis=1) <= radius + rads
-    return [cid for cid, h in zip(cids, hit) if h]
+    return cids[hit]
 
 
 def cell_diameters(mesh: Mesh, cids) -> np.ndarray:
-    corners = _corner_array(mesh, cids)
+    corners = mesh.cell_corners(cids)
     d1 = np.linalg.norm(corners[:, 0] - corners[:, 2], axis=1)
     d2 = np.linalg.norm(corners[:, 1] - corners[:, 3], axis=1)
     return np.maximum(d1, d2)
@@ -447,22 +424,18 @@ def cell_diameters(mesh: Mesh, cids) -> np.ndarray:
 def write_vtk(mesh: Mesh, path, cell_data: dict | None = None):
     """Dump the active mesh as a legacy ASCII VTK unstructured grid."""
     active = mesh.active_ids()
-    verts = mesh.vertices
-    used = sorted({v for cid in active for v in mesh.cells[cid].verts})
-    remap = {v: i for i, v in enumerate(used)}
+    cells = mesh.cells[active]
+    used, local = np.unique(cells, return_inverse=True)
     lines = ["# vtk DataFile Version 3.0", "sppsim mesh", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {len(used)} double"]
-    for v in used:
-        x, y = verts[v]
-        lines.append(f"{x:.16g} {y:.16g} 0")
+    lines.extend(f"{x:.16g} {y:.16g} 0" for x, y in mesh.vertices[used].tolist())
     lines.append(f"CELLS {len(active)} {5 * len(active)}")
-    for cid in active:
-        vs = [remap[v] for v in mesh.cells[cid].verts]
-        lines.append("4 " + " ".join(str(v) for v in vs))
+    lines.extend("4 " + " ".join(map(str, vs))
+                 for vs in local.reshape(cells.shape).tolist())
     lines.append(f"CELL_TYPES {len(active)}")
     lines.extend(["9"] * len(active))
     data = dict(cell_data or {})
-    data.setdefault("level", np.array([mesh.cells[cid].level for cid in active]))
+    data.setdefault("level", mesh.level[active])
     lines.append(f"CELL_DATA {len(active)}")
     for name, values in data.items():
         values = np.asarray(values)

@@ -25,14 +25,14 @@ def grid_mesh(nx, ny, sx=1.0, sy=1.0, x0=0.0, y0=0.0, R_mesh=100.0):
     for j in range(ny):
         for i in range(nx):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
-                       0, None, (False, False, False, False))
+                       0, -1, (False, False, False, False))
     return m
 
 
-def model(sigma=0.15j, s0=2.0, d_reg=0.15625, a=1.0, mu=1.0, eps=1.0, mag=None):
+def model(sigma=0.15j, s0=2.0, d_reg=0.15625, a=1.0, mu=1.0, eps=1.0):
     return SheetModel(sigma_r=sigma, pml=PmlSpec(R=R, s0=s0),
                       dipole=DipoleSpec(height=a, radius=d_reg),
-                      mu_r=mu, eps_r=eps, magnetic_current=mag)
+                      mu_r=mu, eps_r=eps)
 
 
 def disk_space(refines=2, extra_marks=0, seed=0):
@@ -175,8 +175,7 @@ class TestDipoleRhs:
         rhs = assemble_dipole_rhs(space, model(d_reg=0.15625, a=1.0))
         dip = DipoleSpec(height=1.0, radius=0.15625)
         far, near = set(), set()
-        for r, cid in enumerate(space.active):
-            corners = m.cell_corners(cid)
+        for r, corners in enumerate(m.cell_corners(space.active)):
             mid = corners.mean(axis=0)
             rad = np.max(np.linalg.norm(corners - mid, axis=1))
             dofs = space.cell_dofs[r]
@@ -192,16 +191,6 @@ class TestDipoleRhs:
         space = distribute_dofs(m)
         with pytest.raises(AssemblyError, match="refine"):
             assemble_dipole_rhs(space, model(d_reg=0.15625, a=1.0))
-
-    def test_magnetic_current_term(self):
-        m = self.bump_mesh(4)
-        space = distribute_dofs(m)
-        base = assemble_dipole_rhs(space, model())
-        with_m = assemble_dipole_rhs(space, model(mag=lambda p: np.ones(len(p))))
-        with_2m = assemble_dipole_rhs(space, model(mag=lambda p: 2 * np.ones(len(p))))
-        extra = with_m - base
-        assert np.linalg.norm(extra) > 0
-        assert np.allclose(with_2m - base, 2 * extra)
 
 
 class TestDualRhs:

@@ -21,7 +21,7 @@ def grid_mesh(n, size=1.0, R=50.0):
     for j in range(n):
         for i in range(n):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
-                       0, None, (False,) * 4)
+                       0, -1, (False,) * 4)
     return m
 
 
@@ -172,7 +172,7 @@ class TestMarking:
         self.active = sorted(self.mesh.active_ids())
 
     def centers(self):
-        return np.array([self.mesh.cell_corners(c).mean(axis=0) for c in self.active])
+        return self.mesh.cell_corners(self.active).mean(axis=1)
 
     def test_first_cycle_forces_whole_band(self):
         eta = {c: 0.0 for c in self.active}

@@ -98,13 +98,13 @@ class TestScatteredTrace:
         from sppsim.fespace import interpolate
         R = 4 * np.pi
         mesh = msh.build_disk_mesh(R, 1)
-        below = [c for c in mesh.active_ids()
-                 if mesh.cell_corners(c)[:, 1].max() <= 0
-                 and np.sum(mesh.cell_corners(c)[:, 1] == 0) == 2]
+        ids = mesh.active_ids()
+        ys = mesh.cell_corners(ids)[:, :, 1]
+        below = ids[(ys.max(axis=1) <= 0) & (np.sum(ys == 0, axis=1) == 2)]
         mesh.refine(below[1:3])
         faces = msh.interface_faces(mesh)
         hanging = [f for f in faces if f.above is not None
-                   and mesh.cells[f.above].level < mesh.cells[f.owner].level]
+                   and mesh.level[f.above] < mesh.level[f.owner]]
         assert hanging
         space = distribute_dofs(mesh)
 
@@ -226,6 +226,7 @@ samples = 256
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("definitely_not_a_key = 3\n")
-        with pytest.raises(KeyError):
-            hn.load_config(str(path))
+        for line in ("definitely_not_a_key = 3", "seed_strips = ((1.0, 0.5),)"):
+            path.write_text(line + "\n")
+            with pytest.raises(KeyError):
+                hn.load_config(str(path))

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sppsim import mesh as msh
+from sppsim.fespace import build_constraints, distribute_dofs
+from sppsim.harness import RunConfig, band_refine, build_initial_mesh
 
 R = 8 * np.pi
 
@@ -26,11 +30,7 @@ def total_area(m):
 
 
 def assert_one_irregular(m):
-    active_edges = {}
-    for cid in m.active_ids():
-        cell = m.cells[cid]
-        for ledge in range(4):
-            active_edges.setdefault(cell.edge_key(ledge), []).append(cid)
+    active_edges = {tuple(key) for key in m.edge_keys(m.active_ids()).reshape(-1, 2).tolist()}
     for key in active_edges:
         mid = m.edge_mid.get(key)
         if mid is None:
@@ -52,9 +52,8 @@ def assert_one_irregular(m):
 
 
 def assert_no_straddle(m):
-    for cid in m.active_ids():
-        ys = m.cell_corners(cid)[:, 1]
-        assert np.all(ys >= -m._tol) or np.all(ys <= m._tol)
+    ys = m.cell_corners(m.active_ids())[:, :, 1]
+    assert np.all(np.all(ys >= -m._tol, axis=1) | np.all(ys <= m._tol, axis=1))
 
 
 class TestBuild:
@@ -114,10 +113,10 @@ class TestRefine:
         left_square, right_square = 1, 2
         m.refine([left_square])
         # child along the shared edge with the untouched right square
-        child = m.cells[left_square].children[1]
-        assert m.cells[right_square].active
+        child = m.children[left_square, 1]
+        assert m.children[right_square, 0] == -1
         m.refine([child])
-        assert not m.cells[right_square].active
+        assert m.children[right_square, 0] != -1
         assert_one_irregular(m)
 
     def test_random_marking_keeps_invariants(self):
@@ -137,9 +136,9 @@ class TestRefine:
         m = msh.build_disk_mesh(R, 0)
         cid = m.active_ids()[0]
         m.refine([cid])
-        kids = m.cells[cid].children
-        assert len(kids) == 4
-        assert all(m.cells[k].level == 1 and m.cells[k].parent == cid for k in kids)
+        kids = m.children[cid]
+        assert np.all(kids >= 0)
+        assert np.all(m.level[kids] == 1) and np.all(m.parent[kids] == cid)
 
 
 class TestInterfaceFaces:
@@ -177,7 +176,7 @@ class TestInterfaceFaces:
         for f in msh.interface_faces(m):
             if f.x_lo >= target.x_lo - 1e-12 and f.x_hi <= target.x_hi + 1e-12:
                 assert f.above is not None and f.below is not None
-                assert m.cells[f.above].level == m.cells[f.below].level + 1
+                assert m.level[f.above] == m.level[f.below] + 1
                 assert f.owner == f.above  # finer side owns the leaf face
 
     def test_consistent_orientation(self):
@@ -196,3 +195,47 @@ class TestVtk:
         assert text[0].startswith("# vtk DataFile")
         assert any(line.startswith(f"CELLS {m.n_active()} ") for line in text)
         assert "SCALARS eta double 1" in text
+
+
+def layout_hash(space):
+    """Digest of the cell order, dof ids, edge orientations and master dofs."""
+    h = hashlib.sha256()
+    h.update(np.asarray(space.active, dtype=np.int64).tobytes())
+    h.update(space.cell_dofs.tobytes())
+    h.update(np.asarray(space.orient_idx, dtype=np.int8).tobytes())
+    h.update(build_constraints(space).master_dofs.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestNumbering:
+    """Vertex, cell, face and dof ids fix the edge orientations and the LU
+    ordering; these sequences pin them."""
+
+    def check(self, m, n_cells, n_verts, n_dofs, content, layout):
+        space = distribute_dofs(m)
+        assert (len(m.cells), len(m.vertices), space.n_dofs) == (n_cells, n_verts, n_dofs)
+        assert m.content_hash()[:16] == content
+        assert layout_hash(space) == layout
+
+    def test_random_refinement_sequence(self):
+        m = msh.build_disk_mesh(R, 2)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            ids = m.active_ids()
+            m.refine(rng.choice(ids, len(ids) // 5, replace=False))
+        self.check(m, 2884, 2690, 20286, "fd0f066522dc7666", "7e7c8c21325266fe")
+
+    def test_band_refined_initial_mesh(self):
+        m = build_initial_mesh(RunConfig(sigma_r=0.15j))
+        band_refine(m, 1.5625, 0.4)
+        self.check(m, 7196, 5709, 44864, "fb9a52f74321864e", "4f5617c278d41b8a")
+
+    def test_inactive_cell_has_no_rank(self):
+        m = msh.build_disk_mesh(R, 1)
+        parent = 0
+        space = distribute_dofs(m)
+        assert m.children[parent, 0] != -1
+        with pytest.raises(IndexError):
+            space.cell_dofs[space.rank[parent]]
+        with pytest.raises(IndexError):
+            space.orient_idx[space.rank[[parent]]]

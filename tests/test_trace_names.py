@@ -11,6 +11,7 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,3 +49,18 @@ def test_span_names_found_in_source():
 @pytest.mark.parametrize("name", sorted(set(TR.METHODS) | set(TR.HOOKS) | set(SPAN_NAMES)))
 def test_span_name_resolves(name):
     assert wrapped_by_tracer(name), f"{name} is not a traced sppsim function or method"
+
+
+def test_split_counted_once_per_cell():
+    """The tracer counts splits from the growth of ``len(mesh.cells)``."""
+    from sppsim import mesh as msh
+    m = msh.build_disk_mesh(8 * np.pi, 1)
+    cid = int(m.active_ids()[0])
+    assert all(m._coarser_neighbor(cid, ledge) is None for ledge in range(4))
+    tracer = TR.Tracer()
+    tracer.install()
+    try:
+        m.refine([cid])
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["mesh.cells_split"] == 1
