@@ -13,16 +13,25 @@ sheet.  The machinery provides, in rescaled units (free-space wave number 1):
 
 The branch-cut wrap consists of a finite integral over tangential wave numbers
 inside the light cone plus a tail along the imaginary axis where the integrand
-decays like exp(-sqrt(mu*eps)*x*s).  Both are evaluated with a summed
-trapezoidal rule whose step is halved until the total changes by less than a
-configurable relative tolerance; the tail is truncated at s = 1/sqrt(h*x).
+decays like exp(-sqrt(mu*eps)*x*s).  The light-cone part is taken in
+xi = sin(theta), which removes the sqrt(1 - xi^2) endpoint singularity, with
+Gauss-Legendre in theta on [0, pi/2]; the tail is taken in
+u = Re(sqrt(mu*eps))*x*s, so every position sees the same exp(-u) decay, with
+an exp-sinh trapezoid u = exp(pi/2*sinh(t)).  Both rules converge
+exponentially.  All positions are evaluated in one array pass per refinement,
+chunked so that no node array exceeds MAX_NODES values, and the node counts
+are doubled only for the positions whose last two iterates still differ by
+more than a configurable relative tolerance.  A pole of either denominator on
+the path is detected in closed form before any node is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_legendre
 
 
 class OracleError(Exception):
@@ -34,7 +43,7 @@ class PoleOnAxisError(OracleError):
 
 
 class QuadratureError(OracleError):
-    """Step halving did not reach the requested relative change."""
+    """Node doubling did not reach the requested relative change within its limits."""
 
     def __init__(self, message, last_two=None):
         super().__init__(message)
@@ -174,11 +183,17 @@ def pole_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Trapezoid step control for the branch-cut integrals."""
+    """Node-count control for the branch-cut integrals.
 
-    h0: float = 0.05
+    h0 is the first step of both rules: the light cone starts with
+    ceil(pi/(2*h0)) Gauss-Legendre nodes in theta and the tail with an
+    exp-sinh trapezoid of step close to h0.  Each refinement doubles both node
+    counts; at most max_doublings refinements are made.
+    """
+
+    h0: float = 1.0 / 32.0
     rel_tol: float = 5e-3
-    max_halvings: int = 22
+    max_doublings: int = 10
 
     def __post_init__(self):
         if not (self.h0 > 0 and self.rel_tol > 0):
@@ -209,63 +224,123 @@ def tail_integrand(s, x, a, sigma, mu=1.0, eps=1.0):
     return s * rad * np.exp(-sqme * x * s) / den * _trig_factor(rad, a, sigma, sqme)
 
 
-# largest trapezoid grid one halving step may build; non-convergence beyond it
-# is reported instead of allocating further
-MAX_GRID_POINTS = 2**22
+# largest node array one evaluation builds: positions are processed in row
+# chunks below it, and a position needing more nodes than this raises
+MAX_NODES = 2**13
+
+# The tail runs over u = Re(sqrt(mu*eps))*x*s in [U_MIN, U_MAX], mapped by
+# u = exp(pi/2*sinh(t)).  Below U_MIN the integrand is O(u) and the cut part is
+# O(U_MIN^2) of the integral; beyond U_MAX the factor exp(-u) is below 1e-19.
+U_MIN, U_MAX = 1e-10, 45.0
+_T_LO, _T_HI = np.arcsinh(2.0 / np.pi * np.log([U_MIN, U_MAX]))
 
 
-def _grid_intervals(x, h):
-    """Intervals of the light-cone grid and of the tail grid, and the tail cutoff."""
-    s_max = 1.0 / np.sqrt(h * x)
-    return max(int(np.ceil(1.0 / h)), 2), max(int(np.ceil(s_max / h)), 2), s_max
+def _node_counts(h0, level):
+    """Gauss-Legendre nodes of the light cone and exp-sinh steps of the tail."""
+    n_theta = int(np.ceil(0.5 * np.pi / h0))
+    n_t = int(np.ceil((_T_HI - _T_LO) / h0))
+    return n_theta << level, n_t << level
 
 
-def _branchcut_once(x, a, sigma, mu, eps, h):
-    n1, n2, s_max = _grid_intervals(x, h)
-    grid1 = np.linspace(0.0, 1.0, n1 + 1)
-    grid2 = np.linspace(0.0, s_max, n2 + 1)
-    den_min = np.min(np.abs(grid2**2 - 4.0 * mu * eps / sigma**2 + 1.0))
-    if den_min < 1e-9:
-        raise PoleOnAxisError("branch-cut tail denominator vanishes on the path")
-    i1 = np.trapezoid(finite_integrand(grid1, x, a, sigma, mu, eps), grid1)
-    i2 = np.trapezoid(tail_integrand(grid2, x, a, sigma, mu, eps), grid2)
-    return (1.0 / (4.0 * np.pi * sigma)) * (i1 - i2)
+@lru_cache(maxsize=16)
+def _light_cone_rule(n):
+    """Nodes xi = sin(theta) and weights of n-point Gauss-Legendre on theta in [0, pi/2]."""
+    t, w = roots_legendre(n)
+    theta = 0.25 * np.pi * (t + 1.0)
+    xi, wt = np.sin(theta), 0.25 * np.pi * w * np.cos(theta)
+    xi.flags.writeable = wt.flags.writeable = False
+    return xi, wt
+
+
+@lru_cache(maxsize=16)
+def _tail_rule(n_t):
+    """Nodes u and weights of the exp-sinh trapezoid with n_t steps."""
+    h = (_T_HI - _T_LO) / n_t
+    t = _T_LO + h * np.arange(n_t + 1)
+    u = np.exp(0.5 * np.pi * np.sinh(t))
+    wu = 0.5 * np.pi * h * np.cosh(t) * u
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
+def _wrap(xs, a, sigma, mu, eps, h0, level):
+    """Branch-cut wrap at each of the positions xs with the rules of one level."""
+    n_theta, n_t = _node_counts(h0, level)
+    xi, w_xi = _light_cone_rule(n_theta)
+    u, w_u = _tail_rule(n_t)
+    kappa = np.sqrt(complex(mu) * complex(eps)).real
+    rows = max(1, MAX_NODES // max(xi.size, u.size))
+    out = np.empty(xs.size, dtype=complex)
+    for lo in range(0, xs.size, rows):
+        x = xs[lo:lo + rows, None]
+        # one full row of nodes per position, so that a wrapper of the
+        # integrands sees every point evaluated
+        f = finite_integrand(np.broadcast_to(xi, (x.size, xi.size)), x, a, sigma, mu, eps)
+        g = tail_integrand(u / (kappa * x), x, a, sigma, mu, eps)
+        out[lo:lo + rows] = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / (kappa * x[:, 0])
+    return out / (4.0 * np.pi * sigma)
+
+
+def _failure(message, xs, last_two):
+    """QuadratureError for the unconverged position whose last iterates differ most."""
+    prev, cur = last_two
+    if cur is None:
+        return QuadratureError(message, last_two=(None, None))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        i = int(np.argmax(~np.isfinite(cur) if prev is None
+                          else np.abs(cur - prev) / np.abs(cur)))
+    return QuadratureError(f"{message} (x={xs[i]})",
+                           last_two=(None if prev is None else complex(prev[i]),
+                                     complex(cur[i])))
 
 
 def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
                            eps_r: complex = 1.0, quad: QuadratureSpec | None = None):
     """Branch-cut part of the scattered tangential field on the sheet, x > 0.
 
-    The step h is halved (and the tail cutoff 1/sqrt(h*x) co-refined) until the
-    total changes by less than quad.rel_tol relative; non-convergence within
-    quad.max_halvings steps or MAX_GRID_POINTS grid points raises
-    QuadratureError carrying the last two iterates.
+    All positions are evaluated together; the node counts are doubled for
+    the positions whose last two iterates still differ by quad.rel_tol or more
+    relative.  A pole of the integrand on the path raises PoleOnAxisError
+    before any node is built; needing more than MAX_NODES nodes per position
+    or quad.max_doublings refinements raises QuadratureError carrying the last
+    two iterates of the worst position.
     """
     spec = quad or QuadratureSpec()
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if np.any(xs <= 0):
         raise ValueError("branch-cut contribution is stated for x > 0")
+    # both denominators are +-(tau - c) with tau = -xi^2 in [-1, 0] on the light
+    # cone and tau = s^2 >= 0 on the tail
+    c = complex(4.0 * mu_r * eps_r / sigma_r**2 - 1.0)
+    if abs(c - max(c.real, -1.0)) < 1e-9:
+        raise PoleOnAxisError("branch-cut denominator vanishes on the path")
     out = np.empty(xs.shape, dtype=complex)
-    for idx, xv in enumerate(xs):
-        h = spec.h0
-        last_two = (None, _branchcut_once(xv, a, sigma_r, mu_r, eps_r, h))
-        for _ in range(spec.max_halvings):
-            h *= 0.5
-            if max(_grid_intervals(xv, h)[:2]) + 1 > MAX_GRID_POINTS:
-                raise QuadratureError(
-                    f"trapezoid halving at x={xv} needs more than {MAX_GRID_POINTS} "
-                    "grid points", last_two=last_two)
-            cur = _branchcut_once(xv, a, sigma_r, mu_r, eps_r, h)
-            last_two = (last_two[1], cur)
-            if cur == 0.0 or abs(cur - last_two[0]) < spec.rel_tol * abs(cur):
-                break
-        else:
-            raise QuadratureError(f"trapezoid halving did not converge at x={xv}",
-                                  last_two=last_two)
-        out[idx] = cur
+    todo = np.arange(xs.size)
+    last_two = (None, None)
+    for level in range(spec.max_doublings + 1):
+        n_theta, n_t = _node_counts(spec.h0, level)
+        if max(n_theta, n_t + 1) > MAX_NODES:
+            raise _failure(f"branch-cut quadrature needs more than {MAX_NODES} grid points "
+                           "per position", xs[todo], last_two)
+        cur = _wrap(xs[todo], a, sigma_r, mu_r, eps_r, spec.h0, level)
+        if not np.all(np.isfinite(cur)):
+            raise _failure("branch-cut quadrature produced a non-finite value",
+                           xs[todo], (last_two[1], cur))
+        prev = last_two[1]
+        if prev is None:
+            last_two = (None, cur)
+            continue
+        done = (cur == 0.0) | (np.abs(cur - prev) < spec.rel_tol * np.abs(cur))
+        out[todo[done]] = cur[done]
+        todo, last_two = todo[~done], (prev[~done], cur[~done])
+        if todo.size == 0:
+            break
+    else:
+        raise _failure(f"branch-cut quadrature did not converge in {spec.max_doublings} "
+                       "doublings", xs[todo], last_two)
     if np.ndim(x) == 0:
         return complex(out[0])
-    return out
+    return out.reshape(np.shape(x))
 
 
 def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
@@ -280,10 +355,10 @@ def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0):
         raise ValueError("the on-sheet field is evaluated away from x = 0")
-    absx = np.abs(xs)
+    # each |x| is evaluated once; the field is odd in x
+    absx, inverse = np.unique(np.abs(xs), return_inverse=True)
+    inverse = inverse.reshape(xs.shape)
     sign = np.sign(xs)
-    pole = np.asarray(pole_contribution(absx, a, sigma_r, mu_r, eps_r, mode=mode))
-    bc = np.asarray(branchcut_contribution(absx, a, sigma_r, mu_r, eps_r, quad=quad))
-    pole = pole * sign
-    bc = bc * sign
+    pole = pole_contribution(absx, a, sigma_r, mu_r, eps_r, mode=mode)[inverse] * sign
+    bc = branchcut_contribution(absx, a, sigma_r, mu_r, eps_r, quad=quad)[inverse] * sign
     return pole, bc, pole + bc

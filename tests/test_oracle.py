@@ -1,15 +1,17 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad as scalar_quad
+from scipy.integrate import IntegrationWarning, quad as scalar_quad
 
 from sppsim import oracle
 from sppsim.oracle import (QuadratureSpec, branch_sqrt, branchcut_contribution,
                            dispersion_residual, finite_integrand,
                            fourier_coefficients, interface_field,
                            pole_contribution, spp_wavenumber, tail_integrand)
+from sppsim.harness import InterfaceTrace, RunConfig, l2_error, trace_grid
 
 # conductivities of the parameter study with the published surface-wave numbers
 STUDY_ROWS = [
@@ -18,6 +20,9 @@ STUDY_ROWS = [
     (1.28e-3 + 0.160j, 12.5 + 0.10j),
     (8.89e-4 + 0.133j, 15.0 + 0.10j),
 ]
+
+# conductivities of the benchmark's oracle table
+TABLE_SIGMAS = [2.56e-4 + 0.16j, 2e-3 + 0.2j, 0.15j, 1e-3 + 0.08j]
 
 
 class TestBranchSqrt:
@@ -149,10 +154,12 @@ class TestPoleContribution:
             pole_contribution(-1.0, 1.0, 0.2j)
 
 
-def _gauss_value(x, a, sigma, s_hi):
+def _gauss_value(x, a, sigma, s_hi, **quad_kw):
+    kw = dict(limit=800, **quad_kw)
+
     def cquad(f, lo, hi):
-        re, _ = scalar_quad(lambda t: f(t).real, lo, hi, limit=800)
-        im, _ = scalar_quad(lambda t: f(t).imag, lo, hi, limit=800)
+        re, _ = scalar_quad(lambda t: f(t).real, lo, hi, **kw)
+        im, _ = scalar_quad(lambda t: f(t).imag, lo, hi, **kw)
         return re + 1j * im
 
     i1 = cquad(lambda t: complex(finite_integrand(t, x, a, sigma)), 0.0, 1.0)
@@ -179,16 +186,15 @@ class TestBranchcutContribution:
     def test_stopping_rule_holds_at_termination(self):
         x, a, sigma = 9.0, 1.0, 2.56e-4 + 0.160j
         spec = QuadratureSpec()
-        h = spec.h0
-        prev = oracle._branchcut_once(x, a, sigma, 1.0, 1.0, h)
-        for _ in range(spec.max_halvings):
-            h *= 0.5
-            cur = oracle._branchcut_once(x, a, sigma, 1.0, 1.0, h)
+        xs = np.array([x])
+        prev = oracle._wrap(xs, a, sigma, 1.0, 1.0, spec.h0, 0)[0]
+        for level in range(1, spec.max_doublings + 1):
+            cur = oracle._wrap(xs, a, sigma, 1.0, 1.0, spec.h0, level)[0]
             if abs(cur - prev) < spec.rel_tol * abs(cur):
                 break
             prev = cur
         else:
-            pytest.fail("halving loop did not terminate")
+            pytest.fail("doubling loop did not terminate")
         assert abs(cur - prev) < spec.rel_tol * abs(cur)
         assert branchcut_contribution(x, a, sigma) == pytest.approx(cur, rel=1e-12)
 
@@ -198,28 +204,101 @@ class TestBranchcutContribution:
         ref = _gauss_value(x, a, sigma, s_hi=8.0)
         assert abs(tight - ref) / abs(ref) < 1e-4
 
+    @pytest.mark.parametrize("sigma", TABLE_SIGMAS)
+    def test_matches_tight_scipy_quad(self, sigma):
+        # also shows that the pole-on-path check passes these conductivities
+        xs = np.array([0.5, 2.0, 20.0, 80.0])
+        pole, bc, total = interface_field(xs, 1.0, sigma)
+        assert np.all(np.isfinite(total))
+        for x, b, t in zip(xs, bc, total):
+            # exp(-x*s) is below 1e-19 beyond s = 45/x
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                ref = _gauss_value(x, 1.0, sigma, 45.0 / x, epsabs=0.0, epsrel=1e-11)
+            assert abs(b - ref) < 1e-9 * abs(t)
+
+    def test_doubling_start_count_leaves_trace_unchanged(self):
+        config = RunConfig()
+        xs = trace_grid(config)
+        spec = QuadratureSpec(rel_tol=config.quad_rel_tol)
+        finer = QuadratureSpec(h0=spec.h0 / 2, rel_tol=config.quad_rel_tol)
+        traces = [InterfaceTrace(xs, interface_field(xs, config.a, config.sigma_r,
+                                                     quad=q)[2]) for q in (spec, finer)]
+        assert np.all(np.isfinite(traces[0].values))
+        assert l2_error(*traces, "real") < 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0])
+    def test_real_conductivity_raises_before_any_node(self, sigma, monkeypatch):
+        def no_nodes(*args):
+            pytest.fail("quadrature nodes built for a pole on the path")
+        monkeypatch.setattr(oracle, "_wrap", no_nodes)
+        with pytest.raises(oracle.PoleOnAxisError):
+            branchcut_contribution(5.0, 1.0, sigma)
+
+    def test_node_arrays_are_full_and_capped(self, monkeypatch):
+        # every position gets its own row of nodes in both integrands, on at
+        # least two levels, and no array exceeds the cap
+        shapes = {"finite_integrand": [], "tail_integrand": []}
+        for name, seen in shapes.items():
+            def spy(nodes, x, *args, _f=getattr(oracle, name), _seen=seen):
+                _seen.append(np.shape(nodes))
+                return _f(nodes, x, *args)
+            monkeypatch.setattr(oracle, name, spy)
+        xs = np.linspace(0.5, 20.0, 3000)
+        branchcut_contribution(xs, 1.0, 2.56e-4 + 0.160j)
+        for seen in shapes.values():
+            assert all(len(sh) == 2 for sh in seen)
+            assert sum(sh[0] for sh in seen) >= 2 * xs.size
+            assert max(sh[0] * sh[1] for sh in seen) <= oracle.MAX_NODES
+
     def test_nonconvergence_reports_last_iterates(self):
+        # 1e-14 is reachable by the exponentially convergent rules; 1e-20 is
+        # below rounding
         with pytest.raises(oracle.QuadratureError) as err:
             branchcut_contribution(9.0, 1.0, 2.56e-4 + 0.160j,
-                                   quad=QuadratureSpec(rel_tol=1e-14, max_halvings=3))
+                                   quad=QuadratureSpec(rel_tol=1e-20, max_doublings=3))
         assert err.value.last_two is not None
 
     def test_unreachable_tolerance_stops_at_grid_cap(self):
-        # the tail grid grows like h**-1.5; the cap stops the halving before it
-        # builds a grid beyond MAX_GRID_POINTS (at x = 2 the last one built has
-        # about 2e6 points)
+        # the node count doubles until the next level would exceed MAX_NODES
+        # per position; the last level built has 5121 tail nodes
         with pytest.raises(oracle.QuadratureError, match="grid points") as err:
             branchcut_contribution(2.0, 1.0, 2.56e-4 + 0.160j,
-                                   quad=QuadratureSpec(rel_tol=1e-15))
+                                   quad=QuadratureSpec(rel_tol=1e-20))
         assert None not in err.value.last_two
+
+    def test_nonfinite_iterate_raises_instead_of_returning_nan(self):
+        # Re sqrt(mu*eps) = 0: the tail does not decay and its nodes overflow
+        with np.errstate(all="ignore"):
+            with pytest.raises(oracle.QuadratureError, match="non-finite") as err:
+                branchcut_contribution(np.array([2.0, 3.0]), 1.0, 0.01 + 0.2j, mu_r=-1.0)
+        assert not np.isfinite(err.value.last_two[1])
+
+    def test_position_below_the_grids_ends_in_error_not_nan(self):
+        # the tail oscillates like cos(a*s) while exp(-x*s) decays over s ~ 1/x,
+        # so x = 0.005 needs more than MAX_NODES nodes
+        with pytest.raises(oracle.QuadratureError, match="grid points") as err:
+            branchcut_contribution(0.005, 1.0, 2.56e-4 + 0.160j)
+        assert np.all(np.isfinite(err.value.last_two))
 
 
 class TestInterfaceField:
     def test_antisymmetric_in_position(self):
         xs = np.array([-12.0, -6.0, 6.0, 12.0])
         _, _, tot = interface_field(xs, 1.0, 2.0e-3 + 0.2j)
-        assert tot[0] == pytest.approx(-tot[3], rel=1e-12)
-        assert tot[1] == pytest.approx(-tot[2], rel=1e-12)
+        assert tot[0] == -tot[3]
+        assert tot[1] == -tot[2]
+
+    def test_each_distinct_position_evaluated_once(self, monkeypatch):
+        seen = []
+        for name in ("pole_contribution", "branchcut_contribution"):
+            def spy(x, *args, _f=getattr(oracle, name), **kwargs):
+                seen.append(np.asarray(x))
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(oracle, name, spy)
+        xs = np.array([-12.0, -6.0, 6.0, 12.0, 6.0])
+        interface_field(xs, 1.0, 2.0e-3 + 0.2j)
+        assert [list(x) for x in seen] == [[6.0, 12.0]] * 2
 
     def test_far_field_is_branch_cut_dominated(self):
         sigma = 2.0e-3 + 0.2j
