@@ -7,10 +7,12 @@ sheet.  Indicators follow the dual-weighted-residual recipe in mixed form:
 
 with the primal and dual cell residuals evaluated variationally (no
 integration by parts) and the unknown exact solutions replaced by patchwise
-recoveries pi: on every clean 2x2 sibling patch a least-squares fit of an
-order-3 edge field on the parent cell; irregular patches fall back to an
-order-2 parent fit, which is cruder but safe.  Only the differences
-(pi u - u) ever enter the indicators.
+recoveries pi: weighted least-squares fits of an edge field on a parent
+cell, of order 3 over a clean 2x2 sibling patch and of order 2 over all
+active descendants of an irregular parent, which is cruder but safe.  A cell
+below an irregular parent takes its fit.  The patches that win a cell are
+fitted in batches of equal order and size, one normal-equation solve per
+batch.  Only the differences (pi u - u) ever enter the indicators.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -35,13 +37,14 @@ from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry,
 class QuadData:
     """Per-cell geometry and field values at the standard quadrature points.
 
-    Holds only small arrays (points, Jacobian determinants, complex field
-    values/curls per registered solution); the basis tables are streamed in
-    chunks and never retained.
+    Holds the registered solutions and only small arrays (points, Jacobian
+    determinants, complex field values/curls per solution); the basis tables
+    are streamed in chunks and never retained.
     """
 
     def __init__(self, space: EdgeFESpace, sols: tuple):
         self.space = space
+        self.sols = sols
         n = len(space.active)
         p = len(REF.quad_wts)
         self.phys = np.empty((n, p, 2))
@@ -93,11 +96,11 @@ def qoi(sol: FieldSolution, weight: WeightFunction) -> float:
 
 
 def _active_descendants(mesh: Mesh, parents):
-    """Embeddings (owner, cid, offset, scale) of the active cells below each parent.
+    """Embeddings (patch, cid, offset, scale) of the active cells below each parent.
 
-    Grouped by parent in the given order; within a parent the cells come in
-    depth-first order with the last quadrant first, the order in which their
-    least-squares rows are stacked.
+    patch indexes parents.  Grouped by patch in the given order; within a
+    patch the cells come in depth-first order, first quadrant first, the
+    order in which their least-squares rows are stacked.
     """
     parents = np.asarray(parents, dtype=np.int64)
     quads = np.asarray(CHILD_OFFSETS, dtype=float)
@@ -116,29 +119,30 @@ def _active_descendants(mesh: Mesh, parents):
         found.append([c[leaf] for c in cols])
         inner = [c[~leaf] for c in cols]
     group, cid, offset, scale, path = (np.concatenate(c) for c in zip(*found))
-    order = np.lexsort((-path, group))
-    return parents[group[order]], cid[order], offset[order], scale[order]
+    order = np.lexsort((path, group))
+    return group[order], cid[order], offset[order], scale[order]
 
 
 class PatchReconstruction:
     """Higher-order recovery on parent patches, used through differences only.
 
-    Each active cell below a patch keeps its embedding (offset, scale) in the
-    parent's reference frame and the fitted coefficients of its patch.  Clean
-    2x2 patches are fitted in one batched normal-equation solve; irregular
-    patches get one least-squares fit each.  The differences at the standard
-    quadrature points are precomputed for every active cell.
+    Each active cell with a parent takes the fit of one patch: its parent at
+    order 3 when that is a clean 2x2 patch, unless an irregular parent lies
+    above it, whose order-2 fit over all its active descendants wins (the
+    later such parent in order of first appearance).  Only winning patches
+    are fitted, grouped by order and member count, one batched weighted
+    normal-equation solve per group.  Each cell keeps its embedding (offset,
+    scale) in the parent's reference frame and its patch's coefficients; the
+    differences at the standard quadrature points are precomputed for every
+    active cell.
     """
 
-    def __init__(self, sol: FieldSolution, space: EdgeFESpace, field_quad=None):
-        self.sol = sol
-        self.space = space
-        mesh = space.mesh
-        if field_quad is None:
-            qd = QuadData(space, (sol,))
-            field_quad = (qd.values[0], qd.curls[0], qd.det)
-        self._u_quad, self._uc_quad, self._det_quad = field_quad
-        n, p = self._det_quad.shape
+    def __init__(self, qd: QuadData, k: int):
+        self.sol = qd.sols[k]
+        self.space = qd.space
+        mesh = self.space.mesh
+        self._u_quad, self._uc_quad = qd.values[k], qd.curls[k]
+        n, p = qd.det.shape
         self.dvals_quad = np.zeros((n, p, 2), dtype=complex)
         self.dcurls_quad = np.zeros((n, p), dtype=complex)
         self._order = np.zeros(n, dtype=np.int64)   # 0: no patch, difference vanishes
@@ -149,14 +153,67 @@ class PatchReconstruction:
                         3: np.zeros((n, 24), dtype=complex)}
 
         # parents in order of first appearance over the active cells
-        parents = mesh.parent[space.active]
+        parents = mesh.parent[self.space.active]
         parents = parents[parents >= 0]
+        if len(parents) == 0:
+            return
         parents = parents[np.sort(np.unique(parents, return_index=True)[1])]
         clean = (mesh.children[mesh.children[parents], 0] < 0).all(axis=1)
-        if clean.any():
-            self._fit_clean(parents[clean])
-        if not clean.all():
-            self._fit_generic(parents[~clean])
+        patch, cids, offsets, scales = _active_descendants(mesh, parents)
+        ranks = self.space.rank[cids]
+        # winning patch of each cell: its clean parent, overridden by any
+        # irregular parent above it, the later one in first-appearance order
+        key = np.where(clean[patch], -1, patch)
+        best = np.full(n, -2)
+        np.maximum.at(best, ranks, key)
+        wins = key == best[ranks]
+        fitted = np.zeros(len(parents), dtype=bool)
+        fitted[patch[wins]] = True
+        size = np.bincount(patch, minlength=len(parents))
+        start = np.cumsum(size) - size
+        orders = np.where(clean, 3, 2)
+        for order, m in np.unique(np.column_stack([orders, size])[fitted], axis=0):
+            group = np.flatnonzero(fitted & (orders == order) & (size == m))
+            step = max(1, CHUNK_CELLS // m)
+            for lo in range(0, len(group), step):
+                rows = (start[group[lo:lo + step], None] + np.arange(m)).ravel()
+                self._fit(qd.det, int(order), int(m), parents[patch[rows]],
+                          ranks[rows], offsets[rows], scales[rows], wins[rows])
+
+    def _fit(self, det_quad, order, m, owner, ranks, offsets, scales, wins):
+        """Fit patches of m member cells each (rows grouped by patch); store pi u - u."""
+        n_patch = len(owner) // m
+        mono, mono_curl, jac = self._parent_frame(owner, offsets, scales,
+                                                  REF.quad_pts, order)
+        n_cells, p, n_mono = mono_curl.shape
+        # rows (cell, point, component) of each patch, weighted by w det
+        a = np.moveaxis(mono, 3, 2).reshape(n_patch, -1, n_mono)
+        del mono
+        w = np.repeat((REF.quad_wts * det_quad[ranks]).reshape(n_patch, -1), 2, axis=1)
+        b = (np.swapaxes(jac, 2, 3) @ self._u_quad[ranks][..., None]).reshape(n_patch, -1)
+        aw_t = np.swapaxes(a * w[..., None], 1, 2)
+        atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
+        # one complex solve: solving for the real and imaginary parts apart
+        # rounds differently, enough to flip near-tied marks of mirror cells
+        coeffs = np.linalg.solve((aw_t @ a).astype(complex),
+                                 atb[..., :1] + 1j * atb[..., 1:])[..., 0]
+        del aw_t
+        # pi u from the same rows, real and imaginary parts as two columns
+        parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
+        hat = (a @ parts).reshape(n_cells, p, 2, 2)
+        curls = (mono_curl.reshape(n_patch, -1, n_mono) @ parts).reshape(n_cells, p, 2)
+        coeffs = np.repeat(coeffs, m, axis=0)
+        r, jac = ranks[wins], jac[wins]
+        jinv_t = np.swapaxes(np.linalg.inv(jac), 2, 3)
+        hat = hat[wins, ..., 0] + 1j * hat[wins, ..., 1]
+        self.dvals_quad[r] = (jinv_t @ hat[..., None])[..., 0] - self._u_quad[r]
+        self.dcurls_quad[r] = ((curls[wins, :, 0] + 1j * curls[wins, :, 1])
+                               / jacobian_det(jac) - self._uc_quad[r])
+        self._order[r] = order
+        self._parent[r] = owner[wins]
+        self._offset[r] = offsets[wins]
+        self._scale[r] = scales[wins]
+        self._coeffs[order][r] = coeffs[wins]
 
     def _parent_frame(self, parents, offsets, scales, ref_pts, order):
         """Monomials and parent Jacobians at cell reference points mapped into parents."""
@@ -184,62 +241,6 @@ class PatchReconstruction:
             curls[sel] = (mono_curl @ c[:, :, None])[..., 0] / jacobian_det(jac)
         return vals, curls
 
-    # -- clean 2x2 patches, fully batched -----------------------------------
-
-    def _fit_clean(self, parents: list[int]):
-        mesh = self.space.mesh
-        p = len(REF.quad_wts)
-        ppts = np.concatenate([0.5 * np.asarray(off, dtype=float)[None, :]
-                               + 0.5 * REF.quad_pts for off in CHILD_OFFSETS])
-        mono, mono_curl = vector_monomials(ppts, order=3)          # (4p, 24, 2)
-        _, jac_p = cell_geometry(mesh, parents, ppts)
-        det_p = jacobian_det(jac_p)
-        kid_ranks = self.space.rank[mesh.children[parents]]
-        u = self._u_quad[kid_ranks].reshape(len(parents), 4 * p, 2)
-        det_c = self._det_quad[kid_ranks].reshape(len(parents), 4 * p)
-        w2 = np.tile(REF.quad_wts, 4)[None, :] * det_c
-        pulled = np.einsum("nkji,nkj->nki", jac_p, u)
-        ata = np.einsum("nk,kmc,klc->nml", w2, mono, mono)
-        atb = np.einsum("nk,kmc,nkc->nm", w2, mono, pulled)
-        coeffs = np.linalg.solve(ata.astype(complex), atb[..., None])[..., 0]
-        jinv_t = np.linalg.inv(jac_p).transpose(0, 1, 3, 2)
-        hat = np.einsum("kmc,nm->nkc", mono, coeffs)
-        pi_vals = np.einsum("nkij,nkj->nki", jinv_t, hat)
-        pi_curls = np.einsum("km,nm->nk", mono_curl, coeffs) / det_p
-        shape = kid_ranks.shape + (p,)
-        self.dvals_quad[kid_ranks] = pi_vals.reshape(shape + (2,)) - self._u_quad[kid_ranks]
-        self.dcurls_quad[kid_ranks] = pi_curls.reshape(shape) - self._uc_quad[kid_ranks]
-        self._order[kid_ranks] = 3
-        self._parent[kid_ranks] = parents[:, None]
-        self._offset[kid_ranks] = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
-        self._scale[kid_ranks] = 0.5
-        self._coeffs[3][kid_ranks] = coeffs[:, None, :]
-
-    # -- irregular patches: order-2 fit over all active descendants ---------
-
-    def _fit_generic(self, parents):
-        owner, members, offsets, scales = _active_descendants(self.space.mesh, parents)
-        ranks = self.space.rank[members]
-        mono, _, jac_p = self._parent_frame(owner, offsets, scales, REF.quad_pts, 2)
-        pulled = np.einsum("npji,npj->npi", jac_p, self._u_quad[ranks])
-        wts = np.sqrt(REF.quad_wts * self._det_quad[ranks])[:, :, None]
-        rows_a = np.concatenate([mono[..., 0] * wts, mono[..., 1] * wts], axis=1)
-        rows_b = np.concatenate([pulled[..., 0:1] * wts, pulled[..., 1:2] * wts],
-                                axis=1)
-        # one least-squares problem per parent over its consecutive members; a
-        # cell below two irregular parents keeps the fit of the later one
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        for lo, hi in zip(starts, list(starts[1:]) + [len(members)]):
-            coeffs, *_ = np.linalg.lstsq(rows_a[lo:hi].reshape(-1, 12).astype(complex),
-                                         rows_b[lo:hi].ravel(), rcond=None)
-            sl = slice(lo, hi)
-            self._order[ranks[sl]] = 2
-            self._parent[ranks[sl]] = owner[sl]
-            self._offset[ranks[sl]] = offsets[sl]
-            self._scale[ranks[sl]] = scales[sl]
-            self._coeffs[2][ranks[sl]] = coeffs
-        self.dvals_quad[ranks], self.dcurls_quad[ranks] = self.diff(members, REF.quad_pts)
-
     def diff(self, cids, ref_pts):
         """(pi u - u) values (n, p, 2) and curls (n, p) at reference points of cells.
 
@@ -254,25 +255,22 @@ class PatchReconstruction:
         return dvals, dcurls
 
 
-def reconstruct(sol: FieldSolution, space: EdgeFESpace,
-                field_quad=None) -> PatchReconstruction:
-    return PatchReconstruction(sol, space, field_quad=field_quad)
+def reconstruct(qd: QuadData, k: int) -> PatchReconstruction:
+    """Patch recovery of the k-th solution registered in qd."""
+    return PatchReconstruction(qd, k)
 
 
-def indicators(space: EdgeFESpace, model: SheetModel, E_H: FieldSolution,
-               Z_H: FieldSolution, recon_E: PatchReconstruction,
-               recon_Z: PatchReconstruction, weight: WeightFunction,
-               geom=None) -> dict[int, float]:
+def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
+               recon_Z: PatchReconstruction, weight: WeightFunction) -> dict[int, float]:
     """Per-cell indicators eta_Q from the mixed primal/dual residual form.
 
     Only discrete quantities enter; the exact solutions never do.
     """
+    space = qd.space
     mesh = space.mesh
     w_q = REF.quad_wts
-    if geom is None:
-        qd = QuadData(space, ())
-        geom = (qd.phys, qd.det)
-    phys, det = geom
+    phys, det = qd.phys, qd.det
+    E_H, Z_H = recon_E.sol, recon_Z.sol
 
     E_vals, E_curl = recon_E._u_quad, recon_E._uc_quad
     Z_vals, Z_curl = recon_Z._u_quad, recon_Z._uc_quad

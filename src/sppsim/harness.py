@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,12 +227,8 @@ def run_adaptive(config: RunConfig):
         dual_rhs = assemble_dual_rhs(space, total, weight)
         adjoint = solve_adjoint(sys_tot, dual_rhs, factor=fac_tot)
         qd = dwr_mod.QuadData(space, (total, adjoint))
-        recon_e = dwr_mod.reconstruct(total, space,
-                                      (qd.values[0], qd.curls[0], qd.det))
-        recon_z = dwr_mod.reconstruct(adjoint, space,
-                                      (qd.values[1], qd.curls[1], qd.det))
-        eta = dwr_mod.indicators(space, model, total, adjoint, recon_e,
-                                 recon_z, weight, geom=(qd.phys, qd.det))
+        eta = dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd, 0),
+                                 dwr_mod.reconstruct(qd, 1), weight)
         out.cycle_outputs(cycle, mesh, space, trace, reference, eta)
         marked = dwr_mod.mark(eta, mesh, weight, cycle,
                               fraction=config.marking_fraction,
@@ -371,5 +367,9 @@ def _parse_value(key: str, raw: str):
     if "float" in str(ftype):
         return float(raw)
     if "bool" in str(ftype):
-        return raw.lower() in ("1", "true", "yes")
+        flag = raw.lower()
+        if flag not in ("1", "0", "true", "false", "yes", "no"):
+            raise ValueError(f"config key {key!r} needs a boolean "
+                             f"(1/0, true/false, yes/no), got {raw!r}")
+        return flag in ("1", "true", "yes")
     return raw

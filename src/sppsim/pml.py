@@ -40,13 +40,6 @@ class PmlSpec:
             raise ValueError("stretch strength must be nonnegative")
 
 
-@dataclass(frozen=True)
-class StretchFactors:
-    d: complex
-    dbar: complex
-    e_r: tuple[float, float]
-
-
 def profile(r, spec: PmlSpec):
     """Stretch profile s(r); vanishes with its derivative at the inner rim."""
     r = np.asarray(r, dtype=float)
@@ -76,13 +69,6 @@ def stretch_arrays(pts: np.ndarray, spec: PmlSpec):
     return d, dbar, e_r
 
 
-def stretch(point, spec: PmlSpec) -> StretchFactors:
-    """Stretch factors at a single point (|point| <= R)."""
-    d, dbar, e_r = stretch_arrays(np.asarray(point, dtype=float)[None, :], spec)
-    return StretchFactors(d=complex(d[0]), dbar=complex(dbar[0]),
-                          e_r=(float(e_r[0, 0]), float(e_r[0, 1])))
-
-
 def material_arrays(pts: np.ndarray, mu_r: complex, eps_r: complex, spec: PmlSpec):
     """PML-modified volume coefficients at many points.
 
@@ -103,12 +89,3 @@ def sheet_arrays(pts: np.ndarray, sigma_r: complex, spec: PmlSpec):
     """PML-modified sheet conductivity sigma * dbar/d at points on the sheet."""
     d, dbar, _ = stretch_arrays(pts, spec)
     return sigma_r * dbar / d
-
-
-def transform_materials(point, mu_r: complex, eps_r: complex, sigma_r: complex,
-                        spec: PmlSpec):
-    """(mu_eff, eps_eff 2x2, sigma_eff) at one point; identity outside the layer."""
-    pt = np.asarray(point, dtype=float)[None, :]
-    inv_mu, eps_eff = material_arrays(pt, mu_r, eps_r, spec)
-    sigma_eff = sheet_arrays(pt, sigma_r, spec)
-    return 1.0 / complex(inv_mu[0]), eps_eff[0], complex(sigma_eff[0])

@@ -4,9 +4,10 @@ import pytest
 from sppsim import dwr as dwr_mod
 from sppsim import mesh as msh
 from sppsim.assembly import DipoleSpec, SheetModel
-from sppsim.dwr import WeightFunction, mark, qoi, reconstruct
-from sppsim.fespace import (REF, FieldSolution, distribute_dofs, interpolate)
-from sppsim.mesh import cell_geometry, jacobian_det
+from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
+from sppsim.fespace import (REF, FieldSolution, distribute_dofs, interpolate,
+                            vector_monomials)
+from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
 D_W = 1.5625
@@ -23,6 +24,61 @@ def grid_mesh(n, size=1.0, R=50.0):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
                        0, -1, (False,) * 4)
     return m
+
+
+def recover(sol):
+    return reconstruct(QuadData(sol.space, (sol,)), 0)
+
+
+def quadratic_field(pts):
+    # in the order-2 edge space of every affine cell
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([0.4 * x * y - 0.2 * y * y + 0.3,
+                            1.1 * x * x + 0.5 * y - 0.7])
+
+
+def smooth_field(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.sin(3 * x) * np.cos(2 * y), np.cos(3 * x) * y * y])
+
+
+def order2_patch_differences(sol, parent):
+    """pi u - u at the quadrature points of every active cell below parent.
+
+    An independent, cell-by-cell version of the irregular-patch recovery: one
+    order-2 least-squares fit in the parent's reference frame over all active
+    descendants, weighted by the quadrature weights times the cell Jacobian.
+    """
+    mesh = sol.space.mesh
+    cells, stack = [], [(parent, np.zeros(2), 1.0)]
+    while stack:
+        cid, offset, scale = stack.pop()
+        if mesh.children[cid, 0] < 0:
+            cells.append((cid, offset, scale))
+            continue
+        for quad, kid in enumerate(mesh.children[cid]):
+            stack.append((kid, offset + 0.5 * scale * np.array(CHILD_OFFSETS[quad]),
+                          0.5 * scale))
+    rows_a, rows_b, frames = [], [], []
+    for cid, offset, scale in cells:
+        ppts = offset + scale * REF.quad_pts
+        mono, mono_curl = vector_monomials(ppts, order=2)
+        jac = cell_geometry(mesh, [parent], ppts)[1][0]
+        wts = np.sqrt(REF.quad_wts * jacobian_det(cell_geometry(mesh, [cid], REF.quad_pts)[1])[0])
+        pulled = np.einsum("pji,pj->pi", jac, sol.values([cid], REF.quad_pts)[0])
+        for comp in range(2):
+            rows_a.append(mono[:, :, comp] * wts[:, None])
+            rows_b.append(pulled[:, comp] * wts)
+        frames.append((cid, mono, mono_curl, jac))
+    coef = np.linalg.lstsq(np.vstack(rows_a), np.concatenate(rows_b), rcond=None)[0]
+    out = {}
+    for cid, mono, mono_curl, jac in frames:
+        hat = np.einsum("pmc,m->pc", mono, coef)
+        vals = np.linalg.solve(jac.transpose(0, 2, 1), hat[..., None])[..., 0]
+        curls = mono_curl @ coef / jacobian_det(jac)
+        out[cid] = (vals - sol.values([cid], REF.quad_pts)[0],
+                    curls - sol.curls([cid], REF.quad_pts)[0])
+    return out
 
 
 class TestWeight:
@@ -78,24 +134,21 @@ class TestReconstruction:
         m.uniform_refine(1)
         space = distribute_dofs(m)
 
-        def f(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([0.4 * x * y - 0.2 * y * y + 0.3,
-                                    1.1 * x * x + 0.5 * y - 0.7])
-
-        sol = FieldSolution(space, interpolate(space, f))
-        rec = reconstruct(sol, space)
+        sol = FieldSolution(space, interpolate(space, quadratic_field))
+        rec = recover(sol)
         assert np.max(np.abs(rec.dvals_quad)) < 1e-10
         assert np.max(np.abs(rec.dcurls_quad)) < 1e-10
 
     def test_constant_field_difference_vanishes(self):
-        m = grid_mesh(2)
-        m.uniform_refine(1)
-        space = distribute_dofs(m)
-        sol = FieldSolution(space, interpolate(
-            space, lambda p: np.column_stack([np.ones(len(p)), 2 * np.ones(len(p))])))
-        rec = reconstruct(sol, space)
-        assert np.max(np.abs(rec.dvals_quad)) < 1e-12
+        # an unrefined mesh has no patches at all
+        for refines in (1, 0):
+            m = grid_mesh(2)
+            m.uniform_refine(refines)
+            space = distribute_dofs(m)
+            sol = FieldSolution(space, interpolate(
+                space, lambda p: np.column_stack([np.ones(len(p)), 2 * np.ones(len(p))])))
+            rec = recover(sol)
+            assert np.max(np.abs(rec.dvals_quad)) < 1e-12
 
     def test_irregular_patch_fallback_is_safe(self):
         m = grid_mesh(2, size=2.0)
@@ -104,8 +157,59 @@ class TestReconstruction:
         space = distribute_dofs(m)
         rng = np.random.default_rng(1)
         sol = FieldSolution(space, rng.standard_normal(space.n_dofs) + 0j)
-        rec = reconstruct(sol, space)
+        rec = recover(sol)
         assert np.all(np.isfinite(rec.dvals_quad))
+
+    def test_irregular_patch_reproduces_parent_space_field(self):
+        # root 0 keeps three active children and one refined one: an irregular
+        # patch whose order-2 fit contains the field exactly
+        m = grid_mesh(2, size=2.0)
+        m.uniform_refine(1)
+        m.refine([m.active_ids()[0]])
+        space = distribute_dofs(m)
+        sol = FieldSolution(space, interpolate(space, quadratic_field))
+        rec = recover(sol)
+        below_root0 = list(order2_patch_differences(sol, 0))
+        assert len(below_root0) == 7
+        assert np.all(rec._order[space.rank[below_root0]] == 2)
+        assert np.all(rec._parent[space.rank[below_root0]] == 0)
+        assert np.max(np.abs(rec.dvals_quad)) < 1e-10
+        assert np.max(np.abs(rec.dcurls_quad)) < 1e-10
+        # the stored patch embeddings and coefficients reproduce it off the grid too
+        dvals, dcurls = rec.diff(space.active, np.random.default_rng(2).random((5, 2)))
+        assert np.max(np.abs(dvals)) < 1e-10
+        assert np.max(np.abs(dcurls)) < 1e-10
+
+    def test_nested_patches_take_the_later_irregular_fit(self):
+        # root 0 (outer) holds two active children, the refined child 6 (a
+        # clean patch) and child 4 (inner), itself irregular around the clean
+        # patch of its child 20.  Active cells come in ascending id, so the
+        # inner parent appears after the outer one and its fit wins below it;
+        # both clean patches give way to the order-2 fit of an irregular parent.
+        m = grid_mesh(2, size=2.0)
+        m.uniform_refine(1)
+        outer, inner, clean_in_outer = 0, 4, 6
+        m.refine([inner])
+        clean_in_inner = int(m.children[inner, 0])
+        m.refine([clean_in_inner])
+        m.refine([clean_in_outer])
+        space = distribute_dofs(m)
+        assert int(m.parent[clean_in_inner]) == inner
+        sol = FieldSolution(space, interpolate(space, smooth_field))
+        rec = recover(sol)
+        by_outer = order2_patch_differences(sol, outer)
+        by_inner = order2_patch_differences(sol, inner)
+        assert set(by_inner) < set(by_outer) and len(by_outer) == 13
+        scale = np.max(np.abs(rec._u_quad))
+        # the two fits differ below the inner parent, so the test tells them apart
+        assert max(np.max(np.abs(by_inner[c][0] - by_outer[c][0]))
+                   for c in by_inner) > 1e-3 * scale
+        for cid, (dvals, dcurls) in {**by_outer, **by_inner}.items():
+            r = space.rank[cid]
+            assert rec._order[r] == 2
+            np.testing.assert_allclose(rec.dvals_quad[r], dvals, rtol=0, atol=1e-9 * scale)
+            np.testing.assert_allclose(rec.dcurls_quad[r], dcurls, rtol=0,
+                                       atol=1e-9 * scale)
 
     def test_difference_shrinks_faster_than_interpolation_error(self):
         # measured on three uniform levels: the recovery difference stays below
@@ -121,7 +225,7 @@ class TestReconstruction:
             m.uniform_refine(1)
             space = distribute_dofs(m)
             sol = FieldSolution(space, interpolate(space, f))
-            rec = reconstruct(sol, space)
+            rec = recover(sol)
             err_true = 0.0
             err_rec = 0.0
             for i, cid in enumerate(space.active):
@@ -144,9 +248,9 @@ class TestIndicators:
         model = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=8 * np.pi, s0=2.0),
                            dipole=DipoleSpec(height=1.0, radius=0.15625))
         zero = FieldSolution(space, np.zeros(space.n_dofs, dtype=complex))
-        rec = reconstruct(zero, space)
-        eta = dwr_mod.indicators(space, model, zero, zero, rec, rec,
-                                 WeightFunction(D_W))
+        qd = QuadData(space, (zero,))
+        rec = reconstruct(qd, 0)
+        eta = dwr_mod.indicators(qd, model, rec, rec, WeightFunction(D_W))
         assert set(eta) == set(space.active)
         assert all(v == 0.0 for v in eta.values())
 
@@ -160,8 +264,9 @@ class TestIndicators:
                           + 1j * rng.standard_normal(space.n_dofs))
         z = FieldSolution(space, rng.standard_normal(space.n_dofs)
                           + 1j * rng.standard_normal(space.n_dofs))
-        eta = dwr_mod.indicators(space, model, e, z, reconstruct(e, space),
-                                 reconstruct(z, space), WeightFunction(D_W))
+        qd = QuadData(space, (e, z))
+        eta = dwr_mod.indicators(qd, model, reconstruct(qd, 0), reconstruct(qd, 1),
+                                 WeightFunction(D_W))
         assert all(v >= 0.0 for v in eta.values())
 
 

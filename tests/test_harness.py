@@ -224,6 +224,17 @@ samples = 256
         assert over.cycles == 7
         assert over.out_dir == "somewhere"
 
+    def test_bool_literals(self, tmp_path):
+        path = tmp_path / "flags.cfg"
+        for raw, value in (("1", True), ("0", False), ("TRUE", True),
+                           ("false", False), ("Yes", True), ("no", False)):
+            path.write_text(f"write_artifacts = {raw}\n")
+            assert hn.load_config(str(path)).write_artifacts is value
+        # a typo must not silently switch the outputs off
+        path.write_text("write_artifacts = flase\n")
+        with pytest.raises(ValueError, match="write_artifacts"):
+            hn.load_config(str(path))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         for line in ("definitely_not_a_key = 3", "seed_strips = ((1.0, 0.5),)"):

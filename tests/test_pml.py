@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sppsim.pml import (PmlSpec, material_arrays, profile, profile_integral,
-                        sheet_arrays, stretch, transform_materials)
+                        sheet_arrays, stretch_arrays)
 
 R = 8 * np.pi
 
@@ -12,64 +12,71 @@ def spec(s0=2.0):
     return PmlSpec(R=R, s0=s0)
 
 
+def one(point):
+    """A single point as a one-row (1, 2) array."""
+    return np.array([point], dtype=float)
+
+
 class TestStretch:
     def test_identity_inside(self):
-        f = stretch((0.5 * R, 0.0), spec())
-        assert f.d == 1.0 and f.dbar == 1.0
+        d, dbar, _ = stretch_arrays(one((0.5 * R, 0.0)), spec())
+        assert d[0] == 1.0 and dbar[0] == 1.0
 
     def test_rim_value(self):
-        f = stretch((R, 0.0), spec(s0=2.0))
-        assert f.d == pytest.approx(1 + 2j)
+        d, _, _ = stretch_arrays(one((R, 0.0)), spec(s0=2.0))
+        assert d[0] == pytest.approx(1 + 2j)
 
     def test_rim_average_from_cubic_antiderivative(self):
         s0 = 2.0
-        f = stretch((0.0, R), spec(s0=s0))
+        _, dbar, _ = stretch_arrays(one((0.0, R)), spec(s0=s0))
         # (1/R) * integral_{0.8R}^{R} s = s0 * 0.2 / 3
-        assert f.dbar == pytest.approx(1 + 1j * s0 * 0.2 / 3.0)
+        assert dbar[0] == pytest.approx(1 + 1j * s0 * 0.2 / 3.0)
 
     def test_profile_is_smooth_at_inner_rim(self):
         sp = spec()
         eps = 1e-8 * R
         assert profile(sp.rho + eps, sp) < 1e-14
         assert profile_integral(sp.rho + eps, sp) < 1e-20
-        f = stretch((sp.rho + eps, 0.0), sp)
-        assert abs(f.d - 1.0) < 1e-12 and abs(f.dbar - 1.0) < 1e-12
+        d, dbar, _ = stretch_arrays(one((sp.rho + eps, 0.0)), sp)
+        assert abs(d[0] - 1.0) < 1e-12 and abs(dbar[0] - 1.0) < 1e-12
 
     @given(st.floats(0.81, 0.999), st.floats(0.1, 8.0))
     def test_positive_imaginary_inside_layer(self, frac, s0):
-        f = stretch((frac * R, 0.0), PmlSpec(R=R, s0=s0))
-        assert f.d.imag > 0
-        assert f.dbar.imag > 0
+        d, dbar, _ = stretch_arrays(one((frac * R, 0.0)), PmlSpec(R=R, s0=s0))
+        assert d[0].imag > 0
+        assert dbar[0].imag > 0
 
 
 class TestTransform:
     def test_identity_outside_layer(self):
-        mu, eps, sig = transform_materials((0.3 * R, 0.1 * R), 1.0, 1.0, 0.15j, spec())
-        assert mu == 1.0
-        assert np.allclose(eps, np.eye(2))
-        assert sig == 0.15j
+        pt = one((0.3 * R, 0.1 * R))
+        inv_mu, eps = material_arrays(pt, 1.0, 1.0, spec())
+        assert 1.0 / inv_mu[0] == 1.0
+        assert np.allclose(eps[0], np.eye(2))
+        assert sheet_arrays(pt, 0.15j, spec())[0] == 0.15j
 
     def test_zero_strength_is_identity_everywhere(self):
-        mu, eps, sig = transform_materials((0.99 * R, 0.0), 1.0, 1.0, 0.15j, spec(s0=0.0))
-        assert mu == pytest.approx(1.0)
-        assert np.allclose(eps, np.eye(2))
-        assert sig == pytest.approx(0.15j)
+        pt = one((0.99 * R, 0.0))
+        inv_mu, eps = material_arrays(pt, 1.0, 1.0, spec(s0=0.0))
+        assert 1.0 / inv_mu[0] == pytest.approx(1.0)
+        assert np.allclose(eps[0], np.eye(2))
+        assert sheet_arrays(pt, 0.15j, spec(s0=0.0))[0] == pytest.approx(0.15j)
 
     def test_sheet_coefficient_absorbs(self):
         sp = spec(s0=2.0)
-        _, _, sig = transform_materials((R, 0.0), 1.0, 1.0, 0.15j, sp)
-        f = stretch((R, 0.0), sp)
-        assert sig == pytest.approx(0.15j * f.dbar / f.d)
+        sig = sheet_arrays(one((R, 0.0)), 0.15j, sp)[0]
+        d, dbar, _ = stretch_arrays(one((R, 0.0)), sp)
+        assert sig == pytest.approx(0.15j * dbar[0] / d[0])
         assert abs(sig / 0.15j) < 1.0
 
     def test_radial_frame_on_axis(self):
         sp = spec()
         r = 0.95 * R
-        f = stretch((r, 0.0), sp)
-        _, eps, _ = transform_materials((r, 0.0), 1.0, 2.0 + 0.1j, 0.0j, sp)
-        assert eps[0, 0] == pytest.approx((2.0 + 0.1j) * f.dbar**2 / f.d)
-        assert eps[1, 1] == pytest.approx((2.0 + 0.1j) * f.d)
-        assert eps[0, 1] == pytest.approx(0.0, abs=1e-15)
+        d, dbar, _ = stretch_arrays(one((r, 0.0)), sp)
+        _, eps = material_arrays(one((r, 0.0)), 1.0, 2.0 + 0.1j, sp)
+        assert eps[0, 0, 0] == pytest.approx((2.0 + 0.1j) * dbar[0]**2 / d[0])
+        assert eps[0, 1, 1] == pytest.approx((2.0 + 0.1j) * d[0])
+        assert eps[0, 0, 1] == pytest.approx(0.0, abs=1e-15)
 
     @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
     def test_eps_complex_symmetric(self, fx, fy):
@@ -80,9 +87,9 @@ class TestTransform:
     def test_mu_rule(self):
         sp = spec()
         r = 0.9 * R
-        f = stretch((0.0, r), sp)
-        mu, _, _ = transform_materials((0.0, r), 2.0, 1.0, 0.0j, sp)
-        assert 1.0 / mu == pytest.approx((1.0 / 2.0) / f.d)
+        d, _, _ = stretch_arrays(one((0.0, r)), sp)
+        inv_mu, _ = material_arrays(one((0.0, r)), 2.0, 1.0, sp)
+        assert inv_mu[0] == pytest.approx((1.0 / 2.0) / d[0])
 
 
 def test_invalid_specs_rejected():
