@@ -109,44 +109,101 @@ def iter_volume_tables(space: EdgeFESpace, cids=None):
         yield _volume_tables(space, cids[lo:lo + CHUNK_CELLS])
 
 
-def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.coo_matrix:
+def _gram(basis, weighted) -> np.ndarray:
+    """Local matrices sum_q basis[n, q, b] weighted[n, q, d] as batched matmuls.
+
+    basis is real; the real and imaginary parts of weighted go through two
+    real matmuls, which spares a complex copy of basis.
+    """
+    basis_t = basis.transpose(0, 2, 1)
+    out = np.empty(basis_t.shape[:2] + weighted.shape[2:], dtype=complex)
+    out.real = basis_t @ weighted.real
+    out.imag = basis_t @ weighted.imag
+    return out
+
+
+def _scatter(space: EdgeFESpace, dofs, local) -> sp.csr_matrix:
+    """Global matrix of the local matrices local[k] on the dof rows dofs[k]."""
+    rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
+    cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csr_matrix:
     """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
     cids = np.array([f.owner for f in faces], dtype=np.int64)
     ref, phys, wds, tangent = face_quadrature(space.mesh, cids,
                                               [f.owner_edge for f in faces])
     vals, _ = shape_eval(space, cids, ref)
     tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
-    local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-    dofs = space.cell_dofs[space.rank[cids]]
-    rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
-    cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.n_dofs, space.n_dofs))
+    local = _gram(tang, (wds * coef(phys))[:, :, None] * tang)
+    return _scatter(space, space.cell_dofs[space.rank[cids]], local)
+
+
+def _volume_local(model: SheetModel, phys, det, vals, curls) -> np.ndarray:
+    """Curl-curl minus mass local matrices (n, 12, 12) from the volume tables."""
+    n, p = det.shape
+    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.mu_r,
+                                              model.eps_r, model.pml)
+    wdet = REF.quad_wts[None, :] * det
+    stiff = _gram(curls, (wdet * inv_mu.reshape(n, p))[:, :, None] * curls)
+    # mass: the 2-vector values of the p points stacked into 2p rows
+    weighted = np.einsum("npij,npbj->npib",
+                         wdet[:, :, None, None] * eps_eff.reshape(n, p, 2, 2), vals)
+    mass = _gram(vals.transpose(0, 1, 3, 2).reshape(n, 2 * p, N_DOFS_CELL),
+                 weighted.reshape(n, 2 * p, N_DOFS_CELL))
+    return stiff - mass
+
+
+# shape-class keys are quantised to this fraction of the disk radius
+SHAPE_RESOLUTION = 1e-12
+
+
+def shape_classes(space: EdgeFESpace, model: SheetModel):
+    """Representative cell ids and the class of every active cell.
+
+    A straight-edged parallelogram whose corners all lie within the layer's
+    inner radius has an affine map and constant coefficients (the stretch is
+    exactly one there), so its local matrix depends only on its two edge
+    vectors and its edge-orientation signature.  Such cells share one class
+    per (edge vectors quantised to SHAPE_RESOLUTION * R, orient_idx); every
+    other active cell is a class of its own.  Returns (reps, inverse) with
+    reps[inverse[k]] the representative of space.active[k].
+    """
+    mesh = space.mesh
+    corners = mesh.cell_corners(space.active)
+    quantum = SHAPE_RESOLUTION * mesh.R
+    v0, v1, v2, v3 = corners.transpose(1, 0, 2)
+    shared = (~mesh.arc[space.active].any(axis=1)
+              & np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1)
+              & np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho,
+                       axis=1))
+    key = np.zeros((len(corners), 6), dtype=np.int64)
+    key[:, :4] = np.round(np.hstack([v1 - v0, v3 - v0]) / quantum)
+    key[:, 4] = space.orient_idx
+    key[:, 5] = np.where(shared, 0, 1 + np.arange(len(corners)))
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    return space.active[first], inverse.reshape(-1)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
-    """Curl-curl and mass terms plus the rim impedance term, over all dofs."""
-    w = REF.quad_wts
-    mats = []
-    for ranks, phys, det, vals, curls in iter_volume_tables(space):
-        flat = phys.reshape(-1, 2)
-        inv_mu, eps_eff = pml_mod.material_arrays(flat, model.mu_r, model.eps_r,
-                                                  model.pml)
-        inv_mu = inv_mu.reshape(det.shape)
-        eps_eff = eps_eff.reshape(det.shape + (2, 2))
-        wdet = w[None, :] * det
-        local = np.einsum("np,npb,npd->nbd", wdet * inv_mu, curls, curls)
-        local = local - np.einsum("np,npbi,npij,npdj->nbd", wdet + 0j, vals,
-                                  eps_eff, vals)
-        dofs = space.cell_dofs[ranks]
-        rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
-        cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
-        mats.append(sp.coo_matrix((local.ravel(), (rows, cols)),
-                                  shape=(space.n_dofs, space.n_dofs)).tocsr())
+    """Curl-curl and mass terms plus the rim impedance term, over all dofs.
+
+    Local matrices are computed once per shape class (shape_classes) and
+    scattered chunk by chunk in active-cell order.
+    """
+    reps, inverse = shape_classes(space, model)
+    local = np.concatenate([_volume_local(model, *tables[1:])
+                            for tables in iter_volume_tables(space, reps)])
+    mats = [_scatter(space, space.cell_dofs[lo:lo + CHUNK_CELLS],
+                     local[inverse[lo:lo + CHUNK_CELLS]])
+            for lo in range(0, len(inverse), CHUNK_CELLS)]
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
     mats.append(_face_matrix(space, boundary_faces(space.mesh),
                              lambda x: -1j * impedance))
-    return sum(m.tocsr() for m in mats)
+    return sum(mats)
 
 
 def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
@@ -156,7 +213,7 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
     return _face_matrix(
         space, interface_faces(space.mesh),
         lambda x: -1j * pml_mod.sheet_arrays(x.reshape(-1, 2), model.sigma_r,
-                                             model.pml).reshape(x.shape[:2])).tocsr()
+                                             model.pml).reshape(x.shape[:2]))
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:

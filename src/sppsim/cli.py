@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,8 +31,23 @@ def _config_from(args) -> harness.RunConfig:
     return harness.RunConfig(**clean)
 
 
+def blas_thread_note(environ=os.environ) -> str | None:
+    """Reproducibility caveat unless BLAS is pinned to one thread.
+
+    Runs with more threads differ in the last digits from the first cycle on;
+    the thread-dependent call is not located (suspected: BLAS inside SuperLU).
+    """
+    if all(environ.get(var) == "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
+        return None
+    return ("note: artifacts are byte-reproducible only with one BLAS thread "
+            "(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1)")
+
+
 def cmd_run(args) -> int:
     config = _config_from(args)
+    note = blas_thread_note()
+    if note:
+        print(note)
     records, artifacts = harness.run_adaptive(config)
     print(f"{'cycle':>5} {'cells':>8} {'dofs':>9} {'l2_error':>12} {'rate':>7}")
     for r in records:

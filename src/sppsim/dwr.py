@@ -349,6 +349,9 @@ def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
     return dict(zip(space.active.tolist(), eta.tolist()))
 
 
+MARK_RESOLUTION = 1e-9
+
+
 def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
          cycle: int, fraction: float = 0.15, level_cap: int = 12) -> list[int]:
     """Top cells by indicator plus the forced, geometrically tightening band."""
@@ -357,8 +360,12 @@ def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
     active = np.array(sorted(indicator_map), dtype=np.int64)
     eta = np.array([indicator_map[c] for c in active.tolist()])
     selected = np.zeros(len(active), dtype=bool)
-    # largest indicators first, ties by ascending cell id
-    selected[np.lexsort((active, -eta))[:math.ceil(fraction * len(active))]] = True
+    # largest indicators first, ties by ascending cell id; eta is ranked on a
+    # grid of MARK_RESOLUTION times its maximum, so that near-equal values
+    # (mirror cells, summation-order noise) count as ties
+    scale = eta.max(initial=0.0) * MARK_RESOLUTION
+    rank_key = np.round(eta / scale) if scale > 0 else eta
+    selected[np.lexsort((active, -rank_key))[:math.ceil(fraction * len(active))]] = True
     wvals = weight(mesh.cell_corners(active).mean(axis=1))
     wmax = wvals.max()
     if wmax > 0:

@@ -3,12 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from sppsim import mesh as msh
+from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
+                             _face_matrix, _volume_local, _volume_tables,
                              assemble_dipole_rhs, assemble_dual_rhs,
                              assemble_interface, assemble_volume_boundary,
-                             condense)
+                             condense, shape_classes)
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
-                            distribute_dofs, interpolate, shape_eval)
+                            distribute_dofs, face_quadrature, interpolate,
+                            shape_eval)
 from sppsim.harness import solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
@@ -144,6 +147,127 @@ class TestMatrixStructure:
         scale = abs(forward).max()
         assert abs(forward - backward).max() < 1e-13 * scale
         assert abs(ref - ref.T).max() < 1e-12 * scale
+
+
+def einsum_local(space, mdl, cids):
+    """Per-cell curl-curl minus mass matrices by direct einsum contractions."""
+    _, phys, det, vals, curls = _volume_tables(space, cids)
+    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.mu_r,
+                                              mdl.eps_r, mdl.pml)
+    wdet = REF.quad_wts[None, :] * det
+    local = np.einsum("np,npb,npd->nbd", wdet * inv_mu.reshape(det.shape), curls, curls)
+    return local - np.einsum("np,npbi,npij,npdj->nbd", wdet + 0j, vals,
+                             eps_eff.reshape(det.shape + (2, 2)), vals)
+
+
+def radii(space):
+    corners = space.mesh.cell_corners(space.active)
+    return np.hypot(corners[..., 0], corners[..., 1])
+
+
+class TestLocalKernel:
+    @pytest.mark.parametrize("s0", [0.0, 2.0])
+    @pytest.mark.parametrize("layout", ["disk", "grid"])
+    def test_shared_gemm_kernel_matches_einsum_per_cell(self, layout, s0):
+        if layout == "disk":
+            space, cs = disk_space(2, extra_marks=2, seed=1)
+            assert cs.rows    # hanging faces
+            assert space.mesh.arc[space.active].any()
+        else:
+            # equal squares on both sides of the layer's inner radius
+            space = distribute_dofs(grid_mesh(6, 2, sx=4.0, sy=4.0, y0=0.5))
+        mdl = model(s0=s0, mu=1.5, eps=2.25)
+        assert np.any(radii(space) > mdl.pml.rho)
+        reps, inverse = shape_classes(space, mdl)
+        assert len(reps) < len(space.active)
+        _, phys, det, vals, curls = _volume_tables(space, reps)
+        local = _volume_local(mdl, phys, det, vals, curls)[inverse]
+        ref = einsum_local(space, mdl, space.active)
+        err = abs(local - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * abs(ref).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("which", ["rim", "sheet"])
+    def test_face_matrices_match_einsum(self, which):
+        space, _ = disk_space(2, extra_marks=1)
+        mdl = model(sigma=0.01 + 0.15j)
+        if which == "rim":
+            faces = msh.boundary_faces(space.mesh)
+            coef = lambda x: np.full(x.shape[:2], -0.7j)
+        else:
+            faces = msh.interface_faces(space.mesh)
+            coef = lambda x: -1j * pml_mod.sheet_arrays(
+                x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
+        mat = _face_matrix(space, faces, coef)
+        cids = np.array([f.owner for f in faces])
+        ref_pts, phys, wds, tangent = face_quadrature(space.mesh, cids,
+                                                      [f.owner_edge for f in faces])
+        vals, _ = shape_eval(space, cids, ref_pts)
+        tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
+        local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
+        dofs = space.cell_dofs[space.rank[cids]]
+        expected = sp.coo_matrix((local.ravel(), (np.repeat(dofs, 12, axis=1).ravel(),
+                                                  np.tile(dofs, (1, 12)).ravel())),
+                                 shape=mat.shape).tocsr()
+        assert abs(mat - expected).max() <= 1e-13 * abs(expected).max()
+
+
+class TestShapeClasses:
+    def squares(self, specs, R_mesh=100.0):
+        """One cell per (x0, y0, vertex creation order, arc flags, top shift)."""
+        m = msh.Mesh(R_mesh)
+        for x0, y0, order, arc, shift in specs:
+            pts = [(x0, y0), (x0 + 1, y0), (x0 + 1 + shift, y0 + 1), (x0, y0 + 1)]
+            ids = {k: m.add_vertex(*pts[k]) for k in order}
+            m.add_cell(tuple(ids[k] for k in range(4)), 0, -1, arc)
+        space = distribute_dofs(m)
+        return space, shape_classes(space, model())[1]
+
+    def test_translated_equal_cells_share_a_class(self):
+        straight = (False,) * 4
+        space, inverse = self.squares([(0.0, 1.0, range(4), straight, 0.0),
+                                       (3.0, 5.0, range(4), straight, 0.0),
+                                       (-7.5, -2.25, range(4), straight, 0.0)])
+        assert len(set(space.orient_idx.tolist())) == 1
+        assert inverse.tolist() == [0, 0, 0]
+
+    def test_orientation_signature_splits_equal_shapes(self):
+        straight = (False,) * 4
+        space, inverse = self.squares([(0.0, 1.0, range(4), straight, 0.0),
+                                       (3.0, 1.0, [3, 2, 1, 0], straight, 0.0)])
+        assert space.orient_idx[0] != space.orient_idx[1]
+        assert inverse[0] != inverse[1]
+
+    def test_arc_cells_and_non_parallelograms_are_singletons(self):
+        straight = (False,) * 4
+        arc = (False, True, False, False)
+        space, inverse = self.squares([(0.0, 1.0, range(4), arc, 0.0),
+                                       (3.0, 1.0, range(4), arc, 0.0),
+                                       (6.0, 1.0, range(4), straight, 0.5),
+                                       (9.0, 1.0, range(4), straight, 0.5),
+                                       (12.0, 1.0, range(4), straight, 0.0),
+                                       (15.0, 1.0, range(4), straight, 0.0)])
+        assert len(set(inverse[:4].tolist())) == 4
+        assert inverse[4] == inverse[5] and inverse[4] not in inverse[:4]
+
+    def test_cells_beyond_inner_radius_are_singletons(self):
+        mdl = model()
+        space = distribute_dofs(grid_mesh(6, 1, sx=4.0, sy=4.0, y0=0.5))
+        _, inverse = shape_classes(space, mdl)
+        inside = np.all(radii(space) <= mdl.pml.rho, axis=1)
+        assert inside.sum() >= 2 and (~inside).sum() >= 2
+        assert len(set(inverse[inside].tolist())) == 1
+        assert len(set(inverse.tolist())) == 1 + (~inside).sum()
+
+    def test_disk_mesh_shares_only_interior_straight_cells(self):
+        space, _ = disk_space(2, extra_marks=2, seed=1)
+        mdl = model()
+        reps, inverse = shape_classes(space, mdl)
+        shared = np.bincount(inverse)[inverse] > 1
+        arc = space.mesh.arc[space.active].any(axis=1)
+        outside = np.any(radii(space) > mdl.pml.rho, axis=1)
+        assert shared.any() and not np.any(shared & (arc | outside))
+        rep_rank = space.rank[reps[inverse]]
+        assert np.array_equal(space.orient_idx[rep_rank], space.orient_idx)
 
 
 class TestDipoleRhs:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from sppsim.cli import main
+from sppsim.cli import blas_thread_note, main
 
 
 def test_oracle_subcommand_writes_csv(tmp_path, capsys):
@@ -54,3 +54,9 @@ dipole_resolve_factor = 2.05
     out = capsys.readouterr().out
     assert "cycle" in out
     assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+def test_blas_thread_note_unless_one_thread():
+    assert blas_thread_note({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}) is None
+    for env in ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}):
+        assert "one BLAS thread" in blas_thread_note(env)

@@ -293,6 +293,17 @@ class TestMarking:
         n_top = int(np.ceil(0.15 * len(self.active)))
         assert marked == sorted(self.active)[:n_top]
 
+    def test_marks_robust_to_noise_in_tied_indicators(self):
+        # five distinct levels, so the top-15 % threshold cuts through a tie
+        rng = np.random.default_rng(2)
+        levels = rng.integers(1, 6, len(self.active)) / 5.0
+        far = WeightFunction(1e-9)
+        ref = mark(dict(zip(self.active, levels)), self.mesh, far, cycle=5)
+        for _ in range(5):
+            noisy = levels + 1e-12 * levels.max() * rng.uniform(-1, 1, len(levels))
+            marked = mark(dict(zip(self.active, noisy)), self.mesh, far, cycle=5)
+            assert marked == ref
+
     def test_late_cycles_select_only_peak_weight_cells(self):
         eta = {c: 0.0 for c in self.active}
         marked = set(mark(eta, self.mesh, self.weight, cycle=40, fraction=0.0))
