@@ -170,7 +170,7 @@ class EdgeFESpace:
     rank: np.ndarray           # (n_cells,)
     cell_dofs: np.ndarray      # (n_active, 12) global indices
     orient_idx: np.ndarray     # (n_active,) edge-orientation signature
-    face_index: dict[tuple[int, int], int]
+    face_keys: np.ndarray      # (n_faces, 2) sorted vertex-id pair of each face
     n_faces: int
     n_dofs: int
 
@@ -191,7 +191,6 @@ def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
     face_of[by_appearance] = np.arange(len(first))
     faces = face_of[inverse].reshape(n, 4)
     n_faces = len(first)
-    face_index = {tuple(key): f for f, key in enumerate(keys[first[by_appearance]].tolist())}
     cell_dofs = np.empty((n, N_DOFS_CELL), dtype=np.int64)
     cell_dofs[:, 0:8:2] = 2 * faces
     cell_dofs[:, 1:8:2] = 2 * faces + 1
@@ -202,7 +201,7 @@ def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
     rank[active] = np.arange(n)
     return EdgeFESpace(mesh=mesh, active=active, rank=rank,
                        cell_dofs=cell_dofs, orient_idx=orient,
-                       face_index=face_index, n_faces=n_faces,
+                       face_keys=keys[first[by_appearance]], n_faces=n_faces,
                        n_dofs=2 * n_faces + 4 * n)
 
 
@@ -274,13 +273,22 @@ class ConstraintSet:
     """Hanging-edge dofs expressed through their parent-edge dofs."""
 
     n_dofs: int
-    rows: dict[int, list[tuple[int, float]]]
     matrix: sp.csr_matrix        # (n_dofs, n_master)
     master_dofs: np.ndarray
 
     @property
     def n_master(self) -> int:
         return len(self.master_dofs)
+
+    @property
+    def rows(self) -> dict[int, list[tuple[int, float]]]:
+        """Each constrained dof with its (master dof, coefficient) terms."""
+        constrained = np.setdiff1d(np.arange(self.n_dofs), self.master_dofs)
+        rows = self.matrix[constrained]
+        return {dof: [(int(self.master_dofs[c]), float(v))
+                      for c, v in zip(rows.indices[lo:hi], rows.data[lo:hi])]
+                for dof, lo, hi in zip(constrained.tolist(), rows.indptr[:-1].tolist(),
+                                       rows.indptr[1:].tolist())}
 
     def distribute(self, reduced: np.ndarray) -> np.ndarray:
         return self.matrix @ reduced
@@ -304,47 +312,39 @@ _T_HI = _child_transfer(1.0, -0.5)   # child from parent's high vertex to midpoi
 
 def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     """Tie child-edge dofs on hanging faces to the parent-edge dofs."""
-    mesh = space.mesh
-    rows: dict[int, list[tuple[int, float]]] = {}
-    for key, fidx in space.face_index.items():
-        mid = mesh.edge_mid.get(key)
-        if mid is None:
-            continue
-        lo, hi = key
-        key_lo = (lo, mid) if lo < mid else (mid, lo)
-        key_hi = (hi, mid) if hi < mid else (mid, hi)
-        f_lo = space.face_index.get(key_lo)
-        f_hi = space.face_index.get(key_hi)
-        if f_lo is None or f_hi is None:
-            continue
-        # midpoint ids are created after their edge endpoints
-        assert mid > lo and mid > hi, "midpoint id ordering violated"
-        for fc, T in ((f_lo, _T_LO), (f_hi, _T_HI)):
-            for j in range(2):
-                rows[2 * fc + j] = [(2 * fidx + k, T[j, k]) for k in range(2)
-                                    if T[j, k] != 0.0]
-    constrained = set(rows)
-    for dof in rows:
-        for master, _ in rows[dof]:
-            assert master not in constrained, "constraint chains are not allowed"
-    master_dofs = np.array([d for d in range(space.n_dofs) if d not in constrained],
-                           dtype=np.int64)
+    keys = space.face_keys
+    mids = space.mesh.edge_midpoints(keys)
+    parent = np.flatnonzero(mids >= 0)
+    # midpoint ids are created after their edge endpoints
+    assert np.all(mids[parent] > keys[parent, 1]), "midpoint id ordering violated"
+    codes = keys[:, 0] * len(space.mesh.vertices) + keys[:, 1]
+    by_code = np.argsort(codes)
+    # (p, 2 halves, 2): (lo, mid) and (hi, mid)
+    halves = np.stack([keys[parent], np.stack([mids[parent], mids[parent]], axis=1)], axis=2)
+    half_codes = halves[..., 0] * len(space.mesh.vertices) + halves[..., 1]
+    pos = np.minimum(np.searchsorted(codes[by_code], half_codes), len(codes) - 1)
+    hanging = (codes[by_code][pos] == half_codes).all(axis=1)
+    child = by_code[pos[hanging]]                                  # (h, 2)
+    parent = parent[hanging]
+    # dof 2 child + j = sum_k T[j, k] * dof 2 parent + k, for the nonzero T[j, k]
+    T = np.stack([_T_LO, _T_HI])                                   # (2 halves, 2, 2)
+    j, k = np.arange(2)[:, None], np.arange(2)[None, :]
+    slave = np.broadcast_to(2 * child[:, :, None, None] + j, (len(parent), 2, 2, 2))
+    master = np.broadcast_to(2 * parent[:, None, None, None] + k, slave.shape)
+    coef = np.broadcast_to(T, slave.shape)
+    nonzero = coef != 0.0
+    slave, master, coef = slave[nonzero], master[nonzero], coef[nonzero]
+    constrained = np.zeros(space.n_dofs, dtype=bool)
+    constrained[slave] = True
+    assert not constrained[master].any(), "constraint chains are not allowed"
+    master_dofs = np.flatnonzero(~constrained)
     col_of = -np.ones(space.n_dofs, dtype=np.int64)
     col_of[master_dofs] = np.arange(len(master_dofs))
-    data, ri, ci = [], [], []
-    for d in range(space.n_dofs):
-        if d in rows:
-            for master, coef in rows[d]:
-                ri.append(d)
-                ci.append(col_of[master])
-                data.append(coef)
-        else:
-            ri.append(d)
-            ci.append(col_of[d])
-            data.append(1.0)
+    ri = np.concatenate([master_dofs, slave])
+    ci = col_of[np.concatenate([master_dofs, master])]
+    data = np.concatenate([np.ones(len(master_dofs)), coef])
     matrix = sp.csr_matrix((data, (ri, ci)), shape=(space.n_dofs, len(master_dofs)))
-    return ConstraintSet(n_dofs=space.n_dofs, rows=rows, matrix=matrix,
-                         master_dofs=master_dofs)
+    return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs)
 
 
 def interpolate(space: EdgeFESpace, fun) -> np.ndarray:

@@ -11,7 +11,12 @@ The mesh is stored as numpy columns indexed by vertex or cell id (a linear
 quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
 ids, ``level``, ``parent`` (-1 for a root cell), ``children`` (nc, 4; -1
 while the cell is active) and ``arc`` (nc, 4) flags.  Ids are append-only, so
-every cell ever created keeps its row.
+every cell ever created keeps its row.  Every split edge is a row of one
+sorted edge table (edge key, midpoint id) queried with ``searchsorted``; a
+midpoint is the newer end of both its half edges, which finds hanging edges.
+``refine`` is one array pass per call: a closure walk on cell ids fixes the
+split order, then each split cell gets, in that order, ids for its new edge
+midpoints (in local edge order), its centre and its four children.
 
 Local conventions on the reference square [0,1]^2 with corners numbered
 counterclockwise from the origin:
@@ -40,15 +45,66 @@ EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 # children quadrant offsets, aligned with parent reference coordinates
 CHILD_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
+# corners of the four children among (v0, v1, v2, v3, m0, m1, m2, m3, centre)
+# of the parent, m_e being the midpoint of its local edge e
+_CHILD_CORNERS = np.array([(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)])
+# child q keeps the arc flag of parent edge e where it lies on that edge
+_CHILD_ON_EDGE = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
+                          dtype=bool)
+
 # per-cell columns: name -> (row shape, dtype)
 _CELL_COLUMNS = {"cells": ((4,), np.int64), "level": ((), np.int64),
                  "parent": ((), np.int64), "children": ((4,), np.int64),
                  "arc": ((4,), bool)}
 
 
-def _grown(arr: np.ndarray) -> np.ndarray:
-    """arr with its row capacity doubled (amortised O(1) appends)."""
-    return np.concatenate([arr, np.empty_like(arr)])
+def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
+    """arr with its row capacity doubled until it holds rows (amortised appends)."""
+    while len(arr) < rows:
+        arr = np.concatenate([arr, np.empty_like(arr)])
+    return arr
+
+
+def _edge_code(keys) -> np.ndarray:
+    """One int64 per sorted vertex-id pair (..., 2), ordered like the pairs."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys[..., 0] << 32 | keys[..., 1]
+
+
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Position of each code in sorted_codes, -1 where it is absent."""
+    if len(sorted_codes) == 0:
+        return np.full(np.shape(codes), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
+def _split_order(marked: list[int], coarser: dict[int, list[int]]) -> list[int]:
+    """Cells to split: each marked cell (ascending) after the coarser
+    neighbours across its local edges 0..3, each with its own closure first.
+
+    coarser maps a cell to its four coarser neighbours (-1 for none).  It may
+    be taken before the walk: a split removes its own cell as a coarser
+    neighbour and creates none, as its children could only be coarser
+    neighbours of cells two levels finer than it, which 1-irregularity bars.
+    """
+    order: list[int] = []
+    done: set[int] = set()
+    for root in marked:
+        stack = [root]
+        while stack:
+            cid = stack[-1]
+            if cid in done:
+                stack.pop()
+                continue
+            todo = [c for c in coarser.get(cid, ()) if c >= 0 and c not in done]
+            if todo:
+                stack.extend(reversed(todo))
+            else:
+                stack.pop()
+                done.add(cid)
+                order.append(cid)
+    return order
 
 
 def _cell_column(name):
@@ -68,9 +124,9 @@ class Mesh:
         self._cols = {name: np.empty((16,) + shape, dtype=dtype)
                       for name, (shape, dtype) in _CELL_COLUMNS.items()}
         self._nc = 0
-        self.edge_mid: dict[tuple[int, int], int] = {}
-        self.mid_of: dict[int, tuple[int, int]] = {}
-        self.edge_to_cells: dict[tuple[int, int], set[int]] = {}
+        # edge table: codes of every split edge, ascending, and their midpoints
+        self._split_code = np.empty(0, dtype=np.int64)
+        self._split_mid = np.empty(0, dtype=np.int64)
         self._tol = 1e-9 * float(R)
 
     vertices = property(lambda self: self._xy[:self._nv], doc="(nv, 2) coordinates")
@@ -83,25 +139,26 @@ class Mesh:
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, x: float, y: float) -> int:
-        if self._nv == len(self._xy):
-            self._xy = _grown(self._xy)
-        self._xy[self._nv] = (x, y)
-        self._nv += 1
-        return self._nv - 1
+        return self._append_vertices(np.array([[x, y]]))[0]
 
     def add_cell(self, verts, level, parent, arc) -> int:
         """Append a cell; parent is -1 for a root cell."""
-        cid = self._nc
-        if cid == len(self._cols["cells"]):
-            self._cols = {name: _grown(col) for name, col in self._cols.items()}
-        row = {"cells": verts, "level": level, "parent": parent, "children": -1,
-               "arc": arc}
-        for name, value in row.items():
-            self._cols[name][cid] = value
-        self._nc += 1
-        for key in self._keys_of(cid):
-            self.edge_to_cells.setdefault(key, set()).add(cid)
-        return cid
+        return self._append_cells([verts], [level], [parent], [arc])[0]
+
+    def _append_vertices(self, xy: np.ndarray) -> range:
+        start, self._nv = self._nv, self._nv + len(xy)
+        self._xy = _grown(self._xy, self._nv)
+        self._xy[start:self._nv] = xy
+        return range(start, self._nv)
+
+    def _append_cells(self, verts, level, parent, arc) -> range:
+        start, self._nc = self._nc, self._nc + len(level)
+        self._cols = {name: _grown(col, self._nc) for name, col in self._cols.items()}
+        rows = {"cells": verts, "level": level, "parent": parent, "children": -1,
+                "arc": arc}
+        for name, value in rows.items():
+            self._cols[name][start:self._nc] = value
+        return range(start, self._nc)
 
     # -- queries -----------------------------------------------------------
 
@@ -121,9 +178,32 @@ class Mesh:
         ends = self.cells[np.asarray(cids, dtype=np.int64)][:, np.array(EDGE_CORNERS)]
         return np.sort(ends, axis=2)
 
-    def _keys_of(self, cid: int) -> list[tuple[int, int]]:
-        """Edge keys of one cell as tuples, for the edge dictionaries."""
-        return [tuple(key) for key in self.edge_keys([cid])[0].tolist()]
+    def edge_midpoints(self, keys) -> np.ndarray:
+        """Midpoint vertex id of each sorted edge key (..., 2); -1 if never split."""
+        pos = _find(self._split_code, _edge_code(keys))
+        return np.append(self._split_mid, -1)[pos]     # pos -1 picks the -1
+
+    def coarser_neighbors(self, cids):
+        """Active cell and its local edge across each hanging edge of the cells cids.
+
+        An edge is a hanging half when its newer end is the midpoint of a split
+        edge that contains its other end, and some active cell still has that
+        parent edge.  Returns (cell, ledge), both (n, 4), -1 on other edges.
+        """
+        keys = self.edge_keys(cids).reshape(-1, 2)
+        parent_of = np.full(self._nv, -1, dtype=np.int64)   # split edge of a midpoint
+        parent_of[self._split_mid] = self._split_code
+        parent = parent_of[keys[:, 1]]
+        half = (parent >= 0) & (((parent >> 32) == keys[:, 0])
+                                | ((parent & 0xFFFFFFFF) == keys[:, 0]))
+        active = self.active_ids()
+        codes = _edge_code(self.edge_keys(active)).ravel()
+        by_code = np.argsort(codes, kind="stable")
+        pos = _find(codes[by_code], np.where(half, parent, -1))
+        flat = np.where(pos >= 0, by_code[pos], -1)
+        cell = np.where(flat >= 0, active[flat // 4], -1)
+        ledge = np.where(flat >= 0, flat % 4, -1)
+        return cell.reshape(-1, 4), ledge.reshape(-1, 4)
 
     def on_boundary(self) -> np.ndarray:
         """Mask over vertices: on the outer circle."""
@@ -140,68 +220,66 @@ class Mesh:
 
     # -- refinement --------------------------------------------------------
 
-    def _edge_midpoint(self, cid: int, ledge: int) -> int:
-        key = self._keys_of(cid)[ledge]
-        mid = self.edge_mid.get(key)
-        if mid is not None:
-            return mid
-        (ax, ay), (bx, by) = self.vertices[list(key)].tolist()
-        if self.arc[cid, ledge]:
-            ta = np.arctan2(ay, ax)
-            tb = np.arctan2(by, bx)
-            dt = (tb - ta + np.pi) % (2 * np.pi) - np.pi
-            tm = ta + 0.5 * dt
-            mid = self.add_vertex(self.R * np.cos(tm), self.R * np.sin(tm))
-        else:
-            mid = self.add_vertex(0.5 * (ax + bx), 0.5 * (ay + by))
-        self.edge_mid[key] = mid
-        self.mid_of[mid] = key
-        return mid
-
-    def _coarser_neighbor(self, cid: int, ledge: int):
-        """(cid, ledge) of the active cell owning the parent edge if this edge
-        is a hanging child, else None."""
-        key = self._keys_of(cid)[ledge]
-        for vid in key:
-            parent_key = self.mid_of.get(vid)
-            other = key[0] if key[1] == vid else key[1]
-            if parent_key is None or other not in parent_key:
-                continue
-            # only active cells are registered under an edge
-            for coarse in self.edge_to_cells.get(parent_key, ()):
-                return coarse, self._keys_of(coarse).index(parent_key)
-        return None
-
-    def _split(self, cid: int):
-        if self.children[cid, 0] >= 0:
-            return
-        level = self.level[cid]
-        # closure: neighbors across each edge must reach this cell's level first
-        for ledge in range(4):
-            coarse = self._coarser_neighbor(cid, ledge)
-            if coarse is not None and self.level[coarse[0]] < level:
-                self._split(coarse[0])
-        v0, v1, v2, v3 = self.cells[cid].tolist()
-        m0, m1, m2, m3 = (self._edge_midpoint(cid, ledge) for ledge in range(4))
-        center_xy = cell_geometry(self, [cid], np.array([[0.5, 0.5]]))[0][0, 0]
-        cc = self.add_vertex(center_xy[0], center_xy[1])
-        a0, a1, a2, a3 = self.arc[cid].tolist()
-        spec = [
-            ((v0, m0, cc, m3), (a0, False, False, a3)),
-            ((m0, v1, m1, cc), (a0, a1, False, False)),
-            ((cc, m1, v2, m2), (False, a1, a2, False)),
-            ((m3, cc, m2, v3), (False, False, a2, a3)),
-        ]
-        for key in self._keys_of(cid):
-            self.edge_to_cells[key].discard(cid)
-        kids = [self.add_cell(verts, level + 1, cid, arc) for verts, arc in spec]
-        self.children[cid] = kids
-
     def refine(self, marked) -> "Mesh":
-        """Split each marked active cell into 4; closure keeps 1-irregularity."""
-        for cid in sorted(set(int(c) for c in marked)):
-            self._split(cid)    # no-op for a cell already split by closure
+        """Split each marked active cell into 4; closure keeps 1-irregularity.
+
+        marked holds integer cell ids in [0, len(cells)), else ValueError;
+        repeated ids and ids of cells already split are skipped.
+        """
+        ids = np.asarray(marked)
+        if ids.ndim == 0:
+            ids = np.asarray(list(marked))
+        ids = ids.ravel()
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"cell ids must be integers, got dtype {ids.dtype}")
+        if np.any((ids < 0) | (ids >= self._nc)):
+            raise ValueError(f"cell ids must lie in [0, {self._nc})")
+        ids = np.unique(ids.astype(np.int64))
+        ids = ids[self.children[ids, 0] < 0]
+        if len(ids) == 0:
+            return self
+        active = self.active_ids()
+        coarse, _ = self.coarser_neighbors(active)
+        hanging = (coarse >= 0).any(axis=1)
+        coarser = dict(zip(active[hanging].tolist(), coarse[hanging].tolist()))
+        self._split_cells(np.array(_split_order(ids.tolist(), coarser), dtype=np.int64))
         return self
+
+    def _split_cells(self, order: np.ndarray):
+        """Split the active cells order, giving out ids in that order."""
+        n = len(order)
+        keys = self.edge_keys(order).reshape(-1, 2)
+        codes = _edge_code(keys)
+        mids = self.edge_midpoints(keys)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        fresh = np.zeros(4 * n, dtype=bool)
+        fresh[first] = True
+        fresh &= mids < 0
+        # per cell: its new midpoints in local edge order, then its centre
+        slots = np.ones((n, 5), dtype=bool)
+        slots[:, :4] = fresh.reshape(n, 4)
+        vid = (self._nv - 1 + np.cumsum(slots.ravel())).reshape(n, 5)
+        new_mid = vid[:, :4].ravel()
+        mids = np.where(mids >= 0, mids, new_mid[first][inverse])
+
+        xy = np.empty((slots.sum(), 2))
+        xy[new_mid[fresh] - self._nv] = _edge_points(
+            self.vertices[keys[fresh, 0]], self.vertices[keys[fresh, 1]],
+            self.arc[order].ravel()[fresh], np.array([[0.5]]), self.R)[0][:, 0]
+        xy[vid[:, 4] - self._nv] = cell_geometry(self, order, np.array([[0.5, 0.5]]))[0][:, 0]
+        self._append_vertices(xy)
+
+        table = np.concatenate([self._split_code, codes[fresh]])
+        by_code = np.argsort(table, kind="stable")
+        self._split_code = table[by_code]
+        self._split_mid = np.concatenate([self._split_mid, new_mid[fresh]])[by_code]
+
+        points = np.concatenate([self.cells[order], mids.reshape(n, 4), vid[:, 4:]], axis=1)
+        kids = self._append_cells(
+            points[:, _CHILD_CORNERS].reshape(-1, 4),
+            np.repeat(self.level[order] + 1, 4), np.repeat(order, 4),
+            (self.arc[order][:, None, :] & _CHILD_ON_EDGE).reshape(-1, 4))
+        self.children[order] = np.reshape(kids, (n, 4))
 
     def uniform_refine(self, times: int = 1) -> "Mesh":
         for _ in range(times):
@@ -341,66 +419,71 @@ class Face:
 
 
 def _leaf_edges(mesh: Mesh, on_vertex: np.ndarray):
-    """Leaf faces whose both ends satisfy the vertex mask, with their (cid, ledge) owners."""
+    """Leaf faces whose both ends satisfy the vertex mask.
+
+    Returns keys (f, 2), in order of first appearance over (active cell, local
+    edge), and owners (f, 2, 2): the (cid, ledge) pairs having the exact edge
+    in that order, the second (-1, -1) when only one active cell has it.
+    """
     active = mesh.active_ids()
     keys = mesh.edge_keys(active)
     rows, ledges = np.nonzero(on_vertex[keys].all(axis=2))
-    present = {}
-    for cid, ledge, key in zip(active[rows].tolist(), ledges.tolist(),
-                               keys[rows, ledges].tolist()):
-        present.setdefault(tuple(key), []).append((cid, ledge))
-    leaves = {}
-    for key, owners in present.items():
-        mid = mesh.edge_mid.get(key)
-        if mid is not None:
-            lo, hi = key
-            k1 = (lo, mid) if lo < mid else (mid, lo)
-            k2 = (hi, mid) if hi < mid else (mid, hi)
-            if k1 in present and k2 in present:
-                continue  # parent of active sub-edges
-        leaves[key] = owners
-    return leaves
+    keys = keys[rows, ledges]
+    codes = _edge_code(keys)
+    _, first = np.unique(codes, return_index=True)
+    _, last = np.unique(codes[::-1], return_index=True)
+    last = len(codes) - 1 - last
+    # an active edge that was split is a coarse cell's side of a hanging
+    # pair: by 1-irregularity its two halves are active edges, and the leaves
+    leaf = mesh.edge_midpoints(keys[first]) < 0
+    by_appearance = np.argsort(first[leaf])
+    first, last = first[leaf][by_appearance], last[leaf][by_appearance]
+    owners = np.stack([np.stack([active[rows[first]], ledges[first]], axis=1),
+                       np.stack([active[rows[last]], ledges[last]], axis=1)], axis=1)
+    owners[last == first, 1] = -1
+    return keys[first], owners
+
+
+def _face_list(mesh: Mesh, keys, owner, above, below) -> list[Face]:
+    """Face records; owner is (f, 2) (cid, ledge), above/below cell ids or -1."""
+    xs = np.sort(mesh.vertices[keys, 0], axis=1)
+    return [Face(key=(k0, k1), x_lo=lo, x_hi=hi, owner=cid, owner_edge=ledge,
+                 above=None if up < 0 else up, below=None if down < 0 else down,
+                 length=hi - lo)
+            for (k0, k1), (lo, hi), (cid, ledge), up, down
+            in zip(keys.tolist(), xs.tolist(), owner.tolist(), above.tolist(),
+                   below.tolist())]
 
 
 def interface_faces(mesh: Mesh) -> list[Face]:
     """Active leaf faces on the sheet {y = 0}, sorted by x, oriented with +x."""
-    verts = mesh.vertices
-    center_y = verts[mesh.cells, 1].mean(axis=1)
-    faces = []
-    for key, owners in _leaf_edges(mesh, mesh.on_interface()).items():
-        xs = sorted((verts[key[0], 0], verts[key[1], 0]))
-        sides = list(owners)
-        if len(owners) == 1:
-            # hanging face: the missing side is a coarser cell over the parent edge
-            coarse = mesh._coarser_neighbor(*owners[0])
-            if coarse is not None:
-                sides.append(coarse)
-        above = next((s for s in sides if center_y[s[0]] > 0), None)
-        below = next((s for s in sides if center_y[s[0]] < 0), None)
-        owner = above if above in owners else owners[0]
-        faces.append(Face(key=key, x_lo=xs[0], x_hi=xs[1],
-                          owner=owner[0], owner_edge=owner[1],
-                          above=above[0] if above else None,
-                          below=below[0] if below else None,
-                          length=xs[1] - xs[0]))
-    if not faces:
+    keys, owners = _leaf_edges(mesh, mesh.on_interface())
+    if len(keys) == 0:
         raise GeometryError("mesh has no faces on the sheet; disk layout is broken")
-    faces.sort(key=lambda f: 0.5 * (f.x_lo + f.x_hi))
-    return faces
+    # hanging face: the missing side is a coarser cell over the parent edge
+    sides = owners[:, :, 0].copy()
+    single = np.flatnonzero(sides[:, 1] < 0)
+    coarse, _ = mesh.coarser_neighbors(sides[single, 0])
+    sides[single, 1] = coarse[np.arange(len(single)), owners[single, 0, 1]]
+    center_y = np.where(sides >= 0, mesh.vertices[mesh.cells[sides], 1].mean(axis=2), 0.0)
+    up, down = center_y > 0, center_y < 0
+    rows = np.arange(len(keys))
+    above = np.where(up.any(axis=1), sides[rows, up.argmax(axis=1)], -1)
+    below = np.where(down.any(axis=1), sides[rows, down.argmax(axis=1)], -1)
+    # the cell above owns the face when it has the exact edge, else the first owner
+    second_above = up[:, 1] & ~up[:, 0] & (owners[:, 1, 0] >= 0)
+    owner = owners[rows, second_above.astype(np.int64)]
+    x_mid = 0.5 * np.sort(mesh.vertices[keys, 0], axis=1).sum(axis=1)
+    order = np.argsort(x_mid, kind="stable")
+    return _face_list(mesh, keys[order], owner[order], above[order], below[order])
 
 
 def boundary_faces(mesh: Mesh) -> list[Face]:
     """Active leaf faces on the outer circle (arc edges), each owned by one cell."""
-    verts = mesh.vertices
-    faces = []
-    for key, owners in _leaf_edges(mesh, mesh.on_boundary()).items():
-        cid, ledge = owners[0]
-        xs = sorted((verts[key[0], 0], verts[key[1], 0]))
-        faces.append(Face(key=key, x_lo=xs[0], x_hi=xs[1], owner=cid,
-                          owner_edge=ledge, above=None, below=None,
-                          length=xs[1] - xs[0]))
-    faces.sort(key=lambda f: f.key)
-    return faces
+    keys, owners = _leaf_edges(mesh, mesh.on_boundary())
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    none = np.full(len(keys), -1)
+    return _face_list(mesh, keys[order], owners[order, 0], none, none)
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:

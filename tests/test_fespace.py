@@ -39,8 +39,10 @@ def trace_jumps(space, sol):
     verts = mesh.vertices
     t_samples = np.linspace(0.12, 0.88, 5)
     worst = 0.0
-    leaves = msh._leaf_edges(mesh, np.ones(len(verts), dtype=bool))
-    for key, owners in leaves.items():
+    keys, owners = msh._leaf_edges(mesh, np.ones(len(verts), dtype=bool))
+    coarse, coarse_edge = mesh.coarser_neighbors(owners[:, 0, 0])
+    for key, pair, across, across_edge in zip(keys.tolist(), owners.tolist(),
+                                              coarse.tolist(), coarse_edge.tolist()):
         pa, pb = verts[key[0]], verts[key[1]]
         tau = (pb - pa) / np.linalg.norm(pb - pa)
         phys = pa[None, :] + t_samples[:, None] * (pb - pa)[None, :]
@@ -50,11 +52,11 @@ def trace_jumps(space, sol):
             ref = fes._edge_ref_points(ledge, ts)
             return sol.values([cid], ref[None])[0] @ tau
 
-        sides = [trace_from(cid, ledge) for cid, ledge in owners]
-        if len(owners) == 1:
-            coarse = mesh._coarser_neighbor(*owners[0])
-            if coarse is not None:
-                sides.append(trace_from(*coarse))
+        sides = [trace_from(cid, ledge) for cid, ledge in pair if cid >= 0]
+        if len(sides) == 1:
+            ledge = pair[0][1]
+            if across[ledge] >= 0:
+                sides.append(trace_from(across[ledge], across_edge[ledge]))
         if len(sides) == 2:
             worst = max(worst, float(np.max(np.abs(sides[0] - sides[1]))))
     return worst

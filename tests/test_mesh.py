@@ -30,21 +30,21 @@ def total_area(m):
 
 
 def assert_one_irregular(m):
-    active_edges = {tuple(key) for key in m.edge_keys(m.active_ids()).reshape(-1, 2).tolist()}
-    for key in active_edges:
-        mid = m.edge_mid.get(key)
-        if mid is None:
+    keys = m.edge_keys(m.active_ids()).reshape(-1, 2)
+    active_edges = {tuple(key) for key in keys.tolist()}
+    mids = m.edge_midpoints(keys)
+    for key, mid in zip(keys.tolist(), mids.tolist()):
+        if mid < 0:
             continue
         lo, hi = key
-        child_keys = [tuple(sorted((lo, mid))), tuple(sorted((mid, hi)))]
-        split = [ck in active_edges for ck in child_keys]
+        child_keys = np.sort([[lo, mid], [mid, hi]], axis=1)
+        split = [tuple(ck) in active_edges for ck in child_keys.tolist()]
         assert split[0] == split[1], "face split on one side only"
         if not split[0]:
             continue
         # the split children must not be split again toward the same coarse edge
-        for ck in child_keys:
-            cmid = m.edge_mid.get(ck)
-            if cmid is None:
+        for ck, cmid in zip(child_keys.tolist(), m.edge_midpoints(child_keys).tolist()):
+            if cmid < 0:
                 continue
             grand = [tuple(sorted((ck[0], cmid))), tuple(sorted((cmid, ck[1])))]
             assert not (grand[0] in active_edges and grand[1] in active_edges), \
@@ -54,6 +54,17 @@ def assert_one_irregular(m):
 def assert_no_straddle(m):
     ys = m.cell_corners(m.active_ids())[:, :, 1]
     assert np.all(np.all(ys >= -m._tol, axis=1) | np.all(ys <= m._tol, axis=1))
+
+
+def cascade_toward_rim():
+    """Refine the active cell nearest (0, 0.9 R) five times in a row: the
+    closure chains cross up to three levels, and four calls split arc cells."""
+    m = msh.build_disk_mesh(R, 1)
+    for _ in range(5):
+        ids = m.active_ids()
+        centers = m.cell_corners(ids).mean(axis=1)
+        m.refine([ids[np.argmin(np.linalg.norm(centers - (0.0, 0.9 * R), axis=1))]])
+    return m
 
 
 class TestBuild:
@@ -131,6 +142,54 @@ class TestRefine:
         pts, _ = quad_pts()
         _, jac = msh.cell_geometry(m, m.active_ids(), pts)
         assert msh.jacobian_det(jac).min() > 0
+
+    @pytest.mark.parametrize("bad", [[-1], [60], [2.7], [0, 2.5], [True]])
+    def test_bad_ids_are_rejected(self, bad):
+        m = msh.build_disk_mesh(R, 1)
+        assert len(m.cells) == 60
+        before = (len(m.cells), len(m.vertices), m.content_hash())
+        with pytest.raises(ValueError):
+            m.refine(bad)
+        assert (len(m.cells), len(m.vertices), m.content_hash()) == before
+
+    def test_split_and_repeated_ids_are_no_ops(self):
+        m = msh.build_disk_mesh(R, 1)
+        cid = int(m.active_ids()[0])
+        m.refine([cid, cid, np.int64(cid)])
+        after = (len(m.cells), len(m.vertices), m.content_hash())
+        assert after[0] == 64
+        m.refine([cid])
+        m.refine(np.array([0, cid]))     # 0 is a root cell, split at build time
+        assert (len(m.cells), len(m.vertices), m.content_hash()) == after
+
+    def test_cell_split_by_closure_is_not_split_again(self):
+        def refined(*calls):
+            m = msh.build_disk_mesh(R, 0)
+            m.refine([1])       # children 12..15; 12 and 13 lie on the sheet
+            for marked in calls:
+                m.refine(marked)
+            return m
+        # both children hang on the lower square 7: the closure of 12 splits
+        # it, and the closure of 13 in the same call must not split it again
+        one_call = refined([12, 13])
+        two_calls = refined([12], [13])
+        assert len(one_call.cells) == 16 + 4 * 5
+        assert one_call.children[7, 0] != -1
+        assert np.array_equal(one_call.cells, two_calls.cells)
+        assert np.array_equal(one_call.vertices, two_calls.vertices)
+
+    def test_arc_midpoints_lie_on_the_circle(self):
+        m = cascade_toward_rim()
+        split = np.flatnonzero(m.children[:, 0] >= 0)
+        split = split[split >= 12]      # the 12 root cells split at build time
+        kids = m.children[split]
+        # the midpoints of local edges 0..3 are corners 1, 2, 3, 0 of children 0..3
+        mids = np.stack([m.cells[kids[:, 0], 1], m.cells[kids[:, 1], 2],
+                         m.cells[kids[:, 2], 3], m.cells[kids[:, 3], 0]], axis=1)
+        on_arc = m.arc[split]
+        assert on_arc.sum() >= 5
+        radius = np.hypot(*m.vertices[mids[on_arc]].T)
+        assert np.all(np.abs(radius - R) <= m._tol)
 
     def test_levels_increase_and_parents_recorded(self):
         m = msh.build_disk_mesh(R, 0)
@@ -229,6 +288,10 @@ class TestNumbering:
         m = build_initial_mesh(RunConfig(sigma_r=0.15j))
         band_refine(m, 1.5625, 0.4)
         self.check(m, 7196, 5709, 44864, "fb9a52f74321864e", "4f5617c278d41b8a")
+
+    def test_cascading_closure_toward_the_rim(self):
+        self.check(cascade_toward_rim(), 128, 127, 912, "da3d1356ff840993",
+                   "fc6f6e3a38b6c0ef")
 
     def test_inactive_cell_has_no_rank(self):
         m = msh.build_disk_mesh(R, 1)

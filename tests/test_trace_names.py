@@ -56,7 +56,7 @@ def test_split_counted_once_per_cell():
     from sppsim import mesh as msh
     m = msh.build_disk_mesh(8 * np.pi, 1)
     cid = int(m.active_ids()[0])
-    assert all(m._coarser_neighbor(cid, ledge) is None for ledge in range(4))
+    assert np.all(m.coarser_neighbors([cid])[0] < 0)
     tracer = TR.Tracer()
     tracer.install()
     try:
