@@ -200,6 +200,94 @@ class TestRefine:
         assert np.all(m.level[kids] == 1) and np.all(m.parent[kids] == cid)
 
 
+class RecursiveSplit:
+    """The former refinement, one recursive split at a time with edge
+    dictionaries; the reference for the ids and coordinates of ``refine``."""
+
+    def __init__(self, m):
+        self.m = m
+        self.edge_mid, self.mid_of, self.owners = {}, {}, {}
+        for cid in m.active_ids().tolist():
+            self.register(cid)
+
+    def keys_of(self, cid):
+        return [tuple(key) for key in self.m.edge_keys([cid])[0].tolist()]
+
+    def register(self, cid):
+        for key in self.keys_of(cid):
+            self.owners.setdefault(key, set()).add(cid)
+
+    def coarser_neighbor(self, cid, ledge):
+        key = self.keys_of(cid)[ledge]
+        for vid in key:
+            parent_key = self.mid_of.get(vid)
+            other = key[0] if key[1] == vid else key[1]
+            if parent_key is not None and other in parent_key:
+                for coarse in self.owners.get(parent_key, ()):
+                    return coarse
+        return None
+
+    def midpoint(self, cid, ledge):
+        m, key = self.m, self.keys_of(cid)[ledge]
+        if key not in self.edge_mid:
+            (ax, ay), (bx, by) = m.vertices[list(key)].tolist()
+            if m.arc[cid, ledge]:
+                ta, tb = np.arctan2(ay, ax), np.arctan2(by, bx)
+                tm = ta + 0.5 * ((tb - ta + np.pi) % (2 * np.pi) - np.pi)
+                mid = m.add_vertex(m.R * np.cos(tm), m.R * np.sin(tm))
+            else:
+                mid = m.add_vertex(0.5 * (ax + bx), 0.5 * (ay + by))
+            self.edge_mid[key], self.mid_of[mid] = mid, key
+        return self.edge_mid[key]
+
+    def split(self, cid):
+        m = self.m
+        if m.children[cid, 0] >= 0:
+            return
+        for ledge in range(4):
+            coarse = self.coarser_neighbor(cid, ledge)
+            if coarse is not None and m.level[coarse] < m.level[cid]:
+                self.split(coarse)
+        v0, v1, v2, v3 = m.cells[cid].tolist()
+        m0, m1, m2, m3 = (self.midpoint(cid, ledge) for ledge in range(4))
+        cc = m.add_vertex(*msh.cell_geometry(m, [cid], np.array([[0.5, 0.5]]))[0][0, 0])
+        a0, a1, a2, a3 = m.arc[cid].tolist()
+        for key in self.keys_of(cid):
+            self.owners[key].discard(cid)
+        spec = [((v0, m0, cc, m3), (a0, False, False, a3)),
+                ((m0, v1, m1, cc), (a0, a1, False, False)),
+                ((cc, m1, v2, m2), (False, a1, a2, False)),
+                ((m3, cc, m2, v3), (False, False, a2, a3))]
+        kids = [m.add_cell(verts, m.level[cid] + 1, cid, arc) for verts, arc in spec]
+        for kid in kids:
+            self.register(kid)
+        m.children[cid] = kids
+
+    def refine(self, marked):
+        for cid in sorted(set(int(c) for c in marked)):
+            self.split(cid)
+
+
+class TestAgainstRecursiveSplit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_marks_give_identical_meshes(self, seed):
+        rng = np.random.default_rng(seed)
+        batched, reference = msh.build_disk_mesh(R, 0), msh.build_disk_mesh(R, 0)
+        recursive = RecursiveSplit(reference)
+        for step in range(7):
+            ids = batched.active_ids()
+            deep = ids[batched.level[ids] == batched.level[ids].max()]
+            # uniform first, then a few scattered marks and the finest cells
+            marked = ids if step == 0 else np.concatenate([
+                rng.choice(ids, size=max(1, len(ids) // 8), replace=False),
+                rng.choice(deep, size=min(3, len(deep)), replace=False)])
+            batched.refine(marked)
+            recursive.refine(marked)
+            for name in ("vertices", "cells", "level", "parent", "children", "arc"):
+                assert np.array_equal(getattr(batched, name), getattr(reference, name)), name
+        assert batched.level.max() >= 5
+
+
 class TestInterfaceFaces:
     def test_faces_tile_the_diameter(self):
         for refines in (0, 2):
