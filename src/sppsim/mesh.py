@@ -90,20 +90,17 @@ def _split_order(marked: list[int], coarser: dict[int, list[int]]) -> list[int]:
     """
     order: list[int] = []
     done: set[int] = set()
+
+    def visit(cid):     # recursion depth is bounded by the number of levels
+        if cid not in done:
+            for coarse in coarser.get(cid, ()):
+                if coarse >= 0:
+                    visit(coarse)
+            done.add(cid)
+            order.append(cid)
+
     for root in marked:
-        stack = [root]
-        while stack:
-            cid = stack[-1]
-            if cid in done:
-                stack.pop()
-                continue
-            todo = [c for c in coarser.get(cid, ()) if c >= 0 and c not in done]
-            if todo:
-                stack.extend(reversed(todo))
-            else:
-                stack.pop()
-                done.add(cid)
-                order.append(cid)
+        visit(root)
     return order
 
 
