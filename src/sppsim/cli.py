@@ -34,8 +34,11 @@ def _config_from(args) -> harness.RunConfig:
 def blas_thread_note(environ=os.environ) -> str | None:
     """Reproducibility caveat unless BLAS is pinned to one thread.
 
-    Runs with more threads differ in the last digits from the first cycle on;
-    the thread-dependent call is not located (suspected: BLAS inside SuperLU).
+    SuperLU's numerical factorization (gstrf) calls the multithreaded BLAS:
+    with more threads the assembled and condensed matrices, the right-hand
+    side and the LU permutations stay bit-identical, but the values of the L
+    and U factors, and so the last digits of every artifact from the second
+    cycle on, do not.
     """
     if all(environ.get(var) == "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
         return None

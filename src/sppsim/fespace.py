@@ -239,7 +239,7 @@ def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
     det = jacobian_det(jac)
     if np.any(det <= 0):
         raise GeometryError("nonpositive Jacobian")
-    jinv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
+    jinv = np.linalg.inv(jac)
     n, p = det.shape
     vals = np.empty((n, p, N_DOFS_CELL, 2))
     curls = np.empty((n, p, N_DOFS_CELL))
@@ -252,9 +252,7 @@ def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
             vref, cref = shared_basis(int(oidx))
         else:
             vref, cref = REF.basis_at(int(oidx), ref_pts)
-        vref = np.broadcast_to(vref.reshape(-1, p, N_DOFS_CELL, 2),
-                               (len(sel), p, N_DOFS_CELL, 2))
-        vals[sel] = np.einsum("npij,npbj->npbi", jinv_t[sel], vref)
+        vals[sel] = vref.reshape(-1, p, N_DOFS_CELL, 2) @ jinv[sel]
         curls[sel] = cref.reshape(-1, p, N_DOFS_CELL) / det[sel][:, :, None]
     return phys, det, vals, curls
 

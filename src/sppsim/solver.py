@@ -1,10 +1,14 @@
 """Direct sparse solution of the condensed complex systems.
 
 Every solve goes through a sparse LU factorization with iterative
-refinement; a conservatively pivoted refactorization is the fallback when
-the fast ordering leaves the residual above RESIDUAL_TOL.  One factorization
-serves the primal and the adjoint solve because the assembled matrix is
-complex symmetric (M = M^T), so the adjoint pairing reduces to a conjugated
+refinement.  The assembled matrix is complex symmetric (M = M^T), so the
+fast factorization orders the symmetric pattern A + A^T and takes its pivots
+from the diagonal: a row pivot is taken off the diagonal only where the
+diagonal entry is below 1e-6 of the largest entry of its column, which keeps
+the fill that the ordering planned.  A conservatively pivoted
+refactorization is the fallback when the residual after refinement stays
+above RESIDUAL_TOL.  One factorization serves the primal and the adjoint
+solve, because with M = M^T the adjoint pairing reduces to a conjugated
 solve with the same factors.
 """
 
@@ -55,16 +59,22 @@ def factorize(matrix: sp.spmatrix, safe: bool = False) -> Factorization:
     if safe:
         kwargs = {}
     else:
-        # fill-reducing ordering for the symmetric sparsity pattern; small pivot
-        # threshold keeps the ordering, iterative refinement restores accuracy
-        kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+        # fill-reducing ordering for the symmetric sparsity pattern, pivots on
+        # the diagonal: every off-diagonal row pivot breaks the symmetric
+        # structure the ordering planned, so one is taken only for a diagonal
+        # entry below 1e-6 of its column; iterative refinement restores accuracy
+        kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
                       options=dict(SymmetricMode=True))
     try:
         lu = spla.splu(csc, **kwargs)
     except RuntimeError as exc:
         raise SolverError(
             f"sparse LU failed: {exc} (n={csc.shape[0]}, nnz={csc.nnz})") from exc
-    return Factorization(lu=lu, matrix=csc.tocsr())
+    # the refinement matvec keeps the caller's CSR when its indices are sorted,
+    # which is what the CSC round trip would give bit for bit
+    keep = (matrix.format == "csr" and matrix.dtype == complex
+            and matrix.has_sorted_indices)
+    return Factorization(lu=lu, matrix=matrix if keep else csc.tocsr())
 
 
 def _residual(matrix, x, b) -> float:

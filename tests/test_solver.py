@@ -4,11 +4,13 @@ import scipy.sparse as sp
 
 from sppsim import mesh as msh
 from sppsim.assembly import (ComplexSystem, DipoleSpec, SheetModel,
-                             assemble_interface, assemble_volume_boundary,
-                             condense)
+                             assemble_dipole_rhs, assemble_interface,
+                             assemble_volume_boundary, condense)
 from sppsim.fespace import build_constraints, distribute_dofs
+from sppsim.harness import RunConfig, build_initial_mesh
 from sppsim.pml import PmlSpec
-from sppsim.solver import Factorization, SolverError, factorize, solve, solve_adjoint
+from sppsim.solver import (RESIDUAL_TOL, Factorization, SolverError, factorize,
+                           solve, solve_adjoint)
 
 R = 8 * np.pi
 
@@ -71,6 +73,37 @@ class TestDirectSolve:
         x1 = factorize(system.matrix).solve(system.rhs)
         x2 = factorize(system.matrix).solve(system.rhs)
         assert np.array_equal(x1, x2)
+
+
+class TestDiagonalPivoting:
+    def test_default_run_cycle1_pivots_on_diagonal(self):
+        # a pivot threshold of 0.01 takes 6 row pivots off the diagonal here
+        config = RunConfig()
+        space = distribute_dofs(build_initial_mesh(config))
+        model = config.model()
+        full = assemble_volume_boundary(space, model) + assemble_interface(space, model)
+        mat, rhs = condense(full, assemble_dipole_rhs(space, model), build_constraints(space))
+        assert mat.shape[0] == 8594
+        fac = factorize(mat)
+        assert np.array_equal(fac.lu.perm_r, fac.lu.perm_c)
+        x = fac.solve(rhs)
+        assert np.linalg.norm(rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+
+    def test_zero_diagonal_pivots_off_diagonal(self):
+        system, _ = small_system()
+        # zero the diagonal of the column eliminated first: its pivot must come
+        # from another row
+        first = int(np.flatnonzero(factorize(system.matrix).lu.perm_c == 0)[0])
+        mat = (0.5 * (system.matrix + system.matrix.T)).tolil()
+        mat[first, first] = 0
+        mat = mat.tocsr()
+        assert abs(mat - mat.T).max() == 0
+        lu = factorize(mat).lu
+        assert np.any(lu.perm_r != lu.perm_c)
+        zeroed = ComplexSystem(matrix=mat, rhs=system.rhs, space=system.space,
+                               constraints=system.constraints)
+        x = system.constraints.restrict(solve(zeroed).coeffs)
+        assert np.linalg.norm(system.rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(system.rhs)
 
 
 class TestAdjointSolve:
