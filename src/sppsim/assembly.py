@@ -84,7 +84,7 @@ class SheetModel:
 class ComplexSystem:
     """Condensed complex sparse system with its constraint handler."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     space: EdgeFESpace
     constraints: ConstraintSet
@@ -122,15 +122,15 @@ def _gram(basis, weighted) -> np.ndarray:
     return out
 
 
-def _scatter(space: EdgeFESpace, dofs, local) -> sp.csr_matrix:
+def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
     """Global matrix of the local matrices local[k] on the dof rows dofs[k]."""
     rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
     cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.n_dofs, space.n_dofs)).tocsr()
+                         shape=(space.n_dofs, space.n_dofs)).tocsc()
 
 
-def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csr_matrix:
+def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
     """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
     cids = np.array([f.owner for f in faces], dtype=np.int64)
     ref, phys, wds, tangent = face_quadrature(space.mesh, cids,
@@ -156,60 +156,87 @@ def _volume_local(model: SheetModel, phys, det, vals, curls) -> np.ndarray:
     return stiff - mass
 
 
+def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
+    """Mask over the active cells cids (default all) on which the stretch is one.
+
+    A cell without an arc edge whose corners all lie within the layer's inner
+    radius stays inside that disk, so its local matrix does not depend on the
+    layer strength.  Every other cell is an outer cell.
+    """
+    if cids is None:
+        cids = space.active
+    mesh = space.mesh
+    corners = mesh.cell_corners(cids)
+    return (~mesh.arc[cids].any(axis=1)
+            & np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho,
+                     axis=1))
+
+
 # shape-class keys are quantised to this fraction of the disk radius
 SHAPE_RESOLUTION = 1e-12
 
 
-def shape_classes(space: EdgeFESpace, model: SheetModel):
-    """Representative cell ids and the class of every active cell.
+def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
+    """Representative cell ids and the class of every active cell in cids.
 
-    A straight-edged parallelogram whose corners all lie within the layer's
-    inner radius has an affine map and constant coefficients (the stretch is
-    exactly one there), so its local matrix depends only on its two edge
-    vectors and its edge-orientation signature.  Such cells share one class
-    per (edge vectors quantised to SHAPE_RESOLUTION * R, orient_idx); every
-    other active cell is a class of its own.  Returns (reps, inverse) with
-    reps[inverse[k]] the representative of space.active[k].
+    An inner cell (inner_cells) with straight parallelogram edges has an affine
+    map and constant coefficients, so its local matrix depends only on its two
+    edge vectors and its edge-orientation signature.  Such cells share one
+    class per (edge vectors quantised to SHAPE_RESOLUTION * R, orient_idx);
+    every other cell is a class of its own.  Returns (reps, inverse) with
+    reps[inverse[k]] the representative of cids[k] (default space.active).
     """
-    mesh = space.mesh
-    corners = mesh.cell_corners(space.active)
-    quantum = SHAPE_RESOLUTION * mesh.R
+    if cids is None:
+        cids = space.active
+    corners = space.mesh.cell_corners(cids)
+    quantum = SHAPE_RESOLUTION * space.mesh.R
     v0, v1, v2, v3 = corners.transpose(1, 0, 2)
-    shared = (~mesh.arc[space.active].any(axis=1)
-              & np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1)
-              & np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho,
-                       axis=1))
+    shared = (inner_cells(space, model, cids)
+              & np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1))
     key = np.zeros((len(corners), 6), dtype=np.int64)
     key[:, :4] = np.round(np.hstack([v1 - v0, v3 - v0]) / quantum)
-    key[:, 4] = space.orient_idx
+    key[:, 4] = space.orient_idx[space.rank[cids]]
     key[:, 5] = np.where(shared, 0, 1 + np.arange(len(corners)))
     _, first, inverse = np.unique(key, axis=0, return_index=True,
                                   return_inverse=True)
-    return space.active[first], inverse.reshape(-1)
+    return cids[first], inverse.reshape(-1)
 
 
-def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
-    """Curl-curl and mass terms plus the rim impedance term, over all dofs.
+def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matrix:
+    """Curl-curl minus mass term of the active cells cids, over all dofs.
 
     Local matrices are computed once per shape class (shape_classes) and
-    scattered chunk by chunk in active-cell order.
+    scattered chunk by chunk in the order of cids.
     """
-    reps, inverse = shape_classes(space, model)
+    if len(cids) == 0:
+        return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
+    reps, inverse = shape_classes(space, model, cids)
     local = np.concatenate([_volume_local(model, *tables[1:])
                             for tables in iter_volume_tables(space, reps)])
-    mats = [_scatter(space, space.cell_dofs[lo:lo + CHUNK_CELLS],
-                     local[inverse[lo:lo + CHUNK_CELLS]])
-            for lo in range(0, len(inverse), CHUNK_CELLS)]
+    dofs = space.cell_dofs[space.rank[cids]]
+    return sum(_scatter(space, dofs[lo:lo + CHUNK_CELLS],
+                        local[inverse[lo:lo + CHUNK_CELLS]])
+               for lo in range(0, len(cids), CHUNK_CELLS))
+
+
+def _rim_matrix(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
+    """Rim impedance term -i sqrt(eps_r/mu_r) int E_t conj(v_t), unstretched."""
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    mats.append(_face_matrix(space, boundary_faces(space.mesh),
-                             lambda x: -1j * impedance))
-    return sum(mats)
+    return _face_matrix(space, boundary_faces(space.mesh), lambda x: -1j * impedance)
 
 
-def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csr_matrix:
+def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
+    """Volume and rim terms over all dofs: the sum of the parts of a solve pair."""
+    inner = inner_cells(space, model)
+    return (assemble_volume(space, model, space.active[inner])
+            + _rim_matrix(space, model)
+            + assemble_volume(space, model, space.active[~inner]))
+
+
+def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, full dof set."""
     if model.sigma_r == 0:
-        return sp.csr_matrix((space.n_dofs, space.n_dofs), dtype=complex)
+        return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
     return _face_matrix(
         space, interface_faces(space.mesh),
         lambda x: -1j * pml_mod.sheet_arrays(x.reshape(-1, 2), model.sigma_r,
@@ -254,5 +281,60 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
 
 
 def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
-    C = constraints.matrix
-    return (C.T @ (matrix @ C)).tocsr(), C.T @ rhs
+    """C^T matrix C as a canonical CSC matrix, and C^T rhs (None stays None).
+
+    The CSC arrays of C^T A C are the CSR arrays of C^T A^T C, which three CSR
+    operands give directly: A^T is the transpose view of the CSC of A.
+    """
+    ct = constraints.transpose
+    product = (ct @ (sp.csc_matrix(matrix).T @ constraints.matrix)).T
+    product.sort_indices()
+    return product, None if rhs is None else ct @ rhs
+
+
+@dataclass
+class FixedPart:
+    """The condensed part of a solve pair that the layer strength and the
+    conductivity leave unchanged: inner-cell volume, rim and dipole terms.
+
+    It is built once per mesh and serves every model that shares its
+    materials, dipole and layer radii.
+    """
+
+    space: EdgeFESpace
+    constraints: ConstraintSet
+    matrix: sp.csc_matrix      # condensed inner volume + rim
+    rhs: np.ndarray            # condensed dipole right-hand side
+    outer: np.ndarray          # active cell ids left to the per-model part
+    key: tuple
+
+
+def _fixed_key(model: SheetModel) -> tuple:
+    return (model.mu_r, model.eps_r, model.dipole, model.pml.R, model.pml.rho)
+
+
+def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
+                   model: SheetModel) -> FixedPart:
+    """Assemble and condense the model-independent part of a solve pair once."""
+    rhs = assemble_dipole_rhs(space, model)
+    inner = inner_cells(space, model)
+    matrix, rhs_c = condense(assemble_volume(space, model, space.active[inner])
+                             + _rim_matrix(space, model), rhs, constraints)
+    return FixedPart(space=space, constraints=constraints, matrix=matrix,
+                     rhs=rhs_c, outer=space.active[~inner], key=_fixed_key(model))
+
+
+def assemble_pair(fixed: FixedPart, model: SheetModel):
+    """Condensed matrices (without sheet, with sheet) of one model on fixed's mesh.
+
+    Only the outer cells' volume term and the sheet term are assembled here;
+    each is condensed on its own and added to the fixed part.
+    """
+    if _fixed_key(model) != fixed.key:
+        raise ValueError("the fixed part was built for other materials, dipole "
+                         "or layer radii")
+    space, cs = fixed.space, fixed.constraints
+    outer, _ = condense(assemble_volume(space, model, fixed.outer), None, cs)
+    sheet, _ = condense(assemble_interface(space, model), None, cs)
+    mat_0 = fixed.matrix + outer
+    return mat_0, mat_0 + sheet

@@ -31,7 +31,7 @@ from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
 from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
                       sheet_ref_points, vector_monomials)
 from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry,
-                   interface_faces, jacobian_det)
+                   interface_faces, jacobian_det, jacobian_inv)
 
 
 class QuadData:
@@ -204,11 +204,12 @@ class PatchReconstruction:
         curls = (mono_curl.reshape(n_patch, -1, n_mono) @ parts).reshape(n_cells, p, 2)
         coeffs = np.repeat(coeffs, m, axis=0)
         r, jac = ranks[wins], jac[wins]
-        jinv_t = np.swapaxes(np.linalg.inv(jac), 2, 3)
+        det = jacobian_det(jac)
+        jinv_t = np.swapaxes(jacobian_inv(jac, det), 2, 3)
         hat = hat[wins, ..., 0] + 1j * hat[wins, ..., 1]
         self.dvals_quad[r] = (jinv_t @ hat[..., None])[..., 0] - self._u_quad[r]
         self.dcurls_quad[r] = ((curls[wins, :, 0] + 1j * curls[wins, :, 1])
-                               / jacobian_det(jac) - self._uc_quad[r])
+                               / det - self._uc_quad[r])
         self._order[r] = order
         self._parent[r] = owner[wins]
         self._offset[r] = offsets[wins]
@@ -235,10 +236,11 @@ class PatchReconstruction:
             c = coeffs[r]
             mono, mono_curl, jac = self._parent_frame(
                 self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], order)
-            jinv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
+            det = jacobian_det(jac)
+            jinv_t = jacobian_inv(jac, det).transpose(0, 1, 3, 2)
             hat = np.einsum("npmc,nm->npc", mono, c)
             vals[sel] = np.einsum("npij,npj->npi", jinv_t, hat)
-            curls[sel] = (mono_curl @ c[:, :, None])[..., 0] / jacobian_det(jac)
+            curls[sel] = (mono_curl @ c[:, :, None])[..., 0] / det
         return vals, curls
 
     def diff(self, cids, ref_pts):

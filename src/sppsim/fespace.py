@@ -20,13 +20,14 @@ tangential trace globally continuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import EDGE_CORNERS, GeometryError, Mesh, cell_geometry, jacobian_det
+from .mesh import (EDGE_CORNERS, GeometryError, Mesh, cell_geometry, jacobian_det,
+                   jacobian_inv)
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -239,7 +240,7 @@ def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
     det = jacobian_det(jac)
     if np.any(det <= 0):
         raise GeometryError("nonpositive Jacobian")
-    jinv = np.linalg.inv(jac)
+    jinv = jacobian_inv(jac, det)
     n, p = det.shape
     vals = np.empty((n, p, N_DOFS_CELL, 2))
     curls = np.empty((n, p, N_DOFS_CELL))
@@ -273,6 +274,10 @@ class ConstraintSet:
     n_dofs: int
     matrix: sp.csr_matrix        # (n_dofs, n_master)
     master_dofs: np.ndarray
+    transpose: sp.csr_matrix = field(init=False, repr=False)   # (n_master, n_dofs)
+
+    def __post_init__(self):
+        self.transpose = self.matrix.T.tocsr()
 
     @property
     def n_master(self) -> int:

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import dwr as dwr_mod
 from . import oracle as oracle_mod
-from .assembly import (DipoleSpec, SheetModel, assemble_dipole_rhs,
-                       assemble_dual_rhs, assemble_interface,
-                       assemble_volume_boundary, condense, ComplexSystem)
+from .assembly import (ComplexSystem, DipoleSpec, FixedPart, SheetModel,
+                       assemble_dual_rhs, assemble_fixed, assemble_pair)
 from .fespace import (FieldSolution, build_constraints, distribute_dofs,
                       sheet_ref_points)
 from .mesh import (Mesh, build_disk_mesh, cell_diameters,
@@ -176,16 +175,18 @@ def l2_error(trace: InterfaceTrace, reference: InterfaceTrace,
     return float(np.sqrt(total))
 
 
-def solve_pair(space, constraints, model: SheetModel):
-    """Solve with and without the sheet on one mesh, sharing the volume matrix."""
-    vol = assemble_volume_boundary(space, model)
-    iface = assemble_interface(space, model)
-    rhs = assemble_dipole_rhs(space, model)
-    mat_tot, rhs_c = condense(vol + iface, rhs, constraints)
-    mat_0, _ = condense(vol, rhs, constraints)
-    sys_tot = ComplexSystem(matrix=mat_tot, rhs=rhs_c, space=space,
+def solve_pair(space, constraints, model: SheetModel, fixed: FixedPart | None = None):
+    """Solve with and without the sheet on one mesh, sharing the volume matrix.
+
+    fixed is the model-independent part of the pair (assemble_fixed) on this
+    space; it is built here when not given.
+    """
+    if fixed is None:
+        fixed = assemble_fixed(space, constraints, model)
+    mat_0, mat_tot = assemble_pair(fixed, model)
+    sys_tot = ComplexSystem(matrix=mat_tot, rhs=fixed.rhs, space=space,
                             constraints=constraints)
-    sys_0 = ComplexSystem(matrix=mat_0, rhs=rhs_c, space=space,
+    sys_0 = ComplexSystem(matrix=mat_0, rhs=fixed.rhs, space=space,
                           constraints=constraints)
     # the sheet-free factors are freed before the sheet system is factorized
     primary = solve(sys_0)
@@ -250,9 +251,11 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     xs = trace_grid(config)
     traces = {}
     mesh_hash = mesh.content_hash()
+    # only the layer strength changes between the models
+    fixed = assemble_fixed(space, constraints, config.model(s0=s0_list[0]))
     for s0 in s0_list:
         model = config.model(s0=s0)
-        total, primary, _, _ = solve_pair(space, constraints, model)
+        total, primary, _, _ = solve_pair(space, constraints, model, fixed)
         assert mesh.content_hash() == mesh_hash
         traces[s0] = scattered_trace(total, primary, xs)
     _ArtifactWriter(config).pml_overlay(traces)

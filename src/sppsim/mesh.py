@@ -399,6 +399,16 @@ def jacobian_det(jac: np.ndarray) -> np.ndarray:
     return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
 
 
+def jacobian_inv(jac: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 Jacobians: the adjugate over the determinant."""
+    adj = np.empty_like(jac)
+    adj[..., 0, 0] = jac[..., 1, 1]
+    adj[..., 0, 1] = -jac[..., 0, 1]
+    adj[..., 1, 0] = -jac[..., 1, 0]
+    adj[..., 1, 1] = jac[..., 0, 0]
+    return adj / det[..., None, None]
+
+
 # -- face extraction ---------------------------------------------------------
 
 @dataclass(frozen=True)

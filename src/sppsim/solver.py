@@ -32,16 +32,17 @@ class SolverError(Exception):
 
 @dataclass
 class Factorization:
-    """Reusable LU factors of one condensed matrix."""
+    """Reusable LU factors of one condensed matrix, and that matrix as CSC."""
 
     lu: object
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
 
-    def solve(self, b: np.ndarray, refine_steps: int = 8) -> np.ndarray:
-        x = self.lu.solve(b)
+    def solve(self, b: np.ndarray, refine_steps: int = 8):
+        """x with matrix @ x = b, refined, and its residual |b - matrix x| / |b|."""
         norm_b = np.linalg.norm(b)
         if norm_b == 0:
-            return np.zeros_like(b)
+            return np.zeros_like(b), 0.0
+        x = self.lu.solve(b)
         best_x, best_res = x, np.linalg.norm(b - self.matrix @ x)
         for _ in range(refine_steps):
             if best_res <= 0.1 * RESIDUAL_TOL * norm_b:
@@ -51,10 +52,11 @@ class Factorization:
             if res >= best_res:
                 break  # refinement stalled
             best_x, best_res = x, res
-        return best_x
+        return best_x, float(best_res / norm_b)
 
 
 def factorize(matrix: sp.spmatrix, safe: bool = False) -> Factorization:
+    """LU factors of matrix; a complex CSC matrix is used as it is, not copied."""
     csc = sp.csc_matrix(matrix, dtype=complex)
     if safe:
         kwargs = {}
@@ -70,28 +72,19 @@ def factorize(matrix: sp.spmatrix, safe: bool = False) -> Factorization:
     except RuntimeError as exc:
         raise SolverError(
             f"sparse LU failed: {exc} (n={csc.shape[0]}, nnz={csc.nnz})") from exc
-    # the refinement matvec keeps the caller's CSR when its indices are sorted,
-    # which is what the CSC round trip would give bit for bit
-    keep = (matrix.format == "csr" and matrix.dtype == complex
-            and matrix.has_sorted_indices)
-    return Factorization(lu=lu, matrix=matrix if keep else csc.tocsr())
-
-
-def _residual(matrix, x, b) -> float:
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0:
-        return 0.0
-    return float(np.linalg.norm(b - matrix @ x) / norm_b)
+    return Factorization(lu=lu, matrix=csc)
 
 
 def _direct_solve(matrix, b, factor: Factorization | None):
-    """Fast factorization first; refactorize conservatively if accuracy stalls."""
+    """Fast factorization first; refactorize conservatively if accuracy stalls.
+
+    A given factor must be the factorization of matrix: its refinement
+    residual is the one checked against RESIDUAL_TOL.
+    """
     fac = factor if factor is not None else factorize(matrix)
-    x = fac.solve(b)
-    res = _residual(matrix, x, b)
+    x, res = fac.solve(b)
     if res > RESIDUAL_TOL:
-        x = factorize(matrix, safe=True).solve(b)
-        res = _residual(matrix, x, b)
+        x, res = factorize(matrix, safe=True).solve(b)
     if res > RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return x

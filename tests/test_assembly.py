@@ -6,9 +6,10 @@ from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
                              _face_matrix, _volume_local, _volume_tables,
-                             assemble_dipole_rhs, assemble_dual_rhs,
-                             assemble_interface, assemble_volume_boundary,
-                             condense, shape_classes)
+                             assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
+                             assemble_interface, assemble_pair, assemble_volume,
+                             assemble_volume_boundary, condense, inner_cells,
+                             shape_classes)
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, interpolate,
                             shape_eval)
@@ -348,24 +349,97 @@ class TestDualRhs:
         assert np.allclose(rj, -1j * r1)
 
 
+def resolved_space(sheet_hanging=False):
+    """Disk mesh resolving a dipole of radius 1.2 at height 1, and its space.
+
+    With sheet_hanging, the cells above the sheet at x = 5 are split once
+    more, which leaves hanging faces on the sheet below them.
+    """
+    m = msh.build_disk_mesh(R, 2)
+    dip = DipoleSpec(height=1.0, radius=1.2)
+    for _ in range(3):
+        cids = [c for c in msh.cells_intersecting_disk(m, dip.position, dip.radius)
+                if msh.cell_diameters(m, [c])[0] > 0.5 * dip.radius]
+        if not cids:
+            break
+        m.refine(cids)
+    if sheet_hanging:
+        ids = m.active_ids()
+        corners = m.cell_corners(ids)
+        hit = ((corners[..., 0].min(axis=1) <= 5.0) & (corners[..., 0].max(axis=1) > 5.0)
+               & (corners[..., 1].min(axis=1) == 0.0))
+        m.refine(ids[hit])
+    space = distribute_dofs(m)
+    return space, build_constraints(space), dip
+
+
+def max_rel(a, b):
+    return abs(a - b).max() / abs(b).max()
+
+
 class TestFullSystem:
     def test_solve_pair_composes_terms(self):
-        m = msh.build_disk_mesh(R, 2)
-        # resolve the dipole with a generous regularization radius
-        dip = DipoleSpec(height=1.0, radius=1.2)
-        for _ in range(3):
-            cids = [c for c in msh.cells_intersecting_disk(m, dip.position, dip.radius)
-                    if msh.cell_diameters(m, [c])[0] > 0.5 * dip.radius]
-            if not cids:
-                break
-            m.refine(cids)
-        space = distribute_dofs(m)
-        cs = build_constraints(space)
+        space, cs, dip = resolved_space()
         mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
         _, _, system, _ = solve_pair(space, cs, mdl)
         assert system.matrix.shape == (cs.n_master, cs.n_master)
+        assert system.matrix.format == "csc" and system.matrix.has_canonical_format
         assert np.any(system.rhs != 0)
+        # the pair is the fixed part plus the condensed outer volume and sheet terms
+        fixed = assemble_fixed(space, cs, mdl)
+        outer, _ = condense(assemble_volume(space, mdl, fixed.outer), None, cs)
+        sheet, _ = condense(assemble_interface(space, mdl), None, cs)
+        assert abs(system.matrix - (fixed.matrix + outer + sheet)).max() == 0
         full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
         mat, rhs = condense(full, assemble_dipole_rhs(space, mdl), cs)
-        assert abs(system.matrix - mat).max() == 0
+        assert max_rel(system.matrix, mat) <= 1e-13
         assert np.array_equal(system.rhs, rhs)
+
+
+class TestSplitPair:
+    @pytest.mark.parametrize("s0", [0.0, 2.0, 8.0])
+    def test_split_pair_matches_one_shot_condensation(self, s0):
+        space, cs, dip = resolved_space(sheet_hanging=True)
+        mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip,
+                         mu_r=1.5, eps_r=2.25)
+        inner = inner_cells(space, mdl)
+        assert np.any(radii(space)[~inner] > mdl.pml.rho)
+        assert space.mesh.arc[space.active[~inner]].any()
+        sheet_dofs = np.array([space.cell_dofs[space.rank[f.owner], 2 * f.owner_edge]
+                               for f in msh.interface_faces(space.mesh)])
+        assert np.isin(sheet_dofs, list(cs.rows)).any()
+        # the fixed part is built at another layer strength and conductivity
+        fixed = assemble_fixed(space, cs, SheetModel(
+            sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip, mu_r=1.5, eps_r=2.25))
+        mat_0, mat_tot = assemble_pair(fixed, mdl)
+        vol = assemble_volume_boundary(space, mdl)
+        one_0, rhs = condense(vol, assemble_dipole_rhs(space, mdl), cs)
+        one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
+        assert max_rel(mat_0, one_0) <= 1e-13
+        assert max_rel(mat_tot, one_tot) <= 1e-13
+        assert np.array_equal(fixed.rhs, rhs)
+
+    def test_fixed_part_rejects_other_materials(self):
+        space, cs, dip = resolved_space()
+        fixed = assemble_fixed(space, cs, SheetModel(
+            sigma_r=0.15j, pml=PmlSpec(R=R), dipole=dip))
+        with pytest.raises(ValueError, match="materials"):
+            assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R),
+                                            dipole=dip, eps_r=2.25))
+
+    def test_cells_with_a_corner_beyond_rho_or_an_arc_edge_are_outer(self):
+        mdl = model()
+        rho = mdl.pml.rho
+        m = msh.Mesh(100.0)
+        straight, arc = (False,) * 4, (False, True, False, False)
+        # a cell wholly within rho, one whose far corner lies just beyond it,
+        # an arc cell deep inside and a cell wholly beyond rho
+        c = (rho + 0.3) / np.sqrt(2.0) - 1.0
+        for (x0, y0), flags in [((1.0, 1.0), straight), ((c, c), straight),
+                                ((3.0, 1.0), arc), ((rho + 1.0, 0.0), straight)]:
+            ids = [m.add_vertex(x0 + dx, y0 + dy)
+                   for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            m.add_cell(tuple(ids), 0, -1, flags)
+        space = distribute_dofs(m)
+        assert (radii(space)[1] > rho).sum() == 1
+        assert inner_cells(space, mdl).tolist() == [True, False, False, False]

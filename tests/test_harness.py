@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sppsim import harness as hn
+from sppsim import mesh as msh
+from sppsim.assembly import AssemblyError
 from sppsim.fespace import FieldSolution, build_constraints, distribute_dofs
 
 
@@ -193,6 +195,21 @@ class TestPmlStudy:
     def test_empty_strength_list_rejected(self):
         with pytest.raises(ValueError):
             hn.pml_study(tiny_config(), [])
+
+    def test_each_strength_solved_as_if_alone(self):
+        # the fixed part is shared by all strengths; no state may leak between them
+        cfg = tiny_config()
+        mesh = hn.build_initial_mesh(cfg)
+        together = hn.pml_study(cfg, [0.0, 2.0, 8.0], mesh=mesh)
+        for s0 in (0.0, 2.0, 8.0):
+            alone = hn.pml_study(cfg, [s0], mesh=mesh)
+            assert np.array_equal(together[s0].values, alone[s0].values)
+
+    def test_unresolved_dipole_rejected(self):
+        cfg = tiny_config()
+        mesh = msh.build_disk_mesh(cfg.R, cfg.initial_refines)
+        with pytest.raises(AssemblyError, match="unresolved"):
+            hn.pml_study(cfg, [0.0, 2.0], mesh=mesh)
 
 
 class TestSpectralAmplitude:

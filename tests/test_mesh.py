@@ -67,6 +67,25 @@ def cascade_toward_rim():
     return m
 
 
+class TestJacobianInverse:
+    def test_adjugate_inverse_matches_lapack_on_arc_pml_and_hanging_cells(self):
+        m = cascade_toward_rim()
+        ids = m.active_ids()
+        pts, _ = quad_pts()
+        _, jac = msh.cell_geometry(m, ids, pts)
+        inv = msh.jacobian_inv(jac, msh.jacobian_det(jac))
+        ref = np.linalg.inv(jac)
+        err = np.abs(inv - ref).max(axis=(2, 3)) / np.abs(ref).max(axis=(2, 3))
+        corners = m.cell_corners(ids)
+        kinds = {"arc": m.arc[ids].any(axis=1),
+                 "pml": np.hypot(corners[..., 0], corners[..., 1]).max(axis=1) > 0.8 * R,
+                 "hanging": (m.coarser_neighbors(ids)[0] >= 0).any(axis=1)}
+        for name, kind in kinds.items():
+            assert kind.any(), name
+            assert err[kind].max() <= 1e-14, name
+        assert err.max() <= 1e-14
+
+
 class TestBuild:
     def test_coarse_cells_do_not_straddle_sheet(self):
         m = msh.build_disk_mesh(R, 0)

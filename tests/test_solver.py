@@ -64,14 +64,14 @@ class TestDirectSolve:
         rng = np.random.default_rng(2)
         perm = rng.permutation(mat.shape[0])
         P = sp.coo_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm))).tocsr()
-        x = factorize(mat).solve(rhs)
-        xp = factorize((P @ mat @ P.T).tocsr()).solve(P @ rhs)
+        x, _ = factorize(mat).solve(rhs)
+        xp, _ = factorize((P @ mat @ P.T).tocsr()).solve(P @ rhs)
         assert np.linalg.norm(P.T @ xp - x) < 1e-10 * np.linalg.norm(x)
 
     def test_deterministic_refactorization(self):
         system, _ = small_system()
-        x1 = factorize(system.matrix).solve(system.rhs)
-        x2 = factorize(system.matrix).solve(system.rhs)
+        x1, _ = factorize(system.matrix).solve(system.rhs)
+        x2, _ = factorize(system.matrix).solve(system.rhs)
         assert np.array_equal(x1, x2)
 
 
@@ -86,7 +86,7 @@ class TestDiagonalPivoting:
         assert mat.shape[0] == 8594
         fac = factorize(mat)
         assert np.array_equal(fac.lu.perm_r, fac.lu.perm_c)
-        x = fac.solve(rhs)
+        x, _ = fac.solve(rhs)
         assert np.linalg.norm(rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(rhs)
 
     def test_zero_diagonal_pivots_off_diagonal(self):
