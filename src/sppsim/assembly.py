@@ -27,8 +27,8 @@ import scipy.sparse as sp
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
                       FieldSolution, _mapped_basis, face_quadrature, shape_eval)
-from .mesh import (boundary_faces, cell_diameters, cells_intersecting_disk,
-                   interface_faces)
+from .mesh import (SHAPE_RESOLUTION, boundary_faces, cell_diameters,
+                   cells_intersecting_disk)
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -172,10 +172,6 @@ def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
                      axis=1))
 
 
-# shape-class keys are quantised to this fraction of the disk radius
-SHAPE_RESOLUTION = 1e-12
-
-
 def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     """Representative cell ids and the class of every active cell in cids.
 
@@ -238,7 +234,7 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     if model.sigma_r == 0:
         return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
     return _face_matrix(
-        space, interface_faces(space.mesh),
+        space, space.sheet_faces,
         lambda x: -1j * pml_mod.sheet_arrays(x.reshape(-1, 2), model.sigma_r,
                                              model.pml).reshape(x.shape[:2]))
 

@@ -30,8 +30,8 @@ from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
 from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
                       sheet_ref_points, vector_monomials)
-from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry,
-                   interface_faces, jacobian_det, jacobian_inv)
+from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry, jacobian_det,
+                   jacobian_inv)
 
 
 class QuadData:
@@ -307,7 +307,7 @@ def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
 
     # sheet faces: half of each face integral to either adjacent cell, in face
     # order; a coarse neighbor maps the owner's quadrature points into its frame
-    faces = interface_faces(mesh)
+    faces = space.sheet_faces
     owners = np.array([f.owner for f in faces], dtype=np.int64)
     ref, fphys, fw, _ = face_quadrature(mesh, owners, [f.owner_edge for f in faces])
     sigma_eff = pml_mod.sheet_arrays(fphys.reshape(-1, 2), model.sigma_r,
@@ -364,10 +364,14 @@ def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
     selected = np.zeros(len(active), dtype=bool)
     # largest indicators first, ties by ascending cell id; eta is ranked on a
     # grid of MARK_RESOLUTION times its maximum, so that near-equal values
-    # (mirror cells, summation-order noise) count as ties
+    # (mirror cells, summation-order noise) count as ties; a tie at the cut is
+    # taken whole, so that a mirror-symmetric mesh stays symmetric
     scale = eta.max(initial=0.0) * MARK_RESOLUTION
     rank_key = np.round(eta / scale) if scale > 0 else eta
-    selected[np.lexsort((active, -rank_key))[:math.ceil(fraction * len(active))]] = True
+    top = np.lexsort((active, -rank_key))[:math.ceil(fraction * len(active))]
+    if len(top):
+        selected[rank_key == rank_key[top[-1]]] = True
+    selected[top] = True
     wvals = weight(mesh.cell_corners(active).mean(axis=1))
     wmax = wvals.max()
     if wmax > 0:

@@ -16,18 +16,23 @@ as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.
 Hanging edges on 1-irregular meshes are constrained: the two child-edge
 moment pairs are fixed linear images of the parent-edge pair, which makes the
 tangential trace globally continuous.
+
+On a mesh symmetric under the mirror x -> -x the pullback of a discrete field
+by the mirror is again a discrete field, and its dofs are a signed
+permutation of the field's dofs; mirror_even restricts the constrained space
+to the fields the mirror leaves unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EDGE_CORNERS, GeometryError, Mesh, cell_geometry, jacobian_det,
-                   jacobian_inv)
+from .mesh import (EDGE_CORNERS, SHAPE_RESOLUTION, Face, GeometryError, Mesh, _edge_code,
+                   _find, cell_geometry, interface_faces, jacobian_det, jacobian_inv)
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -174,6 +179,11 @@ class EdgeFESpace:
     face_keys: np.ndarray      # (n_faces, 2) sorted vertex-id pair of each face
     n_faces: int
     n_dofs: int
+
+    @cached_property
+    def sheet_faces(self) -> list[Face]:
+        """The mesh's leaf faces on the sheet (interface_faces), built once."""
+        return interface_faces(self.mesh)
 
 
 def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
@@ -348,6 +358,111 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     data = np.concatenate([np.ones(len(master_dofs)), coef])
     matrix = sp.csr_matrix((data, (ri, ci)), shape=(space.n_dofs, len(master_dofs)))
     return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs)
+
+
+# The mirror carries a cell onto its mirror cell through one of the four
+# reflections of the reference square, told apart by the mirror cell's corner
+# that corner 0 goes to.  Per reflection, indexed by that corner: where each
+# corner goes, and for each interior moment 8..11 of the cell the moment of
+# the mirror cell it reads and its sign.  The reflections are
+# (xi, eta) -> (eta, xi), (1 - xi, eta), (1 - eta, 1 - xi), (xi, 1 - eta).
+_REFLECT_CORNERS = np.array([(0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3), (3, 2, 1, 0)])
+_REFLECT_SOURCE = np.array([(2, 3, 0, 1), (0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 2, 3)])
+_REFLECT_SIGN = np.array([(1, 1, 1, 1), (-1, 1, 1, 1), (-1, 1, -1, 1), (1, 1, -1, 1)])
+
+
+def _mirror_vertices(mesh: Mesh) -> np.ndarray:
+    """Id of the vertex at (-x, y) for each vertex, -1 where there is none.
+
+    Coordinates are keyed on a grid of SHAPE_RESOLUTION * R; a mirror vertex
+    rounded into a neighbouring grid cell is found there too.
+    """
+    x, y = mesh.vertices.T / (SHAPE_RESOLUTION * mesh.R)
+    keys = np.round(x) + 1j * np.round(y)
+    by_key = np.argsort(keys)
+    mirror = np.full(len(keys), -1, dtype=np.int64)
+    for shift in np.add.outer([-1, 0, 1], [-1j, 0, 1j]).ravel():
+        pos = _find(keys[by_key], np.round(-x) + 1j * np.round(y) + shift)
+        mirror[pos >= 0] = by_key[pos[pos >= 0]]
+    return mirror
+
+
+def _mirror_dofs(space: EdgeFESpace):
+    """The mirror on the dofs: (perm, sign) with the dofs of the mirrored field
+    E(-x, y) * (-1, 1) equal to sign * dofs[perm]; None without an exact mirror.
+
+    A constant edge moment flips its sign when the mirror reverses the global
+    direction of its face; a linear edge moment is independent of the
+    direction.  Interior moments follow the cell's reflection (_REFLECT_*).
+    """
+    mesh, keys = space.mesh, space.face_keys
+    vertex = _mirror_vertices(mesh)
+    ends = vertex[keys]
+    codes = _edge_code(keys)
+    by_code = np.argsort(codes)
+    pos = _find(codes[by_code], _edge_code(np.sort(ends, axis=1)))
+    if (ends < 0).any() or (pos < 0).any():
+        return None
+    face = by_code[pos]
+    # a cell is the only one with its lowest and highest face
+    faces = space.cell_dofs[:, 0:8:2] // 2
+    codes = faces.min(axis=1) * space.n_faces + faces.max(axis=1)
+    by_code = np.argsort(codes)
+    pos = _find(codes[by_code], face[faces].min(axis=1) * space.n_faces
+                + face[faces].max(axis=1))
+    if (pos < 0).any():
+        return None
+    cell = by_code[pos]
+    corners = mesh.cells[space.active]
+    hit = corners[cell][:, None, :] == vertex[corners][:, :, None]
+    case = hit[:, 0].argmax(axis=1)
+    arc = np.zeros(space.n_faces, dtype=bool)
+    arc[faces] = mesh.arc[space.active]
+    if not ((hit.argmax(axis=2) == _REFLECT_CORNERS[case]).all() and hit.any(axis=2).all()
+            and np.array_equal(arc[face], arc)):
+        return None
+    perm = np.empty(space.n_dofs, dtype=np.int64)
+    sign = np.ones(space.n_dofs)
+    perm[0:2 * space.n_faces:2] = 2 * face
+    perm[1:2 * space.n_faces:2] = 2 * face + 1
+    sign[0:2 * space.n_faces:2] = np.where(ends[:, 0] < ends[:, 1], 1.0, -1.0)
+    interior = space.cell_dofs[:, 8:]
+    perm[interior] = 2 * space.n_faces + 4 * cell[:, None] + _REFLECT_SOURCE[case]
+    sign[interior] = _REFLECT_SIGN[case]
+    return perm, sign
+
+
+def mirror_even(space: EdgeFESpace, constraints: ConstraintSet) -> ConstraintSet:
+    """constraints restricted to the fields that the mirror x -> -x leaves unchanged.
+
+    The dipole problem is mirror symmetric: the sheet, the radial layer, the
+    rim and the source all are, so every term of the weak form is invariant
+    and its solution lies in this subspace.  The returned set's matrix is
+    C Q, with Q mapping one coefficient per mirror orbit of master dofs onto
+    the masters (1 on the orbit's lower master, the mirror sign on the other;
+    a master that the mirror maps to its own negative is zero), and its
+    master dofs are the orbits' lower masters.  A mesh without an exact
+    mirror gets constraints back unchanged.
+    """
+    mirror = _mirror_dofs(space)
+    if mirror is None:
+        return constraints
+    perm, sign = mirror
+    masters = constraints.master_dofs
+    own = np.arange(len(masters))
+    col = np.full(space.n_dofs, -1, dtype=np.int64)
+    col[masters] = own
+    partner, sign = col[perm[masters]], sign[masters]
+    if (partner < 0).any():     # already reduced: its masters' mirrors are not masters
+        return constraints
+    lower = np.minimum(own, partner)
+    rep = (own < partner) | ((own == partner) & (sign > 0))
+    live = rep[lower]
+    q = sp.csr_matrix((np.where(own == lower, 1.0, sign)[live],
+                       (own[live], (np.cumsum(rep) - 1)[lower[live]])),
+                      shape=(len(masters), int(rep.sum())))
+    return ConstraintSet(n_dofs=constraints.n_dofs, matrix=(constraints.matrix @ q).tocsr(),
+                         master_dofs=masters[rep])
 
 
 def interpolate(space: EdgeFESpace, fun) -> np.ndarray:

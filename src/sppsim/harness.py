@@ -21,9 +21,9 @@ from . import oracle as oracle_mod
 from .assembly import (ComplexSystem, DipoleSpec, FixedPart, SheetModel,
                        assemble_dual_rhs, assemble_fixed, assemble_pair)
 from .fespace import (FieldSolution, build_constraints, distribute_dofs,
-                      sheet_ref_points)
+                      mirror_even, sheet_ref_points)
 from .mesh import (Mesh, build_disk_mesh, cell_diameters,
-                   cells_intersecting_disk, interface_faces, write_vtk)
+                   cells_intersecting_disk, write_vtk)
 from .pml import PmlSpec
 from .solver import factorize, solve, solve_adjoint
 
@@ -131,7 +131,7 @@ def scattered_trace(total: FieldSolution, primary: FieldSolution,
         raise ValueError("both fields must live on the same space")
     space = total.space
     mesh = space.mesh
-    faces = interface_faces(mesh)
+    faces = space.sheet_faces
     lows = np.array([f.x_lo for f in faces])
     his = np.array([f.x_hi for f in faces])
     idx = np.clip(np.searchsorted(lows, xs, side="right") - 1, 0, len(faces) - 1)
@@ -210,7 +210,7 @@ def run_adaptive(config: RunConfig):
     records: list[ConvergenceRecord] = []
     for cycle in range(1, config.cycles + 1):
         space = distribute_dofs(mesh)
-        constraints = build_constraints(space)
+        constraints = mirror_even(space, build_constraints(space))
         total, primary, sys_tot, fac_tot = solve_pair(space, constraints, model)
         trace = scattered_trace(total, primary, xs)
         err_re = l2_error(trace, reference, "real")
@@ -247,7 +247,7 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
         mesh = build_initial_mesh(config)
         band_refine(mesh, config.d_w, 0.1)
     space = distribute_dofs(mesh)
-    constraints = build_constraints(space)
+    constraints = mirror_even(space, build_constraints(space))
     xs = trace_grid(config)
     traces = {}
     mesh_hash = mesh.content_hash()

@@ -52,6 +52,10 @@ _CHILD_CORNERS = np.array([(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3
 _CHILD_ON_EDGE = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
                           dtype=bool)
 
+# geometric keys (shape classes, mirror pairs) are quantised to this fraction
+# of the disk radius
+SHAPE_RESOLUTION = 1e-12
+
 # per-cell columns: name -> (row shape, dtype)
 _CELL_COLUMNS = {"cells": ((4,), np.int64), "level": ((), np.int64),
                  "parent": ((), np.int64), "children": ((4,), np.int64),

@@ -286,12 +286,20 @@ class TestMarking:
         band = {c for c, w in zip(self.active, wvals) if w > 0}
         assert band <= marked
 
-    def test_equal_indicators_mark_top_fraction_by_id(self):
+    def test_equal_indicators_mark_every_cell(self):
         eta = {c: 1.0 for c in self.active}
         far = WeightFunction(1e-9)  # effectively empty band
-        marked = mark(eta, self.mesh, far, cycle=5, fraction=0.15)
+        assert mark(eta, self.mesh, far, cycle=5, fraction=0.15) == self.active
+
+    def test_tie_straddling_the_cut_is_marked_whole(self):
+        # distinct indicators, except that the last cell above the cut and the
+        # first below it agree to rounding noise (a mirror pair)
         n_top = int(np.ceil(0.15 * len(self.active)))
-        assert marked == sorted(self.active)[:n_top]
+        eta = np.linspace(2.0, 1.0, len(self.active))
+        eta[n_top] = eta[n_top - 1] * (1 + 1e-14)
+        far = WeightFunction(1e-9)
+        marked = mark(dict(zip(self.active, eta)), self.mesh, far, cycle=5, fraction=0.15)
+        assert marked == self.active[:n_top + 1]
 
     def test_marks_robust_to_noise_in_tied_indicators(self):
         # five distinct levels, so the top-15 % threshold cuts through a tie

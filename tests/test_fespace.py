@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sppsim import fespace as fes
+from sppsim import harness as hn
 from sppsim import mesh as msh
+from sppsim.assembly import assemble_fixed, assemble_pair
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
-                            distribute_dofs, interpolate, shape_eval,
+                            distribute_dofs, interpolate, mirror_even, shape_eval,
                             tangential_trace, vector_monomials)
 from sppsim.mesh import EDGE_CORNERS
 
@@ -271,3 +276,146 @@ class TestTangentialTrace:
             up = tangential_trace(sol, f, xs, side="above")
             dn = tangential_trace(sol, f, xs, side="below")
             assert np.max(np.abs(up - dn)) < 1e-11 * max(np.linalg.norm(sol.coeffs), 1.0)
+
+
+def mirrored_grid(nx=4, ny=4):
+    """Grid on [-nx/2, nx/2] x [0, ny], symmetric under x -> -x.
+
+    The cells right of x = 0 in row j list their corners from corner j mod 4
+    on, so the mirror pairs meet all four reflections of the reference square.
+    """
+    m = msh.Mesh(10.0)
+    ids = {(i, j): m.add_vertex(i - nx / 2, j) for j in range(ny + 1) for i in range(nx + 1)}
+    for j in range(ny):
+        for i in range(nx):
+            ring = [ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]]
+            k = j % 4 if 2 * i >= nx else 0
+            m.add_cell(ring[k:] + ring[:k], 0, -1, (False,) * 4)
+    return m
+
+
+def mirror_matrices(space, cs):
+    """The mirror on all dofs, and on the master dofs of cs, as sparse matrices."""
+    perm, sign = fes._mirror_dofs(space)
+    n = space.n_dofs
+    full = sp.csr_matrix((sign, (np.arange(n), perm)), shape=(n, n))
+    return full, full[cs.master_dofs][:, cs.master_dofs]
+
+
+def reference_points(mesh, cids, phys, steps=20):
+    """Reference points (n, p, 2) of the physical points phys (n, p, 2) in cells cids."""
+    ref = np.full(phys.shape, 0.5)
+    for _ in range(steps):
+        x, jac = msh.cell_geometry(mesh, cids, ref)
+        ref = ref - np.linalg.solve(jac, (x - phys)[..., None])[..., 0]
+    return ref
+
+
+def fitted_mirror_blocks(space, cids):
+    """Mirror cells of cids and, per cell, the (12, 12) L with which the cell's
+    basis reproduces the mirrored basis of its mirror cell, by least squares."""
+    mesh = space.mesh
+    centres = mesh.cell_corners(space.active).mean(axis=1)
+    want = mesh.cell_corners(cids).mean(axis=1) * [-1.0, 1.0]
+    mirror = space.active[np.argmin(np.linalg.norm(
+        centres[None] - want[:, None], axis=2), axis=1)]
+    phys, _, vals, _ = fes._mapped_basis(space, cids, REF.quad_pts)
+    ref = reference_points(mesh, mirror, phys * [-1.0, 1.0])
+    mvals, _ = shape_eval(space, mirror, ref)
+    mvals = mvals * [-1.0, 1.0]
+    blocks = []
+    for a, b in zip(vals.transpose(0, 1, 3, 2), mvals.transpose(0, 1, 3, 2)):
+        a, b = a.reshape(-1, 12), b.reshape(-1, 12)
+        fit = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.abs(a @ fit - b).max() < 1e-10 * np.abs(b).max()
+        blocks.append(fit)
+    return mirror, np.array(blocks)
+
+
+@pytest.fixture(scope="module")
+def mirror_meshes():
+    """The pml_sweep benchmark mesh and the mesh of cycle 3 of the default run."""
+    cfg = hn.RunConfig(sigma_r=0.15j)
+    band = hn.build_initial_mesh(cfg)
+    hn.band_refine(band, cfg.d_w, 0.4)
+    meshes = []
+    build = hn.build_initial_mesh
+    hn.build_initial_mesh = lambda config: meshes.append(build(config)) or meshes[-1]
+    try:
+        hn.run_adaptive(hn.RunConfig(cycles=3, write_artifacts=False))
+    finally:
+        hn.build_initial_mesh = build
+    return {"pml_sweep": band, "adaptive": meshes[0]}
+
+
+class TestMirrorEven:
+    @pytest.mark.parametrize("name", ["pml_sweep", "adaptive"])
+    def test_mirror_is_an_involution_commuting_with_constraints(self, mirror_meshes, name):
+        space = distribute_dofs(mirror_meshes[name])
+        cs = build_constraints(space)
+        full, masters = mirror_matrices(space, cs)
+        assert (abs(full @ full - sp.identity(space.n_dofs)).max() == 0
+                and abs(full @ cs.matrix - cs.matrix @ masters).max() == 0)
+        if name == "adaptive":
+            assert cs.rows    # hanging faces
+        even = mirror_even(space, cs)
+        fixed = masters.diagonal()
+        assert 2 * even.n_master == cs.n_master + (fixed > 0).sum() - (fixed < 0).sum()
+        y = np.random.default_rng(0).standard_normal(even.n_master)
+        x = even.distribute(y)
+        assert np.array_equal(even.restrict(x), y) and np.array_equal(full @ x, x)
+        assert mirror_even(space, even) is even
+
+    @pytest.mark.parametrize("name", ["pml_sweep", "adaptive"])
+    def test_condensed_systems_are_mirror_invariant(self, mirror_meshes, name):
+        space = distribute_dofs(mirror_meshes[name])
+        cs = build_constraints(space)
+        _, mirror = mirror_matrices(space, cs)
+        cfg = hn.RunConfig()
+        for s0 in (0.0, 2.0, 8.0):
+            model = dataclasses.replace(cfg.model(s0=s0), mu_r=1.5, eps_r=2.25)
+            fixed = assemble_fixed(space, cs, model)
+            for mat in assemble_pair(fixed, model):
+                assert abs(mirror @ mat @ mirror - mat).max() <= 1e-13 * abs(mat).max()
+        rhs = fixed.rhs
+        assert np.abs(mirror @ rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("name", ["grid", "pml_sweep"])
+    def test_signs_match_least_squares_fit_of_mirrored_basis(self, mirror_meshes, name):
+        mesh = mirrored_grid() if name == "grid" else mirror_meshes[name]
+        space = distribute_dofs(mesh)
+        if name == "grid":
+            cids = space.active
+        else:   # every cell with an arc edge and a spread of the others
+            arc = mesh.arc[space.active].any(axis=1)
+            cids = np.union1d(space.active[arc], space.active[::97])
+        mirror, blocks = fitted_mirror_blocks(space, cids)
+        perm, sign = fes._mirror_dofs(space)
+        rows, cols = space.cell_dofs[space.rank[cids]], space.cell_dofs[space.rank[mirror]]
+        combinatorial = sign[rows][:, :, None] * (perm[rows][:, :, None] == cols[:, None, :])
+        assert np.abs(blocks - combinatorial).max() < 1e-9
+        if name == "grid":    # all four reflections of the reference square
+            interior = np.round(combinatorial[:, 8:, 8:]).astype(int)
+            assert len(np.unique(interior, axis=0)) == 4
+
+    def test_even_solve_matches_full_solve(self, mirror_meshes):
+        cfg = hn.RunConfig()
+        space = distribute_dofs(mirror_meshes["adaptive"])
+        cs = build_constraints(space)
+        even = mirror_even(space, cs)
+        assert even.n_master < cs.n_master
+        xs = hn.trace_grid(cfg)
+        full, reduced = (hn.scattered_trace(*hn.solve_pair(space, c, cfg.model())[:2], xs).values
+                         for c in (cs, even))
+        assert np.abs(reduced - full).max() <= 1e-9 * np.abs(full).max()
+
+    def test_mesh_without_mirror_keeps_its_constraints(self):
+        space = distribute_dofs(grid_mesh(3, 2))
+        cs = build_constraints(space)
+        assert mirror_even(space, cs) is cs
+        disk = msh.build_disk_mesh(8 * np.pi, 1)
+        ids = disk.active_ids()
+        disk.refine(ids[disk.cell_corners(ids).mean(axis=1)[:, 0] > 0][:1])
+        space = distribute_dofs(disk)
+        cs = build_constraints(space)
+        assert mirror_even(space, cs) is cs
