@@ -180,6 +180,21 @@ class TestRunAdaptive:
         assert records[-1].n_dofs > 3000
 
 
+class TestDefaultRun:
+    # cycles 1-3 of the default configuration, as the full-disk solve gave them
+    PINNED = ((1, 1080, 9034, 1.182983776385948e-3, 5.702599463601589e-3),
+              (2, 2322, 19580, 1.263078870286583e-3, 1.8467246960042843e-2),
+              (3, 3882, 32832, 3.547800848949961e-3, 4.032951547049639e-3))
+
+    def test_first_three_cycles_pinned(self):
+        records, _ = hn.run_adaptive(hn.RunConfig(cycles=3, write_artifacts=False))
+        assert len(records) == len(self.PINNED)
+        for r, (cycle, cells, dofs, err, err_cx) in zip(records, self.PINNED):
+            assert (r.cycle, r.n_cells, r.n_dofs) == (cycle, cells, dofs)
+            assert r.l2_error == pytest.approx(err, rel=1e-8, abs=0)
+            assert r.l2_error_complex == pytest.approx(err_cx, rel=1e-8, abs=0)
+
+
 class TestPmlStudy:
     def test_fixed_mesh_multiple_strengths(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path), write_artifacts=True)
