@@ -27,8 +27,7 @@ import scipy.sparse as sp
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
                       FieldSolution, _mapped_basis, face_quadrature, shape_eval)
-from .mesh import (SHAPE_RESOLUTION, boundary_faces, cell_diameters,
-                   cells_intersecting_disk)
+from .mesh import boundary_faces, cell_diameters, cells_intersecting_disk
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -91,6 +90,8 @@ class ComplexSystem:
 
 
 CHUNK_CELLS = 16384
+# shape-class keys are quantised to this fraction of the disk radius
+SHAPE_RESOLUTION = 1e-12
 
 
 def _volume_tables(space: EdgeFESpace, cids=None):
@@ -259,14 +260,28 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     return rhs
 
 
+def _band_cells(space: EdgeFESpace, half_width: float) -> np.ndarray:
+    """Active cells that can meet the band |y| <= half_width: every arc cell,
+    and the straight cells whose corners' y range meets the band (a bilinear
+    map keeps each point's y between its corners' y)."""
+    mesh, cids = space.mesh, space.active
+    ys = mesh.cell_corners(cids)[..., 1]
+    reach = half_width + mesh._tol
+    meets = (ys.min(axis=1) <= reach) & (ys.max(axis=1) >= -reach)
+    return cids[meets | mesh.arc[cids].any(axis=1)]
+
+
 def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.ndarray:
     """Derivative of the goal functional int w |curl E|^2 at the discrete primal.
 
     Component i is int w (curl phi_i) conj(curl E_H); linear in conj(E_H).
+    weight (a dwr.WeightFunction) vanishes outside |y| <= weight.half_width,
+    so only the cells that can meet that band are visited.
     """
     w_q = REF.quad_wts
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    for ranks, phys, det, vals, curls in iter_volume_tables(space):
+    for ranks, phys, det, vals, curls in iter_volume_tables(
+            space, _band_cells(space, weight.half_width)):
         wvals = weight(phys.reshape(-1, 2)).reshape(det.shape)
         local_coeffs = primal.coeffs[space.cell_dofs[ranks]]
         curl_e = np.einsum("nb,npb->np", local_coeffs, curls)

@@ -194,7 +194,7 @@ class PatchReconstruction:
         aw_t = np.swapaxes(a * w[..., None], 1, 2)
         atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
         # one complex solve: solving for the real and imaginary parts apart
-        # rounds differently, enough to flip near-tied marks of mirror cells
+        # rounds differently, enough to flip near-tied marks
         coeffs = np.linalg.solve((aw_t @ a).astype(complex),
                                  atb[..., :1] + 1j * atb[..., 1:])[..., 0]
         del aw_t
@@ -364,8 +364,8 @@ def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
     selected = np.zeros(len(active), dtype=bool)
     # largest indicators first, ties by ascending cell id; eta is ranked on a
     # grid of MARK_RESOLUTION times its maximum, so that near-equal values
-    # (mirror cells, summation-order noise) count as ties; a tie at the cut is
-    # taken whole, so that a mirror-symmetric mesh stays symmetric
+    # (summation-order noise) count as ties; a tie at the cut is taken whole,
+    # so the marked set does not depend on how cells are numbered
     scale = eta.max(initial=0.0) * MARK_RESOLUTION
     rank_key = np.round(eta / scale) if scale > 0 else eta
     top = np.lexsort((active, -rank_key))[:math.ceil(fraction * len(active))]

@@ -6,6 +6,17 @@ of two discrete solutions and their shared discretization error cancels.
 The reference trace (pole plus branch cut) is evaluated once per run on the
 sample grid.  Everything is driven by a flat key = value config file or
 programmatic RunConfig; outputs are plain CSV files plus VTK dumps.
+
+Only the half disk x >= 0 is meshed and solved.  The problem is symmetric
+under the mirror x -> -x (sheet, radial layer, rim and vertical dipole), so
+its solution is mirror even, and no cell crosses x = 0.  The mirror-even
+edge space of a symmetric full-disk mesh, restricted to x >= 0, is then the
+plain edge space of the half mesh with the moments on x = 0 left free, and
+its Galerkin system is half the full one.  On x = 0 the weak form imposes
+the natural condition n x curl E = 0 (H_z = 0), a magnetic wall; no
+boundary term is added there, as boundary_faces selects only the arc.  E_x
+on the sheet is odd in x, so the trace at x < 0 is taken from |x|.
+convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ from . import dwr as dwr_mod
 from . import oracle as oracle_mod
 from .assembly import (ComplexSystem, DipoleSpec, FixedPart, SheetModel,
                        assemble_dual_rhs, assemble_fixed, assemble_pair)
-from .fespace import (FieldSolution, build_constraints, distribute_dofs,
-                      mirror_even, sheet_ref_points)
+from .fespace import (EdgeFESpace, FieldSolution, build_constraints, distribute_dofs,
+                      sheet_ref_points)
 from .mesh import (Mesh, build_disk_mesh, cell_diameters,
                    cells_intersecting_disk, write_vtk)
 from .pml import PmlSpec
@@ -126,24 +137,30 @@ def band_refine(mesh: Mesh, half_width: float, target_diameter: float) -> Mesh:
 
 def scattered_trace(total: FieldSolution, primary: FieldSolution,
                     xs: np.ndarray) -> InterfaceTrace:
-    """Tangential trace of (total - primary) on the sheet, from above."""
+    """Tangential trace of (total - primary) on the sheet, from above.
+
+    The mesh covers x >= 0; the trace is odd in x, so a sample at x < 0 is
+    minus the value at |x|.
+    """
     if total.space is not primary.space:
         raise ValueError("both fields must live on the same space")
     space = total.space
     mesh = space.mesh
     faces = space.sheet_faces
+    xs = np.asarray(xs, dtype=float)
+    at = np.abs(xs)
     lows = np.array([f.x_lo for f in faces])
     his = np.array([f.x_hi for f in faces])
-    idx = np.clip(np.searchsorted(lows, xs, side="right") - 1, 0, len(faces) - 1)
-    bad = (xs < lows[idx] - 1e-12) | (xs > his[idx] + 1e-12)
+    idx = np.clip(np.searchsorted(lows, at, side="right") - 1, 0, len(faces) - 1)
+    bad = (at < lows[idx] - 1e-12) | (at > his[idx] + 1e-12)
     if np.any(bad):
         raise ValueError("trace sample outside the sheet faces")
     side = np.array([f.above if f.above is not None else f.below for f in faces])
     cids = side[idx]
-    ref = sheet_ref_points(mesh, cids, xs)
+    ref = sheet_ref_points(mesh, cids, at)
     dsol = FieldSolution(space, total.coeffs - primary.coeffs)
     values = dsol.values(cids, ref[:, None, :])[:, 0, 0]
-    return InterfaceTrace(x=np.asarray(xs, dtype=float), values=values)
+    return InterfaceTrace(x=xs, values=np.where(xs < 0, -values, values))
 
 
 def oracle_trace(config: RunConfig, xs: np.ndarray) -> InterfaceTrace:
@@ -195,6 +212,17 @@ def solve_pair(space, constraints, model: SheetModel, fixed: FixedPart | None = 
     return total, primary, sys_tot, fac_tot
 
 
+def _full_disk_counts(space: EdgeFESpace) -> tuple[int, int]:
+    """Active cells and dofs of the full disk that mirrors space's half mesh in x = 0.
+
+    Twice the half's counts, less one copy of the two moments of each face
+    on x = 0, which the two halves share.
+    """
+    mesh = space.mesh
+    on_wall = np.abs(mesh.vertices[space.face_keys, 0]).max(axis=1) <= mesh._tol
+    return 2 * len(space.active), 2 * (space.n_dofs - int(on_wall.sum()))
+
+
 def run_adaptive(config: RunConfig):
     """Adaptive cycles: solve pair, adjoint, indicators, mark, refine.
 
@@ -210,17 +238,18 @@ def run_adaptive(config: RunConfig):
     records: list[ConvergenceRecord] = []
     for cycle in range(1, config.cycles + 1):
         space = distribute_dofs(mesh)
-        constraints = mirror_even(space, build_constraints(space))
+        constraints = build_constraints(space)
         total, primary, sys_tot, fac_tot = solve_pair(space, constraints, model)
         trace = scattered_trace(total, primary, xs)
         err_re = l2_error(trace, reference, "real")
         err_cx = l2_error(trace, reference, "complex")
         rate = (math.log2(records[-1].l2_error / err_re)
                 if records and err_re > 0 else float("nan"))
+        n_cells, n_dofs = _full_disk_counts(space)
         records.append(ConvergenceRecord(
-            cycle=cycle, n_cells=mesh.n_active(), n_dofs=space.n_dofs,
+            cycle=cycle, n_cells=n_cells, n_dofs=n_dofs,
             l2_error=err_re, rate=rate, l2_error_complex=err_cx))
-        terminal = cycle == config.cycles or space.n_dofs > config.dof_cap
+        terminal = cycle == config.cycles or n_dofs > config.dof_cap
         if terminal:
             # no refinement follows; skip the adjoint and estimator work
             out.cycle_outputs(cycle, mesh, space, trace, reference, None)
@@ -247,7 +276,7 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
         mesh = build_initial_mesh(config)
         band_refine(mesh, config.d_w, 0.1)
     space = distribute_dofs(mesh)
-    constraints = mirror_even(space, build_constraints(space))
+    constraints = build_constraints(space)
     xs = trace_grid(config)
     traces = {}
     mesh_hash = mesh.content_hash()

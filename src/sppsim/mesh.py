@@ -1,10 +1,13 @@
-"""Hierarchical quadrilateral mesh of a disk with the sheet aligned to mesh faces.
+"""Hierarchical quadrilateral mesh of the half disk x >= 0, sheet aligned to faces.
 
-The coarse layout glues two mirrored half-disk quad patterns along the diameter
-{y = 0}, so the sheet is a union of cell edges from the start.  Cells refine
-into four children (quad-tree); neighboring active cells never differ by more
-than one refinement level (closure refinement restores this after every call).
-Cells touching the outer circle carry arc edges and use a transfinite
+The problem is symmetric under the mirror x -> -x, and its solution is the
+mirror-even one, so only the half disk is meshed; the line x = 0 is a
+magnetic wall that the weak form imposes naturally (see harness).  The coarse
+layout glues a quarter-disk quad pattern to its mirror image in {y = 0}, so
+the sheet is a union of cell edges from the start.  Cells refine into four
+children (quad-tree); neighboring active cells never differ by more than one
+refinement level (closure refinement restores this after every call).  Cells
+touching the outer circle carry arc edges and use a transfinite
 (polar-blended) reference map; all other cells are bilinear.
 
 The mesh is stored as numpy columns indexed by vertex or cell id (a linear
@@ -51,10 +54,6 @@ _CHILD_CORNERS = np.array([(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3
 # child q keeps the arc flag of parent edge e where it lies on that edge
 _CHILD_ON_EDGE = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
                           dtype=bool)
-
-# geometric keys (shape classes, mirror pairs) are quantised to this fraction
-# of the disk radius
-SHAPE_RESOLUTION = 1e-12
 
 # per-cell columns: name -> (row shape, dtype)
 _CELL_COLUMNS = {"cells": ((4,), np.int64), "level": ((), np.int64),
@@ -289,29 +288,22 @@ class Mesh:
 
 
 def build_disk_mesh(R: float, initial_refines: int = 0) -> Mesh:
-    """Coarse disk mesh whose cell edges cover the full diameter {y = 0}."""
+    """Coarse half disk x >= 0 whose cell edges cover the radius {y = 0, x >= 0}."""
     if initial_refines < 0:
         raise ValueError("initial_refines must be nonnegative")
     mesh = Mesh(R)
     c = 0.5 * R
     s = R / np.sqrt(2.0)
-    A = mesh.add_vertex(-R, 0.0)
-    B = mesh.add_vertex(-c, 0.0)
     C = mesh.add_vertex(0.0, 0.0)
     D = mesh.add_vertex(c, 0.0)
     E = mesh.add_vertex(R, 0.0)
-    F = mesh.add_vertex(-c, c)
     G = mesh.add_vertex(0.0, c)
     H = mesh.add_vertex(c, c)
-    I = mesh.add_vertex(-s, s)
     K = mesh.add_vertex(0.0, R)
     J = mesh.add_vertex(s, s)
     upper = [
-        ((A, B, F, I), (False, False, False, True)),
-        ((B, C, G, F), (False, False, False, False)),
         ((C, D, H, G), (False, False, False, False)),
         ((D, E, J, H), (False, True, False, False)),
-        ((F, G, K, I), (False, False, True, False)),
         ((G, H, J, K), (False, False, True, False)),
     ]
     mirror = {}

@@ -10,15 +10,6 @@ refactorization is the fallback when the residual after refinement stays
 above RESIDUAL_TOL.  One factorization serves the primal and the adjoint
 solve, because with M = M^T the adjoint pairing reduces to a conjugated
 solve with the same factors.
-
-The condensed systems come from the constraint set of harness.run_adaptive
-and harness.pml_study, which fespace.mirror_even restricts to the fields
-that the mirror x -> -x leaves unchanged.  That is exact, not an
-approximation: the sheet, the radial layer, the rim and the vertical dipole
-are all mirror symmetric, so on a mirror-symmetric mesh the mirror maps the
-discrete space onto itself (a signed permutation of the dofs) and commutes
-with the system matrix, and the unique discrete solution for an even source
-is even.  Each system then has about half the dofs of the full one.
 """
 
 from __future__ import annotations

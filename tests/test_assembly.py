@@ -5,11 +5,12 @@ import scipy.sparse as sp
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
-                             _face_matrix, _volume_local, _volume_tables,
+                             _band_cells, _face_matrix, _volume_local, _volume_tables,
                              assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
                              assemble_interface, assemble_pair, assemble_volume,
                              assemble_volume_boundary, condense, inner_cells,
-                             shape_classes)
+                             iter_volume_tables, shape_classes)
+from sppsim.dwr import WeightFunction
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, interpolate,
                             shape_eval)
@@ -111,13 +112,13 @@ class TestMatrixStructure:
 
     def test_sheet_term_of_unit_tangential_field(self):
         # E = e_x has unit trace on the sheet; without the layer the sheet term
-        # is -i sigma times the sheet length 2R
+        # is -i sigma times the sheet length R of the half disk
         space, _ = disk_space(2, extra_marks=1)
         sigma = 0.01 + 0.15j
         c = interpolate(space, lambda p: np.column_stack([np.ones(len(p)),
                                                           np.zeros(len(p))]))
         m_sheet = assemble_interface(space, model(sigma=sigma, s0=0.0))
-        assert c @ (m_sheet @ c) == pytest.approx(-1j * sigma * 2 * R, rel=1e-11)
+        assert c @ (m_sheet @ c) == pytest.approx(-1j * sigma * R, rel=1e-11)
 
     def test_traversal_order_independence(self):
         from sppsim.assembly import _volume_tables
@@ -318,16 +319,27 @@ class TestDipoleRhs:
             assemble_dipole_rhs(space, model(d_reg=0.15625, a=1.0))
 
 
+class ZeroWeight(WeightFunction):
+    def __call__(self, pts):
+        return np.zeros(len(pts))
+
+
+def all_cells_dual_rhs(space, primal, weight):
+    """The dual right-hand side summed over every active cell, in cell order."""
+    rhs = np.zeros(space.n_dofs, dtype=complex)
+    for ranks, phys, det, vals, curls in iter_volume_tables(space):
+        wvals = weight(phys.reshape(-1, 2)).reshape(det.shape)
+        curl_e = np.einsum("nb,npb->np", primal.coeffs[space.cell_dofs[ranks]], curls)
+        local = np.einsum("np,npb->nb", REF.quad_wts[None, :] * det * wvals
+                          * np.conj(curl_e), curls)
+        np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
+    return rhs
+
+
 class TestDualRhs:
     def setup_method(self):
         self.space, self.cs = disk_space(1)
-
-    def weight(self, pts):
-        y = np.asarray(pts)[:, 1]
-        out = np.zeros(len(y))
-        band = np.abs(y) <= 1.5625
-        out[band] = np.cos(np.pi * y[band] / (2 * 1.5625)) ** 2
-        return out
+        self.weight = WeightFunction(half_width=1.5625)
 
     def test_zero_field_zero_rhs(self):
         zero = FieldSolution(self.space, np.zeros(self.space.n_dofs, dtype=complex))
@@ -336,8 +348,21 @@ class TestDualRhs:
     def test_zero_weight_zero_rhs(self):
         rng = np.random.default_rng(0)
         sol = FieldSolution(self.space, rng.standard_normal(self.space.n_dofs) + 0j)
-        rhs = assemble_dual_rhs(self.space, sol, lambda p: np.zeros(len(p)))
+        rhs = assemble_dual_rhs(self.space, sol, ZeroWeight(half_width=1.5625))
         assert np.all(rhs == 0)
+
+    @pytest.mark.parametrize("half_width", [1.5625, 3.3, 20.0])
+    def test_band_cells_give_the_all_cells_sum_bit_for_bit(self, half_width):
+        # cells off the band add exact zeros; arc cells are always visited
+        space, _ = disk_space(2, extra_marks=2, seed=1)
+        weight = WeightFunction(half_width=half_width)
+        band = _band_cells(space, half_width)
+        assert 0 < len(band) < len(space.active)
+        rng = np.random.default_rng(4)
+        sol = FieldSolution(space, rng.standard_normal(space.n_dofs)
+                            + 1j * rng.standard_normal(space.n_dofs))
+        rhs = assemble_dual_rhs(space, sol, weight)
+        assert rhs.tobytes() == all_cells_dual_rhs(space, sol, weight).tobytes()
 
     def test_antilinear_scaling(self):
         rng = np.random.default_rng(1)

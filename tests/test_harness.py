@@ -116,7 +116,8 @@ class TestScatteredTrace:
 
         lin = FieldSolution(space, interpolate(space, f))
         zero = FieldSolution(space, np.zeros(space.n_dofs, dtype=complex))
-        xs = np.linspace(-0.95 * R, 0.95 * R, 301)
+        # the trace at x < 0 is taken by parity, which this field lacks
+        xs = np.linspace(0.01 * R, 0.95 * R, 301)
         assert any(np.any((xs > h.x_lo) & (xs < h.x_hi)) for h in hanging)
         tr = hn.scattered_trace(lin, zero, xs)
         exact = f(np.column_stack([xs, np.zeros_like(xs)]))[:, 0]

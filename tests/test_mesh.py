@@ -58,7 +58,7 @@ def assert_no_straddle(m):
 
 def cascade_toward_rim():
     """Refine the active cell nearest (0, 0.9 R) five times in a row: the
-    closure chains cross up to three levels, and four calls split arc cells."""
+    closure chains cross up to three levels, and three calls split arc cells."""
     m = msh.build_disk_mesh(R, 1)
     for _ in range(5):
         ids = m.active_ids()
@@ -89,12 +89,13 @@ class TestJacobianInverse:
 class TestBuild:
     def test_coarse_cells_do_not_straddle_sheet(self):
         m = msh.build_disk_mesh(R, 0)
-        assert m.n_active() == 12
+        assert m.n_active() == 6
         assert_no_straddle(m)
+        assert m.vertices[:, 0].min() == 0.0    # the half disk x >= 0
 
     def test_two_uniform_refines_multiply_cell_count(self):
         m = msh.build_disk_mesh(R, 2)
-        assert m.n_active() == 12 * 16
+        assert m.n_active() == 6 * 16
         assert_no_straddle(m)
 
     def test_positive_jacobians_everywhere(self):
@@ -107,9 +108,9 @@ class TestBuild:
         errs = []
         for k in range(3):
             m = msh.build_disk_mesh(R, k)
-            errs.append(abs(total_area(m) - np.pi * R**2))
+            errs.append(abs(total_area(m) - 0.5 * np.pi * R**2))
         assert errs[1] < errs[0] and errs[2] < errs[1]
-        assert errs[2] < 1e-4 * np.pi * R**2
+        assert errs[2] < 1e-4 * 0.5 * np.pi * R**2
 
     def test_deterministic_construction(self):
         h1 = msh.build_disk_mesh(R, 2).content_hash()
@@ -140,7 +141,7 @@ class TestRefine:
 
     def test_closure_refines_coarser_neighbor_chain(self):
         m = msh.build_disk_mesh(R, 0)
-        left_square, right_square = 1, 2
+        left_square, right_square = 0, 1
         m.refine([left_square])
         # child along the shared edge with the untouched right square
         child = m.children[left_square, 1]
@@ -162,10 +163,10 @@ class TestRefine:
         _, jac = msh.cell_geometry(m, m.active_ids(), pts)
         assert msh.jacobian_det(jac).min() > 0
 
-    @pytest.mark.parametrize("bad", [[-1], [60], [2.7], [0, 2.5], [True]])
+    @pytest.mark.parametrize("bad", [[-1], [30], [2.7], [0, 2.5], [True]])
     def test_bad_ids_are_rejected(self, bad):
         m = msh.build_disk_mesh(R, 1)
-        assert len(m.cells) == 60
+        assert len(m.cells) == 30
         before = (len(m.cells), len(m.vertices), m.content_hash())
         with pytest.raises(ValueError):
             m.refine(bad)
@@ -176,7 +177,7 @@ class TestRefine:
         cid = int(m.active_ids()[0])
         m.refine([cid, cid, np.int64(cid)])
         after = (len(m.cells), len(m.vertices), m.content_hash())
-        assert after[0] == 64
+        assert after[0] == 34
         m.refine([cid])
         m.refine(np.array([0, cid]))     # 0 is a root cell, split at build time
         assert (len(m.cells), len(m.vertices), m.content_hash()) == after
@@ -184,29 +185,30 @@ class TestRefine:
     def test_cell_split_by_closure_is_not_split_again(self):
         def refined(*calls):
             m = msh.build_disk_mesh(R, 0)
-            m.refine([1])       # children 12..15; 12 and 13 lie on the sheet
+            m.refine([0])       # children 6..9; 6 and 7 lie on the sheet
             for marked in calls:
                 m.refine(marked)
             return m
-        # both children hang on the lower square 7: the closure of 12 splits
-        # it, and the closure of 13 in the same call must not split it again
-        one_call = refined([12, 13])
-        two_calls = refined([12], [13])
-        assert len(one_call.cells) == 16 + 4 * 5
-        assert one_call.children[7, 0] != -1
+        # both children hang on the lower square 3: the closure of 6 splits
+        # it, and the closure of 7 in the same call must not split it again
+        # (the closure of 7 also splits the right square 1)
+        one_call = refined([6, 7])
+        two_calls = refined([6], [7])
+        assert len(one_call.cells) == 10 + 4 * 4
+        assert one_call.children[3, 0] != -1
         assert np.array_equal(one_call.cells, two_calls.cells)
         assert np.array_equal(one_call.vertices, two_calls.vertices)
 
     def test_arc_midpoints_lie_on_the_circle(self):
         m = cascade_toward_rim()
         split = np.flatnonzero(m.children[:, 0] >= 0)
-        split = split[split >= 12]      # the 12 root cells split at build time
+        split = split[split >= 6]       # the 6 root cells split at build time
         kids = m.children[split]
         # the midpoints of local edges 0..3 are corners 1, 2, 3, 0 of children 0..3
         mids = np.stack([m.cells[kids[:, 0], 1], m.cells[kids[:, 1], 2],
                          m.cells[kids[:, 2], 3], m.cells[kids[:, 3], 0]], axis=1)
         on_arc = m.arc[split]
-        assert on_arc.sum() >= 5
+        assert on_arc.sum() >= 3
         radius = np.hypot(*m.vertices[mids[on_arc]].T)
         assert np.all(np.abs(radius - R) <= m._tol)
 
@@ -309,16 +311,17 @@ class TestAgainstRecursiveSplit:
 
 class TestInterfaceFaces:
     def test_faces_tile_the_diameter(self):
+        # the half of the diameter in the half disk, 0 <= x <= R
         for refines in (0, 2):
             m = msh.build_disk_mesh(R, refines)
             faces = msh.interface_faces(m)
             xs = np.array([f.x_lo for f in faces] + [faces[-1].x_hi])
-            assert xs[0] == pytest.approx(-R)
+            assert xs[0] == 0.0
             assert xs[-1] == pytest.approx(R)
             for f, fnext in zip(faces, faces[1:]):
                 assert f.x_hi == pytest.approx(fnext.x_lo, abs=1e-12 * R)
             total = sum(f.length for f in faces)
-            assert total == pytest.approx(2 * R, rel=1e-12)
+            assert total == pytest.approx(R, rel=1e-12)
 
     def test_refining_interface_cell_splits_face(self):
         m = msh.build_disk_mesh(R, 1)
@@ -389,16 +392,16 @@ class TestNumbering:
         for _ in range(4):
             ids = m.active_ids()
             m.refine(rng.choice(ids, len(ids) // 5, replace=False))
-        self.check(m, 2884, 2690, 20286, "fd0f066522dc7666", "7e7c8c21325266fe")
+        self.check(m, 1610, 1531, 11404, "0929d59acc3ab5e8", "019eff02f884848d")
 
     def test_band_refined_initial_mesh(self):
         m = build_initial_mesh(RunConfig(sigma_r=0.15j))
         band_refine(m, 1.5625, 0.4)
-        self.check(m, 7196, 5709, 44864, "fb9a52f74321864e", "4f5617c278d41b8a")
+        self.check(m, 3598, 2888, 22498, "8e1fa1f5f2f1f1f5", "9a349ea23e700d13")
 
     def test_cascading_closure_toward_the_rim(self):
-        self.check(cascade_toward_rim(), 128, 127, 912, "da3d1356ff840993",
-                   "fc6f6e3a38b6c0ef")
+        self.check(cascade_toward_rim(), 70, 78, 512, "4a788a0bc8d13147",
+                   "14a13352925cd9c4")
 
     def test_inactive_cell_has_no_rank(self):
         m = msh.build_disk_mesh(R, 1)

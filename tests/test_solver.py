@@ -77,13 +77,13 @@ class TestDirectSolve:
 
 class TestDiagonalPivoting:
     def test_default_run_cycle1_pivots_on_diagonal(self):
-        # a pivot threshold of 0.01 takes 6 row pivots off the diagonal here
+        # a pivot threshold of 0.01 takes 55 row pivots off the diagonal here
         config = RunConfig()
         space = distribute_dofs(build_initial_mesh(config))
         model = config.model()
         full = assemble_volume_boundary(space, model) + assemble_interface(space, model)
         mat, rhs = condense(full, assemble_dipole_rhs(space, model), build_constraints(space))
-        assert mat.shape[0] == 8594
+        assert mat.shape[0] == 4354
         fac = factorize(mat)
         assert np.array_equal(fac.lu.perm_r, fac.lu.perm_c)
         x, _ = fac.solve(rhs)
