@@ -11,8 +11,11 @@ recoveries pi: weighted least-squares fits of an edge field on a parent
 cell, of order 3 over a clean 2x2 sibling patch and of order 2 over all
 active descendants of an irregular parent, which is cruder but safe.  A cell
 below an irregular parent takes its fit.  The patches that win a cell are
-fitted in batches of equal order and size, one normal-equation solve per
-batch.  Only the differences (pi u - u) ever enter the indicators.
+fitted in batches of equal order and size.  One recovery fits the primal and
+the adjoint together: each batch builds its normal matrices once and solves
+them once per solution.  Only the differences (pi u - u) ever enter the
+indicators; on the sheet and rim faces the solutions and their differences
+come from one basis evaluation per face set.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -29,7 +32,7 @@ import numpy as np
 from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
 from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
-                      sheet_ref_points, vector_monomials)
+                      shape_eval, sheet_ref_points, vector_monomials)
 from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry, jacobian_det,
                    jacobian_inv)
 
@@ -130,27 +133,29 @@ class PatchReconstruction:
     order 3 when that is a clean 2x2 patch, unless an irregular parent lies
     above it, whose order-2 fit over all its active descendants wins (the
     later such parent in order of first appearance).  Only winning patches
-    are fitted, grouped by order and member count, one batched weighted
-    normal-equation solve per group.  Each cell keeps its embedding (offset,
-    scale) in the parent's reference frame and its patch's coefficients; the
+    are fitted, grouped by order and member count.  Every solution that the
+    QuadData registers is fitted on the same patches: the weighted normal
+    matrices are built once per group and solved against each solution's
+    right-hand side.  Each cell keeps its embedding (offset, scale) in the
+    parent's reference frame and its patch's coefficients per solution; the
     differences at the standard quadrature points are precomputed for every
-    active cell.
+    solution and active cell, dvals_quad (s, n, p, 2) and dcurls_quad (s, n, p).
     """
 
-    def __init__(self, qd: QuadData, k: int):
-        self.sol = qd.sols[k]
+    def __init__(self, qd: QuadData):
         self.space = qd.space
+        self.sols = qd.sols
         mesh = self.space.mesh
-        self._u_quad, self._uc_quad = qd.values[k], qd.curls[k]
         n, p = qd.det.shape
-        self.dvals_quad = np.zeros((n, p, 2), dtype=complex)
-        self.dcurls_quad = np.zeros((n, p), dtype=complex)
+        s = len(qd.sols)
+        self.dvals_quad = np.zeros((s, n, p, 2), dtype=complex)
+        self.dcurls_quad = np.zeros((s, n, p), dtype=complex)
         self._order = np.zeros(n, dtype=np.int64)   # 0: no patch, difference vanishes
         self._parent = np.zeros(n, dtype=np.int64)
         self._offset = np.zeros((n, 2))
         self._scale = np.zeros(n)
-        self._coeffs = {2: np.zeros((n, 12), dtype=complex),
-                        3: np.zeros((n, 24), dtype=complex)}
+        self._coeffs = {2: np.zeros((s, n, 12), dtype=complex),
+                        3: np.zeros((s, n, 24), dtype=complex)}
 
         # parents in order of first appearance over the active cells
         parents = mesh.parent[self.space.active]
@@ -177,44 +182,45 @@ class PatchReconstruction:
             step = max(1, CHUNK_CELLS // m)
             for lo in range(0, len(group), step):
                 rows = (start[group[lo:lo + step], None] + np.arange(m)).ravel()
-                self._fit(qd.det, int(order), int(m), parents[patch[rows]],
+                self._fit(qd, int(order), int(m), parents[patch[rows]],
                           ranks[rows], offsets[rows], scales[rows], wins[rows])
 
-    def _fit(self, det_quad, order, m, owner, ranks, offsets, scales, wins):
+    def _fit(self, qd, order, m, owner, ranks, offsets, scales, wins):
         """Fit patches of m member cells each (rows grouped by patch); store pi u - u."""
         n_patch = len(owner) // m
         mono, mono_curl, jac = self._parent_frame(owner, offsets, scales,
                                                   REF.quad_pts, order)
         n_cells, p, n_mono = mono_curl.shape
+        mono_curl = mono_curl.reshape(n_patch, -1, n_mono)
         # rows (cell, point, component) of each patch, weighted by w det
         a = np.moveaxis(mono, 3, 2).reshape(n_patch, -1, n_mono)
         del mono
-        w = np.repeat((REF.quad_wts * det_quad[ranks]).reshape(n_patch, -1), 2, axis=1)
-        b = (np.swapaxes(jac, 2, 3) @ self._u_quad[ranks][..., None]).reshape(n_patch, -1)
+        w = np.repeat((REF.quad_wts * qd.det[ranks]).reshape(n_patch, -1), 2, axis=1)
         aw_t = np.swapaxes(a * w[..., None], 1, 2)
-        atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
-        # one complex solve: solving for the real and imaginary parts apart
-        # rounds differently, enough to flip near-tied marks
-        coeffs = np.linalg.solve((aw_t @ a).astype(complex),
-                                 atb[..., :1] + 1j * atb[..., 1:])[..., 0]
-        del aw_t
-        # pi u from the same rows, real and imaginary parts as two columns
-        parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
-        hat = (a @ parts).reshape(n_cells, p, 2, 2)
-        curls = (mono_curl.reshape(n_patch, -1, n_mono) @ parts).reshape(n_cells, p, 2)
-        coeffs = np.repeat(coeffs, m, axis=0)
+        normal = (aw_t @ a).astype(complex)
+        jac_t = np.swapaxes(jac, 2, 3)
         r, jac = ranks[wins], jac[wins]
         det = jacobian_det(jac)
         jinv_t = np.swapaxes(jacobian_inv(jac, det), 2, 3)
-        hat = hat[wins, ..., 0] + 1j * hat[wins, ..., 1]
-        self.dvals_quad[r] = (jinv_t @ hat[..., None])[..., 0] - self._u_quad[r]
-        self.dcurls_quad[r] = ((curls[wins, :, 0] + 1j * curls[wins, :, 1])
-                               / det - self._uc_quad[r])
+        for k, (u, u_curl) in enumerate(zip(qd.values, qd.curls)):
+            b = (jac_t @ u[ranks][..., None]).reshape(n_patch, -1)
+            atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
+            # one complex solve: solving for the real and imaginary parts apart
+            # rounds differently, enough to flip near-tied marks
+            coeffs = np.linalg.solve(normal, atb[..., :1] + 1j * atb[..., 1:])[..., 0]
+            # pi u from the same rows, real and imaginary parts as two columns
+            parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
+            hat = (a @ parts).reshape(n_cells, p, 2, 2)[wins]
+            curls = (mono_curl @ parts).reshape(n_cells, p, 2)[wins]
+            hat = hat[..., 0] + 1j * hat[..., 1]
+            self.dvals_quad[k, r] = (jinv_t @ hat[..., None])[..., 0] - u[r]
+            self.dcurls_quad[k, r] = ((curls[..., 0] + 1j * curls[..., 1]) / det
+                                      - u_curl[r])
+            self._coeffs[order][k, r] = np.repeat(coeffs, m, axis=0)[wins]
         self._order[r] = order
         self._parent[r] = owner[wins]
         self._offset[r] = offsets[wins]
         self._scale[r] = scales[wins]
-        self._coeffs[order][r] = coeffs[wins]
 
     def _parent_frame(self, parents, offsets, scales, ref_pts, order):
         """Monomials and parent Jacobians at cell reference points mapped into parents."""
@@ -225,59 +231,54 @@ class PatchReconstruction:
         n_mono = mono.shape[1]
         return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
 
-    def _recovered(self, ranks, ref_pts):
-        """pi u values (n, p, 2) and curls (n, p) at reference points of cells."""
-        ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
-        vals = np.zeros(ref_pts.shape, dtype=complex)
-        curls = np.zeros(ref_pts.shape[:2], dtype=complex)
-        for order, coeffs in self._coeffs.items():
-            sel = np.nonzero(self._order[ranks] == order)[0]
-            r = ranks[sel]
-            c = coeffs[r]
-            mono, mono_curl, jac = self._parent_frame(
-                self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], order)
-            det = jacobian_det(jac)
-            jinv_t = jacobian_inv(jac, det).transpose(0, 1, 3, 2)
-            hat = np.einsum("npmc,nm->npc", mono, c)
-            vals[sel] = np.einsum("npij,npj->npi", jinv_t, hat)
-            curls[sel] = (mono_curl @ c[:, :, None])[..., 0] / det
-        return vals, curls
-
-    def diff(self, cids, ref_pts):
-        """(pi u - u) values (n, p, 2) and curls (n, p) at reference points of cells.
+    def at_points(self, cids, ref_pts):
+        """Values of u and of pi u - u, each (s, n, p, 2), at reference points of cells.
 
         ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; cells
         outside every patch get zero differences.
         """
         ranks = self.space.rank[cids]
-        pi_vals, pi_curls = self._recovered(ranks, ref_pts)
-        patched = (self._order[ranks] > 0)[:, None]
-        dvals = np.where(patched[..., None], pi_vals - self.sol.values(cids, ref_pts), 0)
-        dcurls = np.where(patched, pi_curls - self.sol.curls(cids, ref_pts), 0)
-        return dvals, dcurls
+        basis, _ = shape_eval(self.space, cids, ref_pts)
+        cell_dofs = self.space.cell_dofs[ranks]
+        u = np.stack([np.einsum("nb,npbc->npc", sol.coeffs[cell_dofs], basis)
+                      for sol in self.sols])
+        pi = np.zeros_like(u)
+        ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
+        for order, coeffs in self._coeffs.items():
+            sel = np.flatnonzero(self._order[ranks] == order)
+            r = ranks[sel]
+            mono, _, jac = self._parent_frame(
+                self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], order)
+            jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
+            for k, c in enumerate(coeffs[:, r]):
+                hat = np.einsum("npmc,nm->npc", mono, c)
+                pi[k, sel] = np.einsum("npij,npj->npi", jinv_t, hat)
+        patched = (self._order[ranks] > 0)[:, None, None]
+        return u, np.where(patched, pi - u, 0)
 
 
-def reconstruct(qd: QuadData, k: int) -> PatchReconstruction:
-    """Patch recovery of the k-th solution registered in qd."""
-    return PatchReconstruction(qd, k)
+def reconstruct(qd: QuadData) -> PatchReconstruction:
+    """Patch recovery of every solution registered in qd, from one shared fit."""
+    return PatchReconstruction(qd)
 
 
-def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
-               recon_Z: PatchReconstruction, weight: WeightFunction) -> dict[int, float]:
+def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
+               weight: WeightFunction) -> dict[int, float]:
     """Per-cell indicators eta_Q from the mixed primal/dual residual form.
 
-    Only discrete quantities enter; the exact solutions never do.
+    qd registers the primal E_H and the adjoint Z_H, in that order, and recon
+    is their recovery.  Only discrete quantities enter; the exact solutions
+    never do.
     """
     space = qd.space
     mesh = space.mesh
     w_q = REF.quad_wts
     phys, det = qd.phys, qd.det
-    E_H, Z_H = recon_E.sol, recon_Z.sol
 
-    E_vals, E_curl = recon_E._u_quad, recon_E._uc_quad
-    Z_vals, Z_curl = recon_Z._u_quad, recon_Z._uc_quad
-    wz_vals, wz_curl = recon_Z.dvals_quad, recon_Z.dcurls_quad
-    ve_vals, ve_curl = recon_E.dvals_quad, recon_E.dcurls_quad
+    E_vals, Z_vals = qd.values
+    E_curl, Z_curl = qd.curls
+    ve_vals, wz_vals = recon.dvals_quad
+    ve_curl, wz_curl = recon.dcurls_quad
 
     n = len(space.active)
     rho = np.empty(n, dtype=complex)
@@ -321,10 +322,8 @@ def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
     p = ref.shape[1]
     cref[coarse] = sheet_ref_points(mesh, np.repeat(cids[coarse], p),
                                     fphys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
-    e_t = E_H.values(cids, cref)[..., 0]
-    z_t = Z_H.values(cids, cref)[..., 0]
-    wz_t = recon_Z.diff(cids, cref)[0][..., 0]
-    ve_t = recon_E.diff(cids, cref)[0][..., 0]
+    vals, dvals = recon.at_points(cids, cref)
+    (e_t, z_t), (ve_t, wz_t) = vals[..., 0], dvals[..., 0]
     fws = fw[fid] * sigma_eff[fid]
     ranks = space.rank[cids]
     share = 0.5
@@ -339,10 +338,8 @@ def indicators(qd: QuadData, model: SheetModel, recon_E: PatchReconstruction,
     def tangential(v):
         return np.einsum("fpi,fpi->fp", v, that)
 
-    e_t = tangential(E_H.values(cids, ref))
-    z_t = tangential(Z_H.values(cids, ref))
-    wz_t = tangential(recon_Z.diff(cids, ref)[0])
-    ve_t = tangential(recon_E.diff(cids, ref)[0])
+    vals, dvals = recon.at_points(cids, ref)
+    e_t, z_t, ve_t, wz_t = (tangential(v) for v in (*vals, *dvals))
     ranks = space.rank[cids]
     np.add.at(rho, ranks, 1j * impedance * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * impedance * np.sum(fw * ve_t * np.conj(z_t), axis=1))

@@ -257,8 +257,7 @@ def run_adaptive(config: RunConfig):
         dual_rhs = assemble_dual_rhs(space, total, weight)
         adjoint = solve_adjoint(sys_tot, dual_rhs, factor=fac_tot)
         qd = dwr_mod.QuadData(space, (total, adjoint))
-        eta = dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd, 0),
-                                 dwr_mod.reconstruct(qd, 1), weight)
+        eta = dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd), weight)
         out.cycle_outputs(cycle, mesh, space, trace, reference, eta)
         marked = dwr_mod.mark(eta, mesh, weight, cycle,
                               fraction=config.marking_fraction,

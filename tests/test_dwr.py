@@ -27,7 +27,28 @@ def grid_mesh(n, size=1.0, R=50.0):
 
 
 def recover(sol):
-    return reconstruct(QuadData(sol.space, (sol,)), 0)
+    return reconstruct(QuadData(sol.space, (sol,)))
+
+
+def nested_patch_space():
+    """Root 0 (outer) holds two active children, the refined child 6 (a
+    clean patch) and child 4 (inner), itself irregular around the clean
+    patch of its child 20.  Returns the space and the outer and inner ids."""
+    m = grid_mesh(2, size=2.0)
+    m.uniform_refine(1)
+    outer, inner, clean_in_outer = 0, 4, 6
+    m.refine([inner])
+    clean_in_inner = int(m.children[inner, 0])
+    m.refine([clean_in_inner])
+    m.refine([clean_in_outer])
+    assert int(m.parent[clean_in_inner]) == inner
+    return distribute_dofs(m), outer, inner
+
+
+def random_solution(space, seed):
+    rng = np.random.default_rng(seed)
+    return FieldSolution(space, rng.standard_normal(space.n_dofs)
+                         + 1j * rng.standard_normal(space.n_dofs))
 
 
 def quadratic_field(pts):
@@ -176,40 +197,60 @@ class TestReconstruction:
         assert np.max(np.abs(rec.dvals_quad)) < 1e-10
         assert np.max(np.abs(rec.dcurls_quad)) < 1e-10
         # the stored patch embeddings and coefficients reproduce it off the grid too
-        dvals, dcurls = rec.diff(space.active, np.random.default_rng(2).random((5, 2)))
+        _, dvals = rec.at_points(space.active, np.random.default_rng(2).random((5, 2)))
         assert np.max(np.abs(dvals)) < 1e-10
-        assert np.max(np.abs(dcurls)) < 1e-10
 
     def test_nested_patches_take_the_later_irregular_fit(self):
-        # root 0 (outer) holds two active children, the refined child 6 (a
-        # clean patch) and child 4 (inner), itself irregular around the clean
-        # patch of its child 20.  Active cells come in ascending id, so the
-        # inner parent appears after the outer one and its fit wins below it;
-        # both clean patches give way to the order-2 fit of an irregular parent.
-        m = grid_mesh(2, size=2.0)
-        m.uniform_refine(1)
-        outer, inner, clean_in_outer = 0, 4, 6
-        m.refine([inner])
-        clean_in_inner = int(m.children[inner, 0])
-        m.refine([clean_in_inner])
-        m.refine([clean_in_outer])
-        space = distribute_dofs(m)
-        assert int(m.parent[clean_in_inner]) == inner
+        # Active cells come in ascending id, so the inner parent appears after
+        # the outer one and its fit wins below it; both clean patches give way
+        # to the order-2 fit of an irregular parent.
+        space, outer, inner = nested_patch_space()
         sol = FieldSolution(space, interpolate(space, smooth_field))
-        rec = recover(sol)
+        qd = QuadData(space, (sol,))
+        rec = reconstruct(qd)
         by_outer = order2_patch_differences(sol, outer)
         by_inner = order2_patch_differences(sol, inner)
         assert set(by_inner) < set(by_outer) and len(by_outer) == 13
-        scale = np.max(np.abs(rec._u_quad))
+        scale = np.max(np.abs(qd.values[0]))
         # the two fits differ below the inner parent, so the test tells them apart
         assert max(np.max(np.abs(by_inner[c][0] - by_outer[c][0]))
                    for c in by_inner) > 1e-3 * scale
         for cid, (dvals, dcurls) in {**by_outer, **by_inner}.items():
             r = space.rank[cid]
             assert rec._order[r] == 2
-            np.testing.assert_allclose(rec.dvals_quad[r], dvals, rtol=0, atol=1e-9 * scale)
-            np.testing.assert_allclose(rec.dcurls_quad[r], dcurls, rtol=0,
+            np.testing.assert_allclose(rec.dvals_quad[0, r], dvals, rtol=0,
                                        atol=1e-9 * scale)
+            np.testing.assert_allclose(rec.dcurls_quad[0, r], dcurls, rtol=0,
+                                       atol=1e-9 * scale)
+
+    def test_shared_fit_matches_single_fits_bitwise(self):
+        # fitting e and z together shares the normal matrices; each solution
+        # must still get exactly the numbers of its own recovery
+        space, _, _ = nested_patch_space()
+        e, z = random_solution(space, 4), random_solution(space, 5)
+        both = reconstruct(QuadData(space, (e, z)))
+        pts = np.random.default_rng(6).random((len(space.active), 3, 2))
+        shared = both.at_points(space.active, pts)
+        for k, sol in enumerate((e, z)):
+            alone = reconstruct(QuadData(space, (sol,)))
+            assert np.array_equal(both.dvals_quad[k], alone.dvals_quad[0])
+            assert np.array_equal(both.dcurls_quad[k], alone.dcurls_quad[0])
+            for got, want in zip(shared, alone.at_points(space.active, pts)):
+                assert np.array_equal(got[k], want[0])
+
+    def test_off_grid_differences_match_quadrature_differences(self):
+        # the two evaluation paths of pi u - u agree for a field that no
+        # patch space contains
+        space, _, _ = nested_patch_space()
+        sol = random_solution(space, 7)
+        qd = QuadData(space, (sol,))
+        rec = reconstruct(qd)
+        vals, dvals = rec.at_points(space.active, REF.quad_pts)
+        scale = np.max(np.abs(qd.values[0]))
+        assert np.max(np.abs(rec.dvals_quad)) > 1e-2 * scale
+        np.testing.assert_allclose(vals[0], qd.values[0], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(dvals[0], rec.dvals_quad[0], rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_difference_shrinks_faster_than_interpolation_error(self):
         # measured on three uniform levels: the recovery difference stays below
@@ -235,7 +276,7 @@ class TestReconstruction:
                 err_true += np.sum(REF.quad_wts * det *
                                    np.sum(np.abs(u - f(phys[0])) ** 2, axis=1))
                 err_rec += np.sum(REF.quad_wts * det *
-                                  np.sum(np.abs(rec.dvals_quad[i]) ** 2, axis=1))
+                                  np.sum(np.abs(rec.dvals_quad[0, i]) ** 2, axis=1))
             ratios.append(np.sqrt(err_rec / err_true))
         assert all(r < 1.0 for r in ratios)
         assert ratios[2] < ratios[1] < ratios[0]
@@ -248,9 +289,8 @@ class TestIndicators:
         model = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=8 * np.pi, s0=2.0),
                            dipole=DipoleSpec(height=1.0, radius=0.15625))
         zero = FieldSolution(space, np.zeros(space.n_dofs, dtype=complex))
-        qd = QuadData(space, (zero,))
-        rec = reconstruct(qd, 0)
-        eta = dwr_mod.indicators(qd, model, rec, rec, WeightFunction(D_W))
+        qd = QuadData(space, (zero, zero))
+        eta = dwr_mod.indicators(qd, model, reconstruct(qd), WeightFunction(D_W))
         assert set(eta) == set(space.active)
         assert all(v == 0.0 for v in eta.values())
 
@@ -265,8 +305,7 @@ class TestIndicators:
         z = FieldSolution(space, rng.standard_normal(space.n_dofs)
                           + 1j * rng.standard_normal(space.n_dofs))
         qd = QuadData(space, (e, z))
-        eta = dwr_mod.indicators(qd, model, reconstruct(qd, 0), reconstruct(qd, 1),
-                                 WeightFunction(D_W))
+        eta = dwr_mod.indicators(qd, model, reconstruct(qd), WeightFunction(D_W))
         assert all(v >= 0.0 for v in eta.values())
 
 

@@ -15,6 +15,15 @@ def tiny_config(**kw):
     return hn.RunConfig(**base)
 
 
+def vtk_cell_scalars(path, name):
+    """One CELL_DATA scalar column of a legacy ASCII VTK file written by write_vtk."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    n = int(next(line for line in lines if line.startswith("CELL_DATA")).split()[1])
+    start = lines.index(f"SCALARS {name} double 1") + 2   # skip LOOKUP_TABLE
+    return np.array([float(v) for v in lines[start:start + n]])
+
+
 @pytest.fixture(scope="module")
 def tiny_solutions():
     cfg = tiny_config()
@@ -157,7 +166,9 @@ class TestRunAdaptive:
         cfg2 = tiny_config(cycles=2, out_dir=str(tmp_path / "r2"), write_artifacts=True)
         hn.run_adaptive(cfg1)
         hn.run_adaptive(cfg2)
-        for name in ("convergence.csv", "interface_trace_cycle2.csv"):
+        # cycle 1 is followed by a refinement, so its VTK file carries eta
+        for name in ("convergence.csv", "interface_trace_cycle2.csv",
+                     "solution_cycle1.vtk"):
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2
@@ -187,13 +198,22 @@ class TestDefaultRun:
               (2, 2322, 19580, 1.263078870286583e-3, 1.8467246960042843e-2),
               (3, 3882, 32832, 3.547800848949961e-3, 4.032951547049639e-3))
 
-    def test_first_three_cycles_pinned(self):
-        records, _ = hn.run_adaptive(hn.RunConfig(cycles=3, write_artifacts=False))
+    # sum and max of the eta column in the VTK files of cycles 1 and 2
+    ETA_PINNED = {1: (0.2940971931424526, 0.0117027503536654),
+                  2: (0.20119595212974242, 0.003028371179260626)}
+
+    def test_first_three_cycles_pinned(self, tmp_path):
+        records, artifacts = hn.run_adaptive(
+            hn.RunConfig(cycles=3, out_dir=str(tmp_path), write_artifacts=True))
         assert len(records) == len(self.PINNED)
         for r, (cycle, cells, dofs, err, err_cx) in zip(records, self.PINNED):
             assert (r.cycle, r.n_cells, r.n_dofs) == (cycle, cells, dofs)
             assert r.l2_error == pytest.approx(err, rel=1e-8, abs=0)
             assert r.l2_error_complex == pytest.approx(err_cx, rel=1e-8, abs=0)
+        for cycle, (total, peak) in self.ETA_PINNED.items():
+            eta = vtk_cell_scalars(artifacts[f"solution_cycle{cycle}.vtk"], "eta")
+            assert eta.sum() == pytest.approx(total, rel=1e-8, abs=0)
+            assert eta.max() == pytest.approx(peak, rel=1e-8, abs=0)
 
 
 class TestPmlStudy:
