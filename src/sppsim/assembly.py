@@ -336,10 +336,12 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
 
 
 def assemble_pair(fixed: FixedPart, model: SheetModel):
-    """Condensed matrices (without sheet, with sheet) of one model on fixed's mesh.
+    """Condensed sheet-free matrix mat_0 and condensed sheet term of one model.
 
     Only the outer cells' volume term and the sheet term are assembled here;
-    each is condensed on its own and added to the fixed part.
+    each is condensed on its own, and the outer term is added to the fixed
+    part.  The matrix with the sheet is mat_0 + sheet; the caller forms it
+    when it needs it, so that it is not held while mat_0 is factorized.
     """
     if _fixed_key(model) != fixed.key:
         raise ValueError("the fixed part was built for other materials, dipole "
@@ -347,5 +349,4 @@ def assemble_pair(fixed: FixedPart, model: SheetModel):
     space, cs = fixed.space, fixed.constraints
     outer, _ = condense(assemble_volume(space, model, fixed.outer), None, cs)
     sheet, _ = condense(assemble_interface(space, model), None, cs)
-    mat_0 = fixed.matrix + outer
-    return mat_0, mat_0 + sheet
+    return fixed.matrix + outer, sheet

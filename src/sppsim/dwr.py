@@ -126,6 +126,11 @@ def _active_descendants(mesh: Mesh, parents):
     return group[order], cid[order], offset[order], scale[order]
 
 
+# member cells per batch of the patch fit: bounds the transient monomial,
+# Jacobian and weighted-row tables, which grow with the cells of a batch
+FIT_BATCH_CELLS = 2048
+
+
 class PatchReconstruction:
     """Higher-order recovery on parent patches, used through differences only.
 
@@ -133,7 +138,8 @@ class PatchReconstruction:
     order 3 when that is a clean 2x2 patch, unless an irregular parent lies
     above it, whose order-2 fit over all its active descendants wins (the
     later such parent in order of first appearance).  Only winning patches
-    are fitted, grouped by order and member count.  Every solution that the
+    are fitted, grouped by order and member count, in batches of at most
+    FIT_BATCH_CELLS member cells (or one patch).  Every solution that the
     QuadData registers is fitted on the same patches: the weighted normal
     matrices are built once per group and solved against each solution's
     right-hand side.  Each cell keeps its embedding (offset, scale) in the
@@ -179,7 +185,7 @@ class PatchReconstruction:
         orders = np.where(clean, 3, 2)
         for order, m in np.unique(np.column_stack([orders, size])[fitted], axis=0):
             group = np.flatnonzero(fitted & (orders == order) & (size == m))
-            step = max(1, CHUNK_CELLS // m)
+            step = max(1, FIT_BATCH_CELLS // m)
             for lo in range(0, len(group), step):
                 rows = (start[group[lo:lo + step], None] + np.arange(m)).ravel()
                 self._fit(qd, int(order), int(m), parents[patch[rows]],

@@ -226,11 +226,6 @@ class FieldSolution:
         vals, _ = shape_eval(self.space, cids, ref_pts)
         return np.einsum("nb,npbc->npc", self._local(cids), vals)
 
-    def curls(self, cids, ref_pts):
-        """Scalar curls (n, p) at reference points of the cells cids."""
-        _, curls = shape_eval(self.space, cids, ref_pts)
-        return np.einsum("nb,npb->np", self._local(cids), curls)
-
 
 def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
     """Physical points, det J, basis values and curls on many cells at once.

@@ -17,6 +17,15 @@ the natural condition n x curl E = 0 (H_z = 0), a magnetic wall; no
 boundary term is added there, as boundary_faces selects only the arc.  E_x
 on the sheet is odd in x, so the trace at x < 0 is taken from |x|.
 convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
+
+Every factorization runs with no other LU factors and only one full-size
+condensed system matrix alive, besides a fixed part that the caller passes
+in; that bounds the peak memory.  solve_pair factorizes the sheet-free
+matrix before it forms the matrix with the sheet, and frees a fixed part
+that it built itself once the pair is assembled.  A cycle of run_adaptive
+keeps its factors and system only through the adjoint solve; they, the
+solutions, QuadData and the recovery are freed before the mesh is refined.
+pml_study keeps each layer strength's trace and nothing else of its pair.
 """
 
 from __future__ import annotations
@@ -196,17 +205,22 @@ def solve_pair(space, constraints, model: SheetModel, fixed: FixedPart | None = 
     """Solve with and without the sheet on one mesh, sharing the volume matrix.
 
     fixed is the model-independent part of the pair (assemble_fixed) on this
-    space; it is built here when not given.
+    space; it is built here when not given, and then freed once the pair's
+    matrices are assembled.  The matrix with the sheet is formed only after
+    the sheet-free solve has returned and its factors are freed, so each
+    factorization runs with one full-size system matrix alive.
     """
     if fixed is None:
         fixed = assemble_fixed(space, constraints, model)
-    mat_0, mat_tot = assemble_pair(fixed, model)
-    sys_tot = ComplexSystem(matrix=mat_tot, rhs=fixed.rhs, space=space,
+    mat_0, sheet = assemble_pair(fixed, model)
+    rhs = fixed.rhs
+    del fixed
+    primary = solve(ComplexSystem(matrix=mat_0, rhs=rhs, space=space,
+                                  constraints=constraints))
+    mat_tot = mat_0 + sheet
+    del mat_0, sheet
+    sys_tot = ComplexSystem(matrix=mat_tot, rhs=rhs, space=space,
                             constraints=constraints)
-    sys_0 = ComplexSystem(matrix=mat_0, rhs=fixed.rhs, space=space,
-                          constraints=constraints)
-    # the sheet-free factors are freed before the sheet system is factorized
-    primary = solve(sys_0)
     fac_tot = factorize(mat_tot)
     total = solve(sys_tot, factor=fac_tot)
     return total, primary, sys_tot, fac_tot
@@ -221,6 +235,27 @@ def _full_disk_counts(space: EdgeFESpace) -> tuple[int, int]:
     mesh = space.mesh
     on_wall = np.abs(mesh.vertices[space.face_keys, 0]).max(axis=1) <= mesh._tol
     return 2 * len(space.active), 2 * (space.n_dofs - int(on_wall.sum()))
+
+
+def _solve_cycle(space: EdgeFESpace, model: SheetModel, weight, xs,
+                 estimate: bool):
+    """Scattered trace of one cycle's solve pair and, if estimate, its indicators.
+
+    Everything else the cycle builds (factors, system, solutions, dual
+    right-hand side, adjoint, QuadData, recovery) is local here and freed
+    on return; the factors are freed before the QuadData is built.
+    """
+    total, primary, sys_tot, fac_tot = solve_pair(space, build_constraints(space),
+                                                  model)
+    trace = scattered_trace(total, primary, xs)
+    if not estimate:
+        return trace, None
+    del primary
+    adjoint = solve_adjoint(sys_tot, assemble_dual_rhs(space, total, weight),
+                            factor=fac_tot)
+    del sys_tot, fac_tot
+    qd = dwr_mod.QuadData(space, (total, adjoint))
+    return trace, dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd), weight)
 
 
 def run_adaptive(config: RunConfig):
@@ -238,37 +273,35 @@ def run_adaptive(config: RunConfig):
     records: list[ConvergenceRecord] = []
     for cycle in range(1, config.cycles + 1):
         space = distribute_dofs(mesh)
-        constraints = build_constraints(space)
-        total, primary, sys_tot, fac_tot = solve_pair(space, constraints, model)
-        trace = scattered_trace(total, primary, xs)
+        n_cells, n_dofs = _full_disk_counts(space)
+        # the last cycle refines nothing; it skips the adjoint and estimator
+        terminal = cycle == config.cycles or n_dofs > config.dof_cap
+        trace, eta = _solve_cycle(space, model, weight, xs, not terminal)
         err_re = l2_error(trace, reference, "real")
         err_cx = l2_error(trace, reference, "complex")
         rate = (math.log2(records[-1].l2_error / err_re)
                 if records and err_re > 0 else float("nan"))
-        n_cells, n_dofs = _full_disk_counts(space)
         records.append(ConvergenceRecord(
             cycle=cycle, n_cells=n_cells, n_dofs=n_dofs,
             l2_error=err_re, rate=rate, l2_error_complex=err_cx))
-        terminal = cycle == config.cycles or n_dofs > config.dof_cap
-        if terminal:
-            # no refinement follows; skip the adjoint and estimator work
-            out.cycle_outputs(cycle, mesh, space, trace, reference, None)
-            break
-        dual_rhs = assemble_dual_rhs(space, total, weight)
-        adjoint = solve_adjoint(sys_tot, dual_rhs, factor=fac_tot)
-        qd = dwr_mod.QuadData(space, (total, adjoint))
-        eta = dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd), weight)
         out.cycle_outputs(cycle, mesh, space, trace, reference, eta)
+        if terminal:
+            break
         marked = dwr_mod.mark(eta, mesh, weight, cycle,
                               fraction=config.marking_fraction,
                               level_cap=config.level_cap)
+        del space, trace, eta
         mesh.refine(marked)
     out.convergence(records)
     return records, out.artifacts
 
 
 def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
-    """Fixed-mesh solves for several layer strengths; identical mesh throughout."""
+    """Fixed-mesh solves for several layer strengths; identical mesh throughout.
+
+    Only each pair's trace is kept; its solutions and factors are freed
+    before the next pair is assembled.
+    """
     if not s0_list:
         raise ValueError("need at least one layer strength")
     if mesh is None:
@@ -282,10 +315,10 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     # only the layer strength changes between the models
     fixed = assemble_fixed(space, constraints, config.model(s0=s0_list[0]))
     for s0 in s0_list:
-        model = config.model(s0=s0)
-        total, primary, _, _ = solve_pair(space, constraints, model, fixed)
+        pair = solve_pair(space, constraints, config.model(s0=s0), fixed)
         assert mesh.content_hash() == mesh_hash
-        traces[s0] = scattered_trace(total, primary, xs)
+        traces[s0] = scattered_trace(*pair[:2], xs)
+        del pair
     _ArtifactWriter(config).pml_overlay(traces)
     return traces
 

@@ -436,12 +436,12 @@ class TestSplitPair:
         # the fixed part is built at another layer strength and conductivity
         fixed = assemble_fixed(space, cs, SheetModel(
             sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip, mu_r=1.5, eps_r=2.25))
-        mat_0, mat_tot = assemble_pair(fixed, mdl)
+        mat_0, sheet = assemble_pair(fixed, mdl)
         vol = assemble_volume_boundary(space, mdl)
         one_0, rhs = condense(vol, assemble_dipole_rhs(space, mdl), cs)
         one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
         assert max_rel(mat_0, one_0) <= 1e-13
-        assert max_rel(mat_tot, one_tot) <= 1e-13
+        assert max_rel(mat_0 + sheet, one_tot) <= 1e-13
         assert np.array_equal(fixed.rhs, rhs)
 
     def test_fixed_part_rejects_other_materials(self):

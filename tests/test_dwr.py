@@ -6,7 +6,7 @@ from sppsim import mesh as msh
 from sppsim.assembly import DipoleSpec, SheetModel
 from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
 from sppsim.fespace import (REF, FieldSolution, distribute_dofs, interpolate,
-                            vector_monomials)
+                            shape_eval, vector_monomials)
 from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
@@ -97,8 +97,10 @@ def order2_patch_differences(sol, parent):
         hat = np.einsum("pmc,m->pc", mono, coef)
         vals = np.linalg.solve(jac.transpose(0, 2, 1), hat[..., None])[..., 0]
         curls = mono_curl @ coef / jacobian_det(jac)
+        _, basis_curls = shape_eval(sol.space, [cid], REF.quad_pts)
+        local = sol.coeffs[sol.space.cell_dofs[sol.space.rank[cid]]]
         out[cid] = (vals - sol.values([cid], REF.quad_pts)[0],
-                    curls - sol.curls([cid], REF.quad_pts)[0])
+                    curls - basis_curls[0] @ local)
     return out
 
 
@@ -222,6 +224,26 @@ class TestReconstruction:
                                        atol=1e-9 * scale)
             np.testing.assert_allclose(rec.dcurls_quad[0, r], dcurls, rtol=0,
                                        atol=1e-9 * scale)
+
+    def test_fit_batch_size_does_not_change_the_recovery(self, monkeypatch):
+        # the fit's row budget only bounds memory: one patch per batch must
+        # give the default budget's numbers bit for bit
+        space, _, _ = nested_patch_space()
+        qd = QuadData(space, (random_solution(space, 4), random_solution(space, 5)))
+        batches = []
+        fit = dwr_mod.PatchReconstruction._fit
+        monkeypatch.setattr(dwr_mod.PatchReconstruction, "_fit",
+                            lambda self, *args: batches.append(1) or fit(self, *args))
+        default = reconstruct(qd)
+        n_default = len(batches)
+        monkeypatch.setattr(dwr_mod, "FIT_BATCH_CELLS", 1)
+        single = reconstruct(qd)
+        # the clean patches share a group, so one patch per batch splits it
+        assert len(batches) - n_default > n_default
+        assert np.array_equal(single.dvals_quad, default.dvals_quad)
+        assert np.array_equal(single.dcurls_quad, default.dcurls_quad)
+        for order in (2, 3):
+            assert np.array_equal(single._coeffs[order], default._coeffs[order])
 
     def test_shared_fit_matches_single_fits_bitwise(self):
         # fitting e and z together shares the normal matrices; each solution

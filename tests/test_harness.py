@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from sppsim import harness as hn
 from sppsim import mesh as msh
+from sppsim import solver
 from sppsim.assembly import AssemblyError
 from sppsim.fespace import FieldSolution, build_constraints, distribute_dofs
 
@@ -246,6 +249,45 @@ class TestPmlStudy:
         mesh = msh.build_disk_mesh(cfg.R, cfg.initial_refines)
         with pytest.raises(AssemblyError, match="unresolved"):
             hn.pml_study(cfg, [0.0, 2.0], mesh=mesh)
+
+
+class TestObjectLifetimes:
+    """Each fast factorization starts with no other factorization alive.
+
+    solver.factorize is wrapped where solver and harness bind it; the wrapper
+    counts, at every fast (safe=False) call, the factorizations it made before
+    that are still referenced.  The safe fallback refactorizes while the fast
+    factors are alive by design, so it is not checked.
+    """
+
+    @pytest.fixture
+    def alive_at_factorize(self, monkeypatch):
+        # weak references, not a WeakSet: a dataclass with eq is unhashable
+        made = []
+        seen = []
+        real = solver.factorize
+
+        def factorize(matrix, safe=False):
+            if not safe:
+                seen.append(sum(ref() is not None for ref in made))
+            fac = real(matrix, safe=safe)
+            made.append(weakref.ref(fac))
+            return fac
+
+        monkeypatch.setattr(solver, "factorize", factorize)
+        monkeypatch.setattr(hn, "factorize", factorize)
+        return seen
+
+    def test_adaptive_cycles_hold_one_factorization(self, alive_at_factorize):
+        records, _ = hn.run_adaptive(tiny_config(cycles=3))
+        assert len(records) == 3
+        # a primal and a total factorization per cycle
+        assert alive_at_factorize == [0] * 6
+
+    def test_pml_study_holds_one_factorization(self, alive_at_factorize):
+        cfg = tiny_config()
+        hn.pml_study(cfg, [0.0, 2.0, 8.0], mesh=hn.build_initial_mesh(cfg))
+        assert alive_at_factorize == [0] * 6
 
 
 class TestSpectralAmplitude:
