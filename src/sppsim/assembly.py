@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
                       FieldSolution, _mapped_basis, face_quadrature, shape_eval)
-from .mesh import boundary_faces, cell_diameters, cells_intersecting_disk
+from .mesh import cell_diameters, cells_intersecting_disk
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -133,13 +133,11 @@ def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
 
 def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
     """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
-    cids = np.array([f.owner for f in faces], dtype=np.int64)
-    ref, phys, wds, tangent = face_quadrature(space.mesh, cids,
-                                              [f.owner_edge for f in faces])
-    vals, _ = shape_eval(space, cids, ref)
+    ref, phys, wds, tangent = face_quadrature(space.mesh, faces.owner, faces.ledge)
+    vals, _ = shape_eval(space, faces.owner, ref)
     tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
     local = _gram(tang, (wds * coef(phys))[:, :, None] * tang)
-    return _scatter(space, space.cell_dofs[space.rank[cids]], local)
+    return _scatter(space, space.cell_dofs[space.rank[faces.owner]], local)
 
 
 def _volume_local(model: SheetModel, phys, det, vals, curls) -> np.ndarray:
@@ -219,7 +217,7 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matri
 def _rim_matrix(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     """Rim impedance term -i sqrt(eps_r/mu_r) int E_t conj(v_t), unstretched."""
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    return _face_matrix(space, boundary_faces(space.mesh), lambda x: -1j * impedance)
+    return _face_matrix(space, space.rim_faces, lambda x: -1j * impedance)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:

@@ -33,8 +33,7 @@ from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
 from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
                       shape_eval, sheet_ref_points, vector_monomials)
-from .mesh import (CHILD_OFFSETS, Mesh, boundary_faces, cell_geometry, jacobian_det,
-                   jacobian_inv)
+from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
 
 
 class QuadData:
@@ -315,16 +314,15 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     # sheet faces: half of each face integral to either adjacent cell, in face
     # order; a coarse neighbor maps the owner's quadrature points into its frame
     faces = space.sheet_faces
-    owners = np.array([f.owner for f in faces], dtype=np.int64)
-    ref, fphys, fw, _ = face_quadrature(mesh, owners, [f.owner_edge for f in faces])
+    ref, fphys, fw, _ = face_quadrature(mesh, faces.owner, faces.ledge)
     sigma_eff = pml_mod.sheet_arrays(fphys.reshape(-1, 2), model.sigma_r,
                                      model.pml).reshape(fw.shape)
-    sides = [(k, cid) for k, f in enumerate(faces) for cid in (f.above, f.below)
-             if cid is not None]
-    fid = np.array([k for k, _ in sides], dtype=np.int64)
-    cids = np.array([cid for _, cid in sides], dtype=np.int64)
+    sides = np.stack([faces.above, faces.below], 1).ravel()
+    mask = sides >= 0
+    fid = np.repeat(np.arange(len(faces)), 2)[mask]
+    cids = sides[mask]
     cref = ref[fid]
-    coarse = cids != owners[fid]
+    coarse = cids != faces.owner[fid]
     p = ref.shape[1]
     cref[coarse] = sheet_ref_points(mesh, np.repeat(cids[coarse], p),
                                     fphys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
@@ -337,9 +335,9 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
 
     impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    rim = boundary_faces(mesh)
-    cids = np.array([f.owner for f in rim], dtype=np.int64)
-    ref, _, fw, that = face_quadrature(mesh, cids, [f.owner_edge for f in rim])
+    rim = space.rim_faces
+    cids = rim.owner
+    ref, _, fw, that = face_quadrature(mesh, cids, rim.ledge)
 
     def tangential(v):
         return np.einsum("fpi,fpi->fp", v, that)

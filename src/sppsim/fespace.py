@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EDGE_CORNERS, Face, GeometryError, Mesh, cell_geometry,
-                   interface_faces, jacobian_det, jacobian_inv)
+from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, boundary_faces,
+                   cell_geometry, interface_faces, jacobian_det, jacobian_inv)
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -176,9 +176,14 @@ class EdgeFESpace:
     n_dofs: int
 
     @cached_property
-    def sheet_faces(self) -> list[Face]:
+    def sheet_faces(self) -> FaceTable:
         """The mesh's leaf faces on the sheet (interface_faces), built once."""
         return interface_faces(self.mesh)
+
+    @cached_property
+    def rim_faces(self) -> FaceTable:
+        """The mesh's leaf faces on the outer circle (boundary_faces), built once."""
+        return boundary_faces(self.mesh)
 
 
 def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
@@ -283,16 +288,6 @@ class ConstraintSet:
     def n_master(self) -> int:
         return len(self.master_dofs)
 
-    @property
-    def rows(self) -> dict[int, list[tuple[int, float]]]:
-        """Each constrained dof with its (master dof, coefficient) terms."""
-        constrained = np.setdiff1d(np.arange(self.n_dofs), self.master_dofs)
-        rows = self.matrix[constrained]
-        return {dof: [(int(self.master_dofs[c]), float(v))
-                      for c, v in zip(rows.indices[lo:hi], rows.data[lo:hi])]
-                for dof, lo, hi in zip(constrained.tolist(), rows.indptr[:-1].tolist(),
-                                       rows.indptr[1:].tolist())}
-
     def distribute(self, reduced: np.ndarray) -> np.ndarray:
         return self.matrix @ reduced
 
@@ -348,32 +343,6 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     data = np.concatenate([np.ones(len(master_dofs)), coef])
     matrix = sp.csr_matrix((data, (ri, ci)), shape=(space.n_dofs, len(master_dofs)))
     return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs)
-
-
-def interpolate(space: EdgeFESpace, fun) -> np.ndarray:
-    """Dof-moment interpolation of an analytic vector field fun(points)->(n,2)."""
-    mesh, cids = space.mesh, space.active
-    n = len(cids)
-    local = np.empty((n, N_DOFS_CELL), dtype=complex)
-    te, _ = gauss01(3)
-    for ledge in range(4):
-        _, phys, wds, tangent = face_quadrature(mesh, cids, np.full(n, ledge), 3)
-        ftan = wds * np.einsum("npi,npi->np", fun(phys.reshape(-1, 2)).reshape(phys.shape),
-                               tangent)
-        sign = 1 - 2 * ((space.orient_idx >> ledge) & 1)   # global edge direction
-        local[:, 2 * ledge] = sign * ftan.sum(axis=1)
-        local[:, 2 * ledge + 1] = ftan @ (2 * te - 1)
-    phys, jac = cell_geometry(mesh, cids, REF._bulk_pts)
-    pull = np.einsum("npji,npj->npi", jac, fun(phys.reshape(-1, 2)).reshape(phys.shape))
-    xi, eta = REF._bulk_pts.T
-    w = REF._bulk_wts
-    local[:, 8] = pull[:, :, 0] @ w
-    local[:, 9] = pull[:, :, 0] @ (w * (2 * xi - 1))
-    local[:, 10] = pull[:, :, 1] @ w
-    local[:, 11] = pull[:, :, 1] @ (w * (2 * eta - 1))
-    coeffs = np.zeros(space.n_dofs, dtype=complex)
-    coeffs[space.cell_dofs] = local
-    return coeffs
 
 
 def face_quadrature(mesh: Mesh, cids, ledges, n: int = 4):

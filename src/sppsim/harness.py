@@ -158,14 +158,11 @@ def scattered_trace(total: FieldSolution, primary: FieldSolution,
     faces = space.sheet_faces
     xs = np.asarray(xs, dtype=float)
     at = np.abs(xs)
-    lows = np.array([f.x_lo for f in faces])
-    his = np.array([f.x_hi for f in faces])
-    idx = np.clip(np.searchsorted(lows, at, side="right") - 1, 0, len(faces) - 1)
-    bad = (at < lows[idx] - 1e-12) | (at > his[idx] + 1e-12)
+    idx = np.clip(np.searchsorted(faces.x_lo, at, side="right") - 1, 0, len(faces) - 1)
+    bad = (at < faces.x_lo[idx] - 1e-12) | (at > faces.x_hi[idx] + 1e-12)
     if np.any(bad):
         raise ValueError("trace sample outside the sheet faces")
-    side = np.array([f.above if f.above is not None else f.below for f in faces])
-    cids = side[idx]
+    cids = np.where(faces.above >= 0, faces.above, faces.below)[idx]
     ref = sheet_ref_points(mesh, cids, at)
     dsol = FieldSolution(space, total.coeffs - primary.coeffs)
     values = dsol.values(cids, ref[:, None, :])[:, 0, 0]

@@ -408,17 +408,24 @@ def jacobian_inv(jac: np.ndarray, det: np.ndarray) -> np.ndarray:
 # -- face extraction ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class Face:
-    """A leaf mesh face: an edge of some active cell with no active sub-edges."""
+class FaceTable:
+    """Leaf mesh faces as columns, one row per face.
 
-    key: tuple[int, int]
-    x_lo: float
-    x_hi: float
-    owner: int          # active cell having this exact edge, preferring y > 0 side
-    owner_edge: int
-    above: int | None   # active cell on the y > 0 side (may be coarser)
-    below: int | None
-    length: float
+    owner is an active cell having the exact edge and ledge its local edge;
+    above and below are the active cells on the y > 0 and y < 0 sides (either
+    may be coarser), -1 where a side has no cell, and x_lo < x_hi the face's x
+    range.  boundary_faces fills only owner and ledge.
+    """
+
+    owner: np.ndarray
+    ledge: np.ndarray
+    above: np.ndarray | None = None
+    below: np.ndarray | None = None
+    x_lo: np.ndarray | None = None
+    x_hi: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.owner)
 
 
 def _leaf_edges(mesh: Mesh, on_vertex: np.ndarray):
@@ -447,18 +454,7 @@ def _leaf_edges(mesh: Mesh, on_vertex: np.ndarray):
     return keys[first], owners
 
 
-def _face_list(mesh: Mesh, keys, owner, above, below) -> list[Face]:
-    """Face records; owner is (f, 2) (cid, ledge), above/below cell ids or -1."""
-    xs = np.sort(mesh.vertices[keys, 0], axis=1)
-    return [Face(key=(k0, k1), x_lo=lo, x_hi=hi, owner=cid, owner_edge=ledge,
-                 above=None if up < 0 else up, below=None if down < 0 else down,
-                 length=hi - lo)
-            for (k0, k1), (lo, hi), (cid, ledge), up, down
-            in zip(keys.tolist(), xs.tolist(), owner.tolist(), above.tolist(),
-                   below.tolist())]
-
-
-def interface_faces(mesh: Mesh) -> list[Face]:
+def interface_faces(mesh: Mesh) -> FaceTable:
     """Active leaf faces on the sheet {y = 0}, sorted by x, oriented with +x."""
     keys, owners = _leaf_edges(mesh, mesh.on_interface())
     if len(keys) == 0:
@@ -476,17 +472,17 @@ def interface_faces(mesh: Mesh) -> list[Face]:
     # the cell above owns the face when it has the exact edge, else the first owner
     second_above = up[:, 1] & ~up[:, 0] & (owners[:, 1, 0] >= 0)
     owner = owners[rows, second_above.astype(np.int64)]
-    x_mid = 0.5 * np.sort(mesh.vertices[keys, 0], axis=1).sum(axis=1)
-    order = np.argsort(x_mid, kind="stable")
-    return _face_list(mesh, keys[order], owner[order], above[order], below[order])
+    xs = np.sort(mesh.vertices[keys, 0], axis=1)
+    order = np.argsort(xs.sum(axis=1), kind="stable")    # by face midpoint
+    return FaceTable(owner=owner[order, 0], ledge=owner[order, 1], above=above[order],
+                     below=below[order], x_lo=xs[order, 0], x_hi=xs[order, 1])
 
 
-def boundary_faces(mesh: Mesh) -> list[Face]:
+def boundary_faces(mesh: Mesh) -> FaceTable:
     """Active leaf faces on the outer circle (arc edges), each owned by one cell."""
     keys, owners = _leaf_edges(mesh, mesh.on_boundary())
     order = np.lexsort((keys[:, 1], keys[:, 0]))
-    none = np.full(len(keys), -1)
-    return _face_list(mesh, keys[order], owners[order, 0], none, none)
+    return FaceTable(owner=owners[order, 0, 0], ledge=owners[order, 0, 1])
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:

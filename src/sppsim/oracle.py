@@ -133,12 +133,6 @@ class FourierCoefficients:
         dBz = -1j * self.beta2 * self.c_transmitted * np.exp(-1j * self.beta2 * y)
         return 1j / self.k2**2 * dBz
 
-    def Ey(self, y):
-        # valid away from the source plane y = a
-        if y >= 0:
-            return self.xi / self.k1**2 * self.Bz(y)
-        return self.xi / self.k2**2 * self.Bz(y)
-
 
 def fourier_coefficients(xi: complex, k1: complex, k2: complex, mu: complex,
                          sigma: complex, a: float) -> FourierCoefficients:
@@ -164,7 +158,7 @@ def fourier_coefficients(xi: complex, k1: complex, k2: complex, mu: complex,
 
 
 def pole_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
-                      eps_r: complex = 1.0, mode: str = "exact"):
+                      eps_r: complex = 1.0):
     """Residue part of the scattered tangential field on the sheet, x > 0.
 
     -2i*(mu*eps/sigma^2) * exp(i*k_m*x - (2i/sigma)*a) with k_m from the
@@ -173,7 +167,7 @@ def pole_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("pole contribution is stated for x >= 0")
-    km = spp_wavenumber(sigma_r, mu_r, eps_r, mode=mode)
+    km = spp_wavenumber(sigma_r, mu_r, eps_r)
     me = complex(mu_r) * complex(eps_r)
     val = -2j * (me / sigma_r**2) * np.exp(1j * km * xs - (2j / sigma_r) * a)
     if np.ndim(x) == 0:
@@ -344,8 +338,7 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
 
 
 def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
-                    eps_r: complex = 1.0, quad: QuadratureSpec | None = None,
-                    mode: str = "exact"):
+                    eps_r: complex = 1.0, quad: QuadratureSpec | None = None):
     """Scattered tangential electric field on the sheet at the given positions.
 
     Returns (pole, branchcut, total) arrays.  The field is odd in x for the
@@ -359,6 +352,6 @@ def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
     absx, inverse = np.unique(np.abs(xs), return_inverse=True)
     inverse = inverse.reshape(xs.shape)
     sign = np.sign(xs)
-    pole = pole_contribution(absx, a, sigma_r, mu_r, eps_r, mode=mode)[inverse] * sign
+    pole = pole_contribution(absx, a, sigma_r, mu_r, eps_r)[inverse] * sign
     bc = branchcut_contribution(absx, a, sigma_r, mu_r, eps_r, quad=quad)[inverse] * sign
     return pole, bc, pole + bc

@@ -24,6 +24,8 @@ from .assembly import ComplexSystem
 from .fespace import FieldSolution
 
 RESIDUAL_TOL = 1e-10
+# iterative refinement steps after each LU solve, at most
+REFINE_STEPS = 8
 
 
 class SolverError(Exception):
@@ -37,14 +39,14 @@ class Factorization:
     lu: object
     matrix: sp.csc_matrix
 
-    def solve(self, b: np.ndarray, refine_steps: int = 8):
+    def solve(self, b: np.ndarray):
         """x with matrix @ x = b, refined, and its residual |b - matrix x| / |b|."""
         norm_b = np.linalg.norm(b)
         if norm_b == 0:
             return np.zeros_like(b), 0.0
         x = self.lu.solve(b)
         best_x, best_res = x, np.linalg.norm(b - self.matrix @ x)
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             if best_res <= 0.1 * RESIDUAL_TOL * norm_b:
                 break
             x = best_x + self.lu.solve(b - self.matrix @ best_x)

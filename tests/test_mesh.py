@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sppsim import mesh as msh
-from sppsim.fespace import build_constraints, distribute_dofs
+from sppsim.fespace import build_constraints, distribute_dofs, face_quadrature
 from sppsim.harness import RunConfig, band_refine, build_initial_mesh
 
 R = 8 * np.pi
@@ -119,10 +119,10 @@ class TestBuild:
 
     def test_boundary_midpoints_stay_on_circle(self):
         m = msh.build_disk_mesh(R, 3)
-        verts = m.vertices
-        for f in msh.boundary_faces(m):
-            for vid in f.key:
-                assert np.hypot(*verts[vid]) == pytest.approx(R, rel=1e-12)
+        rim = msh.boundary_faces(m)
+        keys = m.edge_keys(rim.owner)[np.arange(len(rim)), rim.ledge]
+        for vid in keys.ravel():
+            assert np.hypot(*m.vertices[vid]) == pytest.approx(R, rel=1e-12)
 
 
 class TestRefine:
@@ -315,43 +315,55 @@ class TestInterfaceFaces:
         for refines in (0, 2):
             m = msh.build_disk_mesh(R, refines)
             faces = msh.interface_faces(m)
-            xs = np.array([f.x_lo for f in faces] + [faces[-1].x_hi])
+            xs = np.append(faces.x_lo, faces.x_hi[-1])
             assert xs[0] == 0.0
             assert xs[-1] == pytest.approx(R)
-            for f, fnext in zip(faces, faces[1:]):
-                assert f.x_hi == pytest.approx(fnext.x_lo, abs=1e-12 * R)
-            total = sum(f.length for f in faces)
+            for hi, lo_next in zip(faces.x_hi[:-1], faces.x_lo[1:]):
+                assert hi == pytest.approx(lo_next, abs=1e-12 * R)
+            total = np.sum(faces.x_hi - faces.x_lo)
             assert total == pytest.approx(R, rel=1e-12)
 
     def test_refining_interface_cell_splits_face(self):
         m = msh.build_disk_mesh(R, 1)
         faces = msh.interface_faces(m)
         n0 = len(faces)
-        target = faces[len(faces) // 2]
-        m.refine([target.owner])
+        k = len(faces) // 2
+        lo, hi = faces.x_lo[k], faces.x_hi[k]
+        m.refine([faces.owner[k]])
         faces2 = msh.interface_faces(m)
         assert len(faces2) == n0 + 1
-        covering = [f for f in faces2 if f.x_lo >= target.x_lo - 1e-12
-                    and f.x_hi <= target.x_hi + 1e-12]
-        assert len(covering) == 2
-        assert sum(f.length for f in covering) == pytest.approx(target.length)
+        covering = (faces2.x_lo >= lo - 1e-12) & (faces2.x_hi <= hi + 1e-12)
+        assert np.count_nonzero(covering) == 2
+        assert np.sum(faces2.x_hi[covering] - faces2.x_lo[covering]) == pytest.approx(hi - lo)
 
     def test_hanging_interface_face_knows_both_sides(self):
         m = msh.build_disk_mesh(R, 1)
         faces = msh.interface_faces(m)
-        target = next(f for f in faces if f.x_lo > -0.3 * R and f.x_hi < 0.3 * R)
-        above_before = target.above
-        m.refine([above_before])
-        for f in msh.interface_faces(m):
-            if f.x_lo >= target.x_lo - 1e-12 and f.x_hi <= target.x_hi + 1e-12:
-                assert f.above is not None and f.below is not None
-                assert m.level[f.above] == m.level[f.below] + 1
-                assert f.owner == f.above  # finer side owns the leaf face
+        k = np.flatnonzero((faces.x_lo > -0.3 * R) & (faces.x_hi < 0.3 * R))[0]
+        lo, hi = faces.x_lo[k], faces.x_hi[k]
+        m.refine([faces.above[k]])
+        faces2 = msh.interface_faces(m)
+        for j in np.flatnonzero((faces2.x_lo >= lo - 1e-12) & (faces2.x_hi <= hi + 1e-12)):
+            above, below = faces2.above[j], faces2.below[j]
+            assert above >= 0 and below >= 0
+            assert m.level[above] == m.level[below] + 1
+            assert faces2.owner[j] == above  # finer side owns the leaf face
 
     def test_consistent_orientation(self):
         m = msh.build_disk_mesh(R, 1)
-        for f in msh.interface_faces(m):
-            assert f.x_hi > f.x_lo
+        faces = msh.interface_faces(m)
+        assert np.all(faces.x_hi > faces.x_lo)
+
+
+class TestRimFaces:
+    @pytest.mark.parametrize("layout", ["uniform0", "uniform2", "uniform3", "local"])
+    def test_rim_rows_are_arc_edges_covering_the_half_circle(self, layout):
+        m = cascade_toward_rim() if layout == "local" else msh.build_disk_mesh(R, int(layout[-1]))
+        rim = msh.boundary_faces(m)
+        assert np.all(m.children[rim.owner, 0] < 0)
+        assert np.all(m.arc[rim.owner, rim.ledge])
+        _, _, wds, _ = face_quadrature(m, rim.owner, rim.ledge)
+        assert wds.sum() == pytest.approx(np.pi * R, rel=1e-13)
 
 
 class TestVtk:

@@ -54,9 +54,10 @@ class TestDirectSolve:
     def test_constraints_distributed_on_return(self):
         system, _ = small_system()
         sol = solve(system)
-        for dof, terms in system.constraints.rows.items():
-            recon = sum(c * sol.coeffs[m] for m, c in terms)
-            assert sol.coeffs[dof] == pytest.approx(recon, rel=1e-12, abs=1e-14)
+        cs = system.constraints
+        assert cs.n_master < cs.n_dofs
+        recon = cs.distribute(cs.restrict(sol.coeffs))
+        assert np.all(np.abs(sol.coeffs - recon) <= np.maximum(1e-12 * np.abs(recon), 1e-14))
 
     def test_renumbering_invariance(self):
         system, _ = small_system()
