@@ -19,10 +19,14 @@ Gauss-Legendre in theta on [0, pi/2]; the tail is taken in
 u = Re(sqrt(mu*eps))*x*s, so every position sees the same exp(-u) decay, with
 an exp-sinh trapezoid u = exp(pi/2*sinh(t)).  Both rules converge
 exponentially.  All positions are evaluated in one array pass per refinement,
-chunked so that no node array exceeds MAX_NODES values, and the node counts
-are doubled only for the positions whose last two iterates still differ by
-more than a configurable relative tolerance.  A pole of either denominator on
-the path is detected in closed form before any node is built.
+chunked so that no (position, node) grid exceeds MAX_NODES values.  The
+light-cone nodes are shared by all positions, so their node-only factors are
+computed once per node and only exp(i*sqrt(mu*eps)*x*xi) and the products run
+on the grid; the tail's nodes depend on x, and where sqrt(mu*eps) is real its
+cos and sin run in real arithmetic.  Neither changes a bit of the result.  The
+node counts are doubled only for the positions whose last two iterates still
+differ by more than a configurable relative tolerance.  A pole of either
+denominator on the path is detected in closed form before any node is built.
 """
 
 from __future__ import annotations
@@ -195,8 +199,10 @@ class QuadratureSpec:
 
 
 def _trig_factor(rad, a, sigma, sqme):
-    # rad = sqrt(1 -+ t^2); shared by both integrands
-    arg = sqme * a * rad
+    # rad = sqrt(1 -+ t^2); shared by both integrands.  With sqrt(mu*eps) real
+    # the argument is real wherever rad is (the tail), so cos and sin run in
+    # real arithmetic, which gives the real parts of the complex ones bit for bit
+    arg = (sqme.real if sqme.imag == 0 else sqme) * a * rad
     return 4.0 * sqme * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
 
 
@@ -213,8 +219,9 @@ def tail_integrand(s, x, a, sigma, mu=1.0, eps=1.0):
     """Integrand of the decaying tail of the branch-cut wrap, s in (0, inf)."""
     s = np.asarray(s, dtype=float)
     sqme = np.sqrt(complex(mu) * complex(eps))
-    rad = np.sqrt(1.0 + s**2)
-    den = s**2 - 4.0 * mu * eps / sigma**2 + 1.0
+    s2 = s**2
+    rad = np.sqrt(1.0 + s2)
+    den = s2 - 4.0 * mu * eps / sigma**2 + 1.0
     return s * rad * np.exp(-sqme * x * s) / den * _trig_factor(rad, a, sigma, sqme)
 
 
@@ -267,9 +274,10 @@ def _wrap(xs, a, sigma, mu, eps, h0, level):
     out = np.empty(xs.size, dtype=complex)
     for lo in range(0, xs.size, rows):
         x = xs[lo:lo + rows, None]
-        # one full row of nodes per position, so that a wrapper of the
-        # integrands sees every point evaluated
-        f = finite_integrand(np.broadcast_to(xi, (x.size, xi.size)), x, a, sigma, mu, eps)
+        # the light-cone nodes are the same for every position: passed as one
+        # row, their node-only factors are computed once per node and only
+        # exp(i*sqrt(mu*eps)*x*xi) and the products run on the full grid
+        f = finite_integrand(xi, x, a, sigma, mu, eps)
         g = tail_integrand(u / (kappa * x), x, a, sigma, mu, eps)
         out[lo:lo + rows] = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / (kappa * x[:, 0])
     return out / (4.0 * np.pi * sigma)

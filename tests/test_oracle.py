@@ -167,6 +167,32 @@ def _gauss_value(x, a, sigma, s_hi, **quad_kw):
     return (i1 - i2) / (4 * np.pi * sigma)
 
 
+def _complex_trig(rad, a, sigma, sqme):
+    arg = sqme * a * rad
+    return 4.0 * sqme * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
+
+
+def _grid_wrap(xs, a, sigma, mu, eps, h0, level):
+    """oracle._wrap with every factor on the full (position, node) grid and
+    complex trig throughout: the plain statement of the formula."""
+    n_theta, n_t = oracle._node_counts(h0, level)
+    xi, w_xi = oracle._light_cone_rule(n_theta)
+    u, w_u = oracle._tail_rule(n_t)
+    sqme = np.sqrt(complex(mu) * complex(eps))
+    kappa = sqme.real
+    x = xs[:, None]
+    xi = np.broadcast_to(xi, (xs.size, xi.size))
+    rad = np.sqrt(1.0 - xi**2 + 0j)
+    den = xi**2 + 4.0 * mu * eps / sigma**2 - 1.0
+    f = xi * rad * np.exp(1j * sqme * x * xi) / den * _complex_trig(rad, a, sigma, sqme)
+    s = u / (kappa * x)
+    rad = np.sqrt(1.0 + s**2)
+    den = s**2 - 4.0 * mu * eps / sigma**2 + 1.0
+    g = s * rad * np.exp(-sqme * x * s) / den * _complex_trig(rad, a, sigma, sqme)
+    wrap = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / (kappa * xs)
+    return wrap / (4.0 * np.pi * sigma)
+
+
 class TestBranchcutContribution:
     def test_integrands_vanish_at_lower_endpoints(self):
         assert finite_integrand(0.0, 5.0, 1.0, 0.2j) == 0
@@ -217,6 +243,19 @@ class TestBranchcutContribution:
                 ref = _gauss_value(x, 1.0, sigma, 45.0 / x, epsabs=0.0, epsrel=1e-11)
             assert abs(b - ref) < 1e-9 * abs(t)
 
+    @pytest.mark.parametrize("sigma,eps_r", [(s, 1.0) for s in TABLE_SIGMAS]
+                             + [(2e-3 + 0.2j, 2.0 + 0.5j)])
+    def test_matches_full_grid_complex_trig_formula(self, sigma, eps_r, monkeypatch):
+        # node-only light-cone factors once per node and real tail trig change
+        # no value; eps_r = 2+0.5j gives a complex sqrt(mu*eps), whose trig
+        # must stay complex
+        xs = np.geomspace(0.5, 80.0, 40)
+        quad = QuadratureSpec(rel_tol=1e-3)
+        fast = branchcut_contribution(xs, 1.0, sigma, eps_r=eps_r, quad=quad)
+        monkeypatch.setattr(oracle, "_wrap", _grid_wrap)
+        ref = branchcut_contribution(xs, 1.0, sigma, eps_r=eps_r, quad=quad)
+        np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0)
+
     def test_doubling_start_count_leaves_trace_unchanged(self):
         config = RunConfig()
         xs = trace_grid(config)
@@ -236,12 +275,13 @@ class TestBranchcutContribution:
             branchcut_contribution(5.0, 1.0, sigma)
 
     def test_node_arrays_are_full_and_capped(self, monkeypatch):
-        # every position gets its own row of nodes in both integrands, on at
-        # least two levels, and no array exceeds the cap
+        # every position gets its own row of the evaluated grid (nodes
+        # broadcast against positions) in both integrands, on at least two
+        # levels, and no grid exceeds the cap
         shapes = {"finite_integrand": [], "tail_integrand": []}
         for name, seen in shapes.items():
             def spy(nodes, x, *args, _f=getattr(oracle, name), _seen=seen):
-                _seen.append(np.shape(nodes))
+                _seen.append(np.broadcast_shapes(np.shape(nodes), np.shape(x)))
                 return _f(nodes, x, *args)
             monkeypatch.setattr(oracle, name, spy)
         xs = np.linspace(0.5, 20.0, 3000)
