@@ -1,11 +1,12 @@
 """Assembly of the complex linear system for the sheet-scattering weak form.
 
-The sesquilinear form, with all coefficients PML-modified inside the layer, is
+The medium around the sheet is vacuum (mu = eps = 1 in rescaled units).  The
+sesquilinear form, with all coefficients PML-modified inside the layer, is
 
     A(E, v) =   int_Omega  (1/mu_eff) (curl E)(curl conj v)
               - int_Omega  (eps_eff E) . conj v
               - i int_Sheet   sigma_eff E_t conj(v_t)
-              - i int_Rim     sqrt(eps_r/mu_r) E_t conj(v_t)
+              - i int_Rim     E_t conj(v_t)
 
 and the dipole right-hand side is F(v) = i int j_reg . conj v with a cosine
 bump regularization of the point dipole.  Basis functions are real, so the
@@ -13,8 +14,8 @@ assembled matrix is complex symmetric (M = M^T entrywise, not Hermitian).
 
 The sheet integral runs over leaf faces and is evaluated from the finest
 adjacent cell; in the constrained space the tangential trace is single valued
-across every face, so the choice of side does not matter.  The rim impedance
-coefficient is deliberately unstretched.
+across every face, so the choice of side does not matter.  The rim term is
+the unstretched vacuum impedance condition.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ class SheetModel:
     sigma_r: complex
     pml: PmlSpec
     dipole: DipoleSpec
-    mu_r: complex = 1.0
-    eps_r: complex = 1.0
 
     def __post_init__(self):
         if complex(self.sigma_r).imag < 0:
@@ -143,8 +142,7 @@ def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
 def _volume_local(model: SheetModel, phys, det, vals, curls) -> np.ndarray:
     """Curl-curl minus mass local matrices (n, 12, 12) from the volume tables."""
     n, p = det.shape
-    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.mu_r,
-                                              model.eps_r, model.pml)
+    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.pml)
     wdet = REF.quad_wts[None, :] * det
     stiff = _gram(curls, (wdet * inv_mu.reshape(n, p))[:, :, None] * curls)
     # mass: the 2-vector values of the p points stacked into 2p rows
@@ -214,17 +212,16 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matri
                for lo in range(0, len(cids), CHUNK_CELLS))
 
 
-def _rim_matrix(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
-    """Rim impedance term -i sqrt(eps_r/mu_r) int E_t conj(v_t), unstretched."""
-    impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
-    return _face_matrix(space, space.rim_faces, lambda x: -1j * impedance)
+def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
+    """Rim impedance term -i int E_t conj(v_t), unstretched."""
+    return _face_matrix(space, space.rim_faces, lambda x: -1j)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     """Volume and rim terms over all dofs: the sum of the parts of a solve pair."""
     inner = inner_cells(space, model)
     return (assemble_volume(space, model, space.active[inner])
-            + _rim_matrix(space, model)
+            + _rim_matrix(space)
             + assemble_volume(space, model, space.active[~inner]))
 
 
@@ -306,8 +303,8 @@ class FixedPart:
     """The condensed part of a solve pair that the layer strength and the
     conductivity leave unchanged: inner-cell volume, rim and dipole terms.
 
-    It is built once per mesh and serves every model that shares its
-    materials, dipole and layer radii.
+    It is built once per mesh and serves every model that shares its dipole
+    and disk radius.
     """
 
     space: EdgeFESpace
@@ -319,7 +316,7 @@ class FixedPart:
 
 
 def _fixed_key(model: SheetModel) -> tuple:
-    return (model.mu_r, model.eps_r, model.dipole, model.pml.R, model.pml.rho)
+    return (model.dipole, model.pml.R)
 
 
 def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
@@ -328,7 +325,7 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
     rhs = assemble_dipole_rhs(space, model)
     inner = inner_cells(space, model)
     matrix, rhs_c = condense(assemble_volume(space, model, space.active[inner])
-                             + _rim_matrix(space, model), rhs, constraints)
+                             + _rim_matrix(space), rhs, constraints)
     return FixedPart(space=space, constraints=constraints, matrix=matrix,
                      rhs=rhs_c, outer=space.active[~inner], key=_fixed_key(model))
 
@@ -342,8 +339,8 @@ def assemble_pair(fixed: FixedPart, model: SheetModel):
     when it needs it, so that it is not held while mat_0 is factorized.
     """
     if _fixed_key(model) != fixed.key:
-        raise ValueError("the fixed part was built for other materials, dipole "
-                         "or layer radii")
+        raise ValueError("the fixed part was built for another dipole or disk "
+                         "radius")
     space, cs = fixed.space, fixed.constraints
     outer, _ = condense(assemble_volume(space, model, fixed.outer), None, cs)
     sheet, _ = condense(assemble_interface(space, model), None, cs)

@@ -80,9 +80,6 @@ class WeightFunction:
         out[band] = np.cos(0.5 * np.pi * y[band] / self.half_width) ** 2
         return out
 
-    def at_y(self, y: float) -> float:
-        return float(self(np.array([[0.0, y]]))[0])
-
 
 def qoi(sol: FieldSolution, weight: WeightFunction) -> float:
     """Weighted curl energy int w |curl E|^2; nonnegative by construction."""
@@ -291,8 +288,7 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     for lo in range(0, n, CHUNK_CELLS):
         sl = slice(lo, min(lo + CHUNK_CELLS, n))
         flat = phys[sl].reshape(-1, 2)
-        inv_mu, eps_eff = pml_mod.material_arrays(flat, model.mu_r, model.eps_r,
-                                                  model.pml)
+        inv_mu, eps_eff = pml_mod.material_arrays(flat, model.pml)
         inv_mu = inv_mu.reshape(det[sl].shape)
         eps_eff = eps_eff.reshape(det[sl].shape + (2, 2))
         wband = weight(flat).reshape(det[sl].shape)
@@ -334,7 +330,6 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     np.add.at(rho, ranks, 1j * share * np.sum(fws * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
 
-    impedance = complex(np.sqrt(complex(model.eps_r) / complex(model.mu_r)))
     rim = space.rim_faces
     cids = rim.owner
     ref, _, fw, that = face_quadrature(mesh, cids, rim.ledge)
@@ -345,8 +340,8 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     vals, dvals = recon.at_points(cids, ref)
     e_t, z_t, ve_t, wz_t = (tangential(v) for v in (*vals, *dvals))
     ranks = space.rank[cids]
-    np.add.at(rho, ranks, 1j * impedance * np.sum(fw * e_t * np.conj(wz_t), axis=1))
-    np.add.at(rho_ast, ranks, 1j * impedance * np.sum(fw * ve_t * np.conj(z_t), axis=1))
+    np.add.at(rho, ranks, 1j * np.sum(fw * e_t * np.conj(wz_t), axis=1))
+    np.add.at(rho_ast, ranks, 1j * np.sum(fw * ve_t * np.conj(z_t), axis=1))
 
     eta = 0.5 * np.abs(rho + rho_ast)
     return dict(zip(space.active.tolist(), eta.tolist()))

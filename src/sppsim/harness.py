@@ -75,6 +75,12 @@ class RunConfig:
             raise ValueError("need at least one cycle")
         if self.samples < 2:
             raise ValueError("need at least two trace samples")
+        if self.samples % 2:
+            raise ValueError(f"samples must be even (half on each side of x = 0), "
+                             f"got {self.samples}")
+        if not 0 <= self.marking_fraction <= 1:
+            raise ValueError(f"marking_fraction must lie in [0, 1], "
+                             f"got {self.marking_fraction}")
 
     def model(self, sigma=None, s0=None) -> SheetModel:
         return SheetModel(

@@ -1,7 +1,8 @@
 """Closed-form reference solution for a vertical dipole over an infinite conducting sheet.
 
 Everything here lives in Fourier space with respect to the coordinate along the
-sheet.  The machinery provides, in rescaled units (free-space wave number 1):
+sheet.  The sheet lies in vacuum, and in rescaled units (mu = eps = 1,
+free-space wave number 1) the machinery provides:
 
 * the square-root branch consistent with outgoing/decaying waves,
 * the surface-wave (SPP) dispersion root k_m,
@@ -13,20 +14,19 @@ sheet.  The machinery provides, in rescaled units (free-space wave number 1):
 
 The branch-cut wrap consists of a finite integral over tangential wave numbers
 inside the light cone plus a tail along the imaginary axis where the integrand
-decays like exp(-sqrt(mu*eps)*x*s).  The light-cone part is taken in
-xi = sin(theta), which removes the sqrt(1 - xi^2) endpoint singularity, with
-Gauss-Legendre in theta on [0, pi/2]; the tail is taken in
-u = Re(sqrt(mu*eps))*x*s, so every position sees the same exp(-u) decay, with
-an exp-sinh trapezoid u = exp(pi/2*sinh(t)).  Both rules converge
-exponentially.  All positions are evaluated in one array pass per refinement,
-chunked so that no (position, node) grid exceeds MAX_NODES values.  The
-light-cone nodes are shared by all positions, so their node-only factors are
-computed once per node and only exp(i*sqrt(mu*eps)*x*xi) and the products run
-on the grid; the tail's nodes depend on x, and where sqrt(mu*eps) is real its
-cos and sin run in real arithmetic.  Neither changes a bit of the result.  The
-node counts are doubled only for the positions whose last two iterates still
-differ by more than a configurable relative tolerance.  A pole of either
-denominator on the path is detected in closed form before any node is built.
+decays like exp(-x*s).  The light-cone part is taken in xi = sin(theta), which
+removes the sqrt(1 - xi^2) endpoint singularity, with Gauss-Legendre in theta
+on [0, pi/2]; the tail is taken in u = x*s, so every position sees the same
+exp(-u) decay, with an exp-sinh trapezoid u = exp(pi/2*sinh(t)).  Both rules
+converge exponentially.  All positions are evaluated in one array pass per
+refinement, chunked so that no (position, node) grid exceeds MAX_NODES
+values.  The light-cone nodes are shared by all positions, so their node-only
+factors are computed once per node and only exp(i*x*xi) and the products run
+on the grid; the tail's nodes depend on x, and its cos and sin run in real
+arithmetic.  Neither changes a bit of the result.  The node counts are
+doubled only for the positions whose last two iterates still differ by more
+than a configurable relative tolerance.  A pole of either denominator on the
+path is detected in closed form before any node is built.
 """
 
 from __future__ import annotations
@@ -68,36 +68,31 @@ def branch_sqrt(xi, k):
     return b
 
 
-def spp_wavenumber(sigma_r: complex, mu_r: complex = 1.0, eps_r: complex = 1.0,
-                   mode: str = "exact") -> complex:
+def spp_wavenumber(sigma_r: complex, mode: str = "exact") -> complex:
     """Wave number k_m of the surface plasmon-polariton sustained by the sheet.
 
-    mode="exact" evaluates sqrt(mu*eps - 4*mu^2*eps^2/sigma^2) with the root
-    chosen so Re k_m > 0; mode="asymptotic" returns 2i*mu*eps/sigma, valid for
-    |sigma| << 2*sqrt(mu*eps).
+    mode="exact" evaluates sqrt(1 - 4/sigma^2) with the root chosen so
+    Re k_m > 0; mode="asymptotic" returns 2i/sigma, valid for |sigma| << 2.
     """
     if sigma_r == 0:
         raise ValueError("sheet conductivity must be nonzero for an SPP")
-    me = complex(mu_r) * complex(eps_r)
     if mode == "asymptotic":
-        return 2j * me / sigma_r
+        return 2j / sigma_r
     if mode != "exact":
         raise ValueError(f"unknown dispersion mode {mode!r}")
-    km = complex(np.sqrt(complex(me - 4.0 * me * me / sigma_r**2)))
+    km = complex(np.sqrt(complex(1.0 - 4.0 / sigma_r**2)))
     if km.real < 0:
         km = -km
     return km
 
 
-def dispersion_residual(km: complex, sigma_r: complex, mu_r: complex = 1.0,
-                        eps_r: complex = 1.0) -> float:
-    """|k^2 beta1 + k^2 beta2 + sigma beta1 beta2| at xi = km, identical half spaces.
+def dispersion_residual(km: complex, sigma_r: complex) -> float:
+    """|beta1 + beta2 + sigma beta1 beta2| at xi = km, vacuum on both sides.
 
     In rescaled variables the exact SPP root zeroes this combination.
     """
-    k = np.sqrt(complex(mu_r) * complex(eps_r))
-    b = branch_sqrt(km, k)
-    return abs(2.0 * k * k * b + sigma_r * b * b)
+    b = branch_sqrt(km, 1.0)
+    return abs(2.0 * b + sigma_r * b * b)
 
 
 @dataclass(frozen=True)
@@ -161,19 +156,17 @@ def fourier_coefficients(xi: complex, k1: complex, k2: complex, mu: complex,
                                c_reflected=complex(c_gt), c_transmitted=complex(c_lt))
 
 
-def pole_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
-                      eps_r: complex = 1.0):
+def pole_contribution(x, a: float, sigma_r: complex):
     """Residue part of the scattered tangential field on the sheet, x > 0.
 
-    -2i*(mu*eps/sigma^2) * exp(i*k_m*x - (2i/sigma)*a) with k_m from the
-    dispersion relation.  Scalar or array x.
+    -2i/sigma^2 * exp(i*k_m*x - (2i/sigma)*a) with k_m from the dispersion
+    relation.  Scalar or array x.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("pole contribution is stated for x >= 0")
-    km = spp_wavenumber(sigma_r, mu_r, eps_r)
-    me = complex(mu_r) * complex(eps_r)
-    val = -2j * (me / sigma_r**2) * np.exp(1j * km * xs - (2j / sigma_r) * a)
+    km = spp_wavenumber(sigma_r)
+    val = -2j * (1.0 / sigma_r**2) * np.exp(1j * km * xs - (2j / sigma_r) * a)
     if np.ndim(x) == 0:
         return complex(val)
     return val
@@ -198,38 +191,38 @@ class QuadratureSpec:
             raise ValueError("step and tolerance must be positive")
 
 
-def _trig_factor(rad, a, sigma, sqme):
-    # rad = sqrt(1 -+ t^2); shared by both integrands.  With sqrt(mu*eps) real
-    # the argument is real wherever rad is (the tail), so cos and sin run in
-    # real arithmetic, which gives the real parts of the complex ones bit for bit
-    arg = (sqme.real if sqme.imag == 0 else sqme) * a * rad
-    return 4.0 * sqme * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
+def _trig_factor(rad, a, sigma):
+    # rad = sqrt(1 -+ t^2); shared by both integrands.  On the tail rad is
+    # real, so cos and sin run in real arithmetic, which gives the real parts
+    # of the complex ones bit for bit
+    arg = a * rad
+    return 4.0 * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
 
 
-def finite_integrand(xi, x, a, sigma, mu=1.0, eps=1.0):
+def finite_integrand(xi, x, a, sigma):
     """Integrand of the light-cone part of the branch-cut wrap, xi in (0, 1)."""
     xi = np.asarray(xi, dtype=float)
-    sqme = np.sqrt(complex(mu) * complex(eps))
     rad = np.sqrt(1.0 - xi**2 + 0j)
-    den = xi**2 + 4.0 * mu * eps / sigma**2 - 1.0
-    return xi * rad * np.exp(1j * sqme * x * xi) / den * _trig_factor(rad, a, sigma, sqme)
+    den = xi**2 + 4.0 / sigma**2 - 1.0
+    return xi * rad * np.exp(1j * x * xi) / den * _trig_factor(rad, a, sigma)
 
 
-def tail_integrand(s, x, a, sigma, mu=1.0, eps=1.0):
+def tail_integrand(s, x, a, sigma):
     """Integrand of the decaying tail of the branch-cut wrap, s in (0, inf)."""
     s = np.asarray(s, dtype=float)
-    sqme = np.sqrt(complex(mu) * complex(eps))
     s2 = s**2
     rad = np.sqrt(1.0 + s2)
-    den = s2 - 4.0 * mu * eps / sigma**2 + 1.0
-    return s * rad * np.exp(-sqme * x * s) / den * _trig_factor(rad, a, sigma, sqme)
+    den = s2 - 4.0 / sigma**2 + 1.0
+    # complex exp (libm cexp) on purpose: numpy's real exp differs from it in
+    # the last bit at some nodes, which moves the reference trace
+    return s * rad * np.exp(-x * s + 0j) / den * _trig_factor(rad, a, sigma)
 
 
 # largest node array one evaluation builds: positions are processed in row
 # chunks below it, and a position needing more nodes than this raises
 MAX_NODES = 2**13
 
-# The tail runs over u = Re(sqrt(mu*eps))*x*s in [U_MIN, U_MAX], mapped by
+# The tail runs over u = x*s in [U_MIN, U_MAX], mapped by
 # u = exp(pi/2*sinh(t)).  Below U_MIN the integrand is O(u) and the cut part is
 # O(U_MIN^2) of the integral; beyond U_MAX the factor exp(-u) is below 1e-19.
 U_MIN, U_MAX = 1e-10, 45.0
@@ -264,22 +257,21 @@ def _tail_rule(n_t):
     return u, wu
 
 
-def _wrap(xs, a, sigma, mu, eps, h0, level):
+def _wrap(xs, a, sigma, h0, level):
     """Branch-cut wrap at each of the positions xs with the rules of one level."""
     n_theta, n_t = _node_counts(h0, level)
     xi, w_xi = _light_cone_rule(n_theta)
     u, w_u = _tail_rule(n_t)
-    kappa = np.sqrt(complex(mu) * complex(eps)).real
     rows = max(1, MAX_NODES // max(xi.size, u.size))
     out = np.empty(xs.size, dtype=complex)
     for lo in range(0, xs.size, rows):
         x = xs[lo:lo + rows, None]
         # the light-cone nodes are the same for every position: passed as one
         # row, their node-only factors are computed once per node and only
-        # exp(i*sqrt(mu*eps)*x*xi) and the products run on the full grid
-        f = finite_integrand(xi, x, a, sigma, mu, eps)
-        g = tail_integrand(u / (kappa * x), x, a, sigma, mu, eps)
-        out[lo:lo + rows] = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / (kappa * x[:, 0])
+        # exp(i*x*xi) and the products run on the full grid
+        f = finite_integrand(xi, x, a, sigma)
+        g = tail_integrand(u / x, x, a, sigma)
+        out[lo:lo + rows] = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / x[:, 0]
     return out / (4.0 * np.pi * sigma)
 
 
@@ -296,8 +288,8 @@ def _failure(message, xs, last_two):
                                      complex(cur[i])))
 
 
-def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
-                           eps_r: complex = 1.0, quad: QuadratureSpec | None = None):
+def branchcut_contribution(x, a: float, sigma_r: complex,
+                           quad: QuadratureSpec | None = None):
     """Branch-cut part of the scattered tangential field on the sheet, x > 0.
 
     All positions are evaluated together; the node counts are doubled for
@@ -313,7 +305,7 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
         raise ValueError("branch-cut contribution is stated for x > 0")
     # both denominators are +-(tau - c) with tau = -xi^2 in [-1, 0] on the light
     # cone and tau = s^2 >= 0 on the tail
-    c = complex(4.0 * mu_r * eps_r / sigma_r**2 - 1.0)
+    c = complex(4.0 / sigma_r**2 - 1.0)
     if abs(c - max(c.real, -1.0)) < 1e-9:
         raise PoleOnAxisError("branch-cut denominator vanishes on the path")
     out = np.empty(xs.shape, dtype=complex)
@@ -324,7 +316,7 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
         if max(n_theta, n_t + 1) > MAX_NODES:
             raise _failure(f"branch-cut quadrature needs more than {MAX_NODES} grid points "
                            "per position", xs[todo], last_two)
-        cur = _wrap(xs[todo], a, sigma_r, mu_r, eps_r, spec.h0, level)
+        cur = _wrap(xs[todo], a, sigma_r, spec.h0, level)
         if not np.all(np.isfinite(cur)):
             raise _failure("branch-cut quadrature produced a non-finite value",
                            xs[todo], (last_two[1], cur))
@@ -345,8 +337,8 @@ def branchcut_contribution(x, a: float, sigma_r: complex, mu_r: complex = 1.0,
     return out.reshape(np.shape(x))
 
 
-def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
-                    eps_r: complex = 1.0, quad: QuadratureSpec | None = None):
+def interface_field(xs, a: float, sigma_r: complex,
+                    quad: QuadratureSpec | None = None):
     """Scattered tangential electric field on the sheet at the given positions.
 
     Returns (pole, branchcut, total) arrays.  The field is odd in x for the
@@ -360,6 +352,6 @@ def interface_field(xs, a: float, sigma_r: complex, mu_r: complex = 1.0,
     absx, inverse = np.unique(np.abs(xs), return_inverse=True)
     inverse = inverse.reshape(xs.shape)
     sign = np.sign(xs)
-    pole = pole_contribution(absx, a, sigma_r, mu_r, eps_r)[inverse] * sign
-    bc = branchcut_contribution(absx, a, sigma_r, mu_r, eps_r, quad=quad)[inverse] * sign
+    pole = pole_contribution(absx, a, sigma_r)[inverse] * sign
+    bc = branchcut_contribution(absx, a, sigma_r, quad=quad)[inverse] * sign
     return pole, bc, pole + bc

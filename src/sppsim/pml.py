@@ -1,16 +1,18 @@
 """Radial complex coordinate stretch in the outer annulus of the disk.
 
-The stretch acts for r >= rho (rho = 0.8 R by default) with the quadratic
-profile s(r) = s0 (r - rho)^2 / (R - rho)^2.  Its antiderivative is a cubic
+The stretch acts for r >= rho = 0.8 R with the quadratic profile
+s(r) = s0 (r - rho)^2 / (R - rho)^2.  Its antiderivative is a cubic
 and is always evaluated in closed form.  The two stretch factors are
 
     d(r)    = 1 + i s(r),
     dbar(r) = 1 + (i/r) * integral_rho^r s(t) dt,
 
-and they modify the coefficients of the curl-curl form inside the layer:
+and they turn the vacuum coefficients of the curl-curl form (mu = eps = 1 in
+rescaled units) into
 
-    1/mu   -> (1/mu)/d                      (scalar acting on the 2D curl),
-    eps    -> eps * diag(dbar^2/d, d)       in the (radial, tangential) frame,
+    1      -> 1/d                           on the 2D curl,
+    1      -> diag(dbar^2/d, d)             on the field, in the (radial,
+                                            tangential) frame,
     sigma  -> sigma * dbar/d                on sheet faces inside the layer.
 
 Outside the layer every factor is exactly one.
@@ -18,26 +20,28 @@ Outside the layer every factor is exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class PmlSpec:
-    """Annulus geometry and strength of the absorbing layer."""
+    """Outer radius and strength of the absorbing layer on 0.8 R <= r <= R."""
 
     R: float
     s0: float = 2.0
-    rho: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.rho == 0.0:
-            object.__setattr__(self, "rho", 0.8 * self.R)
-        if not (0 < self.rho < self.R):
-            raise ValueError("need 0 < rho < R")
+        if not self.R > 0:
+            raise ValueError("disk radius must be positive")
         if self.s0 < 0:
             raise ValueError("stretch strength must be nonnegative")
+
+    @property
+    def rho(self) -> float:
+        """Inner radius of the layer."""
+        return 0.8 * self.R
 
 
 def profile(r, spec: PmlSpec):
@@ -69,20 +73,18 @@ def stretch_arrays(pts: np.ndarray, spec: PmlSpec):
     return d, dbar, e_r
 
 
-def material_arrays(pts: np.ndarray, mu_r: complex, eps_r: complex, spec: PmlSpec):
-    """PML-modified volume coefficients at many points.
+def material_arrays(pts: np.ndarray, spec: PmlSpec):
+    """PML-modified volume coefficients of vacuum at many points.
 
-    Returns (inv_mu_eff (n,), eps_eff (n,2,2)); identity modification outside
+    Returns (inv_mu_eff (n,), eps_eff (n,2,2)); one and the identity outside
     the layer.  eps_eff is complex symmetric by construction.
     """
     d, dbar, e_r = stretch_arrays(pts, spec)
-    inv_mu = (1.0 / mu_r) / d
-    eps_rad = eps_r * dbar**2 / d
-    eps_tan = eps_r * d
+    eps_rad = dbar**2 / d
     eye = np.eye(2)[None, :, :]
     outer = e_r[:, :, None] * e_r[:, None, :]
-    eps_eff = eps_tan[:, None, None] * eye + (eps_rad - eps_tan)[:, None, None] * outer
-    return inv_mu, eps_eff
+    eps_eff = d[:, None, None] * eye + (eps_rad - d)[:, None, None] * outer
+    return 1.0 / d, eps_eff
 
 
 def sheet_arrays(pts: np.ndarray, sigma_r: complex, spec: PmlSpec):

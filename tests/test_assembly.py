@@ -35,10 +35,9 @@ def grid_mesh(nx, ny, sx=1.0, sy=1.0, x0=0.0, y0=0.0, R_mesh=100.0):
     return m
 
 
-def model(sigma=0.15j, s0=2.0, d_reg=0.15625, a=1.0, mu=1.0, eps=1.0):
+def model(sigma=0.15j, s0=2.0, d_reg=0.15625, a=1.0):
     return SheetModel(sigma_r=sigma, pml=PmlSpec(R=R, s0=s0),
-                      dipole=DipoleSpec(height=a, radius=d_reg),
-                      mu_r=mu, eps_r=eps)
+                      dipole=DipoleSpec(height=a, radius=d_reg))
 
 
 def disk_space(refines=2, extra_marks=0, seed=0):
@@ -130,8 +129,7 @@ class TestMatrixStructure:
             import sppsim.pml as pml_mod
             ranks, phys, det, vals, curls = _volume_tables(space, cids)
             w = REF.quad_wts
-            inv_mu, eps_eff = pml_mod.material_arrays(
-                phys.reshape(-1, 2), mdl.mu_r, mdl.eps_r, mdl.pml)
+            inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
             inv_mu = inv_mu.reshape(det.shape)
             eps_eff = eps_eff.reshape(det.shape + (2, 2))
             wdet = w[None, :] * det
@@ -154,8 +152,7 @@ class TestMatrixStructure:
 def einsum_local(space, mdl, cids):
     """Per-cell curl-curl minus mass matrices by direct einsum contractions."""
     _, phys, det, vals, curls = _volume_tables(space, cids)
-    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.mu_r,
-                                              mdl.eps_r, mdl.pml)
+    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
     wdet = REF.quad_wts[None, :] * det
     local = np.einsum("np,npb,npd->nbd", wdet * inv_mu.reshape(det.shape), curls, curls)
     return local - np.einsum("np,npbi,npij,npdj->nbd", wdet + 0j, vals,
@@ -178,7 +175,7 @@ class TestLocalKernel:
         else:
             # equal squares on both sides of the layer's inner radius
             space = distribute_dofs(grid_mesh(6, 2, sx=4.0, sy=4.0, y0=0.5))
-        mdl = model(s0=s0, mu=1.5, eps=2.25)
+        mdl = model(s0=s0)
         assert np.any(radii(space) > mdl.pml.rho)
         reps, inverse = shape_classes(space, mdl)
         assert len(reps) < len(space.active)
@@ -424,8 +421,7 @@ class TestSplitPair:
     @pytest.mark.parametrize("s0", [0.0, 2.0, 8.0])
     def test_split_pair_matches_one_shot_condensation(self, s0):
         space, cs, dip = resolved_space(sheet_hanging=True)
-        mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip,
-                         mu_r=1.5, eps_r=2.25)
+        mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip)
         inner = inner_cells(space, mdl)
         assert np.any(radii(space)[~inner] > mdl.pml.rho)
         assert space.mesh.arc[space.active[~inner]].any()
@@ -434,7 +430,7 @@ class TestSplitPair:
         assert not np.isin(sheet_dofs, cs.master_dofs).all()
         # the fixed part is built at another layer strength and conductivity
         fixed = assemble_fixed(space, cs, SheetModel(
-            sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip, mu_r=1.5, eps_r=2.25))
+            sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip))
         mat_0, sheet = assemble_pair(fixed, mdl)
         vol = assemble_volume_boundary(space, mdl)
         one_0, rhs = condense(vol, assemble_dipole_rhs(space, mdl), cs)
@@ -443,13 +439,14 @@ class TestSplitPair:
         assert max_rel(mat_0 + sheet, one_tot) <= 1e-13
         assert np.array_equal(fixed.rhs, rhs)
 
-    def test_fixed_part_rejects_other_materials(self):
+    def test_fixed_part_rejects_another_dipole(self):
         space, cs, dip = resolved_space()
         fixed = assemble_fixed(space, cs, SheetModel(
             sigma_r=0.15j, pml=PmlSpec(R=R), dipole=dip))
-        with pytest.raises(ValueError, match="materials"):
+        other = DipoleSpec(height=dip.height, radius=0.5 * dip.radius)
+        with pytest.raises(ValueError, match="dipole"):
             assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R),
-                                            dipole=dip, eps_r=2.25))
+                                            dipole=other))
 
     def test_cells_with_a_corner_beyond_rho_or_an_arc_edge_are_outer(self):
         mdl = model()

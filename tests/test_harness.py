@@ -330,6 +330,23 @@ samples = 256
         with pytest.raises(ValueError, match="write_artifacts"):
             hn.load_config(str(path))
 
+    @pytest.mark.parametrize("key,value", [("marking_fraction", -0.1),
+                                           ("marking_fraction", 1.5),
+                                           ("marking_fraction", float("nan")),
+                                           ("samples", 65)])
+    def test_out_of_range_value_rejected_by_name(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=key):
+            hn.RunConfig(**{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            hn.load_config(str(path))
+
+    def test_range_ends_accepted(self):
+        for fraction in (0.0, 1.0):
+            assert hn.RunConfig(marking_fraction=fraction).marking_fraction == fraction
+        assert hn.trace_grid(hn.RunConfig(samples=64)).size == 64
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         for line in ("definitely_not_a_key = 3", "seed_strips = ((1.0, 0.5),)"):

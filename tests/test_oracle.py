@@ -167,29 +167,27 @@ def _gauss_value(x, a, sigma, s_hi, **quad_kw):
     return (i1 - i2) / (4 * np.pi * sigma)
 
 
-def _complex_trig(rad, a, sigma, sqme):
-    arg = sqme * a * rad
-    return 4.0 * sqme * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
+def _complex_trig(rad, a, sigma):
+    arg = a * rad + 0j
+    return 4.0 * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
 
 
-def _grid_wrap(xs, a, sigma, mu, eps, h0, level):
+def _grid_wrap(xs, a, sigma, h0, level):
     """oracle._wrap with every factor on the full (position, node) grid and
     complex trig throughout: the plain statement of the formula."""
     n_theta, n_t = oracle._node_counts(h0, level)
     xi, w_xi = oracle._light_cone_rule(n_theta)
     u, w_u = oracle._tail_rule(n_t)
-    sqme = np.sqrt(complex(mu) * complex(eps))
-    kappa = sqme.real
     x = xs[:, None]
     xi = np.broadcast_to(xi, (xs.size, xi.size))
     rad = np.sqrt(1.0 - xi**2 + 0j)
-    den = xi**2 + 4.0 * mu * eps / sigma**2 - 1.0
-    f = xi * rad * np.exp(1j * sqme * x * xi) / den * _complex_trig(rad, a, sigma, sqme)
-    s = u / (kappa * x)
+    den = xi**2 + 4.0 / sigma**2 - 1.0
+    f = xi * rad * np.exp(1j * x * xi) / den * _complex_trig(rad, a, sigma)
+    s = u / x
     rad = np.sqrt(1.0 + s**2)
-    den = s**2 - 4.0 * mu * eps / sigma**2 + 1.0
-    g = s * rad * np.exp(-sqme * x * s) / den * _complex_trig(rad, a, sigma, sqme)
-    wrap = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / (kappa * xs)
+    den = s**2 - 4.0 / sigma**2 + 1.0
+    g = s * rad * np.exp(-x * s + 0j) / den * _complex_trig(rad, a, sigma)
+    wrap = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / xs
     return wrap / (4.0 * np.pi * sigma)
 
 
@@ -213,9 +211,9 @@ class TestBranchcutContribution:
         x, a, sigma = 9.0, 1.0, 2.56e-4 + 0.160j
         spec = QuadratureSpec()
         xs = np.array([x])
-        prev = oracle._wrap(xs, a, sigma, 1.0, 1.0, spec.h0, 0)[0]
+        prev = oracle._wrap(xs, a, sigma, spec.h0, 0)[0]
         for level in range(1, spec.max_doublings + 1):
-            cur = oracle._wrap(xs, a, sigma, 1.0, 1.0, spec.h0, level)[0]
+            cur = oracle._wrap(xs, a, sigma, spec.h0, level)[0]
             if abs(cur - prev) < spec.rel_tol * abs(cur):
                 break
             prev = cur
@@ -243,17 +241,15 @@ class TestBranchcutContribution:
                 ref = _gauss_value(x, 1.0, sigma, 45.0 / x, epsabs=0.0, epsrel=1e-11)
             assert abs(b - ref) < 1e-9 * abs(t)
 
-    @pytest.mark.parametrize("sigma,eps_r", [(s, 1.0) for s in TABLE_SIGMAS]
-                             + [(2e-3 + 0.2j, 2.0 + 0.5j)])
-    def test_matches_full_grid_complex_trig_formula(self, sigma, eps_r, monkeypatch):
+    @pytest.mark.parametrize("sigma", TABLE_SIGMAS)
+    def test_matches_full_grid_complex_trig_formula(self, sigma, monkeypatch):
         # node-only light-cone factors once per node and real tail trig change
-        # no value; eps_r = 2+0.5j gives a complex sqrt(mu*eps), whose trig
-        # must stay complex
+        # no value
         xs = np.geomspace(0.5, 80.0, 40)
         quad = QuadratureSpec(rel_tol=1e-3)
-        fast = branchcut_contribution(xs, 1.0, sigma, eps_r=eps_r, quad=quad)
+        fast = branchcut_contribution(xs, 1.0, sigma, quad=quad)
         monkeypatch.setattr(oracle, "_wrap", _grid_wrap)
-        ref = branchcut_contribution(xs, 1.0, sigma, eps_r=eps_r, quad=quad)
+        ref = branchcut_contribution(xs, 1.0, sigma, quad=quad)
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0)
 
     def test_doubling_start_count_leaves_trace_unchanged(self):
@@ -307,11 +303,14 @@ class TestBranchcutContribution:
                                    quad=QuadratureSpec(rel_tol=1e-20))
         assert None not in err.value.last_two
 
-    def test_nonfinite_iterate_raises_instead_of_returning_nan(self):
-        # Re sqrt(mu*eps) = 0: the tail does not decay and its nodes overflow
+    def test_nonfinite_iterate_raises_instead_of_returning_nan(self, monkeypatch):
+        # a tail integrand that overflows at every node
+        def overflowing(s, x, *args):
+            return np.full(np.broadcast_shapes(np.shape(s), np.shape(x)), np.inf + 0j)
+        monkeypatch.setattr(oracle, "tail_integrand", overflowing)
         with np.errstate(all="ignore"):
             with pytest.raises(oracle.QuadratureError, match="non-finite") as err:
-                branchcut_contribution(np.array([2.0, 3.0]), 1.0, 0.01 + 0.2j, mu_r=-1.0)
+                branchcut_contribution(np.array([2.0, 3.0]), 1.0, 0.01 + 0.2j)
         assert not np.isfinite(err.value.last_two[1])
 
     def test_position_below_the_grids_ends_in_error_not_nan(self):

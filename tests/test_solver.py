@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from sppsim import mesh as msh
+from sppsim import solver
 from sppsim.assembly import (ComplexSystem, DipoleSpec, SheetModel,
                              assemble_dipole_rhs, assemble_interface,
                              assemble_volume_boundary, condense)
@@ -15,7 +16,7 @@ from sppsim.solver import (RESIDUAL_TOL, Factorization, SolverError, factorize,
 R = 8 * np.pi
 
 
-def small_system(sigma=0.15j, s0=2.0, eps=1.0, refines=1, marks=True):
+def small_system(sigma=0.15j, s0=2.0, refines=1, marks=True):
     m = msh.build_disk_mesh(R, refines)
     if marks:
         rng = np.random.default_rng(4)
@@ -24,7 +25,7 @@ def small_system(sigma=0.15j, s0=2.0, eps=1.0, refines=1, marks=True):
     space = distribute_dofs(m)
     cs = build_constraints(space)
     mdl = SheetModel(sigma_r=sigma, pml=PmlSpec(R=R, s0=s0),
-                     dipole=DipoleSpec(height=1.0, radius=0.15625), eps_r=eps)
+                     dipole=DipoleSpec(height=1.0, radius=0.15625))
     full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
     rng = np.random.default_rng(9)
     rhs_full = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
@@ -107,6 +108,31 @@ class TestDiagonalPivoting:
         assert np.linalg.norm(system.rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(system.rhs)
 
 
+class TestSafeFallback:
+    def test_stalled_fast_solve_refactorizes_safely_once(self, monkeypatch):
+        system, _ = small_system()
+        calls = []
+
+        def stalling_fast_path(matrix, safe=False):
+            calls.append(safe)
+            fac = factorize(matrix, safe=safe)
+            if not safe:
+                fac.solve = lambda b: (np.zeros_like(b), 1.0)
+            return fac
+
+        monkeypatch.setattr(solver, "factorize", stalling_fast_path)
+        x = system.constraints.restrict(solve(system).coeffs)
+        assert calls == [False, True]
+        assert np.linalg.norm(system.rhs - system.matrix @ x) <= \
+            RESIDUAL_TOL * np.linalg.norm(system.rhs)
+
+    def test_both_solves_failing_raise_with_the_residual(self, monkeypatch):
+        system, _ = small_system()
+        monkeypatch.setattr(Factorization, "solve", lambda self, b: (np.zeros_like(b), 0.5))
+        with pytest.raises(SolverError, match=r"residual 5\.000e-01 exceeds"):
+            solve(system)
+
+
 class TestAdjointSolve:
     def test_zero_rhs_zero_solution(self):
         system, _ = small_system()
@@ -126,9 +152,13 @@ class TestAdjointSolve:
         assert np.linalg.norm(lhs - g) < 1e-9 * np.linalg.norm(g)
 
     def test_hermitian_degenerate_case_matches_primal_on_conjugate(self):
-        # with eps = -1 the matrix is real symmetric positive definite
-        system, _ = small_system(sigma=0.0j, s0=0.0, eps=-1.0, marks=False)
-        assert abs(system.matrix.imag).max() < 1e-12 * abs(system.matrix.real).max()
+        # a real symmetric matrix is Hermitian: the sheet-free system without
+        # its layer is real but for the rim term -i, which is dropped here
+        sheet_free, _ = small_system(sigma=0.0j, s0=0.0, marks=False)
+        real = sheet_free.matrix.real
+        system = ComplexSystem(matrix=sp.csc_matrix(0.5 * (real + real.T), dtype=complex),
+                               rhs=sheet_free.rhs, space=sheet_free.space,
+                               constraints=sheet_free.constraints)
         rng = np.random.default_rng(3)
         g_full = rng.standard_normal(system.constraints.n_dofs) \
             + 1j * rng.standard_normal(system.constraints.n_dofs)
