@@ -12,6 +12,10 @@ and the dipole right-hand side is F(v) = i int j_reg . conj v with a cosine
 bump regularization of the point dipole.  Basis functions are real, so the
 assembled matrix is complex symmetric (M = M^T entrywise, not Hermitian).
 
+The scattered field E_sc = E - E_inc of the sheet solves the same form with
+the sheet load i int_Sheet sigma_eff E_inc,t conj(v_t), where E_inc is the
+closed-form field of the unit point dipole in free space (incident_ex).
+
 The sheet integral runs over leaf faces and is evaluated from the finest
 adjacent cell; in the constrained space the tangential trace is single valued
 across every face, so the choice of side does not matter.  The rim term is
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import hankel1
 
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
@@ -252,6 +257,41 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     local = 1j * np.einsum("np,npb->nb", REF.quad_wts[None, :] * det * dens,
                            vals[:, :, :, 1])
     np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
+    return rhs
+
+
+def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
+    """PML-transformed E_x on the sheet of the unit point dipole at (0, height).
+
+    In free space E_inc = (I + grad div)(G i e_y) with G = (i/4) H0(r), so on
+    y = 0 E_x = -(1/4) d_x d_y H0 = (a x/4) (2 H1(r)/r - H0(r))/r^2 with
+    r = sqrt(x^2 + a^2).  Inside the layer it is taken at the stretched
+    x~ = x dbar(x), with r~ on the principal branch, and times d(x), the
+    Jacobian of x -> x~; outside it every factor is one.
+    """
+    x = np.asarray(x, dtype=float)
+    d, dbar, _ = pml_mod.stretch_arrays(np.column_stack([x, np.zeros_like(x)]), pml)
+    xt = x * dbar
+    r = np.sqrt(xt**2 + height**2)
+    return d * (height * xt / 4 * (2 * hankel1(1, r) / r - hankel1(0, r)) / r**2)
+
+
+def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
+    """Load i int_Sheet sigma_eff E_inc,t (phi_i . t) ds of the scattered field.
+
+    Over leaf sheet faces, full dof set; E_inc is incident_ex.  It is the
+    negative sheet term of the matrix applied to E_inc.
+    """
+    faces = space.sheet_faces
+    ref, phys, wds, tangent = face_quadrature(space.mesh, faces.owner, faces.ledge)
+    vals, _ = shape_eval(space, faces.owner, ref)
+    pts = phys.reshape(-1, 2)
+    coef = 1j * (pml_mod.sheet_arrays(pts, model.sigma_r, model.pml)
+                 * incident_ex(pts[:, 0], model.dipole.height, model.pml))
+    e_t = wds * coef.reshape(wds.shape) * tangent[..., 0]
+    local = np.einsum("fp,fpbi,fpi->fb", e_t, vals, tangent)
+    rhs = np.zeros(space.n_dofs, dtype=complex)
+    np.add.at(rhs, space.cell_dofs[space.rank[faces.owner]].ravel(), local.ravel())
     return rhs
 
 

@@ -1,11 +1,14 @@
 """Orchestration: adaptive solve loop, trace extraction, errors, PML study.
 
-A run solves the scattering problem twice per cycle on the same mesh, once
-with the sheet and once without it, so the scattered trace is the difference
-of two discrete solutions and their shared discretization error cancels.
-The reference trace (pole plus branch cut) is evaluated once per run on the
-sample grid.  Everything is driven by a flat key = value config file or
-programmatic RunConfig; outputs are plain CSV files plus VTK dumps.
+A run splits the field as E = E_inc + E_sc.  E_inc is the closed-form field
+of the point dipole in free space (assembly.incident_ex); the scattered
+field E_sc solves the system with the sheet against a sheet load of E_inc,
+and its trace on the sheet is compared with the reference trace (pole plus
+branch cut), which is evaluated once per run on the sample grid.  The same
+factorization serves the total-field solve with the regularized dipole and
+the adjoint, which only the DWR estimator needs.  Everything is driven by a
+flat key = value config file or programmatic RunConfig; outputs are plain
+CSV files plus VTK dumps.
 
 Only the half disk x >= 0 is meshed and solved.  The problem is symmetric
 under the mirror x -> -x (sheet, radial layer, rim and vertical dipole), so
@@ -20,12 +23,11 @@ convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
 
 Every factorization runs with no other LU factors and only one full-size
 condensed system matrix alive, besides a fixed part that the caller passes
-in; that bounds the peak memory.  solve_pair factorizes the sheet-free
-matrix before it forms the matrix with the sheet, and frees a fixed part
-that it built itself once the pair is assembled.  A cycle of run_adaptive
-keeps its factors and system only through the adjoint solve; they, the
-solutions, QuadData and the recovery are freed before the mesh is refined.
-pml_study keeps each layer strength's trace and nothing else of its pair.
+in; that bounds the peak memory.  solve_pair frees a fixed part that it
+built itself once the matrix is assembled.  A cycle of run_adaptive keeps
+its factors and system only through the adjoint solve; they, the solutions,
+QuadData and the recovery are freed before the mesh is refined.  pml_study
+keeps each layer strength's trace and nothing else of its solve.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import numpy as np
 from . import dwr as dwr_mod
 from . import oracle as oracle_mod
 from .assembly import (ComplexSystem, DipoleSpec, FixedPart, SheetModel,
-                       assemble_dual_rhs, assemble_fixed, assemble_pair)
+                       assemble_dual_rhs, assemble_fixed, assemble_pair,
+                       assemble_sheet_load)
 from .fespace import (EdgeFESpace, FieldSolution, build_constraints, distribute_dofs,
                       sheet_ref_points)
 from .mesh import (Mesh, build_disk_mesh, cell_diameters,
@@ -81,6 +84,18 @@ class RunConfig:
         if not 0 <= self.marking_fraction <= 1:
             raise ValueError(f"marking_fraction must lie in [0, 1], "
                              f"got {self.marking_fraction}")
+        if not self.d_w > 0:
+            raise ValueError(f"d_w must be positive, got {self.d_w}")
+        if not 0 < self.x_min < 0.8 * self.R:
+            raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {0.8 * self.R:g}), "
+                             f"got {self.x_min}")
+        for key in ("level_cap", "dof_cap"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        # a coarser target leaves cells that assemble_dipole_rhs rejects
+        if not self.dipole_resolve_factor >= 2:
+            raise ValueError(f"dipole_resolve_factor must be at least 2, "
+                             f"got {self.dipole_resolve_factor}")
 
     def model(self, sigma=None, s0=None) -> SheetModel:
         return SheetModel(
@@ -150,16 +165,13 @@ def band_refine(mesh: Mesh, half_width: float, target_diameter: float) -> Mesh:
         mesh.refine(marked)
 
 
-def scattered_trace(total: FieldSolution, primary: FieldSolution,
-                    xs: np.ndarray) -> InterfaceTrace:
-    """Tangential trace of (total - primary) on the sheet, from above.
+def scattered_trace(field: FieldSolution, xs: np.ndarray) -> InterfaceTrace:
+    """Tangential trace of the scattered field on the sheet, from above.
 
     The mesh covers x >= 0; the trace is odd in x, so a sample at x < 0 is
     minus the value at |x|.
     """
-    if total.space is not primary.space:
-        raise ValueError("both fields must live on the same space")
-    space = total.space
+    space = field.space
     mesh = space.mesh
     faces = space.sheet_faces
     xs = np.asarray(xs, dtype=float)
@@ -170,8 +182,7 @@ def scattered_trace(total: FieldSolution, primary: FieldSolution,
         raise ValueError("trace sample outside the sheet faces")
     cids = np.where(faces.above >= 0, faces.above, faces.below)[idx]
     ref = sheet_ref_points(mesh, cids, at)
-    dsol = FieldSolution(space, total.coeffs - primary.coeffs)
-    values = dsol.values(cids, ref[:, None, :])[:, 0, 0]
+    values = field.values(cids, ref[:, None, :])[:, 0, 0]
     return InterfaceTrace(x=xs, values=np.where(xs < 0, -values, values))
 
 
@@ -205,28 +216,30 @@ def l2_error(trace: InterfaceTrace, reference: InterfaceTrace,
 
 
 def solve_pair(space, constraints, model: SheetModel, fixed: FixedPart | None = None):
-    """Solve with and without the sheet on one mesh, sharing the volume matrix.
+    """Scattered field from one factorization of the system with the sheet.
 
-    fixed is the model-independent part of the pair (assemble_fixed) on this
-    space; it is built here when not given, and then freed once the pair's
-    matrices are assembled.  The matrix with the sheet is formed only after
-    the sheet-free solve has returned and its factors are freed, so each
-    factorization runs with one full-size system matrix alive.
+    Returns (scattered, sys_tot, fac_tot): the scattered field E_sc solved
+    against the sheet load of E_inc (assemble_sheet_load), the total-field
+    system with the regularized dipole and its factors.  The caller solves
+    the total field with those factors only when it needs it, as the DWR
+    estimator does.  fixed is the model-independent part (assemble_fixed) on
+    this space; it is built here when not given, and then freed once the
+    matrix is assembled.
     """
     if fixed is None:
         fixed = assemble_fixed(space, constraints, model)
     mat_0, sheet = assemble_pair(fixed, model)
     rhs = fixed.rhs
     del fixed
-    primary = solve(ComplexSystem(matrix=mat_0, rhs=rhs, space=space,
-                                  constraints=constraints))
     mat_tot = mat_0 + sheet
     del mat_0, sheet
+    fac_tot = factorize(mat_tot)
+    load = constraints.transpose @ assemble_sheet_load(space, model)
+    scattered = solve(ComplexSystem(matrix=mat_tot, rhs=load, space=space,
+                                    constraints=constraints), factor=fac_tot)
     sys_tot = ComplexSystem(matrix=mat_tot, rhs=rhs, space=space,
                             constraints=constraints)
-    fac_tot = factorize(mat_tot)
-    total = solve(sys_tot, factor=fac_tot)
-    return total, primary, sys_tot, fac_tot
+    return scattered, sys_tot, fac_tot
 
 
 def _full_disk_counts(space: EdgeFESpace) -> tuple[int, int]:
@@ -242,18 +255,19 @@ def _full_disk_counts(space: EdgeFESpace) -> tuple[int, int]:
 
 def _solve_cycle(space: EdgeFESpace, model: SheetModel, weight, xs,
                  estimate: bool):
-    """Scattered trace of one cycle's solve pair and, if estimate, its indicators.
+    """Scattered trace of one cycle and, if estimate, its indicators.
 
     Everything else the cycle builds (factors, system, solutions, dual
     right-hand side, adjoint, QuadData, recovery) is local here and freed
-    on return; the factors are freed before the QuadData is built.
+    on return; the factors are freed before the QuadData is built.  The
+    total field is solved only for the estimator.
     """
-    total, primary, sys_tot, fac_tot = solve_pair(space, build_constraints(space),
-                                                  model)
-    trace = scattered_trace(total, primary, xs)
+    scattered, sys_tot, fac_tot = solve_pair(space, build_constraints(space), model)
+    trace = scattered_trace(scattered, xs)
     if not estimate:
         return trace, None
-    del primary
+    del scattered
+    total = solve(sys_tot, factor=fac_tot)
     adjoint = solve_adjoint(sys_tot, assemble_dual_rhs(space, total, weight),
                             factor=fac_tot)
     del sys_tot, fac_tot
@@ -262,7 +276,7 @@ def _solve_cycle(space: EdgeFESpace, model: SheetModel, weight, xs,
 
 
 def run_adaptive(config: RunConfig):
-    """Adaptive cycles: solve pair, adjoint, indicators, mark, refine.
+    """Adaptive cycles: scattered and total solve, adjoint, indicators, mark, refine.
 
     Returns (records, artifacts) where artifacts maps names to file paths
     (empty when write_artifacts is off).
@@ -302,8 +316,8 @@ def run_adaptive(config: RunConfig):
 def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     """Fixed-mesh solves for several layer strengths; identical mesh throughout.
 
-    Only each pair's trace is kept; its solutions and factors are freed
-    before the next pair is assembled.
+    Only each strength's scattered trace is kept; its solution and factors
+    are freed before the next strength is assembled.
     """
     if not s0_list:
         raise ValueError("need at least one layer strength")
@@ -318,10 +332,10 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     # only the layer strength changes between the models
     fixed = assemble_fixed(space, constraints, config.model(s0=s0_list[0]))
     for s0 in s0_list:
-        pair = solve_pair(space, constraints, config.model(s0=s0), fixed)
+        scattered = solve_pair(space, constraints, config.model(s0=s0), fixed)[0]
         assert mesh.content_hash() == mesh_hash
-        traces[s0] = scattered_trace(*pair[:2], xs)
-        del pair
+        traces[s0] = scattered_trace(scattered, xs)
+        del scattered
     _ArtifactWriter(config).pml_overlay(traces)
     return traces
 

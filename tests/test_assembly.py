@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import hankel1
 
+from sppsim import assembly
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
                              _band_cells, _face_matrix, _volume_local, _volume_tables,
                              assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
-                             assemble_interface, assemble_pair, assemble_volume,
-                             assemble_volume_boundary, condense, inner_cells,
-                             iter_volume_tables, shape_classes)
+                             assemble_interface, assemble_pair,
+                             assemble_sheet_load, assemble_volume,
+                             assemble_volume_boundary, condense, incident_ex,
+                             inner_cells, iter_volume_tables, shape_classes)
 from sppsim.dwr import WeightFunction
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, shape_eval)
@@ -402,7 +405,7 @@ class TestFullSystem:
     def test_solve_pair_composes_terms(self):
         space, cs, dip = resolved_space()
         mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
-        _, _, system, _ = solve_pair(space, cs, mdl)
+        _, system, _ = solve_pair(space, cs, mdl)
         assert system.matrix.shape == (cs.n_master, cs.n_master)
         assert system.matrix.format == "csc" and system.matrix.has_canonical_format
         assert np.any(system.rhs != 0)
@@ -464,3 +467,54 @@ class TestSplitPair:
         space = distribute_dofs(m)
         assert (radii(space)[1] > rho).sum() == 1
         assert inner_cells(space, mdl).tolist() == [True, False, False, False]
+
+
+class TestIncidentField:
+    def test_closed_form_matches_central_differences(self):
+        # E_x = -(1/4) d_x d_y H0(|p - (0, a)|), differenced at y = 0
+        a, h = 1.0, 1e-3
+        xs = np.array([0.3, 1.7, 4.2, 11.0])
+
+        def h0(x, y):
+            return hankel1(0, np.hypot(x, y - a))
+
+        mixed = (h0(xs + h, h) - h0(xs + h, -h) - h0(xs - h, h) + h0(xs - h, -h)) / (4 * h * h)
+        exact = incident_ex(xs, a, PmlSpec(R=R, s0=2.0))
+        assert np.abs(exact - (-0.25 * mixed)).max() <= 1e-6 * np.abs(exact).max()
+
+    def test_unstretched_up_to_the_layer(self):
+        a = 1.0
+        pml = PmlSpec(R=R, s0=2.0)
+        xs = np.linspace(0.05, R, 4001)
+        inside = xs <= pml.rho
+        r = np.sqrt(xs**2 + a**2)
+        free = a * xs / 4 * (2 * hankel1(1, r) / r - hankel1(0, r)) / r**2
+        got = incident_ex(xs, a, pml)
+        assert np.array_equal(got[inside], free[inside])
+        assert np.all(got[~inside][1:] != free[~inside][1:])
+        # the stretch damps the outgoing wave inside the layer
+        assert abs(got[-1]) < 0.5 * abs(free[-1])
+        assert np.array_equal(incident_ex(xs, a, PmlSpec(R=R, s0=0.0)), free)
+
+    def test_odd_in_x(self):
+        xs = np.linspace(0.1, R, 97)
+        pml = PmlSpec(R=R, s0=2.0)
+        assert np.array_equal(incident_ex(-xs, 1.0, pml), -incident_ex(xs, 1.0, pml))
+
+    @pytest.mark.parametrize("s0", [0.0, 2.0])
+    def test_sheet_load_is_minus_sheet_term_of_the_field(self, s0, monkeypatch):
+        # with E_inc replaced by a linear E_x, which the edge space reproduces
+        # on the sheet, the load is minus the sheet matrix applied to it
+        monkeypatch.setattr(assembly, "incident_ex",
+                            lambda x, height, pml: 0.3 - 0.2j + 0.05 * x)
+        space, _ = disk_space(2, extra_marks=1)
+        mdl = model(sigma=0.01 + 0.15j, s0=s0)
+        c = interpolate(space, lambda p: np.column_stack([0.3 - 0.2j + 0.05 * p[:, 0],
+                                                          np.zeros(len(p))]))
+        expected = -(assemble_interface(space, mdl) @ c)
+        load = assemble_sheet_load(space, mdl)
+        assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_sheet_load_vanishes_without_conductivity(self):
+        space, _ = disk_space(1)
+        assert not np.any(assemble_sheet_load(space, model(sigma=0.0j)))
