@@ -135,11 +135,18 @@ def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
                          shape=(space.n_dofs, space.n_dofs)).tocsc()
 
 
-def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
-    """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
+def _face_traces(space: EdgeFESpace, faces):
+    """Quadrature on each face's owner edge: physical points (f, p, 2), weights
+    times edge speed (f, p), unit tangents (f, p, 2) and tangential basis
+    traces phi_b . t (f, p, 12)."""
     ref, phys, wds, tangent = face_quadrature(space.mesh, faces.owner, faces.ledge)
     vals, _ = shape_eval(space, faces.owner, ref)
-    tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
+    return phys, wds, tangent, np.einsum("fpbi,fpi->fpb", vals, tangent)
+
+
+def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
+    """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
+    phys, wds, _, tang = _face_traces(space, faces)
     local = _gram(tang, (wds * coef(phys))[:, :, None] * tang)
     return _scatter(space, space.cell_dofs[space.rank[faces.owner]], local)
 
@@ -283,13 +290,12 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     negative sheet term of the matrix applied to E_inc.
     """
     faces = space.sheet_faces
-    ref, phys, wds, tangent = face_quadrature(space.mesh, faces.owner, faces.ledge)
-    vals, _ = shape_eval(space, faces.owner, ref)
+    phys, wds, tangent, tang = _face_traces(space, faces)
     pts = phys.reshape(-1, 2)
     coef = 1j * (pml_mod.sheet_arrays(pts, model.sigma_r, model.pml)
                  * incident_ex(pts[:, 0], model.dipole.height, model.pml))
-    e_t = wds * coef.reshape(wds.shape) * tangent[..., 0]
-    local = np.einsum("fp,fpbi,fpi->fb", e_t, vals, tangent)
+    # the sheet is {y = 0}, so E_inc,t = E_x t_x
+    local = np.einsum("fp,fpb->fb", wds * coef.reshape(wds.shape) * tangent[..., 0], tang)
     rhs = np.zeros(space.n_dofs, dtype=complex)
     np.add.at(rhs, space.cell_dofs[space.rank[faces.owner]].ravel(), local.ravel())
     return rhs
@@ -375,8 +381,8 @@ def assemble_pair(fixed: FixedPart, model: SheetModel):
 
     Only the outer cells' volume term and the sheet term are assembled here;
     each is condensed on its own, and the outer term is added to the fixed
-    part.  The matrix with the sheet is mat_0 + sheet; the caller forms it
-    when it needs it, so that it is not held while mat_0 is factorized.
+    part.  The matrix with the sheet, the one the solver factorizes, is
+    mat_0 + sheet.
     """
     if _fixed_key(model) != fixed.key:
         raise ValueError("the fixed part was built for another dipole or disk "
