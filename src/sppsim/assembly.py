@@ -272,14 +272,16 @@ def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
 
     In free space E_inc = (I + grad div)(G i e_y) with G = (i/4) H0(r), so on
     y = 0 E_x = -(1/4) d_x d_y H0 = (a x/4) (2 H1(r)/r - H0(r))/r^2 with
-    r = sqrt(x^2 + a^2).  Inside the layer it is taken at the stretched
-    x~ = x dbar(x), with r~ on the principal branch, and times d(x), the
-    Jacobian of x -> x~; outside it every factor is one.
+    a = height and r = sqrt(x^2 + a^2).  Inside the layer it is taken at the
+    stretched x~ = x dbar(x), with r~ on the principal branch, and times
+    d(x), the Jacobian of x -> x~; outside it every factor is one.
     """
     x = np.asarray(x, dtype=float)
     d, dbar, _ = pml_mod.stretch_arrays(np.column_stack([x, np.zeros_like(x)]), pml)
     xt = x * dbar
     r = np.sqrt(xt**2 + height**2)
+    # no r**3: numpy's complex cube is r*r*r and its real one libm pow, and
+    # outside the layer this must give the free-space formula's bits
     return d * (height * xt / 4 * (2 * hankel1(1, r) / r - hankel1(0, r)) / r**2)
 
 
