@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import j0
 
 from sppsim import harness as hn
 from sppsim import mesh as msh
@@ -56,8 +58,6 @@ def band_space():
 
 def source_form_factor(d):
     """F = 2 pi int_0^d rho(r) J0(r) r dr of the unit-mass cos^2 bump of radius d."""
-    from scipy.integrate import quad
-    from scipy.special import j0
     dens = lambda r: DIPOLE_NORM / d**2 * np.cos(np.pi * r / (2 * d)) ** 2
     return 2 * np.pi * quad(lambda r: dens(r) * j0(r) * r, 0.0, d, epsabs=0.0,
                             epsrel=1e-13)[0]
