@@ -482,6 +482,22 @@ class TestIncidentField:
         exact = incident_ex(xs, a, PmlSpec(R=R, s0=2.0))
         assert np.abs(exact - (-0.25 * mixed)).max() <= 1e-6 * np.abs(exact).max()
 
+    def test_layer_field_is_the_derivative_along_the_stretched_path(self):
+        # d_y H0 = a H1(r)/r on y = 0, so E_x = -(a/4) d/dx (H1(r)/r); along
+        # x -> x~ = x dbar(x) the chain rule gives the factor d = dx~/dx
+        a, h = 1.0, 1e-4
+        pml = PmlSpec(R=R, s0=2.0)
+        xs = np.array([0.85, 0.9, 0.97]) * R
+
+        def g(x):
+            _, dbar, _ = pml_mod.stretch_arrays(np.column_stack([x, 0 * x]), pml)
+            r = np.sqrt((x * dbar) ** 2 + a**2)
+            return a * hankel1(1, r) / r
+
+        numeric = -0.25 * (g(xs + h) - g(xs - h)) / (2 * h)
+        exact = incident_ex(xs, a, pml)
+        assert np.abs(exact - numeric).max() <= 1e-6 * np.abs(exact).max()
+
     def test_unstretched_up_to_the_layer(self):
         a = 1.0
         pml = PmlSpec(R=R, s0=2.0)
