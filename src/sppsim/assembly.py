@@ -20,6 +20,15 @@ The sheet integral runs over leaf faces and is evaluated from the finest
 adjacent cell; in the constrained space the tangential trace is single valued
 across every face, so the choice of side does not matter.  The rim term is
 the unstretched vacuum impedance condition.
+
+No mapped basis is ever formed.  With E = J^{-T} E_ref and curl E =
+curl_ref E_ref / det J, every integral is a per-cell geometry coefficient
+contracted with a reference table of the cell's orientation signature
+(fespace.ReferenceElement): the local matrix is [w mu^-1 / det J,
+-w det J J^{-1} eps J^{-T}] at the quadrature points times the table of basis
+curl and value products, the dipole load takes det J phi_y = (adj J^T v)_y,
+the dual load needs no det J at all, and a face integral uses the tangential
+trace phi_b . t = (v_b . e) / |dx/dt|.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ import scipy.sparse as sp
 from scipy.special import hankel1
 
 from . import pml as pml_mod
-from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace,
-                      FieldSolution, _mapped_basis, face_quadrature, shape_eval)
-from .mesh import cell_diameters, cells_intersecting_disk
+from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace, FaceQuadrature,
+                      FieldSolution, face_traces, gemm_real, orientation_groups,
+                      positive_det)
+from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
@@ -98,35 +108,6 @@ CHUNK_CELLS = 16384
 SHAPE_RESOLUTION = 1e-12
 
 
-def _volume_tables(space: EdgeFESpace, cids=None):
-    """Geometry and physical bases at the standard quadrature points, batched."""
-    if cids is None:
-        cids = space.active
-    ranks = space.rank[cids]
-    return (ranks,) + _mapped_basis(space, cids, REF.quad_pts, REF.basis_at_quad)
-
-
-def iter_volume_tables(space: EdgeFESpace, cids=None):
-    """Chunked _volume_tables; bounds peak memory on large meshes."""
-    if cids is None:
-        cids = space.active
-    for lo in range(0, len(cids), CHUNK_CELLS):
-        yield _volume_tables(space, cids[lo:lo + CHUNK_CELLS])
-
-
-def _gram(basis, weighted) -> np.ndarray:
-    """Local matrices sum_q basis[n, q, b] weighted[n, q, d] as batched matmuls.
-
-    basis is real; the real and imaginary parts of weighted go through two
-    real matmuls, which spares a complex copy of basis.
-    """
-    basis_t = basis.transpose(0, 2, 1)
-    out = np.empty(basis_t.shape[:2] + weighted.shape[2:], dtype=complex)
-    out.real = basis_t @ weighted.real
-    out.imag = basis_t @ weighted.imag
-    return out
-
-
 def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
     """Global matrix of the local matrices local[k] on the dof rows dofs[k]."""
     rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
@@ -135,34 +116,46 @@ def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
                          shape=(space.n_dofs, space.n_dofs)).tocsc()
 
 
-def _face_traces(space: EdgeFESpace, faces):
-    """Quadrature on each face's owner edge: physical points (f, p, 2), weights
-    times edge speed (f, p), unit tangents (f, p, 2) and tangential basis
-    traces phi_b . t (f, p, 12)."""
-    ref, phys, wds, tangent = face_quadrature(space.mesh, faces.owner, faces.ledge)
-    vals, _ = shape_eval(space, faces.owner, ref)
-    return phys, wds, tangent, np.einsum("fpbi,fpi->fpb", vals, tangent)
+def _face_matrix(space: EdgeFESpace, quad: FaceQuadrature, coef) -> sp.csc_matrix:
+    """Sum over faces of int coef (phi_b . t)(phi_d . t) ds on each owner edge.
+
+    coef is a scalar or (f, p) values at the points quad.phys.
+    """
+    weighted = (quad.weights * coef)[:, :, None] * quad.traces
+    local = gemm_real(weighted.transpose(0, 2, 1), quad.traces)
+    return _scatter(space, space.cell_dofs[space.rank[quad.owner]], local)
 
 
-def _face_matrix(space: EdgeFESpace, faces, coef) -> sp.csc_matrix:
-    """Sum over faces of int coef(x) (phi_b . t)(phi_d . t) ds on each owner edge."""
-    phys, wds, _, tang = _face_traces(space, faces)
-    local = _gram(tang, (wds * coef(phys))[:, :, None] * tang)
-    return _scatter(space, space.cell_dofs[space.rank[faces.owner]], local)
+def _pullback(jac: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """adj(J) eps adj(J)^T = det^2 J^{-1} eps J^{-T} for stacks (..., 2, 2),
+    summed elementwise over leading component axes."""
+    adj = np.stack([np.stack([jac[..., 1, 1], -jac[..., 0, 1]]),
+                    np.stack([-jac[..., 1, 0], jac[..., 0, 0]])])
+    eps = np.moveaxis(eps, (-2, -1), (0, 1))
+    half = adj[:, 0, None] * eps[None, 0] + adj[:, 1, None] * eps[None, 1]
+    out = half[:, None, 0] * adj[None, :, 0] + half[:, None, 1] * adj[None, :, 1]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def _volume_local(model: SheetModel, phys, det, vals, curls) -> np.ndarray:
-    """Curl-curl minus mass local matrices (n, 12, 12) from the volume tables."""
+def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
+    """Curl-curl minus mass local matrices (n, 12, 12) of the cells cids.
+
+    One coefficient row per cell, [w mu^-1 / det J | -(w / det J) adj eps
+    adj^T] at the quadrature points, times REF.volume_products.
+    """
+    phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
+    det = positive_det(jac)
     n, p = det.shape
     inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.pml)
-    wdet = REF.quad_wts[None, :] * det
-    stiff = _gram(curls, (wdet * inv_mu.reshape(n, p))[:, :, None] * curls)
-    # mass: the 2-vector values of the p points stacked into 2p rows
-    weighted = np.einsum("npij,npbj->npib",
-                         wdet[:, :, None, None] * eps_eff.reshape(n, p, 2, 2), vals)
-    mass = _gram(vals.transpose(0, 1, 3, 2).reshape(n, 2 * p, N_DOFS_CELL),
-                 weighted.reshape(n, 2 * p, N_DOFS_CELL))
-    return stiff - mass
+    w_det = REF.quad_wts / det
+    coef = np.empty((n, 5 * p), dtype=complex)
+    coef[:, :p] = w_det * inv_mu.reshape(n, p)
+    coef[:, p:] = (-w_det[..., None, None]
+                   * _pullback(jac, eps_eff.reshape(n, p, 2, 2))).reshape(n, 4 * p)
+    local = np.empty((n, N_DOFS_CELL * N_DOFS_CELL), dtype=complex)
+    for oidx, rows in orientation_groups(space, cids):
+        local[rows] = gemm_real(coef[rows], REF.volume_products(oidx))
+    return local.reshape(n, N_DOFS_CELL, N_DOFS_CELL)
 
 
 def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
@@ -216,8 +209,8 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matri
     if len(cids) == 0:
         return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
     reps, inverse = shape_classes(space, model, cids)
-    local = np.concatenate([_volume_local(model, *tables[1:])
-                            for tables in iter_volume_tables(space, reps)])
+    local = np.concatenate([_volume_local(space, model, reps[lo:lo + CHUNK_CELLS])
+                            for lo in range(0, len(reps), CHUNK_CELLS)])
     dofs = space.cell_dofs[space.rank[cids]]
     return sum(_scatter(space, dofs[lo:lo + CHUNK_CELLS],
                         local[inverse[lo:lo + CHUNK_CELLS]])
@@ -226,7 +219,7 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matri
 
 def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
     """Rim impedance term -i int E_t conj(v_t), unstretched."""
-    return _face_matrix(space, space.rim_faces, lambda x: -1j)
+    return _face_matrix(space, face_traces(space, space.rim_faces), -1j)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
@@ -241,10 +234,9 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, full dof set."""
     if model.sigma_r == 0:
         return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
-    return _face_matrix(
-        space, space.sheet_faces,
-        lambda x: -1j * pml_mod.sheet_arrays(x.reshape(-1, 2), model.sigma_r,
-                                             model.pml).reshape(x.shape[:2]))
+    quad = space.sheet_quadrature
+    sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r, model.pml)
+    return _face_matrix(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
@@ -258,12 +250,18 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
         raise AssemblyError(
             f"dipole regularization unresolved: cell diameter {dmax:.3g} exceeds "
             f"half the radius {dip.radius:.3g}; refine the mesh near the dipole")
+    phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
+    positive_det(jac)
+    n, p = len(cids), len(REF.quad_wts)
+    wdens = 1j * REF.quad_wts * dip.density(phys.reshape(-1, 2)).reshape(n, p)
+    # w det J phi_y = w (adj(J)^T v)_y = w (-J_01 v_x + J_00 v_y)
+    coef = np.stack([-jac[..., 0, 1] * wdens, jac[..., 0, 0] * wdens], axis=-1)
+    local = np.empty((n, N_DOFS_CELL), dtype=complex)
+    for oidx, rows in orientation_groups(space, cids):
+        vals = REF.basis_at_quad(oidx)[0].transpose(0, 2, 1).reshape(2 * p, N_DOFS_CELL)
+        local[rows] = gemm_real(coef[rows].reshape(-1, 2 * p), vals)
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    ranks, phys, det, vals, _ = _volume_tables(space, cids)
-    dens = dip.density(phys.reshape(-1, 2)).reshape(det.shape)
-    local = 1j * np.einsum("np,npb->nb", REF.quad_wts[None, :] * det * dens,
-                           vals[:, :, :, 1])
-    np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
+    np.add.at(rhs, space.cell_dofs[space.rank[cids]].ravel(), local.ravel())
     return rhs
 
 
@@ -291,15 +289,16 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     Over leaf sheet faces, full dof set; E_inc is incident_ex.  It is the
     negative sheet term of the matrix applied to E_inc.
     """
-    faces = space.sheet_faces
-    phys, wds, tangent, tang = _face_traces(space, faces)
-    pts = phys.reshape(-1, 2)
+    quad = space.sheet_quadrature
+    pts = quad.phys.reshape(-1, 2)
     coef = 1j * (pml_mod.sheet_arrays(pts, model.sigma_r, model.pml)
                  * incident_ex(pts[:, 0], model.dipole.height, model.pml))
     # the sheet is {y = 0}, so E_inc,t = E_x t_x
-    local = np.einsum("fp,fpb->fb", wds * coef.reshape(wds.shape) * tangent[..., 0], tang)
+    local = np.einsum("fp,fpb->fb",
+                      quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
+                      quad.traces)
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    np.add.at(rhs, space.cell_dofs[space.rank[faces.owner]].ravel(), local.ravel())
+    np.add.at(rhs, space.cell_dofs[space.rank[quad.owner]].ravel(), local.ravel())
     return rhs
 
 
@@ -319,18 +318,34 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
 
     Component i is int w (curl phi_i) conj(curl E_H); linear in conj(E_H).
     weight (a dwr.WeightFunction) vanishes outside |y| <= weight.half_width,
-    so only the cells that can meet that band are visited.
+    so only the cells that can meet that band are visited (_band_cells).
     """
-    w_q = REF.quad_wts
+    return _dual_rhs(space, primal, weight, _band_cells(space, weight.half_width))
+
+
+def _dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight, cids) -> np.ndarray:
+    """The dual right-hand side summed over the cells cids, in chunks.
+
+    With curl phi_b = curl_ref v_b / det J the weight w det J cancels one
+    det J: the load is w conj(curl E_H) per point times the reference curls.
+    The contractions are einsums, not BLAS products, so that a cell's
+    numbers do not depend on the other cells of its chunk, and the band
+    cells alone give the all-cells sum bit for bit (off the band the weight
+    is exactly zero).
+    """
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    for ranks, phys, det, vals, curls in iter_volume_tables(
-            space, _band_cells(space, weight.half_width)):
-        wvals = weight(phys.reshape(-1, 2)).reshape(det.shape)
-        local_coeffs = primal.coeffs[space.cell_dofs[ranks]]
-        curl_e = np.einsum("nb,npb->np", local_coeffs, curls)
-        local = np.einsum("np,npb->nb", w_q[None, :] * det * wvals * np.conj(curl_e),
-                          curls)
-        np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
+    for lo in range(0, len(cids), CHUNK_CELLS):
+        chunk = cids[lo:lo + CHUNK_CELLS]
+        phys, jac = cell_geometry(space.mesh, chunk, REF.quad_pts)
+        det = positive_det(jac)
+        wvals = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape)
+        dofs = space.cell_dofs[space.rank[chunk]]
+        local = np.empty(dofs.shape, dtype=complex)
+        for oidx, rows in orientation_groups(space, chunk):
+            curls = REF.basis_at_quad(oidx)[1]
+            curl_e = np.einsum("nb,pb->np", primal.coeffs[dofs[rows]], curls) / det[rows]
+            local[rows] = np.einsum("np,pb->nb", wvals[rows] * np.conj(curl_e), curls)
+        np.add.at(rhs, dofs.ravel(), local.ravel())
     return rhs
 
 
@@ -378,18 +393,17 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
                      rhs=rhs_c, outer=space.active[~inner], key=_fixed_key(model))
 
 
-def assemble_pair(fixed: FixedPart, model: SheetModel):
-    """Condensed sheet-free matrix mat_0 and condensed sheet term of one model.
+def assemble_pair(fixed: FixedPart, model: SheetModel) -> sp.csc_matrix:
+    """Condensed system matrix of one model: the matrix the solver factorizes.
 
-    Only the outer cells' volume term and the sheet term are assembled here;
-    each is condensed on its own, and the outer term is added to the fixed
-    part.  The matrix with the sheet, the one the solver factorizes, is
-    mat_0 + sheet.
+    Only the outer cells' volume term and the sheet term depend on the
+    model; they are assembled together, condensed once and added to the
+    fixed part.
     """
     if _fixed_key(model) != fixed.key:
         raise ValueError("the fixed part was built for another dipole or disk "
                          "radius")
-    space, cs = fixed.space, fixed.constraints
-    outer, _ = condense(assemble_volume(space, model, fixed.outer), None, cs)
-    sheet, _ = condense(assemble_interface(space, model), None, cs)
-    return fixed.matrix + outer, sheet
+    space = fixed.space
+    varying, _ = condense(assemble_volume(space, model, fixed.outer)
+                          + assemble_interface(space, model), None, fixed.constraints)
+    return fixed.matrix + varying

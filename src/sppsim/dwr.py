@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import pml as pml_mod
-from .assembly import CHUNK_CELLS, SheetModel, iter_volume_tables
-from .fespace import (REF, EdgeFESpace, FieldSolution, face_quadrature,
-                      shape_eval, sheet_ref_points, vector_monomials)
+from .assembly import CHUNK_CELLS, SheetModel
+from .fespace import (REF, EdgeFESpace, FieldSolution, evaluate_fields, face_quadrature,
+                      sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
 
 
@@ -40,8 +41,8 @@ class QuadData:
     """Per-cell geometry and field values at the standard quadrature points.
 
     Holds the registered solutions and only small arrays (points, Jacobian
-    determinants, complex field values/curls per solution); the basis tables
-    are streamed in chunks and never retained.
+    determinants, complex field values/curls per solution), evaluated chunk
+    by chunk (fespace.evaluate_fields); no basis table is formed.
     """
 
     def __init__(self, space: EdgeFESpace, sols: tuple):
@@ -53,16 +54,14 @@ class QuadData:
         self.det = np.empty((n, p))
         self.values = [np.empty((n, p, 2), dtype=complex) for _ in sols]
         self.curls = [np.empty((n, p), dtype=complex) for _ in sols]
-        lo = 0
-        for ranks, phys, det, vals, curls in iter_volume_tables(space):
-            hi = lo + len(ranks)
-            self.phys[lo:hi] = phys
-            self.det[lo:hi] = det
-            for k, sol in enumerate(sols):
-                local = sol.coeffs[space.cell_dofs[ranks]]
-                self.values[k][lo:hi] = np.einsum("nb,npbi->npi", local, vals)
-                self.curls[k][lo:hi] = np.einsum("nb,npb->np", local, curls)
-            lo = hi
+        coeffs = [sol.coeffs for sol in sols]
+        for lo in range(0, n, CHUNK_CELLS):
+            sl = slice(lo, lo + CHUNK_CELLS)
+            self.phys[sl], self.det[sl], vals, curls = evaluate_fields(
+                space, space.active[sl], REF.quad_pts, coeffs)
+            for k in range(len(sols)):
+                self.values[k][sl] = vals[k]
+                self.curls[k][sl] = curls[k]
 
 
 @dataclass(frozen=True)
@@ -83,15 +82,10 @@ class WeightFunction:
 
 def qoi(sol: FieldSolution, weight: WeightFunction) -> float:
     """Weighted curl energy int w |curl E|^2; nonnegative by construction."""
-    space = sol.space
-    total = 0.0
-    for ranks, phys, det, _, curls in iter_volume_tables(space):
-        w = weight(phys.reshape(-1, 2)).reshape(det.shape)
-        local = sol.coeffs[space.cell_dofs[ranks]]
-        curl_e = np.einsum("nb,npb->np", local, curls)
-        total += float(np.einsum("np,p,np->", det * w, REF.quad_wts,
-                                 np.abs(curl_e) ** 2))
-    return total
+    qd = QuadData(sol.space, (sol,))
+    w = weight(qd.phys.reshape(-1, 2)).reshape(qd.det.shape)
+    return float(np.einsum("np,p,np->", qd.det * w, REF.quad_wts,
+                           np.abs(qd.curls[0]) ** 2))
 
 
 def _active_descendants(mesh: Mesh, parents):
@@ -120,6 +114,19 @@ def _active_descendants(mesh: Mesh, parents):
     group, cid, offset, scale, path = (np.concatenate(c) for c in zip(*found))
     order = np.lexsort((path, group))
     return group[order], cid[order], offset[order], scale[order]
+
+
+@lru_cache(maxsize=1)
+def _clean_patch_monomials():
+    """Order-3 monomial values (4p, 24, 2) and curls (4p, 24) at the quadrature
+    points of a parent's four children, in quadrant order, in the parent frame.
+
+    The points are formed as the patch fit forms them (offset plus half the
+    child point), so the table holds the fit's own floats.
+    """
+    offsets = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
+    ppts = offsets[:, None, :] + 0.5 * REF.quad_pts
+    return vector_monomials(ppts.reshape(-1, 2), order=3)
 
 
 # member cells per batch of the patch fit: bounds the transient monomial,
@@ -190,8 +197,12 @@ class PatchReconstruction:
     def _fit(self, qd, order, m, owner, ranks, offsets, scales, wins):
         """Fit patches of m member cells each (rows grouped by patch); store pi u - u."""
         n_patch = len(owner) // m
+        # the members of a clean patch are its four children in quadrant order,
+        # at the same points in the parent frame for every patch
+        mono = ([np.tile(t, (n_patch,) + (1,) * (t.ndim - 1)) for t in _clean_patch_monomials()]
+                if order == 3 else None)
         mono, mono_curl, jac = self._parent_frame(owner, offsets, scales,
-                                                  REF.quad_pts, order)
+                                                  REF.quad_pts, order, mono)
         n_cells, p, n_mono = mono_curl.shape
         mono_curl = mono_curl.reshape(n_patch, -1, n_mono)
         # rows (cell, point, component) of each patch, weighted by w det
@@ -224,11 +235,14 @@ class PatchReconstruction:
         self._offset[r] = offsets[wins]
         self._scale[r] = scales[wins]
 
-    def _parent_frame(self, parents, offsets, scales, ref_pts, order):
-        """Monomials and parent Jacobians at cell reference points mapped into parents."""
+    def _parent_frame(self, parents, offsets, scales, ref_pts, order, mono=None):
+        """Monomials and parent Jacobians at cell reference points mapped into parents.
+
+        mono, when given, holds the monomial values and curls at those points.
+        """
         ppts = offsets[:, None, :] + scales[:, None, None] * np.asarray(ref_pts, dtype=float)
         n, p = ppts.shape[:2]
-        mono, mono_curl = vector_monomials(ppts.reshape(-1, 2), order=order)
+        mono, mono_curl = mono or vector_monomials(ppts.reshape(-1, 2), order=order)
         _, jac = cell_geometry(self.space.mesh, parents, ppts)
         n_mono = mono.shape[1]
         return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
@@ -240,10 +254,8 @@ class PatchReconstruction:
         outside every patch get zero differences.
         """
         ranks = self.space.rank[cids]
-        basis, _ = shape_eval(self.space, cids, ref_pts)
-        cell_dofs = self.space.cell_dofs[ranks]
-        u = np.stack([np.einsum("nb,npbc->npc", sol.coeffs[cell_dofs], basis)
-                      for sol in self.sols])
+        u = evaluate_fields(self.space, cids, ref_pts,
+                            [sol.coeffs for sol in self.sols])[2]
         pi = np.zeros_like(u)
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
         for order, coeffs in self._coeffs.items():
@@ -310,7 +322,8 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     # sheet faces: half of each face integral to either adjacent cell, in face
     # order; a coarse neighbor maps the owner's quadrature points into its frame
     faces = space.sheet_faces
-    ref, fphys, fw, _ = face_quadrature(mesh, faces.owner, faces.ledge)
+    quad = space.sheet_quadrature
+    ref, fphys, fw = quad.ref, quad.phys, quad.weights
     sigma_eff = pml_mod.sheet_arrays(fphys.reshape(-1, 2), model.sigma_r,
                                      model.pml).reshape(fw.shape)
     sides = np.stack([faces.above, faces.below], 1).ravel()
@@ -332,7 +345,7 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
 
     rim = space.rim_faces
     cids = rim.owner
-    ref, _, fw, that = face_quadrature(mesh, cids, rim.ledge)
+    ref, _, fw, that, _ = face_quadrature(mesh, cids, rim.ledge)
 
     def tangential(v):
         return np.einsum("fpi,fpi->fp", v, that)

@@ -11,7 +11,12 @@ signature of its four edges (16 cached variants).
 
 Fields map to physical cells with the covariant transform E = J^{-T} E_ref,
 which preserves tangential line integrals; the scalar 2D curl then transforms
-as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.
+as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.  The
+basis itself is never mapped: the reference element caches its tables once
+per orientation signature (values and curls at the quadrature points, their
+products, tangential traces on the edges), a cell contributes only its
+geometry (J, det J at its points), and a field is contracted with the
+reference basis before J^{-T} and 1/det J are applied to the result.
 
 Hanging edges on 1-irregular meshes are constrained: the two child-edge
 moment pairs are fixed linear images of the parent-edge pair, which makes the
@@ -27,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, boundary_faces,
-                   cell_geometry, interface_faces, jacobian_det, jacobian_inv)
+                   cell_geometry, interface_faces, jacobian_det)
 
 # exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
 _UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
@@ -42,6 +47,8 @@ _CORNER_XY = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 _EDGE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 
 N_DOFS_CELL = 12
+# Gauss points per face (face_quadrature, ReferenceElement.edge_traces)
+FACE_POINTS = 4
 
 
 def gauss01(n: int):
@@ -154,8 +161,57 @@ class ReferenceElement:
         vals, curls = self.basis_at(oidx, self.quad_pts)
         return vals, curls
 
+    @lru_cache(maxsize=16)
+    def volume_products(self, oidx: int) -> np.ndarray:
+        """Basis products at the quadrature points, (5p, 144), columns b * 12 + d.
+
+        Row q < p holds curl_b curl_d at point q and row p + 4q + 2i + j holds
+        v_b,i v_d,j, so a local matrix is one coefficient row per cell times
+        this table.
+        """
+        vals, curls = self.basis_at_quad(oidx)
+        p = len(self.quad_wts)
+        curl = curls[:, :, None] * curls[:, None, :]
+        val = vals[:, :, None, :, None] * vals[:, None, :, None, :]     # (p, b, d, i, j)
+        return np.concatenate([curl.reshape(p, -1),
+                               val.transpose(0, 3, 4, 1, 2).reshape(4 * p, -1)])
+
+    @cached_property
+    def edge_traces(self) -> np.ndarray:
+        """Tangential traces v_b . e (16, 4, FACE_POINTS, 12) of each orientation's
+        basis at the Gauss points of each local edge, e its reference tangent."""
+        te, _ = gauss01(FACE_POINTS)
+        pts = np.concatenate([_edge_ref_points(e, te) for e in range(4)])
+        tangents = np.repeat(np.asarray(_EDGE_TANGENT), len(te), axis=0)
+        return np.stack([np.einsum("pbi,pi->pb", self.basis_at(oidx, pts)[0], tangents)
+                         for oidx in range(16)]).reshape(16, 4, len(te), N_DOFS_CELL)
+
 
 REF = ReferenceElement()
+
+
+def gemm_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex a and real b, as two real matmuls (no complex copy of b)."""
+    real = a.real @ b
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = a.imag @ b
+    return out
+
+
+def orientation_groups(space: "EdgeFESpace", cids):
+    """(oidx, rows): the rows of cids whose cells have orientation signature oidx."""
+    orient = space.orient_idx[space.rank[cids]]
+    for oidx in np.unique(orient):
+        yield int(oidx), np.flatnonzero(orient == oidx)
+
+
+def positive_det(jac: np.ndarray) -> np.ndarray:
+    """det J of a stack of Jacobians; GeometryError unless every one is positive."""
+    det = jacobian_det(jac)
+    if np.any(det <= 0):
+        raise GeometryError("nonpositive Jacobian")
+    return det
 
 
 @dataclass
@@ -184,6 +240,11 @@ class EdgeFESpace:
     def rim_faces(self) -> FaceTable:
         """The mesh's leaf faces on the outer circle (boundary_faces), built once."""
         return boundary_faces(self.mesh)
+
+    @cached_property
+    def sheet_quadrature(self) -> "FaceQuadrature":
+        """Quadrature and basis traces on the sheet faces (face_traces), built once."""
+        return face_traces(self, self.sheet_faces)
 
 
 def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
@@ -223,53 +284,55 @@ class FieldSolution:
     space: EdgeFESpace
     coeffs: np.ndarray
 
-    def _local(self, cids):
-        return self.coeffs[self.space.cell_dofs[self.space.rank[cids]]]
-
     def values(self, cids, ref_pts):
         """Field values (n, p, 2) at reference points of the cells cids."""
-        vals, _ = shape_eval(self.space, cids, ref_pts)
-        return np.einsum("nb,npbc->npc", self._local(cids), vals)
+        return evaluate_fields(self.space, cids, ref_pts, (self.coeffs,))[2][0]
 
 
-def _mapped_basis(space: EdgeFESpace, cids, ref_pts, shared_basis=None):
-    """Physical points, det J, basis values and curls on many cells at once.
+def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
+    """Physical points, det J, and the values and curls of several fields.
 
-    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell.  Returns
-    phys (n, p, 2), det (n, p), vals (n, p, 12, 2) and curls (n, p, 12); the
-    reference basis is evaluated once per edge-orientation signature, by
-    shared_basis(oidx) when given (a cache for fixed shared points).
+    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; coeffs holds
+    s global coefficient vectors.  Returns phys (n, p, 2), det (n, p), values
+    (s, n, p, 2) and curls (s, n, p).  The basis of orientation signature
+    oidx is REF.coeffs(oidx) times the monomial fields, so each field's local
+    coefficients are turned into monomial coefficients and contracted with
+    the monomials at the points (one real matmul pair on shared points);
+    only the results are mapped, E = J^{-T} E_ref and curl E = curl_ref
+    E_ref / det J.
     """
+    cids = np.asarray(cids, dtype=np.int64)
     ref_pts = np.asarray(ref_pts, dtype=float)
     phys, jac = cell_geometry(space.mesh, cids, ref_pts)
-    det = jacobian_det(jac)
-    if np.any(det <= 0):
-        raise GeometryError("nonpositive Jacobian")
-    jinv = jacobian_inv(jac, det)
+    det = positive_det(jac)
     n, p = det.shape
-    vals = np.empty((n, p, N_DOFS_CELL, 2))
-    curls = np.empty((n, p, N_DOFS_CELL))
-    orient = space.orient_idx[space.rank[cids]]
-    for oidx in np.unique(orient):
-        sel = np.nonzero(orient == oidx)[0]
-        if ref_pts.ndim == 3:
-            vref, cref = REF.basis_at(int(oidx), ref_pts[sel].reshape(-1, 2))
-        elif shared_basis is not None:
-            vref, cref = shared_basis(int(oidx))
-        else:
-            vref, cref = REF.basis_at(int(oidx), ref_pts)
-        vals[sel] = vref.reshape(-1, p, N_DOFS_CELL, 2) @ jinv[sel]
-        curls[sel] = cref.reshape(-1, p, N_DOFS_CELL) / det[sel][:, :, None]
-    return phys, det, vals, curls
-
-
-def shape_eval(space: EdgeFESpace, cids, ref_pts):
-    """Physical basis values (n, p, 12, 2) and curls (n, p, 12) on many cells.
-
-    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell.
-    """
-    _, _, vals, curls = _mapped_basis(space, cids, ref_pts)
-    return vals, curls
+    dofs = space.cell_dofs[space.rank[cids]]
+    mono = np.empty((len(coeffs), n, N_DOFS_CELL), dtype=complex)
+    for oidx, rows in orientation_groups(space, cids):
+        transform = REF.coeffs(oidx).T
+        for k, c in enumerate(coeffs):
+            mono[k, rows] = gemm_real(c[dofs[rows]], transform)
+    mono_vals, mono_curls = vector_monomials(ref_pts.reshape(-1, 2))
+    vals = np.empty((len(coeffs), n, p, 2), dtype=complex)
+    curls = np.empty((len(coeffs), n, p), dtype=complex)
+    if ref_pts.ndim == 2:
+        table = np.hstack([mono_vals.transpose(1, 0, 2).reshape(N_DOFS_CELL, 2 * p),
+                           mono_curls.T])
+        for k in range(len(coeffs)):
+            out = gemm_real(mono[k], table)
+            vals[k] = out[:, :2 * p].reshape(n, p, 2)
+            curls[k] = out[:, 2 * p:]
+    else:
+        mono_vals = mono_vals.reshape(n, p, N_DOFS_CELL, 2)
+        mono_curls = mono_curls.reshape(n, p, N_DOFS_CELL)
+        for k in range(len(coeffs)):
+            vals[k] = np.einsum("nm,npmc->npc", mono[k], mono_vals)
+            curls[k] = np.einsum("nm,npm->np", mono[k], mono_curls)
+    # J^{-T} = adj(J)^T / det J, written out for the 2x2 stack
+    vx, vy = vals[..., 0].copy(), vals[..., 1].copy()
+    vals[..., 0] = (jac[..., 1, 1] * vx - jac[..., 1, 0] * vy) / det
+    vals[..., 1] = (jac[..., 0, 0] * vy - jac[..., 0, 1] * vx) / det
+    return phys, det, vals, curls / det
 
 
 @dataclass
@@ -345,12 +408,12 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs)
 
 
-def face_quadrature(mesh: Mesh, cids, ledges, n: int = 4):
+def face_quadrature(mesh: Mesh, cids, ledges, n: int = FACE_POINTS):
     """Gauss rule with n points on the local edge ledges[k] of cell cids[k].
 
     Returns reference points (f, n, 2), physical points (f, n, 2), weights
-    times the edge speed |dx/dt| (f, n) and unit tangents (f, n, 2) along the
-    reference edge direction.
+    times the edge speed |dx/dt| (f, n), unit tangents (f, n, 2) along the
+    reference edge direction and the edge speeds (f, n).
     """
     te, we = gauss01(n)
     ledges = np.asarray(ledges, dtype=np.int64)
@@ -367,7 +430,40 @@ def face_quadrature(mesh: Mesh, cids, ledges, n: int = 4):
     chord = corners[rows, end] - corners[rows, start]
     dxdt[straight] = chord[straight][:, None, :]
     speed = np.linalg.norm(dxdt, axis=2)
-    return ref, phys, we * speed, dxdt / speed[..., None]
+    return ref, phys, we * speed, dxdt / speed[..., None], speed
+
+
+@dataclass(frozen=True)
+class FaceQuadrature:
+    """Gauss rule on the owner edge of each face, with the owner's basis traces.
+
+    owner (f,) are the owner cells, ref and phys (f, p, 2) the reference and
+    physical points, weights (f, p) the Gauss weights times the edge speed,
+    tangent (f, p, 2) the unit tangents along the reference edge and traces
+    (f, p, 12) the tangential traces phi_b . t of the owner's basis.
+    """
+
+    owner: np.ndarray
+    ref: np.ndarray
+    phys: np.ndarray
+    weights: np.ndarray
+    tangent: np.ndarray
+    traces: np.ndarray
+
+
+def face_traces(space: EdgeFESpace, faces: FaceTable) -> FaceQuadrature:
+    """face_quadrature on each face's owner edge, and the owner's basis traces.
+
+    Along the edge x(t) of reference tangent e the covariant basis has the
+    trace phi_b . t = (v_b . e) / |dx/dt|: the reference table
+    REF.edge_traces over the edge speed.
+    """
+    ref, phys, weights, tangent, speed = face_quadrature(space.mesh, faces.owner,
+                                                         faces.ledge)
+    orient = space.orient_idx[space.rank[faces.owner]]
+    traces = REF.edge_traces[orient, faces.ledge] / speed[..., None]
+    return FaceQuadrature(owner=faces.owner, ref=ref, phys=phys, weights=weights,
+                          tangent=tangent, traces=traces)
 
 
 def sheet_ref_points(mesh: Mesh, cids, xs) -> np.ndarray:

@@ -7,8 +7,9 @@ layout glues a quarter-disk quad pattern to its mirror image in {y = 0}, so
 the sheet is a union of cell edges from the start.  Cells refine into four
 children (quad-tree); neighboring active cells never differ by more than one
 refinement level (closure refinement restores this after every call).  Cells
-touching the outer circle carry arc edges and use a transfinite
-(polar-blended) reference map; all other cells are bilinear.
+touching the outer circle carry arc edges; their reference map adds a
+transfinite (Coons) term on each arc edge to the bilinear map of the corners,
+which is the whole map of every other cell.
 
 The mesh is stored as numpy columns indexed by vertex or cell id (a linear
 quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
@@ -266,7 +267,7 @@ class Mesh:
         xy[new_mid[fresh] - self._nv] = _edge_points(
             self.vertices[keys[fresh, 0]], self.vertices[keys[fresh, 1]],
             self.arc[order].ravel()[fresh], np.array([[0.5]]), self.R)[0][:, 0]
-        xy[vid[:, 4] - self._nv] = cell_geometry(self, order, np.array([[0.5, 0.5]]))[0][:, 0]
+        xy[vid[:, 4] - self._nv] = _split_centres(self, order)
         self._append_vertices(xy)
 
         table = np.concatenate([self._split_code, codes[fresh]])
@@ -350,45 +351,74 @@ def _edge_points(a, b, arc_mask, t, R):
     return pos, dpos
 
 
+# per local edge: the reference coordinate along it, and its Coons blend
+# b0 + slope * (the other coordinate), which is one on the edge, zero opposite
+_EDGE_BLEND = ((0, 1.0, -1.0), (1, 0.0, 1.0), (0, 0.0, 1.0), (1, 1.0, -1.0))
+
+
 def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     """Physical coordinates and Jacobians of the reference map for many cells.
 
     ref_pts: (p, 2) reference points shared by all cells, or (n, p, 2) one set
-    per cell.  Returns (phys (n,p,2), jac (n,p,2,2)).  The map blends the four
-    edge curves (transfinite interpolation); with straight edges it reduces to
-    the bilinear map.
+    per cell.  Returns (phys (n,p,2), jac (n,p,2,2)).  The map is the bilinear
+    map of the corners plus, on each edge flagged arc, the Coons term
+    blend * (arc - chord) (transfinite interpolation); a cell without arc
+    edges is bilinear.  Each cell's numbers depend only on that cell and its
+    points, not on the other cells of the batch.
     """
     cids = np.asarray(cids, dtype=np.int64)
     corners = mesh.cell_corners(cids)
-    arcs = mesh.arc[cids]
     ref = np.asarray(ref_pts, dtype=float)
-    if ref.ndim == 2:
-        ref = ref[None]
-    xi, eta = ref[..., 0], ref[..., 1]
-    v0, v1, v2, v3 = (corners[:, k] for k in range(4))
-
-    c0, d0 = _edge_points(v0, v1, arcs[:, 0], xi, mesh.R)
-    c2, d2 = _edge_points(v3, v2, arcs[:, 2], xi, mesh.R)
-    c1, d1 = _edge_points(v1, v2, arcs[:, 1], eta, mesh.R)
-    c3, d3 = _edge_points(v0, v3, arcs[:, 3], eta, mesh.R)
-
-    xi_ = xi[..., None]
-    eta_ = eta[..., None]
-    bl = ((1 - xi_) * (1 - eta_) * v0[:, None] + xi_ * (1 - eta_) * v1[:, None]
-          + xi_ * eta_ * v2[:, None] + (1 - xi_) * eta_ * v3[:, None])
-    phys = (1 - eta_) * c0 + eta_ * c2 + (1 - xi_) * c3 + xi_ * c1 - bl
-
-    dbl_dxi = (-(1 - eta_) * v0[:, None] + (1 - eta_) * v1[:, None]
-               + eta_ * v2[:, None] - eta_ * v3[:, None])
-    dbl_deta = (-(1 - xi_) * v0[:, None] - xi_ * v1[:, None]
-                + xi_ * v2[:, None] + (1 - xi_) * v3[:, None])
-    dxdxi = (1 - eta_) * d0 + eta_ * d2 + (c1 - c3) - dbl_dxi
-    dxdeta = (1 - xi_) * d3 + xi_ * d1 + (c2 - c0) - dbl_deta
-
-    jac = np.empty((len(cids), xi.shape[1], 2, 2))
-    jac[..., 0] = dxdxi
-    jac[..., 1] = dxdeta
+    # bilinear positions are shape-function weights times the corners, and
+    # its derivatives weights times the edge vectors, which keeps the
+    # Jacobian of a small cell far from the origin free of cancellation;
+    # the sums run elementwise over a trailing cell axis, as a BLAS product
+    # would round each cell differently with the size of the batch
+    v = np.ascontiguousarray(corners.transpose(1, 2, 0))          # (4, 2, n)
+    e0, e1, e2, e3 = v[1] - v[0], v[2] - v[1], v[2] - v[3], v[3] - v[0]
+    xi, eta = (ref[..., k].T[:, None, :] if ref.ndim == 3 else ref[:, k, None, None]
+               for k in (0, 1))                                    # (p, 1, n or 1)
+    phys = ((1 - xi) * (1 - eta) * v[0] + xi * (1 - eta) * v[1]
+            + xi * eta * v[2] + (1 - xi) * eta * v[3])             # (p, 2, n)
+    dxi = (1 - eta) * e0 + eta * e2
+    deta = (1 - xi) * e3 + xi * e1
+    phys = np.ascontiguousarray(phys.transpose(2, 0, 1))
+    jac = np.ascontiguousarray(np.stack([dxi, deta], axis=-1).transpose(2, 0, 1, 3))
+    arcs = mesh.arc[cids]
+    for ledge, (along, b0, slope) in enumerate(_EDGE_BLEND):
+        rows = np.flatnonzero(arcs[:, ledge])
+        if len(rows) == 0:
+            continue
+        a, b = (corners[rows, k] for k in EDGE_CORNERS[ledge])
+        at = ref[rows] if ref.ndim == 3 else ref[None]
+        t, other = at[..., along], at[..., 1 - along]
+        pos, dpos = _edge_points(a, b, np.ones(len(rows), dtype=bool), t, mesh.R)
+        tt = t[..., None]
+        gap = pos - ((1.0 - tt) * a[:, None, :] + tt * b[:, None, :])
+        blend = (b0 + slope * other)[..., None]
+        phys[rows] += blend * gap
+        jac[rows, :, :, along] += blend * (dpos - (b - a)[:, None, :])
+        jac[rows, :, :, 1 - along] += slope * gap
     return phys, jac
+
+
+def _split_centres(mesh: Mesh, cids) -> np.ndarray:
+    """Centre vertices (n, 2) that splitting the cells cids creates.
+
+    The centre is the image of (1/2, 1/2) under the transfinite map: the sum
+    of the edge curves' midpoints over two less the corner sum over four,
+    summed in this fixed order.  cell_geometry gives the same point up to
+    rounding; vertex placement keeps this rounding, on which the mesh's
+    content hash depends.
+    """
+    corners = mesh.cell_corners(cids)
+    arcs = mesh.arc[np.asarray(cids, dtype=np.int64)]
+    m0, m1, m2, m3 = (_edge_points(corners[:, a], corners[:, b], arcs[:, e],
+                                   np.array([[0.5]]), mesh.R)[0][:, 0]
+                      for e, (a, b) in enumerate(EDGE_CORNERS))
+    v0, v1, v2, v3 = (corners[:, k] for k in range(4))
+    return (0.5 * m0 + 0.5 * m2 + 0.5 * m3 + 0.5 * m1
+            - (0.25 * v0 + 0.25 * v1 + 0.25 * v2 + 0.25 * v3))
 
 
 def jacobian_det(jac: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,20 +9,20 @@ from sppsim import assembly
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
-                             _band_cells, _face_matrix, _volume_local, _volume_tables,
+                             _band_cells, _dual_rhs, _face_matrix, _volume_local,
                              assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
                              assemble_interface, assemble_pair,
                              assemble_sheet_load, assemble_volume,
                              assemble_volume_boundary, condense, incident_ex,
-                             inner_cells, iter_volume_tables, shape_classes)
+                             inner_cells, shape_classes)
 from sppsim.dwr import WeightFunction
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
-                            distribute_dofs, face_quadrature, shape_eval)
+                            distribute_dofs, face_quadrature, face_traces)
 from sppsim.harness import solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
-from fields import interpolate
+from fields import interpolate, shape_eval
 
 R = 8 * np.pi
 
@@ -123,14 +125,13 @@ class TestMatrixStructure:
         assert c @ (m_sheet @ c) == pytest.approx(-1j * sigma * R, rel=1e-11)
 
     def test_traversal_order_independence(self):
-        from sppsim.assembly import _volume_tables
         space, _ = disk_space(1)
         mdl = model()
         ref = assemble_volume_boundary(space, mdl)
 
         def volume_only(cids):
-            import sppsim.pml as pml_mod
-            ranks, phys, det, vals, curls = _volume_tables(space, cids)
+            ranks = space.rank[cids]
+            phys, det, vals, curls = mapped_tables(space, cids)
             w = REF.quad_wts
             inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
             inv_mu = inv_mu.reshape(det.shape)
@@ -152,9 +153,15 @@ class TestMatrixStructure:
         assert abs(ref - ref.T).max() < 1e-12 * scale
 
 
+def mapped_tables(space, cids):
+    """Points, det J and mapped basis tables (shape_eval) at the quadrature points."""
+    phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
+    return (phys, jacobian_det(jac)) + shape_eval(space, cids, REF.quad_pts)
+
+
 def einsum_local(space, mdl, cids):
     """Per-cell curl-curl minus mass matrices by direct einsum contractions."""
-    _, phys, det, vals, curls = _volume_tables(space, cids)
+    phys, det, vals, curls = mapped_tables(space, cids)
     inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
     wdet = REF.quad_wts[None, :] * det
     local = np.einsum("np,npb,npd->nbd", wdet * inv_mu.reshape(det.shape), curls, curls)
@@ -182,8 +189,7 @@ class TestLocalKernel:
         assert np.any(radii(space) > mdl.pml.rho)
         reps, inverse = shape_classes(space, mdl)
         assert len(reps) < len(space.active)
-        _, phys, det, vals, curls = _volume_tables(space, reps)
-        local = _volume_local(mdl, phys, det, vals, curls)[inverse]
+        local = _volume_local(space, mdl, reps)[inverse]
         ref = einsum_local(space, mdl, space.active)
         err = abs(local - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-13 * abs(ref).max(axis=(1, 2)))
@@ -199,9 +205,10 @@ class TestLocalKernel:
             faces = msh.interface_faces(space.mesh)
             coef = lambda x: -1j * pml_mod.sheet_arrays(
                 x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
-        mat = _face_matrix(space, faces, coef)
+        quad = face_traces(space, faces)
+        mat = _face_matrix(space, quad, coef(quad.phys))
         cids = faces.owner
-        ref_pts, phys, wds, tangent = face_quadrature(space.mesh, cids, faces.ledge)
+        ref_pts, phys, wds, tangent, _ = face_quadrature(space.mesh, cids, faces.ledge)
         vals, _ = shape_eval(space, cids, ref_pts)
         tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
         local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
@@ -210,6 +217,58 @@ class TestLocalKernel:
                                                   np.tile(dofs, (1, 12)).ravel())),
                                  shape=mat.shape).tocsr()
         assert abs(mat - expected).max() <= 1e-13 * abs(expected).max()
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def mixed_space():
+    """Disk space with straight, hanging, arc-edge and layer cells."""
+    space, cs = disk_space(2, extra_marks=2, seed=1)
+    assert cs.n_master < cs.n_dofs
+    assert space.mesh.arc[space.active].any()
+    assert np.any(radii(space) > model().pml.rho)
+    return space
+
+
+class TestReferenceKernels:
+    """Each reference-frame kernel against the mapped basis (fields.shape_eval)."""
+
+    def test_face_traces(self, mixed_space):
+        space = mixed_space
+        for faces in (space.sheet_faces, space.rim_faces):
+            quad = face_traces(space, faces)
+            vals, _ = shape_eval(space, faces.owner, quad.ref)
+            want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)
+            assert rel_err(quad.traces, want) <= 1e-13
+
+    def test_dual_rhs(self, mixed_space):
+        space = mixed_space
+        weight = WeightFunction(half_width=20.0)
+        rng = np.random.default_rng(5)
+        sol = FieldSolution(space, rng.standard_normal(space.n_dofs)
+                            + 1j * rng.standard_normal(space.n_dofs))
+        phys, det, _, curls = mapped_tables(space, space.active)
+        wvals = weight(phys.reshape(-1, 2)).reshape(det.shape)
+        dofs = space.cell_dofs[space.rank[space.active]]
+        curl_e = np.einsum("nb,npb->np", sol.coeffs[dofs], curls)
+        local = np.einsum("np,npb->nb", REF.quad_wts * det * wvals * np.conj(curl_e), curls)
+        want = np.zeros(space.n_dofs, dtype=complex)
+        np.add.at(want, dofs.ravel(), local.ravel())
+        assert rel_err(assemble_dual_rhs(space, sol, weight), want) <= 1e-13
+
+    def test_dipole_rhs(self):
+        space, _, dip = resolved_space(sheet_hanging=True)
+        mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R), dipole=dip)
+        cids = msh.cells_intersecting_disk(space.mesh, dip.position, dip.radius)
+        phys, det, vals, _ = mapped_tables(space, cids)
+        dens = dip.density(phys.reshape(-1, 2)).reshape(det.shape)
+        local = 1j * np.einsum("np,npb->nb", REF.quad_wts * det * dens, vals[..., 1])
+        want = np.zeros(space.n_dofs, dtype=complex)
+        np.add.at(want, space.cell_dofs[space.rank[cids]].ravel(), local.ravel())
+        assert rel_err(assemble_dipole_rhs(space, mdl), want) <= 1e-13
 
 
 class TestShapeClasses:
@@ -325,14 +384,7 @@ class ZeroWeight(WeightFunction):
 
 def all_cells_dual_rhs(space, primal, weight):
     """The dual right-hand side summed over every active cell, in cell order."""
-    rhs = np.zeros(space.n_dofs, dtype=complex)
-    for ranks, phys, det, vals, curls in iter_volume_tables(space):
-        wvals = weight(phys.reshape(-1, 2)).reshape(det.shape)
-        curl_e = np.einsum("nb,npb->np", primal.coeffs[space.cell_dofs[ranks]], curls)
-        local = np.einsum("np,npb->nb", REF.quad_wts[None, :] * det * wvals
-                          * np.conj(curl_e), curls)
-        np.add.at(rhs, space.cell_dofs[ranks].ravel(), local.ravel())
-    return rhs
+    return _dual_rhs(space, primal, weight, space.active)
 
 
 class TestDualRhs:
@@ -409,11 +461,12 @@ class TestFullSystem:
         assert system.matrix.shape == (cs.n_master, cs.n_master)
         assert system.matrix.format == "csc" and system.matrix.has_canonical_format
         assert np.any(system.rhs != 0)
-        # the pair is the fixed part plus the condensed outer volume and sheet terms
+        # the pair is the fixed part plus the outer volume and sheet terms,
+        # condensed together
         fixed = assemble_fixed(space, cs, mdl)
-        outer, _ = condense(assemble_volume(space, mdl, fixed.outer), None, cs)
-        sheet, _ = condense(assemble_interface(space, mdl), None, cs)
-        assert abs(system.matrix - (fixed.matrix + outer + sheet)).max() == 0
+        varying, _ = condense(assemble_volume(space, mdl, fixed.outer)
+                              + assemble_interface(space, mdl), None, cs)
+        assert abs(system.matrix - (fixed.matrix + varying)).max() == 0
         full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
         mat, rhs = condense(full, assemble_dipole_rhs(space, mdl), cs)
         assert max_rel(system.matrix, mat) <= 1e-13
@@ -434,12 +487,14 @@ class TestSplitPair:
         # the fixed part is built at another layer strength and conductivity
         fixed = assemble_fixed(space, cs, SheetModel(
             sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip))
-        mat_0, sheet = assemble_pair(fixed, mdl)
+        mat_tot = assemble_pair(fixed, mdl)
+        # without conductivity the pair is the sheet-free matrix
+        mat_0 = assemble_pair(fixed, dataclasses.replace(mdl, sigma_r=0j))
         vol = assemble_volume_boundary(space, mdl)
         one_0, rhs = condense(vol, assemble_dipole_rhs(space, mdl), cs)
         one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
         assert max_rel(mat_0, one_0) <= 1e-13
-        assert max_rel(mat_0 + sheet, one_tot) <= 1e-13
+        assert max_rel(mat_tot, one_tot) <= 1e-13
         assert np.array_equal(fixed.rhs, rhs)
 
     def test_fixed_part_rejects_another_dipole(self):

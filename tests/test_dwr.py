@@ -5,12 +5,11 @@ from sppsim import dwr as dwr_mod
 from sppsim import mesh as msh
 from sppsim.assembly import DipoleSpec, SheetModel
 from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
-from sppsim.fespace import (REF, FieldSolution, distribute_dofs, shape_eval,
-                            vector_monomials)
+from sppsim.fespace import REF, FieldSolution, distribute_dofs, vector_monomials
 from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
-from fields import interpolate
+from fields import interpolate, shape_eval
 
 D_W = 1.5625
 

@@ -5,12 +5,11 @@ from sppsim import fespace as fes
 from sppsim import harness as hn
 from sppsim import mesh as msh
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
-                            distribute_dofs, shape_eval, sheet_ref_points,
-                            vector_monomials)
+                            distribute_dofs, sheet_ref_points, vector_monomials)
 from sppsim.mesh import EDGE_CORNERS
 from sppsim.solver import Factorization
 
-from fields import interpolate
+from fields import interpolate, shape_eval
 
 
 def grid_mesh(nx, ny, sx=1.0, sy=1.0, x0=0.0, y0=0.0):
@@ -186,6 +185,40 @@ class TestShapeFunctions:
                 _, res, _, _ = np.linalg.lstsq(A, b, rcond=None)
                 resid = np.linalg.norm(A @ np.linalg.lstsq(A, b, rcond=None)[0] - b)
                 assert resid < 1e-10
+
+
+class TestEvaluateFields:
+    """Field values and curls from monomial coefficients against the mapped basis."""
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        # straight, hanging, arc-edge and layer cells
+        m = msh.build_disk_mesh(8 * np.pi, 2)
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            ids = m.active_ids()
+            m.refine(rng.choice(ids, size=len(ids) // 6, replace=False))
+        space = distribute_dofs(m)
+        assert build_constraints(space).n_master < space.n_dofs
+        assert m.arc[space.active].any()
+        return space
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_values_and_curls(self, space, shared):
+        rng = np.random.default_rng(2)
+        sols = [rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
+                for _ in range(2)]
+        cids = space.active
+        pts = REF.quad_pts if shared else rng.random((len(cids), 3, 2))
+        _, det, vals, curls = fes.evaluate_fields(space, cids, pts, sols)
+        basis, basis_curls = shape_eval(space, cids, pts)
+        for k, c in enumerate(sols):
+            local = c[space.cell_dofs[space.rank[cids]]]
+            want = np.einsum("nb,npbc->npc", local, basis)
+            want_curl = np.einsum("nb,npb->np", local, basis_curls)
+            for got, ref in ((vals[k], want), (curls[k], want_curl)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(FieldSolution(space, sols[1]).values(cids, pts), vals[1])
 
 
 class TestConstraints:

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import weakref
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0
 
+from sppsim import fespace
 from sppsim import harness as hn
 from sppsim import mesh as msh
 from sppsim import solver
@@ -176,9 +179,11 @@ class TestOneFactorization:
         xs = hn.trace_grid(cfg)
         one = hn.scattered_trace(hn.solve_pair(space, cs, model)[0], xs)
         fixed = assemble_fixed(space, cs, model)
-        mat_0, sheet = assemble_pair(fixed, model)
+        # the sheet-free system is the pair without conductivity
+        mat_0 = assemble_pair(fixed, dataclasses.replace(model, sigma_r=0j))
         primary = solver.solve(ComplexSystem(mat_0, fixed.rhs, space, cs))
-        total = solver.solve(ComplexSystem(mat_0 + sheet, fixed.rhs, space, cs))
+        total = solver.solve(ComplexSystem(assemble_pair(fixed, model), fixed.rhs,
+                                           space, cs))
         diff = hn.scattered_trace(FieldSolution(space, total.coeffs - primary.coeffs), xs)
         return cfg, xs, one, diff, hn.scattered_trace(primary, xs)
 
@@ -259,6 +264,32 @@ class TestRunAdaptive:
         assert records[-1].n_dofs > 3000
 
 
+def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
+    awkward = [-0.0, 1e-300, 3.0, -7.0, 1e22, 5e-324, 0.1, -2.5e-17, 123456789.0,
+               float("inf"), float("nan")]
+    n = len(awkward)
+    xs = np.array([-2.0, -0.0, 1e-300, 1.0, 2.0, 3.0, 1e15, 1e16, 1e22, 2e22, 3e22])
+    rng = np.random.default_rng(0)
+
+    def complex_of(re, im):     # without 1j * inf, which makes a nan real part
+        out = np.empty(n, dtype=complex)
+        out.real, out.imag = re, im
+        return out
+
+    trace = hn.InterfaceTrace(xs, complex_of(awkward, awkward[::-1]))
+    reference = hn.InterfaceTrace(xs, complex_of(rng.standard_normal(n), awkward))
+    path = tmp_path / "fast.csv"
+    hn._write_trace_csv(str(path), trace, reference)
+    want = tmp_path / "writer.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"])
+        for x, v, o in zip(trace.x, trace.values, reference.values):
+            w.writerow([f"{x:.16g}", f"{v.real:.16g}", f"{v.imag:.16g}",
+                        f"{o.real:.16g}", f"{o.imag:.16g}"])
+    assert path.read_bytes() == want.read_bytes()
+
+
 class TestDefaultRun:
     # cycles 1-3 of the default configuration; the errors are those of the
     # scattered field solved against the sheet load of the incident field
@@ -308,6 +339,21 @@ class TestPmlStudy:
         for s0 in (0.0, 2.0, 8.0):
             alone = hn.pml_study(cfg, [s0], mesh=mesh)
             assert np.array_equal(together[s0].values, alone[s0].values)
+
+    def test_sheet_tables_built_once(self, monkeypatch):
+        # only sigma_eff and E_inc depend on the strength; the sheet faces'
+        # quadrature and basis traces are built once per space
+        built = []
+        face_traces = fespace.face_traces
+
+        def counting(space, faces):
+            built.append(faces is space.sheet_faces)
+            return face_traces(space, faces)
+
+        monkeypatch.setattr(fespace, "face_traces", counting)
+        cfg = tiny_config()
+        hn.pml_study(cfg, [0.0, 2.0, 8.0], mesh=hn.build_initial_mesh(cfg))
+        assert built.count(True) == 1
 
     def test_unresolved_dipole_rejected(self):
         cfg = tiny_config()

@@ -86,6 +86,61 @@ class TestJacobianInverse:
         assert err.max() <= 1e-14
 
 
+def transfinite_geometry(m, cids, ref):
+    """The transfinite map written out: the four edge curves blended, minus
+    the bilinear corner term; a reference for cell_geometry."""
+    corners = m.cell_corners(cids)
+    arcs = m.arc[cids]
+    ref = ref[None] if ref.ndim == 2 else ref
+    xi, eta = ref[..., 0], ref[..., 1]
+    v0, v1, v2, v3 = (corners[:, k] for k in range(4))
+    c0, d0 = msh._edge_points(v0, v1, arcs[:, 0], xi, m.R)
+    c2, d2 = msh._edge_points(v3, v2, arcs[:, 2], xi, m.R)
+    c1, d1 = msh._edge_points(v1, v2, arcs[:, 1], eta, m.R)
+    c3, d3 = msh._edge_points(v0, v3, arcs[:, 3], eta, m.R)
+    xi_, eta_ = xi[..., None], eta[..., None]
+    bl = ((1 - xi_) * (1 - eta_) * v0[:, None] + xi_ * (1 - eta_) * v1[:, None]
+          + xi_ * eta_ * v2[:, None] + (1 - xi_) * eta_ * v3[:, None])
+    phys = (1 - eta_) * c0 + eta_ * c2 + (1 - xi_) * c3 + xi_ * c1 - bl
+    dbl_dxi = (-(1 - eta_) * v0[:, None] + (1 - eta_) * v1[:, None]
+               + eta_ * v2[:, None] - eta_ * v3[:, None])
+    dbl_deta = (-(1 - xi_) * v0[:, None] - xi_ * v1[:, None]
+                + xi_ * v2[:, None] + (1 - xi_) * v3[:, None])
+    jac = np.stack([(1 - eta_) * d0 + eta_ * d2 + (c1 - c3) - dbl_dxi,
+                    (1 - xi_) * d3 + xi_ * d1 + (c2 - c0) - dbl_deta], axis=-1)
+    return phys, jac
+
+
+class TestBilinearPlusArcTerms:
+    def test_matches_the_transfinite_map(self):
+        m = cascade_toward_rim()
+        ids = m.active_ids()
+        assert m.arc[ids].any() and not m.arc[ids].all()
+        rng = np.random.default_rng(3)
+        for ref in (quad_pts()[0], rng.random((len(ids), 5, 2))):
+            got = msh.cell_geometry(m, ids, ref)
+            for g, want in zip(got, transfinite_geometry(m, ids, ref)):
+                assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_cells_do_not_depend_on_their_batch(self):
+        m = cascade_toward_rim()
+        ids = m.active_ids()
+        pts = np.random.default_rng(4).random((len(ids), 3, 2))
+        whole = msh.cell_geometry(m, ids, pts)
+        for k in (0, 7, len(ids) - 1):
+            for a, b in zip(msh.cell_geometry(m, ids[k:k + 1], pts[k:k + 1]), whole):
+                assert np.array_equal(a[0], b[k])
+
+    def test_split_centres_keep_the_transfinite_rounding(self):
+        m = cascade_toward_rim()
+        ids = m.active_ids()
+        centre = np.array([[0.5, 0.5]])
+        want = transfinite_geometry(m, ids, centre)[0][:, 0]
+        assert np.array_equal(msh._split_centres(m, ids), want)
+        got = msh.cell_geometry(m, ids, centre)[0][:, 0]
+        assert np.abs(got - want).max() <= 1e-14 * R
+
+
 class TestBuild:
     def test_coarse_cells_do_not_straddle_sheet(self):
         m = msh.build_disk_mesh(R, 0)
@@ -271,7 +326,7 @@ class RecursiveSplit:
                 self.split(coarse)
         v0, v1, v2, v3 = m.cells[cid].tolist()
         m0, m1, m2, m3 = (self.midpoint(cid, ledge) for ledge in range(4))
-        cc = m.add_vertex(*msh.cell_geometry(m, [cid], np.array([[0.5, 0.5]]))[0][0, 0])
+        cc = m.add_vertex(*msh._split_centres(m, [cid])[0])
         a0, a1, a2, a3 = m.arc[cid].tolist()
         for key in self.keys_of(cid):
             self.owners[key].discard(cid)
@@ -362,7 +417,7 @@ class TestRimFaces:
         rim = msh.boundary_faces(m)
         assert np.all(m.children[rim.owner, 0] < 0)
         assert np.all(m.arc[rim.owner, rim.ledge])
-        _, _, wds, _ = face_quadrature(m, rim.owner, rim.ledge)
+        _, _, wds, _, _ = face_quadrature(m, rim.owner, rim.ledge)
         assert wds.sum() == pytest.approx(np.pi * R, rel=1e-13)
 
 
