@@ -29,10 +29,23 @@ contracted with a reference table of the cell's orientation signature
 curl and value products, the dipole load takes det J phi_y = (adj J^T v)_y,
 the dual load needs no det J at all, and a face integral uses the tangential
 trace phi_b . t = (v_b . e) / |dx/dt|.
+
+The four interior dofs of every cell are condensed in the volume kernel.
+With the local matrix split into its edge (e, 8) and interior (i, 4) blocks,
+W = K_ii^{-1} K_ie is a batched LU solve per shape class, never an explicit
+inverse, and the Schur complement S = K_ee - K_ei W is scattered on the edge
+dofs alone.  The face terms and the sheet load touch only the edge dofs: an
+interior function has no tangential trace.  So the solver factorizes
+C_e^T S C_e on the unconstrained edge dofs.  A ComplexSystem keeps a
+constraint map P whose interior rows are -W C_e, so P^T f is the eliminated
+load, and the interior block K_ii of every cell: the solver back-substitutes
+x_i = K_ii^{-1} (f_i - K_ie x_e) as P x_e plus K_ii^{-1} f_i on the cells
+whose load has an interior part.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +53,9 @@ import scipy.sparse as sp
 from scipy.special import hankel1
 
 from . import pml as pml_mod
-from .fespace import (N_DOFS_CELL, REF, ConstraintSet, EdgeFESpace, FaceQuadrature,
-                      FieldSolution, face_traces, gemm_real, orientation_groups,
-                      positive_det)
+from .fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, ConstraintSet, EdgeFESpace,
+                      FaceQuadrature, FieldSolution, face_traces, gemm_real,
+                      orientation_groups, positive_det)
 from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
@@ -95,12 +108,39 @@ class SheetModel:
 
 @dataclass
 class ComplexSystem:
-    """Condensed complex sparse system with its constraint handler."""
+    """Schur complement system on the edge master dofs, with one eliminated load.
+
+    matrix is C_e^T S C_e (S the cells' Schur complements plus the face
+    terms), constraints the map P from the edge masters to all dofs, whose
+    interior rows are -W C_e (ConstraintSet.with_interior), and k_ii
+    (n_active, 4, 4) the interior block of every active cell's local matrix,
+    in rank order.  rhs is the eliminated load P^T f and rhs_interior its
+    interior part f_i (n_active, 4), which back-substitution needs; both are
+    None until with_load.
+    """
 
     matrix: sp.csc_matrix
-    rhs: np.ndarray
     space: EdgeFESpace
     constraints: ConstraintSet
+    k_ii: np.ndarray
+    rhs: np.ndarray | None = None
+    rhs_interior: np.ndarray | None = None
+
+    def with_load(self, load: np.ndarray) -> "ComplexSystem":
+        """This system with the load (over all dofs) eliminated."""
+        return dataclasses.replace(self, rhs=self.constraints.transpose @ load,
+                                   rhs_interior=self.space.interior(load))
+
+
+@dataclass
+class Interior:
+    """The condensed interior dofs of the active cells cids: the interior
+    blocks K_ii (n, 4, 4) of their local matrices and W = K_ii^{-1} K_ie
+    (n, 4, 8)."""
+
+    cids: np.ndarray
+    k_ii: np.ndarray
+    w: np.ndarray
 
 
 CHUNK_CELLS = 16384
@@ -110,8 +150,8 @@ SHAPE_RESOLUTION = 1e-12
 
 def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
     """Global matrix of the local matrices local[k] on the dof rows dofs[k]."""
-    rows = np.repeat(dofs, N_DOFS_CELL, axis=1).ravel()
-    cols = np.tile(dofs, (1, N_DOFS_CELL)).ravel()
+    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
+    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(space.n_dofs, space.n_dofs)).tocsc()
 
@@ -119,11 +159,12 @@ def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
 def _face_matrix(space: EdgeFESpace, quad: FaceQuadrature, coef) -> sp.csc_matrix:
     """Sum over faces of int coef (phi_b . t)(phi_d . t) ds on each owner edge.
 
-    coef is a scalar or (f, p) values at the points quad.phys.
+    coef is a scalar or (f, p) values at the points quad.phys; b and d run
+    over the owner's edge dofs.
     """
     weighted = (quad.weights * coef)[:, :, None] * quad.traces
     local = gemm_real(weighted.transpose(0, 2, 1), quad.traces)
-    return _scatter(space, space.cell_dofs[space.rank[quad.owner]], local)
+    return _scatter(space, space.cell_dofs[space.rank[quad.owner], :N_EDGE_DOFS], local)
 
 
 def _pullback(jac: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -156,6 +197,21 @@ def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
     for oidx, rows in orientation_groups(space, cids):
         local[rows] = gemm_real(coef[rows], REF.volume_products(oidx))
     return local.reshape(n, N_DOFS_CELL, N_DOFS_CELL)
+
+
+def _condense_local(local: np.ndarray):
+    """Schur complements (n, 8, 8), W = K_ii^{-1} K_ie (n, 4, 8) and interior
+    blocks K_ii (n, 4, 4) of the local matrices (n, 12, 12).
+
+    W is one LU solve per matrix, never an explicit inverse of K_ii (that
+    raises the residual of the 12-dof system a thousandfold), and
+    S = K_ee - K_ei W takes K_ei as assembled: the local matrices are
+    symmetric only up to rounding.
+    """
+    e = N_EDGE_DOFS
+    k_ii = local[:, e:, e:]
+    w = np.linalg.solve(k_ii, local[:, e:, :e])
+    return local[:, :e, :e] - local[:, :e, e:] @ w, w, k_ii
 
 
 def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
@@ -200,21 +256,28 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     return cids[first], inverse.reshape(-1)
 
 
-def assemble_volume(space: EdgeFESpace, model: SheetModel, cids) -> sp.csc_matrix:
-    """Curl-curl minus mass term of the active cells cids, over all dofs.
+def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
+    """Curl-curl minus mass term of the active cells cids, interior dofs condensed.
 
-    Local matrices are computed once per shape class (shape_classes) and
-    scattered chunk by chunk in the order of cids.
+    Returns the cells' Schur complements over all dofs (edge entries only)
+    and their Interior.  Local matrices are computed and condensed once per
+    shape class (shape_classes) and scattered chunk by chunk in the order of
+    cids.
     """
+    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
     if len(cids) == 0:
-        return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
+        return (sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex),
+                Interior(cids=cids, k_ii=np.empty((0, i, i), dtype=complex),
+                         w=np.empty((0, i, e), dtype=complex)))
     reps, inverse = shape_classes(space, model, cids)
-    local = np.concatenate([_volume_local(space, model, reps[lo:lo + CHUNK_CELLS])
-                            for lo in range(0, len(reps), CHUNK_CELLS)])
-    dofs = space.cell_dofs[space.rank[cids]]
-    return sum(_scatter(space, dofs[lo:lo + CHUNK_CELLS],
-                        local[inverse[lo:lo + CHUNK_CELLS]])
-               for lo in range(0, len(cids), CHUNK_CELLS))
+    schur, w, k_ii = (np.concatenate(part) for part in zip(*(
+        _condense_local(_volume_local(space, model, reps[lo:lo + CHUNK_CELLS]))
+        for lo in range(0, len(reps), CHUNK_CELLS))))
+    dofs = space.cell_dofs[space.rank[cids], :e]
+    matrix = sum(_scatter(space, dofs[lo:lo + CHUNK_CELLS],
+                          schur[inverse[lo:lo + CHUNK_CELLS]])
+                 for lo in range(0, len(cids), CHUNK_CELLS))
+    return matrix, Interior(cids=cids, k_ii=k_ii[inverse], w=w[inverse])
 
 
 def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
@@ -223,15 +286,16 @@ def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
-    """Volume and rim terms over all dofs: the sum of the parts of a solve pair."""
+    """Volume and rim terms over all dofs, interior dofs condensed: the sum of
+    the parts of a solve pair."""
     inner = inner_cells(space, model)
-    return (assemble_volume(space, model, space.active[inner])
+    return (assemble_volume(space, model, space.active[inner])[0]
             + _rim_matrix(space)
-            + assemble_volume(space, model, space.active[~inner]))
+            + assemble_volume(space, model, space.active[~inner])[0])
 
 
 def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
-    """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, full dof set."""
+    """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, on the edge dofs."""
     if model.sigma_r == 0:
         return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
     quad = space.sheet_quadrature
@@ -239,9 +303,9 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
     return _face_matrix(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
 
 
-def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
-    """F_i = i int j_reg . conj(phi_i)."""
-    dip = model.dipole
+def _dipole_cells(space: EdgeFESpace, dip: DipoleSpec) -> np.ndarray:
+    """The active cells that meet the dipole's bump; AssemblyError unless they
+    resolve it."""
     cids = cells_intersecting_disk(space.mesh, dip.position, dip.radius)
     if len(cids) == 0:
         raise AssemblyError("no cells near the dipole; mesh does not cover it")
@@ -250,6 +314,13 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
         raise AssemblyError(
             f"dipole regularization unresolved: cell diameter {dmax:.3g} exceeds "
             f"half the radius {dip.radius:.3g}; refine the mesh near the dipole")
+    return cids
+
+
+def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
+    """F_i = i int j_reg . conj(phi_i), over all dofs."""
+    dip = model.dipole
+    cids = _dipole_cells(space, dip)
     phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
     positive_det(jac)
     n, p = len(cids), len(REF.quad_wts)
@@ -286,8 +357,8 @@ def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
 def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     """Load i int_Sheet sigma_eff E_inc,t (phi_i . t) ds of the scattered field.
 
-    Over leaf sheet faces, full dof set; E_inc is incident_ex.  It is the
-    negative sheet term of the matrix applied to E_inc.
+    Over leaf sheet faces, on the edge dofs; E_inc is incident_ex.  It is
+    the negative sheet term of the matrix applied to E_inc.
     """
     quad = space.sheet_quadrature
     pts = quad.phys.reshape(-1, 2)
@@ -298,7 +369,8 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
                       quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
                       quad.traces)
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    np.add.at(rhs, space.cell_dofs[space.rank[quad.owner]].ravel(), local.ravel())
+    np.add.at(rhs, space.cell_dofs[space.rank[quad.owner], :N_EDGE_DOFS].ravel(),
+              local.ravel())
     return rhs
 
 
@@ -364,7 +436,8 @@ def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
 @dataclass
 class FixedPart:
     """The condensed part of a solve pair that the layer strength and the
-    conductivity leave unchanged: inner-cell volume, rim and dipole terms.
+    conductivity leave unchanged: the inner cells' volume term and the rim
+    term on the edge masters, and the inner cells' Interior.
 
     It is built once per mesh and serves every model that shares its dipole
     and disk radius.
@@ -373,7 +446,7 @@ class FixedPart:
     space: EdgeFESpace
     constraints: ConstraintSet
     matrix: sp.csc_matrix      # condensed inner volume + rim
-    rhs: np.ndarray            # condensed dipole right-hand side
+    inner: Interior
     outer: np.ndarray          # active cell ids left to the per-model part
     key: tuple
 
@@ -384,17 +457,43 @@ def _fixed_key(model: SheetModel) -> tuple:
 
 def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
                    model: SheetModel) -> FixedPart:
-    """Assemble and condense the model-independent part of a solve pair once."""
-    rhs = assemble_dipole_rhs(space, model)
+    """Assemble and condense the model-independent part of a solve pair once.
+
+    A pair solves against the sheet load, so no dipole load is built here;
+    a mesh that does not resolve the dipole is still rejected up front.
+    """
+    _dipole_cells(space, model.dipole)
     inner = inner_cells(space, model)
-    matrix, rhs_c = condense(assemble_volume(space, model, space.active[inner])
-                             + _rim_matrix(space), rhs, constraints)
+    volume, interior = assemble_volume(space, model, space.active[inner])
+    matrix, _ = condense(volume + _rim_matrix(space), None, constraints)
     return FixedPart(space=space, constraints=constraints, matrix=matrix,
-                     rhs=rhs_c, outer=space.active[~inner], key=_fixed_key(model))
+                     inner=interior, outer=space.active[~inner], key=_fixed_key(model))
 
 
-def assemble_pair(fixed: FixedPart, model: SheetModel) -> sp.csc_matrix:
-    """Condensed system matrix of one model: the matrix the solver factorizes.
+def _system(space: EdgeFESpace, matrix: sp.csc_matrix, constraints: ConstraintSet,
+            parts) -> ComplexSystem:
+    """The load-free system of a condensed matrix on the edge masters; the
+    Interior parts cover every active cell once."""
+    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
+    n = len(space.active)
+    k_ii = np.empty((n, i, i), dtype=complex)
+    w = np.empty((n, i, e), dtype=complex)
+    for part in parts:
+        k_ii[space.rank[part.cids]] = part.k_ii
+        w[space.rank[part.cids]] = part.w
+    # the interior dofs follow the edge dofs in rank order; each of their
+    # rows holds -W of its cell on the cell's edge dofs
+    indptr = np.concatenate([np.zeros(space.n_edge_dofs, dtype=np.int64),
+                             e * np.arange(i * n + 1)])
+    indices = np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel()
+    coupling = sp.csr_matrix((-w.ravel(), indices, indptr),
+                             shape=(space.n_dofs, space.n_dofs))
+    return ComplexSystem(matrix=matrix, space=space, k_ii=k_ii,
+                         constraints=constraints.with_interior(coupling))
+
+
+def assemble_pair(fixed: FixedPart, model: SheetModel) -> ComplexSystem:
+    """The load-free system of one model (ComplexSystem.with_load adds a load).
 
     Only the outer cells' volume term and the sheet term depend on the
     model; they are assembled together, condensed once and added to the
@@ -404,6 +503,8 @@ def assemble_pair(fixed: FixedPart, model: SheetModel) -> sp.csc_matrix:
         raise ValueError("the fixed part was built for another dipole or disk "
                          "radius")
     space = fixed.space
-    varying, _ = condense(assemble_volume(space, model, fixed.outer)
-                          + assemble_interface(space, model), None, fixed.constraints)
-    return fixed.matrix + varying
+    volume, outer = assemble_volume(space, model, fixed.outer)
+    varying, _ = condense(volume + assemble_interface(space, model), None,
+                          fixed.constraints)
+    del volume
+    return _system(space, fixed.matrix + varying, fixed.constraints, (fixed.inner, outer))

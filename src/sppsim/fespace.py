@@ -20,7 +20,11 @@ reference basis before J^{-T} and 1/det J are applied to the result.
 
 Hanging edges on 1-irregular meshes are constrained: the two child-edge
 moment pairs are fixed linear images of the parent-edge pair, which makes the
-tangential trace globally continuous.
+tangential trace globally continuous.  The interior moments are never
+constrained; assembly condenses them cell by cell, so the unknowns of the
+factorized system are the unconstrained edge dofs alone, and the constraint
+map of a condensed system also carries each cell's interior dofs
+(ConstraintSet.with_interior).
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ _CORNER_XY = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 _EDGE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 
 N_DOFS_CELL = 12
+# the edge moments come first in a cell's dofs, the four interior moments last
+N_EDGE_DOFS = 8
 # Gauss points per face (face_quadrature, ReferenceElement.edge_traces)
 FACE_POINTS = 4
 
@@ -178,13 +184,19 @@ class ReferenceElement:
 
     @cached_property
     def edge_traces(self) -> np.ndarray:
-        """Tangential traces v_b . e (16, 4, FACE_POINTS, 12) of each orientation's
-        basis at the Gauss points of each local edge, e its reference tangent."""
+        """Tangential traces v_b . e (16, 4, FACE_POINTS, 8) of each orientation's
+        edge basis functions at the Gauss points of each local edge, e its
+        reference tangent.
+
+        The interior functions have zero moments on every edge, so their
+        degree-1 traces vanish; evaluated they are rounding noise (below 1e-15).
+        """
         te, _ = gauss01(FACE_POINTS)
         pts = np.concatenate([_edge_ref_points(e, te) for e in range(4)])
         tangents = np.repeat(np.asarray(_EDGE_TANGENT), len(te), axis=0)
-        return np.stack([np.einsum("pbi,pi->pb", self.basis_at(oidx, pts)[0], tangents)
-                         for oidx in range(16)]).reshape(16, 4, len(te), N_DOFS_CELL)
+        return np.stack([np.einsum("pbi,pi->pb", self.basis_at(oidx, pts)[0][:, :N_EDGE_DOFS],
+                                   tangents)
+                         for oidx in range(16)]).reshape(16, 4, len(te), N_EDGE_DOFS)
 
 
 REF = ReferenceElement()
@@ -245,6 +257,15 @@ class EdgeFESpace:
     def sheet_quadrature(self) -> "FaceQuadrature":
         """Quadrature and basis traces on the sheet faces (face_traces), built once."""
         return face_traces(self, self.sheet_faces)
+
+    @property
+    def n_edge_dofs(self) -> int:
+        """The edge dofs come first: dofs 0 .. n_edge_dofs - 1."""
+        return 2 * self.n_faces
+
+    def interior(self, vec: np.ndarray) -> np.ndarray:
+        """The interior part (n_active, 4) of a vector over all dofs, in rank order."""
+        return vec[self.n_edge_dofs:].reshape(len(self.active), -1)
 
 
 def distribute_dofs(mesh: Mesh) -> EdgeFESpace:
@@ -337,7 +358,12 @@ def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
 
 @dataclass
 class ConstraintSet:
-    """Hanging-edge dofs expressed through their parent-edge dofs."""
+    """All dofs expressed through the master dofs, the unconstrained edge dofs.
+
+    build_constraints ties each hanging edge's dofs to its parent edge's and
+    leaves the interior rows empty; with_interior fills them for a condensed
+    system.
+    """
 
     n_dofs: int
     matrix: sp.csr_matrix        # (n_dofs, n_master)
@@ -357,6 +383,18 @@ class ConstraintSet:
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return full[self.master_dofs]
 
+    def with_interior(self, coupling: sp.spmatrix) -> "ConstraintSet":
+        """This map with the interior rows coupling @ matrix.
+
+        coupling (n_dofs, n_dofs) holds -W = -K_ii^{-1} K_ie of each condensed
+        cell in its interior rows and edge columns, so the interior rows of
+        the result are -W C_e.  Its transpose eliminates a load f into
+        C_e^T (f_e - W^T f_i), and it distributes the edge masters of a
+        solution with zero interior load.
+        """
+        return ConstraintSet(n_dofs=self.n_dofs, master_dofs=self.master_dofs,
+                             matrix=(self.matrix + coupling @ self.matrix).tocsr())
+
 
 def _child_transfer(alpha: float, gamma: float) -> np.ndarray:
     """Child-edge moments of a degree-1 trace given parent moments.
@@ -372,7 +410,11 @@ _T_HI = _child_transfer(1.0, -0.5)   # child from parent's high vertex to midpoi
 
 
 def build_constraints(space: EdgeFESpace) -> ConstraintSet:
-    """Tie child-edge dofs on hanging faces to the parent-edge dofs."""
+    """Tie child-edge dofs on hanging faces to the parent-edge dofs.
+
+    The masters are the unconstrained edge dofs; the interior dofs are no
+    masters, and their rows stay empty until with_interior.
+    """
     keys = space.face_keys
     mids = space.mesh.edge_midpoints(keys)
     parent = np.flatnonzero(mids >= 0)
@@ -395,11 +437,11 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     coef = np.broadcast_to(T, slave.shape)
     nonzero = coef != 0.0
     slave, master, coef = slave[nonzero], master[nonzero], coef[nonzero]
-    constrained = np.zeros(space.n_dofs, dtype=bool)
+    constrained = np.zeros(space.n_edge_dofs, dtype=bool)
     constrained[slave] = True
     assert not constrained[master].any(), "constraint chains are not allowed"
     master_dofs = np.flatnonzero(~constrained)
-    col_of = -np.ones(space.n_dofs, dtype=np.int64)
+    col_of = -np.ones(space.n_edge_dofs, dtype=np.int64)
     col_of[master_dofs] = np.arange(len(master_dofs))
     ri = np.concatenate([master_dofs, slave])
     ci = col_of[np.concatenate([master_dofs, master])]
@@ -440,7 +482,8 @@ class FaceQuadrature:
     owner (f,) are the owner cells, ref and phys (f, p, 2) the reference and
     physical points, weights (f, p) the Gauss weights times the edge speed,
     tangent (f, p, 2) the unit tangents along the reference edge and traces
-    (f, p, 12) the tangential traces phi_b . t of the owner's basis.
+    (f, p, 8) the tangential traces phi_b . t of the owner's edge basis
+    functions (the interior ones have none).
     """
 
     owner: np.ndarray

@@ -6,7 +6,11 @@ field E_sc solves the system with the sheet against a sheet load of E_inc,
 and its trace on the sheet is compared with the reference trace (pole plus
 branch cut), which is evaluated once per run on the sample grid.  The same
 factorization serves the total-field solve with the regularized dipole and
-the adjoint, which only the DWR estimator needs.  Everything is driven by a
+the adjoint, which only the DWR estimator needs; only then is the dipole
+load built and eliminated.  The factorized system is the Schur complement on
+the edge dofs (assembly condenses each cell's interior dofs); every load is
+eliminated into it (ComplexSystem.with_load) and every solution comes back
+with its interior dofs back-substituted.  Everything is driven by a
 flat key = value config file or programmatic RunConfig; outputs are plain
 CSV files plus VTK dumps.
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import dwr as dwr_mod
 from . import oracle as oracle_mod
-from .assembly import (ComplexSystem, DipoleSpec, FixedPart, SheetModel,
+from .assembly import (DipoleSpec, FixedPart, SheetModel, assemble_dipole_rhs,
                        assemble_dual_rhs, assemble_fixed, assemble_pair,
                        assemble_sheet_load)
 from .fespace import (EdgeFESpace, FieldSolution, build_constraints, distribute_dofs,
@@ -219,24 +223,21 @@ def solve_pair(space, constraints, model: SheetModel, fixed: FixedPart | None = 
     """Scattered field from one factorization of the system with the sheet.
 
     Returns (scattered, sys_tot, fac_tot): the scattered field E_sc solved
-    against the sheet load of E_inc (assemble_sheet_load), the total-field
-    system with the regularized dipole and its factors.  The caller solves
-    the total field with those factors only when it needs it, as the DWR
-    estimator does.  fixed is the model-independent part (assemble_fixed) on
-    this space; it is built here when not given, and then freed once the
-    matrix is assembled.
+    against the sheet load of E_inc (assemble_sheet_load), the system with
+    the sheet, loaded with that sheet load, and its factors.  The caller
+    eliminates the regularized dipole's load into that system
+    (ComplexSystem.with_load) and solves the total field with those factors
+    only when it needs it, as the DWR estimator does.  fixed is the
+    model-independent part (assemble_fixed) on this space; it is built here
+    when not given, and then freed once the matrix is assembled.
     """
     if fixed is None:
         fixed = assemble_fixed(space, constraints, model)
-    mat_tot = assemble_pair(fixed, model)
-    rhs = fixed.rhs
+    sys_tot = assemble_pair(fixed, model)
     del fixed
-    fac_tot = factorize(mat_tot)
-    load = constraints.transpose @ assemble_sheet_load(space, model)
-    scattered = solve(ComplexSystem(matrix=mat_tot, rhs=load, space=space,
-                                    constraints=constraints), factor=fac_tot)
-    sys_tot = ComplexSystem(matrix=mat_tot, rhs=rhs, space=space,
-                            constraints=constraints)
+    fac_tot = factorize(sys_tot.matrix)
+    sys_tot = sys_tot.with_load(assemble_sheet_load(space, model))
+    scattered = solve(sys_tot, factor=fac_tot)
     return scattered, sys_tot, fac_tot
 
 
@@ -258,13 +259,15 @@ def _solve_cycle(space: EdgeFESpace, model: SheetModel, weight, xs,
     Everything else the cycle builds (factors, system, solutions, dual
     right-hand side, adjoint, QuadData, recovery) is local here and freed
     on return; the factors are freed before the QuadData is built.  The
-    total field is solved only for the estimator.
+    total field, and with it the dipole load, is solved only for the
+    estimator.
     """
     scattered, sys_tot, fac_tot = solve_pair(space, build_constraints(space), model)
     trace = scattered_trace(scattered, xs)
     if not estimate:
         return trace, None
     del scattered
+    sys_tot = sys_tot.with_load(assemble_dipole_rhs(space, model))
     total = solve(sys_tot, factor=fac_tot)
     adjoint = solve_adjoint(sys_tot, assemble_dual_rhs(space, total, weight),
                             factor=fac_tot)

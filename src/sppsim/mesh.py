@@ -534,25 +534,25 @@ def cell_diameters(mesh: Mesh, cids) -> np.ndarray:
 
 
 def write_vtk(mesh: Mesh, path, cell_data: dict | None = None):
-    """Dump the active mesh as a legacy ASCII VTK unstructured grid."""
+    """Dump the active mesh as a legacy ASCII VTK unstructured grid.
+
+    Points, cells and each scalar column are formatted in one pass with one
+    %-template per block (floats as %.16g), and the file is written at once.
+    """
     active = mesh.active_ids()
-    cells = mesh.cells[active]
-    used, local = np.unique(cells, return_inverse=True)
-    lines = ["# vtk DataFile Version 3.0", "sppsim mesh", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {len(used)} double"]
-    lines.extend(f"{x:.16g} {y:.16g} 0" for x, y in mesh.vertices[used].tolist())
-    lines.append(f"CELLS {len(active)} {5 * len(active)}")
-    lines.extend("4 " + " ".join(map(str, vs))
-                 for vs in local.reshape(cells.shape).tolist())
-    lines.append(f"CELL_TYPES {len(active)}")
-    lines.extend(["9"] * len(active))
+    n = len(active)
+    used, local = np.unique(mesh.cells[active], return_inverse=True)
     data = dict(cell_data or {})
     data.setdefault("level", mesh.level[active])
-    lines.append(f"CELL_DATA {len(active)}")
+    parts = ["# vtk DataFile Version 3.0\nsppsim mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+             f"POINTS {len(used)} double\n",
+             "%.16g %.16g 0\n" * len(used) % tuple(mesh.vertices[used].ravel().tolist()),
+             f"CELLS {n} {5 * n}\n",
+             "4 %d %d %d %d\n" * n % tuple(local.ravel().tolist()),
+             f"CELL_TYPES {n}\n" + "9\n" * n + f"CELL_DATA {n}\n"]
     for name, values in data.items():
-        values = np.asarray(values)
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{float(v):.16g}" for v in values)
+        values = np.asarray(values, dtype=float)
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                     + "%.16g\n" * len(values) % tuple(values.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

@@ -1,15 +1,23 @@
 """Direct sparse solution of the condensed complex systems.
 
-Every solve goes through a sparse LU factorization with iterative
-refinement.  The assembled matrix is complex symmetric (M = M^T), so the
-fast factorization orders the symmetric pattern A + A^T and takes its pivots
+The factorized matrix is the Schur complement on the edge master dofs: the
+interior dofs of every cell are condensed in assembly.  Every solve goes
+through a sparse LU factorization of it with iterative refinement, and
+RESIDUAL_TOL and the safe fallback apply to that matrix.  The interior dofs
+are then back-substituted cell by cell, x_i = K_ii^{-1} (f_i - K_ie x_e):
+the system's constraint map gives -W x_e, and a batched 4x4 LU solve adds
+K_ii^{-1} f_i on the cells whose load has an interior part.
+
+The assembled matrix is complex symmetric (M = M^T), so the fast
+factorization orders the symmetric pattern A + A^T and takes its pivots
 from the diagonal: a row pivot is taken off the diagonal only where the
 diagonal entry is below 1e-6 of the largest entry of its column, which keeps
 the fill that the ordering planned.  A conservatively pivoted
 refactorization is the fallback when the residual after refinement stays
 above RESIDUAL_TOL.  One factorization serves the primal and the adjoint
 solve, because with M = M^T the adjoint pairing reduces to a conjugated
-solve with the same factors.
+solve with the same factors, and the adjoint's interior blocks are the
+primal's.
 """
 
 from __future__ import annotations
@@ -92,11 +100,25 @@ def _direct_solve(matrix, b, factor: Factorization | None):
     return x
 
 
-def solve(system: ComplexSystem, factor: Factorization | None = None) -> FieldSolution:
-    """Primal solve; constraints are redistributed onto the returned field."""
-    x = _direct_solve(system.matrix, system.rhs, factor)
+def _back_substitute(system: ComplexSystem, x: np.ndarray, load_interior) -> np.ndarray:
+    """All coefficients from the edge masters x and the interior load f_i.
+
+    The constraint map gives the edge dofs and x_i = -W x_e; the cells with
+    an interior load add K_ii^{-1} f_i, so that x_i = K_ii^{-1} (f_i - K_ie x_e).
+    """
     full = system.constraints.distribute(x)
-    return FieldSolution(space=system.space, coeffs=full)
+    loaded = np.flatnonzero(np.any(load_interior != 0, axis=1))
+    interior = system.space.interior(full)      # a view: updates write into full
+    interior[loaded] += np.linalg.solve(system.k_ii[loaded],
+                                        load_interior[loaded, :, None])[..., 0]
+    return full
+
+
+def solve(system: ComplexSystem, factor: Factorization | None = None) -> FieldSolution:
+    """Primal solve; the returned field has every dof, constrained and interior."""
+    x = _direct_solve(system.matrix, system.rhs, factor)
+    return FieldSolution(space=system.space,
+                         coeffs=_back_substitute(system, x, system.rhs_interior))
 
 
 def solve_adjoint(system: ComplexSystem, dual_rhs: np.ndarray,
@@ -105,9 +127,11 @@ def solve_adjoint(system: ComplexSystem, dual_rhs: np.ndarray,
 
     dual_rhs is given over the full dof set; with M complex symmetric the
     defining relation reads M conj(Z) = g, so one conjugated direct solve
-    with the primal factors suffices.
+    with the primal factors suffices, against the load that the system's
+    constraint map eliminates, and conj(Z) is back-substituted as a primal
+    solution would be.
     """
-    g = system.constraints.matrix.T @ np.asarray(dual_rhs, dtype=complex)
-    w = _direct_solve(system.matrix, g, factor)
-    z = np.conj(w)
-    return FieldSolution(space=system.space, coeffs=system.constraints.distribute(z))
+    dual_rhs = np.asarray(dual_rhs, dtype=complex)
+    w = _direct_solve(system.matrix, system.constraints.transpose @ dual_rhs, factor)
+    return FieldSolution(space=system.space, coeffs=np.conj(
+        _back_substitute(system, w, system.space.interior(dual_rhs))))

@@ -1,8 +1,11 @@
 """Test helpers shared by several test modules (not collected by pytest)."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from sppsim.fespace import N_DOFS_CELL, REF, face_quadrature, gauss01
+from sppsim import pml as pml_mod
+from sppsim.assembly import _volume_local
+from sppsim.fespace import N_DOFS_CELL, REF, build_constraints, face_quadrature, gauss01
 from sppsim.mesh import cell_geometry, jacobian_det, jacobian_inv
 
 
@@ -54,3 +57,43 @@ def shape_eval(space, cids, ref_pts):
         vals[k] = vref @ jinv[k]
         curls[k] = cref / det[k][:, None]
     return vals, curls
+
+
+def _scatter_full(space, cids, local):
+    dofs = space.cell_dofs[space.rank[cids]]
+    return sp.coo_matrix((local.ravel(), (np.repeat(dofs, N_DOFS_CELL, axis=1).ravel(),
+                                          np.tile(dofs, (1, N_DOFS_CELL)).ravel())),
+                         shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+def uncondensed_matrix(space, model):
+    """The 12-dof system matrix over all dofs: volume, rim and sheet terms.
+
+    The reference that condensation is checked against, and the only
+    assembly of the uncondensed system: each active cell's local matrix
+    (assembly._volume_local) is scattered on all twelve of its dofs, and the
+    face terms take the tangential traces of all twelve mapped basis
+    functions (shape_eval), interior ones included.
+    """
+    mat = _scatter_full(space, space.active, _volume_local(space, model, space.active))
+    faces = [(space.rim_faces, lambda pts: np.full(pts.shape[:2], -1j))]
+    if model.sigma_r != 0:
+        faces.append((space.sheet_faces, lambda pts: -1j * pml_mod.sheet_arrays(
+            pts.reshape(-1, 2), model.sigma_r, model.pml).reshape(pts.shape[:2])))
+    for table, coef in faces:
+        ref, phys, wds, tangent, _ = face_quadrature(space.mesh, table.owner, table.ledge)
+        tang = np.einsum("fpbi,fpi->fpb", shape_eval(space, table.owner, ref)[0], tangent)
+        local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
+        mat = mat + _scatter_full(space, table.owner, local)
+    return mat
+
+
+def uncondensed_constraints(space):
+    """Constraint map (n_dofs, n_master + 4 n_active) of the 12-dof system: the
+    hanging-edge map on the edge masters, then the identity on the interior dofs."""
+    n_interior = space.n_dofs - space.n_edge_dofs
+    interior = sp.csr_matrix((np.ones(n_interior),
+                              (np.arange(space.n_edge_dofs, space.n_dofs),
+                               np.arange(n_interior))),
+                             shape=(space.n_dofs, n_interior))
+    return sp.hstack([build_constraints(space).matrix, interior]).tocsr()

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.special import hankel1
 
 from sppsim import assembly
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
-                             _band_cells, _dual_rhs, _face_matrix, _volume_local,
+                             _band_cells, _condense_local, _dual_rhs, _face_matrix,
+                             _volume_local,
                              assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
                              assemble_interface, assemble_pair,
                              assemble_sheet_load, assemble_volume,
@@ -21,8 +23,9 @@ from sppsim.fespace import (REF, FieldSolution, build_constraints,
 from sppsim.harness import solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
+from sppsim.solver import RESIDUAL_TOL, solve, solve_adjoint
 
-from fields import interpolate, shape_eval
+from fields import interpolate, shape_eval, uncondensed_constraints, uncondensed_matrix
 
 R = 8 * np.pi
 
@@ -77,7 +80,8 @@ class TestMatrixStructure:
         m = grid_mesh(1, 1, y0=0.2)  # keep the cell off the sheet line
         space = distribute_dofs(m)
         mdl = model(sigma=0.0j)
-        mat = assemble_volume_boundary(space, mdl).toarray()
+        # the local matrix before condensation, all twelve dofs
+        mat = _volume_local(space, mdl, space.active)[0]
         # independent oracle: 8x8 Gauss quadrature of |curl phi|^2 - |phi|^2
         x, w = np.polynomial.legendre.leggauss(8)
         x = 0.5 * (x + 1)
@@ -242,7 +246,9 @@ class TestReferenceKernels:
             quad = face_traces(space, faces)
             vals, _ = shape_eval(space, faces.owner, quad.ref)
             want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)
-            assert rel_err(quad.traces, want) <= 1e-13
+            assert rel_err(quad.traces, want[..., :8]) <= 1e-13
+            # the interior functions have no tangential trace
+            assert np.abs(want[..., 8:]).max() <= 1e-15 * np.abs(want).max()
 
     def test_dual_rhs(self, mixed_space):
         space = mixed_space
@@ -460,17 +466,20 @@ class TestFullSystem:
         _, system, _ = solve_pair(space, cs, mdl)
         assert system.matrix.shape == (cs.n_master, cs.n_master)
         assert system.matrix.format == "csc" and system.matrix.has_canonical_format
+        # the pair carries the eliminated sheet load
+        load = assemble_sheet_load(space, mdl)
         assert np.any(system.rhs != 0)
+        assert np.array_equal(system.rhs, system.constraints.transpose @ load)
+        assert np.array_equal(system.rhs_interior, space.interior(load))
         # the pair is the fixed part plus the outer volume and sheet terms,
         # condensed together
         fixed = assemble_fixed(space, cs, mdl)
-        varying, _ = condense(assemble_volume(space, mdl, fixed.outer)
-                              + assemble_interface(space, mdl), None, cs)
+        volume, _ = assemble_volume(space, mdl, fixed.outer)
+        varying, _ = condense(volume + assemble_interface(space, mdl), None, cs)
         assert abs(system.matrix - (fixed.matrix + varying)).max() == 0
         full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
-        mat, rhs = condense(full, assemble_dipole_rhs(space, mdl), cs)
+        mat, _ = condense(full, None, cs)
         assert max_rel(system.matrix, mat) <= 1e-13
-        assert np.array_equal(system.rhs, rhs)
 
 
 class TestSplitPair:
@@ -487,15 +496,20 @@ class TestSplitPair:
         # the fixed part is built at another layer strength and conductivity
         fixed = assemble_fixed(space, cs, SheetModel(
             sigma_r=0.3j, pml=PmlSpec(R=R, s0=5.0), dipole=dip))
-        mat_tot = assemble_pair(fixed, mdl)
+        pair = assemble_pair(fixed, mdl)
         # without conductivity the pair is the sheet-free matrix
-        mat_0 = assemble_pair(fixed, dataclasses.replace(mdl, sigma_r=0j))
+        mat_0 = assemble_pair(fixed, dataclasses.replace(mdl, sigma_r=0j)).matrix
         vol = assemble_volume_boundary(space, mdl)
-        one_0, rhs = condense(vol, assemble_dipole_rhs(space, mdl), cs)
+        one_0, _ = condense(vol, None, cs)
         one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
         assert max_rel(mat_0, one_0) <= 1e-13
-        assert max_rel(mat_tot, one_tot) <= 1e-13
-        assert np.array_equal(fixed.rhs, rhs)
+        assert max_rel(pair.matrix, one_tot) <= 1e-13
+        # the interior rows and the eliminated dipole load are those of a
+        # fixed part built at the model itself
+        fresh = assemble_pair(assemble_fixed(space, cs, mdl), mdl)
+        load = assemble_dipole_rhs(space, mdl)
+        assert np.array_equal(pair.k_ii, fresh.k_ii)
+        assert np.array_equal(pair.with_load(load).rhs, fresh.with_load(load).rhs)
 
     def test_fixed_part_rejects_another_dipole(self):
         space, cs, dip = resolved_space()
@@ -589,3 +603,73 @@ class TestIncidentField:
     def test_sheet_load_vanishes_without_conductivity(self):
         space, _ = disk_space(1)
         assert not np.any(assemble_sheet_load(space, model(sigma=0.0j)))
+
+
+class TestCondensation:
+    """The condensed kernels against the uncondensed 12-dof reference (fields)."""
+
+    def test_kernel_schur_complements_match_dense_reference(self, mixed_space):
+        space = mixed_space
+        mdl = model(sigma=0.01 + 0.15j)
+        reps, inverse = shape_classes(space, mdl)
+        assert len(reps) < len(space.active)
+        schur, w, k_ii = (a[inverse] for a in _condense_local(_volume_local(space, mdl, reps)))
+        ref = einsum_local(space, mdl, space.active)
+        want = ref[:, :8, :8] - ref[:, :8, 8:] @ np.linalg.solve(ref[:, 8:, 8:], ref[:, 8:, :8])
+        scale = abs(want).max(axis=(1, 2))
+        assert np.all(abs(schur - want).max(axis=(1, 2)) <= 1e-12 * scale)
+        # W solves K_ii W = K_ie of the reference
+        assert np.all(abs(k_ii - ref[:, 8:, 8:]).max(axis=(1, 2))
+                      <= 1e-13 * abs(ref).max(axis=(1, 2)))
+        assert np.abs(ref[:, 8:, 8:] @ w - ref[:, 8:, :8]).max() <= 1e-13 * abs(ref).max()
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """Total field and adjoint of a pair on a mesh with hanging sheet faces,
+        and the uncondensed 12-dof system of the same model."""
+        space, cs, dip = resolved_space(sheet_hanging=True)
+        mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
+        _, system, fac = solve_pair(space, cs, mdl)
+        load = assemble_dipole_rhs(space, mdl)
+        system = system.with_load(load)
+        total = solve(system, factor=fac)
+        dual = assemble_dual_rhs(space, total, WeightFunction(half_width=1.5625))
+        adjoint = solve_adjoint(system, dual, factor=fac)
+        full_cs = uncondensed_constraints(space)
+        matrix = (full_cs.T @ uncondensed_matrix(space, mdl) @ full_cs).tocsc()
+        masters = np.concatenate([cs.master_dofs, np.arange(space.n_edge_dofs, space.n_dofs)])
+        return dict(space=space, mdl=mdl, cs=cs, system=system, total=total, load=load,
+                    dual=dual, adjoint=adjoint, full_cs=full_cs, matrix=matrix,
+                    masters=masters)
+
+    def test_back_substituted_fields_solve_the_12_dof_system(self, solved):
+        space, matrix, masters = solved["space"], solved["matrix"], solved["masters"]
+        lu = spla.splu(matrix)
+        # primal: M x = f; adjoint: M conj(Z) = g, with M = M^T
+        for load, coeffs in ((solved["load"], solved["total"].coeffs),
+                             (solved["dual"], np.conj(solved["adjoint"].coeffs))):
+            assert np.any(space.interior(load))
+            f = solved["full_cs"].T @ load
+            x = coeffs[masters]
+            assert np.linalg.norm(f - matrix @ x) <= RESIDUAL_TOL * np.linalg.norm(f)
+            want = lu.solve(f)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_residual_contract_of_the_tracer(self, solved):
+        # the traced solver.rel_residual_max reads the factorized Schur system:
+        # the edge masters of a solution solve it against system.rhs, and
+        # constraints.matrix.T eliminates the dual load
+        space, system, dual = solved["space"], solved["system"], solved["dual"]
+        x = system.constraints.restrict(solved["total"].coeffs)
+        rhs = system.rhs
+        assert np.linalg.norm(rhs - system.matrix @ x) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+        ref = einsum_local(space, solved["mdl"], space.active)
+        local = -ref[:, :8, 8:] @ np.linalg.solve(ref[:, 8:, 8:], space.interior(dual)[..., None])
+        edge_load = dual.copy()
+        edge_load[space.n_edge_dofs:] = 0
+        np.add.at(edge_load, space.cell_dofs[:, :8].ravel(), local.ravel())
+        want = solved["cs"].transpose @ edge_load
+        g = system.constraints.matrix.T @ dual
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+        w = np.conj(system.constraints.restrict(solved["adjoint"].coeffs))
+        assert np.linalg.norm(g - system.matrix @ w) <= RESIDUAL_TOL * np.linalg.norm(g)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sppsim import fespace as fes
 from sppsim import harness as hn
@@ -226,14 +227,19 @@ class TestConstraints:
         m = msh.build_disk_mesh(8 * np.pi, 1)
         space = distribute_dofs(m)
         cs = build_constraints(space)
-        assert cs.n_master == cs.n_dofs == space.n_dofs
+        # every edge dof is a master; the interior dofs are condensed, no masters
+        assert cs.n_dofs == space.n_dofs
+        assert np.array_equal(cs.master_dofs, np.arange(space.n_edge_dofs))
+        assert (cs.matrix[:space.n_edge_dofs] != sp.eye(space.n_edge_dofs)).nnz == 0
+        assert cs.matrix[space.n_edge_dofs:].nnz == 0
 
     def test_single_hanging_edge_reproduces_parent_trace(self):
         m = grid_mesh(2, 1)
         m.refine([0])
         space = distribute_dofs(m)
         cs = build_constraints(space)
-        assert cs.n_dofs - cs.n_master == 4  # two hanging faces after closure-free split
+        # two hanging faces after closure-free split
+        assert space.n_edge_dofs - cs.n_master == 4
         rng = np.random.default_rng(5)
         reduced = rng.standard_normal(cs.n_master) + 1j * rng.standard_normal(cs.n_master)
         sol = FieldSolution(space, cs.distribute(reduced))
@@ -267,7 +273,8 @@ class TestConstraints:
         coeffs = interpolate(space, f)
         # interpolant satisfies the hanging-edge constraints identically
         assert cs.n_master < cs.n_dofs
-        assert np.max(np.abs(cs.distribute(cs.restrict(coeffs)) - coeffs)) <= 1e-12
+        edge = slice(0, space.n_edge_dofs)
+        assert np.max(np.abs(cs.distribute(cs.restrict(coeffs))[edge] - coeffs[edge])) <= 1e-12
         sol = FieldSolution(space, coeffs)
         rng = np.random.default_rng(2)
         for cid in space.active:

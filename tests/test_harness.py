@@ -11,8 +11,8 @@ from sppsim import fespace
 from sppsim import harness as hn
 from sppsim import mesh as msh
 from sppsim import solver
-from sppsim.assembly import (DIPOLE_NORM, AssemblyError, ComplexSystem, assemble_fixed,
-                             assemble_pair, incident_ex)
+from sppsim.assembly import (DIPOLE_NORM, AssemblyError, assemble_dipole_rhs,
+                             assemble_fixed, assemble_pair, incident_ex)
 from sppsim.fespace import FieldSolution, build_constraints, distribute_dofs
 
 from fields import interpolate
@@ -179,11 +179,11 @@ class TestOneFactorization:
         xs = hn.trace_grid(cfg)
         one = hn.scattered_trace(hn.solve_pair(space, cs, model)[0], xs)
         fixed = assemble_fixed(space, cs, model)
+        load = assemble_dipole_rhs(space, model)
         # the sheet-free system is the pair without conductivity
-        mat_0 = assemble_pair(fixed, dataclasses.replace(model, sigma_r=0j))
-        primary = solver.solve(ComplexSystem(mat_0, fixed.rhs, space, cs))
-        total = solver.solve(ComplexSystem(assemble_pair(fixed, model), fixed.rhs,
-                                           space, cs))
+        sheet_free = assemble_pair(fixed, dataclasses.replace(model, sigma_r=0j))
+        primary = solver.solve(sheet_free.with_load(load))
+        total = solver.solve(assemble_pair(fixed, model).with_load(load))
         diff = hn.scattered_trace(FieldSolution(space, total.coeffs - primary.coeffs), xs)
         return cfg, xs, one, diff, hn.scattered_trace(primary, xs)
 
@@ -254,6 +254,16 @@ class TestRunAdaptive:
         for prev, cur in zip(rows, rows[1:]):
             expected = np.log2(float(prev["l2_error"]) / float(cur["l2_error"]))
             assert float(cur["rate"]) == pytest.approx(expected, rel=1e-5)
+
+    def test_dipole_load_built_only_where_estimated(self, monkeypatch):
+        built = []
+        load = hn.assemble_dipole_rhs
+        monkeypatch.setattr(hn, "assemble_dipole_rhs",
+                            lambda space, model: built.append(space.n_dofs) or load(space, model))
+        records, _ = hn.run_adaptive(tiny_config(cycles=3))
+        # cycles 1 and 2 estimate; the last cycle solves no total field
+        assert len(records) == 3
+        assert len(built) == 2 and built[0] < built[1]
 
     def test_dof_cap_stops_run(self):
         cfg = tiny_config(cycles=8, dof_cap=3000)
@@ -354,6 +364,16 @@ class TestPmlStudy:
         cfg = tiny_config()
         hn.pml_study(cfg, [0.0, 2.0, 8.0], mesh=hn.build_initial_mesh(cfg))
         assert built.count(True) == 1
+
+    def test_no_dipole_load_built(self, monkeypatch):
+        # a pml study solves only scattered fields, against the sheet load
+        monkeypatch.setattr(hn, "assemble_dipole_rhs", self.fail_dipole_load)
+        cfg = tiny_config()
+        hn.pml_study(cfg, [0.0, 2.0], mesh=hn.build_initial_mesh(cfg))
+
+    @staticmethod
+    def fail_dipole_load(space, model):
+        raise AssertionError("dipole load built")
 
     def test_unresolved_dipole_rejected(self):
         cfg = tiny_config()

@@ -433,13 +433,57 @@ class TestVtk:
         assert "SCALARS eta double 1" in text
 
 
+def former_vtk_text(mesh, cell_data):
+    """write_vtk's text as it was built line by line, with one f-string per row."""
+    active = mesh.active_ids()
+    cells = mesh.cells[active]
+    used, local = np.unique(cells, return_inverse=True)
+    lines = ["# vtk DataFile Version 3.0", "sppsim mesh", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {len(used)} double"]
+    lines.extend(f"{x:.16g} {y:.16g} 0" for x, y in mesh.vertices[used].tolist())
+    lines.append(f"CELLS {len(active)} {5 * len(active)}")
+    lines.extend("4 " + " ".join(map(str, vs)) for vs in local.reshape(cells.shape).tolist())
+    lines.append(f"CELL_TYPES {len(active)}")
+    lines.extend(["9"] * len(active))
+    data = dict(cell_data)
+    data.setdefault("level", mesh.level[active])
+    lines.append(f"CELL_DATA {len(active)}")
+    for name, values in data.items():
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{float(v):.16g}" for v in np.asarray(values))
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_bytes_match_the_former_line_by_line_writer(tmp_path):
+    awkward = [-0.0, 1e-300, 3.0, -7.0, 1e22, 5e-324, 0.1, -2.5e-17, 123456789.0,
+               2.0**53 + 2, float("inf"), float("nan")]
+    m = msh.Mesh(100.0)
+    ids = [m.add_vertex(x, y) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    m.add_cell(tuple(ids), 0, -1, (False,) * 4)
+    m.refine([0])                   # the parent's corners stay in use
+    m.add_vertex(0.5, 7.0)          # no cell uses this one
+    # cells with awkward corner coordinates; add_cell checks no geometry
+    for a in awkward[:10]:
+        ids = [m.add_vertex(x, y) for x, y in ((a, -0.0), (-a, 1e-300), (a, 2.0), (5e-324, a))]
+        m.add_cell(tuple(ids), 0, -1, (False,) * 4)
+    n = m.n_active()
+    data = {"eta": np.resize(awkward, n), "ints": np.arange(n) - 3}
+    path = tmp_path / "mesh.vtk"
+    msh.write_vtk(m, path, data)
+    assert path.read_bytes() == former_vtk_text(m, data).encode()
+    assert b"\n-0 -0 0\n" in path.read_bytes()
+
+
 def layout_hash(space):
-    """Digest of the cell order, dof ids, edge orientations and master dofs."""
+    """Digest of the cell order, dof ids, edge orientations and unconstrained
+    dofs: the edge masters, then the interior dofs."""
     h = hashlib.sha256()
     h.update(np.asarray(space.active, dtype=np.int64).tobytes())
     h.update(space.cell_dofs.tobytes())
     h.update(np.asarray(space.orient_idx, dtype=np.int8).tobytes())
     h.update(build_constraints(space).master_dofs.tobytes())
+    h.update(np.arange(space.n_edge_dofs, space.n_dofs).tobytes())
     return h.hexdigest()[:16]
 
 

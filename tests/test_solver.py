@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sppsim import mesh as msh
 from sppsim import solver
-from sppsim.assembly import (ComplexSystem, DipoleSpec, SheetModel,
-                             assemble_dipole_rhs, assemble_interface,
-                             assemble_volume_boundary, condense)
+from sppsim.assembly import (DipoleSpec, SheetModel, _rim_matrix, _system, _volume_local,
+                             assemble_dipole_rhs, assemble_fixed, assemble_interface,
+                             assemble_pair, assemble_volume, condense)
 from sppsim.fespace import build_constraints, distribute_dofs
 from sppsim.harness import RunConfig, build_initial_mesh
 from sppsim.pml import PmlSpec
@@ -26,11 +28,13 @@ def small_system(sigma=0.15j, s0=2.0, refines=1, marks=True):
     cs = build_constraints(space)
     mdl = SheetModel(sigma_r=sigma, pml=PmlSpec(R=R, s0=s0),
                      dipole=DipoleSpec(height=1.0, radius=0.15625))
-    full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
+    # a solve pair's system, assembled in one part: this coarse mesh does not
+    # resolve the dipole, which assemble_fixed would reject
+    volume, interior = assemble_volume(space, mdl, space.active)
+    mat, _ = condense(volume + _rim_matrix(space) + assemble_interface(space, mdl), None, cs)
     rng = np.random.default_rng(9)
     rhs_full = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
-    mat, rhs = condense(full, rhs_full, cs)
-    return ComplexSystem(matrix=mat, rhs=rhs, space=space, constraints=cs), rhs_full
+    return _system(space, mat, cs, [interior]).with_load(rhs_full), rhs_full
 
 
 class TestDirectSolve:
@@ -39,8 +43,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(0)
         w = rng.standard_normal(system.matrix.shape[0]) + 1j * rng.standard_normal(
             system.matrix.shape[0])
-        system2 = ComplexSystem(matrix=system.matrix, rhs=system.matrix @ w,
-                                space=system.space, constraints=system.constraints)
+        system2 = dataclasses.replace(system, rhs=system.matrix @ w)
         sol = solve(system2)
         reduced = system2.constraints.restrict(sol.coeffs)
         assert np.linalg.norm(reduced - w) < 1e-10 * np.linalg.norm(w)
@@ -55,10 +58,19 @@ class TestDirectSolve:
     def test_constraints_distributed_on_return(self):
         system, _ = small_system()
         sol = solve(system)
-        cs = system.constraints
-        assert cs.n_master < cs.n_dofs
+        cs = build_constraints(system.space)
+        assert cs.n_master < system.space.n_edge_dofs
         recon = cs.distribute(cs.restrict(sol.coeffs))
-        assert np.all(np.abs(sol.coeffs - recon) <= np.maximum(1e-12 * np.abs(recon), 1e-14))
+        edge = slice(0, system.space.n_edge_dofs)
+        assert np.all(np.abs(sol.coeffs[edge] - recon[edge])
+                      <= np.maximum(1e-12 * np.abs(recon[edge]), 1e-14))
+        # and the interior dofs back-substituted: K_ie x_e + K_ii x_i = f_i
+        space = system.space
+        model = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0),
+                           dipole=DipoleSpec(height=1.0, radius=0.15625))
+        rows = _volume_local(space, model, space.active)[:, 8:]
+        res = np.einsum("nij,nj->ni", rows, sol.coeffs[space.cell_dofs]) - system.rhs_interior
+        assert np.abs(res).max() <= 1e-12 * np.abs(system.rhs_interior).max()
 
     def test_renumbering_invariance(self):
         system, _ = small_system()
@@ -79,13 +91,15 @@ class TestDirectSolve:
 
 class TestDiagonalPivoting:
     def test_default_run_cycle1_pivots_on_diagonal(self):
-        # a pivot threshold of 0.01 takes 55 row pivots off the diagonal here
+        # a pivot threshold of 0.01 takes 56 row pivots off the diagonal here
         config = RunConfig()
         space = distribute_dofs(build_initial_mesh(config))
         model = config.model()
-        full = assemble_volume_boundary(space, model) + assemble_interface(space, model)
-        mat, rhs = condense(full, assemble_dipole_rhs(space, model), build_constraints(space))
-        assert mat.shape[0] == 4354
+        system = assemble_pair(assemble_fixed(space, build_constraints(space), model),
+                               model).with_load(assemble_dipole_rhs(space, model))
+        mat, rhs = system.matrix, system.rhs
+        # 4354 dofs before the interior dofs were condensed
+        assert mat.shape[0] == 2194
         fac = factorize(mat)
         assert np.array_equal(fac.lu.perm_r, fac.lu.perm_c)
         x, _ = fac.solve(rhs)
@@ -102,8 +116,7 @@ class TestDiagonalPivoting:
         assert abs(mat - mat.T).max() == 0
         lu = factorize(mat).lu
         assert np.any(lu.perm_r != lu.perm_c)
-        zeroed = ComplexSystem(matrix=mat, rhs=system.rhs, space=system.space,
-                               constraints=system.constraints)
+        zeroed = dataclasses.replace(system, matrix=mat)
         x = system.constraints.restrict(solve(zeroed).coeffs)
         assert np.linalg.norm(system.rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(system.rhs)
 
@@ -156,17 +169,15 @@ class TestAdjointSolve:
         # its layer is real but for the rim term -i, which is dropped here
         sheet_free, _ = small_system(sigma=0.0j, s0=0.0, marks=False)
         real = sheet_free.matrix.real
-        system = ComplexSystem(matrix=sp.csc_matrix(0.5 * (real + real.T), dtype=complex),
-                               rhs=sheet_free.rhs, space=sheet_free.space,
-                               constraints=sheet_free.constraints)
+        system = dataclasses.replace(
+            sheet_free, matrix=sp.csc_matrix(0.5 * (real + real.T), dtype=complex))
         rng = np.random.default_rng(3)
         g_full = rng.standard_normal(system.constraints.n_dofs) \
             + 1j * rng.standard_normal(system.constraints.n_dofs)
         z = solve_adjoint(system, g_full)
-        primal = ComplexSystem(matrix=system.matrix,
-                               rhs=np.conj(system.constraints.matrix.T @ g_full),
-                               space=system.space, constraints=system.constraints)
-        y = solve(primal)
+        # without the layer the interior rows and the constraint map are real
+        assert not np.any(system.k_ii.imag) and not np.any(system.constraints.matrix.data.imag)
+        y = solve(system.with_load(np.conj(g_full)))
         assert np.linalg.norm(z.coeffs - y.coeffs) < 1e-9 * np.linalg.norm(y.coeffs)
 
 

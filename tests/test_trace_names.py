@@ -64,3 +64,22 @@ def test_split_counted_once_per_cell():
     finally:
         tracer.uninstall()
     assert tracer.counts["mesh.cells_split"] == 1
+
+
+def test_traced_residuals_are_those_of_the_condensed_solves():
+    """``solver.rel_residual_max`` reads the factorized Schur system's residuals."""
+    from sppsim import harness as hn
+    from sppsim.solver import RESIDUAL_TOL
+    config = hn.RunConfig(sigma_r=0.15j, a=0.5, R=4 * np.pi, d_w=0.8, d_reg=0.5,
+                          cycles=2, initial_refines=1, samples=128, x_min=0.4,
+                          write_artifacts=False, dipole_resolve_factor=2.05)
+    tracer = TR.Tracer()
+    tracer.install()
+    try:
+        hn.run_adaptive(config)
+    finally:
+        tracer.uninstall()
+    # cycle 1 solves the scattered and the total field and the adjoint,
+    # cycle 2 only the scattered field
+    assert (tracer.calls("solver.solve"), tracer.calls("solver.solve_adjoint")) == (3, 1)
+    assert 0 < tracer.counts["solver.rel_residual_max"] <= RESIDUAL_TOL
