@@ -504,7 +504,7 @@ class TestSplitPair:
         one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
         assert max_rel(mat_0, one_0) <= 1e-13
         assert max_rel(pair.matrix, one_tot) <= 1e-13
-        # the interior rows and the eliminated dipole load are those of a
+        # the interior blocks and the eliminated dipole load are those of a
         # fixed part built at the model itself
         fresh = assemble_pair(assemble_fixed(space, cs, mdl), mdl)
         load = assemble_dipole_rhs(space, mdl)

@@ -175,7 +175,7 @@ class TestAdjointSolve:
         g_full = rng.standard_normal(system.constraints.n_dofs) \
             + 1j * rng.standard_normal(system.constraints.n_dofs)
         z = solve_adjoint(system, g_full)
-        # without the layer the interior rows and the constraint map are real
+        # without the layer the interior blocks and the constraint map are real
         assert not np.any(system.k_ii.imag) and not np.any(system.constraints.matrix.data.imag)
         y = solve(system.with_load(np.conj(g_full)))
         assert np.linalg.norm(z.coeffs - y.coeffs) < 1e-9 * np.linalg.norm(y.coeffs)
