@@ -36,11 +36,12 @@ W = K_ii^{-1} K_ie is a batched LU solve per shape class, never an explicit
 inverse, and the Schur complement S = K_ee - K_ei W is scattered on the edge
 dofs alone.  The face terms and the sheet load touch only the edge dofs: an
 interior function has no tangential trace.  So the solver factorizes
-C_e^T S C_e on the unconstrained edge dofs.  A ComplexSystem keeps a
-constraint map P whose interior rows are -W C_e, so P^T f is the eliminated
-load, and the interior block K_ii of every cell: the solver back-substitutes
+C_e^T S C_e on the unconstrained edge dofs, and nothing else: the
+ComplexSystem owns the condensation.  It keeps a constraint map P whose
+interior rows are -W C_e, so P^T f is the eliminated load (with_load), and
+the interior block K_ii of every cell, so that it back-substitutes
 x_i = K_ii^{-1} (f_i - K_ie x_e) as P x_e plus K_ii^{-1} f_i on the cells
-whose load has an interior part.
+whose load has an interior part (coefficients).
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from scipy.special import hankel1
 
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, ConstraintSet, EdgeFESpace,
-                      FaceQuadrature, FieldSolution, face_traces, gemm_real,
-                      orientation_groups, positive_det)
+                      FaceQuadrature, FieldSolution, gemm_real, orientation_groups,
+                      positive_det)
 from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
@@ -112,11 +113,12 @@ class ComplexSystem:
 
     matrix is C_e^T S C_e (S the cells' Schur complements plus the face
     terms), constraints the map P from the edge masters to all dofs, whose
-    interior rows are -W C_e (ConstraintSet.with_interior), and k_ii
-    (n_active, 4, 4) the interior block of every active cell's local matrix,
-    in rank order.  rhs is the eliminated load P^T f and rhs_interior its
-    interior part f_i (n_active, 4), which back-substitution needs; both are
-    None until with_load.
+    interior rows are -W C_e, and k_ii (n_active, 4, 4) the interior block of
+    every active cell's local matrix, in rank order.  rhs is the eliminated
+    load P^T f and rhs_interior its interior part f_i (n_active, 4), which
+    back-substitution needs; both are None until with_load.  This is the one
+    place that eliminates a load and restores the interior dofs; the solver
+    sees only matrix and rhs.
     """
 
     matrix: sp.csc_matrix
@@ -127,9 +129,25 @@ class ComplexSystem:
     rhs_interior: np.ndarray | None = None
 
     def with_load(self, load: np.ndarray) -> "ComplexSystem":
-        """This system with the load (over all dofs) eliminated."""
-        return dataclasses.replace(self, rhs=self.constraints.transpose @ load,
+        """This system with the load (over all dofs) eliminated.
+
+        P^T is the transpose view of the CSR map P, so no copy of it is made.
+        """
+        return dataclasses.replace(self, rhs=self.constraints.matrix.T @ load,
                                    rhs_interior=self.space.interior(load))
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """All coefficients from the edge masters x, which solve matrix x = rhs.
+
+        The constraint map gives the edge dofs and x_i = -W x_e; the cells with
+        an interior load add K_ii^{-1} f_i, so that x_i = K_ii^{-1} (f_i - K_ie x_e).
+        """
+        full = self.constraints.distribute(x)
+        loaded = np.flatnonzero(np.any(self.rhs_interior != 0, axis=1))
+        interior = self.space.interior(full)      # a view: updates write into full
+        interior[loaded] += np.linalg.solve(self.k_ii[loaded],
+                                            self.rhs_interior[loaded, :, None])[..., 0]
+        return full
 
 
 @dataclass
@@ -282,7 +300,7 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
 
 def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
     """Rim impedance term -i int E_t conj(v_t), unstretched."""
-    return _face_matrix(space, face_traces(space, space.rim_faces), -1j)
+    return _face_matrix(space, space.rim_quadrature, -1j)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
@@ -425,9 +443,10 @@ def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
     """C^T matrix C as a canonical CSC matrix, and C^T rhs (None stays None).
 
     The CSC arrays of C^T A C are the CSR arrays of C^T A^T C, which three CSR
-    operands give directly: A^T is the transpose view of the CSC of A.
+    operands give directly: A^T is the transpose view of the CSC of A.  The
+    CSR copy of C^T lives only for this call.
     """
-    ct = constraints.transpose
+    ct = constraints.matrix.T.tocsr()
     product = (ct @ (sp.csc_matrix(matrix).T @ constraints.matrix)).T
     product.sort_indices()
     return product, None if rhs is None else ct @ rhs
@@ -488,8 +507,10 @@ def _system(space: EdgeFESpace, matrix: sp.csc_matrix, constraints: ConstraintSe
     indices = np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel()
     coupling = sp.csr_matrix((-w.ravel(), indices, indptr),
                              shape=(space.n_dofs, space.n_dofs))
+    # P = C + coupling C keeps the edge rows of C; its interior rows are -W C_e
+    p = (constraints.matrix + coupling @ constraints.matrix).tocsr()
     return ComplexSystem(matrix=matrix, space=space, k_ii=k_ii,
-                         constraints=constraints.with_interior(coupling))
+                         constraints=dataclasses.replace(constraints, matrix=p))
 
 
 def assemble_pair(fixed: FixedPart, model: SheetModel) -> ComplexSystem:

@@ -67,15 +67,9 @@ def cmd_oracle(args) -> int:
     spec = oracle.QuadratureSpec(rel_tol=config.quad_rel_tol)
     pole, bc, total = oracle.interface_field(xs, config.a, config.sigma_r, quad=spec)
     out = args.out or "oracle_trace.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re_pole", "im_pole", "re_branchcut", "im_branchcut",
-                    "re_total", "im_total"])
-        for i, x in enumerate(xs):
-            w.writerow([f"{x:.16g}",
-                        f"{pole[i].real:.16g}", f"{pole[i].imag:.16g}",
-                        f"{bc[i].real:.16g}", f"{bc[i].imag:.16g}",
-                        f"{total[i].real:.16g}", f"{total[i].imag:.16g}"])
+    harness._write_csv(out, ["x", "re_pole", "im_pole", "re_branchcut", "im_branchcut",
+                             "re_total", "im_total"], ",".join(["%.16g"] * 7),
+                       [xs, pole.real, pole.imag, bc.real, bc.imag, total.real, total.imag])
     km = oracle.spp_wavenumber(config.sigma_r)
     print(f"surface wave number: {km:.6g}")
     print("wrote", out)

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel
-from .fespace import (REF, EdgeFESpace, FieldSolution, evaluate_fields, face_quadrature,
-                      sheet_ref_points, vector_monomials)
+from .fespace import (REF, EdgeFESpace, FieldSolution, evaluate_fields, sheet_ref_points,
+                      vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
 
 
@@ -343,9 +343,8 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     np.add.at(rho, ranks, 1j * share * np.sum(fws * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
 
-    rim = space.rim_faces
-    cids = rim.owner
-    ref, _, fw, that, _ = face_quadrature(mesh, cids, rim.ledge)
+    rim = space.rim_quadrature
+    cids, ref, fw, that = rim.owner, rim.ref, rim.weights, rim.tangent
 
     def tangential(v):
         return np.einsum("fpi,fpi->fp", v, that)

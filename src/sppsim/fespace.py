@@ -23,13 +23,13 @@ moment pairs are fixed linear images of the parent-edge pair, which makes the
 tangential trace globally continuous.  The interior moments are never
 constrained; assembly condenses them cell by cell, so the unknowns of the
 factorized system are the unconstrained edge dofs alone, and the constraint
-map of a condensed system also carries each cell's interior dofs
-(ConstraintSet.with_interior).
+map of a condensed system (assembly.ComplexSystem) also carries each cell's
+interior dofs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -258,6 +258,11 @@ class EdgeFESpace:
         """Quadrature and basis traces on the sheet faces (face_traces), built once."""
         return face_traces(self, self.sheet_faces)
 
+    @cached_property
+    def rim_quadrature(self) -> "FaceQuadrature":
+        """Quadrature and basis traces on the rim faces (face_traces), built once."""
+        return face_traces(self, self.rim_faces)
+
     @property
     def n_edge_dofs(self) -> int:
         """The edge dofs come first: dofs 0 .. n_edge_dofs - 1."""
@@ -361,17 +366,13 @@ class ConstraintSet:
     """All dofs expressed through the master dofs, the unconstrained edge dofs.
 
     build_constraints ties each hanging edge's dofs to its parent edge's and
-    leaves the interior rows empty; with_interior fills them for a condensed
-    system.
+    leaves the interior rows empty; the constraint map of a condensed system
+    (assembly.ComplexSystem) fills them.
     """
 
     n_dofs: int
     matrix: sp.csr_matrix        # (n_dofs, n_master)
     master_dofs: np.ndarray
-    transpose: sp.csr_matrix = field(init=False, repr=False)   # (n_master, n_dofs)
-
-    def __post_init__(self):
-        self.transpose = self.matrix.T.tocsr()
 
     @property
     def n_master(self) -> int:
@@ -382,18 +383,6 @@ class ConstraintSet:
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return full[self.master_dofs]
-
-    def with_interior(self, coupling: sp.spmatrix) -> "ConstraintSet":
-        """This map with the interior rows coupling @ matrix.
-
-        coupling (n_dofs, n_dofs) holds -W = -K_ii^{-1} K_ie of each condensed
-        cell in its interior rows and edge columns, so the interior rows of
-        the result are -W C_e.  Its transpose eliminates a load f into
-        C_e^T (f_e - W^T f_i), and it distributes the edge masters of a
-        solution with zero interior load.
-        """
-        return ConstraintSet(n_dofs=self.n_dofs, master_dofs=self.master_dofs,
-                             matrix=(self.matrix + coupling @ self.matrix).tocsr())
 
 
 def _child_transfer(alpha: float, gamma: float) -> np.ndarray:
@@ -413,7 +402,7 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     """Tie child-edge dofs on hanging faces to the parent-edge dofs.
 
     The masters are the unconstrained edge dofs; the interior dofs are no
-    masters, and their rows stay empty until with_interior.
+    masters, and their rows stay empty.
     """
     keys = space.face_keys
     mids = space.mesh.edge_midpoints(keys)

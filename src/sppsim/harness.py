@@ -36,7 +36,6 @@ keeps each layer strength's trace and nothing else of its solve.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -90,6 +89,9 @@ class RunConfig:
                              f"got {self.marking_fraction}")
         if not self.d_w > 0:
             raise ValueError(f"d_w must be positive, got {self.d_w}")
+        # resolve_dipole refines toward cells d_reg / factor across: forever at 0
+        if not self.d_reg > 0:
+            raise ValueError(f"d_reg must be positive, got {self.d_reg}")
         if not 0 < self.x_min < 0.8 * self.R:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {0.8 * self.R:g}), "
                              f"got {self.x_min}")
@@ -359,18 +361,25 @@ def spectral_amplitude(trace: InterfaceTrace, k_lo: float, k_hi: float,
     return float(np.abs(coef[best])), float(ks[best])
 
 
-def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace):
-    """The FEM and reference traces as CSV, in one write.
+def _write_csv(path, header, row: str, cols):
+    """Columns of equal length as CSV under the header names, in one write.
 
-    The bytes are those of csv.writer (excel dialect, CRLF rows) for fields
-    formatted with %.16g, which never need quoting.
+    row is the %-template of one row's fields, comma separated.  The bytes
+    are those of csv.writer (excel dialect, CRLF rows) for fields that never
+    need quoting, as numbers formatted with %d or %g never do.
     """
-    cols = np.column_stack([trace.x, trace.values.real, trace.values.imag,
-                            reference.values.real, reference.values.imag])
-    row = ",".join(["%.16g"] * cols.shape[1]) + "\r\n"
+    values = np.column_stack(cols)
     with open(path, "w", newline="") as fh:
-        fh.write("x,re_ex_sc,im_ex_sc,re_oracle,im_oracle\r\n"
-                 + (row * len(cols)) % tuple(cols.ravel().tolist()))
+        fh.write(",".join(header) + "\r\n"
+                 + ((row + "\r\n") * len(values)) % tuple(values.ravel().tolist()))
+
+
+def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace):
+    """The FEM and reference traces as CSV."""
+    _write_csv(path, ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
+               ",".join(["%.16g"] * 5),
+               [trace.x, trace.values.real, trace.values.imag,
+                reference.values.real, reference.values.imag])
 
 
 class _ArtifactWriter:
@@ -402,32 +411,23 @@ class _ArtifactWriter:
     def convergence(self, records):
         if not self.enabled:
             return
-        with open(self._path("convergence.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cycle", "cells", "dofs", "l2_error", "rate",
-                        "l2_error_complex"])
-            for r in records:
-                w.writerow([r.cycle, r.n_cells, r.n_dofs, f"{r.l2_error:.10g}",
-                            f"{r.rate:.6g}", f"{r.l2_error_complex:.10g}"])
+        _write_csv(self._path("convergence.csv"),
+                   ["cycle", "cells", "dofs", "l2_error", "rate", "l2_error_complex"],
+                   "%d,%d,%d,%.10g,%.6g,%.10g",
+                   list(zip(*[(r.cycle, r.n_cells, r.n_dofs, r.l2_error, r.rate,
+                               r.l2_error_complex) for r in records])))
         self.artifacts["convergence.csv"] = self._path("convergence.csv")
 
     def pml_overlay(self, traces):
         if not self.enabled:
             return
-        with open(self._path("pml_study.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            s0s = sorted(traces)
-            header = ["x"]
-            for s0 in s0s:
-                header += [f"re_s{s0:g}", f"im_s{s0:g}"]
-            w.writerow(header)
-            xs = traces[s0s[0]].x
-            for i, x in enumerate(xs):
-                row = [f"{x:.16g}"]
-                for s0 in s0s:
-                    v = traces[s0].values[i]
-                    row += [f"{v.real:.16g}", f"{v.imag:.16g}"]
-                w.writerow(row)
+        s0s = sorted(traces)
+        header, cols = ["x"], [traces[s0s[0]].x]
+        for s0 in s0s:
+            header += [f"re_s{s0:g}", f"im_s{s0:g}"]
+            cols += [traces[s0].values.real, traces[s0].values.imag]
+        _write_csv(self._path("pml_study.csv"), header,
+                   ",".join(["%.16g"] * len(cols)), cols)
         self.artifacts["pml_study.csv"] = self._path("pml_study.csv")
 
 

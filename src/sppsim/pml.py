@@ -35,7 +35,7 @@ class PmlSpec:
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("disk radius must be positive")
-        if self.s0 < 0:
+        if not self.s0 >= 0:
             raise ValueError("stretch strength must be nonnegative")
 
     @property

@@ -1,12 +1,11 @@
 """Direct sparse solution of the condensed complex systems.
 
 The factorized matrix is the Schur complement on the edge master dofs: the
-interior dofs of every cell are condensed in assembly.  Every solve goes
-through a sparse LU factorization of it with iterative refinement, and
-RESIDUAL_TOL and the safe fallback apply to that matrix.  The interior dofs
-are then back-substituted cell by cell, x_i = K_ii^{-1} (f_i - K_ie x_e):
-the system's constraint map gives -W x_e, and a batched 4x4 LU solve adds
-K_ii^{-1} f_i on the cells whose load has an interior part.
+interior dofs of every cell are condensed in assembly, and the system
+(assembly.ComplexSystem) eliminates every load and back-substitutes the
+interior dofs of every solution.  This module only factorizes and solves:
+each solve goes through a sparse LU factorization with iterative refinement,
+and RESIDUAL_TOL and the safe fallback apply to the factorized matrix.
 
 The assembled matrix is complex symmetric (M = M^T), so the fast
 factorization orders the symmetric pattern A + A^T and takes its pivots
@@ -85,53 +84,36 @@ def factorize(matrix: sp.spmatrix, safe: bool = False) -> Factorization:
     return Factorization(lu=lu, matrix=csc)
 
 
-def _direct_solve(matrix, b, factor: Factorization | None):
-    """Fast factorization first; refactorize conservatively if accuracy stalls.
+def _direct_solve(factor: Factorization, b: np.ndarray) -> np.ndarray:
+    """Solve with the given factors; refactorize factor.matrix conservatively
+    if accuracy stalls.
 
-    A given factor must be the factorization of matrix: its refinement
-    residual is the one checked against RESIDUAL_TOL.
+    A NaN residual fails the check as well.
     """
-    fac = factor if factor is not None else factorize(matrix)
-    x, res = fac.solve(b)
-    if res > RESIDUAL_TOL:
-        x, res = factorize(matrix, safe=True).solve(b)
-    if res > RESIDUAL_TOL:
+    x, res = factor.solve(b)
+    if not res <= RESIDUAL_TOL:
+        x, res = factorize(factor.matrix, safe=True).solve(b)
+    if not res <= RESIDUAL_TOL:
         raise SolverError(f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return x
 
 
-def _back_substitute(system: ComplexSystem, x: np.ndarray, load_interior) -> np.ndarray:
-    """All coefficients from the edge masters x and the interior load f_i.
-
-    The constraint map gives the edge dofs and x_i = -W x_e; the cells with
-    an interior load add K_ii^{-1} f_i, so that x_i = K_ii^{-1} (f_i - K_ie x_e).
-    """
-    full = system.constraints.distribute(x)
-    loaded = np.flatnonzero(np.any(load_interior != 0, axis=1))
-    interior = system.space.interior(full)      # a view: updates write into full
-    interior[loaded] += np.linalg.solve(system.k_ii[loaded],
-                                        load_interior[loaded, :, None])[..., 0]
-    return full
-
-
-def solve(system: ComplexSystem, factor: Factorization | None = None) -> FieldSolution:
-    """Primal solve; the returned field has every dof, constrained and interior."""
-    x = _direct_solve(system.matrix, system.rhs, factor)
-    return FieldSolution(space=system.space,
-                         coeffs=_back_substitute(system, x, system.rhs_interior))
+def solve(system: ComplexSystem, factor: Factorization) -> FieldSolution:
+    """Primal solve with the factors of system.matrix; the returned field has
+    every dof, constrained and interior."""
+    x = _direct_solve(factor, system.rhs)
+    return FieldSolution(space=system.space, coeffs=system.coefficients(x))
 
 
 def solve_adjoint(system: ComplexSystem, dual_rhs: np.ndarray,
-                  factor: Factorization | None = None) -> FieldSolution:
+                  factor: Factorization) -> FieldSolution:
     """Adjoint solve: the returned Z satisfies A(phi_i, Z) = dual_rhs_i.
 
     dual_rhs is given over the full dof set; with M complex symmetric the
     defining relation reads M conj(Z) = g, so one conjugated direct solve
-    with the primal factors suffices, against the load that the system's
-    constraint map eliminates, and conj(Z) is back-substituted as a primal
-    solution would be.
+    with the primal factors suffices: the system eliminates dual_rhs as a
+    load and back-substitutes conj(Z) as a primal solution.
     """
-    dual_rhs = np.asarray(dual_rhs, dtype=complex)
-    w = _direct_solve(system.matrix, system.constraints.transpose @ dual_rhs, factor)
+    dual = system.with_load(np.asarray(dual_rhs, dtype=complex))
     return FieldSolution(space=system.space, coeffs=np.conj(
-        _back_substitute(system, w, system.space.interior(dual_rhs))))
+        dual.coefficients(_direct_solve(factor, dual.rhs))))

@@ -469,7 +469,7 @@ class TestFullSystem:
         # the pair carries the eliminated sheet load
         load = assemble_sheet_load(space, mdl)
         assert np.any(system.rhs != 0)
-        assert np.array_equal(system.rhs, system.constraints.transpose @ load)
+        assert np.array_equal(system.rhs, system.constraints.matrix.T @ load)
         assert np.array_equal(system.rhs_interior, space.interior(load))
         # the pair is the fixed part plus the outer volume and sheet terms,
         # condensed together
@@ -668,7 +668,7 @@ class TestCondensation:
         edge_load = dual.copy()
         edge_load[space.n_edge_dofs:] = 0
         np.add.at(edge_load, space.cell_dofs[:, :8].ravel(), local.ravel())
-        want = solved["cs"].transpose @ edge_load
+        want = solved["cs"].matrix.T @ edge_load
         g = system.constraints.matrix.T @ dual
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
         w = np.conj(system.constraints.restrict(solved["adjoint"].coeffs))

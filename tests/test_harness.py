@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import sys
 import weakref
 
 import numpy as np
@@ -10,9 +11,11 @@ from scipy.special import j0
 from sppsim import fespace
 from sppsim import harness as hn
 from sppsim import mesh as msh
+from sppsim import oracle as oracle_mod
 from sppsim import solver
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, assemble_dipole_rhs,
                              assemble_fixed, assemble_pair, incident_ex)
+from sppsim.cli import main
 from sppsim.fespace import FieldSolution, build_constraints, distribute_dofs
 
 from fields import interpolate
@@ -182,8 +185,9 @@ class TestOneFactorization:
         load = assemble_dipole_rhs(space, model)
         # the sheet-free system is the pair without conductivity
         sheet_free = assemble_pair(fixed, dataclasses.replace(model, sigma_r=0j))
-        primary = solver.solve(sheet_free.with_load(load))
-        total = solver.solve(assemble_pair(fixed, model).with_load(load))
+        primary = solver.solve(sheet_free.with_load(load), solver.factorize(sheet_free.matrix))
+        sys_tot = assemble_pair(fixed, model).with_load(load)
+        total = solver.solve(sys_tot, solver.factorize(sys_tot.matrix))
         diff = hn.scattered_trace(FieldSolution(space, total.coeffs - primary.coeffs), xs)
         return cfg, xs, one, diff, hn.scattered_trace(primary, xs)
 
@@ -273,31 +277,99 @@ class TestRunAdaptive:
         assert all(r.n_dofs <= 3000 for r in records[:-1])
         assert records[-1].n_dofs > 3000
 
+    def test_rim_quadrature_built_once_per_space(self, monkeypatch):
+        # the rim term of the matrix and the estimator's rim residuals share
+        # the space's rim quadrature; every sppsim binding of face_quadrature
+        # is counted, so no module builds a second one unseen
+        original = fespace.face_quadrature
+        rims = []
+
+        def counting(mesh, cids, ledges, *args, **kwargs):
+            if mesh.arc[cids, ledges].all():        # only rim faces are arcs
+                rims.append(mesh.n_active())
+            return original(mesh, cids, ledges, *args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("sppsim")
+                    and getattr(mod, "face_quadrature", None) is original):
+                monkeypatch.setattr(mod, "face_quadrature", counting)
+        # cycle 1 estimates, cycle 2 only solves
+        hn.run_adaptive(tiny_config(cycles=2))
+        assert len(rims) == len(set(rims)) == 2
+
+AWKWARD = [-0.0, 1e-300, 3.0, -7.0, 1e22, 5e-324, 0.1, -2.5e-17, 123456789.0,
+           float("inf"), float("nan")]
+AWKWARD_X = np.array([-2.0, -0.0, 1e-300, 1.0, 2.0, 3.0, 1e15, 1e16, 1e22, 2e22, 3e22])
+
+
+def complex_of(re, im):     # without 1j * inf, which makes a nan real part
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def g16(*values):
+    return [f"{v:.16g}" for v in values]
+
 
 def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
-    awkward = [-0.0, 1e-300, 3.0, -7.0, 1e22, 5e-324, 0.1, -2.5e-17, 123456789.0,
-               float("inf"), float("nan")]
-    n = len(awkward)
-    xs = np.array([-2.0, -0.0, 1e-300, 1.0, 2.0, 3.0, 1e15, 1e16, 1e22, 2e22, 3e22])
+    n = len(AWKWARD)
+    xs = AWKWARD_X
     rng = np.random.default_rng(0)
-
-    def complex_of(re, im):     # without 1j * inf, which makes a nan real part
-        out = np.empty(n, dtype=complex)
-        out.real, out.imag = re, im
-        return out
-
-    trace = hn.InterfaceTrace(xs, complex_of(awkward, awkward[::-1]))
-    reference = hn.InterfaceTrace(xs, complex_of(rng.standard_normal(n), awkward))
+    trace = hn.InterfaceTrace(xs, complex_of(AWKWARD, AWKWARD[::-1]))
+    reference = hn.InterfaceTrace(xs, complex_of(rng.standard_normal(n), AWKWARD))
     path = tmp_path / "fast.csv"
     hn._write_trace_csv(str(path), trace, reference)
-    want = tmp_path / "writer.csv"
-    with open(want, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"])
-        for x, v, o in zip(trace.x, trace.values, reference.values):
-            w.writerow([f"{x:.16g}", f"{v.real:.16g}", f"{v.imag:.16g}",
-                        f"{o.real:.16g}", f"{o.imag:.16g}"])
-    assert path.read_bytes() == want.read_bytes()
+    want = csv_writer_bytes(
+        tmp_path / "writer.csv", ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
+        [g16(x, v.real, v.imag, o.real, o.imag)
+         for x, v, o in zip(trace.x, trace.values, reference.values)])
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("layout", ["convergence", "pml_study", "oracle"])
+def test_csv_layouts_have_the_bytes_of_csv_writer(tmp_path, monkeypatch, layout):
+    # the other CSV artifacts go through the trace CSV's writer too
+    n = len(AWKWARD)
+    rng = np.random.default_rng(1)
+    u = complex_of(AWKWARD, AWKWARD[::-1])
+    v = complex_of(rng.standard_normal(n), AWKWARD)
+    out = tmp_path / "fast"
+    writer = hn._ArtifactWriter(hn.RunConfig(out_dir=str(out)))
+    if layout == "convergence":
+        records = [hn.ConvergenceRecord(cycle=k + 1, n_cells=4 * k, n_dofs=2**40 + k,
+                                        l2_error=e, rate=r, l2_error_complex=c)
+                   for k, (e, r, c) in enumerate(zip(AWKWARD, AWKWARD[::-1], v.real))]
+        writer.convergence(records)
+        path = out / "convergence.csv"
+        header = ["cycle", "cells", "dofs", "l2_error", "rate", "l2_error_complex"]
+        rows = [[r.cycle, r.n_cells, r.n_dofs, f"{r.l2_error:.10g}", f"{r.rate:.6g}",
+                 f"{r.l2_error_complex:.10g}"] for r in records]
+    elif layout == "pml_study":
+        writer.pml_overlay({2.0: hn.InterfaceTrace(AWKWARD_X, u),
+                            0.25: hn.InterfaceTrace(AWKWARD_X, v)})
+        path = out / "pml_study.csv"
+        header = ["x", "re_s0.25", "im_s0.25", "re_s2", "im_s2"]
+        rows = [g16(x, b.real, b.imag, a.real, a.imag) for x, a, b in zip(AWKWARD_X, u, v)]
+    else:
+        monkeypatch.setattr(hn, "trace_grid", lambda config: AWKWARD_X)
+        monkeypatch.setattr(oracle_mod, "interface_field",
+                            lambda xs, a, sigma, quad: (u, v, u + v))
+        path = tmp_path / "oracle.csv"
+        assert main(["oracle", "--out", str(path)]) == 0
+        header = ["x", "re_pole", "im_pole", "re_branchcut", "im_branchcut",
+                  "re_total", "im_total"]
+        rows = [g16(x, a.real, a.imag, b.real, b.imag, (a + b).real, (a + b).imag)
+                for x, a, b in zip(AWKWARD_X, u, v)]
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "writer.csv", header, rows)
 
 
 class TestDefaultRun:
@@ -469,6 +541,9 @@ samples = 256
                                            ("d_w", 0.0),
                                            ("d_w", -1.5625),
                                            ("d_w", float("nan")),
+                                           ("d_reg", 0.0),
+                                           ("d_reg", -0.1),
+                                           ("d_reg", float("nan")),
                                            ("x_min", 0.0),
                                            ("x_min", -0.5),
                                            ("x_min", 0.8 * hn.RunConfig().R),

@@ -87,7 +87,8 @@ class TestTransform:
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
-        PmlSpec(R=1.0, s0=-1.0)
+    for s0 in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="strength"):
+            PmlSpec(R=1.0, s0=s0)
     with pytest.raises(ValueError):
         PmlSpec(R=0.0)

@@ -44,20 +44,20 @@ class TestDirectSolve:
         w = rng.standard_normal(system.matrix.shape[0]) + 1j * rng.standard_normal(
             system.matrix.shape[0])
         system2 = dataclasses.replace(system, rhs=system.matrix @ w)
-        sol = solve(system2)
+        sol = solve(system2, factorize(system2.matrix))
         reduced = system2.constraints.restrict(sol.coeffs)
         assert np.linalg.norm(reduced - w) < 1e-10 * np.linalg.norm(w)
 
     def test_residual_postcondition(self):
         system, _ = small_system()
-        sol = solve(system)
+        sol = solve(system, factorize(system.matrix))
         reduced = system.constraints.restrict(sol.coeffs)
         res = np.linalg.norm(system.rhs - system.matrix @ reduced)
         assert res <= 1e-10 * np.linalg.norm(system.rhs)
 
     def test_constraints_distributed_on_return(self):
         system, _ = small_system()
-        sol = solve(system)
+        sol = solve(system, factorize(system.matrix))
         cs = build_constraints(system.space)
         assert cs.n_master < system.space.n_edge_dofs
         recon = cs.distribute(cs.restrict(sol.coeffs))
@@ -114,42 +114,51 @@ class TestDiagonalPivoting:
         mat[first, first] = 0
         mat = mat.tocsr()
         assert abs(mat - mat.T).max() == 0
-        lu = factorize(mat).lu
-        assert np.any(lu.perm_r != lu.perm_c)
+        fac = factorize(mat)
+        assert np.any(fac.lu.perm_r != fac.lu.perm_c)
         zeroed = dataclasses.replace(system, matrix=mat)
-        x = system.constraints.restrict(solve(zeroed).coeffs)
+        x = system.constraints.restrict(solve(zeroed, fac).coeffs)
         assert np.linalg.norm(system.rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(system.rhs)
 
 
 class TestSafeFallback:
     def test_stalled_fast_solve_refactorizes_safely_once(self, monkeypatch):
         system, _ = small_system()
+        fac = factorize(system.matrix)
+        fac.solve = lambda b: (np.zeros_like(b), 1.0)
         calls = []
 
-        def stalling_fast_path(matrix, safe=False):
-            calls.append(safe)
-            fac = factorize(matrix, safe=safe)
-            if not safe:
-                fac.solve = lambda b: (np.zeros_like(b), 1.0)
-            return fac
+        def recording(matrix, safe=False):
+            calls.append((matrix is fac.matrix, safe))
+            return factorize(matrix, safe=safe)
 
-        monkeypatch.setattr(solver, "factorize", stalling_fast_path)
-        x = system.constraints.restrict(solve(system).coeffs)
-        assert calls == [False, True]
+        monkeypatch.setattr(solver, "factorize", recording)
+        x = system.constraints.restrict(solve(system, fac).coeffs)
+        # the factors' own matrix is refactorized, conservatively
+        assert calls == [(True, True)]
         assert np.linalg.norm(system.rhs - system.matrix @ x) <= \
             RESIDUAL_TOL * np.linalg.norm(system.rhs)
 
     def test_both_solves_failing_raise_with_the_residual(self, monkeypatch):
         system, _ = small_system()
+        fac = factorize(system.matrix)
         monkeypatch.setattr(Factorization, "solve", lambda self, b: (np.zeros_like(b), 0.5))
         with pytest.raises(SolverError, match=r"residual 5\.000e-01 exceeds"):
-            solve(system)
+            solve(system, fac)
+
+    def test_nan_load_raises(self):
+        # a NaN residual fails the postcondition: it is not above the tolerance
+        system, load = small_system()
+        load[system.constraints.master_dofs[0]] = np.nan
+        with pytest.raises(SolverError, match="residual nan exceeds"):
+            solve(system.with_load(load), factorize(system.matrix))
 
 
 class TestAdjointSolve:
     def test_zero_rhs_zero_solution(self):
         system, _ = small_system()
-        z = solve_adjoint(system, np.zeros(system.constraints.n_dofs, dtype=complex))
+        z = solve_adjoint(system, np.zeros(system.constraints.n_dofs, dtype=complex),
+                          factorize(system.matrix))
         assert np.all(z.coeffs == 0)
 
     def test_defining_relation(self):
@@ -157,7 +166,7 @@ class TestAdjointSolve:
         rng = np.random.default_rng(7)
         g_full = rng.standard_normal(system.constraints.n_dofs) \
             + 1j * rng.standard_normal(system.constraints.n_dofs)
-        z = solve_adjoint(system, g_full)
+        z = solve_adjoint(system, g_full, factorize(system.matrix))
         zr = system.constraints.restrict(z.coeffs)
         g = system.constraints.matrix.T @ g_full
         # A(phi_i, Z) = (M conj Z)_i must reproduce the dual rhs
@@ -174,10 +183,11 @@ class TestAdjointSolve:
         rng = np.random.default_rng(3)
         g_full = rng.standard_normal(system.constraints.n_dofs) \
             + 1j * rng.standard_normal(system.constraints.n_dofs)
-        z = solve_adjoint(system, g_full)
+        fac = factorize(system.matrix)
+        z = solve_adjoint(system, g_full, fac)
         # without the layer the interior blocks and the constraint map are real
         assert not np.any(system.k_ii.imag) and not np.any(system.constraints.matrix.data.imag)
-        y = solve(system.with_load(np.conj(g_full)))
+        y = solve(system.with_load(np.conj(g_full)), fac)
         assert np.linalg.norm(z.coeffs - y.coeffs) < 1e-9 * np.linalg.norm(y.coeffs)
 
 
