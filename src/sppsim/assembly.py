@@ -55,8 +55,8 @@ from scipy.special import hankel1
 
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, ConstraintSet, EdgeFESpace,
-                      FaceQuadrature, FieldSolution, gemm_real, orientation_groups,
-                      positive_det)
+                      FaceQuadrature, FieldSolution, evaluate_fields, gemm_real,
+                      orientation_groups, positive_det)
 from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
@@ -335,6 +335,26 @@ def _dipole_cells(space: EdgeFESpace, dip: DipoleSpec) -> np.ndarray:
     return cids
 
 
+def _add_loads(rhs: np.ndarray, space: EdgeFESpace, cids, local: np.ndarray):
+    """rhs plus the local loads local (n, k) of the cells cids on their first
+    k dofs, added in place."""
+    np.add.at(rhs, space.cell_dofs[space.rank[cids], :local.shape[1]].ravel(),
+              local.ravel())
+    return rhs
+
+
+def _add_cell_loads(rhs: np.ndarray, space: EdgeFESpace, cids, coef: np.ndarray,
+                    table):
+    """rhs plus the loads coef[k] @ table(oidx) of the cells cids[k] on all
+    their dofs, added in place: coef (n, q) per cell and table(oidx) (q, 12)
+    the reference table of orientation signature oidx, one real matmul pair
+    per signature."""
+    local = np.empty((len(cids), N_DOFS_CELL), dtype=complex)
+    for oidx, rows in orientation_groups(space, cids):
+        local[rows] = gemm_real(coef[rows], table(oidx))
+    return _add_loads(rhs, space, cids, local)
+
+
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     """F_i = i int j_reg . conj(phi_i), over all dofs."""
     dip = model.dipole
@@ -345,13 +365,11 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     wdens = 1j * REF.quad_wts * dip.density(phys.reshape(-1, 2)).reshape(n, p)
     # w det J phi_y = w (adj(J)^T v)_y = w (-J_01 v_x + J_00 v_y)
     coef = np.stack([-jac[..., 0, 1] * wdens, jac[..., 0, 0] * wdens], axis=-1)
-    local = np.empty((n, N_DOFS_CELL), dtype=complex)
-    for oidx, rows in orientation_groups(space, cids):
-        vals = REF.basis_at_quad(oidx)[0].transpose(0, 2, 1).reshape(2 * p, N_DOFS_CELL)
-        local[rows] = gemm_real(coef[rows].reshape(-1, 2 * p), vals)
-    rhs = np.zeros(space.n_dofs, dtype=complex)
-    np.add.at(rhs, space.cell_dofs[space.rank[cids]].ravel(), local.ravel())
-    return rhs
+
+    def values(oidx):   # row 2q + c: component c of the basis at point q
+        return REF.basis_at_quad(oidx)[0].transpose(0, 2, 1).reshape(2 * p, N_DOFS_CELL)
+    return _add_cell_loads(np.zeros(space.n_dofs, dtype=complex), space, cids,
+                           coef.reshape(n, 2 * p), values)
 
 
 def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
@@ -386,56 +404,23 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     local = np.einsum("fp,fpb->fb",
                       quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
                       quad.traces)
-    rhs = np.zeros(space.n_dofs, dtype=complex)
-    np.add.at(rhs, space.cell_dofs[space.rank[quad.owner], :N_EDGE_DOFS].ravel(),
-              local.ravel())
-    return rhs
-
-
-def _band_cells(space: EdgeFESpace, half_width: float) -> np.ndarray:
-    """Active cells that can meet the band |y| <= half_width: every arc cell,
-    and the straight cells whose corners' y range meets the band (a bilinear
-    map keeps each point's y between its corners' y)."""
-    mesh, cids = space.mesh, space.active
-    ys = mesh.cell_corners(cids)[..., 1]
-    reach = half_width + mesh._tol
-    meets = (ys.min(axis=1) <= reach) & (ys.max(axis=1) >= -reach)
-    return cids[meets | mesh.arc[cids].any(axis=1)]
+    return _add_loads(np.zeros(space.n_dofs, dtype=complex), space, quad.owner, local)
 
 
 def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.ndarray:
     """Derivative of the goal functional int w |curl E|^2 at the discrete primal.
 
     Component i is int w (curl phi_i) conj(curl E_H); linear in conj(E_H).
-    weight (a dwr.WeightFunction) vanishes outside |y| <= weight.half_width,
-    so only the cells that can meet that band are visited (_band_cells).
-    """
-    return _dual_rhs(space, primal, weight, _band_cells(space, weight.half_width))
-
-
-def _dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight, cids) -> np.ndarray:
-    """The dual right-hand side summed over the cells cids, in chunks.
-
-    With curl phi_b = curl_ref v_b / det J the weight w det J cancels one
+    With curl phi_i = curl_ref v_i / det J the weight w det J cancels the
     det J: the load is w conj(curl E_H) per point times the reference curls.
-    The contractions are einsums, not BLAS products, so that a cell's
-    numbers do not depend on the other cells of its chunk, and the band
-    cells alone give the all-cells sum bit for bit (off the band the weight
-    is exactly zero).
+    curl E_H comes from evaluate_fields, chunk by chunk over the active cells.
     """
     rhs = np.zeros(space.n_dofs, dtype=complex)
-    for lo in range(0, len(cids), CHUNK_CELLS):
-        chunk = cids[lo:lo + CHUNK_CELLS]
-        phys, jac = cell_geometry(space.mesh, chunk, REF.quad_pts)
-        det = positive_det(jac)
-        wvals = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape)
-        dofs = space.cell_dofs[space.rank[chunk]]
-        local = np.empty(dofs.shape, dtype=complex)
-        for oidx, rows in orientation_groups(space, chunk):
-            curls = REF.basis_at_quad(oidx)[1]
-            curl_e = np.einsum("nb,pb->np", primal.coeffs[dofs[rows]], curls) / det[rows]
-            local[rows] = np.einsum("np,pb->nb", wvals[rows] * np.conj(curl_e), curls)
-        np.add.at(rhs, dofs.ravel(), local.ravel())
+    for lo in range(0, len(space.active), CHUNK_CELLS):
+        chunk = space.active[lo:lo + CHUNK_CELLS]
+        phys, det, _, curls = evaluate_fields(space, chunk, REF.quad_pts, (primal.coeffs,))
+        coef = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape) * np.conj(curls[0])
+        _add_cell_loads(rhs, space, chunk, coef, lambda oidx: REF.basis_at_quad(oidx)[1])
     return rhs
 
 

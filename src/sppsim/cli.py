@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -52,10 +53,10 @@ def cmd_run(args) -> int:
     if note:
         print(note)
     records, artifacts = harness.run_adaptive(config)
-    print(f"{'cycle':>5} {'cells':>8} {'dofs':>9} {'l2_error':>12} {'rate':>7}")
-    for r in records:
-        rate = "-" if math.isnan(r.rate) else f"{r.rate:.2f}"
-        print(f"{r.cycle:>5} {r.n_cells:>8} {r.n_dofs:>9} {r.l2_error:>12.4e} {rate:>7}")
+    # the rows as convergence.csv holds them, so that report prints this table
+    _print_table([dict(zip(harness.CONVERGENCE_COLUMNS,
+                           (harness.CONVERGENCE_ROW % dataclasses.astuple(r)).split(",")))
+                  for r in records])
     for name in sorted(artifacts):
         print("wrote", artifacts[name])
     return 0
@@ -87,23 +88,25 @@ def cmd_pml_study(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    with open(args.csv) as fh:
-        rows = list(csv.DictReader(fh))
+def _print_table(rows) -> None:
+    """The results table of convergence.csv rows (dicts of column name to
+    field text), and the mean of the last three rates once there are three."""
     print(f"{'cycle':>5} {'cells':>8} {'dofs':>9} {'l2_error':>12} {'rate':>7}")
-    prev = None
     rates = []
     for row in rows:
-        err = float(row["l2_error"])
-        rate = math.log2(prev / err) if prev and err > 0 else float("nan")
+        rate = float(row["rate"])
         if not math.isnan(rate):
             rates.append(rate)
         shown = "-" if math.isnan(rate) else f"{rate:.2f}"
         print(f"{row['cycle']:>5} {row['cells']:>8} {row['dofs']:>9} "
-              f"{err:>12.4e} {shown:>7}")
-        prev = err
+              f"{float(row['l2_error']):>12.4e} {shown:>7}")
     if len(rates) >= 3:
         print(f"mean rate over last three cycles: {np.mean(rates[-3:]):.3f}")
+
+
+def cmd_report(args) -> int:
+    with open(args.csv) as fh:
+        _print_table(csv.DictReader(fh))
     return 0
 
 

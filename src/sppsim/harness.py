@@ -36,6 +36,7 @@ keeps each layer strength's trace and nothing else of its solve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -92,8 +93,10 @@ class RunConfig:
         # resolve_dipole refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
-        if not 0 < self.x_min < 0.8 * self.R:
-            raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {0.8 * self.R:g}), "
+        # the trace ends where the absorbing layer begins (trace_grid)
+        rho = PmlSpec(R=self.R).rho
+        if not 0 < self.x_min < rho:
+            raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
         for key in ("level_cap", "dof_cap"):
             if getattr(self, key) < 1:
@@ -125,6 +128,11 @@ class InterfaceTrace:
             raise ValueError("trace samples must be strictly increasing")
 
 
+# the columns of convergence.csv, one row per ConvergenceRecord in field order
+CONVERGENCE_COLUMNS = ["cycle", "cells", "dofs", "l2_error", "rate", "l2_error_complex"]
+CONVERGENCE_ROW = "%d,%d,%d,%.10g,%.6g,%.10g"
+
+
 @dataclass
 class ConvergenceRecord:
     cycle: int
@@ -136,9 +144,10 @@ class ConvergenceRecord:
 
 
 def trace_grid(config: RunConfig) -> np.ndarray:
-    """Symmetric sample grid on x_min <= |x| <= 0.8 R."""
+    """Symmetric sample grid on x_min <= |x| <= rho = 0.8 R, the inner radius
+    of the absorbing layer."""
     half = config.samples // 2
-    right = np.linspace(config.x_min, 0.8 * config.R, half)
+    right = np.linspace(config.x_min, PmlSpec(R=config.R).rho, half)
     return np.concatenate([-right[::-1], right])
 
 
@@ -411,11 +420,8 @@ class _ArtifactWriter:
     def convergence(self, records):
         if not self.enabled:
             return
-        _write_csv(self._path("convergence.csv"),
-                   ["cycle", "cells", "dofs", "l2_error", "rate", "l2_error_complex"],
-                   "%d,%d,%d,%.10g,%.6g,%.10g",
-                   list(zip(*[(r.cycle, r.n_cells, r.n_dofs, r.l2_error, r.rate,
-                               r.l2_error_complex) for r in records])))
+        _write_csv(self._path("convergence.csv"), CONVERGENCE_COLUMNS, CONVERGENCE_ROW,
+                   list(zip(*[dataclasses.astuple(r) for r in records])))
         self.artifacts["convergence.csv"] = self._path("convergence.csv")
 
     def pml_overlay(self, traces):

@@ -31,6 +31,7 @@ path is detected in closed form before any node is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,23 +173,22 @@ def pole_contribution(x, a: float, sigma_r: complex):
     return val
 
 
+# first step of both branch-cut rules: the light cone starts with
+# ceil(pi/(2*H0)) Gauss-Legendre nodes in theta and the tail with an exp-sinh
+# trapezoid of step close to H0; each refinement doubles both node counts
+H0 = 1.0 / 32.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node-count control for the branch-cut integrals.
+    """Tolerance of the branch-cut integrals: the node counts of a position are
+    doubled until its last two iterates differ by less than rel_tol relative."""
 
-    h0 is the first step of both rules: the light cone starts with
-    ceil(pi/(2*h0)) Gauss-Legendre nodes in theta and the tail with an
-    exp-sinh trapezoid of step close to h0.  Each refinement doubles both node
-    counts; at most max_doublings refinements are made.
-    """
-
-    h0: float = 1.0 / 32.0
     rel_tol: float = 5e-3
-    max_doublings: int = 10
 
     def __post_init__(self):
-        if not (self.h0 > 0 and self.rel_tol > 0):
-            raise ValueError("step and tolerance must be positive")
+        if not self.rel_tol > 0:
+            raise ValueError("tolerance must be positive")
 
 
 def _trig_factor(rad, a, sigma):
@@ -229,10 +229,10 @@ U_MIN, U_MAX = 1e-10, 45.0
 _T_LO, _T_HI = np.arcsinh(2.0 / np.pi * np.log([U_MIN, U_MAX]))
 
 
-def _node_counts(h0, level):
+def _node_counts(level):
     """Gauss-Legendre nodes of the light cone and exp-sinh steps of the tail."""
-    n_theta = int(np.ceil(0.5 * np.pi / h0))
-    n_t = int(np.ceil((_T_HI - _T_LO) / h0))
+    n_theta = int(np.ceil(0.5 * np.pi / H0))
+    n_t = int(np.ceil((_T_HI - _T_LO) / H0))
     return n_theta << level, n_t << level
 
 
@@ -257,9 +257,9 @@ def _tail_rule(n_t):
     return u, wu
 
 
-def _wrap(xs, a, sigma, h0, level):
+def _wrap(xs, a, sigma, level):
     """Branch-cut wrap at each of the positions xs with the rules of one level."""
-    n_theta, n_t = _node_counts(h0, level)
+    n_theta, n_t = _node_counts(level)
     xi, w_xi = _light_cone_rule(n_theta)
     u, w_u = _tail_rule(n_t)
     rows = max(1, MAX_NODES // max(xi.size, u.size))
@@ -296,8 +296,8 @@ def branchcut_contribution(x, a: float, sigma_r: complex,
     the positions whose last two iterates still differ by quad.rel_tol or more
     relative.  A pole of the integrand on the path raises PoleOnAxisError
     before any node is built; needing more than MAX_NODES nodes per position
-    or quad.max_doublings refinements raises QuadratureError carrying the last
-    two iterates of the worst position.
+    raises QuadratureError carrying the last two iterates of the worst
+    position.
     """
     spec = quad or QuadratureSpec()
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
@@ -311,12 +311,12 @@ def branchcut_contribution(x, a: float, sigma_r: complex,
     out = np.empty(xs.shape, dtype=complex)
     todo = np.arange(xs.size)
     last_two = (None, None)
-    for level in range(spec.max_doublings + 1):
-        n_theta, n_t = _node_counts(spec.h0, level)
+    for level in itertools.count():     # ends at convergence or at the node cap
+        n_theta, n_t = _node_counts(level)
         if max(n_theta, n_t + 1) > MAX_NODES:
             raise _failure(f"branch-cut quadrature needs more than {MAX_NODES} grid points "
                            "per position", xs[todo], last_two)
-        cur = _wrap(xs[todo], a, sigma_r, spec.h0, level)
+        cur = _wrap(xs[todo], a, sigma_r, level)
         if not np.all(np.isfinite(cur)):
             raise _failure("branch-cut quadrature produced a non-finite value",
                            xs[todo], (last_two[1], cur))
@@ -329,9 +329,6 @@ def branchcut_contribution(x, a: float, sigma_r: complex,
         todo, last_two = todo[~done], (prev[~done], cur[~done])
         if todo.size == 0:
             break
-    else:
-        raise _failure(f"branch-cut quadrature did not converge in {spec.max_doublings} "
-                       "doublings", xs[todo], last_two)
     if np.ndim(x) == 0:
         return complex(out[0])
     return out.reshape(np.shape(x))

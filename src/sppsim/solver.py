@@ -88,8 +88,11 @@ def _direct_solve(factor: Factorization, b: np.ndarray) -> np.ndarray:
     """Solve with the given factors; refactorize factor.matrix conservatively
     if accuracy stalls.
 
-    A NaN residual fails the check as well.
+    A load with a NaN or inf is rejected before any LU solve; a NaN residual
+    fails the check as well.
     """
+    if not np.all(np.isfinite(b)):
+        raise SolverError("non-finite load: NaN or inf in the eliminated right-hand side")
     x, res = factor.solve(b)
     if not res <= RESIDUAL_TOL:
         x, res = factorize(factor.matrix, safe=True).solve(b)

@@ -35,9 +35,7 @@ def test_report_subcommand(tmp_path, capsys):
     assert "mean rate over last three cycles: 1.000" in out
 
 
-def test_run_subcommand_tiny(tmp_path, capsys):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("""
+TINY_CONFIG = """
 sigma_r = 0.15j
 a = 0.5
 R = 12.566370614359172
@@ -48,12 +46,30 @@ initial_refines = 1
 samples = 64
 x_min = 0.4
 dipole_resolve_factor = 2.05
-""")
+"""
+
+
+def test_run_subcommand_tiny(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "cycle" in out
     assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+def test_report_prints_the_table_that_run_printed(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--cycles", "4", "--out", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith(("note:", "wrote "))]
+    assert main(["report", str(out / "convergence.csv")]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+    # header, four cycles and the mean of the last three rates
+    assert len(printed) == 6 and printed[-1].startswith("mean rate")
 
 
 def test_blas_thread_note_unless_one_thread():

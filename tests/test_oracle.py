@@ -172,10 +172,10 @@ def _complex_trig(rad, a, sigma):
     return 4.0 * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
 
 
-def _grid_wrap(xs, a, sigma, h0, level):
+def _grid_wrap(xs, a, sigma, level):
     """oracle._wrap with every factor on the full (position, node) grid and
     complex trig throughout: the plain statement of the formula."""
-    n_theta, n_t = oracle._node_counts(h0, level)
+    n_theta, n_t = oracle._node_counts(level)
     xi, w_xi = oracle._light_cone_rule(n_theta)
     u, w_u = oracle._tail_rule(n_t)
     x = xs[:, None]
@@ -211,14 +211,15 @@ class TestBranchcutContribution:
         x, a, sigma = 9.0, 1.0, 2.56e-4 + 0.160j
         spec = QuadratureSpec()
         xs = np.array([x])
-        prev = oracle._wrap(xs, a, sigma, spec.h0, 0)[0]
-        for level in range(1, spec.max_doublings + 1):
-            cur = oracle._wrap(xs, a, sigma, spec.h0, level)[0]
+        prev = oracle._wrap(xs, a, sigma, 0)[0]
+        for level in range(1, 64):
+            n_theta, n_t = oracle._node_counts(level)
+            if max(n_theta, n_t + 1) > oracle.MAX_NODES:
+                pytest.fail("doubling loop reached the node cap")
+            cur = oracle._wrap(xs, a, sigma, level)[0]
             if abs(cur - prev) < spec.rel_tol * abs(cur):
                 break
             prev = cur
-        else:
-            pytest.fail("doubling loop did not terminate")
         assert abs(cur - prev) < spec.rel_tol * abs(cur)
         assert branchcut_contribution(x, a, sigma) == pytest.approx(cur, rel=1e-12)
 
@@ -252,13 +253,16 @@ class TestBranchcutContribution:
         ref = branchcut_contribution(xs, 1.0, sigma, quad=quad)
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0)
 
-    def test_doubling_start_count_leaves_trace_unchanged(self):
+    def test_doubling_start_count_leaves_trace_unchanged(self, monkeypatch):
         config = RunConfig()
         xs = trace_grid(config)
         spec = QuadratureSpec(rel_tol=config.quad_rel_tol)
-        finer = QuadratureSpec(h0=spec.h0 / 2, rel_tol=config.quad_rel_tol)
         traces = [InterfaceTrace(xs, interface_field(xs, config.a, config.sigma_r,
-                                                     quad=q)[2]) for q in (spec, finer)]
+                                                     quad=spec)[2])]
+        # a start step half as long
+        monkeypatch.setattr(oracle, "H0", oracle.H0 / 2)
+        traces.append(InterfaceTrace(xs, interface_field(xs, config.a, config.sigma_r,
+                                                         quad=spec)[2]))
         assert np.all(np.isfinite(traces[0].values))
         assert l2_error(*traces, "real") < 1e-9
 
@@ -289,11 +293,12 @@ class TestBranchcutContribution:
 
     def test_nonconvergence_reports_last_iterates(self):
         # 1e-14 is reachable by the exponentially convergent rules; 1e-20 is
-        # below rounding
-        with pytest.raises(oracle.QuadratureError) as err:
+        # below rounding, so the doubling runs to the node cap
+        with pytest.raises(oracle.QuadratureError, match="grid points") as err:
             branchcut_contribution(9.0, 1.0, 2.56e-4 + 0.160j,
-                                   quad=QuadratureSpec(rel_tol=1e-20, max_doublings=3))
+                                   quad=QuadratureSpec(rel_tol=1e-20))
         assert err.value.last_two is not None
+        assert None not in err.value.last_two
 
     def test_unreachable_tolerance_stops_at_grid_cap(self):
         # the node count doubles until the next level would exceed MAX_NODES

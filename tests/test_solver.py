@@ -146,12 +146,26 @@ class TestSafeFallback:
         with pytest.raises(SolverError, match=r"residual 5\.000e-01 exceeds"):
             solve(system, fac)
 
-    def test_nan_load_raises(self):
-        # a NaN residual fails the postcondition: it is not above the tolerance
+    def test_nan_load_raises(self, monkeypatch):
+        # a NaN or inf load is rejected before any LU solve or refactorization
         system, load = small_system()
-        load[system.constraints.master_dofs[0]] = np.nan
-        with pytest.raises(SolverError, match="residual nan exceeds"):
-            solve(system.with_load(load), factorize(system.matrix))
+        fac = factorize(system.matrix)
+        fac.solve = lambda b: pytest.fail("LU solve of a non-finite load")
+        safe_calls = []
+
+        def recording(matrix, safe=False):
+            safe_calls.append(safe)
+            return factorize(matrix, safe=safe)
+
+        monkeypatch.setattr(solver, "factorize", recording)
+        for bad in (np.nan, np.inf):
+            bad_load = load.copy()
+            bad_load[system.constraints.master_dofs[0]] = bad
+            with pytest.raises(SolverError, match="non-finite load"):
+                solve(system.with_load(bad_load), fac)
+            with pytest.raises(SolverError, match="non-finite load"):
+                solve_adjoint(system, bad_load, fac)
+        assert safe_calls == []
 
 
 class TestAdjointSolve:
