@@ -23,12 +23,12 @@ the unstretched vacuum impedance condition.
 
 No mapped basis is ever formed.  With E = J^{-T} E_ref and curl E =
 curl_ref E_ref / det J, every integral is a per-cell geometry coefficient
-contracted with a reference table of the cell's orientation signature
-(fespace.ReferenceElement): the local matrix is [w mu^-1 / det J,
--w det J J^{-1} eps J^{-T}] at the quadrature points times the table of basis
-curl and value products, the dipole load takes det J phi_y = (adj J^T v)_y,
-the dual load needs no det J at all, and a face integral uses the tangential
-trace phi_b . t = (v_b . e) / |dx/dt|.
+contracted with the one reference table (fespace.ReferenceElement), times
+the cell's dof signs (fespace.dof_signs): the local matrix is [w mu^-1 /
+det J, -w det J J^{-1} eps J^{-T}] at the quadrature points times the table
+of basis curl and value products, the dipole load takes det J phi_y =
+(adj J^T v)_y, the dual load needs no det J at all, and a face integral uses
+the tangential trace phi_b . t = (v_b . e) / |dx/dt|.
 
 The four interior dofs of every cell are condensed in the volume kernel.
 With the local matrix split into its edge (e, 8) and interior (i, 4) blocks,
@@ -55,8 +55,8 @@ from scipy.special import hankel1
 
 from . import pml as pml_mod
 from .fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, ConstraintSet, EdgeFESpace,
-                      FaceQuadrature, FieldSolution, evaluate_fields, gemm_real,
-                      orientation_groups, positive_det)
+                      FaceQuadrature, FieldSolution, dof_signs, evaluate_fields,
+                      gemm_real, positive_det)
 from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
@@ -200,7 +200,8 @@ def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
     """Curl-curl minus mass local matrices (n, 12, 12) of the cells cids.
 
     One coefficient row per cell, [w mu^-1 / det J | -(w / det J) adj eps
-    adj^T] at the quadrature points, times REF.volume_products.
+    adj^T] at the quadrature points, times REF.volume_products, times the
+    dof signs of the row and of the column.
     """
     phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
     det = positive_det(jac)
@@ -211,10 +212,10 @@ def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
     coef[:, :p] = w_det * inv_mu.reshape(n, p)
     coef[:, p:] = (-w_det[..., None, None]
                    * _pullback(jac, eps_eff.reshape(n, p, 2, 2))).reshape(n, 4 * p)
-    local = np.empty((n, N_DOFS_CELL * N_DOFS_CELL), dtype=complex)
-    for oidx, rows in orientation_groups(space, cids):
-        local[rows] = gemm_real(coef[rows], REF.volume_products(oidx))
-    return local.reshape(n, N_DOFS_CELL, N_DOFS_CELL)
+    signs = dof_signs(space, cids)
+    local = gemm_real(coef, REF.volume_products).reshape(n, N_DOFS_CELL, N_DOFS_CELL)
+    local *= signs[:, :, None] * signs[:, None, :]
+    return local
 
 
 def _condense_local(local: np.ndarray):
@@ -253,9 +254,9 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
 
     An inner cell (inner_cells) with straight parallelogram edges has an affine
     map and constant coefficients, so its local matrix depends only on its two
-    edge vectors and its edge-orientation signature.  Such cells share one
-    class per (edge vectors quantised to SHAPE_RESOLUTION * R, orient_idx);
-    every other cell is a class of its own.  Returns (reps, inverse) with
+    edge vectors, up to its dof signs.  Such cells share one class per (edge
+    vectors quantised to SHAPE_RESOLUTION * R, orient_idx); every other cell
+    is a class of its own.  Returns (reps, inverse) with
     reps[inverse[k]] the representative of cids[k] (default space.active).
     """
     if cids is None:
@@ -267,6 +268,10 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
               & np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1))
     key = np.zeros((len(corners), 6), dtype=np.int64)
     key[:, :4] = np.round(np.hstack([v1 - v0, v3 - v0]) / quantum)
+    # a representative's local matrix carries its dof signs; merging classes
+    # across signatures saves only 3-10 % of them (2,654 -> 2,616 in cycle 5 of
+    # the default run) and moves the local matrices of cells that change
+    # representative by up to 9e-15 relative, which would change the artifacts
     key[:, 4] = space.orient_idx[space.rank[cids]]
     key[:, 5] = np.where(shared, 0, 1 + np.arange(len(corners)))
     _, first, inverse = np.unique(key, axis=0, return_index=True,
@@ -344,15 +349,11 @@ def _add_loads(rhs: np.ndarray, space: EdgeFESpace, cids, local: np.ndarray):
 
 
 def _add_cell_loads(rhs: np.ndarray, space: EdgeFESpace, cids, coef: np.ndarray,
-                    table):
-    """rhs plus the loads coef[k] @ table(oidx) of the cells cids[k] on all
-    their dofs, added in place: coef (n, q) per cell and table(oidx) (q, 12)
-    the reference table of orientation signature oidx, one real matmul pair
-    per signature."""
-    local = np.empty((len(cids), N_DOFS_CELL), dtype=complex)
-    for oidx, rows in orientation_groups(space, cids):
-        local[rows] = gemm_real(coef[rows], table(oidx))
-    return _add_loads(rhs, space, cids, local)
+                    table: np.ndarray):
+    """rhs plus the loads (coef[k] @ table) times the dof signs of the cells
+    cids[k] on all their dofs, added in place: coef (n, q) per cell and table
+    (q, 12) a reference table, one real matmul pair over all cells."""
+    return _add_loads(rhs, space, cids, gemm_real(coef, table) * dof_signs(space, cids))
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
@@ -365,9 +366,8 @@ def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     wdens = 1j * REF.quad_wts * dip.density(phys.reshape(-1, 2)).reshape(n, p)
     # w det J phi_y = w (adj(J)^T v)_y = w (-J_01 v_x + J_00 v_y)
     coef = np.stack([-jac[..., 0, 1] * wdens, jac[..., 0, 0] * wdens], axis=-1)
-
-    def values(oidx):   # row 2q + c: component c of the basis at point q
-        return REF.basis_at_quad(oidx)[0].transpose(0, 2, 1).reshape(2 * p, N_DOFS_CELL)
+    # row 2q + c: component c of the basis at point q
+    values = REF.basis_at_quad[0].transpose(0, 2, 1).reshape(2 * p, N_DOFS_CELL)
     return _add_cell_loads(np.zeros(space.n_dofs, dtype=complex), space, cids,
                            coef.reshape(n, 2 * p), values)
 
@@ -420,7 +420,7 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
         chunk = space.active[lo:lo + CHUNK_CELLS]
         phys, det, _, curls = evaluate_fields(space, chunk, REF.quad_pts, (primal.coeffs,))
         coef = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape) * np.conj(curls[0])
-        _add_cell_loads(rhs, space, chunk, coef, lambda oidx: REF.basis_at_quad(oidx)[1])
+        _add_cell_loads(rhs, space, chunk, coef, REF.basis_at_quad[1])
     return rhs
 
 

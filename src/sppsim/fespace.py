@@ -5,18 +5,18 @@ x-component has degree (1,2), the y-component degree (2,1).  Degrees of
 freedom are tangential moments against the constant and the linear Legendre
 weight on each edge (8) plus four interior moments.  Edge moments are taken
 with respect to the GLOBAL edge direction (lower vertex id to higher), so two
-cells sharing an edge reference literally the same functionals and assembly
-needs no sign bookkeeping; the per-cell basis is built from the orientation
-signature of its four edges (16 cached variants).
+cells sharing an edge reference literally the same functionals: a cell's basis
+is the one reference basis times a +-1 per dof (dof_signs), -1 on the
+constant moment of each local edge that runs against the global direction.
 
 Fields map to physical cells with the covariant transform E = J^{-T} E_ref,
 which preserves tangential line integrals; the scalar 2D curl then transforms
 as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.  The
-basis itself is never mapped: the reference element caches its tables once
-per orientation signature (values and curls at the quadrature points, their
-products, tangential traces on the edges), a cell contributes only its
-geometry (J, det J at its points), and a field is contracted with the
-reference basis before J^{-T} and 1/det J are applied to the result.
+basis itself is never mapped: the reference element caches each table once
+(values and curls at the quadrature points, their products, tangential
+traces on the edges), a cell contributes only its geometry (J, det J at its
+points) and its dof signs, and a field is contracted with the reference
+basis before J^{-T} and 1/det J are applied to the result.
 
 Hanging edges on 1-irregular meshes are constrained: the two child-edge
 moment pairs are fixed linear images of the parent-edge pair, which makes the
@@ -30,7 +30,7 @@ interior dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,7 +110,7 @@ def _edge_ref_points(ledge: int, t):
 
 
 class ReferenceElement:
-    """Dof functionals and cached bases for the 16 edge-orientation variants."""
+    """Dof functionals and cached tables of the one reference basis."""
 
     def __init__(self, quad_order: int = 4):
         x, w = gauss01(quad_order)
@@ -122,8 +122,8 @@ class ReferenceElement:
         self._bulk_pts = np.column_stack([XB.ravel(), YB.ravel()])
         self._bulk_wts = np.outer(wb, wb).ravel()
 
-    def dof_matrix(self, orient) -> np.ndarray:
-        """V[i, m] = functional_i applied to monomial field m, given edge signs."""
+    def dof_matrix(self) -> np.ndarray:
+        """V[i, m] = functional_i applied to monomial field m."""
         V = np.empty((N_DOFS_CELL, N_DOFS_CELL))
         te, we = gauss01(3)
         for ledge in range(4):
@@ -131,8 +131,7 @@ class ReferenceElement:
             tau = np.asarray(_EDGE_TANGENT[ledge])
             vals, _ = vector_monomials(pts)
             tang = vals @ tau  # (npts, 12)
-            o = orient[ledge]
-            V[2 * ledge] = o * we @ tang
+            V[2 * ledge] = we @ tang
             V[2 * ledge + 1] = we @ (tang * (2 * te - 1)[:, None])
         vals, _ = vector_monomials(self._bulk_pts)
         w = self._bulk_wts
@@ -146,36 +145,33 @@ class ReferenceElement:
         V[11] = (w * (2 * eta - 1)) @ vals[:, :, 1]
         return V
 
-    @lru_cache(maxsize=16)
-    def coeffs(self, oidx: int) -> np.ndarray:
-        """Monomial coefficients of the nodal basis for one orientation signature."""
-        orient = tuple(-1.0 if (oidx >> e) & 1 else 1.0 for e in range(4))
-        V = self.dof_matrix(orient)
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Monomial coefficients (12, 12) of the nodal basis, one column per function."""
         try:
-            return np.linalg.inv(V)
+            return np.linalg.inv(self.dof_matrix())
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise GeometryError("edge-element dof set is not unisolvent") from exc
 
-    def basis_at(self, oidx: int, pts):
+    def basis_at(self, pts):
         """(npts, 12, 2) values and (npts, 12) curls on the reference square."""
-        C = self.coeffs(oidx)
+        C = self.coeffs
         vals, curls = vector_monomials(pts)
         return np.einsum("mb,pmc->pbc", C, vals), curls @ C
 
-    @lru_cache(maxsize=16)
-    def basis_at_quad(self, oidx: int):
-        vals, curls = self.basis_at(oidx, self.quad_pts)
-        return vals, curls
+    @cached_property
+    def basis_at_quad(self):
+        return self.basis_at(self.quad_pts)
 
-    @lru_cache(maxsize=16)
-    def volume_products(self, oidx: int) -> np.ndarray:
+    @cached_property
+    def volume_products(self) -> np.ndarray:
         """Basis products at the quadrature points, (5p, 144), columns b * 12 + d.
 
         Row q < p holds curl_b curl_d at point q and row p + 4q + 2i + j holds
         v_b,i v_d,j, so a local matrix is one coefficient row per cell times
-        this table.
+        this table, times the signs of b and d.
         """
-        vals, curls = self.basis_at_quad(oidx)
+        vals, curls = self.basis_at_quad
         p = len(self.quad_wts)
         curl = curls[:, :, None] * curls[:, None, :]
         val = vals[:, :, None, :, None] * vals[:, None, :, None, :]     # (p, b, d, i, j)
@@ -184,9 +180,9 @@ class ReferenceElement:
 
     @cached_property
     def edge_traces(self) -> np.ndarray:
-        """Tangential traces v_b . e (16, 4, FACE_POINTS, 8) of each orientation's
-        edge basis functions at the Gauss points of each local edge, e its
-        reference tangent.
+        """Tangential traces v_b . e (4, FACE_POINTS, 8) of the edge basis
+        functions at the Gauss points of each local edge, e its reference
+        tangent.
 
         The interior functions have zero moments on every edge, so their
         degree-1 traces vanish; evaluated they are rounding noise (below 1e-15).
@@ -194,9 +190,8 @@ class ReferenceElement:
         te, _ = gauss01(FACE_POINTS)
         pts = np.concatenate([_edge_ref_points(e, te) for e in range(4)])
         tangents = np.repeat(np.asarray(_EDGE_TANGENT), len(te), axis=0)
-        return np.stack([np.einsum("pbi,pi->pb", self.basis_at(oidx, pts)[0][:, :N_EDGE_DOFS],
-                                   tangents)
-                         for oidx in range(16)]).reshape(16, 4, len(te), N_EDGE_DOFS)
+        return np.einsum("pbi,pi->pb", self.basis_at(pts)[0][:, :N_EDGE_DOFS],
+                         tangents).reshape(4, len(te), N_EDGE_DOFS)
 
 
 REF = ReferenceElement()
@@ -211,11 +206,14 @@ def gemm_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def orientation_groups(space: "EdgeFESpace", cids):
-    """(oidx, rows): the rows of cids whose cells have orientation signature oidx."""
+def dof_signs(space: "EdgeFESpace", cids) -> np.ndarray:
+    """Signs (n, 12) of the basis functions of the cells cids against REF's:
+    -1 on the constant moment of a local edge that runs against the global
+    direction, +1 elsewhere (the linear moment's weight 2t - 1 flips too)."""
     orient = space.orient_idx[space.rank[cids]]
-    for oidx in np.unique(orient):
-        yield int(oidx), np.flatnonzero(orient == oidx)
+    signs = np.ones((len(orient), N_DOFS_CELL))
+    signs[:, 0:N_EDGE_DOFS:2] = 1 - 2 * ((orient[:, None] >> np.arange(4)) & 1)
+    return signs
 
 
 def positive_det(jac: np.ndarray) -> np.ndarray:
@@ -238,7 +236,7 @@ class EdgeFESpace:
     active: np.ndarray         # (n_active,) cell ids, ascending
     rank: np.ndarray           # (n_cells,)
     cell_dofs: np.ndarray      # (n_active, 12) global indices
-    orient_idx: np.ndarray     # (n_active,) edge-orientation signature
+    orient_idx: np.ndarray     # (n_active,) bit e set: edge e against the global direction
     face_keys: np.ndarray      # (n_faces, 2) sorted vertex-id pair of each face
     n_faces: int
     n_dofs: int
@@ -320,10 +318,10 @@ def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
 
     ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; coeffs holds
     s global coefficient vectors.  Returns phys (n, p, 2), det (n, p), values
-    (s, n, p, 2) and curls (s, n, p).  The basis of orientation signature
-    oidx is REF.coeffs(oidx) times the monomial fields, so each field's local
+    (s, n, p, 2) and curls (s, n, p).  A cell's basis is REF.coeffs times
+    the monomial fields, up to dof_signs, so each field's signed local
     coefficients are turned into monomial coefficients and contracted with
-    the monomials at the points (one real matmul pair on shared points);
+    the monomials at the points (one real matmul pair each on shared points);
     only the results are mapped, E = J^{-T} E_ref and curl E = curl_ref
     E_ref / det J.
     """
@@ -333,11 +331,8 @@ def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
     det = positive_det(jac)
     n, p = det.shape
     dofs = space.cell_dofs[space.rank[cids]]
-    mono = np.empty((len(coeffs), n, N_DOFS_CELL), dtype=complex)
-    for oidx, rows in orientation_groups(space, cids):
-        transform = REF.coeffs(oidx).T
-        for k, c in enumerate(coeffs):
-            mono[k, rows] = gemm_real(c[dofs[rows]], transform)
+    signs = dof_signs(space, cids)
+    mono = np.stack([gemm_real(c[dofs] * signs, REF.coeffs.T) for c in coeffs])
     mono_vals, mono_curls = vector_monomials(ref_pts.reshape(-1, 2))
     vals = np.empty((len(coeffs), n, p, 2), dtype=complex)
     curls = np.empty((len(coeffs), n, p), dtype=complex)
@@ -488,12 +483,12 @@ def face_traces(space: EdgeFESpace, faces: FaceTable) -> FaceQuadrature:
 
     Along the edge x(t) of reference tangent e the covariant basis has the
     trace phi_b . t = (v_b . e) / |dx/dt|: the reference table
-    REF.edge_traces over the edge speed.
+    REF.edge_traces times the owner's dof_signs over the edge speed.
     """
     ref, phys, weights, tangent, speed = face_quadrature(space.mesh, faces.owner,
                                                          faces.ledge)
-    orient = space.orient_idx[space.rank[faces.owner]]
-    traces = REF.edge_traces[orient, faces.ledge] / speed[..., None]
+    signs = dof_signs(space, faces.owner)[:, None, :N_EDGE_DOFS]
+    traces = REF.edge_traces[faces.ledge] * signs / speed[..., None]
     return FaceQuadrature(owner=faces.owner, ref=ref, phys=phys, weights=weights,
                           tangent=tangent, traces=traces)
 

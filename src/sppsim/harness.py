@@ -106,9 +106,9 @@ class RunConfig:
             raise ValueError(f"dipole_resolve_factor must be at least 2, "
                              f"got {self.dipole_resolve_factor}")
 
-    def model(self, sigma=None, s0=None) -> SheetModel:
+    def model(self, s0=None) -> SheetModel:
         return SheetModel(
-            sigma_r=self.sigma_r if sigma is None else sigma,
+            sigma_r=self.sigma_r,
             pml=PmlSpec(R=self.R, s0=self.s0 if s0 is None else s0),
             dipole=DipoleSpec(height=self.a, radius=self.d_reg))
 
@@ -445,11 +445,13 @@ def load_config(path: str, **overrides) -> RunConfig:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, raw = line.partition("=")
+            key, sep, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
             if key not in RunConfig.__dataclass_fields__:
                 raise KeyError(f"unknown config key {key!r}")
+            if not sep or not raw:
+                raise ValueError(f"config key {key!r} needs a value: {key} = <value>")
             values[key] = _parse_value(key, raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 
 from sppsim import pml as pml_mod
 from sppsim.assembly import _volume_local
-from sppsim.fespace import N_DOFS_CELL, REF, build_constraints, face_quadrature, gauss01
+from sppsim.fespace import (N_DOFS_CELL, REF, build_constraints, dof_signs, face_quadrature,
+                            gauss01)
 from sppsim.mesh import cell_geometry, jacobian_det, jacobian_inv
 
 
@@ -19,8 +20,7 @@ def interpolate(space, fun) -> np.ndarray:
         _, phys, wds, tangent, _ = face_quadrature(mesh, cids, np.full(n, ledge), 3)
         ftan = wds * np.einsum("npi,npi->np", fun(phys.reshape(-1, 2)).reshape(phys.shape),
                                tangent)
-        sign = 1 - 2 * ((space.orient_idx >> ledge) & 1)   # global edge direction
-        local[:, 2 * ledge] = sign * ftan.sum(axis=1)
+        local[:, 2 * ledge] = ftan.sum(axis=1)
         local[:, 2 * ledge + 1] = ftan @ (2 * te - 1)
     phys, jac = cell_geometry(mesh, cids, REF._bulk_pts)
     pull = np.einsum("npji,npj->npi", jac, fun(phys.reshape(-1, 2)).reshape(phys.shape))
@@ -31,7 +31,8 @@ def interpolate(space, fun) -> np.ndarray:
     local[:, 10] = pull[:, :, 1] @ w
     local[:, 11] = pull[:, :, 1] @ (w * (2 * eta - 1))
     coeffs = np.zeros(space.n_dofs, dtype=complex)
-    coeffs[space.cell_dofs] = local
+    # the constant edge moments are taken along the global edge direction
+    coeffs[space.cell_dofs] = local * dof_signs(space, cids)
     return coeffs
 
 
@@ -39,7 +40,7 @@ def shape_eval(space, cids, ref_pts):
     """Mapped basis values (n, p, 12, 2) and curls (n, p, 12) on many cells.
 
     The reference that the reference-frame kernels are checked against: the
-    basis of each cell's orientation signature is evaluated at its points
+    reference basis times each cell's dof signs is evaluated at its points
     and mapped point by point, phi = J^{-T} v and curl phi = curl v / det J.
     ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell.
     """
@@ -49,13 +50,14 @@ def shape_eval(space, cids, ref_pts):
     det = jacobian_det(jac)
     jinv = jacobian_inv(jac, det)
     n, p = det.shape
+    signs = dof_signs(space, cids)
     vals = np.empty((n, p, N_DOFS_CELL, 2))
     curls = np.empty((n, p, N_DOFS_CELL))
-    for k, cid in enumerate(cids):
+    for k in range(n):
         pts = ref_pts[k] if ref_pts.ndim == 3 else ref_pts
-        vref, cref = REF.basis_at(int(space.orient_idx[space.rank[cid]]), pts)
-        vals[k] = vref @ jinv[k]
-        curls[k] = cref / det[k][:, None]
+        vref, cref = REF.basis_at(pts)
+        vals[k] = (vref * signs[k][:, None]) @ jinv[k]
+        curls[k] = cref * signs[k] / det[k][:, None]
     return vals, curls
 
 

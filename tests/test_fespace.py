@@ -88,19 +88,36 @@ class TestDofLayout:
         space = distribute_dofs(m)
         assert space.n_dofs == 2 * space.n_faces + 4 * len(space.active)
 
-    def test_all_orientation_variants_unisolvent(self):
-        for oidx in range(16):
-            C = REF.coeffs(oidx)
-            assert np.all(np.isfinite(C))
-
 
 class TestShapeFunctions:
     def test_nodal_property(self):
-        # dof_i(basis_j) = delta_ij for every orientation variant
-        for oidx in (0, 5, 12, 15):
-            V = REF.dof_matrix(tuple(-1.0 if (oidx >> e) & 1 else 1.0 for e in range(4)))
-            C = REF.coeffs(oidx)
-            assert np.allclose(V @ C, np.eye(12), atol=1e-12)
+        # dof_i(basis_j) = delta_ij for the one reference basis
+        C = REF.coeffs
+        assert np.all(np.isfinite(C))
+        assert np.allclose(REF.dof_matrix() @ C, np.eye(12), atol=1e-12)
+
+    def test_constant_edge_moment_runs_along_the_global_direction(self):
+        # a unit coefficient on a cell's constant moment of local edge e has
+        # tangential line integral +1 along e from its lower vertex id to its
+        # higher one, on every cell and every orientation signature present
+        m = msh.build_disk_mesh(8 * np.pi, 2)
+        m.refine(m.active_ids()[::5])
+        space = distribute_dofs(m)
+        assert build_constraints(space).n_master < space.n_edge_dofs   # hanging edges
+        flipped = (space.orient_idx[:, None] >> np.arange(4)) & 1
+        assert np.all(flipped.min(axis=0) == 0) and np.all(flipped.max(axis=0) == 1)
+        keys = m.edge_keys(space.active)                                # (n, 4, 2), sorted
+        ledges = np.arange(4)
+        for k, cid in enumerate(space.active):
+            cells = np.full(4, cid)
+            ref, _, wds, tangent, _ = fes.face_quadrature(m, cells, ledges)
+            units = np.zeros((4, space.n_dofs))
+            units[ledges, space.cell_dofs[k, 2 * ledges]] = 1.0
+            vals = fes.evaluate_fields(space, cells, ref, tuple(units))[2][ledges, ledges]
+            along_ref = np.einsum("ep,epi,epi->e", wds, vals, tangent).real
+            chord = m.vertices[keys[k, :, 1]] - m.vertices[keys[k, :, 0]]
+            direction = np.sign(np.einsum("epi,ei->ep", tangent, chord).mean(axis=1))
+            assert np.allclose(direction * along_ref, 1.0, rtol=0, atol=1e-12)
 
     def test_curl_matches_finite_differences(self):
         space = distribute_dofs(grid_mesh(1, 1))

@@ -567,6 +567,16 @@ samples = 256
                            x_min=np.nextafter(0.8 * hn.RunConfig().R, 0), d_w=1e-9)
         assert (cfg.level_cap, cfg.dof_cap, cfg.dipole_resolve_factor) == (1, 1, 2.0)
 
+    @pytest.mark.parametrize("line", ["out_dir =", "out_dir", "cycles", "cycles = ",
+                                      "sigma_r = # comment"])
+    def test_key_without_value_rejected(self, tmp_path, line):
+        # an empty out_dir would reach os.makedirs(''), an empty cycles int('')
+        path = tmp_path / "empty.cfg"
+        path.write_text(line + "\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"config key '{key}' needs a value"):
+            hn.load_config(str(path))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         for line in ("definitely_not_a_key = 3", "seed_strips = ((1.0, 0.5),)"):
