@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -87,6 +89,21 @@ class TestDofLayout:
         m.refine(m.active_ids()[::5])
         space = distribute_dofs(m)
         assert space.n_dofs == 2 * space.n_faces + 4 * len(space.active)
+
+    def test_all_orientation_variants_unisolvent(self):
+        # each of the 16 edge-orientation signatures signs the one reference
+        # basis by dof_signs; the signed basis must be finite and nodal for the
+        # functionals taken along the flipped edge directions
+        fake = SimpleNamespace(orient_idx=np.arange(16), rank=np.arange(16))
+        signs = fes.dof_signs(fake, np.arange(16))
+        V = REF.dof_matrix()
+        for oidx in range(16):
+            C = REF.coeffs * signs[oidx][None, :]
+            assert np.all(np.isfinite(C))
+            assert np.allclose((signs[oidx][:, None] * V) @ C, np.eye(12), atol=1e-12)
+        flipped = signs[:, 0:8:2] < 0
+        assert np.array_equal(flipped, (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1)
+        assert np.all(signs[:, 1:8:2] == 1) and np.all(signs[:, 8:] == 1)
 
 
 class TestShapeFunctions:
