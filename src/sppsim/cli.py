@@ -23,13 +23,25 @@ def _add_common(p):
     p.add_argument("--out", help="output directory")
 
 
+class _InputError(Exception):
+    """A bad config, option value or input path: one error line, status 2."""
+
+
+def _read_input(load, *args, **kwargs):
+    """load(*args, **kwargs), its input errors as _InputError (a KeyError's unquoted)."""
+    try:
+        return load(*args, **kwargs)
+    except (ValueError, KeyError, OSError) as exc:
+        raise _InputError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
+
+
 def _config_from(args) -> harness.RunConfig:
     overrides = dict(sigma_r=args.sigma, a=args.a, s0=args.s0,
                      cycles=args.cycles, out_dir=args.out)
     if args.config:
-        return harness.load_config(args.config, **overrides)
+        return _read_input(harness.load_config, args.config, **overrides)
     clean = {k: v for k, v in overrides.items() if v is not None}
-    return harness.RunConfig(**clean)
+    return _read_input(harness.RunConfig, **clean)
 
 
 def blas_thread_note(environ=os.environ) -> str | None:
@@ -105,7 +117,7 @@ def _print_table(rows) -> None:
 
 
 def cmd_report(args) -> int:
-    with open(args.csv) as fh:
+    with _read_input(open, args.csv) as fh:
         _print_table(csv.DictReader(fh))
     return 0
 
@@ -136,7 +148,11 @@ def main(argv=None) -> int:
     p_rep.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"sppsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ recoveries pi: weighted least-squares fits of an edge field on a parent
 cell, of order 3 over a clean 2x2 sibling patch and of order 2 over all
 active descendants of an irregular parent, which is cruder but safe.  A cell
 below an irregular parent takes its fit.  The patches that win a cell are
-fitted in batches of equal order and size.  One recovery fits the primal and
-the adjoint together: each batch builds its normal matrices once and solves
-them once per solution.  Only the differences (pi u - u) ever enter the
-indicators; on the sheet and rim faces the solutions and their differences
-come from one basis evaluation per face set.
+fitted in batches of equal order and size, the primal and the adjoint
+together, and every fit is kept in the slots of the 24 order-3 monomial
+fields.  Only the differences (pi u - u) ever enter the indicators.  The
+face terms are one pass over the sheet sides and the rim owners: one
+evaluation, one tangential contraction and one accumulation per residual.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -32,17 +32,18 @@ import numpy as np
 
 from . import pml as pml_mod
 from .assembly import CHUNK_CELLS, SheetModel
-from .fespace import (REF, EdgeFESpace, FieldSolution, evaluate_fields, sheet_ref_points,
-                      vector_monomials)
+from .fespace import (ORDER2_SLOTS, REF, EdgeFESpace, FieldSolution, evaluate_fields,
+                      sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
 
 
 class QuadData:
     """Per-cell geometry and field values at the standard quadrature points.
 
-    Holds the registered solutions and only small arrays (points, Jacobian
-    determinants, complex field values/curls per solution), evaluated chunk
-    by chunk (fespace.evaluate_fields); no basis table is formed.
+    Holds the registered solutions and only small arrays: points, Jacobian
+    determinants and the complex values (s, n, p, 2) and curls (s, n, p) of
+    the s solutions, evaluated chunk by chunk (fespace.evaluate_fields); no
+    basis table is formed.
     """
 
     def __init__(self, space: EdgeFESpace, sols: tuple):
@@ -52,16 +53,13 @@ class QuadData:
         p = len(REF.quad_wts)
         self.phys = np.empty((n, p, 2))
         self.det = np.empty((n, p))
-        self.values = [np.empty((n, p, 2), dtype=complex) for _ in sols]
-        self.curls = [np.empty((n, p), dtype=complex) for _ in sols]
+        self.values = np.empty((len(sols), n, p, 2), dtype=complex)
+        self.curls = np.empty((len(sols), n, p), dtype=complex)
         coeffs = [sol.coeffs for sol in sols]
         for lo in range(0, n, CHUNK_CELLS):
             sl = slice(lo, lo + CHUNK_CELLS)
-            self.phys[sl], self.det[sl], vals, curls = evaluate_fields(
-                space, space.active[sl], REF.quad_pts, coeffs)
-            for k in range(len(sols)):
-                self.values[k][sl] = vals[k]
-                self.curls[k][sl] = curls[k]
+            (self.phys[sl], self.det[sl], self.values[:, sl],
+             self.curls[:, sl]) = evaluate_fields(space, space.active[sl], REF.quad_pts, coeffs)
 
 
 @dataclass(frozen=True)
@@ -146,9 +144,12 @@ class PatchReconstruction:
     QuadData registers is fitted on the same patches: the weighted normal
     matrices are built once per group and solved against each solution's
     right-hand side.  Each cell keeps its embedding (offset, scale) in the
-    parent's reference frame and its patch's coefficients per solution; the
-    differences at the standard quadrature points are precomputed for every
-    solution and active cell, dvals_quad (s, n, p, 2) and dcurls_quad (s, n, p).
+    parent's reference frame and its patch's coefficients per solution, in
+    one table over the 24 order-3 monomial fields (s, n, 24): an order-2 fit
+    fills the columns of its 12 fields (fespace.ORDER2_SLOTS) and leaves the
+    rest zero.  The differences at the standard quadrature points are
+    precomputed for every solution and active cell, dvals_quad (s, n, p, 2)
+    and dcurls_quad (s, n, p).
     """
 
     def __init__(self, qd: QuadData):
@@ -163,8 +164,7 @@ class PatchReconstruction:
         self._parent = np.zeros(n, dtype=np.int64)
         self._offset = np.zeros((n, 2))
         self._scale = np.zeros(n)
-        self._coeffs = {2: np.zeros((s, n, 12), dtype=complex),
-                        3: np.zeros((s, n, 24), dtype=complex)}
+        self._coeffs = np.zeros((s, n, 24), dtype=complex)
 
         # parents in order of first appearance over the active cells
         parents = mesh.parent[self.space.active]
@@ -215,6 +215,7 @@ class PatchReconstruction:
         r, jac = ranks[wins], jac[wins]
         det = jacobian_det(jac)
         jinv_t = np.swapaxes(jacobian_inv(jac, det), 2, 3)
+        slots = ORDER2_SLOTS if order == 2 else np.arange(n_mono)
         for k, (u, u_curl) in enumerate(zip(qd.values, qd.curls)):
             b = (jac_t @ u[ranks][..., None]).reshape(n_patch, -1)
             atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
@@ -227,9 +228,8 @@ class PatchReconstruction:
             curls = (mono_curl @ parts).reshape(n_cells, p, 2)[wins]
             hat = hat[..., 0] + 1j * hat[..., 1]
             self.dvals_quad[k, r] = (jinv_t @ hat[..., None])[..., 0] - u[r]
-            self.dcurls_quad[k, r] = ((curls[..., 0] + 1j * curls[..., 1]) / det
-                                      - u_curl[r])
-            self._coeffs[order][k, r] = np.repeat(coeffs, m, axis=0)[wins]
+            self.dcurls_quad[k, r] = (curls[..., 0] + 1j * curls[..., 1]) / det - u_curl[r]
+            self._coeffs[k, r[:, None], slots] = np.repeat(coeffs, m, axis=0)[wins]
         self._order[r] = order
         self._parent[r] = owner[wins]
         self._offset[r] = offsets[wins]
@@ -254,21 +254,18 @@ class PatchReconstruction:
         outside every patch get zero differences.
         """
         ranks = self.space.rank[cids]
-        u = evaluate_fields(self.space, cids, ref_pts,
-                            [sol.coeffs for sol in self.sols])[2]
-        pi = np.zeros_like(u)
+        u = evaluate_fields(self.space, cids, ref_pts, [sol.coeffs for sol in self.sols])[2]
+        diff = np.zeros_like(u)
+        sel = np.flatnonzero(self._order[ranks] > 0)
+        r = ranks[sel]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
-        for order, coeffs in self._coeffs.items():
-            sel = np.flatnonzero(self._order[ranks] == order)
-            r = ranks[sel]
-            mono, _, jac = self._parent_frame(
-                self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], order)
-            jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
-            for k, c in enumerate(coeffs[:, r]):
-                hat = np.einsum("npmc,nm->npc", mono, c)
-                pi[k, sel] = np.einsum("npij,npj->npi", jinv_t, hat)
-        patched = (self._order[ranks] > 0)[:, None, None]
-        return u, np.where(patched, pi - u, 0)
+        mono, _, jac = self._parent_frame(
+            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], 3)
+        jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
+        for k, c in enumerate(self._coeffs[:, r]):
+            hat = np.einsum("npmc,nm->npc", mono, c)
+            diff[k, sel] = np.einsum("npij,npj->npi", jinv_t, hat) - u[k, sel]
+        return u, diff
 
 
 def reconstruct(qd: QuadData) -> PatchReconstruction:
@@ -285,14 +282,10 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     never do.
     """
     space = qd.space
-    mesh = space.mesh
-    w_q = REF.quad_wts
     phys, det = qd.phys, qd.det
 
-    E_vals, Z_vals = qd.values
-    E_curl, Z_curl = qd.curls
-    ve_vals, wz_vals = recon.dvals_quad
-    ve_curl, wz_curl = recon.dcurls_quad
+    (E_vals, Z_vals), (E_curl, Z_curl) = qd.values, qd.curls
+    (ve_vals, wz_vals), (ve_curl, wz_curl) = recon.dvals_quad, recon.dcurls_quad
 
     n = len(space.active)
     rho = np.empty(n, dtype=complex)
@@ -305,7 +298,7 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
         eps_eff = eps_eff.reshape(det[sl].shape + (2, 2))
         wband = weight(flat).reshape(det[sl].shape)
         dens = model.dipole.density(flat).reshape(det[sl].shape)
-        wdet = w_q[None, :] * det[sl]
+        wdet = REF.quad_wts[None, :] * det[sl]
         # primal residual: F(w chi_Q) - A(E_H, w chi_Q)
         r = 1j * np.einsum("np,np->n", wdet * dens, np.conj(wz_vals[sl, :, 1]))
         r -= np.einsum("np,np->n", wdet * inv_mu * E_curl[sl], np.conj(wz_curl[sl]))
@@ -319,38 +312,27 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
                         eps_eff, ve_vals[sl])
         rho_ast[sl] = ra
 
-    # sheet faces: half of each face integral to either adjacent cell, in face
-    # order; a coarse neighbor maps the owner's quadrature points into its frame
+    # face terms in one pass: the sheet sides, each taking half of its face
+    # integral along +x (a coarse neighbor maps the owner's quadrature points
+    # into its frame), then the rim owners along their tangents
     faces = space.sheet_faces
     quad = space.sheet_quadrature
-    ref, fphys, fw = quad.ref, quad.phys, quad.weights
-    sigma_eff = pml_mod.sheet_arrays(fphys.reshape(-1, 2), model.sigma_r,
-                                     model.pml).reshape(fw.shape)
-    sides = np.stack([faces.above, faces.below], 1).ravel()
-    mask = sides >= 0
-    fid = np.repeat(np.arange(len(faces)), 2)[mask]
-    cids = sides[mask]
-    cref = ref[fid]
-    coarse = cids != faces.owner[fid]
-    p = ref.shape[1]
-    cref[coarse] = sheet_ref_points(mesh, np.repeat(cids[coarse], p),
-                                    fphys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
-    vals, dvals = recon.at_points(cids, cref)
-    (e_t, z_t), (ve_t, wz_t) = vals[..., 0], dvals[..., 0]
-    fws = fw[fid] * sigma_eff[fid]
-    ranks = space.rank[cids]
-    share = 0.5
-    np.add.at(rho, ranks, 1j * share * np.sum(fws * e_t * np.conj(wz_t), axis=1))
-    np.add.at(rho_ast, ranks, 1j * share * np.sum(fws * ve_t * np.conj(z_t), axis=1))
-
+    sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r,
+                                     model.pml).reshape(quad.weights.shape)
+    sides = np.stack([faces.above, faces.below], 1)
+    fid = np.nonzero(sides >= 0)[0]
+    sheet = sides[sides >= 0]
+    sheet_ref = quad.ref[fid]
+    coarse = sheet != faces.owner[fid]
+    p = sheet_ref.shape[1]
+    sheet_ref[coarse] = sheet_ref_points(space.mesh, np.repeat(sheet[coarse], p),
+                                         quad.phys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
     rim = space.rim_quadrature
-    cids, ref, fw, that = rim.owner, rim.ref, rim.weights, rim.tangent
-
-    def tangential(v):
-        return np.einsum("fpi,fpi->fp", v, that)
-
-    vals, dvals = recon.at_points(cids, ref)
-    e_t, z_t, ve_t, wz_t = (tangential(v) for v in (*vals, *dvals))
+    cids = np.concatenate([sheet, rim.owner])
+    fw = np.concatenate([0.5 * quad.weights[fid] * sigma_eff[fid], rim.weights])
+    tangent = np.concatenate([np.broadcast_to([1.0, 0.0], sheet_ref.shape), rim.tangent])
+    vals, dvals = recon.at_points(cids, np.concatenate([sheet_ref, rim.ref]))
+    e_t, z_t, ve_t, wz_t = np.einsum("sfpi,fpi->sfp", np.concatenate([vals, dvals]), tangent)
     ranks = space.rank[cids]
     np.add.at(rho, ranks, 1j * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * np.sum(fw * ve_t * np.conj(z_t), axis=1))

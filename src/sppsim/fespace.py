@@ -45,6 +45,8 @@ _VY = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1))
 # order-3 counterparts (used only for patchwise reconstruction)
 _UX3 = tuple((i, j) for j in range(4) for i in range(3))
 _VY3 = tuple((i, j) for i in range(4) for j in range(3))
+# order-3 column of each order-2 monomial field (Q_{1,2} x Q_{2,1} in Q_{2,3} x Q_{3,2})
+ORDER2_SLOTS = np.array([_UX3.index(e) for e in _UX] + [len(_UX3) + _VY3.index(e) for e in _VY])
 
 # reference corners and edge tangents
 _CORNER_XY = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -55,6 +57,8 @@ N_DOFS_CELL = 12
 N_EDGE_DOFS = 8
 # Gauss points per face (face_quadrature, ReferenceElement.edge_traces)
 FACE_POINTS = 4
+# Gauss points per direction of the cell rule (ReferenceElement.quad_pts)
+CELL_POINTS = 4
 
 
 def gauss01(n: int):
@@ -112,8 +116,8 @@ def _edge_ref_points(ledge: int, t):
 class ReferenceElement:
     """Dof functionals and cached tables of the one reference basis."""
 
-    def __init__(self, quad_order: int = 4):
-        x, w = gauss01(quad_order)
+    def __init__(self):
+        x, w = gauss01(CELL_POINTS)
         XI, ETA = np.meshgrid(x, x, indexing="ij")
         self.quad_pts = np.column_stack([XI.ravel(), ETA.ravel()])
         self.quad_wts = np.outer(w, w).ravel()
@@ -396,23 +400,20 @@ _T_HI = _child_transfer(1.0, -0.5)   # child from parent's high vertex to midpoi
 def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     """Tie child-edge dofs on hanging faces to the parent-edge dofs.
 
-    The masters are the unconstrained edge dofs; the interior dofs are no
-    masters, and their rows stay empty.
+    Mesh.coarser_neighbors pairs each hanging child face with the coarser
+    cell edge that contains it, the parent face; the pairs are sorted by
+    parent face, the half at its lower vertex id first.  The masters are the
+    unconstrained edge dofs; the interior dofs' rows stay empty.
     """
-    keys = space.face_keys
-    mids = space.mesh.edge_midpoints(keys)
-    parent = np.flatnonzero(mids >= 0)
-    # midpoint ids are created after their edge endpoints
-    assert np.all(mids[parent] > keys[parent, 1]), "midpoint id ordering violated"
-    codes = keys[:, 0] * len(space.mesh.vertices) + keys[:, 1]
-    by_code = np.argsort(codes)
-    # (p, 2 halves, 2): (lo, mid) and (hi, mid)
-    halves = np.stack([keys[parent], np.stack([mids[parent], mids[parent]], axis=1)], axis=2)
-    half_codes = halves[..., 0] * len(space.mesh.vertices) + halves[..., 1]
-    pos = np.minimum(np.searchsorted(codes[by_code], half_codes), len(codes) - 1)
-    hanging = (codes[by_code][pos] == half_codes).all(axis=1)
-    child = by_code[pos[hanging]]                                  # (h, 2)
-    parent = parent[hanging]
+    coarse, ledge = space.mesh.coarser_neighbors(space.active)
+    fine, fine_edge = np.nonzero(coarse >= 0)
+    child = space.cell_dofs[fine, 2 * fine_edge] // 2
+    parent = space.cell_dofs[space.rank[coarse[fine, fine_edge]],
+                             2 * ledge[fine, fine_edge]] // 2
+    high = ~(space.face_keys[child] == space.face_keys[parent, :1]).any(axis=1)
+    order = np.lexsort((high, parent))
+    child = child[order].reshape(-1, 2)                              # (h, 2 halves)
+    parent = parent[order][::2]
     # dof 2 child + j = sum_k T[j, k] * dof 2 parent + k, for the nonzero T[j, k]
     T = np.stack([_T_LO, _T_HI])                                   # (2 halves, 2, 2)
     j, k = np.arange(2)[:, None], np.arange(2)[None, :]

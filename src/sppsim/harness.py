@@ -79,7 +79,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.cycles < 1:
-            raise ValueError("need at least one cycle")
+            raise ValueError(f"cycles must be at least 1, got {self.cycles}")
         if self.samples < 2:
             raise ValueError("need at least two trace samples")
         if self.samples % 2:

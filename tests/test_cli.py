@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sppsim.cli import blas_thread_note, main
 
@@ -76,3 +77,29 @@ def test_blas_thread_note_unless_one_thread():
     assert blas_thread_note({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}) is None
     for env in ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}):
         assert "one BLAS thread" in blas_thread_note(env)
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ("out_dir =\n", [], "out_dir"),
+    ("cycels = 2\n", [], "cycels"),
+    (None, ["--cycles", "0"], "cycles"),
+])
+def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sppsim: error: ") and named in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["report", "{}/missing.csv"],
+                                  ["run", "--config", "{}/missing.cfg"]])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
+    argv = [a.format(tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sppsim: error: ")
+    assert argv[-1] in err[0]

@@ -3,9 +3,11 @@ import pytest
 
 from sppsim import dwr as dwr_mod
 from sppsim import mesh as msh
+from sppsim import pml as pml_mod
 from sppsim.assembly import DipoleSpec, SheetModel
 from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
-from sppsim.fespace import REF, FieldSolution, distribute_dofs, vector_monomials
+from sppsim.fespace import (REF, FieldSolution, distribute_dofs, sheet_ref_points,
+                            vector_monomials)
 from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
@@ -246,8 +248,7 @@ class TestReconstruction:
         assert len(batches) - n_default > n_default
         assert np.array_equal(single.dvals_quad, default.dvals_quad)
         assert np.array_equal(single.dcurls_quad, default.dcurls_quad)
-        for order in (2, 3):
-            assert np.array_equal(single._coeffs[order], default._coeffs[order])
+        assert np.array_equal(single._coeffs, default._coeffs)
 
     def test_shared_fit_matches_single_fits_bitwise(self):
         # fitting e and z together shares the normal matrices; each solution
@@ -333,6 +334,56 @@ class TestIndicators:
         qd = QuadData(space, (e, z))
         eta = dwr_mod.indicators(qd, model, reconstruct(qd), WeightFunction(D_W))
         assert all(v >= 0.0 for v in eta.values())
+
+    def test_face_terms_match_a_per_face_loop(self, monkeypatch):
+        # with no material, no dipole in the disk and no goal weight the cell
+        # terms vanish and eta holds the sheet and rim face terms alone; a
+        # refined cell above the sheet leaves coarse sides below its faces
+        R = 8 * np.pi
+        m = msh.build_disk_mesh(R, 1)
+        ids = m.active_ids()
+        corners = m.cell_corners(ids)
+        on_sheet = np.sum(np.abs(corners[:, :, 1]) < 1e-12, axis=1) == 2
+        m.refine([ids[np.flatnonzero(on_sheet & np.all(corners[:, :, 1] >= 0, axis=1))[0]]])
+        space = distribute_dofs(m)
+        model = SheetModel(sigma_r=2.56e-4 + 0.16j, pml=PmlSpec(R=R, s0=2.0),
+                           dipole=DipoleSpec(height=10 * R, radius=0.15625))
+        monkeypatch.setattr(dwr_mod.pml_mod, "material_arrays",
+                            lambda pts, spec: (np.zeros(len(pts)), np.zeros((len(pts), 2, 2))))
+        qd = QuadData(space, (random_solution(space, 8), random_solution(space, 9)))
+        recon = reconstruct(qd)
+        eta = dwr_mod.indicators(qd, model, recon, lambda pts: np.zeros(len(pts)))
+
+        rho = dict.fromkeys(space.active.tolist(), 0j)
+        rho_ast = dict.fromkeys(space.active.tolist(), 0j)
+
+        def add(cid, ref, weights, tangent):
+            vals, dvals = recon.at_points([cid], ref[None])
+            e_t, z_t, ve_t, wz_t = (np.sum(v[0] * tangent, axis=1) for v in (*vals, *dvals))
+            rho[cid] += 1j * np.sum(weights * e_t * np.conj(wz_t))
+            rho_ast[cid] += 1j * np.sum(weights * ve_t * np.conj(z_t))
+
+        faces, quad = space.sheet_faces, space.sheet_quadrature
+        n_coarse = 0
+        for f in range(len(faces)):
+            sigma = pml_mod.sheet_arrays(quad.phys[f], model.sigma_r, model.pml)
+            for cid in (faces.above[f], faces.below[f]):
+                if cid < 0:
+                    continue
+                ref = quad.ref[f]
+                if cid != faces.owner[f]:
+                    n_coarse += 1
+                    ref = sheet_ref_points(m, np.full(len(ref), cid), quad.phys[f, :, 0])
+                add(cid, ref, 0.5 * quad.weights[f] * sigma, np.array([1.0, 0.0]))
+        rim = space.rim_quadrature
+        for f, cid in enumerate(rim.owner):
+            add(cid, rim.ref[f], rim.weights[f], rim.tangent[f])
+        assert n_coarse > 0 and len(rim.owner) > 0
+        want = {c: 0.5 * abs(rho[c] + rho_ast[c]) for c in rho}
+        scale = max(want.values())
+        assert scale > 0
+        for c in want:
+            assert abs(eta[c] - want[c]) <= 1e-12 * scale
 
 
 class TestMarking:

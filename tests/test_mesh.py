@@ -487,15 +487,28 @@ def layout_hash(space):
     return h.hexdigest()[:16]
 
 
+def constraint_hash(space):
+    """Digest of the constraint map's CSR arrays, in their stored order, and
+    of its master dofs."""
+    constraints = build_constraints(space)
+    h = hashlib.sha256()
+    for ids in (constraints.matrix.indptr, constraints.matrix.indices,
+                constraints.master_dofs):
+        h.update(np.asarray(ids, dtype=np.int64).tobytes())
+    h.update(constraints.matrix.data.tobytes())
+    return h.hexdigest()[:16]
+
+
 class TestNumbering:
     """Vertex, cell, face and dof ids fix the edge orientations and the LU
-    ordering; these sequences pin them."""
+    ordering; these sequences pin them, and the constraint map built on them."""
 
-    def check(self, m, n_cells, n_verts, n_dofs, content, layout):
+    def check(self, m, n_cells, n_verts, n_dofs, content, layout, constraints):
         space = distribute_dofs(m)
         assert (len(m.cells), len(m.vertices), space.n_dofs) == (n_cells, n_verts, n_dofs)
         assert m.content_hash()[:16] == content
         assert layout_hash(space) == layout
+        assert constraint_hash(space) == constraints
 
     def test_random_refinement_sequence(self):
         m = msh.build_disk_mesh(R, 2)
@@ -503,16 +516,18 @@ class TestNumbering:
         for _ in range(4):
             ids = m.active_ids()
             m.refine(rng.choice(ids, len(ids) // 5, replace=False))
-        self.check(m, 1610, 1531, 11404, "0929d59acc3ab5e8", "019eff02f884848d")
+        self.check(m, 1610, 1531, 11404, "0929d59acc3ab5e8", "019eff02f884848d",
+                   "79c8d7ca2f2a936a")
 
     def test_band_refined_initial_mesh(self):
         m = build_initial_mesh(RunConfig(sigma_r=0.15j))
         band_refine(m, 1.5625, 0.4)
-        self.check(m, 3598, 2888, 22498, "8e1fa1f5f2f1f1f5", "9a349ea23e700d13")
+        self.check(m, 3598, 2888, 22498, "8e1fa1f5f2f1f1f5", "9a349ea23e700d13",
+                   "f96a71cf302ce02d")
 
     def test_cascading_closure_toward_the_rim(self):
         self.check(cascade_toward_rim(), 70, 78, 512, "4a788a0bc8d13147",
-                   "14a13352925cd9c4")
+                   "14a13352925cd9c4", "5b71f158d5eb8237")
 
     def test_inactive_cell_has_no_rank(self):
         m = msh.build_disk_mesh(R, 1)
