@@ -117,8 +117,19 @@ def _print_table(rows) -> None:
 
 
 def cmd_report(args) -> int:
-    with _read_input(open, args.csv) as fh:
-        _print_table(csv.DictReader(fh))
+    with _read_input(open, args.csv) as fh:     # all rows checked before printing
+        reader = csv.DictReader(fh)
+        rows, header = _read_input(list, reader), reader.fieldnames or ()
+    for col in harness.CONVERGENCE_COLUMNS:
+        if col not in header:
+            raise _InputError(f"{args.csv}: no column {col!r}")
+        try:
+            for row in rows:
+                float(row[col])
+        except (TypeError, ValueError):     # TypeError: a short row's None
+            raise _InputError(f"{args.csv}: column {col!r} holds {row[col]!r}, "
+                              "not a number") from None
+    _print_table(rows)
     return 0
 
 

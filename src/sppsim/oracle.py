@@ -18,20 +18,19 @@ decays like exp(-x*s).  The light-cone part is taken in xi = sin(theta), which
 removes the sqrt(1 - xi^2) endpoint singularity, with Gauss-Legendre in theta
 on [0, pi/2]; the tail is taken in u = x*s, so every position sees the same
 exp(-u) decay, with an exp-sinh trapezoid u = exp(pi/2*sinh(t)).  Both rules
-converge exponentially.  All positions are evaluated in one array pass per
-refinement, chunked so that no (position, node) grid exceeds MAX_NODES
+converge exponentially.  All positions are evaluated in one array pass for
+the first two levels, whose tails share the finer level's nodes, and in one
+per later level, chunked so that no (position, node) grid exceeds MAX_NODES
 values.  The light-cone nodes are shared by all positions, so their node-only
-factors are computed once per node and only exp(i*x*xi) and the products run
-on the grid; the tail's nodes depend on x, and its cos and sin run in real
-arithmetic.  Neither changes a bit of the result.  The node counts are
-doubled only for the positions whose last two iterates still differ by more
-than a configurable relative tolerance.  A pole of either denominator on the
-path is detected in closed form before any node is built.
+factors are computed once per node; the tail's nodes depend on x, and its cos
+and sin run in real arithmetic.  None of this changes a bit of the result.
+The node counts are doubled only for the positions whose last two iterates
+still differ by more than a configurable relative tolerance.  A pole of either
+denominator on the path is detected in closed form before any node is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -257,13 +256,17 @@ def _tail_rule(n_t):
     return u, wu
 
 
-def _wrap(xs, a, sigma, level):
-    """Branch-cut wrap at each of the positions xs with the rules of one level."""
-    n_theta, n_t = _node_counts(level)
-    xi, w_xi = _light_cone_rule(n_theta)
-    u, w_u = _tail_rule(n_t)
+def _wrap(xs, a, sigma, levels):
+    """Branch-cut wrap at the positions xs for each of the ascending levels, one
+    row per level.  Every level's light-cone nodes form one row; the tail runs
+    once, on the finest level's nodes, of which a level k steps coarser reads
+    every 2^k-th column: halving the step keeps the old nodes' floats."""
+    counts = [_node_counts(level) for level in levels]
+    xi = np.concatenate([_light_cone_rule(n_theta)[0] for n_theta, _ in counts])
+    cols = np.cumsum([0] + [n_theta for n_theta, _ in counts])
+    u = _tail_rule(counts[-1][1])[0]
     rows = max(1, MAX_NODES // max(xi.size, u.size))
-    out = np.empty(xs.size, dtype=complex)
+    out = np.empty((len(levels), xs.size), dtype=complex)
     for lo in range(0, xs.size, rows):
         x = xs[lo:lo + rows, None]
         # the light-cone nodes are the same for every position: passed as one
@@ -271,7 +274,10 @@ def _wrap(xs, a, sigma, level):
         # exp(i*x*xi) and the products run on the full grid
         f = finite_integrand(xi, x, a, sigma)
         g = tail_integrand(u / x, x, a, sigma)
-        out[lo:lo + rows] = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / x[:, 0]
+        for row, c, (n_theta, n_t) in zip(out, cols, counts):
+            w_xi, w_u = _light_cone_rule(n_theta)[1], _tail_rule(n_t)[1]
+            row[lo:lo + rows] = ((f[:, c:c + n_theta] * w_xi).sum(axis=1)
+                                 - (g[:, ::counts[-1][1] // n_t] * w_u).sum(axis=1) / x[:, 0])
     return out / (4.0 * np.pi * sigma)
 
 
@@ -281,23 +287,21 @@ def _failure(message, xs, last_two):
     if cur is None:
         return QuadratureError(message, last_two=(None, None))
     with np.errstate(invalid="ignore", divide="ignore"):
-        i = int(np.argmax(~np.isfinite(cur) if prev is None
-                          else np.abs(cur - prev) / np.abs(cur)))
+        i = int(np.argmax(np.abs(cur - prev) / np.abs(cur)))
     return QuadratureError(f"{message} (x={xs[i]})",
-                           last_two=(None if prev is None else complex(prev[i]),
-                                     complex(cur[i])))
+                           last_two=(complex(prev[i]), complex(cur[i])))
 
 
 def branchcut_contribution(x, a: float, sigma_r: complex,
                            quad: QuadratureSpec | None = None):
     """Branch-cut part of the scattered tangential field on the sheet, x > 0.
 
-    All positions are evaluated together; the node counts are doubled for
-    the positions whose last two iterates still differ by quad.rel_tol or more
-    relative.  A pole of the integrand on the path raises PoleOnAxisError
-    before any node is built; needing more than MAX_NODES nodes per position
-    raises QuadratureError carrying the last two iterates of the worst
-    position.
+    All positions are evaluated together: levels 0 and 1 in one pass, then one
+    level per pass for the positions whose last two iterates still differ by
+    quad.rel_tol or more relative.  A pole of the integrand on the path raises
+    PoleOnAxisError before any node is built; needing more than MAX_NODES
+    nodes per position raises QuadratureError carrying the last two iterates
+    of the worst position.
     """
     spec = quad or QuadratureSpec()
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
@@ -310,25 +314,20 @@ def branchcut_contribution(x, a: float, sigma_r: complex,
         raise PoleOnAxisError("branch-cut denominator vanishes on the path")
     out = np.empty(xs.shape, dtype=complex)
     todo = np.arange(xs.size)
-    last_two = (None, None)
-    for level in itertools.count():     # ends at convergence or at the node cap
-        n_theta, n_t = _node_counts(level)
+    last_two, levels = (None, None), (0, 1)
+    while todo.size:     # ends at convergence or at the node cap
+        n_theta, n_t = _node_counts(levels[-1])
         if max(n_theta, n_t + 1) > MAX_NODES:
             raise _failure(f"branch-cut quadrature needs more than {MAX_NODES} grid points "
                            "per position", xs[todo], last_two)
-        cur = _wrap(xs[todo], a, sigma_r, level)
-        if not np.all(np.isfinite(cur)):
+        prev, cur = (last_two[1], *_wrap(xs[todo], a, sigma_r, levels))[-2:]
+        if not np.all(np.isfinite((prev, cur))):
             raise _failure("branch-cut quadrature produced a non-finite value",
-                           xs[todo], (last_two[1], cur))
-        prev = last_two[1]
-        if prev is None:
-            last_two = (None, cur)
-            continue
+                           xs[todo], (prev, cur))
         done = (cur == 0.0) | (np.abs(cur - prev) < spec.rel_tol * np.abs(cur))
         out[todo[done]] = cur[done]
         todo, last_two = todo[~done], (prev[~done], cur[~done])
-        if todo.size == 0:
-            break
+        levels = (levels[-1] + 1,)
     if np.ndim(x) == 0:
         return complex(out[0])
     return out.reshape(np.shape(x))

@@ -103,3 +103,20 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sppsim: error: ")
     assert argv[-1] in err[0]
+
+
+@pytest.mark.parametrize("text,named", [
+    ("a,b\n1,2\n", "'cycle'"),
+    ("cycle,cells,dofs,l2_error,rate,l2_error_complex\n1,2,3,x,nan,1\n", "'l2_error'"),
+    ("cycle,cells,dofs,l2_error,rate,l2_error_complex\n1,2,3,1e-3\n", "'rate'"),
+])
+def test_bad_report_csv_is_one_error_line(tmp_path, capsys, text, named):
+    # a missing column or a non-numeric field is found before any table line
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sppsim: error: ")
+    assert str(path) in err[0] and named in err[0]

@@ -172,23 +172,26 @@ def _complex_trig(rad, a, sigma):
     return 4.0 * np.cos(arg) - 2j * sigma * rad * np.sin(arg)
 
 
-def _grid_wrap(xs, a, sigma, level):
-    """oracle._wrap with every factor on the full (position, node) grid and
-    complex trig throughout: the plain statement of the formula."""
-    n_theta, n_t = oracle._node_counts(level)
-    xi, w_xi = oracle._light_cone_rule(n_theta)
-    u, w_u = oracle._tail_rule(n_t)
-    x = xs[:, None]
-    xi = np.broadcast_to(xi, (xs.size, xi.size))
-    rad = np.sqrt(1.0 - xi**2 + 0j)
-    den = xi**2 + 4.0 / sigma**2 - 1.0
-    f = xi * rad * np.exp(1j * x * xi) / den * _complex_trig(rad, a, sigma)
-    s = u / x
-    rad = np.sqrt(1.0 + s**2)
-    den = s**2 - 4.0 / sigma**2 + 1.0
-    g = s * rad * np.exp(-x * s + 0j) / den * _complex_trig(rad, a, sigma)
-    wrap = (f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / xs
-    return wrap / (4.0 * np.pi * sigma)
+def _grid_wrap(xs, a, sigma, levels):
+    """oracle._wrap with each level on its own grid, every factor on the full
+    (position, node) grid and complex trig throughout: the plain statement of
+    the formula."""
+    out = []
+    for level in levels:
+        n_theta, n_t = oracle._node_counts(level)
+        xi, w_xi = oracle._light_cone_rule(n_theta)
+        u, w_u = oracle._tail_rule(n_t)
+        x = xs[:, None]
+        xi = np.broadcast_to(xi, (xs.size, xi.size))
+        rad = np.sqrt(1.0 - xi**2 + 0j)
+        den = xi**2 + 4.0 / sigma**2 - 1.0
+        f = xi * rad * np.exp(1j * x * xi) / den * _complex_trig(rad, a, sigma)
+        s = u / x
+        rad = np.sqrt(1.0 + s**2)
+        den = s**2 - 4.0 / sigma**2 + 1.0
+        g = s * rad * np.exp(-x * s + 0j) / den * _complex_trig(rad, a, sigma)
+        out.append((f * w_xi).sum(axis=1) - (g * w_u).sum(axis=1) / xs)
+    return np.array(out) / (4.0 * np.pi * sigma)
 
 
 class TestBranchcutContribution:
@@ -211,12 +214,12 @@ class TestBranchcutContribution:
         x, a, sigma = 9.0, 1.0, 2.56e-4 + 0.160j
         spec = QuadratureSpec()
         xs = np.array([x])
-        prev = oracle._wrap(xs, a, sigma, 0)[0]
+        prev = oracle._wrap(xs, a, sigma, (0,))[0, 0]
         for level in range(1, 64):
             n_theta, n_t = oracle._node_counts(level)
             if max(n_theta, n_t + 1) > oracle.MAX_NODES:
                 pytest.fail("doubling loop reached the node cap")
-            cur = oracle._wrap(xs, a, sigma, level)[0]
+            cur = oracle._wrap(xs, a, sigma, (level,))[0, 0]
             if abs(cur - prev) < spec.rel_tol * abs(cur):
                 break
             prev = cur
@@ -274,22 +277,54 @@ class TestBranchcutContribution:
         with pytest.raises(oracle.PoleOnAxisError):
             branchcut_contribution(5.0, 1.0, sigma)
 
-    def test_node_arrays_are_full_and_capped(self, monkeypatch):
-        # every position gets its own row of the evaluated grid (nodes
-        # broadcast against positions) in both integrands, on at least two
-        # levels, and no grid exceeds the cap
+    def _spy_integrands(self, monkeypatch):
+        """The broadcast (position, node) shape of every integrand call, by name."""
         shapes = {"finite_integrand": [], "tail_integrand": []}
         for name, seen in shapes.items():
             def spy(nodes, x, *args, _f=getattr(oracle, name), _seen=seen):
                 _seen.append(np.broadcast_shapes(np.shape(nodes), np.shape(x)))
                 return _f(nodes, x, *args)
             monkeypatch.setattr(oracle, name, spy)
+        return shapes
+
+    def test_node_arrays_are_full_and_capped(self, monkeypatch):
+        # the first pass gives every position its own row of the evaluated
+        # grid (nodes broadcast against positions): one light-cone row of the
+        # 51 + 102 Gauss nodes of levels 0 and 1, one tail row of level 1's
+        # 321 exp-sinh nodes; no grid of any pass exceeds the cap
+        shapes = self._spy_integrands(monkeypatch)
         xs = np.linspace(0.5, 20.0, 3000)
         branchcut_contribution(xs, 1.0, 2.56e-4 + 0.160j)
-        for seen in shapes.values():
+        n_theta = [oracle._node_counts(level)[0] for level in (0, 1)]
+        assert n_theta == [51, 102]
+        first = {"finite_integrand": sum(n_theta), "tail_integrand": 321}
+        for name, seen in shapes.items():
             assert all(len(sh) == 2 for sh in seen)
-            assert sum(sh[0] for sh in seen) >= 2 * xs.size
+            assert seen[0][1] == first[name]
+            assert sum(sh[0] for sh in seen if sh[1] == first[name]) == xs.size
             assert max(sh[0] * sh[1] for sh in seen) <= oracle.MAX_NODES
+
+    def test_run_stopping_at_level_one_builds_one_tail_grid(self, monkeypatch):
+        # levels 0 and 1 read one tail grid: 321 tail nodes per position in
+        # all, where a pass per level would take 161 + 321
+        shapes = self._spy_integrands(monkeypatch)
+        xs = trace_grid(RunConfig(samples=512))
+        xs = np.unique(np.abs(xs))
+        for sigma in TABLE_SIGMAS:
+            shapes["tail_integrand"].clear()
+            branchcut_contribution(xs, 1.0, sigma, quad=QuadratureSpec(rel_tol=1e-3))
+            tail = shapes["tail_integrand"]
+            assert sum(sh[0] * sh[1] for sh in tail) == 321 * xs.size
+
+    @pytest.mark.parametrize("sigma", TABLE_SIGMAS)
+    def test_two_level_pass_equals_one_level_passes(self, sigma):
+        # 80 positions split into chunks of 25 rows for levels (0, 1) and (1,),
+        # and of 50 rows for level 0 alone
+        xs = np.geomspace(0.3, 80.0, 80)
+        both = oracle._wrap(xs, 1.0, sigma, (0, 1))
+        for row, level in zip(both, (0, 1)):
+            alone = oracle._wrap(xs, 1.0, sigma, (level,))[0]
+            assert np.array_equal(row.view(float), alone.view(float))
 
     def test_nonconvergence_reports_last_iterates(self):
         # 1e-14 is reachable by the exponentially convergent rules; 1e-20 is
