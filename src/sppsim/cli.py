@@ -91,7 +91,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_pml_study(args) -> int:
     config = _config_from(args)
-    s0_list = [float(s) for s in args.values.split(",")]
+    s0_list = [_read_input(lambda: config.model(s0=float(s0)).pml.s0)  # before any mesh
+               for s0 in args.values.split(",")]
     traces = harness.pml_study(config, s0_list)
     for s0, tr in sorted(traces.items()):
         amp, k_at = harness.spectral_amplitude(tr, 2.0, 25.0,
@@ -119,7 +120,10 @@ def _print_table(rows) -> None:
 def cmd_report(args) -> int:
     with _read_input(open, args.csv) as fh:     # all rows checked before printing
         reader = csv.DictReader(fh)
-        rows, header = _read_input(list, reader), reader.fieldnames or ()
+        try:
+            rows, header = list(reader), reader.fieldnames or ()
+        except ValueError as exc:                   # a byte that is not UTF-8
+            raise _InputError(f"{args.csv}: {exc}") from None
     for col in harness.CONVERGENCE_COLUMNS:
         if col not in header:
             raise _InputError(f"{args.csv}: no column {col!r}")

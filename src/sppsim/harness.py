@@ -28,9 +28,10 @@ convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
 Every factorization runs with no other LU factors and only one full-size
 condensed system matrix alive, besides a fixed part that the caller passes
 in; that bounds the peak memory.  solve_pair frees a fixed part that it
-built itself once the matrix is assembled.  A cycle of run_adaptive keeps
-its factors and system only through the adjoint solve; they, the solutions,
-QuadData and the recovery are freed before the mesh is refined.  pml_study
+built itself once the matrix is assembled.  _solve_cycle frees the factors,
+system, solutions, QuadData and recovery of a cycle on return, so that
+adaptive_cycles yields only its space, trace and indicators; it and its
+consumer run_adaptive drop those before the mesh is refined.  pml_study
 keeps each layer strength's trace and nothing else of its solve.
 """
 
@@ -90,11 +91,11 @@ class RunConfig:
                              f"got {self.marking_fraction}")
         if not self.d_w > 0:
             raise ValueError(f"d_w must be positive, got {self.d_w}")
-        # resolve_dipole refines toward cells d_reg / factor across: forever at 0
+        # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
-        # the trace ends where the absorbing layer begins (trace_grid)
-        rho = PmlSpec(R=self.R).rho
+        # PmlSpec checks R and s0; the trace ends where the layer begins (trace_grid)
+        rho = PmlSpec(R=self.R, s0=self.s0).rho
         if not 0 < self.x_min < rho:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
@@ -151,33 +152,30 @@ def trace_grid(config: RunConfig) -> np.ndarray:
     return np.concatenate([-right[::-1], right])
 
 
-def resolve_dipole(mesh: Mesh, config: RunConfig) -> Mesh:
-    """Refine near the source until the regularization bump is well integrated."""
-    target = config.d_reg / config.dipole_resolve_factor
-    center = np.array([0.0, config.a])
-    while True:
-        cids = cells_intersecting_disk(mesh, center, config.d_reg)
-        diam = cell_diameters(mesh, cids)
-        too_big = cids[diam > target]
-        if len(too_big) == 0:
-            return mesh
-        mesh.refine(too_big)
+def _refine_while(mesh: Mesh, select) -> Mesh:
+    """Refine the active cells that select(mesh) picks until it picks none."""
+    while len(marked := select(mesh)):
+        mesh.refine(marked)
+    return mesh
 
 
 def build_initial_mesh(config: RunConfig) -> Mesh:
-    mesh = build_disk_mesh(config.R, config.initial_refines)
-    return resolve_dipole(mesh, config)
+    """Coarse disk refined near the source to cells d_reg / dipole_resolve_factor across."""
+    center, target = np.array([0.0, config.a]), config.d_reg / config.dipole_resolve_factor
+
+    def too_big(mesh):
+        cids = cells_intersecting_disk(mesh, center, config.d_reg)
+        return cids[cell_diameters(mesh, cids) > target]
+    return _refine_while(build_disk_mesh(config.R, config.initial_refines), too_big)
 
 
 def band_refine(mesh: Mesh, half_width: float, target_diameter: float) -> Mesh:
     """Refine every cell overlapping |y| < half_width down to a diameter."""
-    while True:
+    def in_band(mesh):
         cids = mesh.active_ids()
         overlap = np.abs(mesh.cell_corners(cids)[:, :, 1]).min(axis=1) < half_width
-        marked = cids[overlap & (cell_diameters(mesh, cids) > target_diameter)]
-        if len(marked) == 0:
-            return mesh
-        mesh.refine(marked)
+        return cids[overlap & (cell_diameters(mesh, cids) > target_diameter)]
+    return _refine_while(mesh, in_band)
 
 
 def scattered_trace(field: FieldSolution, xs: np.ndarray) -> InterfaceTrace:
@@ -287,25 +285,38 @@ def _solve_cycle(space: EdgeFESpace, model: SheetModel, weight, xs,
     return trace, dwr_mod.indicators(qd, model, dwr_mod.reconstruct(qd), weight)
 
 
+def adaptive_cycles(config: RunConfig):
+    """Solve, estimate, mark, refine: yields (cycle, space, trace, eta) per cycle.
+
+    The mesh, space.mesh, is refined only when the next cycle is asked for.
+    eta is None on the terminal cycle: the last, or the first over dof_cap.
+    """
+    mesh = build_initial_mesh(config)
+    weight, model, xs = config.weight(), config.model(), trace_grid(config)
+    for cycle in range(1, config.cycles + 1):
+        space = distribute_dofs(mesh)
+        terminal = cycle == config.cycles or _full_disk_counts(space)[1] > config.dof_cap
+        trace, eta = _solve_cycle(space, model, weight, xs, not terminal)
+        yield cycle, space, trace, eta
+        if terminal:
+            return
+        marked = dwr_mod.mark(eta, mesh, weight, cycle, fraction=config.marking_fraction,
+                              level_cap=config.level_cap)
+        del space, trace, eta
+        mesh.refine(marked)
+
+
 def run_adaptive(config: RunConfig):
-    """Adaptive cycles: scattered and total solve, adjoint, indicators, mark, refine.
+    """Errors, rates and artifacts of each of adaptive_cycles(config).
 
     Returns (records, artifacts) where artifacts maps names to file paths
     (empty when write_artifacts is off).
     """
     out = _ArtifactWriter(config)
-    mesh = build_initial_mesh(config)
-    weight = config.weight()
-    model = config.model()
-    xs = trace_grid(config)
-    reference = oracle_trace(config, xs)
+    reference = oracle_trace(config, trace_grid(config))
     records: list[ConvergenceRecord] = []
-    for cycle in range(1, config.cycles + 1):
-        space = distribute_dofs(mesh)
+    for cycle, space, trace, eta in adaptive_cycles(config):
         n_cells, n_dofs = _full_disk_counts(space)
-        # the last cycle refines nothing; it skips the adjoint and estimator
-        terminal = cycle == config.cycles or n_dofs > config.dof_cap
-        trace, eta = _solve_cycle(space, model, weight, xs, not terminal)
         err_re = l2_error(trace, reference, "real")
         err_cx = l2_error(trace, reference, "complex")
         rate = (math.log2(records[-1].l2_error / err_re)
@@ -313,14 +324,8 @@ def run_adaptive(config: RunConfig):
         records.append(ConvergenceRecord(
             cycle=cycle, n_cells=n_cells, n_dofs=n_dofs,
             l2_error=err_re, rate=rate, l2_error_complex=err_cx))
-        out.cycle_outputs(cycle, mesh, space, trace, reference, eta)
-        if terminal:
-            break
-        marked = dwr_mod.mark(eta, mesh, weight, cycle,
-                              fraction=config.marking_fraction,
-                              level_cap=config.level_cap)
-        del space, trace, eta
-        mesh.refine(marked)
+        out.cycle_outputs(cycle, space.mesh, trace, reference, eta)
+        del space, trace, eta       # before the next cycle's factorization
     out.convergence(records)
     return records, out.artifacts
 
@@ -404,7 +409,7 @@ class _ArtifactWriter:
         import os
         return os.path.join(self.config.out_dir, name)
 
-    def cycle_outputs(self, cycle, mesh, space, trace, reference, eta):
+    def cycle_outputs(self, cycle, mesh, trace, reference, eta):
         if not self.enabled:
             return
         name = f"interface_trace_cycle{cycle}.csv"

@@ -35,8 +35,8 @@ class PmlSpec:
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("disk radius must be positive")
-        if not self.s0 >= 0:
-            raise ValueError("stretch strength must be nonnegative")
+        if not 0 <= self.s0 < np.inf:
+            raise ValueError(f"stretch strength must be finite and nonnegative, got {self.s0}")
 
     @property
     def rho(self) -> float:

@@ -80,16 +80,22 @@ def test_blas_thread_note_unless_one_thread():
 
 
 @pytest.mark.parametrize("config, argv, named", [
-    ("out_dir =\n", [], "out_dir"),
-    ("cycels = 2\n", [], "cycels"),
-    (None, ["--cycles", "0"], "cycles"),
+    ("out_dir =\n", ["run"], "out_dir"),
+    ("cycels = 2\n", ["run"], "cycels"),
+    (None, ["run", "--cycles", "0"], "cycles"),
+    (None, ["run", "--s0", "-1"], "-1"),
+    # every pml-study value is checked before any mesh is built
+    (None, ["pml-study", "--values", "1,x"], "'x'"),
+    (None, ["pml-study", "--values", ""], "''"),
+    (None, ["pml-study", "--values", "2,-1"], "-1"),
+    (None, ["pml-study", "--values", "0,inf"], "inf"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
-    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sppsim: error: ") and named in err[0]
     assert not (tmp_path / "out").exists()
@@ -109,11 +115,13 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
     ("a,b\n1,2\n", "'cycle'"),
     ("cycle,cells,dofs,l2_error,rate,l2_error_complex\n1,2,3,x,nan,1\n", "'l2_error'"),
     ("cycle,cells,dofs,l2_error,rate,l2_error_complex\n1,2,3,1e-3\n", "'rate'"),
+    (b"\xff\xfe\x00", "'utf-8'"),
 ])
 def test_bad_report_csv_is_one_error_line(tmp_path, capsys, text, named):
-    # a missing column or a non-numeric field is found before any table line
+    # a missing column, a non-numeric field or a byte that is not UTF-8 is
+    # found before any table line
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["report", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

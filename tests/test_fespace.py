@@ -436,14 +436,9 @@ def full_disk_mesh(half):
 @pytest.fixture(scope="module")
 def adaptive_mesh():
     """The half mesh of cycle 3 of the default run."""
-    meshes = []
-    build = hn.build_initial_mesh
-    hn.build_initial_mesh = lambda config: meshes.append(build(config)) or meshes[-1]
-    try:
-        hn.run_adaptive(hn.RunConfig(cycles=3, write_artifacts=False))
-    finally:
-        hn.build_initial_mesh = build
-    return meshes[0]
+    for cycle, space, _, _ in hn.adaptive_cycles(hn.RunConfig(cycles=3, write_artifacts=False)):
+        if cycle == 3:
+            return space.mesh
 
 
 class TestMirrorEven:

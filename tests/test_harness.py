@@ -276,6 +276,22 @@ class TestRunAdaptive:
         # the first cycle exceeding the cap is still solved and reported
         assert all(r.n_dofs <= 3000 for r in records[:-1])
         assert records[-1].n_dofs > 3000
+        # only that terminal cycle is not estimated
+        etas = [eta for _, _, _, eta in hn.adaptive_cycles(cfg)]
+        assert [eta is None for eta in etas] == [False] * (len(records) - 1) + [True]
+
+    def test_pml_study_on_each_cycle_mesh_reproduces_its_trace(self):
+        # a study drives the loop: each yielded mesh, solved again at the
+        # run's layer strength before the generator refines it, gives that
+        # cycle's trace bit for bit
+        cfg = tiny_config(cycles=3)
+        cycles = []
+        for cycle, space, trace, _ in hn.adaptive_cycles(cfg):
+            study = hn.pml_study(cfg, [cfg.s0], mesh=space.mesh)[cfg.s0]
+            assert np.array_equal(study.x, trace.x)
+            assert np.array_equal(study.values, trace.values)
+            cycles.append(cycle)
+        assert cycles == [1, 2, 3]
 
     def test_rim_quadrature_built_once_per_space(self, monkeypatch):
         # the rim term of the matrix and the estimator's rim residuals share
@@ -455,10 +471,12 @@ class TestPmlStudy:
 
 
 class TestObjectLifetimes:
-    """Each fast factorization starts with no other factorization alive.
+    """Each fast factorization starts with no other factorization alive and,
+    in an adaptive run, with only its own cycle's edge space.
 
-    solver.factorize is wrapped where solver and harness bind it; the wrapper
-    counts, at every fast (safe=False) call, the factorizations it made before
+    solver.factorize is wrapped where solver and harness bind it, and
+    distribute_dofs where harness binds it; at every fast (safe=False) call
+    the wrapper counts the factorizations and the edge spaces made before
     that are still referenced.  The safe fallback refactorizes while the fast
     factors are alive by design, so it is not checked.
     """
@@ -466,32 +484,46 @@ class TestObjectLifetimes:
     @pytest.fixture
     def alive_at_factorize(self, monkeypatch):
         # weak references, not a WeakSet: a dataclass with eq is unhashable
-        made = []
-        seen = []
-        real = solver.factorize
+        made = {"factors": [], "spaces": []}
+        seen = {"factors": [], "spaces": []}
+        real, real_distribute = solver.factorize, hn.distribute_dofs
 
         def factorize(matrix, safe=False):
             if not safe:
-                seen.append(sum(ref() is not None for ref in made))
+                for key, refs in made.items():
+                    seen[key].append(sum(ref() is not None for ref in refs))
             fac = real(matrix, safe=safe)
-            made.append(weakref.ref(fac))
+            made["factors"].append(weakref.ref(fac))
             return fac
+
+        def distribute_dofs(mesh):
+            space = real_distribute(mesh)
+            made["spaces"].append(weakref.ref(space))
+            return space
 
         monkeypatch.setattr(solver, "factorize", factorize)
         monkeypatch.setattr(hn, "factorize", factorize)
+        monkeypatch.setattr(hn, "distribute_dofs", distribute_dofs)
         return seen
 
     def test_adaptive_cycles_hold_one_factorization(self, alive_at_factorize):
         records, _ = hn.run_adaptive(tiny_config(cycles=3))
         assert len(records) == 3
         # one factorization per cycle, of the system with the sheet
-        assert alive_at_factorize == [0] * 3
+        assert alive_at_factorize["factors"] == [0] * 3
+
+    def test_adaptive_cycles_hold_one_space(self, alive_at_factorize):
+        # run_adaptive drops the yielded space before it resumes the
+        # generator, so the previous cycle's space is gone at each LU
+        records, _ = hn.run_adaptive(tiny_config(cycles=3))
+        assert len(records) == 3
+        assert alive_at_factorize["spaces"] == [1] * 3
 
     def test_pml_study_holds_one_factorization(self, alive_at_factorize):
         cfg = tiny_config()
         hn.pml_study(cfg, [0.0, 2.0, 8.0], mesh=hn.build_initial_mesh(cfg))
         # one factorization per layer strength
-        assert alive_at_factorize == [0] * 3
+        assert alive_at_factorize["factors"] == [0] * 3
 
 
 class TestSpectralAmplitude:
