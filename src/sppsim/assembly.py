@@ -206,12 +206,11 @@ def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
     phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
     det = positive_det(jac)
     n, p = det.shape
-    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.pml)
+    inv_mu, eps_eff = cell_materials(space, model, cids, phys)
     w_det = REF.quad_wts / det
     coef = np.empty((n, 5 * p), dtype=complex)
-    coef[:, :p] = w_det * inv_mu.reshape(n, p)
-    coef[:, p:] = (-w_det[..., None, None]
-                   * _pullback(jac, eps_eff.reshape(n, p, 2, 2))).reshape(n, 4 * p)
+    coef[:, :p] = w_det * inv_mu
+    coef[:, p:] = (-w_det[..., None, None] * _pullback(jac, eps_eff)).reshape(n, 4 * p)
     signs = dof_signs(space, cids)
     local = gemm_real(coef, REF.volume_products).reshape(n, N_DOFS_CELL, N_DOFS_CELL)
     local *= signs[:, :, None] * signs[:, None, :]
@@ -249,6 +248,24 @@ def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
                      axis=1))
 
 
+def cell_materials(space: EdgeFESpace, model: SheetModel, cids, phys: np.ndarray):
+    """pml.material_arrays at the points phys (n, p, 2) of the active cells
+    cids: inv_mu_eff (n, p) and eps_eff (n, p, 2, 2).
+
+    Only the outer cells' points are evaluated.  The inner cells
+    (inner_cells) take the values at the origin, once: every point with
+    r <= rho gets those same numbers, one and the complex identity.
+    """
+    n, p = phys.shape[:2]
+    inner = inner_cells(space, model, cids)
+    inv_mu = np.empty((n, p), dtype=complex)
+    eps_eff = np.empty((n, p, 2, 2), dtype=complex)
+    inv_mu[inner], eps_eff[inner] = pml_mod.material_arrays(np.zeros((1, 2)), model.pml)
+    outer_mu, outer_eps = pml_mod.material_arrays(phys[~inner].reshape(-1, 2), model.pml)
+    inv_mu[~inner], eps_eff[~inner] = outer_mu.reshape(-1, p), outer_eps.reshape(-1, p, 2, 2)
+    return inv_mu, eps_eff
+
+
 def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     """Representative cell ids and the class of every active cell in cids.
 
@@ -261,6 +278,21 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     """
     if cids is None:
         cids = space.active
+    key = _shape_key(space, model, cids)
+    # the classes of np.unique(key, axis=0): rows in lexicographic order, the
+    # stable sort putting each class's first row first
+    order = np.lexsort(key.T[::-1])
+    ranked = key[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return cids[order[starts]], inverse
+
+
+def _shape_key(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
+    """Class key (n, 6) of the active cells cids: quantised edge vectors,
+    orient_idx, and 0 for a shared class or the cell's own 1-based position."""
     corners = space.mesh.cell_corners(cids)
     quantum = SHAPE_RESOLUTION * space.mesh.R
     v0, v1, v2, v3 = corners.transpose(1, 0, 2)
@@ -274,9 +306,7 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     # representative by up to 9e-15 relative, which would change the artifacts
     key[:, 4] = space.orient_idx[space.rank[cids]]
     key[:, 5] = np.where(shared, 0, 1 + np.arange(len(corners)))
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
-    return cids[first], inverse.reshape(-1)
+    return key
 
 
 def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
@@ -441,7 +471,8 @@ def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
 class FixedPart:
     """The condensed part of a solve pair that the layer strength and the
     conductivity leave unchanged: the inner cells' volume term and the rim
-    term on the edge masters, and the inner cells' Interior.
+    term on the edge masters, and the inner cells' interior blocks K_ii and
+    rows of coupling C (_coupled_rows).
 
     It is built once per mesh and serves every model that shares its dipole
     and disk radius.
@@ -450,7 +481,8 @@ class FixedPart:
     space: EdgeFESpace
     constraints: ConstraintSet
     matrix: sp.csc_matrix      # condensed inner volume + rim
-    inner: Interior
+    k_ii: np.ndarray           # (n_active, 4, 4) in rank order, the outer cells' unset
+    coupled: sp.csr_matrix     # _coupled_rows of the inner cells
     outer: np.ndarray          # active cell ids left to the per-model part
     key: tuple
 
@@ -470,30 +502,55 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
     inner = inner_cells(space, model)
     volume, interior = assemble_volume(space, model, space.active[inner])
     matrix, _ = condense(volume + _rim_matrix(space), None, constraints)
-    return FixedPart(space=space, constraints=constraints, matrix=matrix,
-                     inner=interior, outer=space.active[~inner], key=_fixed_key(model))
+    i = N_DOFS_CELL - N_EDGE_DOFS
+    k_ii = np.empty((len(space.active), i, i), dtype=complex)
+    k_ii[inner] = interior.k_ii
+    return FixedPart(space=space, constraints=constraints, matrix=matrix, k_ii=k_ii,
+                     coupled=_coupled_rows(space, constraints, interior),
+                     outer=space.active[~inner], key=_fixed_key(model))
+
+
+def _coupled_rows(space: EdgeFESpace, constraints: ConstraintSet,
+                  part: Interior) -> sp.csr_matrix:
+    """coupling C over all dofs, where coupling holds -W of each cell of part
+    on the cell's edge dofs, in each of the cell's interior rows.
+
+    The rows of other cells and the edge rows are empty.  A row of the
+    product depends on that row of coupling alone, so the rows of several
+    parts' products are those of one product over all their cells.
+    """
+    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
+    ranks = space.rank[part.cids]
+    order = np.argsort(ranks)
+    row_len = np.zeros(space.n_dofs, dtype=np.int64)
+    row_len[space.n_edge_dofs + i * ranks[:, None] + np.arange(i)] = e
+    coupling = sp.csr_matrix(
+        (-part.w[order].ravel(),
+         np.repeat(space.cell_dofs[ranks[order], None, :e], i, axis=1).ravel(),
+         np.concatenate([[0], np.cumsum(row_len)])),
+        shape=(space.n_dofs, space.n_dofs))
+    return coupling @ constraints.matrix
+
+
+def _row_union(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """The CSR matrix of the rows of a and of b, which share no nonempty row,
+    each row with its entries in the order of its own matrix."""
+    at_a = np.arange(a.nnz) + np.repeat(b.indptr[:-1], np.diff(a.indptr))
+    at_b = np.arange(b.nnz) + np.repeat(a.indptr[:-1], np.diff(b.indptr))
+    data = np.empty(a.nnz + b.nnz, dtype=np.result_type(a.data, b.data))
+    indices = np.empty(a.nnz + b.nnz, dtype=np.result_type(a.indices, b.indices))
+    data[at_a], data[at_b] = a.data, b.data
+    indices[at_a], indices[at_b] = a.indices, b.indices
+    return sp.csr_matrix((data, indices, a.indptr + b.indptr), shape=a.shape)
 
 
 def _system(space: EdgeFESpace, matrix: sp.csc_matrix, constraints: ConstraintSet,
-            parts) -> ComplexSystem:
-    """The load-free system of a condensed matrix on the edge masters; the
-    Interior parts cover every active cell once."""
-    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
-    n = len(space.active)
-    k_ii = np.empty((n, i, i), dtype=complex)
-    w = np.empty((n, i, e), dtype=complex)
-    for part in parts:
-        k_ii[space.rank[part.cids]] = part.k_ii
-        w[space.rank[part.cids]] = part.w
-    # the interior dofs follow the edge dofs in rank order; each of their
-    # rows holds -W of its cell on the cell's edge dofs
-    indptr = np.concatenate([np.zeros(space.n_edge_dofs, dtype=np.int64),
-                             e * np.arange(i * n + 1)])
-    indices = np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel()
-    coupling = sp.csr_matrix((-w.ravel(), indices, indptr),
-                             shape=(space.n_dofs, space.n_dofs))
+            k_ii: np.ndarray, coupled: sp.csr_matrix) -> ComplexSystem:
+    """The load-free system of a condensed matrix on the edge masters, with
+    the interior blocks k_ii of every active cell in rank order and coupling C
+    over every active cell (_coupled_rows)."""
     # P = C + coupling C keeps the edge rows of C; its interior rows are -W C_e
-    p = (constraints.matrix + coupling @ constraints.matrix).tocsr()
+    p = (constraints.matrix + coupled).tocsr()
     return ComplexSystem(matrix=matrix, space=space, k_ii=k_ii,
                          constraints=dataclasses.replace(constraints, matrix=p))
 
@@ -513,4 +570,7 @@ def assemble_pair(fixed: FixedPart, model: SheetModel) -> ComplexSystem:
     varying, _ = condense(volume + assemble_interface(space, model), None,
                           fixed.constraints)
     del volume
-    return _system(space, fixed.matrix + varying, fixed.constraints, (fixed.inner, outer))
+    k_ii = fixed.k_ii.copy()
+    k_ii[space.rank[outer.cids]] = outer.k_ii
+    coupled = _row_union(fixed.coupled, _coupled_rows(space, fixed.constraints, outer))
+    return _system(space, fixed.matrix + varying, fixed.constraints, k_ii, coupled)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pml as pml_mod
-from .assembly import CHUNK_CELLS, SheetModel
+from .assembly import CHUNK_CELLS, SheetModel, cell_materials
 from .fespace import (ORDER2_SLOTS, REF, EdgeFESpace, FieldSolution, evaluate_fields,
                       sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
@@ -293,9 +293,7 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     for lo in range(0, n, CHUNK_CELLS):
         sl = slice(lo, min(lo + CHUNK_CELLS, n))
         flat = phys[sl].reshape(-1, 2)
-        inv_mu, eps_eff = pml_mod.material_arrays(flat, model.pml)
-        inv_mu = inv_mu.reshape(det[sl].shape)
-        eps_eff = eps_eff.reshape(det[sl].shape + (2, 2))
+        inv_mu, eps_eff = cell_materials(space, model, space.active[sl], phys[sl])
         wband = weight(flat).reshape(det[sl].shape)
         dens = model.dipole.density(flat).reshape(det[sl].shape)
         wdet = REF.quad_wts[None, :] * det[sl]

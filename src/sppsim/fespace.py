@@ -30,7 +30,7 @@ interior dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,9 +61,13 @@ FACE_POINTS = 4
 CELL_POINTS = 4
 
 
+@lru_cache(maxsize=16)
 def gauss01(n: int):
+    """Nodes and weights of n-point Gauss-Legendre on [0, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, wt = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
 def _monomials(exps, pts):

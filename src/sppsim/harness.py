@@ -99,6 +99,10 @@ class RunConfig:
         if not 0 < self.x_min < rho:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
+        # build_disk_mesh would reject it only after out_dir is made
+        if self.initial_refines < 0:
+            raise ValueError(f"initial_refines must be nonnegative, "
+                             f"got {self.initial_refines}")
         for key in ("level_cap", "dof_cap"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -388,12 +392,27 @@ def _write_csv(path, header, row: str, cols):
                  + ((row + "\r\n") * len(values)) % tuple(values.ravel().tolist()))
 
 
-def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace):
-    """The FEM and reference traces as CSV."""
-    _write_csv(path, ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
-               ",".join(["%.16g"] * 5),
-               [trace.x, trace.values.real, trace.values.imag,
-                reference.values.real, reference.values.imag])
+def _trace_template(x: np.ndarray, reference: InterfaceTrace) -> str:
+    """The rows of a trace CSV with the x and reference columns formatted
+    (%.16g) and the two FEM columns left as %.16g fields."""
+    fixed = np.column_stack([x, reference.values.real, reference.values.imag])
+    return ("%.16g,%%.16g,%%.16g,%.16g,%.16g\r\n" * len(fixed)) % tuple(fixed.ravel().tolist())
+
+
+def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace,
+                     template: str | None = None):
+    """The FEM and reference traces as CSV, with the bytes of _write_csv.
+
+    template is _trace_template(trace.x, reference), formatted here when not
+    given; a run's grid and reference are the same in every cycle, so
+    _ArtifactWriter formats it once.
+    """
+    if template is None:
+        template = _trace_template(trace.x, reference)
+    fem = np.column_stack([trace.values.real, trace.values.imag])
+    with open(path, "w", newline="") as fh:
+        fh.write("x,re_ex_sc,im_ex_sc,re_oracle,im_oracle\r\n"
+                 + template % tuple(fem.ravel().tolist()))
 
 
 class _ArtifactWriter:
@@ -401,6 +420,9 @@ class _ArtifactWriter:
         self.config = config
         self.artifacts: dict[str, str] = {}
         self.enabled = config.write_artifacts and config.out_dir is not None
+        # the trace CSV template and the grid and reference bytes it was made of
+        self._trace_key: tuple[bytes, bytes] | None = None
+        self._trace_template = ""
         if self.enabled:
             import os
             os.makedirs(config.out_dir, exist_ok=True)
@@ -413,7 +435,10 @@ class _ArtifactWriter:
         if not self.enabled:
             return
         name = f"interface_trace_cycle{cycle}.csv"
-        _write_trace_csv(self._path(name), trace, reference)
+        key = (trace.x.tobytes(), reference.values.tobytes())
+        if key != self._trace_key:
+            self._trace_key, self._trace_template = key, _trace_template(trace.x, reference)
+        _write_trace_csv(self._path(name), trace, reference, self._trace_template)
         self.artifacts[name] = self._path(name)
         vtk_name = f"solution_cycle{cycle}.vtk"
         cell_data = {}

@@ -18,6 +18,10 @@ while the cell is active) and ``arc`` (nc, 4) flags.  Ids are append-only, so
 every cell ever created keeps its row.  Every split edge is a row of one
 sorted edge table (edge key, midpoint id) queried with ``searchsorted``; a
 midpoint is the newer end of both its half edges, which finds hanging edges.
+The codes of the active cells' edges, sorted, form the second table that
+``coarser_neighbors`` queries; it is built on the first query after a change
+and kept until cells are next appended, so every query on one mesh state
+(the constraints, the sheet faces, the next refine) shares one sort.
 ``refine`` is one array pass per call: a closure walk on cell ids fixes the
 split order, then each split cell gets, in that order, ids for its new edge
 midpoints (in local edge order), its centre and its four children.
@@ -46,6 +50,7 @@ class GeometryError(Exception):
 
 # local edge -> (start corner, end corner) in reference direction
 EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+_EDGE_START, _EDGE_END = np.array(EDGE_CORNERS).T
 # children quadrant offsets, aligned with parent reference coordinates
 CHILD_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -81,6 +86,15 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
         return np.full(np.shape(codes), -1, dtype=np.int64)
     pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
     return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
+def _active_edge_table(mesh: "Mesh"):
+    """Active cell ids, the codes of their edges ascending, and the flat
+    position (rank * 4 + local edge) of each sorted code."""
+    active = mesh.active_ids()
+    codes = _edge_code(mesh.edge_keys(active)).ravel()
+    by_code = np.argsort(codes, kind="stable")
+    return active, codes[by_code], by_code
 
 
 def _split_order(marked: list[int], coarser: dict[int, list[int]]) -> list[int]:
@@ -128,6 +142,8 @@ class Mesh:
         # edge table: codes of every split edge, ascending, and their midpoints
         self._split_code = np.empty(0, dtype=np.int64)
         self._split_mid = np.empty(0, dtype=np.int64)
+        # active-edge table (_active_edge_table), None until queried after a change
+        self._edges: tuple | None = None
         self._tol = 1e-9 * float(R)
 
     vertices = property(lambda self: self._xy[:self._nv], doc="(nv, 2) coordinates")
@@ -153,6 +169,9 @@ class Mesh:
         return range(start, self._nv)
 
     def _append_cells(self, verts, level, parent, arc) -> range:
+        # every change appends cells (_split_cells marks the parents split
+        # right after, with no query between), so this drops the stale table
+        self._edges = None
         start, self._nc = self._nc, self._nc + len(level)
         self._cols = {name: _grown(col, self._nc) for name, col in self._cols.items()}
         rows = {"cells": verts, "level": level, "parent": parent, "children": -1,
@@ -176,8 +195,9 @@ class Mesh:
 
     def edge_keys(self, cids) -> np.ndarray:
         """Sorted vertex-id pairs (n, 4, 2) of the four edges of the cells cids."""
-        ends = self.cells[np.asarray(cids, dtype=np.int64)][:, np.array(EDGE_CORNERS)]
-        return np.sort(ends, axis=2)
+        corners = self.cells[np.asarray(cids, dtype=np.int64)]
+        start, end = corners[:, _EDGE_START], corners[:, _EDGE_END]
+        return np.stack([np.minimum(start, end), np.maximum(start, end)], axis=2)
 
     def edge_midpoints(self, keys) -> np.ndarray:
         """Midpoint vertex id of each sorted edge key (..., 2); -1 if never split."""
@@ -197,10 +217,10 @@ class Mesh:
         parent = parent_of[keys[:, 1]]
         half = (parent >= 0) & (((parent >> 32) == keys[:, 0])
                                 | ((parent & 0xFFFFFFFF) == keys[:, 0]))
-        active = self.active_ids()
-        codes = _edge_code(self.edge_keys(active)).ravel()
-        by_code = np.argsort(codes, kind="stable")
-        pos = _find(codes[by_code], np.where(half, parent, -1))
+        if self._edges is None:
+            self._edges = _active_edge_table(self)
+        active, codes, by_code = self._edges
+        pos = _find(codes, np.where(half, parent, -1))
         flat = np.where(pos >= 0, by_code[pos], -1)
         cell = np.where(flat >= 0, active[flat // 4], -1)
         ledge = np.where(flat >= 0, flat % 4, -1)

@@ -19,7 +19,7 @@ from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
 from sppsim.dwr import WeightFunction, qoi
 from sppsim.fespace import (REF, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, face_traces)
-from sppsim.harness import solve_pair
+from sppsim.harness import RunConfig, adaptive_cycles, solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 from sppsim.solver import RESIDUAL_TOL, solve, solve_adjoint
@@ -333,6 +333,66 @@ class TestShapeClasses:
         assert shared.any() and not np.any(shared & (arc | outside))
         rep_rank = space.rank[reps[inverse]]
         assert np.array_equal(space.orient_idx[rep_rank], space.orient_idx)
+
+
+@pytest.fixture(scope="module")
+def cycle3_space():
+    """The space of cycle 3 of the default run, and the run's model."""
+    cfg = RunConfig(cycles=3, write_artifacts=False)
+    for cycle, space, _, _ in adaptive_cycles(cfg):
+        if cycle == 3:
+            return space, cfg.model()
+
+
+class TestOncePerMeshState:
+    @pytest.mark.parametrize("part", ["inner", "outer"])
+    def test_shape_classes_are_the_unique_key_rows(self, cycle3_space, part):
+        space, mdl = cycle3_space
+        inner = inner_cells(space, mdl)
+        cids = space.active[inner if part == "inner" else ~inner]
+        reps, inverse = shape_classes(space, mdl, cids)
+        _, first, want = np.unique(assembly._shape_key(space, mdl, cids), axis=0,
+                                   return_index=True, return_inverse=True)
+        assert np.array_equal(reps, cids[first])
+        assert np.array_equal(inverse, want.reshape(-1))
+        assert (len(reps) < len(cids)) == (part == "inner")
+
+    def test_cell_materials_have_the_bytes_of_material_arrays(self, cycle3_space):
+        # only the outer cells' points are evaluated; the inner cells' constant
+        # values carry the same bits, signed zeros included
+        space, mdl = cycle3_space
+        inner = inner_cells(space, mdl)
+        assert inner.any() and not inner.all()
+        phys, _ = cell_geometry(space.mesh, space.active, REF.quad_pts)
+        got = assembly.cell_materials(space, mdl, space.active, phys)
+        want = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
+        for g, w in zip(got, want):
+            assert g.shape[:2] == phys.shape[:2]
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("s0", [0.0, 8.0])
+    def test_constraint_map_is_c_plus_coupling_c_in_one_piece(self, cycle3_space, s0):
+        # the fixed part's rows plus each model's outer rows give the map
+        # C + coupling C of all cells at once, array for array
+        space, mdl = cycle3_space
+        cs = build_constraints(space)
+        fixed = assemble_fixed(space, cs, model(s0=5.0))
+        mdl = dataclasses.replace(mdl, pml=PmlSpec(R=mdl.pml.R, s0=s0))
+        p = assemble_pair(fixed, mdl).constraints.matrix
+        e, i, n = 8, 4, len(space.active)
+        inner = inner_cells(space, mdl)
+        w = np.empty((n, i, e), dtype=complex)
+        for cells in (inner, ~inner):
+            w[cells] = assemble_volume(space, mdl, space.active[cells])[1].w
+        coupling = sp.csr_matrix(
+            (-w.ravel(), np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel(),
+             np.concatenate([np.zeros(space.n_edge_dofs, dtype=np.int64),
+                             e * np.arange(i * n + 1)])),
+            shape=(space.n_dofs, space.n_dofs))
+        want = (cs.matrix + coupling @ cs.matrix).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
+        assert p[space.n_edge_dofs:].nnz > 0
 
 
 class TestDipoleRhs:

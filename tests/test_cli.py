@@ -89,6 +89,8 @@ def test_blas_thread_note_unless_one_thread():
     (None, ["pml-study", "--values", ""], "''"),
     (None, ["pml-study", "--values", "2,-1"], "-1"),
     (None, ["pml-study", "--values", "0,inf"], "inf"),
+    # checked by RunConfig, before the output directory is made
+    ("initial_refines = -1\n", ["run"], "initial_refines"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:

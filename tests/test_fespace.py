@@ -204,6 +204,13 @@ class TestShapeFunctions:
             m0_interp = np.sum(w * np.einsum("pi,pi->p", sol.values([0], ref)[0], dxdt))
             assert m0_interp == pytest.approx(m0_true, abs=1e-12)
 
+    def test_gauss01_is_one_read_only_rule_per_size(self):
+        t, w = fes.gauss01(5)
+        assert fes.gauss01(5)[0] is t and fes.gauss01(5)[1] is w
+        assert not t.flags.writeable and not w.flags.writeable
+        x, wx = np.polynomial.legendre.leggauss(5)
+        assert np.array_equal(t, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * wx)
+
     def test_exact_sequence_gradients_representable(self):
         rng = np.random.default_rng(1)
         pts = rand_pts(60, rng, 0.0, 1.0)

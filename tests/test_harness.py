@@ -237,6 +237,20 @@ class TestRunAdaptive:
         scattered, _, _ = hn.solve_pair(space, cs, cfg.model())
         assert not np.any(hn.scattered_trace(scattered, hn.trace_grid(cfg)).values)
 
+    def test_one_cycle_builds_one_active_edge_table(self, monkeypatch):
+        # the refine, the constraints and the sheet faces of a cycle share
+        # the table of each mesh state; only the refined mesh needs a new one
+        builds = []
+        table = msh._active_edge_table
+        monkeypatch.setattr(msh, "_active_edge_table",
+                            lambda mesh: builds.append(1) or table(mesh))
+        cycles = hn.adaptive_cycles(tiny_config(cycles=3))
+        next(cycles)
+        for _ in range(2):
+            del builds[:]
+            next(cycles)
+            assert len(builds) == 1
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg1 = tiny_config(cycles=2, out_dir=str(tmp_path / "r1"), write_artifacts=True)
         cfg2 = tiny_config(cycles=2, out_dir=str(tmp_path / "r2"), write_artifacts=True)
@@ -349,6 +363,28 @@ def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
         [g16(x, v.real, v.imag, o.real, o.imag)
          for x, v, o in zip(trace.x, trace.values, reference.values)])
     assert path.read_bytes() == want
+
+
+def test_cached_trace_csv_has_the_bytes_of_write_csv(tmp_path):
+    # a writer formats the grid and reference columns once and reuses them
+    # while they stay the same; another reference makes it format them anew
+    n = len(AWKWARD)
+    rng = np.random.default_rng(2)
+    writer = hn._ArtifactWriter(hn.RunConfig(out_dir=str(tmp_path / "out")))
+    mesh = msh.build_disk_mesh(8.0, 0)
+    ref_a = hn.InterfaceTrace(AWKWARD_X, complex_of(rng.standard_normal(n), AWKWARD))
+    ref_b = hn.InterfaceTrace(AWKWARD_X, complex_of(AWKWARD[::-1], rng.standard_normal(n)))
+    for cycle, reference in enumerate([ref_a, ref_a, ref_b, ref_a], start=1):
+        trace = hn.InterfaceTrace(AWKWARD_X, complex_of(rng.standard_normal(n),
+                                                        np.roll(AWKWARD, cycle)))
+        writer.cycle_outputs(cycle, mesh, trace, reference, None)
+        want = tmp_path / f"plain{cycle}.csv"
+        hn._write_csv(want, ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
+                      ",".join(["%.16g"] * 5),
+                      [trace.x, trace.values.real, trace.values.imag,
+                       reference.values.real, reference.values.imag])
+        got = tmp_path / "out" / f"interface_trace_cycle{cycle}.csv"
+        assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("layout", ["convergence", "pml_study", "oracle"])

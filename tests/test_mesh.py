@@ -363,6 +363,33 @@ class TestAgainstRecursiveSplit:
                 assert np.array_equal(getattr(batched, name), getattr(reference, name)), name
         assert batched.level.max() >= 5
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_coarser_neighbors_after_refine_match_the_rebuilt_mesh(self, seed, monkeypatch):
+        # each state's active-edge table is built by its first query and
+        # dropped by the next refine; the recursive split rebuilds the same
+        # mesh from the same marks and finds coarser neighbours its own way
+        builds = []
+        table = msh._active_edge_table
+        monkeypatch.setattr(msh, "_active_edge_table",
+                            lambda mesh: builds.append(1) or table(mesh))
+        rng = np.random.default_rng(seed)
+        batched, reference = msh.build_disk_mesh(R, 1), msh.build_disk_mesh(R, 1)
+        recursive = RecursiveSplit(reference)
+        for step in range(4):
+            ids = batched.active_ids()
+            batched.coarser_neighbors(ids[:1])
+            marked = rng.choice(ids, size=max(1, len(ids) // 6), replace=False)
+            batched.refine(marked)
+            recursive.refine(marked)
+            ids = batched.active_ids()
+            del builds[:]
+            coarse, _ = batched.coarser_neighbors(ids)
+            assert len(builds) == 1
+            want = [[-1 if (c := recursive.coarser_neighbor(cid, ledge)) is None else c
+                     for ledge in range(4)] for cid in ids.tolist()]
+            assert np.array_equal(coarse, want)
+            assert (coarse >= 0).any()
+
 
 class TestInterfaceFaces:
     def test_faces_tile_the_diameter(self):

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from sppsim import mesh as msh
 from sppsim import solver
-from sppsim.assembly import (DipoleSpec, SheetModel, _rim_matrix, _system, _volume_local,
-                             assemble_dipole_rhs, assemble_fixed, assemble_interface,
-                             assemble_pair, assemble_volume, condense)
+from sppsim.assembly import (DipoleSpec, SheetModel, _coupled_rows, _rim_matrix, _system,
+                             _volume_local, assemble_dipole_rhs, assemble_fixed,
+                             assemble_interface, assemble_pair, assemble_volume, condense)
 from sppsim.fespace import build_constraints, distribute_dofs
 from sppsim.harness import RunConfig, build_initial_mesh
 from sppsim.pml import PmlSpec
@@ -34,7 +34,8 @@ def small_system(sigma=0.15j, s0=2.0, refines=1, marks=True):
     mat, _ = condense(volume + _rim_matrix(space) + assemble_interface(space, mdl), None, cs)
     rng = np.random.default_rng(9)
     rhs_full = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
-    return _system(space, mat, cs, [interior]).with_load(rhs_full), rhs_full
+    return _system(space, mat, cs, interior.k_ii,
+                   _coupled_rows(space, cs, interior)).with_load(rhs_full), rhs_full
 
 
 class TestDirectSolve:
