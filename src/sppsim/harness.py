@@ -99,6 +99,9 @@ class RunConfig:
         if not 0 < self.x_min < rho:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
+        # os.makedirs('') would fail only once the run has started
+        if self.out_dir == "":
+            raise ValueError("out_dir must not be empty")
         # build_disk_mesh would reject it only after out_dir is made
         if self.initial_refines < 0:
             raise ValueError(f"initial_refines must be nonnegative, "
@@ -212,7 +215,12 @@ def oracle_trace(config: RunConfig, xs: np.ndarray) -> InterfaceTrace:
 
 def l2_error(trace: InterfaceTrace, reference: InterfaceTrace,
              component: str = "real") -> float:
-    """Trapezoid L2 norm of the trace difference on the common grid."""
+    """Trapezoid L2 norm of the trace difference on the common grid.
+
+    The integral is split at x = 0, over the samples with x <= 0 and those
+    with x >= 0, so it never bridges the excluded core |x| < x_min between
+    the two halves of a trace grid.
+    """
     if trace.x.shape != reference.x.shape or not np.allclose(trace.x, reference.x):
         raise ValueError("traces must share the sample grid")
     diff = trace.values - reference.values
@@ -220,15 +228,8 @@ def l2_error(trace: InterfaceTrace, reference: InterfaceTrace,
         diff = diff.real
     elif component != "complex":
         raise ValueError("component must be 'real' or 'complex'")
-    # integrate piecewise; do not bridge the gap across the excluded core
-    gaps = np.diff(trace.x)
-    breaks = np.nonzero(gaps > 3 * np.median(gaps))[0]
-    total = 0.0
-    start = 0
-    for b in list(breaks) + [len(trace.x) - 1]:
-        seg = slice(start, b + 1)
-        total += np.trapezoid(np.abs(diff[seg]) ** 2, trace.x[seg])
-        start = b + 1
+    total = sum(np.trapezoid(np.abs(diff[side]) ** 2, trace.x[side])
+                for side in (trace.x <= 0, trace.x >= 0))
     return float(np.sqrt(total))
 
 
@@ -316,8 +317,8 @@ def run_adaptive(config: RunConfig):
     Returns (records, artifacts) where artifacts maps names to file paths
     (empty when write_artifacts is off).
     """
-    out = _ArtifactWriter(config)
     reference = oracle_trace(config, trace_grid(config))
+    out = _ArtifactWriter(config, reference)
     records: list[ConvergenceRecord] = []
     for cycle, space, trace, eta in adaptive_cycles(config):
         n_cells, n_dofs = _full_disk_counts(space)
@@ -328,7 +329,7 @@ def run_adaptive(config: RunConfig):
         records.append(ConvergenceRecord(
             cycle=cycle, n_cells=n_cells, n_dofs=n_dofs,
             l2_error=err_re, rate=rate, l2_error_complex=err_cx))
-        out.cycle_outputs(cycle, space.mesh, trace, reference, eta)
+        out.cycle_outputs(cycle, space.mesh, trace, eta)
         del space, trace, eta       # before the next cycle's factorization
     out.convergence(records)
     return records, out.artifacts
@@ -392,23 +393,16 @@ def _write_csv(path, header, row: str, cols):
                  + ((row + "\r\n") * len(values)) % tuple(values.ravel().tolist()))
 
 
-def _trace_template(x: np.ndarray, reference: InterfaceTrace) -> str:
+def _trace_template(reference: InterfaceTrace) -> str:
     """The rows of a trace CSV with the x and reference columns formatted
     (%.16g) and the two FEM columns left as %.16g fields."""
-    fixed = np.column_stack([x, reference.values.real, reference.values.imag])
+    fixed = np.column_stack([reference.x, reference.values.real, reference.values.imag])
     return ("%.16g,%%.16g,%%.16g,%.16g,%.16g\r\n" * len(fixed)) % tuple(fixed.ravel().tolist())
 
 
-def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace,
-                     template: str | None = None):
-    """The FEM and reference traces as CSV, with the bytes of _write_csv.
-
-    template is _trace_template(trace.x, reference), formatted here when not
-    given; a run's grid and reference are the same in every cycle, so
-    _ArtifactWriter formats it once.
-    """
-    if template is None:
-        template = _trace_template(trace.x, reference)
+def _write_trace_csv(path, trace: InterfaceTrace, template: str):
+    """The FEM trace and, through template (_trace_template of the reference
+    on trace's grid), the reference as CSV, with the bytes of _write_csv."""
     fem = np.column_stack([trace.values.real, trace.values.imag])
     with open(path, "w", newline="") as fh:
         fh.write("x,re_ex_sc,im_ex_sc,re_oracle,im_oracle\r\n"
@@ -416,13 +410,14 @@ def _write_trace_csv(path, trace: InterfaceTrace, reference: InterfaceTrace,
 
 
 class _ArtifactWriter:
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, reference: InterfaceTrace | None = None):
+        """reference is the run's reference trace, which every cycle's trace
+        CSV shares with its grid, so its columns are formatted once here."""
         self.config = config
         self.artifacts: dict[str, str] = {}
         self.enabled = config.write_artifacts and config.out_dir is not None
-        # the trace CSV template and the grid and reference bytes it was made of
-        self._trace_key: tuple[bytes, bytes] | None = None
-        self._trace_template = ""
+        self._trace_template = (_trace_template(reference)
+                                if self.enabled and reference is not None else None)
         if self.enabled:
             import os
             os.makedirs(config.out_dir, exist_ok=True)
@@ -431,14 +426,11 @@ class _ArtifactWriter:
         import os
         return os.path.join(self.config.out_dir, name)
 
-    def cycle_outputs(self, cycle, mesh, trace, reference, eta):
+    def cycle_outputs(self, cycle, mesh, trace, eta):
         if not self.enabled:
             return
         name = f"interface_trace_cycle{cycle}.csv"
-        key = (trace.x.tobytes(), reference.values.tobytes())
-        if key != self._trace_key:
-            self._trace_key, self._trace_template = key, _trace_template(trace.x, reference)
-        _write_trace_csv(self._path(name), trace, reference, self._trace_template)
+        _write_trace_csv(self._path(name), trace, self._trace_template)
         self.artifacts[name] = self._path(name)
         vtk_name = f"solution_cycle{cycle}.vtk"
         cell_data = {}

@@ -14,14 +14,17 @@ which is the whole map of every other cell.
 The mesh is stored as numpy columns indexed by vertex or cell id (a linear
 quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
 ids, ``level``, ``parent`` (-1 for a root cell), ``children`` (nc, 4; -1
-while the cell is active) and ``arc`` (nc, 4) flags.  Ids are append-only, so
-every cell ever created keeps its row.  Every split edge is a row of one
-sorted edge table (edge key, midpoint id) queried with ``searchsorted``; a
-midpoint is the newer end of both its half edges, which finds hanging edges.
-The codes of the active cells' edges, sorted, form the second table that
-``coarser_neighbors`` queries; it is built on the first query after a change
-and kept until cells are next appended, so every query on one mesh state
-(the constraints, the sheet faces, the next refine) shares one sort.
+while the cell is active) and ``arc`` (nc, 4) flags.  Each column is a plain
+array of exact length: an append extends it by one concatenation, and
+``refine`` appends its new vertices and cells as one block each.  Ids are
+append-only, so every cell ever created keeps its row.  Every split edge is a
+row of one sorted edge table (edge key, midpoint id) queried with
+``searchsorted``; a midpoint is the newer end of both its half edges, which
+finds hanging edges.  The codes of the active cells' edges, sorted, form the
+second table that ``coarser_neighbors`` queries; it is built on the first
+query after a change and kept until cells are next appended, so every query
+on one mesh state (the constraints, the sheet faces, the next refine) shares
+one sort.
 ``refine`` is one array pass per call: a closure walk on cell ids fixes the
 split order, then each split cell gets, in that order, ids for its new edge
 midpoints (in local edge order), its centre and its four children.
@@ -60,19 +63,6 @@ _CHILD_CORNERS = np.array([(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3
 # child q keeps the arc flag of parent edge e where it lies on that edge
 _CHILD_ON_EDGE = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
                           dtype=bool)
-
-# per-cell columns: name -> (row shape, dtype)
-_CELL_COLUMNS = {"cells": ((4,), np.int64), "level": ((), np.int64),
-                 "parent": ((), np.int64), "children": ((4,), np.int64),
-                 "arc": ((4,), bool)}
-
-
-def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
-    """arr with its row capacity doubled until it holds rows (amortised appends)."""
-    while len(arr) < rows:
-        arr = np.concatenate([arr, np.empty_like(arr)])
-    return arr
-
 
 def _edge_code(keys) -> np.ndarray:
     """One int64 per sorted vertex-id pair (..., 2), ordered like the pairs."""
@@ -122,11 +112,6 @@ def _split_order(marked: list[int], coarser: dict[int, list[int]]) -> list[int]:
     return order
 
 
-def _cell_column(name):
-    return property(lambda self: self._cols[name][:self._nc],
-                    doc=f"per-cell column {name!r} over all cells created")
-
-
 class Mesh:
     """Quad-tree forest over a disk of radius R; single-writer mutation."""
 
@@ -134,24 +119,18 @@ class Mesh:
         if not R > 0:
             raise ValueError("disk radius must be positive")
         self.R = float(R)
-        self._xy = np.empty((16, 2))
-        self._nv = 0
-        self._cols = {name: np.empty((16,) + shape, dtype=dtype)
-                      for name, (shape, dtype) in _CELL_COLUMNS.items()}
-        self._nc = 0
+        self.vertices = np.empty((0, 2))
+        self.cells = np.empty((0, 4), dtype=np.int64)
+        self.level = np.empty(0, dtype=np.int64)
+        self.parent = np.empty(0, dtype=np.int64)
+        self.children = np.empty((0, 4), dtype=np.int64)
+        self.arc = np.empty((0, 4), dtype=bool)
         # edge table: codes of every split edge, ascending, and their midpoints
         self._split_code = np.empty(0, dtype=np.int64)
         self._split_mid = np.empty(0, dtype=np.int64)
         # active-edge table (_active_edge_table), None until queried after a change
         self._edges: tuple | None = None
         self._tol = 1e-9 * float(R)
-
-    vertices = property(lambda self: self._xy[:self._nv], doc="(nv, 2) coordinates")
-    cells = _cell_column("cells")
-    level = _cell_column("level")
-    parent = _cell_column("parent")
-    children = _cell_column("children")
-    arc = _cell_column("arc")
 
     # -- construction ------------------------------------------------------
 
@@ -163,22 +142,21 @@ class Mesh:
         return self._append_cells([verts], [level], [parent], [arc])[0]
 
     def _append_vertices(self, xy: np.ndarray) -> range:
-        start, self._nv = self._nv, self._nv + len(xy)
-        self._xy = _grown(self._xy, self._nv)
-        self._xy[start:self._nv] = xy
-        return range(start, self._nv)
+        start = len(self.vertices)
+        self.vertices = np.concatenate([self.vertices, xy])
+        return range(start, len(self.vertices))
 
     def _append_cells(self, verts, level, parent, arc) -> range:
         # every change appends cells (_split_cells marks the parents split
         # right after, with no query between), so this drops the stale table
         self._edges = None
-        start, self._nc = self._nc, self._nc + len(level)
-        self._cols = {name: _grown(col, self._nc) for name, col in self._cols.items()}
-        rows = {"cells": verts, "level": level, "parent": parent, "children": -1,
-                "arc": arc}
-        for name, value in rows.items():
-            self._cols[name][start:self._nc] = value
-        return range(start, self._nc)
+        start = len(self.cells)
+        self.cells = np.concatenate([self.cells, verts])
+        self.level = np.concatenate([self.level, level])
+        self.parent = np.concatenate([self.parent, parent])
+        self.children = np.concatenate([self.children, np.full((len(level), 4), -1)])
+        self.arc = np.concatenate([self.arc, arc])
+        return range(start, len(self.cells))
 
     # -- queries -----------------------------------------------------------
 
@@ -212,7 +190,8 @@ class Mesh:
         parent edge.  Returns (cell, ledge), both (n, 4), -1 on other edges.
         """
         keys = self.edge_keys(cids).reshape(-1, 2)
-        parent_of = np.full(self._nv, -1, dtype=np.int64)   # split edge of a midpoint
+        # split edge of each midpoint
+        parent_of = np.full(len(self.vertices), -1, dtype=np.int64)
         parent_of[self._split_mid] = self._split_code
         parent = parent_of[keys[:, 1]]
         half = (parent >= 0) & (((parent >> 32) == keys[:, 0])
@@ -253,8 +232,8 @@ class Mesh:
         ids = ids.ravel()
         if ids.size and ids.dtype.kind not in "iu":
             raise ValueError(f"cell ids must be integers, got dtype {ids.dtype}")
-        if np.any((ids < 0) | (ids >= self._nc)):
-            raise ValueError(f"cell ids must lie in [0, {self._nc})")
+        if np.any((ids < 0) | (ids >= len(self.cells))):
+            raise ValueError(f"cell ids must lie in [0, {len(self.cells)})")
         ids = np.unique(ids.astype(np.int64))
         ids = ids[self.children[ids, 0] < 0]
         if len(ids) == 0:
@@ -279,15 +258,16 @@ class Mesh:
         # per cell: its new midpoints in local edge order, then its centre
         slots = np.ones((n, 5), dtype=bool)
         slots[:, :4] = fresh.reshape(n, 4)
-        vid = (self._nv - 1 + np.cumsum(slots.ravel())).reshape(n, 5)
+        nv = len(self.vertices)
+        vid = (nv - 1 + np.cumsum(slots.ravel())).reshape(n, 5)
         new_mid = vid[:, :4].ravel()
         mids = np.where(mids >= 0, mids, new_mid[first][inverse])
 
         xy = np.empty((slots.sum(), 2))
-        xy[new_mid[fresh] - self._nv] = _edge_points(
+        xy[new_mid[fresh] - nv] = _edge_points(
             self.vertices[keys[fresh, 0]], self.vertices[keys[fresh, 1]],
             self.arc[order].ravel()[fresh], np.array([[0.5]]), self.R)[0][:, 0]
-        xy[vid[:, 4] - self._nv] = _split_centres(self, order)
+        xy[vid[:, 4] - nv] = _split_centres(self, order)
         self._append_vertices(xy)
 
         table = np.concatenate([self._split_code, codes[fresh]])

@@ -91,13 +91,15 @@ def test_blas_thread_note_unless_one_thread():
     (None, ["pml-study", "--values", "0,inf"], "inf"),
     # checked by RunConfig, before the output directory is made
     ("initial_refines = -1\n", ["run"], "initial_refines"),
+    (None, ["run", "--out", ""], "out_dir"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    # an --out in argv comes last, so it wins over this one
+    assert main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sppsim: error: ") and named in err[0]
     assert not (tmp_path / "out").exists()

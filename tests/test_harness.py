@@ -100,6 +100,18 @@ class TestL2Error:
         assert hn.l2_error(t1, t2, "complex") == pytest.approx(c * np.sqrt(8.0), rel=1e-12)
         assert hn.l2_error(t1, t2, "real") == pytest.approx(c * np.sqrt(8.0), rel=1e-12)
 
+    def test_constant_difference_on_a_coarse_trace_grid(self):
+        # few samples leave the core gap no wider than a sample spacing or
+        # two; the integral still skips |x| < x_min
+        cfg = hn.RunConfig(samples=64)
+        xs = hn.trace_grid(cfg)
+        c = 0.37
+        t1 = hn.InterfaceTrace(xs, np.zeros_like(xs, dtype=complex))
+        t2 = hn.InterfaceTrace(xs, np.full_like(xs, c, dtype=complex))
+        # two intervals [x_min, rho], rho = 0.8 R
+        assert hn.l2_error(t1, t2, "real") == pytest.approx(
+            c * np.sqrt(2 * (0.8 * cfg.R - cfg.x_min)), rel=1e-12)
+
     def test_mismatched_grids_rejected(self):
         xs = self.grid()
         with pytest.raises(ValueError):
@@ -357,7 +369,7 @@ def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
     trace = hn.InterfaceTrace(xs, complex_of(AWKWARD, AWKWARD[::-1]))
     reference = hn.InterfaceTrace(xs, complex_of(rng.standard_normal(n), AWKWARD))
     path = tmp_path / "fast.csv"
-    hn._write_trace_csv(str(path), trace, reference)
+    hn._write_trace_csv(str(path), trace, hn._trace_template(reference))
     want = csv_writer_bytes(
         tmp_path / "writer.csv", ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
         [g16(x, v.real, v.imag, o.real, o.imag)
@@ -366,25 +378,27 @@ def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
 
 
 def test_cached_trace_csv_has_the_bytes_of_write_csv(tmp_path):
-    # a writer formats the grid and reference columns once and reuses them
-    # while they stay the same; another reference makes it format them anew
+    # a writer formats its run's grid and reference columns once and reuses
+    # them in every cycle; each run has its own reference
     n = len(AWKWARD)
     rng = np.random.default_rng(2)
-    writer = hn._ArtifactWriter(hn.RunConfig(out_dir=str(tmp_path / "out")))
     mesh = msh.build_disk_mesh(8.0, 0)
     ref_a = hn.InterfaceTrace(AWKWARD_X, complex_of(rng.standard_normal(n), AWKWARD))
     ref_b = hn.InterfaceTrace(AWKWARD_X, complex_of(AWKWARD[::-1], rng.standard_normal(n)))
-    for cycle, reference in enumerate([ref_a, ref_a, ref_b, ref_a], start=1):
-        trace = hn.InterfaceTrace(AWKWARD_X, complex_of(rng.standard_normal(n),
-                                                        np.roll(AWKWARD, cycle)))
-        writer.cycle_outputs(cycle, mesh, trace, reference, None)
-        want = tmp_path / f"plain{cycle}.csv"
-        hn._write_csv(want, ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
-                      ",".join(["%.16g"] * 5),
-                      [trace.x, trace.values.real, trace.values.imag,
-                       reference.values.real, reference.values.imag])
-        got = tmp_path / "out" / f"interface_trace_cycle{cycle}.csv"
-        assert got.read_bytes() == want.read_bytes()
+    for run, reference in enumerate([ref_a, ref_b]):
+        out = tmp_path / f"out{run}"
+        writer = hn._ArtifactWriter(hn.RunConfig(out_dir=str(out)), reference)
+        for cycle in (1, 2):
+            trace = hn.InterfaceTrace(AWKWARD_X, complex_of(rng.standard_normal(n),
+                                                            np.roll(AWKWARD, cycle)))
+            writer.cycle_outputs(cycle, mesh, trace, None)
+            want = tmp_path / f"plain{run}_{cycle}.csv"
+            hn._write_csv(want, ["x", "re_ex_sc", "im_ex_sc", "re_oracle", "im_oracle"],
+                          ",".join(["%.16g"] * 5),
+                          [trace.x, trace.values.real, trace.values.imag,
+                           reference.values.real, reference.values.imag])
+            got = out / f"interface_trace_cycle{cycle}.csv"
+            assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("layout", ["convergence", "pml_study", "oracle"])
