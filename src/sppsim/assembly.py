@@ -76,7 +76,8 @@ class DipoleSpec:
 
     def __post_init__(self):
         if not self.height > 0:
-            raise ValueError("dipole must sit strictly above the sheet")
+            raise ValueError(f"dipole must sit strictly above the sheet, "
+                             f"got height {self.height}")
         if not self.radius > 0:
             raise ValueError("regularization radius must be positive")
 
@@ -104,7 +105,7 @@ class SheetModel:
 
     def __post_init__(self):
         if complex(self.sigma_r).imag < 0:
-            raise ValueError("passive sheets require Im(sigma_r) >= 0")
+            raise ValueError(f"passive sheets require Im(sigma_r) >= 0, got {self.sigma_r}")
 
 
 @dataclass
@@ -161,7 +162,6 @@ class Interior:
     w: np.ndarray
 
 
-CHUNK_CELLS = 16384
 # shape-class keys are quantised to this fraction of the disk radius
 SHAPE_RESOLUTION = 1e-12
 
@@ -224,10 +224,11 @@ def _condense_local(local: np.ndarray):
     W is one LU solve per matrix, never an explicit inverse of K_ii (that
     raises the residual of the 12-dof system a thousandfold), and
     S = K_ee - K_ei W takes K_ei as assembled: the local matrices are
-    symmetric only up to rounding.
+    symmetric only up to rounding.  K_ii is a copy, not a view, so that the
+    local matrices are freed before the Schur complements are scattered.
     """
     e = N_EDGE_DOFS
-    k_ii = local[:, e:, e:]
+    k_ii = local[:, e:, e:].copy()
     w = np.linalg.solve(k_ii, local[:, e:, :e])
     return local[:, :e, :e] - local[:, :e, e:] @ w, w, k_ii
 
@@ -314,22 +315,12 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
 
     Returns the cells' Schur complements over all dofs (edge entries only)
     and their Interior.  Local matrices are computed and condensed once per
-    shape class (shape_classes) and scattered chunk by chunk in the order of
-    cids.
+    shape class (shape_classes), in one batch, and scattered in one call in
+    the order of cids.
     """
-    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
-    if len(cids) == 0:
-        return (sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex),
-                Interior(cids=cids, k_ii=np.empty((0, i, i), dtype=complex),
-                         w=np.empty((0, i, e), dtype=complex)))
     reps, inverse = shape_classes(space, model, cids)
-    schur, w, k_ii = (np.concatenate(part) for part in zip(*(
-        _condense_local(_volume_local(space, model, reps[lo:lo + CHUNK_CELLS]))
-        for lo in range(0, len(reps), CHUNK_CELLS))))
-    dofs = space.cell_dofs[space.rank[cids], :e]
-    matrix = sum(_scatter(space, dofs[lo:lo + CHUNK_CELLS],
-                          schur[inverse[lo:lo + CHUNK_CELLS]])
-                 for lo in range(0, len(cids), CHUNK_CELLS))
+    schur, w, k_ii = _condense_local(_volume_local(space, model, reps))
+    matrix = _scatter(space, space.cell_dofs[space.rank[cids], :N_EDGE_DOFS], schur[inverse])
     return matrix, Interior(cids=cids, k_ii=k_ii[inverse], w=w[inverse])
 
 
@@ -435,6 +426,14 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
                       quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
                       quad.traces)
     return _add_loads(np.zeros(space.n_dofs, dtype=complex), space, quad.owner, local)
+
+
+# active cells per batch of the dual load, the one cell loop that runs while
+# the cycle's LU factors are alive: one batch over the 39,051 cells of cycle 7
+# of adaptive_cycles(RunConfig(cycles=8, dof_cap=10**6)) raises ru_maxrss from
+# 552 to 608 MB (MALLOC_MMAP_THRESHOLD_=131072).  The volume assembly, QuadData
+# and the indicators run without live factors and take all cells at once.
+CHUNK_CELLS = 16384
 
 
 def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.ndarray:

@@ -14,13 +14,13 @@ import numpy as np
 from . import harness, oracle
 
 
-def _add_common(p):
+def _add_common(p, out_help="output directory"):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--sigma", type=complex, help="sheet conductivity, e.g. 2.56e-4+0.16j")
     p.add_argument("--a", type=float, help="dipole elevation")
     p.add_argument("--s0", type=float, help="absorbing layer strength")
     p.add_argument("--cycles", type=int, help="adaptation cycles")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", help=out_help)
 
 
 class _InputError(Exception):
@@ -61,6 +61,8 @@ def blas_thread_note(environ=os.environ) -> str | None:
 
 def cmd_run(args) -> int:
     config = _config_from(args)
+    # the reference trace needs a surface plasmon: sigma_r = 0 has none
+    _read_input(oracle.spp_wavenumber, config.sigma_r)
     note = blas_thread_note()
     if note:
         print(note)
@@ -76,14 +78,16 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = _config_from(args)
+    km = _read_input(oracle.spp_wavenumber, config.sigma_r)
     xs = harness.trace_grid(config)
     spec = oracle.QuadratureSpec(rel_tol=config.quad_rel_tol)
     pole, bc, total = oracle.interface_field(xs, config.a, config.sigma_r, quad=spec)
     out = args.out or "oracle_trace.csv"
-    harness._write_csv(out, ["x", "re_pole", "im_pole", "re_branchcut", "im_branchcut",
-                             "re_total", "im_total"], ",".join(["%.16g"] * 7),
-                       [xs, pole.real, pole.imag, bc.real, bc.imag, total.real, total.imag])
-    km = oracle.spp_wavenumber(config.sigma_r)
+    # one open and one write: an unusable path is an input error
+    _read_input(harness._write_csv, out, ["x", "re_pole", "im_pole", "re_branchcut",
+                                          "im_branchcut", "re_total", "im_total"],
+                ",".join(["%.16g"] * 7),
+                [xs, pole.real, pole.imag, bc.real, bc.imag, total.real, total.imag])
     print(f"surface wave number: {km:.6g}")
     print("wrote", out)
     return 0
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_or = sub.add_parser("oracle", help="analytic interface trace")
-    _add_common(p_or)
+    _add_common(p_or, "output CSV file (default oracle_trace.csv)")
     p_or.set_defaults(func=cmd_oracle)
 
     p_pml = sub.add_parser("pml-study", help="fixed-mesh sweep over layer strengths")
@@ -165,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, harness.OutputDirError) as exc:
         print(f"sppsim: error: {exc}", file=sys.stderr)
         return 2
 

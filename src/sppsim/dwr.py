@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pml as pml_mod
-from .assembly import CHUNK_CELLS, SheetModel, cell_materials
+from .assembly import SheetModel, cell_materials
 from .fespace import (ORDER2_SLOTS, REF, EdgeFESpace, FieldSolution, evaluate_fields,
                       sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
@@ -42,24 +42,15 @@ class QuadData:
 
     Holds the registered solutions and only small arrays: points, Jacobian
     determinants and the complex values (s, n, p, 2) and curls (s, n, p) of
-    the s solutions, evaluated chunk by chunk (fespace.evaluate_fields); no
+    the s solutions, evaluated in one call (fespace.evaluate_fields); no
     basis table is formed.
     """
 
     def __init__(self, space: EdgeFESpace, sols: tuple):
         self.space = space
         self.sols = sols
-        n = len(space.active)
-        p = len(REF.quad_wts)
-        self.phys = np.empty((n, p, 2))
-        self.det = np.empty((n, p))
-        self.values = np.empty((len(sols), n, p, 2), dtype=complex)
-        self.curls = np.empty((len(sols), n, p), dtype=complex)
-        coeffs = [sol.coeffs for sol in sols]
-        for lo in range(0, n, CHUNK_CELLS):
-            sl = slice(lo, lo + CHUNK_CELLS)
-            (self.phys[sl], self.det[sl], self.values[:, sl],
-             self.curls[:, sl]) = evaluate_fields(space, space.active[sl], REF.quad_pts, coeffs)
+        self.phys, self.det, self.values, self.curls = evaluate_fields(
+            space, space.active, REF.quad_pts, [sol.coeffs for sol in sols])
 
 
 @dataclass(frozen=True)
@@ -279,7 +270,8 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
 
     qd registers the primal E_H and the adjoint Z_H, in that order, and recon
     is their recovery.  Only discrete quantities enter; the exact solutions
-    never do.
+    never do.  The keys are space.active in order, so ascending, and mark
+    and the VTK writer read the values in that order.
     """
     space = qd.space
     phys, det = qd.phys, qd.det
@@ -287,28 +279,19 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     (E_vals, Z_vals), (E_curl, Z_curl) = qd.values, qd.curls
     (ve_vals, wz_vals), (ve_curl, wz_curl) = recon.dvals_quad, recon.dcurls_quad
 
-    n = len(space.active)
-    rho = np.empty(n, dtype=complex)
-    rho_ast = np.empty(n, dtype=complex)
-    for lo in range(0, n, CHUNK_CELLS):
-        sl = slice(lo, min(lo + CHUNK_CELLS, n))
-        flat = phys[sl].reshape(-1, 2)
-        inv_mu, eps_eff = cell_materials(space, model, space.active[sl], phys[sl])
-        wband = weight(flat).reshape(det[sl].shape)
-        dens = model.dipole.density(flat).reshape(det[sl].shape)
-        wdet = REF.quad_wts[None, :] * det[sl]
-        # primal residual: F(w chi_Q) - A(E_H, w chi_Q)
-        r = 1j * np.einsum("np,np->n", wdet * dens, np.conj(wz_vals[sl, :, 1]))
-        r -= np.einsum("np,np->n", wdet * inv_mu * E_curl[sl], np.conj(wz_curl[sl]))
-        r += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(wz_vals[sl]),
-                       eps_eff, E_vals[sl])
-        rho[sl] = r
-        # dual residual: D_E J(E_H)[v chi_Q] - A(v chi_Q, Z_H)
-        ra = np.einsum("np,np->n", wdet * wband * ve_curl[sl], np.conj(E_curl[sl]))
-        ra -= np.einsum("np,np->n", wdet * inv_mu * ve_curl[sl], np.conj(Z_curl[sl]))
-        ra += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals[sl]),
-                        eps_eff, ve_vals[sl])
-        rho_ast[sl] = ra
+    flat = phys.reshape(-1, 2)
+    inv_mu, eps_eff = cell_materials(space, model, space.active, phys)
+    wband = weight(flat).reshape(det.shape)
+    dens = model.dipole.density(flat).reshape(det.shape)
+    wdet = REF.quad_wts[None, :] * det
+    # primal residual: F(w chi_Q) - A(E_H, w chi_Q)
+    rho = 1j * np.einsum("np,np->n", wdet * dens, np.conj(wz_vals[:, :, 1]))
+    rho -= np.einsum("np,np->n", wdet * inv_mu * E_curl, np.conj(wz_curl))
+    rho += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(wz_vals), eps_eff, E_vals)
+    # dual residual: D_E J(E_H)[v chi_Q] - A(v chi_Q, Z_H)
+    rho_ast = np.einsum("np,np->n", wdet * wband * ve_curl, np.conj(E_curl))
+    rho_ast -= np.einsum("np,np->n", wdet * inv_mu * ve_curl, np.conj(Z_curl))
+    rho_ast += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals), eps_eff, ve_vals)
 
     # face terms in one pass: the sheet sides, each taking half of its face
     # integral along +x (a coarse neighbor maps the owner's quadrature points
@@ -344,11 +327,12 @@ MARK_RESOLUTION = 1e-9
 
 def mark(indicator_map: dict[int, float], mesh: Mesh, weight: WeightFunction,
          cycle: int, fraction: float = 0.15, level_cap: int = 12) -> list[int]:
-    """Top cells by indicator plus the forced, geometrically tightening band."""
+    """Top cells by indicator plus the forced, geometrically tightening band;
+    indicator_map's keys ascend, as indicators returns them."""
     if cycle < 1:
         raise ValueError("cycles are counted from 1")
-    active = np.array(sorted(indicator_map), dtype=np.int64)
-    eta = np.array([indicator_map[c] for c in active.tolist()])
+    active = np.fromiter(indicator_map, dtype=np.int64, count=len(indicator_map))
+    eta = np.fromiter(indicator_map.values(), dtype=float, count=len(indicator_map))
     selected = np.zeros(len(active), dtype=bool)
     # largest indicators first, ties by ascending cell id; eta is ranked on a
     # grid of MARK_RESOLUTION times its maximum, so that near-equal values

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,9 @@ class RunConfig:
         # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
-        # PmlSpec checks R and s0; the trace ends where the layer begins (trace_grid)
-        rho = PmlSpec(R=self.R, s0=self.s0).rho
+        # the model checks R, s0, a and Im sigma_r; the trace ends where the
+        # layer begins (trace_grid)
+        rho = self.model().pml.rho
         if not 0 < self.x_min < rho:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
@@ -343,6 +345,7 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     """
     if not s0_list:
         raise ValueError("need at least one layer strength")
+    out = _ArtifactWriter(config)       # an unusable out_dir fails before any solve
     if mesh is None:
         mesh = build_initial_mesh(config)
         band_refine(mesh, config.d_w, 0.1)
@@ -358,7 +361,7 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
         assert mesh.content_hash() == mesh_hash
         traces[s0] = scattered_trace(scattered, xs)
         del scattered
-    _ArtifactWriter(config).pml_overlay(traces)
+    out.pml_overlay(traces)
     return traces
 
 
@@ -409,6 +412,10 @@ def _write_trace_csv(path, trace: InterfaceTrace, template: str):
                  + template % tuple(fem.ravel().tolist()))
 
 
+class OutputDirError(OSError):
+    """The output directory cannot be made; raised before any artifact is written."""
+
+
 class _ArtifactWriter:
     def __init__(self, config: RunConfig, reference: InterfaceTrace | None = None):
         """reference is the run's reference trace, which every cycle's trace
@@ -419,11 +426,13 @@ class _ArtifactWriter:
         self._trace_template = (_trace_template(reference)
                                 if self.enabled and reference is not None else None)
         if self.enabled:
-            import os
-            os.makedirs(config.out_dir, exist_ok=True)
+            try:
+                os.makedirs(config.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise OutputDirError(f"cannot make output directory {config.out_dir!r}: "
+                                     f"{exc.strerror}") from exc
 
     def _path(self, name: str) -> str:
-        import os
         return os.path.join(self.config.out_dir, name)
 
     def cycle_outputs(self, cycle, mesh, trace, eta):
@@ -435,7 +444,8 @@ class _ArtifactWriter:
         vtk_name = f"solution_cycle{cycle}.vtk"
         cell_data = {}
         if eta is not None:
-            cell_data["eta"] = np.array([eta[cid] for cid in sorted(mesh.active_ids())])
+            # indicators' keys are the active cells in ascending order
+            cell_data["eta"] = np.fromiter(eta.values(), dtype=float, count=len(eta))
         write_vtk(mesh, self._path(vtk_name), cell_data)
         self.artifacts[vtk_name] = self._path(vtk_name)
 

@@ -92,17 +92,45 @@ def test_blas_thread_note_unless_one_thread():
     # checked by RunConfig, before the output directory is made
     ("initial_refines = -1\n", ["run"], "initial_refines"),
     (None, ["run", "--out", ""], "out_dir"),
+    # the model is checked by RunConfig, and run and oracle need a surface
+    # plasmon, before any output is made
+    (None, ["run", "--a", "-1"], "above the sheet"),
+    (None, ["run", "--sigma=-0.1j"], "Im(sigma_r)"),
+    (None, ["run", "--sigma", "0"], "nonzero"),
+    (None, ["oracle", "--a", "-1"], "above the sheet"),
+    (None, ["oracle", "--sigma", "0"], "nonzero"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
-    # an --out in argv comes last, so it wins over this one
+    # an --out in argv comes last, so it wins over this one; for oracle it
+    # is the output file
     assert main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sppsim: error: ") and named in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["run"], "file/out"),
+    (["pml-study", "--values", "0"], "file/out"),
+    (["oracle"], "file/out.csv"),
+    (["oracle"], "dir"),
+])
+def test_unusable_out_is_one_error_line(tmp_path, capsys, argv, out):
+    # a path under a regular file, or a directory for the oracle's file
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / out)
+    assert main([*argv, "--config", str(cfg), "--out", out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sppsim: error: ") and out in err[0]
+    assert "wrote" not in captured.out
 
 
 @pytest.mark.parametrize("argv", [["report", "{}/missing.csv"],

@@ -335,6 +335,17 @@ class TestIndicators:
         eta = dwr_mod.indicators(qd, model, reconstruct(qd), WeightFunction(D_W))
         assert all(v >= 0.0 for v in eta.values())
 
+    def test_keys_are_the_active_cells_in_order(self):
+        # mark and the VTK writer read the values in key order
+        m = msh.build_disk_mesh(8 * np.pi, 1)
+        m.refine(m.active_ids()[::3])
+        space = distribute_dofs(m)
+        model = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=8 * np.pi, s0=2.0),
+                           dipole=DipoleSpec(height=1.0, radius=0.15625))
+        qd = QuadData(space, (random_solution(space, 6), random_solution(space, 7)))
+        eta = dwr_mod.indicators(qd, model, reconstruct(qd), WeightFunction(D_W))
+        assert list(eta) == space.active.tolist() == sorted(m.active_ids().tolist())
+
     def test_face_terms_match_a_per_face_loop(self, monkeypatch):
         # with no material, no dipole in the disk and no goal weight the cell
         # terms vanish and eta holds the sheet and rim face terms alone; a
