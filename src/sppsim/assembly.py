@@ -33,15 +33,20 @@ the tangential trace phi_b . t = (v_b . e) / |dx/dt|.
 The four interior dofs of every cell are condensed in the volume kernel.
 With the local matrix split into its edge (e, 8) and interior (i, 4) blocks,
 W = K_ii^{-1} K_ie is a batched LU solve per shape class, never an explicit
-inverse, and the Schur complement S = K_ee - K_ei W is scattered on the edge
-dofs alone.  The face terms and the sheet load touch only the edge dofs: an
-interior function has no tangential trace.  So the solver factorizes
-C_e^T S C_e on the unconstrained edge dofs, and nothing else: the
-ComplexSystem owns the condensation.  It keeps a constraint map P whose
-interior rows are -W C_e, so P^T f is the eliminated load (with_load), and
-the interior block K_ii of every cell, so that it back-substitutes
-x_i = K_ii^{-1} (f_i - K_ie x_e) as P x_e plus K_ii^{-1} f_i on the cells
-whose load has an interior part (coefficients).
+inverse, and the Schur complement S = K_ee - K_ei W lives on the edge dofs
+alone.  The face terms and the sheet load touch only the edge dofs: an
+interior function has no tangential trace.  The hanging-edge constraints
+are applied cell by cell, as deal.II's distribute_local_to_global does: a
+cell's edge dofs are T x_m for its eight master columns x_m (fespace
+.ConstraintSet), so condense turns each local matrix S into T^T S T (a
+cell without a hanging edge has T = I and is left as it is) and scatters
+them all once into the matrix on the edge masters that the solver
+factorizes.  No matrix over all dofs is formed.  The ComplexSystem owns the
+condensation.  It keeps a constraint map P, C's edge rows and interior
+rows -W T written straight into CSR, so P^T f is the eliminated load
+(with_load), and the interior block K_ii of every cell, so that it
+back-substitutes x_i = K_ii^{-1} (f_i - K_ie x_e) as P x_e plus
+K_ii^{-1} f_i on the cells whose load has an interior part (coefficients).
 """
 
 from __future__ import annotations
@@ -112,14 +117,14 @@ class SheetModel:
 class ComplexSystem:
     """Schur complement system on the edge master dofs, with one eliminated load.
 
-    matrix is C_e^T S C_e (S the cells' Schur complements plus the face
-    terms), constraints the map P from the edge masters to all dofs, whose
-    interior rows are -W C_e, and k_ii (n_active, 4, 4) the interior block of
-    every active cell's local matrix, in rank order.  rhs is the eliminated
-    load P^T f and rhs_interior its interior part f_i (n_active, 4), which
-    back-substitution needs; both are None until with_load.  This is the one
-    place that eliminates a load and restores the interior dofs; the solver
-    sees only matrix and rhs.
+    matrix is the sum of T^T S T over the cells (S a cell's Schur complement
+    plus its face terms, condense), constraints the map P from the edge
+    masters to all dofs, whose interior rows are -W T, and k_ii (n_active,
+    4, 4) the interior block of every active cell's local matrix, in rank
+    order.  rhs is the eliminated load P^T f and rhs_interior its interior
+    part f_i (n_active, 4), which back-substitution needs; both are None
+    until with_load.  This is the one place that eliminates a load and
+    restores the interior dofs; the solver sees only matrix and rhs.
     """
 
     matrix: sp.csc_matrix
@@ -166,23 +171,14 @@ class Interior:
 SHAPE_RESOLUTION = 1e-12
 
 
-def _scatter(space: EdgeFESpace, dofs, local) -> sp.csc_matrix:
-    """Global matrix of the local matrices local[k] on the dof rows dofs[k]."""
-    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
-    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.n_dofs, space.n_dofs)).tocsc()
+def _face_local(space: EdgeFESpace, quad: FaceQuadrature, coef):
+    """int coef (phi_b . t)(phi_d . t) ds on each face: the owners' ranks and
+    the local matrices (f, 8, 8), b and d over the owner's edge dofs.
 
-
-def _face_matrix(space: EdgeFESpace, quad: FaceQuadrature, coef) -> sp.csc_matrix:
-    """Sum over faces of int coef (phi_b . t)(phi_d . t) ds on each owner edge.
-
-    coef is a scalar or (f, p) values at the points quad.phys; b and d run
-    over the owner's edge dofs.
+    coef is a scalar or (f, p) values at the points quad.phys.
     """
     weighted = (quad.weights * coef)[:, :, None] * quad.traces
-    local = gemm_real(weighted.transpose(0, 2, 1), quad.traces)
-    return _scatter(space, space.cell_dofs[space.rank[quad.owner], :N_EDGE_DOFS], local)
+    return space.rank[quad.owner], gemm_real(weighted.transpose(0, 2, 1), quad.traces)
 
 
 def _pullback(jac: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -313,38 +309,32 @@ def _shape_key(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
 def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
     """Curl-curl minus mass term of the active cells cids, interior dofs condensed.
 
-    Returns the cells' Schur complements over all dofs (edge entries only)
-    and their Interior.  Local matrices are computed and condensed once per
-    shape class (shape_classes), in one batch, and scattered in one call in
-    the order of cids.
+    Returns the cells' Schur complements (n, 8, 8) on their edge dofs and
+    their Interior, both in the order of cids.  Local matrices are computed
+    and condensed once per shape class (shape_classes), in one batch.
     """
     reps, inverse = shape_classes(space, model, cids)
     schur, w, k_ii = _condense_local(_volume_local(space, model, reps))
-    matrix = _scatter(space, space.cell_dofs[space.rank[cids], :N_EDGE_DOFS], schur[inverse])
-    return matrix, Interior(cids=cids, k_ii=k_ii[inverse], w=w[inverse])
+    return schur[inverse], Interior(cids=cids, k_ii=k_ii[inverse], w=w[inverse])
 
 
-def _rim_matrix(space: EdgeFESpace) -> sp.csc_matrix:
-    """Rim impedance term -i int E_t conj(v_t), unstretched."""
-    return _face_matrix(space, space.rim_quadrature, -1j)
+def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel, cids):
+    """Volume term of the active cells cids (assemble_volume) and the rim
+    impedance term -i int E_t conj(v_t), unstretched (_face_local)."""
+    return (assemble_volume(space, model, cids),
+            _face_local(space, space.rim_quadrature, -1j))
 
 
-def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
-    """Volume and rim terms over all dofs, interior dofs condensed: the sum of
-    the parts of a solve pair."""
-    inner = inner_cells(space, model)
-    return (assemble_volume(space, model, space.active[inner])[0]
-            + _rim_matrix(space)
-            + assemble_volume(space, model, space.active[~inner])[0])
-
-
-def assemble_interface(space: EdgeFESpace, model: SheetModel) -> sp.csc_matrix:
-    """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces, on the edge dofs."""
+def assemble_interface(space: EdgeFESpace, model: SheetModel):
+    """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces (_face_local):
+    the owners' ranks and local matrices on their edge dofs, none without
+    conductivity."""
     if model.sigma_r == 0:
-        return sp.csc_matrix((space.n_dofs, space.n_dofs), dtype=complex)
+        return (np.empty(0, dtype=np.int64),
+                np.empty((0, N_EDGE_DOFS, N_EDGE_DOFS), dtype=complex))
     quad = space.sheet_quadrature
     sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r, model.pml)
-    return _face_matrix(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
+    return _face_local(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
 
 
 def _dipole_cells(space: EdgeFESpace, dip: DipoleSpec) -> np.ndarray:
@@ -453,17 +443,35 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
     return rhs
 
 
-def condense(matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet):
-    """C^T matrix C as a canonical CSC matrix, and C^T rhs (None stays None).
+def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, face):
+    """One volume term and one face term on the edge masters, cell by cell.
 
-    The CSC arrays of C^T A C are the CSR arrays of C^T A^T C, which three CSR
-    operands give directly: A^T is the transpose view of the CSC of A.  The
-    CSR copy of C^T lives only for this call.
+    volume is assemble_volume's (Schur complements, Interior) and face the
+    (owner ranks, local matrices) of a face term.  Each local matrix S of a
+    cell with a hanging edge becomes T^T S T (ConstraintSet.cell_maps), and
+    all of them are scattered once on their cells' master columns.  Returns
+    the canonical CSC matrix (n_master, n_master), without the entries that
+    sum to exactly zero (the traces of a face's other edges, for one), and
+    the interior rows -W T of P (n, 4, 8) of the volume's cells, in their
+    order.
     """
-    ct = constraints.matrix.T.tocsr()
-    product = (ct @ (sp.csc_matrix(matrix).T @ constraints.matrix)).T
-    product.sort_indices()
-    return product, None if rhs is None else ct @ rhs
+    schur, interior = volume
+    ranks = np.concatenate([space.rank[interior.cids], face[0]])
+    local = np.concatenate([schur, face[1]])
+    index = constraints.map_index[ranks]
+    hit = np.flatnonzero(index >= 0)
+    maps = constraints.cell_maps[index[hit]]
+    local[hit] = maps.transpose(0, 2, 1) @ local[hit] @ maps
+    masters = constraints.cell_masters[ranks]
+    e = N_EDGE_DOFS
+    matrix = sp.coo_matrix((local.ravel(), (np.repeat(masters, e, axis=1).ravel(),
+                                            np.tile(masters, (1, e)).ravel())),
+                           shape=(constraints.n_master, constraints.n_master)).tocsc()
+    matrix.eliminate_zeros()
+    rows = -interior.w
+    in_volume = hit < len(rows)
+    rows[hit[in_volume]] = rows[hit[in_volume]] @ maps[in_volume]
+    return matrix, rows
 
 
 @dataclass
@@ -471,7 +479,7 @@ class FixedPart:
     """The condensed part of a solve pair that the layer strength and the
     conductivity leave unchanged: the inner cells' volume term and the rim
     term on the edge masters, and the inner cells' interior blocks K_ii and
-    rows of coupling C (_coupled_rows).
+    interior rows -W T of P (condense).
 
     It is built once per mesh and serves every model that shares its dipole
     and disk radius.
@@ -481,7 +489,7 @@ class FixedPart:
     constraints: ConstraintSet
     matrix: sp.csc_matrix      # condensed inner volume + rim
     k_ii: np.ndarray           # (n_active, 4, 4) in rank order, the outer cells' unset
-    coupled: sp.csr_matrix     # _coupled_rows of the inner cells
+    rows: np.ndarray           # (n_active, 4, 8) -W T in rank order, the outer cells' unset
     outer: np.ndarray          # active cell ids left to the per-model part
     key: tuple
 
@@ -499,77 +507,47 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
     """
     _dipole_cells(space, model.dipole)
     inner = inner_cells(space, model)
-    volume, interior = assemble_volume(space, model, space.active[inner])
-    matrix, _ = condense(volume + _rim_matrix(space), None, constraints)
-    i = N_DOFS_CELL - N_EDGE_DOFS
-    k_ii = np.empty((len(space.active), i, i), dtype=complex)
-    k_ii[inner] = interior.k_ii
+    volume, rim = assemble_volume_boundary(space, model, space.active[inner])
+    matrix, rows = condense(space, constraints, volume, rim)
+    n, e, i = len(space.active), N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
+    k_ii = np.empty((n, i, i), dtype=complex)
+    k_ii[inner] = volume[1].k_ii
+    all_rows = np.empty((n, i, e), dtype=complex)
+    all_rows[inner] = rows
     return FixedPart(space=space, constraints=constraints, matrix=matrix, k_ii=k_ii,
-                     coupled=_coupled_rows(space, constraints, interior),
-                     outer=space.active[~inner], key=_fixed_key(model))
+                     rows=all_rows, outer=space.active[~inner], key=_fixed_key(model))
 
 
-def _coupled_rows(space: EdgeFESpace, constraints: ConstraintSet,
-                  part: Interior) -> sp.csr_matrix:
-    """coupling C over all dofs, where coupling holds -W of each cell of part
-    on the cell's edge dofs, in each of the cell's interior rows.
-
-    The rows of other cells and the edge rows are empty.  A row of the
-    product depends on that row of coupling alone, so the rows of several
-    parts' products are those of one product over all their cells.
-    """
-    e, i = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
-    ranks = space.rank[part.cids]
-    order = np.argsort(ranks)
-    row_len = np.zeros(space.n_dofs, dtype=np.int64)
-    row_len[space.n_edge_dofs + i * ranks[:, None] + np.arange(i)] = e
-    coupling = sp.csr_matrix(
-        (-part.w[order].ravel(),
-         np.repeat(space.cell_dofs[ranks[order], None, :e], i, axis=1).ravel(),
-         np.concatenate([[0], np.cumsum(row_len)])),
-        shape=(space.n_dofs, space.n_dofs))
-    return coupling @ constraints.matrix
-
-
-def _row_union(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """The CSR matrix of the rows of a and of b, which share no nonempty row,
-    each row with its entries in the order of its own matrix."""
-    at_a = np.arange(a.nnz) + np.repeat(b.indptr[:-1], np.diff(a.indptr))
-    at_b = np.arange(b.nnz) + np.repeat(a.indptr[:-1], np.diff(b.indptr))
-    data = np.empty(a.nnz + b.nnz, dtype=np.result_type(a.data, b.data))
-    indices = np.empty(a.nnz + b.nnz, dtype=np.result_type(a.indices, b.indices))
-    data[at_a], data[at_b] = a.data, b.data
-    indices[at_a], indices[at_b] = a.indices, b.indices
-    return sp.csr_matrix((data, indices, a.indptr + b.indptr), shape=a.shape)
-
-
-def _system(space: EdgeFESpace, matrix: sp.csc_matrix, constraints: ConstraintSet,
-            k_ii: np.ndarray, coupled: sp.csr_matrix) -> ComplexSystem:
-    """The load-free system of a condensed matrix on the edge masters, with
-    the interior blocks k_ii of every active cell in rank order and coupling C
-    over every active cell (_coupled_rows)."""
-    # P = C + coupling C keeps the edge rows of C; its interior rows are -W C_e
-    p = (constraints.matrix + coupled).tocsr()
-    return ComplexSystem(matrix=matrix, space=space, k_ii=k_ii,
-                         constraints=dataclasses.replace(constraints, matrix=p))
+def _constraint_map(space: EdgeFESpace, constraints: ConstraintSet,
+                    rows: np.ndarray) -> sp.csr_matrix:
+    """P over all dofs in CSR: the edge rows of C, then the interior rows
+    rows (n_active, 4, 8) of each active cell, in rank order, on its master
+    columns.  C's interior rows are empty, so its arrays end at the edge rows."""
+    c = constraints.matrix
+    n_rows = rows.shape[0] * rows.shape[1]
+    indptr = np.concatenate([c.indptr[:space.n_edge_dofs + 1],
+                             c.nnz + N_EDGE_DOFS * np.arange(1, n_rows + 1)])
+    cols = np.broadcast_to(constraints.cell_masters[:, None, :], rows.shape)
+    return sp.csr_matrix((np.concatenate([c.data, rows.ravel()]),
+                          np.concatenate([c.indices, cols.ravel()]), indptr),
+                         shape=c.shape)
 
 
 def assemble_pair(fixed: FixedPart, model: SheetModel) -> ComplexSystem:
     """The load-free system of one model (ComplexSystem.with_load adds a load).
 
     Only the outer cells' volume term and the sheet term depend on the
-    model; they are assembled together, condensed once and added to the
-    fixed part.
+    model; they are condensed together once and added to the fixed part.
     """
     if _fixed_key(model) != fixed.key:
         raise ValueError("the fixed part was built for another dipole or disk "
                          "radius")
-    space = fixed.space
-    volume, outer = assemble_volume(space, model, fixed.outer)
-    varying, _ = condense(volume + assemble_interface(space, model), None,
-                          fixed.constraints)
-    del volume
-    k_ii = fixed.k_ii.copy()
-    k_ii[space.rank[outer.cids]] = outer.k_ii
-    coupled = _row_union(fixed.coupled, _coupled_rows(space, fixed.constraints, outer))
-    return _system(space, fixed.matrix + varying, fixed.constraints, k_ii, coupled)
+    space, constraints = fixed.space, fixed.constraints
+    volume = assemble_volume(space, model, fixed.outer)
+    varying, rows = condense(space, constraints, volume, assemble_interface(space, model))
+    outer = space.rank[fixed.outer]
+    k_ii, all_rows = fixed.k_ii.copy(), fixed.rows.copy()
+    k_ii[outer], all_rows[outer] = volume[1].k_ii, rows
+    p = _constraint_map(space, constraints, all_rows)
+    return ComplexSystem(matrix=fixed.matrix + varying, space=space, k_ii=k_ii,
+                         constraints=dataclasses.replace(constraints, matrix=p))

@@ -370,12 +370,18 @@ class ConstraintSet:
 
     build_constraints ties each hanging edge's dofs to its parent edge's and
     leaves the interior rows empty; the constraint map of a condensed system
-    (assembly.ComplexSystem) fills them.
+    (assembly.ComplexSystem) fills them.  Cell by cell the same map reads:
+    the edge dofs x_e of active cell r are T x_m, where x_m holds the masters
+    cell_masters[r] and T is cell_maps[map_index[r]] for a cell with a
+    hanging edge (map_index[r] >= 0) and the identity otherwise.
     """
 
     n_dofs: int
     matrix: sp.csr_matrix        # (n_dofs, n_master)
     master_dofs: np.ndarray
+    cell_masters: np.ndarray     # (n_active, 8) master column of each edge dof
+    map_index: np.ndarray        # (n_active,) row in cell_maps, or -1
+    cell_maps: np.ndarray        # (n_hanging, 8, 8) block-diagonal T
 
     @property
     def n_master(self) -> int:
@@ -407,7 +413,9 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     Mesh.coarser_neighbors pairs each hanging child face with the coarser
     cell edge that contains it, the parent face; the pairs are sorted by
     parent face, the half at its lower vertex id first.  The masters are the
-    unconstrained edge dofs; the interior dofs' rows stay empty.
+    unconstrained edge dofs; the interior dofs' rows stay empty.  Each
+    hanging edge also sets its cell's 2x2 block of T to _T_LO or _T_HI, and
+    its two master columns to the parent face's.
     """
     coarse, ledge = space.mesh.coarser_neighbors(space.active)
     fine, fine_edge = np.nonzero(coarse >= 0)
@@ -415,11 +423,18 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     parent = space.cell_dofs[space.rank[coarse[fine, fine_edge]],
                              2 * ledge[fine, fine_edge]] // 2
     high = ~(space.face_keys[child] == space.face_keys[parent, :1]).any(axis=1)
+    T = np.stack([_T_LO, _T_HI])                                   # (2 halves, 2, 2)
+    hanging, slot = np.unique(fine, return_inverse=True)
+    pair = 2 * fine_edge[:, None] + np.arange(2)                   # the edge's local dofs
+    cell_maps = np.tile(np.eye(N_EDGE_DOFS), (len(hanging), 1, 1))
+    cell_maps[slot[:, None, None], pair[:, :, None], pair[:, None, :]] = T[high.astype(int)]
+    map_index = np.full(len(space.active), -1, dtype=np.int64)
+    map_index[hanging] = np.arange(len(hanging))
     order = np.lexsort((high, parent))
     child = child[order].reshape(-1, 2)                              # (h, 2 halves)
+    parent_dofs = 2 * parent[:, None] + np.arange(2)
     parent = parent[order][::2]
     # dof 2 child + j = sum_k T[j, k] * dof 2 parent + k, for the nonzero T[j, k]
-    T = np.stack([_T_LO, _T_HI])                                   # (2 halves, 2, 2)
     j, k = np.arange(2)[:, None], np.arange(2)[None, :]
     slave = np.broadcast_to(2 * child[:, :, None, None] + j, (len(parent), 2, 2, 2))
     master = np.broadcast_to(2 * parent[:, None, None, None] + k, slave.shape)
@@ -432,11 +447,15 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     master_dofs = np.flatnonzero(~constrained)
     col_of = -np.ones(space.n_edge_dofs, dtype=np.int64)
     col_of[master_dofs] = np.arange(len(master_dofs))
+    cell_masters = col_of[space.cell_dofs[:, :N_EDGE_DOFS]]
+    cell_masters[fine[:, None], pair] = col_of[parent_dofs]
     ri = np.concatenate([master_dofs, slave])
     ci = col_of[np.concatenate([master_dofs, master])]
     data = np.concatenate([np.ones(len(master_dofs)), coef])
     matrix = sp.csr_matrix((data, (ri, ci)), shape=(space.n_dofs, len(master_dofs)))
-    return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs)
+    return ConstraintSet(n_dofs=space.n_dofs, matrix=matrix, master_dofs=master_dofs,
+                         cell_masters=cell_masters, map_index=map_index,
+                         cell_maps=cell_maps)
 
 
 def face_quadrature(mesh: Mesh, cids, ledges, n: int = FACE_POINTS):

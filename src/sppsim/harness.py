@@ -340,8 +340,9 @@ def run_adaptive(config: RunConfig):
 def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     """Fixed-mesh solves for several layer strengths; identical mesh throughout.
 
-    Only each strength's scattered trace is kept; its solution and factors
-    are freed before the next strength is assembled.
+    Each distinct strength is solved once, in the order of first appearance.
+    Only its scattered trace is kept; its solution and factors are freed
+    before the next strength is assembled.
     """
     if not s0_list:
         raise ValueError("need at least one layer strength")
@@ -356,7 +357,7 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     mesh_hash = mesh.content_hash()
     # only the layer strength changes between the models
     fixed = assemble_fixed(space, constraints, config.model(s0=s0_list[0]))
-    for s0 in s0_list:
+    for s0 in dict.fromkeys(s0_list):
         scattered = solve_pair(space, constraints, config.model(s0=s0), fixed)[0]
         assert mesh.content_hash() == mesh_hash
         traces[s0] = scattered_trace(scattered, xs)

@@ -1,12 +1,16 @@
 """Test helpers shared by several test modules (not collected by pytest)."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
 from sppsim import pml as pml_mod
-from sppsim.assembly import _volume_local
-from sppsim.fespace import (N_DOFS_CELL, REF, build_constraints, dof_signs, face_quadrature,
-                            gauss01)
+from sppsim.assembly import (ComplexSystem, _constraint_map, _volume_local,
+                             assemble_interface, assemble_volume, assemble_volume_boundary,
+                             condense)
+from sppsim.fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, build_constraints, dof_signs,
+                            face_quadrature, gauss01)
 from sppsim.mesh import cell_geometry, jacobian_det, jacobian_inv
 
 
@@ -61,11 +65,61 @@ def shape_eval(space, cids, ref_pts):
     return vals, curls
 
 
-def _scatter_full(space, cids, local):
-    dofs = space.cell_dofs[space.rank[cids]]
-    return sp.coo_matrix((local.ravel(), (np.repeat(dofs, N_DOFS_CELL, axis=1).ravel(),
-                                          np.tile(dofs, (1, N_DOFS_CELL)).ravel())),
+def scatter_full(space, ranks, local):
+    """The local matrices local[k] (n, d, d) on the first d dofs of the active
+    cell of rank ranks[k], summed into one CSR matrix over all dofs."""
+    dofs = space.cell_dofs[ranks, :local.shape[1]]
+    return sp.coo_matrix((local.ravel(), (np.repeat(dofs, dofs.shape[1], axis=1).ravel(),
+                                          np.tile(dofs, (1, dofs.shape[1])).ravel())),
                          shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+def pair_terms(space, model):
+    """A solve pair's terms over all active cells in one part: the condensed
+    volume (assemble_volume) and the rim and sheet faces together."""
+    volume, rim = assemble_volume_boundary(space, model, space.active)
+    return volume, tuple(np.concatenate(part)
+                         for part in zip(rim, assemble_interface(space, model)))
+
+
+def one_part_system(space, cs, model):
+    """The load-free system of a solve pair condensed in one part.
+
+    It skips assemble_fixed and with it the dipole check, so a coarse mesh
+    that does not resolve the dipole serves.
+    """
+    volume, faces = pair_terms(space, model)
+    matrix, rows = condense(space, cs, volume, faces)
+    return ComplexSystem(matrix=matrix, space=space, k_ii=volume[1].k_ii,
+                         constraints=dataclasses.replace(
+                             cs, matrix=_constraint_map(space, cs, rows)))
+
+
+def full_dof_matrix(space, model):
+    """A solve pair's Schur complements, rim and sheet terms summed over all dofs."""
+    (schur, _), faces = pair_terms(space, model)
+    return (scatter_full(space, space.rank[space.active], schur)
+            + scatter_full(space, *faces))
+
+
+def product_reference(space, cs, model):
+    """A solve pair's matrix and constraint map P, multiplied out globally.
+
+    The reference that the cell-by-cell condensation (assembly.condense) is
+    checked against: C^T (full_dof_matrix) C, and P = C + coupling C with
+    coupling holding -W of each cell on its edge dofs in each of its
+    interior rows, both by sparse matrix products.
+    """
+    c = cs.matrix
+    matrix = (c.T @ full_dof_matrix(space, model) @ c).tocsc()
+    w = assemble_volume(space, model, space.active)[1].w
+    e, i, n = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS, len(space.active)
+    coupling = sp.csr_matrix(
+        (-w.ravel(), np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel(),
+         np.concatenate([np.zeros(space.n_edge_dofs, dtype=np.int64),
+                         e * np.arange(i * n + 1)])),
+        shape=(space.n_dofs, space.n_dofs))
+    return matrix, (c + coupling @ c).tocsr()
 
 
 def uncondensed_matrix(space, model):
@@ -77,7 +131,8 @@ def uncondensed_matrix(space, model):
     face terms take the tangential traces of all twelve mapped basis
     functions (shape_eval), interior ones included.
     """
-    mat = _scatter_full(space, space.active, _volume_local(space, model, space.active))
+    mat = scatter_full(space, space.rank[space.active],
+                       _volume_local(space, model, space.active))
     faces = [(space.rim_faces, lambda pts: np.full(pts.shape[:2], -1j))]
     if model.sigma_r != 0:
         faces.append((space.sheet_faces, lambda pts: -1j * pml_mod.sheet_arrays(
@@ -86,7 +141,7 @@ def uncondensed_matrix(space, model):
         ref, phys, wds, tangent, _ = face_quadrature(space.mesh, table.owner, table.ledge)
         tang = np.einsum("fpbi,fpi->fpb", shape_eval(space, table.owner, ref)[0], tangent)
         local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-        mat = mat + _scatter_full(space, table.owner, local)
+        mat = mat + scatter_full(space, space.rank[table.owner], local)
     return mat
 
 

@@ -10,21 +10,22 @@ from sppsim import assembly
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
-                             _condense_local, _face_matrix, _volume_local,
+                             _condense_local, _face_local, _volume_local,
                              assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
                              assemble_interface, assemble_pair,
                              assemble_sheet_load, assemble_volume,
                              assemble_volume_boundary, condense, incident_ex,
                              inner_cells, shape_classes)
 from sppsim.dwr import WeightFunction, qoi
-from sppsim.fespace import (REF, FieldSolution, build_constraints,
+from sppsim.fespace import (REF, _T_HI, _T_LO, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, face_traces)
 from sppsim.harness import RunConfig, adaptive_cycles, solve_pair
 from sppsim.mesh import cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 from sppsim.solver import RESIDUAL_TOL, solve, solve_adjoint
 
-from fields import interpolate, shape_eval, uncondensed_constraints, uncondensed_matrix
+from fields import (full_dof_matrix, interpolate, one_part_system, product_reference,
+                    scatter_full, shape_eval, uncondensed_constraints, uncondensed_matrix)
 
 R = 8 * np.pi
 
@@ -61,17 +62,16 @@ class TestMatrixStructure:
     def test_zero_conductivity_matches_sheet_free_matrix(self):
         space, cs = disk_space(2)
         mdl = model(sigma=0.0j)
-        vol = assemble_volume_boundary(space, mdl)
-        iface = assemble_interface(space, mdl)
-        assert iface.nnz == 0
-        full = vol + iface
+        ranks, local = assemble_interface(space, mdl)
+        assert ranks.shape == (0,) and local.shape == (0, 8, 8)
+        full = one_part_system(space, cs, mdl).matrix
+        vol, _ = condense(space, cs, *assemble_volume_boundary(space, mdl, space.active))
         assert abs(full - vol).max() < 1e-14
 
     def test_complex_symmetry(self):
         space, cs = disk_space(2, extra_marks=1)
         mdl = model(sigma=0.01 + 0.15j)
-        full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
-        mat, _ = condense(full, np.zeros(space.n_dofs, dtype=complex), cs)
+        mat = one_part_system(space, cs, mdl).matrix
         diff = abs(mat - mat.T).max()
         assert diff < 1e-12 * abs(mat).max()
 
@@ -98,8 +98,7 @@ class TestMatrixStructure:
         # no PML, nonnegative sheet resistance, real materials
         space, cs = disk_space(1, extra_marks=1, seed=3)
         mdl = model(sigma=0.02 + 0.15j, s0=0.0)
-        full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
-        mat, _ = condense(full, np.zeros(space.n_dofs, dtype=complex), cs)
+        mat = one_part_system(space, cs, mdl).matrix
         rng = np.random.default_rng(1)
         for _ in range(100):
             v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
@@ -108,8 +107,8 @@ class TestMatrixStructure:
 
     def test_sheet_term_linear_in_conductivity_and_localized(self):
         space, cs = disk_space(1)
-        m1 = assemble_interface(space, model(sigma=0.1j))
-        m2 = assemble_interface(space, model(sigma=0.2j))
+        m1 = scatter_full(space, *assemble_interface(space, model(sigma=0.1j)))
+        m2 = scatter_full(space, *assemble_interface(space, model(sigma=0.2j)))
         assert abs(m2 - 2.0 * m1).max() < 1e-13 * abs(m1).max()
         sheet_dofs = set(space.cell_dofs[space.rank[msh.interface_faces(space.mesh).owner]]
                          .ravel())
@@ -124,13 +123,14 @@ class TestMatrixStructure:
         sigma = 0.01 + 0.15j
         c = interpolate(space, lambda p: np.column_stack([np.ones(len(p)),
                                                           np.zeros(len(p))]))
-        m_sheet = assemble_interface(space, model(sigma=sigma, s0=0.0))
+        mdl = model(sigma=sigma, s0=0.0)
+        m_sheet = scatter_full(space, *assemble_interface(space, mdl))
         assert c @ (m_sheet @ c) == pytest.approx(-1j * sigma * R, rel=1e-11)
 
     def test_traversal_order_independence(self):
         space, _ = disk_space(1)
         mdl = model()
-        ref = assemble_volume_boundary(space, mdl)
+        ref = full_dof_matrix(space, mdl)
 
         def volume_only(cids):
             ranks = space.rank[cids]
@@ -209,17 +209,16 @@ class TestLocalKernel:
             coef = lambda x: -1j * pml_mod.sheet_arrays(
                 x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
         quad = face_traces(space, faces)
-        mat = _face_matrix(space, quad, coef(quad.phys))
+        ranks, mat = _face_local(space, quad, coef(quad.phys))
         cids = faces.owner
+        assert np.array_equal(ranks, space.rank[cids])
         ref_pts, phys, wds, tangent, _ = face_quadrature(space.mesh, cids, faces.ledge)
         vals, _ = shape_eval(space, cids, ref_pts)
         tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
         local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-        dofs = space.cell_dofs[space.rank[cids]]
-        expected = sp.coo_matrix((local.ravel(), (np.repeat(dofs, 12, axis=1).ravel(),
-                                                  np.tile(dofs, (1, 12)).ravel())),
-                                 shape=mat.shape).tocsr()
-        assert abs(mat - expected).max() <= 1e-13 * abs(expected).max()
+        # the interior functions have no tangential trace
+        assert abs(local[:, 8:]).max() <= 1e-13 * abs(local).max()
+        assert abs(mat - local[:, :8, :8]).max() <= 1e-13 * abs(local).max()
 
 
 def rel_err(got, want):
@@ -373,25 +372,16 @@ class TestOncePerMeshState:
     @pytest.mark.parametrize("s0", [0.0, 8.0])
     def test_constraint_map_is_c_plus_coupling_c_in_one_piece(self, cycle3_space, s0):
         # the fixed part's rows plus each model's outer rows give the map
-        # C + coupling C of all cells at once, array for array
+        # C + coupling C of all cells at once (fields.product_reference); the
+        # hanging cells' rows -W T sum their entries in another order
         space, mdl = cycle3_space
         cs = build_constraints(space)
         fixed = assemble_fixed(space, cs, model(s0=5.0))
         mdl = dataclasses.replace(mdl, pml=PmlSpec(R=mdl.pml.R, s0=s0))
         p = assemble_pair(fixed, mdl).constraints.matrix
-        e, i, n = 8, 4, len(space.active)
-        inner = inner_cells(space, mdl)
-        w = np.empty((n, i, e), dtype=complex)
-        for cells in (inner, ~inner):
-            w[cells] = assemble_volume(space, mdl, space.active[cells])[1].w
-        coupling = sp.csr_matrix(
-            (-w.ravel(), np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel(),
-             np.concatenate([np.zeros(space.n_edge_dofs, dtype=np.int64),
-                             e * np.arange(i * n + 1)])),
-            shape=(space.n_dofs, space.n_dofs))
-        want = (cs.matrix + coupling @ cs.matrix).tocsr()
-        for name in ("indptr", "indices", "data"):
-            assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
+        want = product_reference(space, cs, mdl)[1]
+        assert np.array_equal(p.indptr, want.indptr)
+        assert max_rel(p, want) <= 1e-14
         assert p[space.n_edge_dofs:].nnz > 0
 
 
@@ -527,12 +517,13 @@ class TestFullSystem:
         # the pair is the fixed part plus the outer volume and sheet terms,
         # condensed together
         fixed = assemble_fixed(space, cs, mdl)
-        volume, _ = assemble_volume(space, mdl, fixed.outer)
-        varying, _ = condense(volume + assemble_interface(space, mdl), None, cs)
+        varying, _ = condense(space, cs, assemble_volume(space, mdl, fixed.outer),
+                              assemble_interface(space, mdl))
         assert abs(system.matrix - (fixed.matrix + varying)).max() == 0
-        full = assemble_volume_boundary(space, mdl) + assemble_interface(space, mdl)
-        mat, _ = condense(full, None, cs)
-        assert max_rel(system.matrix, mat) <= 1e-13
+        # and the global products of all terms, up to the order of the sums
+        mat, p = product_reference(space, cs, mdl)
+        assert max_rel(system.matrix, mat) <= 1e-14
+        assert max_rel(system.constraints.matrix, p) <= 1e-14
 
 
 class TestSplitPair:
@@ -552,9 +543,8 @@ class TestSplitPair:
         pair = assemble_pair(fixed, mdl)
         # without conductivity the pair is the sheet-free matrix
         mat_0 = assemble_pair(fixed, dataclasses.replace(mdl, sigma_r=0j)).matrix
-        vol = assemble_volume_boundary(space, mdl)
-        one_0, _ = condense(vol, None, cs)
-        one_tot, _ = condense(vol + assemble_interface(space, mdl), None, cs)
+        one_0 = one_part_system(space, cs, dataclasses.replace(mdl, sigma_r=0j)).matrix
+        one_tot = one_part_system(space, cs, mdl).matrix
         assert max_rel(mat_0, one_0) <= 1e-13
         assert max_rel(pair.matrix, one_tot) <= 1e-13
         # the interior blocks and the eliminated dipole load are those of a
@@ -649,7 +639,7 @@ class TestIncidentField:
         mdl = model(sigma=0.01 + 0.15j, s0=s0)
         c = interpolate(space, lambda p: np.column_stack([0.3 - 0.2j + 0.05 * p[:, 0],
                                                           np.zeros(len(p))]))
-        expected = -(assemble_interface(space, mdl) @ c)
+        expected = -(scatter_full(space, *assemble_interface(space, mdl)) @ c)
         load = assemble_sheet_load(space, mdl)
         assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -675,6 +665,28 @@ class TestCondensation:
         assert np.all(abs(k_ii - ref[:, 8:, 8:]).max(axis=(1, 2))
                       <= 1e-13 * abs(ref).max(axis=(1, 2)))
         assert np.abs(ref[:, 8:, 8:] @ w - ref[:, 8:, :8]).max() <= 1e-13 * abs(ref).max()
+
+    @pytest.mark.parametrize("s0", [0.0, 8.0])
+    def test_pair_matches_the_product_reference(self, s0):
+        # cell by cell, T^T S T and -W T on the masters, against the global
+        # products C^T (sum of the local matrices) C and C + coupling C
+        space, _, dip = resolved_space(sheet_hanging=True)
+        space.mesh.refine(space.rim_faces.owner[:1])   # and hanging rim owners
+        space = distribute_dofs(space.mesh)
+        cs = build_constraints(space)
+        blocks = np.stack([cs.cell_maps[:, 2 * e:2 * e + 2, 2 * e:2 * e + 2]
+                           for e in range(4)], axis=1).reshape(-1, 2, 2)
+        for half in (_T_LO, _T_HI):
+            assert np.all(blocks == half, axis=(1, 2)).any()
+        for faces in (space.sheet_faces, space.rim_faces):
+            assert np.any(cs.map_index[space.rank[faces.owner]] >= 0)
+        mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip)
+        fixed = assemble_fixed(space, cs,
+                               dataclasses.replace(mdl, pml=PmlSpec(R=R, s0=5.0)))
+        pair = assemble_pair(fixed, mdl)
+        mat, p = product_reference(space, cs, mdl)
+        assert max_rel(pair.matrix, mat) <= 1e-14
+        assert max_rel(pair.constraints.matrix, p) <= 1e-14
 
     @pytest.fixture(scope="class")
     def solved(self):

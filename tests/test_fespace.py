@@ -301,6 +301,25 @@ class TestConstraints:
             sol = FieldSolution(space, cs.distribute(reduced))
             assert trace_jumps(space, sol) < 1e-10 * np.linalg.norm(sol.coeffs)
 
+    def test_cell_maps_give_the_rows_of_the_constraint_map(self):
+        # cell by cell, the edge dofs are T x_m on the cell's master columns
+        m = msh.build_disk_mesh(8 * np.pi, 1)
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            ids = m.active_ids()
+            m.refine(rng.choice(ids, size=len(ids) // 5, replace=False))
+        space = distribute_dofs(m)
+        cs = build_constraints(space)
+        hanging = cs.map_index >= 0
+        assert hanging.any() and not hanging.all()
+        assert np.array_equal(cs.map_index[hanging], np.arange(len(cs.cell_maps)))
+        dense = cs.matrix.toarray()
+        for r in range(len(space.active)):
+            t = cs.cell_maps[cs.map_index[r]] if hanging[r] else np.eye(8)
+            want = np.zeros((8, cs.n_master))
+            want[:, cs.cell_masters[r]] = t
+            assert np.array_equal(dense[space.cell_dofs[r, :8]], want)
+
     def test_patch_test_linear_fields_exact(self):
         m = grid_mesh(2, 2, sx=0.8, sy=0.6)
         m.refine([3])

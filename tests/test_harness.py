@@ -488,6 +488,20 @@ class TestPmlStudy:
             alone = hn.pml_study(cfg, [s0], mesh=mesh)
             assert np.array_equal(together[s0].values, alone[s0].values)
 
+    def test_repeated_strength_solved_once(self, monkeypatch):
+        solved = []
+        solve_pair = hn.solve_pair
+
+        def spy(space, constraints, model, fixed=None):
+            solved.append(model.pml.s0)
+            return solve_pair(space, constraints, model, fixed)
+
+        monkeypatch.setattr(hn, "solve_pair", spy)
+        cfg = tiny_config()
+        traces = hn.pml_study(cfg, [2.0, 0.0, 2.0, 2], mesh=hn.build_initial_mesh(cfg))
+        assert solved == [2.0, 0.0]
+        assert list(traces) == [2.0, 0.0]
+
     def test_sheet_tables_built_once(self, monkeypatch):
         # only sigma_eff and E_inc depend on the strength; the sheet faces'
         # quadrature and basis traces are built once per space

@@ -6,14 +6,15 @@ import scipy.sparse as sp
 
 from sppsim import mesh as msh
 from sppsim import solver
-from sppsim.assembly import (DipoleSpec, SheetModel, _coupled_rows, _rim_matrix, _system,
-                             _volume_local, assemble_dipole_rhs, assemble_fixed,
-                             assemble_interface, assemble_pair, assemble_volume, condense)
+from sppsim.assembly import (DipoleSpec, SheetModel, _volume_local, assemble_dipole_rhs,
+                             assemble_fixed, assemble_pair)
 from sppsim.fespace import build_constraints, distribute_dofs
 from sppsim.harness import RunConfig, build_initial_mesh
 from sppsim.pml import PmlSpec
 from sppsim.solver import (RESIDUAL_TOL, Factorization, SolverError, factorize,
                            solve, solve_adjoint)
+
+from fields import one_part_system
 
 R = 8 * np.pi
 
@@ -30,12 +31,9 @@ def small_system(sigma=0.15j, s0=2.0, refines=1, marks=True):
                      dipole=DipoleSpec(height=1.0, radius=0.15625))
     # a solve pair's system, assembled in one part: this coarse mesh does not
     # resolve the dipole, which assemble_fixed would reject
-    volume, interior = assemble_volume(space, mdl, space.active)
-    mat, _ = condense(volume + _rim_matrix(space) + assemble_interface(space, mdl), None, cs)
     rng = np.random.default_rng(9)
     rhs_full = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
-    return _system(space, mat, cs, interior.k_ii,
-                   _coupled_rows(space, cs, interior)).with_load(rhs_full), rhs_full
+    return one_part_system(space, cs, mdl).with_load(rhs_full), rhs_full
 
 
 class TestDirectSolve:
