@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sppsim import mesh as msh
 from sppsim import solver
@@ -88,21 +89,80 @@ class TestDirectSolve:
         assert np.array_equal(x1, x2)
 
 
+class CountingLU:
+    """The LU factors lu, counting their solves; the first solve's result is
+    shifted by first_shift, if given."""
+
+    def __init__(self, lu, first_shift=None):
+        self.lu, self.first_shift, self.solves = lu, first_shift, 0
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        if self.solves == 0 and self.first_shift is not None:
+            x = x + self.first_shift
+        self.solves += 1
+        return x
+
+
+class TestRefinementStop:
+    def test_first_residual_within_tol_takes_one_lu_solve(self):
+        system, _ = small_system()
+        mat, rhs = system.matrix, system.rhs
+        fac = factorize(mat)
+        # shift the first solve so that its residual is half of RESIDUAL_TOL:
+        # within the postcondition, but above a tenth of it
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal(len(rhs)) + 1j * rng.standard_normal(len(rhs))
+        d *= 0.5 * RESIDUAL_TOL * np.linalg.norm(rhs) / np.linalg.norm(d)
+        spy = CountingLU(fac.lu, first_shift=fac.lu.solve(d))
+        x, res = Factorization(lu=spy, matrix=mat).solve(rhs)
+        assert spy.solves == 1
+        assert 0.1 * RESIDUAL_TOL < res <= RESIDUAL_TOL
+        assert res == pytest.approx(np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs), rel=1e-12)
+
+    def test_factors_of_a_perturbed_matrix_refine_to_tol(self):
+        system, _ = small_system()
+        mat, rhs = system.matrix, system.rhs
+        rng = np.random.default_rng(1)
+        perturbed = mat.copy()
+        perturbed.data *= 1 + 1e-6 * rng.standard_normal(perturbed.nnz)
+        spy = CountingLU(spla.splu(perturbed))
+        x, res = Factorization(lu=spy, matrix=mat).solve(rhs)
+        assert spy.solves > 1
+        assert res <= RESIDUAL_TOL
+        assert res == pytest.approx(np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs), rel=1e-12)
+
+
 class TestDiagonalPivoting:
-    def test_default_run_cycle1_pivots_on_diagonal(self):
-        # a pivot threshold of 0.01 takes 56 row pivots off the diagonal here
+    @pytest.fixture(scope="class")
+    def cycle1(self):
+        """The default run's cycle-1 system, loaded with the dipole."""
         config = RunConfig()
         space = distribute_dofs(build_initial_mesh(config))
         model = config.model()
-        system = assemble_pair(assemble_fixed(space, build_constraints(space), model),
-                               model).with_load(assemble_dipole_rhs(space, model))
-        mat, rhs = system.matrix, system.rhs
+        return assemble_pair(assemble_fixed(space, build_constraints(space), model),
+                             model).with_load(assemble_dipole_rhs(space, model))
+
+    def test_default_run_cycle1_pivots_on_diagonal(self, cycle1):
+        # a pivot threshold of 0.01 takes 56 row pivots off the diagonal here
+        mat, rhs = cycle1.matrix, cycle1.rhs
         # 4354 dofs before the interior dofs were condensed
         assert mat.shape[0] == 2194
         fac = factorize(mat)
         assert np.array_equal(fac.lu.perm_r, fac.lu.perm_c)
         x, _ = fac.solve(rhs)
         assert np.linalg.norm(rhs - mat @ x) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+
+    def test_supernode_setting_changes_only_the_blocking(self, cycle1):
+        # the fixed relax and panel_size against SuperLU's defaults, with the
+        # same ordering and pivot options: the same ordering and pivots, and
+        # no padded supernodes in the stored factors
+        fac = factorize(cycle1.matrix)
+        default = spla.splu(cycle1.matrix, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=1e-6, options=dict(SymmetricMode=True))
+        assert np.array_equal(fac.lu.perm_c, default.perm_c)
+        assert np.array_equal(fac.lu.perm_r, default.perm_r)
+        assert fac.lu.nnz <= default.nnz
 
     def test_zero_diagonal_pivots_off_diagonal(self):
         system, _ = small_system()
