@@ -32,10 +32,11 @@ the tangential trace phi_b . t = (v_b . e) / |dx/dt|.
 
 The four interior dofs of every cell are condensed in the volume kernel.
 With the local matrix split into its edge (e, 8) and interior (i, 4) blocks,
-W = K_ii^{-1} K_ie is a batched LU solve per shape class, never an explicit
-inverse, and the Schur complement S = K_ee - K_ei W lives on the edge dofs
-alone.  The face terms and the sheet load touch only the edge dofs: an
-interior function has no tangential trace.  The hanging-edge constraints
+W = K_ii^{-1} K_ie is a batched LU solve per cell (per shape class on the
+inner cells, which the layer leaves alone), never an explicit inverse, and
+the Schur complement S = K_ee - K_ei W lives on the edge dofs alone.  The
+face terms and the sheet load touch only the edge dofs: an interior
+function has no tangential trace.  The hanging-edge constraints
 are applied cell by cell, as deal.II's distribute_local_to_global does: a
 cell's edge dofs are T x_m for its eight master columns x_m (fespace
 .ConstraintSet), so condense turns each local matrix S into T^T S T (a
@@ -80,11 +81,12 @@ class DipoleSpec:
     radius: float
 
     def __post_init__(self):
-        if not self.height > 0:
-            raise ValueError(f"dipole must sit strictly above the sheet, "
-                             f"got height {self.height}")
-        if not self.radius > 0:
-            raise ValueError("regularization radius must be positive")
+        if not 0 < self.height < np.inf:
+            raise ValueError(f"dipole must sit strictly above the sheet at a finite "
+                             f"height, got height {self.height}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"regularization radius must be positive and finite, "
+                             f"got {self.radius}")
 
     @property
     def position(self) -> np.ndarray:
@@ -109,6 +111,8 @@ class SheetModel:
     dipole: DipoleSpec
 
     def __post_init__(self):
+        if not np.isfinite(complex(self.sigma_r)):
+            raise ValueError(f"sigma_r must be finite, got {self.sigma_r}")
         if complex(self.sigma_r).imag < 0:
             raise ValueError(f"passive sheets require Im(sigma_r) >= 0, got {self.sigma_r}")
 
@@ -202,7 +206,8 @@ def _volume_local(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
     phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
     det = positive_det(jac)
     n, p = det.shape
-    inv_mu, eps_eff = cell_materials(space, model, cids, phys)
+    inv_mu, eps_eff = pml_mod.material_arrays(phys.reshape(-1, 2), model.pml)
+    inv_mu, eps_eff = inv_mu.reshape(n, p), eps_eff.reshape(n, p, 2, 2)
     w_det = REF.quad_wts / det
     coef = np.empty((n, 5 * p), dtype=complex)
     coef[:, :p] = w_det * inv_mu
@@ -229,53 +234,28 @@ def _condense_local(local: np.ndarray):
     return local[:, :e, :e] - local[:, :e, e:] @ w, w, k_ii
 
 
-def inner_cells(space: EdgeFESpace, model: SheetModel, cids=None) -> np.ndarray:
-    """Mask over the active cells cids (default all) on which the stretch is one.
+def inner_cells(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
+    """Mask over the active cells: no corner beyond the layer's inner radius.
 
-    A cell without an arc edge whose corners all lie within the layer's inner
-    radius stays inside that disk, so its local matrix does not depend on the
+    Such a cell has no arc edge (those end on the rim) and so a bilinear map,
+    and it stays inside that disk: its local matrix does not depend on the
     layer strength.  Every other cell is an outer cell.
     """
-    if cids is None:
-        cids = space.active
-    mesh = space.mesh
-    corners = mesh.cell_corners(cids)
-    return (~mesh.arc[cids].any(axis=1)
-            & np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho,
-                     axis=1))
+    corners = space.mesh.cell_corners(space.active)
+    return np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho, axis=1)
 
 
-def cell_materials(space: EdgeFESpace, model: SheetModel, cids, phys: np.ndarray):
-    """pml.material_arrays at the points phys (n, p, 2) of the active cells
-    cids: inv_mu_eff (n, p) and eps_eff (n, p, 2, 2).
-
-    Only the outer cells' points are evaluated.  The inner cells
-    (inner_cells) take the values at the origin, once: every point with
-    r <= rho gets those same numbers, one and the complex identity.
-    """
-    n, p = phys.shape[:2]
-    inner = inner_cells(space, model, cids)
-    inv_mu = np.empty((n, p), dtype=complex)
-    eps_eff = np.empty((n, p, 2, 2), dtype=complex)
-    inv_mu[inner], eps_eff[inner] = pml_mod.material_arrays(np.zeros((1, 2)), model.pml)
-    outer_mu, outer_eps = pml_mod.material_arrays(phys[~inner].reshape(-1, 2), model.pml)
-    inv_mu[~inner], eps_eff[~inner] = outer_mu.reshape(-1, p), outer_eps.reshape(-1, p, 2, 2)
-    return inv_mu, eps_eff
-
-
-def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
-    """Representative cell ids and the class of every active cell in cids.
+def shape_classes(space: EdgeFESpace, cids):
+    """Representative cell ids and the class of every inner cell in cids.
 
     An inner cell (inner_cells) with straight parallelogram edges has an affine
     map and constant coefficients, so its local matrix depends only on its two
     edge vectors, up to its dof signs.  Such cells share one class per (edge
     vectors quantised to SHAPE_RESOLUTION * R, orient_idx); every other cell
     is a class of its own.  Returns (reps, inverse) with
-    reps[inverse[k]] the representative of cids[k] (default space.active).
+    reps[inverse[k]] the representative of cids[k].
     """
-    if cids is None:
-        cids = space.active
-    key = _shape_key(space, model, cids)
+    key = _shape_key(space, cids)
     # the classes of np.unique(key, axis=0): rows in lexicographic order, the
     # stable sort putting each class's first row first
     order = np.lexsort(key.T[::-1])
@@ -287,14 +267,13 @@ def shape_classes(space: EdgeFESpace, model: SheetModel, cids=None):
     return cids[order[starts]], inverse
 
 
-def _shape_key(space: EdgeFESpace, model: SheetModel, cids) -> np.ndarray:
-    """Class key (n, 6) of the active cells cids: quantised edge vectors,
-    orient_idx, and 0 for a shared class or the cell's own 1-based position."""
+def _shape_key(space: EdgeFESpace, cids) -> np.ndarray:
+    """Class key (n, 6) of the inner cells cids: quantised edge vectors,
+    orient_idx, and 0 for a parallelogram or the cell's own 1-based position."""
     corners = space.mesh.cell_corners(cids)
     quantum = SHAPE_RESOLUTION * space.mesh.R
     v0, v1, v2, v3 = corners.transpose(1, 0, 2)
-    shared = (inner_cells(space, model, cids)
-              & np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1))
+    shared = np.all(np.abs(v0 + v2 - v1 - v3) <= quantum, axis=1)
     key = np.zeros((len(corners), 6), dtype=np.int64)
     key[:, :4] = np.round(np.hstack([v1 - v0, v3 - v0]) / quantum)
     # a representative's local matrix carries its dof signs; merging classes
@@ -310,28 +289,30 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
     """Curl-curl minus mass term of the active cells cids, interior dofs condensed.
 
     Returns the cells' Schur complements (n, 8, 8) on their edge dofs and
-    their Interior, both in the order of cids.  Local matrices are computed
-    and condensed once per shape class (shape_classes), in one batch.
+    their Interior, both in the order of cids.  Each cell's local matrix is
+    computed and condensed, all in one batch.
     """
-    reps, inverse = shape_classes(space, model, cids)
-    schur, w, k_ii = _condense_local(_volume_local(space, model, reps))
-    return schur[inverse], Interior(cids=cids, k_ii=k_ii[inverse], w=w[inverse])
+    schur, w, k_ii = _condense_local(_volume_local(space, model, cids))
+    return schur, Interior(cids=cids, k_ii=k_ii, w=w)
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel, cids):
-    """Volume term of the active cells cids (assemble_volume) and the rim
-    impedance term -i int E_t conj(v_t), unstretched (_face_local)."""
-    return (assemble_volume(space, model, cids),
+    """Volume term of the inner cells cids (inner_cells) and the rim impedance
+    term -i int E_t conj(v_t), unstretched (_face_local).
+
+    The volume term is assembled once per shape class (shape_classes) and
+    given to every cell of the class.
+    """
+    reps, inverse = shape_classes(space, cids)
+    schur, interior = assemble_volume(space, model, reps)
+    return ((schur[inverse], Interior(cids=cids, k_ii=interior.k_ii[inverse],
+                                      w=interior.w[inverse])),
             _face_local(space, space.rim_quadrature, -1j))
 
 
 def assemble_interface(space: EdgeFESpace, model: SheetModel):
     """Sheet term -i int sigma_eff E_t conj(v_t) over leaf faces (_face_local):
-    the owners' ranks and local matrices on their edge dofs, none without
-    conductivity."""
-    if model.sigma_r == 0:
-        return (np.empty(0, dtype=np.int64),
-                np.empty((0, N_EDGE_DOFS, N_EDGE_DOFS), dtype=complex))
+    the owners' ranks and local matrices on their edge dofs."""
     quad = space.sheet_quadrature
     sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r, model.pml)
     return _face_local(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
@@ -393,7 +374,7 @@ def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
     d(x), the Jacobian of x -> x~; outside it every factor is one.
     """
     x = np.asarray(x, dtype=float)
-    d, dbar, _ = pml_mod.stretch_arrays(np.column_stack([x, np.zeros_like(x)]), pml)
+    d, dbar = pml_mod.stretch_arrays(np.column_stack([x, np.zeros_like(x)]), pml)
     xt = x * dbar
     r = np.sqrt(xt**2 + height**2)
     # no r**3: numpy's complex cube is r*r*r and its real one libm pow, and

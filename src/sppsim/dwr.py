@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pml as pml_mod
-from .assembly import SheetModel, cell_materials
+from .assembly import SheetModel
 from .fespace import (ORDER2_SLOTS, REF, EdgeFESpace, FieldSolution, evaluate_fields,
                       sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
@@ -280,7 +280,8 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     (ve_vals, wz_vals), (ve_curl, wz_curl) = recon.dvals_quad, recon.dcurls_quad
 
     flat = phys.reshape(-1, 2)
-    inv_mu, eps_eff = cell_materials(space, model, space.active, phys)
+    inv_mu, eps_eff = pml_mod.material_arrays(flat, model.pml)
+    inv_mu, eps_eff = inv_mu.reshape(det.shape), eps_eff.reshape(det.shape + (2, 2))
     wband = weight(flat).reshape(det.shape)
     dens = model.dipole.density(flat).reshape(det.shape)
     wdet = REF.quad_wts[None, :] * det

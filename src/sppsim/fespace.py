@@ -410,12 +410,13 @@ _T_HI = _child_transfer(1.0, -0.5)   # child from parent's high vertex to midpoi
 def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     """Tie child-edge dofs on hanging faces to the parent-edge dofs.
 
-    Mesh.coarser_neighbors pairs each hanging child face with the coarser
-    cell edge that contains it, the parent face; the pairs are sorted by
-    parent face, the half at its lower vertex id first.  The masters are the
-    unconstrained edge dofs; the interior dofs' rows stay empty.  Each
-    hanging edge also sets its cell's 2x2 block of T to _T_LO or _T_HI, and
-    its two master columns to the parent face's.
+    Mesh.coarser_neighbors gives each hanging child face, as a (cell, local
+    edge) of the finer side, with the coarser cell edge that contains it, the
+    parent face.  The child at the parent's lower vertex id is its low half.
+    Each such edge sets its cell's 2x2 block of T to _T_LO or _T_HI, its two
+    master columns to the parent face's, and its two rows of C to that block
+    on the parent's dofs.  The masters are the unconstrained edge dofs; the
+    interior dofs' rows stay empty.
     """
     coarse, ledge = space.mesh.coarser_neighbors(space.active)
     fine, fine_edge = np.nonzero(coarse >= 0)
@@ -423,24 +424,19 @@ def build_constraints(space: EdgeFESpace) -> ConstraintSet:
     parent = space.cell_dofs[space.rank[coarse[fine, fine_edge]],
                              2 * ledge[fine, fine_edge]] // 2
     high = ~(space.face_keys[child] == space.face_keys[parent, :1]).any(axis=1)
-    T = np.stack([_T_LO, _T_HI])                                   # (2 halves, 2, 2)
+    T = np.stack([_T_LO, _T_HI])[high.astype(int)]                 # (h, 2, 2)
     hanging, slot = np.unique(fine, return_inverse=True)
     pair = 2 * fine_edge[:, None] + np.arange(2)                   # the edge's local dofs
     cell_maps = np.tile(np.eye(N_EDGE_DOFS), (len(hanging), 1, 1))
-    cell_maps[slot[:, None, None], pair[:, :, None], pair[:, None, :]] = T[high.astype(int)]
+    cell_maps[slot[:, None, None], pair[:, :, None], pair[:, None, :]] = T
     map_index = np.full(len(space.active), -1, dtype=np.int64)
     map_index[hanging] = np.arange(len(hanging))
-    order = np.lexsort((high, parent))
-    child = child[order].reshape(-1, 2)                              # (h, 2 halves)
     parent_dofs = 2 * parent[:, None] + np.arange(2)
-    parent = parent[order][::2]
     # dof 2 child + j = sum_k T[j, k] * dof 2 parent + k, for the nonzero T[j, k]
-    j, k = np.arange(2)[:, None], np.arange(2)[None, :]
-    slave = np.broadcast_to(2 * child[:, :, None, None] + j, (len(parent), 2, 2, 2))
-    master = np.broadcast_to(2 * parent[:, None, None, None] + k, slave.shape)
-    coef = np.broadcast_to(T, slave.shape)
-    nonzero = coef != 0.0
-    slave, master, coef = slave[nonzero], master[nonzero], coef[nonzero]
+    slave = np.broadcast_to((2 * child[:, None] + np.arange(2))[:, :, None], T.shape)
+    master = np.broadcast_to(parent_dofs[:, None, :], T.shape)
+    nonzero = T != 0.0
+    slave, master, coef = slave[nonzero], master[nonzero], T[nonzero]
     constrained = np.zeros(space.n_edge_dofs, dtype=bool)
     constrained[slave] = True
     assert not constrained[master].any(), "constraint chains are not allowed"

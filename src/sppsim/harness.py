@@ -95,7 +95,11 @@ class RunConfig:
         # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
-        # the model checks R, s0, a and Im sigma_r; the trace ends where the
+        # the reference would reject it only after the mesh is solved
+        if not 0 < self.quad_rel_tol < math.inf:
+            raise ValueError(f"quad_rel_tol must be positive and finite, "
+                             f"got {self.quad_rel_tol}")
+        # the model checks R, s0, a and sigma_r; the trace ends where the
         # layer begins (trace_grid)
         rho = self.model().pml.rho
         if not 0 < self.x_min < rho:

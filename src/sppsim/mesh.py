@@ -205,11 +205,6 @@ class Mesh:
         ledge = np.where(flat >= 0, flat % 4, -1)
         return cell.reshape(-1, 4), ledge.reshape(-1, 4)
 
-    def on_boundary(self) -> np.ndarray:
-        """Mask over vertices: on the outer circle."""
-        x, y = self.vertices.T
-        return np.abs(np.hypot(x, y) - self.R) <= self._tol
-
     def on_interface(self) -> np.ndarray:
         """Mask over vertices: on the sheet {y = 0}."""
         return np.abs(self.vertices[:, 1]) <= self._tol
@@ -509,10 +504,14 @@ def interface_faces(mesh: Mesh) -> FaceTable:
 
 
 def boundary_faces(mesh: Mesh) -> FaceTable:
-    """Active leaf faces on the outer circle (arc edges), each owned by one cell."""
-    keys, owners = _leaf_edges(mesh, mesh.on_boundary())
+    """Active leaf faces on the outer circle, ordered by vertex-id key: the arc
+    edges of the active cells.  An arc edge has no cell beyond it, so it is
+    split only with its cell and is a leaf owned by that one cell."""
+    active = mesh.active_ids()
+    rows, ledges = np.nonzero(mesh.arc[active])
+    keys = mesh.edge_keys(active[rows])[np.arange(len(rows)), ledges]
     order = np.lexsort((keys[:, 1], keys[:, 0]))
-    return FaceTable(owner=owners[order, 0, 0], ledge=owners[order, 0, 1])
+    return FaceTable(owner=active[rows[order]], ledge=ledges[order])
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:

@@ -15,7 +15,11 @@ rescaled units) into
                                             tangential) frame,
     sigma  -> sigma * dbar/d                on sheet faces inside the layer.
 
-Outside the layer every factor is exactly one.
+Inside r <= rho every factor is exactly one and the coefficients are exactly
+vacuum's.  This module is the one place that knows it: stretch_arrays and
+material_arrays evaluate the profile only at the points beyond rho and give
+every other point one and the identity, so a caller neither tests radii nor
+forms the identity itself.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class PmlSpec:
     s0: float = 2.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError("disk radius must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {self.R}")
         if not 0 <= self.s0 < np.inf:
             raise ValueError(f"stretch strength must be finite and nonnegative, got {self.s0}")
 
@@ -60,34 +64,43 @@ def profile_integral(r, spec: PmlSpec):
     return out if out.ndim else float(out)
 
 
-def stretch_arrays(pts: np.ndarray, spec: PmlSpec):
-    """Vectorized stretch factors: d (n,), dbar (n,), radial direction (n,2)."""
-    pts = np.asarray(pts, dtype=float)
+def _layer(pts: np.ndarray, spec: PmlSpec):
+    """The points beyond rho: their mask (n,), and their radii r, stretch
+    factors d and dbar, one entry per point in the layer."""
     r = np.hypot(pts[:, 0], pts[:, 1])
-    d = 1.0 + 1j * profile(r, spec)
-    central = r < 1e-12 * spec.R   # identity region; radial direction immaterial
-    safe_r = np.where(central, 1.0, r)
-    dbar = 1.0 + 1j * profile_integral(r, spec) / safe_r
-    e_r = np.where(central[:, None], np.array([1.0, 0.0])[None, :],
-                   pts / safe_r[:, None])
-    return d, dbar, e_r
+    layer = r > spec.rho
+    r = r[layer]
+    return layer, r, 1.0 + 1j * profile(r, spec), 1.0 + 1j * profile_integral(r, spec) / r
+
+
+def stretch_arrays(pts: np.ndarray, spec: PmlSpec):
+    """Vectorized stretch factors d (n,) and dbar (n,); exactly one where r <= rho."""
+    layer, _, d_layer, dbar_layer = _layer(np.asarray(pts, dtype=float), spec)
+    d, dbar = np.ones((2, len(layer)), dtype=complex)
+    d[layer], dbar[layer] = d_layer, dbar_layer
+    return d, dbar
 
 
 def material_arrays(pts: np.ndarray, spec: PmlSpec):
     """PML-modified volume coefficients of vacuum at many points.
 
-    Returns (inv_mu_eff (n,), eps_eff (n,2,2)); one and the identity outside
-    the layer.  eps_eff is complex symmetric by construction.
+    Returns (inv_mu_eff (n,), eps_eff (n,2,2)): one and the identity where
+    r <= rho, evaluated only at the points beyond it.  eps_eff is complex
+    symmetric by construction.
     """
-    d, dbar, e_r = stretch_arrays(pts, spec)
-    eps_rad = dbar**2 / d
-    eye = np.eye(2)[None, :, :]
+    pts = np.asarray(pts, dtype=float)
+    layer, r, d, dbar = _layer(pts, spec)
+    inv_mu = np.ones(len(pts), dtype=complex)
+    eps_eff = np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1))
+    e_r = pts[layer] / r[:, None]
     outer = e_r[:, :, None] * e_r[:, None, :]
-    eps_eff = d[:, None, None] * eye + (eps_rad - d)[:, None, None] * outer
-    return 1.0 / d, eps_eff
+    inv_mu[layer] = 1.0 / d
+    eps_eff[layer] = (d[:, None, None] * np.eye(2)[None, :, :]
+                      + (dbar**2 / d - d)[:, None, None] * outer)
+    return inv_mu, eps_eff
 
 
 def sheet_arrays(pts: np.ndarray, sigma_r: complex, spec: PmlSpec):
     """PML-modified sheet conductivity sigma * dbar/d at points on the sheet."""
-    d, dbar, _ = stretch_arrays(pts, spec)
+    d, dbar = stretch_arrays(pts, spec)
     return sigma_r * dbar / d

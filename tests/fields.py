@@ -6,9 +6,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from sppsim import pml as pml_mod
-from sppsim.assembly import (ComplexSystem, _constraint_map, _volume_local,
+from sppsim.assembly import (ComplexSystem, Interior, _constraint_map, _volume_local,
                              assemble_interface, assemble_volume, assemble_volume_boundary,
-                             condense)
+                             condense, inner_cells)
 from sppsim.fespace import (N_DOFS_CELL, N_EDGE_DOFS, REF, build_constraints, dof_signs,
                             face_quadrature, gauss01)
 from sppsim.mesh import cell_geometry, jacobian_det, jacobian_inv
@@ -74,10 +74,28 @@ def scatter_full(space, ranks, local):
                          shape=(space.n_dofs, space.n_dofs)).tocsr()
 
 
+def split_volume(space, model):
+    """The condensed volume term of all active cells, in rank order, as a solve
+    pair splits it: the inner cells once per shape class
+    (assemble_volume_boundary) and the outer cells one by one
+    (assemble_volume).  Returns (Schur complements, Interior) and the rim term."""
+    inner = inner_cells(space, model)
+    (schur_in, interior_in), rim = assemble_volume_boundary(space, model,
+                                                            space.active[inner])
+    schur_out, interior_out = assemble_volume(space, model, space.active[~inner])
+    n, e, i = len(space.active), N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
+    schur = np.empty((n, e, e), dtype=complex)
+    k_ii = np.empty((n, i, i), dtype=complex)
+    w = np.empty((n, i, e), dtype=complex)
+    schur[inner], k_ii[inner], w[inner] = schur_in, interior_in.k_ii, interior_in.w
+    schur[~inner], k_ii[~inner], w[~inner] = schur_out, interior_out.k_ii, interior_out.w
+    return (schur, Interior(cids=space.active, k_ii=k_ii, w=w)), rim
+
+
 def pair_terms(space, model):
     """A solve pair's terms over all active cells in one part: the condensed
-    volume (assemble_volume) and the rim and sheet faces together."""
-    volume, rim = assemble_volume_boundary(space, model, space.active)
+    volume (split_volume) and the rim and sheet faces together."""
+    volume, rim = split_volume(space, model)
     return volume, tuple(np.concatenate(part)
                          for part in zip(rim, assemble_interface(space, model)))
 
@@ -112,7 +130,7 @@ def product_reference(space, cs, model):
     """
     c = cs.matrix
     matrix = (c.T @ full_dof_matrix(space, model) @ c).tocsc()
-    w = assemble_volume(space, model, space.active)[1].w
+    w = split_volume(space, model)[0][1].w
     e, i, n = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS, len(space.active)
     coupling = sp.csr_matrix(
         (-w.ravel(), np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel(),

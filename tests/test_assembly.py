@@ -10,12 +10,10 @@ from sppsim import assembly
 from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import (DIPOLE_NORM, AssemblyError, DipoleSpec, SheetModel,
-                             _condense_local, _face_local, _volume_local,
-                             assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
-                             assemble_interface, assemble_pair,
-                             assemble_sheet_load, assemble_volume,
-                             assemble_volume_boundary, condense, incident_ex,
-                             inner_cells, shape_classes)
+                             _face_local, _volume_local, assemble_dipole_rhs,
+                             assemble_dual_rhs, assemble_fixed, assemble_interface,
+                             assemble_pair, assemble_sheet_load, assemble_volume,
+                             condense, incident_ex, inner_cells, shape_classes)
 from sppsim.dwr import WeightFunction, qoi
 from sppsim.fespace import (REF, _T_HI, _T_LO, FieldSolution, build_constraints,
                             distribute_dofs, face_quadrature, face_traces)
@@ -25,7 +23,8 @@ from sppsim.pml import PmlSpec
 from sppsim.solver import RESIDUAL_TOL, solve, solve_adjoint
 
 from fields import (full_dof_matrix, interpolate, one_part_system, product_reference,
-                    scatter_full, shape_eval, uncondensed_constraints, uncondensed_matrix)
+                    scatter_full, shape_eval, split_volume, uncondensed_constraints,
+                    uncondensed_matrix)
 
 R = 8 * np.pi
 
@@ -60,12 +59,15 @@ def disk_space(refines=2, extra_marks=0, seed=0):
 
 class TestMatrixStructure:
     def test_zero_conductivity_matches_sheet_free_matrix(self):
+        # the sheet blocks are zero, and condense drops the entries they add
         space, cs = disk_space(2)
         mdl = model(sigma=0.0j)
         ranks, local = assemble_interface(space, mdl)
-        assert ranks.shape == (0,) and local.shape == (0, 8, 8)
+        assert np.array_equal(ranks, space.rank[space.sheet_faces.owner])
+        assert not local.any()
         full = one_part_system(space, cs, mdl).matrix
-        vol, _ = condense(space, cs, *assemble_volume_boundary(space, mdl, space.active))
+        vol, _ = condense(space, cs, *split_volume(space, mdl))
+        assert full.nnz == vol.nnz
         assert abs(full - vol).max() < 1e-14
 
     def test_complex_symmetry(self):
@@ -190,9 +192,12 @@ class TestLocalKernel:
             space = distribute_dofs(grid_mesh(6, 2, sx=4.0, sy=4.0, y0=0.5))
         mdl = model(s0=s0)
         assert np.any(radii(space) > mdl.pml.rho)
-        reps, inverse = shape_classes(space, mdl)
-        assert len(reps) < len(space.active)
-        local = _volume_local(space, mdl, reps)[inverse]
+        # the inner cells once per shape class, the outer cells one by one
+        inner = inner_cells(space, mdl)
+        reps, inverse = shape_classes(space, space.active[inner])
+        assert len(reps) < inner.sum()
+        local = _volume_local(space, mdl, space.active)
+        local[inner] = _volume_local(space, mdl, reps)[inverse]
         ref = einsum_local(space, mdl, space.active)
         err = abs(local - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-13 * abs(ref).max(axis=(1, 2)))
@@ -284,7 +289,7 @@ class TestShapeClasses:
             ids = {k: m.add_vertex(*pts[k]) for k in order}
             m.add_cell(tuple(ids[k] for k in range(4)), 0, -1, arc)
         space = distribute_dofs(m)
-        return space, shape_classes(space, model())[1]
+        return space, shape_classes(space, space.active)[1]
 
     def test_translated_equal_cells_share_a_class(self):
         straight = (False,) * 4
@@ -302,36 +307,48 @@ class TestShapeClasses:
         assert inverse[0] != inverse[1]
 
     def test_arc_cells_and_non_parallelograms_are_singletons(self):
+        # an arc edge ends on the rim, so its cell is an outer cell, which no
+        # shape class takes (assemble_volume assembles it alone)
+        space, _ = disk_space(2)
+        arc = space.mesh.arc[space.active].any(axis=1)
+        assert arc.any() and not np.any(inner_cells(space, model()) & arc)
         straight = (False,) * 4
-        arc = (False, True, False, False)
-        space, inverse = self.squares([(0.0, 1.0, range(4), arc, 0.0),
-                                       (3.0, 1.0, range(4), arc, 0.0),
-                                       (6.0, 1.0, range(4), straight, 0.5),
+        space, inverse = self.squares([(6.0, 1.0, range(4), straight, 0.5),
                                        (9.0, 1.0, range(4), straight, 0.5),
                                        (12.0, 1.0, range(4), straight, 0.0),
                                        (15.0, 1.0, range(4), straight, 0.0)])
-        assert len(set(inverse[:4].tolist())) == 4
-        assert inverse[4] == inverse[5] and inverse[4] not in inverse[:4]
+        assert len(set(inverse[:2].tolist())) == 2
+        assert inverse[2] == inverse[3] and inverse[2] not in inverse[:2]
 
-    def test_cells_beyond_inner_radius_are_singletons(self):
+    def test_cells_beyond_inner_radius_are_assembled_per_cell(self):
         mdl = model()
         space = distribute_dofs(grid_mesh(6, 1, sx=4.0, sy=4.0, y0=0.5))
-        _, inverse = shape_classes(space, mdl)
         inside = np.all(radii(space) <= mdl.pml.rho, axis=1)
         assert inside.sum() >= 2 and (~inside).sum() >= 2
-        assert len(set(inverse[inside].tolist())) == 1
-        assert len(set(inverse.tolist())) == 1 + (~inside).sum()
+        assert np.array_equal(inner_cells(space, mdl), inside)
+        _, inverse = shape_classes(space, space.active[inside])
+        assert len(set(inverse.tolist())) == 1
+        # the layer cells are translates of one square too, but each has its
+        # own coefficients and so its own matrix, the one it has alone
+        outer = space.active[~inside]
+        schur, _ = assemble_volume(space, mdl, outer)
+        for k in range(len(outer)):
+            alone, _ = assemble_volume(space, mdl, outer[k:k + 1])
+            assert abs(schur[k] - alone[0]).max() <= 1e-14 * abs(alone).max()
+            assert k == 0 or abs(schur[k] - schur[k - 1]).max() > 1e-6 * abs(alone).max()
 
     def test_disk_mesh_shares_only_interior_straight_cells(self):
         space, _ = disk_space(2, extra_marks=2, seed=1)
         mdl = model()
-        reps, inverse = shape_classes(space, mdl)
-        shared = np.bincount(inverse)[inverse] > 1
+        inner = inner_cells(space, mdl)
+        reps, inverse = shape_classes(space, space.active[inner])
+        shared = np.zeros(len(space.active), dtype=bool)
+        shared[inner] = np.bincount(inverse)[inverse] > 1
         arc = space.mesh.arc[space.active].any(axis=1)
         outside = np.any(radii(space) > mdl.pml.rho, axis=1)
-        assert shared.any() and not np.any(shared & (arc | outside))
+        assert shared.any() and not np.any(inner & (arc | outside))
         rep_rank = space.rank[reps[inverse]]
-        assert np.array_equal(space.orient_idx[rep_rank], space.orient_idx)
+        assert np.array_equal(space.orient_idx[rep_rank], space.orient_idx[inner])
 
 
 @pytest.fixture(scope="module")
@@ -344,30 +361,45 @@ def cycle3_space():
 
 
 class TestOncePerMeshState:
-    @pytest.mark.parametrize("part", ["inner", "outer"])
-    def test_shape_classes_are_the_unique_key_rows(self, cycle3_space, part):
+    def test_shape_classes_are_the_unique_key_rows(self, cycle3_space):
         space, mdl = cycle3_space
-        inner = inner_cells(space, mdl)
-        cids = space.active[inner if part == "inner" else ~inner]
-        reps, inverse = shape_classes(space, mdl, cids)
-        _, first, want = np.unique(assembly._shape_key(space, mdl, cids), axis=0,
+        cids = space.active[inner_cells(space, mdl)]
+        reps, inverse = shape_classes(space, cids)
+        _, first, want = np.unique(assembly._shape_key(space, cids), axis=0,
                                    return_index=True, return_inverse=True)
         assert np.array_equal(reps, cids[first])
         assert np.array_equal(inverse, want.reshape(-1))
-        assert (len(reps) < len(cids)) == (part == "inner")
+        assert len(reps) < len(cids)
 
-    def test_cell_materials_have_the_bytes_of_material_arrays(self, cycle3_space):
-        # only the outer cells' points are evaluated; the inner cells' constant
-        # values carry the same bits, signed zeros included
+    def test_outer_cells_are_assembled_per_cell(self, cycle3_space):
+        # the per-model part gives each outer cell the matrix it has alone
         space, mdl = cycle3_space
-        inner = inner_cells(space, mdl)
-        assert inner.any() and not inner.all()
+        fixed = assemble_fixed(space, build_constraints(space), mdl)
+        assert np.array_equal(fixed.outer, space.active[~inner_cells(space, mdl)])
+        schur, interior = assemble_volume(space, mdl, fixed.outer)
+        assert np.array_equal(interior.cids, fixed.outer)
+        for k in range(0, len(fixed.outer), 25):
+            alone, one = assemble_volume(space, mdl, fixed.outer[k:k + 1])
+            assert abs(schur[k] - alone[0]).max() <= 1e-14 * abs(alone).max()
+            assert abs(interior.k_ii[k] - one.k_ii[0]).max() <= 1e-14 * abs(one.k_ii).max()
+
+    def test_material_arrays_have_the_bytes_of_the_unmasked_formula(self, cycle3_space):
+        # only the points beyond rho are evaluated; one and the identity
+        # elsewhere carry the bits of the formula there, signed zeros included
+        space, mdl = cycle3_space
         phys, _ = cell_geometry(space.mesh, space.active, REF.quad_pts)
-        got = assembly.cell_materials(space, mdl, space.active, phys)
-        want = pml_mod.material_arrays(phys.reshape(-1, 2), mdl.pml)
-        for g, w in zip(got, want):
-            assert g.shape[:2] == phys.shape[:2]
-            assert g.tobytes() == w.tobytes()
+        pts = phys.reshape(-1, 2)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        assert np.any(r <= mdl.pml.rho) and np.any(r > mdl.pml.rho)
+        d = 1.0 + 1j * pml_mod.profile(r, mdl.pml)
+        dbar = 1.0 + 1j * pml_mod.profile_integral(r, mdl.pml) / r
+        e_r = pts / r[:, None]
+        eps = (d[:, None, None] * np.eye(2)[None, :, :]
+               + (dbar**2 / d - d)[:, None, None] * (e_r[:, :, None] * e_r[:, None, :]))
+        for got, want in zip((*pml_mod.stretch_arrays(pts, mdl.pml),
+                              *pml_mod.material_arrays(pts, mdl.pml)),
+                             (d, dbar, 1.0 / d, eps)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("s0", [0.0, 8.0])
     def test_constraint_map_is_c_plus_coupling_c_in_one_piece(self, cycle3_space, s0):
@@ -563,22 +595,36 @@ class TestSplitPair:
             assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R),
                                             dipole=other))
 
+    def test_equal_layer_cells_keep_their_own_matrices(self, monkeypatch):
+        # translates of one square beyond rho have different coefficients, so
+        # the pair must not share one matrix between them as a shape class would
+        monkeypatch.setattr(assembly, "_dipole_cells", lambda space, dip: None)
+        mdl = model(sigma=0.01 + 0.15j)
+        space = distribute_dofs(grid_mesh(6, 1, sx=4.0, sy=4.0))
+        cs = build_constraints(space)
+        fixed = assemble_fixed(space, cs, mdl)
+        assert len(fixed.outer) >= 2
+        pair = assemble_pair(fixed, mdl)
+        assert max_rel(pair.matrix, one_part_system(space, cs, mdl).matrix) <= 1e-13
+
     def test_cells_with_a_corner_beyond_rho_or_an_arc_edge_are_outer(self):
         mdl = model()
         rho = mdl.pml.rho
         m = msh.Mesh(100.0)
-        straight, arc = (False,) * 4, (False, True, False, False)
-        # a cell wholly within rho, one whose far corner lies just beyond it,
-        # an arc cell deep inside and a cell wholly beyond rho
+        # a cell wholly within rho, one whose far corner lies just beyond it
+        # and a cell wholly beyond rho
         c = (rho + 0.3) / np.sqrt(2.0) - 1.0
-        for (x0, y0), flags in [((1.0, 1.0), straight), ((c, c), straight),
-                                ((3.0, 1.0), arc), ((rho + 1.0, 0.0), straight)]:
+        for x0, y0 in [(1.0, 1.0), (c, c), (rho + 1.0, 0.0)]:
             ids = [m.add_vertex(x0 + dx, y0 + dy)
                    for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
-            m.add_cell(tuple(ids), 0, -1, flags)
+            m.add_cell(tuple(ids), 0, -1, (False,) * 4)
         space = distribute_dofs(m)
         assert (radii(space)[1] > rho).sum() == 1
-        assert inner_cells(space, mdl).tolist() == [True, False, False, False]
+        assert inner_cells(space, mdl).tolist() == [True, False, False]
+        # an arc edge ends on the rim, beyond rho
+        space, _, _ = resolved_space()
+        arc = space.mesh.arc[space.active].any(axis=1)
+        assert arc.any() and not np.any(inner_cells(space, mdl) & arc)
 
 
 class TestIncidentField:
@@ -602,7 +648,7 @@ class TestIncidentField:
         xs = np.array([0.85, 0.9, 0.97]) * R
 
         def g(x):
-            _, dbar, _ = pml_mod.stretch_arrays(np.column_stack([x, 0 * x]), pml)
+            _, dbar = pml_mod.stretch_arrays(np.column_stack([x, 0 * x]), pml)
             r = np.sqrt((x * dbar) ** 2 + a**2)
             return a * hankel1(1, r) / r
 
@@ -654,9 +700,11 @@ class TestCondensation:
     def test_kernel_schur_complements_match_dense_reference(self, mixed_space):
         space = mixed_space
         mdl = model(sigma=0.01 + 0.15j)
-        reps, inverse = shape_classes(space, mdl)
-        assert len(reps) < len(space.active)
-        schur, w, k_ii = (a[inverse] for a in _condense_local(_volume_local(space, mdl, reps)))
+        # the inner cells once per shape class, the outer cells one by one
+        inner = inner_cells(space, mdl)
+        assert len(shape_classes(space, space.active[inner])[0]) < inner.sum()
+        (schur, interior), _ = split_volume(space, mdl)
+        w, k_ii = interior.w, interior.k_ii
         ref = einsum_local(space, mdl, space.active)
         want = ref[:, :8, :8] - ref[:, :8, 8:] @ np.linalg.solve(ref[:, 8:, 8:], ref[:, 8:, :8])
         scale = abs(want).max(axis=(1, 2))

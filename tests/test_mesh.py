@@ -446,6 +446,13 @@ class TestRimFaces:
         assert np.all(m.arc[rim.owner, rim.ledge])
         _, _, wds, _, _ = face_quadrature(m, rim.owner, rim.ledge)
         assert wds.sum() == pytest.approx(np.pi * R, rel=1e-13)
+        # they are the leaf edges with both ends on the circle, in key order
+        keys = m.edge_keys(rim.owner)[np.arange(len(rim)), rim.ledge]
+        all_keys = m.edge_keys(m.active_ids()).reshape(-1, 2)
+        on_circle = np.abs(np.hypot(*m.vertices.T) - R) <= 1e-9 * R
+        leaf = m.edge_midpoints(all_keys) < 0
+        want = np.unique(all_keys[on_circle[all_keys].all(axis=1) & leaf], axis=0)
+        assert np.array_equal(keys, want)
 
 
 class TestVtk:

@@ -19,16 +19,16 @@ def one(point):
 
 class TestStretch:
     def test_identity_inside(self):
-        d, dbar, _ = stretch_arrays(one((0.5 * R, 0.0)), spec())
+        d, dbar = stretch_arrays(one((0.5 * R, 0.0)), spec())
         assert d[0] == 1.0 and dbar[0] == 1.0
 
     def test_rim_value(self):
-        d, _, _ = stretch_arrays(one((R, 0.0)), spec(s0=2.0))
+        d, _ = stretch_arrays(one((R, 0.0)), spec(s0=2.0))
         assert d[0] == pytest.approx(1 + 2j)
 
     def test_rim_average_from_cubic_antiderivative(self):
         s0 = 2.0
-        _, dbar, _ = stretch_arrays(one((0.0, R)), spec(s0=s0))
+        _, dbar = stretch_arrays(one((0.0, R)), spec(s0=s0))
         # (1/R) * integral_{0.8R}^{R} s = s0 * 0.2 / 3
         assert dbar[0] == pytest.approx(1 + 1j * s0 * 0.2 / 3.0)
 
@@ -37,12 +37,24 @@ class TestStretch:
         eps = 1e-8 * R
         assert profile(sp.rho + eps, sp) < 1e-14
         assert profile_integral(sp.rho + eps, sp) < 1e-20
-        d, dbar, _ = stretch_arrays(one((sp.rho + eps, 0.0)), sp)
+        d, dbar = stretch_arrays(one((sp.rho + eps, 0.0)), sp)
         assert abs(d[0] - 1.0) < 1e-12 and abs(dbar[0] - 1.0) < 1e-12
+
+    def test_exactly_one_up_to_rho_origin_included(self):
+        # the identity region is one branch, with no guard against r = 0
+        sp = spec()
+        pts = np.array([[0.0, 0.0], [sp.rho, 0.0], [0.0, -0.5 * R], [0.6 * R, 0.6 * R]])
+        d, dbar = stretch_arrays(pts, sp)
+        assert d[:3].tolist() == dbar[:3].tolist() == [1.0] * 3
+        assert d[3].imag > 0 and dbar[3].imag > 0
+        inv_mu, eps = material_arrays(pts, sp)
+        assert inv_mu[:3].tolist() == [1.0] * 3
+        assert np.array_equal(eps[:3], np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert sheet_arrays(pts[:3], 0.15j, sp).tolist() == [0.15j] * 3
 
     @given(st.floats(0.81, 0.999), st.floats(0.1, 8.0))
     def test_positive_imaginary_inside_layer(self, frac, s0):
-        d, dbar, _ = stretch_arrays(one((frac * R, 0.0)), PmlSpec(R=R, s0=s0))
+        d, dbar = stretch_arrays(one((frac * R, 0.0)), PmlSpec(R=R, s0=s0))
         assert d[0].imag > 0
         assert dbar[0].imag > 0
 
@@ -65,14 +77,14 @@ class TestTransform:
     def test_sheet_coefficient_absorbs(self):
         sp = spec(s0=2.0)
         sig = sheet_arrays(one((R, 0.0)), 0.15j, sp)[0]
-        d, dbar, _ = stretch_arrays(one((R, 0.0)), sp)
+        d, dbar = stretch_arrays(one((R, 0.0)), sp)
         assert sig == pytest.approx(0.15j * dbar[0] / d[0])
         assert abs(sig / 0.15j) < 1.0
 
     def test_radial_frame_on_axis(self):
         sp = spec()
         r = 0.95 * R
-        d, dbar, _ = stretch_arrays(one((r, 0.0)), sp)
+        d, dbar = stretch_arrays(one((r, 0.0)), sp)
         inv_mu, eps = material_arrays(one((r, 0.0)), sp)
         assert inv_mu[0] == pytest.approx(1.0 / d[0])
         assert eps[0, 0, 0] == pytest.approx(dbar[0]**2 / d[0])
@@ -90,5 +102,6 @@ def test_invalid_specs_rejected():
     for s0 in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="strength"):
             PmlSpec(R=1.0, s0=s0)
-    with pytest.raises(ValueError):
-        PmlSpec(R=0.0)
+    for R_bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="disk radius"):
+            PmlSpec(R=R_bad)
