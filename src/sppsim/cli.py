@@ -95,12 +95,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_pml_study(args) -> int:
     config = _config_from(args)
-    s0_list = [_read_input(lambda: config.model(s0=float(s0)).pml.s0)  # before any mesh
+    # the strengths and the spectral window are checked before any mesh
+    s0_list = [_read_input(lambda: config.model(s0=float(s0)).pml.s0)
                for s0 in args.values.split(",")]
+    window = (0.2 * config.R, 0.7 * config.R)
+    _read_input(harness.spectral_window, harness.trace_grid(config), *window)
     traces = harness.pml_study(config, s0_list)
     for s0, tr in sorted(traces.items()):
-        amp, k_at = harness.spectral_amplitude(tr, 2.0, 25.0,
-                                               0.2 * config.R, 0.7 * config.R)
+        amp, k_at = harness.spectral_amplitude(tr, 2.0, 25.0, *window)
         print(f"s0 = {s0:g}: peak spectral amplitude {amp:.3e} at k = {k_at:.2f}")
     return 0
 

@@ -32,9 +32,18 @@ import numpy as np
 
 from . import pml as pml_mod
 from .assembly import SheetModel
-from .fespace import (ORDER2_SLOTS, REF, EdgeFESpace, FieldSolution, evaluate_fields,
+from .fespace import (ELEMENT_SPACE, REF, EdgeFESpace, FieldSolution, evaluate_fields,
                       sheet_ref_points, vector_monomials)
 from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
+
+# the order-3 recovery space Q_{2,3} x Q_{3,2} (fespace.vector_monomials), which
+# holds the element's ELEMENT_SPACE: ORDER2_SLOTS is the column of each of its
+# 12 monomial fields among the 24 of RECOVERY_SPACE
+RECOVERY_SPACE = (tuple((i, j) for j in range(4) for i in range(3)),
+                  tuple((i, j) for i in range(4) for j in range(3)))
+ORDER2_SLOTS = np.array([RECOVERY_SPACE[0].index(e) for e in ELEMENT_SPACE[0]]
+                        + [len(RECOVERY_SPACE[0]) + RECOVERY_SPACE[1].index(e)
+                           for e in ELEMENT_SPACE[1]])
 
 
 class QuadData:
@@ -115,7 +124,7 @@ def _clean_patch_monomials():
     """
     offsets = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
     ppts = offsets[:, None, :] + 0.5 * REF.quad_pts
-    return vector_monomials(ppts.reshape(-1, 2), order=3)
+    return vector_monomials(ppts.reshape(-1, 2), RECOVERY_SPACE)
 
 
 # member cells per batch of the patch fit: bounds the transient monomial,
@@ -136,9 +145,9 @@ class PatchReconstruction:
     matrices are built once per group and solved against each solution's
     right-hand side.  Each cell keeps its embedding (offset, scale) in the
     parent's reference frame and its patch's coefficients per solution, in
-    one table over the 24 order-3 monomial fields (s, n, 24): an order-2 fit
-    fills the columns of its 12 fields (fespace.ORDER2_SLOTS) and leaves the
-    rest zero.  The differences at the standard quadrature points are
+    one table over the 24 monomial fields of RECOVERY_SPACE (s, n, 24): an
+    order-2 fit fills the columns of its 12 fields (ORDER2_SLOTS) and leaves
+    the rest zero.  The differences at the standard quadrature points are
     precomputed for every solution and active cell, dvals_quad (s, n, p, 2)
     and dcurls_quad (s, n, p).
     """
@@ -155,7 +164,7 @@ class PatchReconstruction:
         self._parent = np.zeros(n, dtype=np.int64)
         self._offset = np.zeros((n, 2))
         self._scale = np.zeros(n)
-        self._coeffs = np.zeros((s, n, 24), dtype=complex)
+        self._coeffs = np.zeros((s, n, sum(map(len, RECOVERY_SPACE))), dtype=complex)
 
         # parents in order of first appearance over the active cells
         parents = mesh.parent[self.space.active]
@@ -188,12 +197,16 @@ class PatchReconstruction:
     def _fit(self, qd, order, m, owner, ranks, offsets, scales, wins):
         """Fit patches of m member cells each (rows grouped by patch); store pi u - u."""
         n_patch = len(owner) // m
-        # the members of a clean patch are its four children in quadrant order,
-        # at the same points in the parent frame for every patch
-        mono = ([np.tile(t, (n_patch,) + (1,) * (t.ndim - 1)) for t in _clean_patch_monomials()]
-                if order == 3 else None)
+        if order == 3:
+            # the members of a clean patch are its four children in quadrant
+            # order, at the same points in the parent frame for every patch
+            space, slots = RECOVERY_SPACE, np.arange(self._coeffs.shape[2])
+            mono = [np.tile(t, (n_patch,) + (1,) * (t.ndim - 1))
+                    for t in _clean_patch_monomials()]
+        else:
+            space, slots, mono = ELEMENT_SPACE, ORDER2_SLOTS, None
         mono, mono_curl, jac = self._parent_frame(owner, offsets, scales,
-                                                  REF.quad_pts, order, mono)
+                                                  REF.quad_pts, space, mono)
         n_cells, p, n_mono = mono_curl.shape
         mono_curl = mono_curl.reshape(n_patch, -1, n_mono)
         # rows (cell, point, component) of each patch, weighted by w det
@@ -206,7 +219,6 @@ class PatchReconstruction:
         r, jac = ranks[wins], jac[wins]
         det = jacobian_det(jac)
         jinv_t = np.swapaxes(jacobian_inv(jac, det), 2, 3)
-        slots = ORDER2_SLOTS if order == 2 else np.arange(n_mono)
         for k, (u, u_curl) in enumerate(zip(qd.values, qd.curls)):
             b = (jac_t @ u[ranks][..., None]).reshape(n_patch, -1)
             atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
@@ -226,14 +238,14 @@ class PatchReconstruction:
         self._offset[r] = offsets[wins]
         self._scale[r] = scales[wins]
 
-    def _parent_frame(self, parents, offsets, scales, ref_pts, order, mono=None):
-        """Monomials and parent Jacobians at cell reference points mapped into parents.
+    def _parent_frame(self, parents, offsets, scales, ref_pts, space, mono=None):
+        """Monomials of space, parent Jacobians at cell reference points mapped into parents.
 
         mono, when given, holds the monomial values and curls at those points.
         """
         ppts = offsets[:, None, :] + scales[:, None, None] * np.asarray(ref_pts, dtype=float)
         n, p = ppts.shape[:2]
-        mono, mono_curl = mono or vector_monomials(ppts.reshape(-1, 2), order=order)
+        mono, mono_curl = mono or vector_monomials(ppts.reshape(-1, 2), space)
         _, jac = cell_geometry(self.space.mesh, parents, ppts)
         n_mono = mono.shape[1]
         return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
@@ -251,7 +263,7 @@ class PatchReconstruction:
         r = ranks[sel]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
         mono, _, jac = self._parent_frame(
-            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], 3)
+            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], RECOVERY_SPACE)
         jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
         for k, c in enumerate(self._coeffs[:, r]):
             hat = np.einsum("npmc,nm->npc", mono, c)

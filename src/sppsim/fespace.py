@@ -38,15 +38,10 @@ import scipy.sparse as sp
 from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, boundary_faces,
                    cell_geometry, interface_faces, jacobian_det)
 
-# exponent tables: x-component in Q_{1,2}, y-component in Q_{2,1}
-_UX = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-_VY = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1))
-
-# order-3 counterparts (used only for patchwise reconstruction)
-_UX3 = tuple((i, j) for j in range(4) for i in range(3))
-_VY3 = tuple((i, j) for i in range(4) for j in range(3))
-# order-3 column of each order-2 monomial field (Q_{1,2} x Q_{2,1} in Q_{2,3} x Q_{3,2})
-ORDER2_SLOTS = np.array([_UX3.index(e) for e in _UX] + [len(_UX3) + _VY3.index(e) for e in _VY])
+# the element's monomial space Q_{1,2} x Q_{2,1}: the exponents (i, j) of the
+# x-component's monomials x^i y^j, then the y-component's (vector_monomials)
+ELEMENT_SPACE = (((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)),
+                 ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)))
 
 # reference corners and edge tangents
 _CORNER_XY = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -70,43 +65,27 @@ def gauss01(n: int):
     return t, wt
 
 
-def _monomials(exps, pts):
+def vector_monomials(pts, space):
+    """Values (npts, m, 2) and scalar curls (npts, m) of the monomial fields of
+    a space, a pair of exponent tables: x^i y^j e_x for each (i, j) of the
+    first, then x^i y^j e_y for each of the second.
+
+    Each power x^k and y^k is taken once; the curl of x^i y^j e_x is
+    -j x^i y^(j-1), -0.0 where j = 0.
+    """
     pts = np.asarray(pts, dtype=float)
-    out = np.empty((pts.shape[0], len(exps)))
-    for m, (i, j) in enumerate(exps):
-        out[:, m] = pts[:, 0] ** i * pts[:, 1] ** j
-    return out
-
-
-def _monomial_dx(exps, pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros((pts.shape[0], len(exps)))
-    for m, (i, j) in enumerate(exps):
-        if i > 0:
-            out[:, m] = i * pts[:, 0] ** (i - 1) * pts[:, 1] ** j
-    return out
-
-
-def _monomial_dy(exps, pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros((pts.shape[0], len(exps)))
-    for m, (i, j) in enumerate(exps):
-        if j > 0:
-            out[:, m] = j * pts[:, 0] ** i * pts[:, 1] ** (j - 1)
-    return out
-
-
-def vector_monomials(pts, order: int = 2):
-    """Values (npts, nmono, 2) and scalar curls (npts, nmono) of the monomial fields."""
-    ux, vy = (_UX, _VY) if order == 2 else (_UX3, _VY3)
-    nu, nv = len(ux), len(vy)
-    npts = np.asarray(pts).shape[0]
-    vals = np.zeros((npts, nu + nv, 2))
-    vals[:, :nu, 0] = _monomials(ux, pts)
-    vals[:, nu:, 1] = _monomials(vy, pts)
-    curls = np.zeros((npts, nu + nv))
-    curls[:, :nu] = -_monomial_dy(ux, pts)
-    curls[:, nu:] = _monomial_dx(vy, pts)
+    ux, vy = space
+    degrees = range(1 + np.max(ux + vy))
+    x = [pts[:, 0] ** k for k in degrees]
+    y = [pts[:, 1] ** k for k in degrees]
+    vals = np.zeros((len(pts), len(ux) + len(vy), 2))
+    curls = np.empty((len(pts), len(ux) + len(vy)))
+    for m, (i, j) in enumerate(ux):
+        vals[:, m, 0] = x[i] * y[j]
+        curls[:, m] = -j * x[i] * y[j - 1] if j else -0.0
+    for m, (i, j) in enumerate(vy, len(ux)):
+        vals[:, m, 1] = x[i] * y[j]
+        curls[:, m] = i * x[i - 1] * y[j] if i else 0.0
     return vals, curls
 
 
@@ -137,11 +116,11 @@ class ReferenceElement:
         for ledge in range(4):
             pts = _edge_ref_points(ledge, te)
             tau = np.asarray(_EDGE_TANGENT[ledge])
-            vals, _ = vector_monomials(pts)
+            vals, _ = vector_monomials(pts, ELEMENT_SPACE)
             tang = vals @ tau  # (npts, 12)
             V[2 * ledge] = we @ tang
             V[2 * ledge + 1] = we @ (tang * (2 * te - 1)[:, None])
-        vals, _ = vector_monomials(self._bulk_pts)
+        vals, _ = vector_monomials(self._bulk_pts, ELEMENT_SPACE)
         w = self._bulk_wts
         xi = self._bulk_pts[:, 0]
         eta = self._bulk_pts[:, 1]
@@ -164,7 +143,7 @@ class ReferenceElement:
     def basis_at(self, pts):
         """(npts, 12, 2) values and (npts, 12) curls on the reference square."""
         C = self.coeffs
-        vals, curls = vector_monomials(pts)
+        vals, curls = vector_monomials(pts, ELEMENT_SPACE)
         return np.einsum("mb,pmc->pbc", C, vals), curls @ C
 
     @cached_property
@@ -341,7 +320,7 @@ def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
     dofs = space.cell_dofs[space.rank[cids]]
     signs = dof_signs(space, cids)
     mono = np.stack([gemm_real(c[dofs] * signs, REF.coeffs.T) for c in coeffs])
-    mono_vals, mono_curls = vector_monomials(ref_pts.reshape(-1, 2))
+    mono_vals, mono_curls = vector_monomials(ref_pts.reshape(-1, 2), ELEMENT_SPACE)
     vals = np.empty((len(coeffs), n, p, 2), dtype=complex)
     curls = np.empty((len(coeffs), n, p), dtype=complex)
     if ref_pts.ndim == 2:

@@ -370,14 +370,24 @@ def pml_study(config: RunConfig, s0_list, mesh: Mesh | None = None):
     return traces
 
 
+def spectral_window(xs, x_lo: float, x_hi: float) -> np.ndarray:
+    """Mask of the samples xs in x_lo <= x <= x_hi; ValueError unless it holds
+    at least 3 (a Hann window over none or two sums to zero, one is no spectrum)."""
+    sel = (xs >= x_lo) & (xs <= x_hi)
+    if (n := np.count_nonzero(sel)) < 3:
+        raise ValueError(f"the spectral window {x_lo:g} <= x <= {x_hi:g} holds "
+                         f"{n} trace samples, fewer than 3; raise samples")
+    return sel
+
+
 def spectral_amplitude(trace: InterfaceTrace, k_lo: float, k_hi: float,
                        x_lo: float, x_hi: float, nk: int = 400) -> tuple[float, float]:
     """Peak windowed Fourier amplitude of the trace over a wave-number range.
 
-    Hann-windowed coefficients on the x-window; for a pure complex exponential
-    the returned amplitude equals its modulus.
+    Hann-windowed coefficients on the x-window (spectral_window); for a pure
+    complex exponential the returned amplitude equals its modulus.
     """
-    sel = (trace.x >= x_lo) & (trace.x <= x_hi)
+    sel = spectral_window(trace.x, x_lo, x_hi)
     xs = trace.x[sel]
     vals = trace.values[sel]
     win = np.hanning(len(xs))

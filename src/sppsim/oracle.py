@@ -68,18 +68,13 @@ def branch_sqrt(xi, k):
     return b
 
 
-def spp_wavenumber(sigma_r: complex, mode: str = "exact") -> complex:
-    """Wave number k_m of the surface plasmon-polariton sustained by the sheet.
-
-    mode="exact" evaluates sqrt(1 - 4/sigma^2) with the root chosen so
-    Re k_m > 0; mode="asymptotic" returns 2i/sigma, valid for |sigma| << 2.
+def spp_wavenumber(sigma_r: complex) -> complex:
+    """Wave number k_m of the surface plasmon-polariton sustained by the sheet:
+    sqrt(1 - 4/sigma^2) with the root chosen so Re k_m > 0 (about 2i/sigma
+    for |sigma| << 2).
     """
     if sigma_r == 0:
         raise ValueError("sheet conductivity must be nonzero for an SPP")
-    if mode == "asymptotic":
-        return 2j / sigma_r
-    if mode != "exact":
-        raise ValueError(f"unknown dispersion mode {mode!r}")
     km = complex(np.sqrt(complex(1.0 - 4.0 / sigma_r**2)))
     if km.real < 0:
         km = -km

@@ -70,6 +70,14 @@ class TestMatrixStructure:
         assert full.nnz == vol.nnz
         assert abs(full - vol).max() < 1e-14
 
+    def test_inverted_cell_raises_geometry_error(self):
+        m = msh.Mesh(100.0)
+        corners = [m.add_vertex(x, y) for x, y in ((0, 0), (0, 1), (1, 1), (1, 0))]
+        m.add_cell(tuple(corners), 0, -1, (False,) * 4)     # clockwise
+        space = distribute_dofs(m)
+        with pytest.raises(msh.GeometryError, match="nonpositive Jacobian"):
+            assemble_volume(space, model(), space.active)
+
     def test_complex_symmetry(self):
         space, cs = disk_space(2, extra_marks=1)
         mdl = model(sigma=0.01 + 0.15j)

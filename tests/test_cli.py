@@ -60,6 +60,21 @@ def test_run_subcommand_tiny(tmp_path, capsys):
     assert (tmp_path / "out" / "convergence.csv").exists()
 
 
+def test_pml_study_subcommand_tiny(tmp_path, capsys):
+    # pml_study builds its own band-refined mesh
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    assert main(["pml-study", "--config", str(cfg), "--values", "2,0", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["s0 = 0", "s0 = 2"]
+    for line in lines:
+        words = line.split()            # ... amplitude <amp> at k = <k>
+        amp, k_at = float(words[-5]), float(words[-1])
+        assert amp > 0 and 2.0 <= k_at <= 25.0
+    assert (out / "pml_study.csv").exists()
+
+
 def test_report_prints_the_table_that_run_printed(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -110,6 +125,9 @@ def test_blas_thread_note_unless_one_thread():
     ("quad_rel_tol = 0\n", ["run"], "quad_rel_tol"),
     ("quad_rel_tol = 0\n", ["oracle"], "quad_rel_tol"),
     ("quad_rel_tol = 0\n", ["pml-study", "--values", "0"], "quad_rel_tol"),
+    # a spectral window of fewer than 3 trace samples, before any mesh is
+    # built: the window 0.2 R <= x <= 0.7 R holds none of 4 samples
+    ("samples = 4\n", ["pml-study", "--values", "0"], "samples"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:

@@ -6,8 +6,8 @@ from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import DipoleSpec, SheetModel
 from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
-from sppsim.fespace import (REF, FieldSolution, distribute_dofs, sheet_ref_points,
-                            vector_monomials)
+from sppsim.fespace import (ELEMENT_SPACE, REF, FieldSolution, distribute_dofs,
+                            sheet_ref_points, vector_monomials)
 from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
@@ -86,7 +86,7 @@ def order2_patch_differences(sol, parent):
     rows_a, rows_b, frames = [], [], []
     for cid, offset, scale in cells:
         ppts = offset + scale * REF.quad_pts
-        mono, mono_curl = vector_monomials(ppts, order=2)
+        mono, mono_curl = vector_monomials(ppts, ELEMENT_SPACE)
         jac = cell_geometry(mesh, [parent], ppts)[1][0]
         wts = np.sqrt(REF.quad_wts * jacobian_det(cell_geometry(mesh, [cid], REF.quad_pts)[1])[0])
         pulled = np.einsum("pji,pj->pi", jac, sol.values([cid], REF.quad_pts)[0])
@@ -157,6 +157,15 @@ class TestQoi:
 
 
 class TestReconstruction:
+    def test_order2_slots_hold_the_element_fields_bit_for_bit(self):
+        # an order-2 fit is stored in the columns ORDER2_SLOTS of the order-3
+        # table, and the recovery is evaluated in RECOVERY_SPACE
+        pts = np.random.default_rng(3).uniform(-1.0, 2.0, size=(40, 2))
+        vals, curls = vector_monomials(pts, ELEMENT_SPACE)
+        vals3, curls3 = vector_monomials(pts, dwr_mod.RECOVERY_SPACE)
+        assert np.array_equal(vals3[:, dwr_mod.ORDER2_SLOTS], vals)
+        assert np.array_equal(curls3[:, dwr_mod.ORDER2_SLOTS], curls)
+
     def test_parent_level_polynomial_reproduced(self):
         # the interpolant of a global quadratic lives in each parent's space
         m = grid_mesh(2, size=2.0)

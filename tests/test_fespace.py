@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from sppsim import fespace as fes
 from sppsim import harness as hn
 from sppsim import mesh as msh
-from sppsim.fespace import (REF, FieldSolution, build_constraints,
+from sppsim.fespace import (ELEMENT_SPACE, REF, FieldSolution, build_constraints,
                             distribute_dofs, sheet_ref_points, vector_monomials)
 from sppsim.mesh import EDGE_CORNERS
 from sppsim.solver import Factorization
@@ -211,10 +211,23 @@ class TestShapeFunctions:
         x, wx = np.polynomial.legendre.leggauss(5)
         assert np.array_equal(t, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * wx)
 
+    def test_monomial_fields_of_any_exponent_table(self):
+        pts = rand_pts(40, np.random.default_rng(2))
+        x, y = pts.T
+        vals, curls = vector_monomials(pts, (((2, 1), (1, 0)), ((0, 2), (3, 1))))
+        zero = np.zeros_like(x)
+        want = np.stack([np.column_stack(c) for c in
+                         ((x * x * y, zero), (x, zero), (zero, y * y), (zero, x ** 3 * y))], 1)
+        assert np.allclose(vals, want, rtol=1e-15, atol=0)
+        assert np.allclose(curls, np.column_stack([-x * x, zero, zero, 3 * x * x * y]),
+                           rtol=1e-15, atol=0)
+        # the zero curl of x e_x is -0.0 (the patch fit's rounding depends on it)
+        assert np.all(np.signbit(curls[:, 1])) and not np.any(np.signbit(curls[:, 2]))
+
     def test_exact_sequence_gradients_representable(self):
         rng = np.random.default_rng(1)
         pts = rand_pts(60, rng, 0.0, 1.0)
-        vals, _ = vector_monomials(pts)
+        vals, _ = vector_monomials(pts, ELEMENT_SPACE)
         A = vals.reshape(pts.shape[0] * 2, 12, order="F")
         A = np.concatenate([vals[:, :, 0], vals[:, :, 1]], axis=0)
         for i in range(3):

@@ -600,6 +600,19 @@ class TestSpectralAmplitude:
         assert k == pytest.approx(k0, abs=0.05)
         assert a == pytest.approx(amp, rel=0.02)
 
+    @pytest.mark.parametrize("n_inside", [0, 1, 2])
+    def test_window_of_fewer_than_three_samples_rejected(self, n_inside):
+        # the Hann window of 0 or 2 samples sums to zero; 1 sample holds no spectrum
+        xs = np.concatenate([np.arange(n_inside) + 5.0, [20.0, 21.0]])
+        tr = hn.InterfaceTrace(xs, np.exp(13j * xs))
+        with pytest.raises(ValueError, match=f"holds {n_inside} trace samples"):
+            hn.spectral_amplitude(tr, 11.0, 15.0, 2.0, 18.0)
+
+    def test_three_samples_suffice(self):
+        xs = np.array([4.0, 5.0, 6.0, 20.0])
+        a, _ = hn.spectral_amplitude(hn.InterfaceTrace(xs, np.ones(4)), 11.0, 15.0, 2.0, 18.0)
+        assert np.isfinite(a)
+
 
 class TestConfigFile:
     def test_round_trip_and_overrides(self, tmp_path):

@@ -51,17 +51,17 @@ class TestBranchSqrt:
 class TestDispersion:
     @pytest.mark.parametrize("sigma,km_published", STUDY_ROWS)
     def test_asymptotic_matches_study_table(self, sigma, km_published):
-        km = spp_wavenumber(sigma, mode="asymptotic")
+        km = 2j / sigma                 # the study's asymptotic root
         assert abs(km.real - km_published.real) < 0.05
         assert abs(km.imag - km_published.imag) < 0.05
 
     def test_lossless_sheet_gives_real_wavenumber(self):
-        km = spp_wavenumber(0.15j, mode="asymptotic")
+        km = spp_wavenumber(0.15j)
         assert km.imag == pytest.approx(0.0, abs=1e-14)
-        assert km.real == pytest.approx(13.3333, abs=5e-3)
+        assert km.real == pytest.approx(13.3708, abs=5e-4)
 
     def test_exact_root_for_strong_absorption(self):
-        km = spp_wavenumber(2.0e-3 + 0.2j, mode="exact")
+        km = spp_wavenumber(2.0e-3 + 0.2j)
         # closed-form evaluation, consistent with the rounded 10.0 + 0.1i
         assert abs(km - (10.0 + 0.1j)) < 0.06
         assert km.real == pytest.approx(10.0488, abs=2e-3)
@@ -69,13 +69,13 @@ class TestDispersion:
 
     @pytest.mark.parametrize("sigma,_", STUDY_ROWS)
     def test_exact_root_zeroes_dispersion_relation(self, sigma, _):
-        km = spp_wavenumber(sigma, mode="exact")
+        km = spp_wavenumber(sigma)
         assert dispersion_residual(km, sigma) < 1e-10
 
     @pytest.mark.parametrize("sigma,_", STUDY_ROWS)
     def test_asymptotic_within_two_percent_of_exact(self, sigma, _):
-        exact = spp_wavenumber(sigma, mode="exact")
-        asym = spp_wavenumber(sigma, mode="asymptotic")
+        exact = spp_wavenumber(sigma)
+        asym = 2j / sigma
         assert abs(exact - asym) / abs(exact) < 0.02
 
     def test_zero_conductivity_rejected(self):
@@ -126,7 +126,7 @@ class TestFourierCoefficients:
 
     def test_pole_detected_on_real_axis(self):
         sigma = 0.2j
-        km = spp_wavenumber(sigma, mode="exact")
+        km = spp_wavenumber(sigma)
         assert abs(km.imag) < 1e-12
         with pytest.raises(oracle.PoleOnAxisError):
             fourier_coefficients(km.real, 1.0, 1.0, 1.0, sigma, 1.0)
@@ -201,7 +201,7 @@ class TestBranchcutContribution:
 
     @pytest.mark.parametrize("sigma,_", STUDY_ROWS)
     def test_finite_denominator_bounded_away_from_zero(self, sigma, _):
-        km = spp_wavenumber(sigma, mode="exact")
+        km = spp_wavenumber(sigma)
         xi = np.linspace(0.0, 1.0, 2001)
         den = np.abs(xi**2 + 4.0 / sigma**2 - 1.0)
         assert den.min() > 0.5 * (abs(km) ** 2 - 1.0)
