@@ -16,10 +16,10 @@ The scattered field E_sc = E - E_inc of the sheet solves the same form with
 the sheet load i int_Sheet sigma_eff E_inc,t conj(v_t), where E_inc is the
 closed-form field of the unit point dipole in free space (incident_ex).
 
-The sheet integral runs over leaf faces and is evaluated from the finest
-adjacent cell; in the constrained space the tangential trace is single valued
-across every face, so the choice of side does not matter.  The rim term is
-the unstretched vacuum impedance condition.
+The sheet integral runs over leaf faces and reads the traces of each face's
+two moment functions (fespace.moment_traces); in the constrained space the
+tangential trace is single valued across every face.  The rim term is the
+unstretched vacuum impedance condition.
 
 No mapped basis is ever formed.  With E = J^{-T} E_ref and curl E =
 curl_ref E_ref / det J, every integral is a per-cell geometry coefficient
@@ -27,27 +27,26 @@ contracted with the one reference table (fespace.ReferenceElement), times
 the cell's dof signs (fespace.dof_signs): the local matrix is [w mu^-1 /
 det J, -w det J J^{-1} eps J^{-T}] at the quadrature points times the table
 of basis curl and value products, the dipole load takes det J phi_y =
-(adj J^T v)_y, the dual load needs no det J at all, and a face integral uses
-the tangential trace phi_b . t = (v_b . e) / |dx/dt|.
+(adj J^T v)_y and the dual load needs no det J at all.
 
 The four interior dofs of every cell are condensed in the volume kernel.
 With the local matrix split into its edge (e, 8) and interior (i, 4) blocks,
 W = K_ii^{-1} K_ie is a batched LU solve per cell (per shape class on the
 inner cells, which the layer leaves alone), never an explicit inverse, and
-the Schur complement S = K_ee - K_ei W lives on the edge dofs alone.  The
-face terms and the sheet load touch only the edge dofs: an interior
-function has no tangential trace.  The hanging-edge constraints
-are applied cell by cell, as deal.II's distribute_local_to_global does: a
-cell's edge dofs are T x_m for its eight master columns x_m (fespace
-.ConstraintSet), so condense turns each local matrix S into T^T S T (a
-cell without a hanging edge has T = I and is left as it is) and scatters
-them all once into the matrix on the edge masters that the solver
-factorizes.  No matrix over all dofs is formed.  The ComplexSystem owns the
-condensation.  It keeps a constraint map P, C's edge rows and interior
-rows -W T written straight into CSR, so P^T f is the eliminated load
-(with_load), and the interior block K_ii of every cell, so that it
-back-substitutes x_i = K_ii^{-1} (f_i - K_ie x_e) as P x_e plus
-K_ii^{-1} f_i on the cells whose load has an interior part (coefficients).
+the Schur complement S = K_ee - K_ei W lives on the edge dofs alone.  A
+face block (2, 2) and a face load (2,) touch only the face's two dofs.  The
+hanging-edge constraints are applied cell by cell, as deal.II's
+distribute_local_to_global does: a cell's edge dofs are T x_m for its eight
+master columns x_m (fespace.ConstraintSet), so condense turns each local
+matrix S into T^T S T (T = I on a cell without a hanging edge, and T
+restricted to the face's two slots for a face block) and scatters them all
+once into the matrix on the edge masters that the solver factorizes.  No
+matrix over all dofs is formed.  The ComplexSystem owns the condensation.
+It keeps a constraint map P, C's edge rows and interior rows -W T written
+straight into CSR, so P^T f is the eliminated load (with_load), and the
+interior block K_ii of every cell, so that it back-substitutes x_i =
+K_ii^{-1} (f_i - K_ie x_e) as P x_e plus K_ii^{-1} f_i on the cells whose
+load has an interior part (coefficients).
 """
 
 from __future__ import annotations
@@ -176,13 +175,15 @@ SHAPE_RESOLUTION = 1e-12
 
 
 def _face_local(space: EdgeFESpace, quad: FaceQuadrature, coef):
-    """int coef (phi_b . t)(phi_d . t) ds on each face: the owners' ranks and
-    the local matrices (f, 8, 8), b and d over the owner's edge dofs.
+    """int coef (phi_b . t)(phi_d . t) ds on each face, b and d over the face's
+    two moment functions: the owners' ranks, the local matrices (f, 2, 2)
+    and the owners' slots of the face's dofs (f, 2).
 
     coef is a scalar or (f, p) values at the points quad.phys.
     """
     weighted = (quad.weights * coef)[:, :, None] * quad.traces
-    return space.rank[quad.owner], gemm_real(weighted.transpose(0, 2, 1), quad.traces)
+    return (space.rank[quad.owner], gemm_real(weighted.transpose(0, 2, 1), quad.traces),
+            quad.slots)
 
 
 def _pullback(jac: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -332,20 +333,14 @@ def _dipole_cells(space: EdgeFESpace, dip: DipoleSpec) -> np.ndarray:
     return cids
 
 
-def _add_loads(rhs: np.ndarray, space: EdgeFESpace, cids, local: np.ndarray):
-    """rhs plus the local loads local (n, k) of the cells cids on their first
-    k dofs, added in place."""
-    np.add.at(rhs, space.cell_dofs[space.rank[cids], :local.shape[1]].ravel(),
-              local.ravel())
-    return rhs
-
-
 def _add_cell_loads(rhs: np.ndarray, space: EdgeFESpace, cids, coef: np.ndarray,
                     table: np.ndarray):
     """rhs plus the loads (coef[k] @ table) times the dof signs of the cells
     cids[k] on all their dofs, added in place: coef (n, q) per cell and table
     (q, 12) a reference table, one real matmul pair over all cells."""
-    return _add_loads(rhs, space, cids, gemm_real(coef, table) * dof_signs(space, cids))
+    local = gemm_real(coef, table) * dof_signs(space, cids)
+    np.add.at(rhs, space.cell_dofs[space.rank[cids]].ravel(), local.ravel())
+    return rhs
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
@@ -385,18 +380,20 @@ def incident_ex(x, height: float, pml: PmlSpec) -> np.ndarray:
 def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     """Load i int_Sheet sigma_eff E_inc,t (phi_i . t) ds of the scattered field.
 
-    Over leaf sheet faces, on the edge dofs; E_inc is incident_ex.  It is
-    the negative sheet term of the matrix applied to E_inc.
+    Over leaf sheet faces, on each face's two dofs; E_inc is incident_ex.
+    It is the negative sheet term of the matrix applied to E_inc.
     """
     quad = space.sheet_quadrature
     pts = quad.phys.reshape(-1, 2)
     coef = 1j * (pml_mod.sheet_arrays(pts, model.sigma_r, model.pml)
                  * incident_ex(pts[:, 0], model.dipole.height, model.pml))
     # the sheet is {y = 0}, so E_inc,t = E_x t_x
-    local = np.einsum("fp,fpb->fb",
-                      quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
-                      quad.traces)
-    return _add_loads(np.zeros(space.n_dofs, dtype=complex), space, quad.owner, local)
+    rhs = np.zeros(space.n_dofs, dtype=complex)
+    # the faces are distinct, and so are their dofs
+    rhs[quad.dofs] = np.einsum(
+        "fp,fpk->fk", quad.weights * coef.reshape(quad.weights.shape) * quad.tangent[..., 0],
+        quad.traces)
+    return rhs
 
 
 # active cells per batch of the dual load, the one cell loop that runs while
@@ -424,34 +421,39 @@ def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.n
     return rhs
 
 
+def _on_masters(constraints: ConstraintSet, ranks, local: np.ndarray, slots):
+    """T^T S T of the local matrices S = local (k, d, d), in place, T the map
+    of the cell of rank ranks[k] restricted to its edge slots slots[k], as
+    COO triplets on their master columns; and the rows hit whose T is not the
+    identity, with those T."""
+    index = constraints.map_index[ranks]
+    hit = np.flatnonzero(index >= 0)
+    maps = constraints.cell_maps[index[hit, None, None], slots[hit, :, None], slots[hit, None, :]]
+    local[hit] = maps.transpose(0, 2, 1) @ local[hit] @ maps
+    masters, d = np.take_along_axis(constraints.cell_masters[ranks], slots, axis=1), local.shape[2]
+    return ((local.ravel(), np.repeat(masters, d, axis=1).ravel(),
+             np.tile(masters, (1, d)).ravel()), hit, maps)
+
+
 def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, face):
     """One volume term and one face term on the edge masters, cell by cell.
 
-    volume is assemble_volume's (Schur complements, Interior) and face the
-    (owner ranks, local matrices) of a face term.  Each local matrix S of a
-    cell with a hanging edge becomes T^T S T (ConstraintSet.cell_maps), and
-    all of them are scattered once on their cells' master columns.  Returns
-    the canonical CSC matrix (n_master, n_master), without the entries that
-    sum to exactly zero (the traces of a face's other edges, for one), and
-    the interior rows -W T of P (n, 4, 8) of the volume's cells, in their
-    order.
+    volume is assemble_volume's (Schur complements, Interior) and face a face
+    term (_face_local); both are transformed in place (_on_masters), each
+    local matrix of a cell with a hanging edge into T^T S T, and scattered
+    once.  Returns the canonical CSC matrix (n_master, n_master), without the
+    entries that sum to exactly zero, and the interior rows -W T of P (n, 4,
+    8) of the volume's cells, in their order.
     """
     schur, interior = volume
-    ranks = np.concatenate([space.rank[interior.cids], face[0]])
-    local = np.concatenate([schur, face[1]])
-    index = constraints.map_index[ranks]
-    hit = np.flatnonzero(index >= 0)
-    maps = constraints.cell_maps[index[hit]]
-    local[hit] = maps.transpose(0, 2, 1) @ local[hit] @ maps
-    masters = constraints.cell_masters[ranks]
-    e = N_EDGE_DOFS
-    matrix = sp.coo_matrix((local.ravel(), (np.repeat(masters, e, axis=1).ravel(),
-                                            np.tile(masters, (1, e)).ravel())),
+    slots = np.broadcast_to(np.arange(N_EDGE_DOFS), (len(schur), N_EDGE_DOFS))
+    cells, hit, maps = _on_masters(constraints, space.rank[interior.cids], schur, slots)
+    data, ri, ci = (np.concatenate(c) for c in zip(cells, _on_masters(constraints, *face)[0]))
+    matrix = sp.coo_matrix((data, (ri, ci)),
                            shape=(constraints.n_master, constraints.n_master)).tocsc()
     matrix.eliminate_zeros()
     rows = -interior.w
-    in_volume = hit < len(rows)
-    rows[hit[in_volume]] = rows[hit[in_volume]] @ maps[in_volume]
+    rows[hit] = rows[hit] @ maps
     return matrix, rows
 
 

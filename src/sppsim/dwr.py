@@ -14,8 +14,9 @@ below an irregular parent takes its fit.  The patches that win a cell are
 fitted in batches of equal order and size, the primal and the adjoint
 together, and every fit is kept in the slots of the 24 order-3 monomial
 fields.  Only the differences (pi u - u) ever enter the indicators.  The
-face terms are one pass over the sheet sides and the rim owners: one
-evaluation, one tangential contraction and one accumulation per residual.
+face terms are one pass over the sheet sides and the rim owners: the trace
+of u comes from each face's two moments (fespace.moment_traces), and only
+pi u is evaluated there.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -251,24 +252,20 @@ class PatchReconstruction:
         return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
 
     def at_points(self, cids, ref_pts):
-        """Values of u and of pi u - u, each (s, n, p, 2), at reference points of cells.
-
-        ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; cells
-        outside every patch get zero differences.
-        """
+        """pi u (s, n, p, 2) at reference points of cells, (p, 2) shared by all
+        cells or (n, p, 2) per cell; zero on cells outside every patch."""
         ranks = self.space.rank[cids]
-        u = evaluate_fields(self.space, cids, ref_pts, [sol.coeffs for sol in self.sols])[2]
-        diff = np.zeros_like(u)
         sel = np.flatnonzero(self._order[ranks] > 0)
         r = ranks[sel]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
+        out = np.zeros((len(self.sols),) + ref_pts.shape, dtype=complex)
         mono, _, jac = self._parent_frame(
             self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], RECOVERY_SPACE)
         jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
         for k, c in enumerate(self._coeffs[:, r]):
-            hat = np.einsum("npmc,nm->npc", mono, c)
-            diff[k, sel] = np.einsum("npij,npj->npi", jinv_t, hat) - u[k, sel]
-        return u, diff
+            out[k, sel] = np.einsum("npij,npj->npi", jinv_t,
+                                    np.einsum("npmc,nm->npc", mono, c))
+        return out
 
 
 def reconstruct(qd: QuadData) -> PatchReconstruction:
@@ -306,9 +303,9 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     rho_ast -= np.einsum("np,np->n", wdet * inv_mu * ve_curl, np.conj(Z_curl))
     rho_ast += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals), eps_eff, ve_vals)
 
-    # face terms in one pass: the sheet sides, each taking half of its face
-    # integral along +x (a coarse neighbor maps the owner's quadrature points
-    # into its frame), then the rim owners along their tangents
+    # face terms in one pass, u_t from each face's moments: the sheet sides,
+    # each taking half of its face integral along +x (a coarse neighbor maps
+    # the owner's points into its frame), then the rim owners along their tangents
     faces = space.sheet_faces
     quad = space.sheet_quadrature
     sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r,
@@ -325,9 +322,13 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     cids = np.concatenate([sheet, rim.owner])
     fw = np.concatenate([0.5 * quad.weights[fid] * sigma_eff[fid], rim.weights])
     tangent = np.concatenate([np.broadcast_to([1.0, 0.0], sheet_ref.shape), rim.tangent])
-    vals, dvals = recon.at_points(cids, np.concatenate([sheet_ref, rim.ref]))
-    e_t, z_t, ve_t, wz_t = np.einsum("sfpi,fpi->sfp", np.concatenate([vals, dvals]), tangent)
+    traces = np.concatenate([quad.traces[fid] * quad.tangent[fid, :, :1], rim.traces])
+    dofs = np.concatenate([quad.dofs[fid], rim.dofs])
+    e_t, z_t = (np.einsum("fpk,fk->fp", traces, sol.coeffs[dofs]) for sol in qd.sols)
     ranks = space.rank[cids]
+    pi_t = np.einsum("sfpi,fpi->sfp", recon.at_points(cids, np.concatenate([sheet_ref, rim.ref])),
+                     tangent)
+    ve_t, wz_t = np.where(recon._order[ranks, None] > 0, pi_t - [e_t, z_t], 0)
     np.add.at(rho, ranks, 1j * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * np.sum(fw * ve_t * np.conj(z_t), axis=1))
 

@@ -13,10 +13,13 @@ Fields map to physical cells with the covariant transform E = J^{-T} E_ref,
 which preserves tangential line integrals; the scalar 2D curl then transforms
 as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.  The
 basis itself is never mapped: the reference element caches each table once
-(values and curls at the quadrature points, their products, tangential
-traces on the edges), a cell contributes only its geometry (J, det J at its
-points) and its dof signs, and a field is contracted with the reference
-basis before J^{-T} and 1/det J are applied to the result.
+(values and curls at the quadrature points and their products), a cell
+contributes only its geometry (J, det J at its points) and its dof signs,
+and a field is contracted with the reference basis before J^{-T} and 1/det J
+are applied to the result.
+
+The tangential trace on an edge is fixed by that edge's two moments alone
+(moment_traces): face terms, loads and sampled traces read a face's two dofs.
 
 Hanging edges on 1-irregular meshes are constrained: the two child-edge
 moment pairs are fixed linear images of the parent-edge pair, which makes the
@@ -50,7 +53,7 @@ _EDGE_TANGENT = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 N_DOFS_CELL = 12
 # the edge moments come first in a cell's dofs, the four interior moments last
 N_EDGE_DOFS = 8
-# Gauss points per face (face_quadrature, ReferenceElement.edge_traces)
+# Gauss points per face (face_quadrature)
 FACE_POINTS = 4
 # Gauss points per direction of the cell rule (ReferenceElement.quad_pts)
 CELL_POINTS = 4
@@ -164,21 +167,6 @@ class ReferenceElement:
         val = vals[:, :, None, :, None] * vals[:, None, :, None, :]     # (p, b, d, i, j)
         return np.concatenate([curl.reshape(p, -1),
                                val.transpose(0, 3, 4, 1, 2).reshape(4 * p, -1)])
-
-    @cached_property
-    def edge_traces(self) -> np.ndarray:
-        """Tangential traces v_b . e (4, FACE_POINTS, 8) of the edge basis
-        functions at the Gauss points of each local edge, e its reference
-        tangent.
-
-        The interior functions have zero moments on every edge, so their
-        degree-1 traces vanish; evaluated they are rounding noise (below 1e-15).
-        """
-        te, _ = gauss01(FACE_POINTS)
-        pts = np.concatenate([_edge_ref_points(e, te) for e in range(4)])
-        tangents = np.repeat(np.asarray(_EDGE_TANGENT), len(te), axis=0)
-        return np.einsum("pbi,pi->pb", self.basis_at(pts)[0][:, :N_EDGE_DOFS],
-                         tangents).reshape(4, len(te), N_EDGE_DOFS)
 
 
 REF = ReferenceElement()
@@ -295,47 +283,33 @@ class FieldSolution:
     space: EdgeFESpace
     coeffs: np.ndarray
 
-    def values(self, cids, ref_pts):
-        """Field values (n, p, 2) at reference points of the cells cids."""
-        return evaluate_fields(self.space, cids, ref_pts, (self.coeffs,))[2][0]
-
 
 def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
     """Physical points, det J, and the values and curls of several fields.
 
-    ref_pts is (p, 2) shared by all cells or (n, p, 2) per cell; coeffs holds
-    s global coefficient vectors.  Returns phys (n, p, 2), det (n, p), values
-    (s, n, p, 2) and curls (s, n, p).  A cell's basis is REF.coeffs times
-    the monomial fields, up to dof_signs, so each field's signed local
-    coefficients are turned into monomial coefficients and contracted with
-    the monomials at the points (one real matmul pair each on shared points);
-    only the results are mapped, E = J^{-T} E_ref and curl E = curl_ref
-    E_ref / det J.
+    ref_pts (p, 2) is shared by all cells; coeffs holds s global coefficient
+    vectors.  Returns phys (n, p, 2), det (n, p), values (s, n, p, 2) and
+    curls (s, n, p).  A cell's basis is REF.coeffs times the monomial fields,
+    up to dof_signs, so each field's signed local coefficients are turned
+    into monomial coefficients and contracted with the monomials at the
+    points, one real matmul pair each; only the results are mapped, E =
+    J^{-T} E_ref and curl E = curl_ref E_ref / det J.
     """
-    cids = np.asarray(cids, dtype=np.int64)
-    ref_pts = np.asarray(ref_pts, dtype=float)
     phys, jac = cell_geometry(space.mesh, cids, ref_pts)
     det = positive_det(jac)
     n, p = det.shape
     dofs = space.cell_dofs[space.rank[cids]]
     signs = dof_signs(space, cids)
     mono = np.stack([gemm_real(c[dofs] * signs, REF.coeffs.T) for c in coeffs])
-    mono_vals, mono_curls = vector_monomials(ref_pts.reshape(-1, 2), ELEMENT_SPACE)
+    mono_vals, mono_curls = vector_monomials(ref_pts, ELEMENT_SPACE)
+    table = np.hstack([mono_vals.transpose(1, 0, 2).reshape(N_DOFS_CELL, 2 * p),
+                       mono_curls.T])
     vals = np.empty((len(coeffs), n, p, 2), dtype=complex)
     curls = np.empty((len(coeffs), n, p), dtype=complex)
-    if ref_pts.ndim == 2:
-        table = np.hstack([mono_vals.transpose(1, 0, 2).reshape(N_DOFS_CELL, 2 * p),
-                           mono_curls.T])
-        for k in range(len(coeffs)):
-            out = gemm_real(mono[k], table)
-            vals[k] = out[:, :2 * p].reshape(n, p, 2)
-            curls[k] = out[:, 2 * p:]
-    else:
-        mono_vals = mono_vals.reshape(n, p, N_DOFS_CELL, 2)
-        mono_curls = mono_curls.reshape(n, p, N_DOFS_CELL)
-        for k in range(len(coeffs)):
-            vals[k] = np.einsum("nm,npmc->npc", mono[k], mono_vals)
-            curls[k] = np.einsum("nm,npm->np", mono[k], mono_curls)
+    for k in range(len(coeffs)):
+        out = gemm_real(mono[k], table)
+        vals[k] = out[:, :2 * p].reshape(n, p, 2)
+        curls[k] = out[:, 2 * p:]
     # J^{-T} = adj(J)^T / det J, written out for the 2x2 stack
     vx, vy = vals[..., 0].copy(), vals[..., 1].copy()
     vals[..., 0] = (jac[..., 1, 1] * vx - jac[..., 1, 0] * vy) / det
@@ -460,16 +434,19 @@ def face_quadrature(mesh: Mesh, cids, ledges, n: int = FACE_POINTS):
 
 @dataclass(frozen=True)
 class FaceQuadrature:
-    """Gauss rule on the owner edge of each face, with the owner's basis traces.
+    """Gauss rule on the owner edge of each face, with the face's trace.
 
-    owner (f,) are the owner cells, ref and phys (f, p, 2) the reference and
-    physical points, weights (f, p) the Gauss weights times the edge speed,
-    tangent (f, p, 2) the unit tangents along the reference edge and traces
-    (f, p, 8) the tangential traces phi_b . t of the owner's edge basis
-    functions (the interior ones have none).
+    owner (f,) are the owner cells, slots (f, 2) the owner's edge slots of
+    the face's two dofs and dofs (f, 2) those dofs, ref and phys (f, p, 2)
+    the reference and physical points, weights (f, p) the Gauss weights
+    times the edge speed, tangent (f, p, 2) the unit tangents along the
+    reference edge and traces (f, p, 2) the traces of the face's two moment
+    functions (moment_traces), the only ones the owner has there.
     """
 
     owner: np.ndarray
+    slots: np.ndarray
+    dofs: np.ndarray
     ref: np.ndarray
     phys: np.ndarray
     weights: np.ndarray
@@ -477,19 +454,31 @@ class FaceQuadrature:
     traces: np.ndarray
 
 
-def face_traces(space: EdgeFESpace, faces: FaceTable) -> FaceQuadrature:
-    """face_quadrature on each face's owner edge, and the owner's basis traces.
+def moment_traces(space: EdgeFESpace, owner, ledge, t, speed) -> np.ndarray:
+    """Tangential traces phi . t (f, p, 2) of the two moment functions of the
+    local edge ledge[k] of the cell owner[k] at the parameters t (f, p) along
+    its reference direction, speed (f, p) the edge speed |dx/dt| there.
 
-    Along the edge x(t) of reference tangent e the covariant basis has the
-    trace phi_b . t = (v_b . e) / |dx/dt|: the reference table
-    REF.edge_traces times the owner's dof_signs over the edge speed.
+    The degree-1 traces with one unit moment, against 1 or 2t - 1, and a zero
+    one are 1 and 3 (2t - 1); every other function has zero moments, and so
+    no trace, on the edge.  The map divides by the speed, the dof sign flips
+    the first.
     """
+    sign = 1 - 2 * ((space.orient_idx[space.rank[owner]] >> ledge) & 1)
+    pair = np.stack([np.broadcast_to(sign[:, None], t.shape), 3 * (2 * t - 1)], axis=-1)
+    return pair / speed[..., None]
+
+
+def face_traces(space: EdgeFESpace, faces: FaceTable) -> FaceQuadrature:
+    """face_quadrature on each face's owner edge, its two dofs and their traces."""
     ref, phys, weights, tangent, speed = face_quadrature(space.mesh, faces.owner,
                                                          faces.ledge)
-    signs = dof_signs(space, faces.owner)[:, None, :N_EDGE_DOFS]
-    traces = REF.edge_traces[faces.ledge] * signs / speed[..., None]
-    return FaceQuadrature(owner=faces.owner, ref=ref, phys=phys, weights=weights,
-                          tangent=tangent, traces=traces)
+    slots = 2 * faces.ledge[:, None] + np.arange(2)
+    t = np.broadcast_to(gauss01(FACE_POINTS)[0], speed.shape)
+    return FaceQuadrature(owner=faces.owner, slots=slots,
+                          dofs=space.cell_dofs[space.rank[faces.owner][:, None], slots],
+                          ref=ref, phys=phys, weights=weights, tangent=tangent,
+                          traces=moment_traces(space, faces.owner, faces.ledge, t, speed))
 
 
 def sheet_ref_points(mesh: Mesh, cids, xs) -> np.ndarray:

@@ -50,8 +50,8 @@ from .assembly import (DipoleSpec, FixedPart, SheetModel, assemble_dipole_rhs,
                        assemble_dual_rhs, assemble_fixed, assemble_pair,
                        assemble_sheet_load)
 from .fespace import (EdgeFESpace, FieldSolution, build_constraints, distribute_dofs,
-                      sheet_ref_points)
-from .mesh import (Mesh, build_disk_mesh, cell_diameters,
+                      moment_traces)
+from .mesh import (EDGE_CORNERS, Mesh, build_disk_mesh, cell_diameters,
                    cells_intersecting_disk, write_vtk)
 from .pml import PmlSpec
 from .solver import factorize, solve, solve_adjoint
@@ -192,13 +192,13 @@ def band_refine(mesh: Mesh, half_width: float, target_diameter: float) -> Mesh:
 
 
 def scattered_trace(field: FieldSolution, xs: np.ndarray) -> InterfaceTrace:
-    """Tangential trace of the scattered field on the sheet, from above.
+    """Tangential trace E_x of the scattered field on the sheet, from the
+    moments of the face at each sample (fespace.moment_traces).
 
     The mesh covers x >= 0; the trace is odd in x, so a sample at x < 0 is
     minus the value at |x|.
     """
     space = field.space
-    mesh = space.mesh
     faces = space.sheet_faces
     xs = np.asarray(xs, dtype=float)
     at = np.abs(xs)
@@ -206,9 +206,13 @@ def scattered_trace(field: FieldSolution, xs: np.ndarray) -> InterfaceTrace:
     bad = (at < faces.x_lo[idx] - 1e-12) | (at > faces.x_hi[idx] + 1e-12)
     if np.any(bad):
         raise ValueError("trace sample outside the sheet faces")
-    cids = np.where(faces.above >= 0, faces.above, faces.below)[idx]
-    ref = sheet_ref_points(mesh, cids, at)
-    values = field.values(cids, ref[:, None, :])[:, 0, 0]
+    owner, ledge = faces.owner[idx], faces.ledge[idx]
+    # E_x = E_t t_x: the moment traces over the owner edge's signed chord x_b - x_a
+    x_a, x_b = space.mesh.cell_corners(owner)[np.arange(len(idx))[:, None],
+                                              np.array(EDGE_CORNERS)[ledge], 0].T
+    traces = moment_traces(space, owner, ledge, ((at - x_a) / (x_b - x_a))[:, None],
+                           (x_b - x_a)[:, None])[:, 0]
+    values = np.sum(traces * field.coeffs[space.sheet_quadrature.dofs[idx]], axis=1)
     return InterfaceTrace(x=xs, values=np.where(xs < 0, -values, values))
 
 

@@ -73,9 +73,13 @@ def spp_wavenumber(sigma_r: complex) -> complex:
     sqrt(1 - 4/sigma^2) with the root chosen so Re k_m > 0 (about 2i/sigma
     for |sigma| << 2).
     """
-    if sigma_r == 0:
-        raise ValueError("sheet conductivity must be nonzero for an SPP")
-    km = complex(np.sqrt(complex(1.0 - 4.0 / sigma_r**2)))
+    try:
+        ratio = 4.0 / complex(sigma_r) ** 2
+    except (ZeroDivisionError, OverflowError):      # sigma^2 underflows to 0 or overflows
+        ratio = np.inf
+    if not np.isfinite(ratio):
+        raise ValueError(f"an SPP needs 4/sigma^2 finite (sigma nonzero), got {sigma_r}")
+    km = complex(np.sqrt(complex(1.0 - ratio)))
     if km.real < 0:
         km = -km
     return km

@@ -65,10 +65,27 @@ def shape_eval(space, cids, ref_pts):
     return vals, curls
 
 
-def scatter_full(space, ranks, local):
-    """The local matrices local[k] (n, d, d) on the first d dofs of the active
-    cell of rank ranks[k], summed into one CSR matrix over all dofs."""
+def field_values(sol, cids, ref_pts):
+    """Values (n, p, 2) of the field sol (a FieldSolution) at reference points
+    of the cells cids, (p, 2) shared by all cells or (n, p, 2) per cell.
+
+    The reference evaluator of the tests: the mapped basis (shape_eval)
+    contracted with each cell's coefficients.
+    """
+    space = sol.space
+    vals, _ = shape_eval(space, cids, ref_pts)
+    local = sol.coeffs[space.cell_dofs[space.rank[np.asarray(cids, dtype=np.int64)]]]
+    return np.einsum("npbc,nb->npc", vals, local)
+
+
+def scatter_full(space, ranks, local, slots=None):
+    """The local matrices local[k] (n, d, d) on the dofs in the slots slots[k]
+    (n, d) of the active cell of rank ranks[k], its first d dofs by default,
+    summed into one CSR matrix over all dofs.  A face term (ranks, local
+    matrices, slots) of assembly fits the arguments as they are."""
     dofs = space.cell_dofs[ranks, :local.shape[1]]
+    if slots is not None:
+        dofs = np.take_along_axis(space.cell_dofs[ranks], slots, axis=1)
     return sp.coo_matrix((local.ravel(), (np.repeat(dofs, dofs.shape[1], axis=1).ravel(),
                                           np.tile(dofs, (1, dofs.shape[1])).ravel())),
                          shape=(space.n_dofs, space.n_dofs)).tocsr()

@@ -62,7 +62,7 @@ class TestMatrixStructure:
         # the sheet blocks are zero, and condense drops the entries they add
         space, cs = disk_space(2)
         mdl = model(sigma=0.0j)
-        ranks, local = assemble_interface(space, mdl)
+        ranks, local, _ = assemble_interface(space, mdl)
         assert np.array_equal(ranks, space.rank[space.sheet_faces.owner])
         assert not local.any()
         full = one_part_system(space, cs, mdl).matrix
@@ -222,16 +222,20 @@ class TestLocalKernel:
             coef = lambda x: -1j * pml_mod.sheet_arrays(
                 x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
         quad = face_traces(space, faces)
-        ranks, mat = _face_local(space, quad, coef(quad.phys))
+        ranks, mat, slots = _face_local(space, quad, coef(quad.phys))
         cids = faces.owner
         assert np.array_equal(ranks, space.rank[cids])
+        assert np.array_equal(slots, 2 * faces.ledge[:, None] + np.arange(2))
         ref_pts, phys, wds, tangent, _ = face_quadrature(space.mesh, cids, faces.ledge)
         vals, _ = shape_eval(space, cids, ref_pts)
         tang = np.einsum("fpbi,fpi->fpb", vals, tangent)
+        # all twelve mapped functions: only the face's own pair has a trace
         local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-        # the interior functions have no tangential trace
-        assert abs(local[:, 8:]).max() <= 1e-13 * abs(local).max()
-        assert abs(mat - local[:, :8, :8]).max() <= 1e-13 * abs(local).max()
+        pair = local[np.arange(len(cids))[:, None, None], slots[:, :, None], slots[:, None, :]]
+        off = local.copy()
+        off[np.arange(len(cids))[:, None, None], slots[:, :, None], slots[:, None, :]] = 0
+        assert abs(off).max() <= 1e-13 * abs(local).max()
+        assert abs(mat - pair).max() <= 1e-13 * abs(local).max()
 
 
 def rel_err(got, want):
@@ -255,11 +259,15 @@ class TestReferenceKernels:
         space = mixed_space
         for faces in (space.sheet_faces, space.rim_faces):
             quad = face_traces(space, faces)
+            rows = np.arange(len(faces))[:, None]
+            assert np.array_equal(quad.dofs, space.cell_dofs[space.rank[faces.owner][:, None],
+                                                             quad.slots])
             vals, _ = shape_eval(space, faces.owner, quad.ref)
-            want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)
-            assert rel_err(quad.traces, want[..., :8]) <= 1e-13
-            # the interior functions have no tangential trace
-            assert np.abs(want[..., 8:]).max() <= 1e-15 * np.abs(want).max()
+            want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)    # all twelve
+            assert rel_err(quad.traces, want[rows, :, quad.slots].transpose(0, 2, 1)) <= 1e-13
+            # every function but the face's own pair has no tangential trace
+            want[rows, :, quad.slots] = 0
+            assert np.abs(want).max() <= 1e-13 * np.abs(quad.traces).max()
 
     def test_dual_rhs(self, mixed_space):
         space = mixed_space

@@ -128,6 +128,11 @@ def test_blas_thread_note_unless_one_thread():
     # a spectral window of fewer than 3 trace samples, before any mesh is
     # built: the window 0.2 R <= x <= 0.7 R holds none of 4 samples
     ("samples = 4\n", ["pml-study", "--values", "0"], "samples"),
+    # sigma^2 underflows to zero or overflows: 4/sigma^2 is not finite
+    (None, ["run", "--sigma", "1e-300j", "--cycles", "1"], "4/sigma^2"),
+    (None, ["run", "--sigma", "1e300j"], "4/sigma^2"),
+    (None, ["oracle", "--sigma", "1e-300j"], "4/sigma^2"),
+    (None, ["oracle", "--sigma", "1e300j"], "4/sigma^2"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:

@@ -6,12 +6,12 @@ from sppsim import mesh as msh
 from sppsim import pml as pml_mod
 from sppsim.assembly import DipoleSpec, SheetModel
 from sppsim.dwr import QuadData, WeightFunction, mark, qoi, reconstruct
-from sppsim.fespace import (ELEMENT_SPACE, REF, FieldSolution, distribute_dofs,
-                            sheet_ref_points, vector_monomials)
+from sppsim.fespace import (ELEMENT_SPACE, REF, FieldSolution, build_constraints,
+                            distribute_dofs, sheet_ref_points, vector_monomials)
 from sppsim.mesh import CHILD_OFFSETS, cell_geometry, jacobian_det
 from sppsim.pml import PmlSpec
 
-from fields import interpolate, shape_eval
+from fields import field_values, interpolate, shape_eval
 
 D_W = 1.5625
 
@@ -54,6 +54,17 @@ def random_solution(space, seed):
                          + 1j * rng.standard_normal(space.n_dofs))
 
 
+def conforming_solution(space, seed):
+    """random_solution with its edge dofs from random masters: a field of the
+    constrained space, whose trace on a hanging face is one from both sides."""
+    cs = build_constraints(space)
+    sol = random_solution(space, seed)
+    rng = np.random.default_rng(seed + 1)
+    masters = rng.standard_normal(cs.n_master) + 1j * rng.standard_normal(cs.n_master)
+    sol.coeffs[:space.n_edge_dofs] = cs.distribute(masters)[:space.n_edge_dofs]
+    return sol
+
+
 def quadratic_field(pts):
     # in the order-2 edge space of every affine cell
     x, y = pts[:, 0], pts[:, 1]
@@ -89,7 +100,7 @@ def order2_patch_differences(sol, parent):
         mono, mono_curl = vector_monomials(ppts, ELEMENT_SPACE)
         jac = cell_geometry(mesh, [parent], ppts)[1][0]
         wts = np.sqrt(REF.quad_wts * jacobian_det(cell_geometry(mesh, [cid], REF.quad_pts)[1])[0])
-        pulled = np.einsum("pji,pj->pi", jac, sol.values([cid], REF.quad_pts)[0])
+        pulled = np.einsum("pji,pj->pi", jac, field_values(sol, [cid], REF.quad_pts)[0])
         for comp in range(2):
             rows_a.append(mono[:, :, comp] * wts[:, None])
             rows_b.append(pulled[:, comp] * wts)
@@ -102,7 +113,7 @@ def order2_patch_differences(sol, parent):
         curls = mono_curl @ coef / jacobian_det(jac)
         _, basis_curls = shape_eval(sol.space, [cid], REF.quad_pts)
         local = sol.coeffs[sol.space.cell_dofs[sol.space.rank[cid]]]
-        out[cid] = (vals - sol.values([cid], REF.quad_pts)[0],
+        out[cid] = (vals - field_values(sol, [cid], REF.quad_pts)[0],
                     curls - basis_curls[0] @ local)
     return out
 
@@ -214,7 +225,8 @@ class TestReconstruction:
         assert np.max(np.abs(rec.dvals_quad)) < 1e-10
         assert np.max(np.abs(rec.dcurls_quad)) < 1e-10
         # the stored patch embeddings and coefficients reproduce it off the grid too
-        _, dvals = rec.at_points(space.active, np.random.default_rng(2).random((5, 2)))
+        pts = np.random.default_rng(2).random((5, 2))
+        dvals = rec.at_points(space.active, pts)[0] - field_values(sol, space.active, pts)
         assert np.max(np.abs(dvals)) < 1e-10
 
     def test_nested_patches_take_the_later_irregular_fit(self):
@@ -271,8 +283,7 @@ class TestReconstruction:
             alone = reconstruct(QuadData(space, (sol,)))
             assert np.array_equal(both.dvals_quad[k], alone.dvals_quad[0])
             assert np.array_equal(both.dcurls_quad[k], alone.dcurls_quad[0])
-            for got, want in zip(shared, alone.at_points(space.active, pts)):
-                assert np.array_equal(got[k], want[0])
+            assert np.array_equal(shared[k], alone.at_points(space.active, pts)[0])
 
     def test_off_grid_differences_match_quadrature_differences(self):
         # the two evaluation paths of pi u - u agree for a field that no
@@ -281,11 +292,12 @@ class TestReconstruction:
         sol = random_solution(space, 7)
         qd = QuadData(space, (sol,))
         rec = reconstruct(qd)
-        vals, dvals = rec.at_points(space.active, REF.quad_pts)
+        vals = field_values(sol, space.active, REF.quad_pts)
+        dvals = rec.at_points(space.active, REF.quad_pts)[0] - vals
         scale = np.max(np.abs(qd.values[0]))
         assert np.max(np.abs(rec.dvals_quad)) > 1e-2 * scale
-        np.testing.assert_allclose(vals[0], qd.values[0], rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(dvals[0], rec.dvals_quad[0], rtol=0,
+        np.testing.assert_allclose(vals, qd.values[0], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(dvals, rec.dvals_quad[0], rtol=0,
                                    atol=1e-12 * scale)
 
     def test_difference_shrinks_faster_than_interpolation_error(self):
@@ -308,7 +320,7 @@ class TestReconstruction:
             for i, cid in enumerate(space.active):
                 phys, jac = cell_geometry(m, [cid], REF.quad_pts)
                 det = jacobian_det(jac)[0]
-                u = sol.values([cid], REF.quad_pts)[0]
+                u = field_values(sol, [cid], REF.quad_pts)[0]
                 err_true += np.sum(REF.quad_wts * det *
                                    np.sum(np.abs(u - f(phys[0])) ** 2, axis=1))
                 err_rec += np.sum(REF.quad_wts * det *
@@ -370,7 +382,9 @@ class TestIndicators:
                            dipole=DipoleSpec(height=10 * R, radius=0.15625))
         monkeypatch.setattr(dwr_mod.pml_mod, "material_arrays",
                             lambda pts, spec: (np.zeros(len(pts)), np.zeros((len(pts), 2, 2))))
-        qd = QuadData(space, (random_solution(space, 8), random_solution(space, 9)))
+        # the face pass reads u_t from a face's moments: a field of the
+        # constrained space has the same trace from both sides of every face
+        qd = QuadData(space, (conforming_solution(space, 8), conforming_solution(space, 9)))
         recon = reconstruct(qd)
         eta = dwr_mod.indicators(qd, model, recon, lambda pts: np.zeros(len(pts)))
 
@@ -378,8 +392,13 @@ class TestIndicators:
         rho_ast = dict.fromkeys(space.active.tolist(), 0j)
 
         def add(cid, ref, weights, tangent):
-            vals, dvals = recon.at_points([cid], ref[None])
-            e_t, z_t, ve_t, wz_t = (np.sum(v[0] * tangent, axis=1) for v in (*vals, *dvals))
+            # u from the side cell itself, pi u - u only on a cell with a patch
+            vals = [field_values(sol, [cid], ref[None])[0] for sol in qd.sols]
+            pis = recon.at_points([cid], ref[None])[:, 0]
+            fitted = recon._order[space.rank[cid]] > 0
+            e_t, z_t = (np.sum(v * tangent, axis=1) for v in vals)
+            ve_t, wz_t = (fitted * np.sum((pi - v) * tangent, axis=1)
+                          for pi, v in zip(pis, vals))
             rho[cid] += 1j * np.sum(weights * e_t * np.conj(wz_t))
             rho_ast[cid] += 1j * np.sum(weights * ve_t * np.conj(z_t))
 

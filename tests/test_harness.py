@@ -176,6 +176,47 @@ class TestScatteredTrace:
         exact = f(np.column_stack([xs, np.zeros_like(xs)]))[:, 0]
         assert np.max(np.abs(tr.values - exact)) < 1e-11
 
+    @pytest.mark.parametrize("layout", ["disk", "turned"])
+    def test_odd_linear_field_exact_at_every_sample(self, layout):
+        # E_x = c x is odd in x, as the trace is, and the trace of each face's
+        # two moments reproduces it at any sample.  Refining cells below the
+        # sheet leaves hanging faces owned from below; the owners' edges run
+        # along and against the global direction, and in the turned grid,
+        # whose cells below the sheet are turned by half a turn, also along -x
+        if layout == "disk":
+            mesh = msh.build_disk_mesh(4 * np.pi, 1)
+        else:
+            mesh = msh.Mesh(10.0)
+            v = {(i, j): mesh.add_vertex(float(i), float(j))
+                 for i in range(5) for j in (-1, 0, 1)}
+            for i in range(4):
+                for corners in ((v[i, 0], v[i + 1, 0], v[i + 1, 1], v[i, 1]),
+                                (v[i + 1, 0], v[i, 0], v[i, -1], v[i + 1, -1])):
+                    mesh.add_cell(corners, 0, -1, (False,) * 4)
+        ids = mesh.active_ids()
+        ys = mesh.cell_corners(ids)[:, :, 1]
+        mesh.refine(ids[(ys.max(axis=1) <= 0) & (np.sum(ys == 0, axis=1) == 2)][1:3])
+        space = distribute_dofs(mesh)
+        faces = space.sheet_faces
+        hanging = (faces.above >= 0) & (mesh.level[faces.above] < mesh.level[faces.owner])
+        assert np.any(hanging & (faces.owner == faces.below))
+        flipped = (space.orient_idx[space.rank[faces.owner]] >> faces.ledge) & 1
+        assert set(flipped.tolist()) == {0, 1}
+        start, end = np.array(msh.EDGE_CORNERS)[faces.ledge].T
+        x_ends = mesh.cell_corners(faces.owner)[np.arange(len(faces)), :, 0]
+        rows = np.arange(len(faces))
+        along = np.sign(x_ends[rows, end] - x_ends[rows, start])
+        assert set(along.tolist()) == ({1.0} if layout == "disk" else {-1.0, 1.0})
+        c = 0.7 - 0.3j
+        lin = FieldSolution(space, interpolate(space, lambda p: np.column_stack(
+            [c * p[:, 0], np.zeros(len(p))])))
+        right = np.linspace(faces.x_lo[0] + 0.01, 0.9 * faces.x_hi[-1], 199)
+        xs = np.concatenate([-right[::-1], right])
+        assert all(np.any((xs > faces.x_lo[k]) & (xs < faces.x_hi[k]))
+                   for k in np.flatnonzero(hanging))
+        tr = hn.scattered_trace(lin, xs)
+        assert np.max(np.abs(tr.values - c * xs)) <= 1e-13 * np.abs(c * xs).max()
+
 
 
 class TestOneFactorization:
