@@ -7,13 +7,17 @@ and is always evaluated in closed form.  The two stretch factors are
     d(r)    = 1 + i s(r),
     dbar(r) = 1 + (i/r) * integral_rho^r s(t) dt,
 
-and they turn the vacuum coefficients of the curl-curl form (mu = eps = 1 in
-rescaled units) into
+and the map has the Jacobian J = diag(d, dbar) in the (radial, tangential)
+frame.  Pulling the vacuum curl-curl form (mu = eps = 1 in rescaled units)
+back through it (Collino & Monk, SIAM J. Sci. Comput. 19, 1998) turns its
+coefficients into
 
-    1      -> 1/d                           on the 2D curl,
-    1      -> diag(dbar^2/d, d)             on the field, in the (radial,
-                                            tangential) frame,
-    sigma  -> sigma * dbar/d                on sheet faces inside the layer.
+    1      -> 1/(d dbar)                    on the 2D curl, as curl E =
+                                            det J curl E~,
+    1      -> diag(dbar/d, d/dbar)          on the field, det J J^-1 J^-T in
+                                            the (radial, tangential) frame,
+    sigma  -> sigma/d                       on sheet faces inside the layer,
+                                            as ds~ = d ds and E~_t = E_t/d.
 
 Inside r <= rho every factor is exactly one and the coefficients are exactly
 vacuum's.  This module is the one place that knows it: stretch_arrays and
@@ -94,13 +98,13 @@ def material_arrays(pts: np.ndarray, spec: PmlSpec):
     eps_eff = np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1))
     e_r = pts[layer] / r[:, None]
     outer = e_r[:, :, None] * e_r[:, None, :]
-    inv_mu[layer] = 1.0 / d
-    eps_eff[layer] = (d[:, None, None] * np.eye(2)[None, :, :]
-                      + (dbar**2 / d - d)[:, None, None] * outer)
+    inv_mu[layer] = 1.0 / (d * dbar)
+    eps_eff[layer] = ((d / dbar)[:, None, None] * np.eye(2)[None, :, :]
+                      + (dbar / d - d / dbar)[:, None, None] * outer)
     return inv_mu, eps_eff
 
 
 def sheet_arrays(pts: np.ndarray, sigma_r: complex, spec: PmlSpec):
-    """PML-modified sheet conductivity sigma * dbar/d at points on the sheet."""
-    d, dbar = stretch_arrays(pts, spec)
-    return sigma_r * dbar / d
+    """PML-modified sheet conductivity sigma/d at points on the sheet."""
+    d, _ = stretch_arrays(pts, spec)
+    return sigma_r / d

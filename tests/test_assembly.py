@@ -410,11 +410,11 @@ class TestOncePerMeshState:
         d = 1.0 + 1j * pml_mod.profile(r, mdl.pml)
         dbar = 1.0 + 1j * pml_mod.profile_integral(r, mdl.pml) / r
         e_r = pts / r[:, None]
-        eps = (d[:, None, None] * np.eye(2)[None, :, :]
-               + (dbar**2 / d - d)[:, None, None] * (e_r[:, :, None] * e_r[:, None, :]))
+        eps = ((d / dbar)[:, None, None] * np.eye(2)[None, :, :]
+               + (dbar / d - d / dbar)[:, None, None] * (e_r[:, :, None] * e_r[:, None, :]))
         for got, want in zip((*pml_mod.stretch_arrays(pts, mdl.pml),
                               *pml_mod.material_arrays(pts, mdl.pml)),
-                             (d, dbar, 1.0 / d, eps)):
+                             (d, dbar, 1.0 / (d * dbar), eps)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("s0", [0.0, 8.0])

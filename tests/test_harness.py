@@ -242,33 +242,51 @@ class TestOneFactorization:
         sys_tot = assemble_pair(fixed, model).with_load(load)
         total = solver.solve(sys_tot, solver.factorize(sys_tot.matrix))
         diff = hn.scattered_trace(FieldSolution(space, total.coeffs - primary.coeffs), xs)
-        return cfg, xs, one, diff, hn.scattered_trace(primary, xs)
+        return cfg, xs, one, diff
 
     def test_agrees_with_the_difference_of_two_solves(self, traces):
         # measured: 1.75e-2 relative (complex L2)
-        cfg, xs, one, diff, _ = traces
+        cfg, xs, one, diff = traces
         zero = hn.InterfaceTrace(xs, np.zeros(len(xs), dtype=complex))
         rel = hn.l2_error(one, diff, "complex") / hn.l2_error(diff, zero, "complex")
         assert rel <= 0.025
 
     def test_no_farther_from_the_reference(self, traces):
         # measured real 2.187e-2 against 2.284e-2, complex 3.150e-2 against 3.251e-2
-        cfg, xs, one, diff, _ = traces
+        cfg, xs, one, diff = traces
         ref = hn.oracle_trace(cfg, xs)
         for component in ("real", "complex"):
             assert hn.l2_error(one, ref, component) <= hn.l2_error(diff, ref, component)
 
-    def test_sheet_free_trace_is_the_incident_field(self, traces):
-        # the sheet-free solve is the regularized dipole's field, F times the
-        # point dipole's outside the bump; measured: least-squares factor
-        # 0.98196+0.00254j against F = 0.98554, misfit 2.9 % of F E_inc
-        cfg, xs, _, _, sheet_free = traces
-        inc = incident_ex(xs, cfg.a, cfg.model().pml)
+    def test_sheet_free_trace_is_the_incident_field(self):
+        """The absorbing layer needs no reference: without the sheet the solve is
+        the regularized dipole's field, F times the point dipole's E_inc outside
+        the bump, and a layer that reflects puts its echo on the trace.
+
+        On the band mesh of the tiny configuration from initial_refines = 2
+        (21,776 dofs) the coarse cells no longer decide the fit.  Measured at
+        s0 = 2: least-squares factor 0.98697-0.00024j against F = 0.98554
+        (0.147 % off), misfit 2.03e-3 of F E_inc on |x| < 3.  A layer with the
+        coefficients times dbar (not pulled back) gives 0.277 % and 4.76e-3.
+        """
+        cfg = tiny_config(initial_refines=2)
+        mesh = hn.build_initial_mesh(cfg)
+        hn.band_refine(mesh, cfg.d_w, 0.25)
+        space = distribute_dofs(mesh)
+        model, xs = cfg.model(), hn.trace_grid(cfg)
+        sheet_free = assemble_pair(assemble_fixed(space, build_constraints(space), model),
+                                   dataclasses.replace(model, sigma_r=0j))
+        field = solver.solve(sheet_free.with_load(assemble_dipole_rhs(space, model)),
+                             solver.factorize(sheet_free.matrix))
+        trace = hn.scattered_trace(field, xs).values
+        inc = incident_ex(xs, cfg.a, model.pml)
         form = source_form_factor(cfg.d_reg)
-        fit = np.vdot(inc, sheet_free.values) / np.vdot(inc, inc)
-        assert abs(fit / form - 1) <= 0.005
-        misfit = np.linalg.norm(sheet_free.values - form * inc) / np.linalg.norm(form * inc)
-        assert misfit <= 0.04
+        fit = np.vdot(inc, trace) / np.vdot(inc, inc)
+        assert abs(fit / form - 1) <= 0.002
+        near = np.abs(xs) < 3
+        misfit = np.linalg.norm(trace[near] - form * inc[near]) / np.linalg.norm(form * inc[near])
+        assert misfit <= 3e-3
+
 
 
 class TestRunAdaptive:
