@@ -238,9 +238,8 @@ def _condense_local(local: np.ndarray):
 def inner_cells(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     """Mask over the active cells: no corner beyond the layer's inner radius.
 
-    Such a cell has no arc edge (those end on the rim) and so a bilinear map,
-    and it stays inside that disk: its local matrix does not depend on the
-    layer strength.  Every other cell is an outer cell.
+    Such a cell stays inside that disk, so its local matrix does not depend
+    on the layer strength.  Every other cell is an outer cell.
     """
     corners = space.mesh.cell_corners(space.active)
     return np.all(np.hypot(corners[..., 0], corners[..., 1]) <= model.pml.rho, axis=1)
@@ -249,8 +248,8 @@ def inner_cells(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
 def shape_classes(space: EdgeFESpace, cids):
     """Representative cell ids and the class of every inner cell in cids.
 
-    An inner cell (inner_cells) with straight parallelogram edges has an affine
-    map and constant coefficients, so its local matrix depends only on its two
+    An inner cell (inner_cells) that is a parallelogram has an affine map and
+    constant coefficients, so its local matrix depends only on its two
     edge vectors, up to its dof signs.  Such cells share one class per (edge
     vectors quantised to SHAPE_RESOLUTION * R, orient_idx); every other cell
     is a class of its own.  Returns (reps, inverse) with

@@ -11,7 +11,7 @@ constant moment of each local edge that runs against the global direction.
 
 Fields map to physical cells with the covariant transform E = J^{-T} E_ref,
 which preserves tangential line integrals; the scalar 2D curl then transforms
-as curl E = (curl_ref E_ref)/det J for any (also curved) reference map.  The
+as curl E = (curl_ref E_ref)/det J.  The
 basis itself is never mapped: the reference element caches each table once
 (values and curls at the quadrature points and their products), a cell
 contributes only its geometry (J, det J at its points) and its dof signs,
@@ -418,16 +418,8 @@ def face_quadrature(mesh: Mesh, cids, ledges, n: int = FACE_POINTS):
     ledges = np.asarray(ledges, dtype=np.int64)
     ref = np.stack([_edge_ref_points(e, te) for e in range(4)])[ledges]
     phys, jac = cell_geometry(mesh, cids, ref)
+    # the bilinear map's derivative along an edge is the edge's chord
     dxdt = np.einsum("fpij,fj->fpi", jac, np.asarray(_EDGE_TANGENT)[ledges])
-    # a straight edge's tangent is its chord; the blended map reproduces the
-    # chord only up to rounding where the edge meets an arc
-    cids = np.asarray(cids, dtype=np.int64)
-    straight = ~mesh.arc[cids, ledges]
-    start, end = np.array(EDGE_CORNERS)[ledges].T
-    corners = mesh.cell_corners(cids)
-    rows = np.arange(len(ledges))
-    chord = corners[rows, end] - corners[rows, start]
-    dxdt[straight] = chord[straight][:, None, :]
     speed = np.linalg.norm(dxdt, axis=2)
     return ref, phys, we * speed, dxdt / speed[..., None], speed
 

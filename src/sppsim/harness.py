@@ -21,7 +21,8 @@ edge space of a symmetric full-disk mesh, restricted to x >= 0, is then the
 plain edge space of the half mesh with the moments on x = 0 left free, and
 its Galerkin system is half the full one.  On x = 0 the weak form imposes
 the natural condition n x curl E = 0 (H_z = 0), a magnetic wall; no
-boundary term is added there, as boundary_faces selects only the arc.  E_x
+boundary term is added there, as boundary_faces selects only the edges
+with both ends on the outer circle, and no face on x = 0 has them.  E_x
 on the sheet is odd in x, so the trace at x < 0 is taken from |x|.
 convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
 

@@ -6,15 +6,16 @@ magnetic wall that the weak form imposes naturally (see harness).  The coarse
 layout glues a quarter-disk quad pattern to its mirror image in {y = 0}, so
 the sheet is a union of cell edges from the start.  Cells refine into four
 children (quad-tree); neighboring active cells never differ by more than one
-refinement level (closure refinement restores this after every call).  Cells
-touching the outer circle carry arc edges; their reference map adds a
-transfinite (Coons) term on each arc edge to the bilinear map of the corners,
-which is the whole map of every other cell.
+refinement level (closure refinement restores this after every call).  Every
+edge is straight and every cell's reference map is the bilinear map of its
+corners.  The outer circle is a polygon whose vertices lie on it: splitting an
+edge with both ends on the circle puts its midpoint on the circle, at the
+bisecting angle, and every other midpoint is the chord's.
 
 The mesh is stored as numpy columns indexed by vertex or cell id (a linear
 quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
 ids, ``level``, ``parent`` (-1 for a root cell), ``children`` (nc, 4; -1
-while the cell is active) and ``arc`` (nc, 4) flags.  Each column is a plain
+while the cell is active).  Each column is a plain
 array of exact length: an append extends it by one concatenation, and
 ``refine`` appends its new vertices and cells as one block each.  Ids are
 append-only, so every cell ever created keeps its row.  Every split edge is a
@@ -60,9 +61,6 @@ CHILD_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
 # corners of the four children among (v0, v1, v2, v3, m0, m1, m2, m3, centre)
 # of the parent, m_e being the midpoint of its local edge e
 _CHILD_CORNERS = np.array([(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)])
-# child q keeps the arc flag of parent edge e where it lies on that edge
-_CHILD_ON_EDGE = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
-                          dtype=bool)
 
 def _edge_code(keys) -> np.ndarray:
     """One int64 per sorted vertex-id pair (..., 2), ordered like the pairs."""
@@ -124,7 +122,6 @@ class Mesh:
         self.level = np.empty(0, dtype=np.int64)
         self.parent = np.empty(0, dtype=np.int64)
         self.children = np.empty((0, 4), dtype=np.int64)
-        self.arc = np.empty((0, 4), dtype=bool)
         # edge table: codes of every split edge, ascending, and their midpoints
         self._split_code = np.empty(0, dtype=np.int64)
         self._split_mid = np.empty(0, dtype=np.int64)
@@ -137,16 +134,16 @@ class Mesh:
     def add_vertex(self, x: float, y: float) -> int:
         return self._append_vertices(np.array([[x, y]]))[0]
 
-    def add_cell(self, verts, level, parent, arc) -> int:
+    def add_cell(self, verts, level, parent) -> int:
         """Append a cell; parent is -1 for a root cell."""
-        return self._append_cells([verts], [level], [parent], [arc])[0]
+        return self._append_cells([verts], [level], [parent])[0]
 
     def _append_vertices(self, xy: np.ndarray) -> range:
         start = len(self.vertices)
         self.vertices = np.concatenate([self.vertices, xy])
         return range(start, len(self.vertices))
 
-    def _append_cells(self, verts, level, parent, arc) -> range:
+    def _append_cells(self, verts, level, parent) -> range:
         # every change appends cells (_split_cells marks the parents split
         # right after, with no query between), so this drops the stale table
         self._edges = None
@@ -155,7 +152,6 @@ class Mesh:
         self.level = np.concatenate([self.level, level])
         self.parent = np.concatenate([self.parent, parent])
         self.children = np.concatenate([self.children, np.full((len(level), 4), -1)])
-        self.arc = np.concatenate([self.arc, arc])
         return range(start, len(self.cells))
 
     # -- queries -----------------------------------------------------------
@@ -209,6 +205,10 @@ class Mesh:
         """Mask over vertices: on the sheet {y = 0}."""
         return np.abs(self.vertices[:, 1]) <= self._tol
 
+    def on_rim(self) -> np.ndarray:
+        """Mask over vertices: on the outer circle r = R."""
+        return np.abs(np.hypot(self.vertices[:, 0], self.vertices[:, 1]) - self.R) <= self._tol
+
     def content_hash(self) -> str:
         corners = self.cell_corners(self.active_ids())
         return hashlib.sha256(np.round(corners, 12).tobytes()).hexdigest()
@@ -259,10 +259,12 @@ class Mesh:
         mids = np.where(mids >= 0, mids, new_mid[first][inverse])
 
         xy = np.empty((slots.sum(), 2))
-        xy[new_mid[fresh] - nv] = _edge_points(
-            self.vertices[keys[fresh, 0]], self.vertices[keys[fresh, 1]],
-            self.arc[order].ravel()[fresh], np.array([[0.5]]), self.R)[0][:, 0]
-        xy[vid[:, 4] - nv] = _split_centres(self, order)
+        xy[new_mid[fresh] - nv] = _midpoints(self, keys[fresh])
+        # the centre, m0..m3 the cell's edge midpoints and v0..v3 its corners,
+        # summed in this fixed order (the vertices' bits fix the content hash)
+        m0, m1, m2, m3 = np.concatenate([self.vertices, xy])[mids.reshape(n, 4).T]
+        v0, v1, v2, v3 = self.vertices[self.cells[order].T]
+        xy[vid[:, 4] - nv] = 0.5 * (m0 + m2 + m3 + m1) - 0.25 * (v0 + v1 + v2 + v3)
         self._append_vertices(xy)
 
         table = np.concatenate([self._split_code, codes[fresh]])
@@ -271,10 +273,8 @@ class Mesh:
         self._split_mid = np.concatenate([self._split_mid, new_mid[fresh]])[by_code]
 
         points = np.concatenate([self.cells[order], mids.reshape(n, 4), vid[:, 4:]], axis=1)
-        kids = self._append_cells(
-            points[:, _CHILD_CORNERS].reshape(-1, 4),
-            np.repeat(self.level[order] + 1, 4), np.repeat(order, 4),
-            (self.arc[order][:, None, :] & _CHILD_ON_EDGE).reshape(-1, 4))
+        kids = self._append_cells(points[:, _CHILD_CORNERS].reshape(-1, 4),
+                                  np.repeat(self.level[order] + 1, 4), np.repeat(order, 4))
         self.children[order] = np.reshape(kids, (n, 4))
 
     def uniform_refine(self, times: int = 1) -> "Mesh":
@@ -297,11 +297,7 @@ def build_disk_mesh(R: float, initial_refines: int = 0) -> Mesh:
     H = mesh.add_vertex(c, c)
     K = mesh.add_vertex(0.0, R)
     J = mesh.add_vertex(s, s)
-    upper = [
-        ((C, D, H, G), (False, False, False, False)),
-        ((D, E, J, H), (False, True, False, False)),
-        ((G, H, J, K), (False, False, True, False)),
-    ]
+    upper = [(C, D, H, G), (D, E, J, H), (G, H, J, K)]
     mirror = {}
 
     def mirrored(vid):
@@ -310,58 +306,38 @@ def build_disk_mesh(R: float, initial_refines: int = 0) -> Mesh:
             mirror[vid] = vid if abs(y) <= mesh._tol else mesh.add_vertex(x, -y)
         return mirror[vid]
 
-    for verts, arc in upper:
-        mesh.add_cell(verts, 0, -1, arc)
-    for (w0, w1, w2, w3), (a0, a1, a2, a3) in upper:
-        verts = (mirrored(w0), mirrored(w3), mirrored(w2), mirrored(w1))
-        mesh.add_cell(verts, 0, -1, (a3, a2, a1, a0))
+    for verts in upper:
+        mesh.add_cell(verts, 0, -1)
+    for w0, w1, w2, w3 in upper:
+        mesh.add_cell((mirrored(w0), mirrored(w3), mirrored(w2), mirrored(w1)), 0, -1)
     mesh.uniform_refine(initial_refines)
     return mesh
 
 
+def _midpoints(mesh: Mesh, keys) -> np.ndarray:
+    """New vertices (n, 2) of the edges keys (n, 2): on the circle at the
+    bisecting angle where both ends lie on it, the chord's midpoint elsewhere."""
+    a, b = mesh.vertices[keys[:, 0]], mesh.vertices[keys[:, 1]]
+    xy = 0.5 * (a + b)
+    rim = np.flatnonzero(mesh.on_rim()[keys].all(axis=1))
+    ta = np.arctan2(a[rim, 1], a[rim, 0])
+    tb = np.arctan2(b[rim, 1], b[rim, 0])
+    angle = ta + 0.5 * ((tb - ta + np.pi) % (2 * np.pi) - np.pi)
+    xy[rim] = mesh.R * np.column_stack([np.cos(angle), np.sin(angle)])
+    return xy
+
+
 # -- reference-to-physical geometry -----------------------------------------
-
-def _edge_points(a, b, arc_mask, t, R):
-    """Curve positions/derivatives for a batch of edges.
-
-    a, b: (n, 2) endpoint arrays in reference direction; t: (1, p) shared or
-    (n, p) per-edge parameters.  Straight chords by default, circle arcs of
-    radius R where flagged.
-    """
-    n, p = a.shape[0], t.shape[1]
-    tt = t[:, :, None]
-    pos = (1.0 - tt) * a[:, None, :] + tt * b[:, None, :]
-    dpos = np.broadcast_to((b - a)[:, None, :], (n, p, 2)).copy()
-    if np.any(arc_mask):
-        idx = np.nonzero(arc_mask)[0]
-        aa, bb = a[idx], b[idx]
-        ta = np.arctan2(aa[:, 1], aa[:, 0])
-        tb = np.arctan2(bb[:, 1], bb[:, 0])
-        dt = (tb - ta + np.pi) % (2 * np.pi) - np.pi
-        ang = ta[:, None] + np.broadcast_to(t, (n, p))[idx] * dt[:, None]
-        pos[idx, :, 0] = R * np.cos(ang)
-        pos[idx, :, 1] = R * np.sin(ang)
-        dpos[idx, :, 0] = -R * dt[:, None] * np.sin(ang)
-        dpos[idx, :, 1] = R * dt[:, None] * np.cos(ang)
-    return pos, dpos
-
-
-# per local edge: the reference coordinate along it, and its Coons blend
-# b0 + slope * (the other coordinate), which is one on the edge, zero opposite
-_EDGE_BLEND = ((0, 1.0, -1.0), (1, 0.0, 1.0), (0, 0.0, 1.0), (1, 1.0, -1.0))
-
 
 def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     """Physical coordinates and Jacobians of the reference map for many cells.
 
     ref_pts: (p, 2) reference points shared by all cells, or (n, p, 2) one set
     per cell.  Returns (phys (n,p,2), jac (n,p,2,2)).  The map is the bilinear
-    map of the corners plus, on each edge flagged arc, the Coons term
-    blend * (arc - chord) (transfinite interpolation); a cell without arc
-    edges is bilinear.  Each cell's numbers depend only on that cell and its
-    points, not on the other cells of the batch.
+    map of the corners, so along each edge its Jacobian is the edge's chord.
+    Each cell's numbers depend only on that cell and its points, not on the
+    other cells of the batch.
     """
-    cids = np.asarray(cids, dtype=np.int64)
     corners = mesh.cell_corners(cids)
     ref = np.asarray(ref_pts, dtype=float)
     # bilinear positions are shape-function weights times the corners, and
@@ -379,41 +355,7 @@ def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
     deta = (1 - xi) * e3 + xi * e1
     phys = np.ascontiguousarray(phys.transpose(2, 0, 1))
     jac = np.ascontiguousarray(np.stack([dxi, deta], axis=-1).transpose(2, 0, 1, 3))
-    arcs = mesh.arc[cids]
-    for ledge, (along, b0, slope) in enumerate(_EDGE_BLEND):
-        rows = np.flatnonzero(arcs[:, ledge])
-        if len(rows) == 0:
-            continue
-        a, b = (corners[rows, k] for k in EDGE_CORNERS[ledge])
-        at = ref[rows] if ref.ndim == 3 else ref[None]
-        t, other = at[..., along], at[..., 1 - along]
-        pos, dpos = _edge_points(a, b, np.ones(len(rows), dtype=bool), t, mesh.R)
-        tt = t[..., None]
-        gap = pos - ((1.0 - tt) * a[:, None, :] + tt * b[:, None, :])
-        blend = (b0 + slope * other)[..., None]
-        phys[rows] += blend * gap
-        jac[rows, :, :, along] += blend * (dpos - (b - a)[:, None, :])
-        jac[rows, :, :, 1 - along] += slope * gap
     return phys, jac
-
-
-def _split_centres(mesh: Mesh, cids) -> np.ndarray:
-    """Centre vertices (n, 2) that splitting the cells cids creates.
-
-    The centre is the image of (1/2, 1/2) under the transfinite map: the sum
-    of the edge curves' midpoints over two less the corner sum over four,
-    summed in this fixed order.  cell_geometry gives the same point up to
-    rounding; vertex placement keeps this rounding, on which the mesh's
-    content hash depends.
-    """
-    corners = mesh.cell_corners(cids)
-    arcs = mesh.arc[np.asarray(cids, dtype=np.int64)]
-    m0, m1, m2, m3 = (_edge_points(corners[:, a], corners[:, b], arcs[:, e],
-                                   np.array([[0.5]]), mesh.R)[0][:, 0]
-                      for e, (a, b) in enumerate(EDGE_CORNERS))
-    v0, v1, v2, v3 = (corners[:, k] for k in range(4))
-    return (0.5 * m0 + 0.5 * m2 + 0.5 * m3 + 0.5 * m1
-            - (0.25 * v0 + 0.25 * v1 + 0.25 * v2 + 0.25 * v3))
 
 
 def jacobian_det(jac: np.ndarray) -> np.ndarray:
@@ -439,7 +381,8 @@ class FaceTable:
     owner is an active cell having the exact edge and ledge its local edge;
     above and below are the active cells on the y > 0 and y < 0 sides (either
     may be coarser), -1 where a side has no cell, and x_lo < x_hi the face's x
-    range.  boundary_faces fills only owner and ledge.
+    range.  boundary_faces fills only owner and ledge: a face on the outer
+    circle has no cell beyond it.
     """
 
     owner: np.ndarray
@@ -504,14 +447,10 @@ def interface_faces(mesh: Mesh) -> FaceTable:
 
 
 def boundary_faces(mesh: Mesh) -> FaceTable:
-    """Active leaf faces on the outer circle, ordered by vertex-id key: the arc
-    edges of the active cells.  An arc edge has no cell beyond it, so it is
-    split only with its cell and is a leaf owned by that one cell."""
-    active = mesh.active_ids()
-    rows, ledges = np.nonzero(mesh.arc[active])
-    keys = mesh.edge_keys(active[rows])[np.arange(len(rows)), ledges]
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    return FaceTable(owner=active[rows[order]], ledge=ledges[order])
+    """Active leaf faces on the outer circle, the edges with both ends on it,
+    in order of first appearance; each is owned by its one cell."""
+    _, owners = _leaf_edges(mesh, mesh.on_rim())
+    return FaceTable(owner=owners[:, 0, 0], ledge=owners[:, 0, 1])
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:

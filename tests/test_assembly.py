@@ -38,7 +38,7 @@ def grid_mesh(nx, ny, sx=1.0, sy=1.0, x0=0.0, y0=0.0, R_mesh=100.0):
     for j in range(ny):
         for i in range(nx):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
-                       0, -1, (False, False, False, False))
+                       0, -1)
     return m
 
 
@@ -73,7 +73,7 @@ class TestMatrixStructure:
     def test_inverted_cell_raises_geometry_error(self):
         m = msh.Mesh(100.0)
         corners = [m.add_vertex(x, y) for x, y in ((0, 0), (0, 1), (1, 1), (1, 0))]
-        m.add_cell(tuple(corners), 0, -1, (False,) * 4)     # clockwise
+        m.add_cell(tuple(corners), 0, -1)     # clockwise
         space = distribute_dofs(m)
         with pytest.raises(msh.GeometryError, match="nonpositive Jacobian"):
             assemble_volume(space, model(), space.active)
@@ -187,6 +187,12 @@ def radii(space):
     return np.hypot(corners[..., 0], corners[..., 1])
 
 
+def rim_cells(space):
+    """Mask over the active cells: an edge on the outer circle."""
+    mesh = space.mesh
+    return mesh.on_rim()[mesh.edge_keys(space.active)].all(axis=2).any(axis=1)
+
+
 class TestLocalKernel:
     @pytest.mark.parametrize("s0", [0.0, 2.0])
     @pytest.mark.parametrize("layout", ["disk", "grid"])
@@ -194,7 +200,7 @@ class TestLocalKernel:
         if layout == "disk":
             space, cs = disk_space(2, extra_marks=2, seed=1)
             assert cs.n_master < cs.n_dofs    # hanging faces
-            assert space.mesh.arc[space.active].any()
+            assert rim_cells(space).any()
         else:
             # equal squares on both sides of the layer's inner radius
             space = distribute_dofs(grid_mesh(6, 2, sx=4.0, sy=4.0, y0=0.5))
@@ -244,10 +250,10 @@ def rel_err(got, want):
 
 @pytest.fixture(scope="module")
 def mixed_space():
-    """Disk space with straight, hanging, arc-edge and layer cells."""
+    """Disk space with interior, hanging, rim and layer cells."""
     space, cs = disk_space(2, extra_marks=2, seed=1)
     assert cs.n_master < cs.n_dofs
-    assert space.mesh.arc[space.active].any()
+    assert rim_cells(space).any()
     assert np.any(radii(space) > model().pml.rho)
     return space
 
@@ -298,41 +304,33 @@ class TestReferenceKernels:
 
 class TestShapeClasses:
     def squares(self, specs, R_mesh=100.0):
-        """One cell per (x0, y0, vertex creation order, arc flags, top shift)."""
+        """One cell per (x0, y0, vertex creation order, top shift)."""
         m = msh.Mesh(R_mesh)
-        for x0, y0, order, arc, shift in specs:
+        for x0, y0, order, shift in specs:
             pts = [(x0, y0), (x0 + 1, y0), (x0 + 1 + shift, y0 + 1), (x0, y0 + 1)]
             ids = {k: m.add_vertex(*pts[k]) for k in order}
-            m.add_cell(tuple(ids[k] for k in range(4)), 0, -1, arc)
+            m.add_cell(tuple(ids[k] for k in range(4)), 0, -1)
         space = distribute_dofs(m)
         return space, shape_classes(space, space.active)[1]
 
     def test_translated_equal_cells_share_a_class(self):
-        straight = (False,) * 4
-        space, inverse = self.squares([(0.0, 1.0, range(4), straight, 0.0),
-                                       (3.0, 5.0, range(4), straight, 0.0),
-                                       (-7.5, -2.25, range(4), straight, 0.0)])
+        space, inverse = self.squares([(0.0, 1.0, range(4), 0.0),
+                                       (3.0, 5.0, range(4), 0.0),
+                                       (-7.5, -2.25, range(4), 0.0)])
         assert len(set(space.orient_idx.tolist())) == 1
         assert inverse.tolist() == [0, 0, 0]
 
     def test_orientation_signature_splits_equal_shapes(self):
-        straight = (False,) * 4
-        space, inverse = self.squares([(0.0, 1.0, range(4), straight, 0.0),
-                                       (3.0, 1.0, [3, 2, 1, 0], straight, 0.0)])
+        space, inverse = self.squares([(0.0, 1.0, range(4), 0.0),
+                                       (3.0, 1.0, [3, 2, 1, 0], 0.0)])
         assert space.orient_idx[0] != space.orient_idx[1]
         assert inverse[0] != inverse[1]
 
-    def test_arc_cells_and_non_parallelograms_are_singletons(self):
-        # an arc edge ends on the rim, so its cell is an outer cell, which no
-        # shape class takes (assemble_volume assembles it alone)
-        space, _ = disk_space(2)
-        arc = space.mesh.arc[space.active].any(axis=1)
-        assert arc.any() and not np.any(inner_cells(space, model()) & arc)
-        straight = (False,) * 4
-        space, inverse = self.squares([(6.0, 1.0, range(4), straight, 0.5),
-                                       (9.0, 1.0, range(4), straight, 0.5),
-                                       (12.0, 1.0, range(4), straight, 0.0),
-                                       (15.0, 1.0, range(4), straight, 0.0)])
+    def test_non_parallelograms_are_singletons(self):
+        space, inverse = self.squares([(6.0, 1.0, range(4), 0.5),
+                                       (9.0, 1.0, range(4), 0.5),
+                                       (12.0, 1.0, range(4), 0.0),
+                                       (15.0, 1.0, range(4), 0.0)])
         assert len(set(inverse[:2].tolist())) == 2
         assert inverse[2] == inverse[3] and inverse[2] not in inverse[:2]
 
@@ -360,9 +358,8 @@ class TestShapeClasses:
         reps, inverse = shape_classes(space, space.active[inner])
         shared = np.zeros(len(space.active), dtype=bool)
         shared[inner] = np.bincount(inverse)[inverse] > 1
-        arc = space.mesh.arc[space.active].any(axis=1)
         outside = np.any(radii(space) > mdl.pml.rho, axis=1)
-        assert shared.any() and not np.any(inner & (arc | outside))
+        assert shared.any() and not np.any(inner & (rim_cells(space) | outside))
         rep_rank = space.rank[reps[inverse]]
         assert np.array_equal(space.orient_idx[rep_rank], space.orient_idx[inner])
 
@@ -581,7 +578,7 @@ class TestSplitPair:
         mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip)
         inner = inner_cells(space, mdl)
         assert np.any(radii(space)[~inner] > mdl.pml.rho)
-        assert space.mesh.arc[space.active[~inner]].any()
+        assert rim_cells(space)[~inner].any()
         faces = msh.interface_faces(space.mesh)
         sheet_dofs = space.cell_dofs[space.rank[faces.owner], 2 * faces.ledge]
         assert not np.isin(sheet_dofs, cs.master_dofs).all()
@@ -633,14 +630,14 @@ class TestSplitPair:
         for x0, y0 in [(1.0, 1.0), (c, c), (rho + 1.0, 0.0)]:
             ids = [m.add_vertex(x0 + dx, y0 + dy)
                    for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
-            m.add_cell(tuple(ids), 0, -1, (False,) * 4)
+            m.add_cell(tuple(ids), 0, -1)
         space = distribute_dofs(m)
         assert (radii(space)[1] > rho).sum() == 1
         assert inner_cells(space, mdl).tolist() == [True, False, False]
-        # an arc edge ends on the rim, beyond rho
+        # a cell with an "arc" edge, a polygon edge on the rim, lies beyond rho
         space, _, _ = resolved_space()
-        arc = space.mesh.arc[space.active].any(axis=1)
-        assert arc.any() and not np.any(inner_cells(space, mdl) & arc)
+        rim = rim_cells(space)
+        assert rim.any() and not np.any(inner_cells(space, mdl) & rim)
 
 
 class TestIncidentField:

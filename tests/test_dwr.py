@@ -25,7 +25,7 @@ def grid_mesh(n, size=1.0, R=50.0):
     for j in range(n):
         for i in range(n):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
-                       0, -1, (False,) * 4)
+                       0, -1)
     return m
 
 

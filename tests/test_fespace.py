@@ -24,7 +24,7 @@ def grid_mesh(nx, ny, sx=1.0, sy=1.0, x0=0.0, y0=0.0):
     for j in range(ny):
         for i in range(nx):
             m.add_cell((ids[(i, j)], ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]),
-                       0, -1, (False, False, False, False))
+                       0, -1)
     return m
 
 
@@ -186,7 +186,7 @@ class TestShapeFunctions:
         # interpolation matches the tangential moments of the target field
         m = msh.Mesh(10.0)
         vs = [m.add_vertex(*p) for p in [(0, 0), (1.1, -0.15), (1.3, 0.9), (-0.2, 1.05)]]
-        m.add_cell(tuple(vs), 0, -1, (False,) * 4)
+        m.add_cell(tuple(vs), 0, -1)
         space = distribute_dofs(m)
 
         def f(pts):
@@ -248,7 +248,7 @@ class TestEvaluateFields:
 
     @pytest.fixture(scope="class")
     def space(self):
-        # straight, hanging, arc-edge and layer cells
+        # interior, hanging, rim and layer cells
         m = msh.build_disk_mesh(8 * np.pi, 2)
         rng = np.random.default_rng(1)
         for _ in range(2):
@@ -256,7 +256,7 @@ class TestEvaluateFields:
             m.refine(rng.choice(ids, size=len(ids) // 6, replace=False))
         space = distribute_dofs(m)
         assert build_constraints(space).n_master < space.n_dofs
-        assert m.arc[space.active].any()
+        assert m.on_rim()[m.edge_keys(space.active)].all(axis=2).any()
         return space
 
     @pytest.mark.parametrize("at_quadrature_points", [True, False])
@@ -457,11 +457,9 @@ def full_disk_mesh(half):
     for sign in (1.0, -1.0):
         for cid in roots.tolist():
             corners = [vertex(sign * x, y) for x, y in half.cell_corners([cid])[0].tolist()]
-            arc = half.arc[cid].tolist()
             if sign < 0:    # the mirror reverses the corner order
                 corners = [corners[0], corners[3], corners[2], corners[1]]
-                arc = arc[::-1]
-            full.add_cell(corners, 0, -1, arc)
+            full.add_cell(corners, 0, -1)
     split = set(corner_keys(half, np.flatnonzero(half.children[:, 0] >= 0)))
     while True:
         ids = full.active_ids()

@@ -58,7 +58,7 @@ def assert_no_straddle(m):
 
 def cascade_toward_rim():
     """Refine the active cell nearest (0, 0.9 R) five times in a row: the
-    closure chains cross up to three levels, and three calls split arc cells."""
+    closure chains cross up to three levels, and three calls split rim cells."""
     m = msh.build_disk_mesh(R, 1)
     for _ in range(5):
         ids = m.active_ids()
@@ -69,6 +69,7 @@ def cascade_toward_rim():
 
 class TestJacobianInverse:
     def test_adjugate_inverse_matches_lapack_on_arc_pml_and_hanging_cells(self):
+        # "arc" cells are the rim cells, which have an edge on the outer circle
         m = cascade_toward_rim()
         ids = m.active_ids()
         pts, _ = quad_pts()
@@ -77,7 +78,7 @@ class TestJacobianInverse:
         ref = np.linalg.inv(jac)
         err = np.abs(inv - ref).max(axis=(2, 3)) / np.abs(ref).max(axis=(2, 3))
         corners = m.cell_corners(ids)
-        kinds = {"arc": m.arc[ids].any(axis=1),
+        kinds = {"arc": m.on_rim()[m.edge_keys(ids)].all(axis=2).any(axis=1),
                  "pml": np.hypot(corners[..., 0], corners[..., 1]).max(axis=1) > 0.8 * R,
                  "hanging": (m.coarser_neighbors(ids)[0] >= 0).any(axis=1)}
         for name, kind in kinds.items():
@@ -86,41 +87,22 @@ class TestJacobianInverse:
         assert err.max() <= 1e-14
 
 
-def transfinite_geometry(m, cids, ref):
-    """The transfinite map written out: the four edge curves blended, minus
-    the bilinear corner term; a reference for cell_geometry."""
-    corners = m.cell_corners(cids)
-    arcs = m.arc[cids]
-    ref = ref[None] if ref.ndim == 2 else ref
-    xi, eta = ref[..., 0], ref[..., 1]
-    v0, v1, v2, v3 = (corners[:, k] for k in range(4))
-    c0, d0 = msh._edge_points(v0, v1, arcs[:, 0], xi, m.R)
-    c2, d2 = msh._edge_points(v3, v2, arcs[:, 2], xi, m.R)
-    c1, d1 = msh._edge_points(v1, v2, arcs[:, 1], eta, m.R)
-    c3, d3 = msh._edge_points(v0, v3, arcs[:, 3], eta, m.R)
-    xi_, eta_ = xi[..., None], eta[..., None]
-    bl = ((1 - xi_) * (1 - eta_) * v0[:, None] + xi_ * (1 - eta_) * v1[:, None]
-          + xi_ * eta_ * v2[:, None] + (1 - xi_) * eta_ * v3[:, None])
-    phys = (1 - eta_) * c0 + eta_ * c2 + (1 - xi_) * c3 + xi_ * c1 - bl
-    dbl_dxi = (-(1 - eta_) * v0[:, None] + (1 - eta_) * v1[:, None]
-               + eta_ * v2[:, None] - eta_ * v3[:, None])
-    dbl_deta = (-(1 - xi_) * v0[:, None] - xi_ * v1[:, None]
-                + xi_ * v2[:, None] + (1 - xi_) * v3[:, None])
-    jac = np.stack([(1 - eta_) * d0 + eta_ * d2 + (c1 - c3) - dbl_dxi,
-                    (1 - xi_) * d3 + xi_ * d1 + (c2 - c0) - dbl_deta], axis=-1)
-    return phys, jac
-
-
-class TestBilinearPlusArcTerms:
-    def test_matches_the_transfinite_map(self):
+class TestBilinearMap:
+    def test_edge_derivative_is_the_chord(self):
+        # along each edge the bilinear map's derivative is exactly the edge's
+        # chord, so face quadrature needs no chord of its own
         m = cascade_toward_rim()
         ids = m.active_ids()
-        assert m.arc[ids].any() and not m.arc[ids].all()
-        rng = np.random.default_rng(3)
-        for ref in (quad_pts()[0], rng.random((len(ids), 5, 2))):
-            got = msh.cell_geometry(m, ids, ref)
-            for g, want in zip(got, transfinite_geometry(m, ids, ref)):
-                assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+        corners = m.cell_corners(ids)
+        t = np.random.default_rng(3).random(5)
+        for ledge, (start, end) in enumerate(msh.EDGE_CORNERS):
+            along = ledge % 2
+            ref = np.zeros((len(t), 2))
+            ref[:, along] = t
+            ref[:, 1 - along] = 1.0 if ledge in (1, 2) else 0.0
+            _, jac = msh.cell_geometry(m, ids, ref)
+            chord = corners[:, end] - corners[:, start]
+            assert np.array_equal(jac[..., along], np.broadcast_to(chord[:, None], jac.shape[:3]))
 
     def test_cells_do_not_depend_on_their_batch(self):
         m = cascade_toward_rim()
@@ -130,15 +112,6 @@ class TestBilinearPlusArcTerms:
         for k in (0, 7, len(ids) - 1):
             for a, b in zip(msh.cell_geometry(m, ids[k:k + 1], pts[k:k + 1]), whole):
                 assert np.array_equal(a[0], b[k])
-
-    def test_split_centres_keep_the_transfinite_rounding(self):
-        m = cascade_toward_rim()
-        ids = m.active_ids()
-        centre = np.array([[0.5, 0.5]])
-        want = transfinite_geometry(m, ids, centre)[0][:, 0]
-        assert np.array_equal(msh._split_centres(m, ids), want)
-        got = msh.cell_geometry(m, ids, centre)[0][:, 0]
-        assert np.abs(got - want).max() <= 1e-14 * R
 
 
 class TestBuild:
@@ -160,12 +133,15 @@ class TestBuild:
         assert msh.jacobian_det(jac).min() > 0
 
     def test_area_converges_to_disk(self):
+        # the half disk's inscribed polygon of n = 4 2^k equal chords, a fan
+        # of n triangles of area R^2 sin(pi / n) / 2 about the centre
         errs = []
         for k in range(3):
-            m = msh.build_disk_mesh(R, k)
-            errs.append(abs(total_area(m) - 0.5 * np.pi * R**2))
-        assert errs[1] < errs[0] and errs[2] < errs[1]
-        assert errs[2] < 1e-4 * 0.5 * np.pi * R**2
+            n = 4 * 2**k
+            area = total_area(msh.build_disk_mesh(R, k))
+            assert area == pytest.approx(0.5 * n * R**2 * np.sin(np.pi / n), rel=1e-13)
+            errs.append(0.5 * np.pi * R**2 - area)
+        assert 0 < errs[2] < errs[1] < errs[0]
 
     def test_deterministic_construction(self):
         h1 = msh.build_disk_mesh(R, 2).content_hash()
@@ -255,6 +231,8 @@ class TestRefine:
         assert np.array_equal(one_call.vertices, two_calls.vertices)
 
     def test_arc_midpoints_lie_on_the_circle(self):
+        # a split edge with both ends on the circle gets its midpoint on it, at
+        # the bisecting angle; every other split edge its chord's midpoint
         m = cascade_toward_rim()
         split = np.flatnonzero(m.children[:, 0] >= 0)
         split = split[split >= 6]       # the 6 root cells split at build time
@@ -262,10 +240,17 @@ class TestRefine:
         # the midpoints of local edges 0..3 are corners 1, 2, 3, 0 of children 0..3
         mids = np.stack([m.cells[kids[:, 0], 1], m.cells[kids[:, 1], 2],
                          m.cells[kids[:, 2], 3], m.cells[kids[:, 3], 0]], axis=1)
-        on_arc = m.arc[split]
-        assert on_arc.sum() >= 3
-        radius = np.hypot(*m.vertices[mids[on_arc]].T)
-        assert np.all(np.abs(radius - R) <= m._tol)
+        keys = m.edge_keys(split)
+        on_rim = m.on_rim()[keys].all(axis=2)
+        assert on_rim.sum() >= 3
+        mid = m.vertices[mids]
+        radius = np.hypot(mid[..., 0], mid[..., 1])
+        assert np.all(np.abs(radius[on_rim] - R) <= 1e-14 * R)
+        ends = np.arctan2(m.vertices[keys, 1], m.vertices[keys, 0])[on_rim]
+        angle = np.arctan2(mid[on_rim, 1], mid[on_rim, 0])
+        assert np.abs(angle - ends.mean(axis=1)).max() <= 1e-15 * np.pi
+        chord = 0.5 * m.vertices[keys].sum(axis=2)
+        assert np.array_equal(mid[~on_rim], chord[~on_rim])
 
     def test_levels_increase_and_parents_recorded(self):
         m = msh.build_disk_mesh(R, 0)
@@ -307,7 +292,7 @@ class RecursiveSplit:
         m, key = self.m, self.keys_of(cid)[ledge]
         if key not in self.edge_mid:
             (ax, ay), (bx, by) = m.vertices[list(key)].tolist()
-            if m.arc[cid, ledge]:
+            if all(abs(np.hypot(x, y) - m.R) <= m._tol for x, y in ((ax, ay), (bx, by))):
                 ta, tb = np.arctan2(ay, ax), np.arctan2(by, bx)
                 tm = ta + 0.5 * ((tb - ta + np.pi) % (2 * np.pi) - np.pi)
                 mid = m.add_vertex(m.R * np.cos(tm), m.R * np.sin(tm))
@@ -326,15 +311,13 @@ class RecursiveSplit:
                 self.split(coarse)
         v0, v1, v2, v3 = m.cells[cid].tolist()
         m0, m1, m2, m3 = (self.midpoint(cid, ledge) for ledge in range(4))
-        cc = m.add_vertex(*msh._split_centres(m, [cid])[0])
-        a0, a1, a2, a3 = m.arc[cid].tolist()
+        x = m.vertices
+        cc = m.add_vertex(*(0.5 * (x[m0] + x[m2] + x[m3] + x[m1])
+                            - 0.25 * (x[v0] + x[v1] + x[v2] + x[v3])))
         for key in self.keys_of(cid):
             self.owners[key].discard(cid)
-        spec = [((v0, m0, cc, m3), (a0, False, False, a3)),
-                ((m0, v1, m1, cc), (a0, a1, False, False)),
-                ((cc, m1, v2, m2), (False, a1, a2, False)),
-                ((m3, cc, m2, v3), (False, False, a2, a3))]
-        kids = [m.add_cell(verts, m.level[cid] + 1, cid, arc) for verts, arc in spec]
+        spec = [(v0, m0, cc, m3), (m0, v1, m1, cc), (cc, m1, v2, m2), (m3, cc, m2, v3)]
+        kids = [m.add_cell(verts, m.level[cid] + 1, cid) for verts in spec]
         for kid in kids:
             self.register(kid)
         m.children[cid] = kids
@@ -359,7 +342,7 @@ class TestAgainstRecursiveSplit:
                 rng.choice(deep, size=min(3, len(deep)), replace=False)])
             batched.refine(marked)
             recursive.refine(marked)
-            for name in ("vertices", "cells", "level", "parent", "children", "arc"):
+            for name in ("vertices", "cells", "level", "parent", "children"):
                 assert np.array_equal(getattr(batched, name), getattr(reference, name)), name
         assert batched.level.max() >= 5
 
@@ -440,19 +423,25 @@ class TestInterfaceFaces:
 class TestRimFaces:
     @pytest.mark.parametrize("layout", ["uniform0", "uniform2", "uniform3", "local"])
     def test_rim_rows_are_arc_edges_covering_the_half_circle(self, layout):
+        # the rim rows are the chords of the half circle's inscribed polygon
         m = cascade_toward_rim() if layout == "local" else msh.build_disk_mesh(R, int(layout[-1]))
         rim = msh.boundary_faces(m)
         assert np.all(m.children[rim.owner, 0] < 0)
-        assert np.all(m.arc[rim.owner, rim.ledge])
-        _, _, wds, _, _ = face_quadrature(m, rim.owner, rim.ledge)
-        assert wds.sum() == pytest.approx(np.pi * R, rel=1e-13)
-        # they are the leaf edges with both ends on the circle, in key order
+        # they are the leaf edges with both ends on the circle, each once
         keys = m.edge_keys(rim.owner)[np.arange(len(rim)), rim.ledge]
         all_keys = m.edge_keys(m.active_ids()).reshape(-1, 2)
         on_circle = np.abs(np.hypot(*m.vertices.T) - R) <= 1e-9 * R
         leaf = m.edge_midpoints(all_keys) < 0
         want = np.unique(all_keys[on_circle[all_keys].all(axis=1) & leaf], axis=0)
-        assert np.array_equal(keys, want)
+        assert np.array_equal(np.unique(keys, axis=0), want) and len(keys) == len(want)
+        # their lengths sum to the polygon's perimeter, the chord 2 R sin(dt / 2)
+        # of each angle step dt between its vertices, from -pi/2 to pi/2
+        _, _, wds, _, _ = face_quadrature(m, rim.owner, rim.ledge)
+        angles = np.unique(np.arctan2(m.vertices[keys, 1], m.vertices[keys, 0]))
+        assert angles[0] == -0.5 * np.pi and angles[-1] == 0.5 * np.pi
+        assert wds.sum() == pytest.approx(np.sum(2 * R * np.sin(np.diff(angles) / 2)),
+                                          rel=1e-13)
+        assert wds.sum() < np.pi * R
 
 
 class TestVtk:
@@ -494,13 +483,13 @@ def test_vtk_bytes_match_the_former_line_by_line_writer(tmp_path):
                2.0**53 + 2, float("inf"), float("nan")]
     m = msh.Mesh(100.0)
     ids = [m.add_vertex(x, y) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
-    m.add_cell(tuple(ids), 0, -1, (False,) * 4)
+    m.add_cell(tuple(ids), 0, -1)
     m.refine([0])                   # the parent's corners stay in use
     m.add_vertex(0.5, 7.0)          # no cell uses this one
     # cells with awkward corner coordinates; add_cell checks no geometry
     for a in awkward[:10]:
         ids = [m.add_vertex(x, y) for x, y in ((a, -0.0), (-a, 1e-300), (a, 2.0), (5e-324, a))]
-        m.add_cell(tuple(ids), 0, -1, (False,) * 4)
+        m.add_cell(tuple(ids), 0, -1)
     n = m.n_active()
     data = {"eta": np.resize(awkward, n), "ints": np.arange(n) - 3}
     path = tmp_path / "mesh.vtk"
