@@ -500,14 +500,15 @@ def test_csv_layouts_have_the_bytes_of_csv_writer(tmp_path, monkeypatch, layout)
 
 class TestDefaultRun:
     # cycles 1-3 of the default configuration; the errors are those of the
-    # scattered field solved against the sheet load of the incident field
-    PINNED = ((1, 1080, 9034, 1.0892948046358037e-3, 3.6764192308534577e-3),
-              (2, 2322, 19580, 1.072246416695761e-3, 4.585699764543794e-3),
-              (3, 3882, 32832, 1.7769157003384248e-3, 2.1928554504067562e-3))
+    # scattered field solved against the sheet load of the incident field,
+    # with the layer's pulled-back coefficients on the straight-edged disk
+    PINNED = ((1, 1080, 9034, 1.0893706516867604e-3, 3.6748610658193983e-3),
+              (2, 2322, 19580, 1.0721350169214383e-3, 4.5849319518424456e-3),
+              (3, 3888, 32880, 1.7771319338838155e-3, 2.192418135648949e-3))
 
     # sum and max of the eta column in the VTK files of cycles 1 and 2
-    ETA_PINNED = {1: (0.2940971931424526, 0.0117027503536654),
-                  2: (0.20119595212974242, 0.003028371179260626)}
+    ETA_PINNED = {1: (0.29623750536921906, 0.01173416619642413),
+                  2: (0.20311671444854115, 0.003038262114333061)}
 
     def test_first_three_cycles_pinned(self, tmp_path):
         records, artifacts = hn.run_adaptive(
