@@ -80,8 +80,8 @@ def cmd_oracle(args) -> int:
     config = _config_from(args)
     km = _read_input(oracle.spp_wavenumber, config.sigma_r)
     xs = harness.trace_grid(config)
-    spec = oracle.QuadratureSpec(rel_tol=config.quad_rel_tol)
-    pole, bc, total = oracle.interface_field(xs, config.a, config.sigma_r, quad=spec)
+    pole, bc, total = oracle.interface_field(xs, config.a, config.sigma_r,
+                                             quad=oracle.QuadratureSpec())
     out = args.out or "oracle_trace.csv"
     # one open and one write: an unusable path is an input error
     _read_input(harness._write_csv, out, ["x", "re_pole", "im_pole", "re_branchcut",

@@ -77,7 +77,6 @@ class RunConfig:
     level_cap: int = 12
     dof_cap: int = 300_000
     x_min: float = 0.5
-    quad_rel_tol: float = 5e-3
     write_artifacts: bool = True
 
     def __post_init__(self):
@@ -96,10 +95,6 @@ class RunConfig:
         # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
-        # the reference would reject it only after the mesh is solved
-        if not 0 < self.quad_rel_tol < math.inf:
-            raise ValueError(f"quad_rel_tol must be positive and finite, "
-                             f"got {self.quad_rel_tol}")
         # the model checks R, s0, a and sigma_r; the trace ends where the
         # layer begins (trace_grid)
         rho = self.model().pml.rho
@@ -218,9 +213,8 @@ def scattered_trace(field: FieldSolution, xs: np.ndarray) -> InterfaceTrace:
 
 
 def oracle_trace(config: RunConfig, xs: np.ndarray) -> InterfaceTrace:
-    spec = oracle_mod.QuadratureSpec(rel_tol=config.quad_rel_tol)
     _, _, total = oracle_mod.interface_field(xs, config.a, config.sigma_r,
-                                             quad=spec)
+                                             quad=oracle_mod.QuadratureSpec())
     return InterfaceTrace(x=np.asarray(xs, dtype=float), values=total)
 
 

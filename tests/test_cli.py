@@ -114,14 +114,15 @@ def test_blas_thread_note_unless_one_thread():
     (None, ["run", "--sigma", "0"], "nonzero"),
     (None, ["oracle", "--a", "-1"], "above the sheet"),
     (None, ["oracle", "--sigma", "0"], "nonzero"),
-    # non-finite model values and a zero reference tolerance, checked by
-    # RunConfig before any mesh is built
+    # non-finite model values, checked by RunConfig before any mesh is built
     (None, ["run", "--sigma", "nan+0.16j"], "sigma_r"),
     (None, ["pml-study", "--sigma", "nan+0.1j", "--values", "0"], "sigma_r"),
     (None, ["run", "--a", "inf"], "finite height"),
     (None, ["oracle", "--a", "inf"], "finite height"),
     ("R = inf\n", ["run"], "disk radius"),
     ("d_reg = inf\n", ["run"], "regularization radius"),
+    # the reference quadrature has no config key: each command rejects it
+    # as an unknown key
     ("quad_rel_tol = 0\n", ["run"], "quad_rel_tol"),
     ("quad_rel_tol = 0\n", ["oracle"], "quad_rel_tol"),
     ("quad_rel_tol = 0\n", ["pml-study", "--values", "0"], "quad_rel_tol"),

@@ -259,7 +259,7 @@ class TestBranchcutContribution:
     def test_doubling_start_count_leaves_trace_unchanged(self, monkeypatch):
         config = RunConfig()
         xs = trace_grid(config)
-        spec = QuadratureSpec(rel_tol=config.quad_rel_tol)
+        spec = QuadratureSpec()
         traces = [InterfaceTrace(xs, interface_field(xs, config.a, config.sigma_r,
                                                      quad=spec)[2])]
         # a start step half as long
