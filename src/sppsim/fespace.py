@@ -11,12 +11,11 @@ constant moment of each local edge that runs against the global direction.
 
 Fields map to physical cells with the covariant transform E = J^{-T} E_ref,
 which preserves tangential line integrals; the scalar 2D curl then transforms
-as curl E = (curl_ref E_ref)/det J.  The
-basis itself is never mapped: the reference element caches each table once
-(values and curls at the quadrature points and their products), a cell
-contributes only its geometry (J, det J at its points) and its dof signs,
-and a field is contracted with the reference basis before J^{-T} and 1/det J
-are applied to the result.
+as curl E = (curl_ref E_ref)/det J.  The basis itself is never mapped: the
+reference element caches each table once (values and curls at the
+quadrature points and their products), a cell contributes only its geometry
+(J, det J at its points) and its dof signs, and a field is contracted with
+the reference basis before J^{-T} and 1/det J are applied to the result.
 
 The tangential trace on an edge is fixed by that edge's two moments alone
 (moment_traces): face terms, loads and sampled traces read a face's two dofs.

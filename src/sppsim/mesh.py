@@ -14,18 +14,17 @@ bisecting angle, and every other midpoint is the chord's.
 
 The mesh is stored as numpy columns indexed by vertex or cell id (a linear
 quad-tree): ``vertices`` (nv, 2); per cell ``cells`` (nc, 4) corner vertex
-ids, ``level``, ``parent`` (-1 for a root cell), ``children`` (nc, 4; -1
-while the cell is active).  Each column is a plain
-array of exact length: an append extends it by one concatenation, and
-``refine`` appends its new vertices and cells as one block each.  Ids are
-append-only, so every cell ever created keeps its row.  Every split edge is a
-row of one sorted edge table (edge key, midpoint id) queried with
-``searchsorted``; a midpoint is the newer end of both its half edges, which
-finds hanging edges.  The codes of the active cells' edges, sorted, form the
-second table that ``coarser_neighbors`` queries; it is built on the first
-query after a change and kept until cells are next appended, so every query
-on one mesh state (the constraints, the sheet faces, the next refine) shares
-one sort.
+ids, ``level``, ``parent`` (-1 for a root cell) and ``children`` (nc, 4; -1
+while the cell is active).  Each column is a plain array of exact length: an
+append extends it by one concatenation, and ``refine`` appends its new
+vertices and cells as one block each.  Ids are append-only, so every cell
+ever created keeps its row.  Every split edge is a row of one sorted edge
+table (edge key, midpoint id) queried with ``searchsorted``; a midpoint is
+the newer end of both its half edges, which finds hanging edges.  The codes
+of the active cells' edges, sorted, form the second table that
+``coarser_neighbors`` queries; it is built on the first query after a change
+and kept until cells are next appended, so every query on one mesh state
+(the constraints, the sheet faces, the next refine) shares one sort.
 ``refine`` is one array pass per call: a closure walk on cell ids fixes the
 split order, then each split cell gets, in that order, ids for its new edge
 midpoints (in local edge order), its centre and its four children.
@@ -334,7 +333,7 @@ def cell_geometry(mesh: Mesh, cids, ref_pts: np.ndarray):
 
     ref_pts: (p, 2) reference points shared by all cells, or (n, p, 2) one set
     per cell.  Returns (phys (n,p,2), jac (n,p,2,2)).  The map is the bilinear
-    map of the corners, so along each edge its Jacobian is the edge's chord.
+    map of the corners, so its derivative along each edge is the edge's chord.
     Each cell's numbers depend only on that cell and its points, not on the
     other cells of the batch.
     """
