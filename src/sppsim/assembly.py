@@ -6,7 +6,6 @@ sesquilinear form, with all coefficients PML-modified inside the layer, is
     A(E, v) =   int_Omega  (1/mu_eff) (curl E)(curl conj v)
               - int_Omega  (eps_eff E) . conj v
               - i int_Sheet   sigma_eff E_t conj(v_t)
-              - i int_Rim     E_t conj(v_t)
 
 and the dipole right-hand side is F(v) = i int j_reg . conj v with a cosine
 bump regularization of the point dipole.  Basis functions are real, so the
@@ -18,8 +17,10 @@ closed-form field of the unit point dipole in free space (incident_ex).
 
 The sheet integral runs over leaf faces and reads the traces of each face's
 two moment functions (fespace.moment_traces); in the constrained space the
-tangential trace is single valued across every face.  The rim term is the
-unstretched vacuum impedance condition.
+tangential trace is single valued across every face.  The outer circle
+carries no boundary term: the matched layer absorbs the outgoing field
+before it, and the weak form imposes the natural condition H_z = 0 there, as
+on x = 0.
 
 No mapped basis is ever formed.  With E = J^{-T} E_ref and curl E =
 curl_ref E_ref / det J, every integral is a per-cell geometry coefficient
@@ -297,17 +298,13 @@ def assemble_volume(space: EdgeFESpace, model: SheetModel, cids):
 
 
 def assemble_volume_boundary(space: EdgeFESpace, model: SheetModel, cids):
-    """Volume term of the inner cells cids (inner_cells) and the rim impedance
-    term -i int E_t conj(v_t), unstretched (_face_local).
-
-    The volume term is assembled once per shape class (shape_classes) and
-    given to every cell of the class.
-    """
+    """Volume term of the inner cells cids (inner_cells), as assemble_volume
+    returns it, assembled once per shape class (shape_classes) and given to
+    every cell of the class."""
     reps, inverse = shape_classes(space, cids)
     schur, interior = assemble_volume(space, model, reps)
-    return ((schur[inverse], Interior(cids=cids, k_ii=interior.k_ii[inverse],
-                                      w=interior.w[inverse])),
-            _face_local(space, space.rim_quadrature, -1j))
+    return schur[inverse], Interior(cids=cids, k_ii=interior.k_ii[inverse],
+                                    w=interior.w[inverse])
 
 
 def assemble_interface(space: EdgeFESpace, model: SheetModel):
@@ -434,20 +431,21 @@ def _on_masters(constraints: ConstraintSet, ranks, local: np.ndarray, slots):
              np.tile(masters, (1, d)).ravel()), hit, maps)
 
 
-def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, face):
-    """One volume term and one face term on the edge masters, cell by cell.
+def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, *faces):
+    """One volume term and any face terms on the edge masters, cell by cell.
 
-    volume is assemble_volume's (Schur complements, Interior) and face a face
-    term (_face_local); both are transformed in place (_on_masters), each
-    local matrix of a cell with a hanging edge into T^T S T, and scattered
-    once.  Returns the canonical CSC matrix (n_master, n_master), without the
+    volume is assemble_volume's (Schur complements, Interior) and each of
+    faces a face term (_face_local); all are transformed in place
+    (_on_masters), each local matrix of a cell with a hanging edge into
+    T^T S T, and scattered once.  Returns the canonical CSC matrix (n_master, n_master), without the
     entries that sum to exactly zero, and the interior rows -W T of P (n, 4,
     8) of the volume's cells, in their order.
     """
     schur, interior = volume
     slots = np.broadcast_to(np.arange(N_EDGE_DOFS), (len(schur), N_EDGE_DOFS))
     cells, hit, maps = _on_masters(constraints, space.rank[interior.cids], schur, slots)
-    data, ri, ci = (np.concatenate(c) for c in zip(cells, _on_masters(constraints, *face)[0]))
+    data, ri, ci = (np.concatenate(c) for c in
+                    zip(cells, *(_on_masters(constraints, *face)[0] for face in faces)))
     matrix = sp.coo_matrix((data, (ri, ci)),
                            shape=(constraints.n_master, constraints.n_master)).tocsc()
     matrix.eliminate_zeros()
@@ -459,9 +457,9 @@ def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, face):
 @dataclass
 class FixedPart:
     """The condensed part of a solve pair that the layer strength and the
-    conductivity leave unchanged: the inner cells' volume term and the rim
-    term on the edge masters, and the inner cells' interior blocks K_ii and
-    interior rows -W T of P (condense).
+    conductivity leave unchanged: the inner cells' volume term on the edge
+    masters, and their interior blocks K_ii and interior rows -W T of P
+    (condense).
 
     It is built once per mesh and serves every model that shares its dipole
     and disk radius.
@@ -469,7 +467,7 @@ class FixedPart:
 
     space: EdgeFESpace
     constraints: ConstraintSet
-    matrix: sp.csc_matrix      # condensed inner volume + rim
+    matrix: sp.csc_matrix      # condensed inner volume
     k_ii: np.ndarray           # (n_active, 4, 4) in rank order, the outer cells' unset
     rows: np.ndarray           # (n_active, 4, 8) -W T in rank order, the outer cells' unset
     outer: np.ndarray          # active cell ids left to the per-model part
@@ -489,8 +487,8 @@ def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
     """
     _dipole_cells(space, model.dipole)
     inner = inner_cells(space, model)
-    volume, rim = assemble_volume_boundary(space, model, space.active[inner])
-    matrix, rows = condense(space, constraints, volume, rim)
+    volume = assemble_volume_boundary(space, model, space.active[inner])
+    matrix, rows = condense(space, constraints, volume)
     n, e, i = len(space.active), N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
     k_ii = np.empty((n, i, i), dtype=complex)
     k_ii[inner] = volume[1].k_ii

@@ -14,9 +14,9 @@ below an irregular parent takes its fit.  The patches that win a cell are
 fitted in batches of equal order and size, the primal and the adjoint
 together, and every fit is kept in the slots of the 24 order-3 monomial
 fields.  Only the differences (pi u - u) ever enter the indicators.  The
-face terms are one pass over the sheet sides and the rim owners: the trace
-of u comes from each face's two moments (fespace.moment_traces), and only
-pi u is evaluated there.
+face terms are one pass over the sheet sides: the trace of u comes from
+each face's two moments (fespace.moment_traces), and only pi u is evaluated
+there.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -303,9 +303,9 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     rho_ast -= np.einsum("np,np->n", wdet * inv_mu * ve_curl, np.conj(Z_curl))
     rho_ast += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals), eps_eff, ve_vals)
 
-    # face terms in one pass, u_t from each face's moments: the sheet sides,
-    # each taking half of its face integral along +x (a coarse neighbor maps
-    # the owner's points into its frame), then the rim owners along their tangents
+    # the sheet term in one pass over the sheet sides, u_t from each face's
+    # moments: each side takes half of its face integral along +x (a coarse
+    # neighbor maps the owner's points into its frame)
     faces = space.sheet_faces
     quad = space.sheet_quadrature
     sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r,
@@ -318,16 +318,11 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     p = sheet_ref.shape[1]
     sheet_ref[coarse] = sheet_ref_points(space.mesh, np.repeat(sheet[coarse], p),
                                          quad.phys[fid[coarse], :, 0].ravel()).reshape(-1, p, 2)
-    rim = space.rim_quadrature
-    cids = np.concatenate([sheet, rim.owner])
-    fw = np.concatenate([0.5 * quad.weights[fid] * sigma_eff[fid], rim.weights])
-    tangent = np.concatenate([np.broadcast_to([1.0, 0.0], sheet_ref.shape), rim.tangent])
-    traces = np.concatenate([quad.traces[fid] * quad.tangent[fid, :, :1], rim.traces])
-    dofs = np.concatenate([quad.dofs[fid], rim.dofs])
-    e_t, z_t = (np.einsum("fpk,fk->fp", traces, sol.coeffs[dofs]) for sol in qd.sols)
-    ranks = space.rank[cids]
-    pi_t = np.einsum("sfpi,fpi->sfp", recon.at_points(cids, np.concatenate([sheet_ref, rim.ref])),
-                     tangent)
+    fw = 0.5 * quad.weights[fid] * sigma_eff[fid]
+    traces = quad.traces[fid] * quad.tangent[fid, :, :1]
+    e_t, z_t = (np.einsum("fpk,fk->fp", traces, sol.coeffs[quad.dofs[fid]]) for sol in qd.sols)
+    ranks = space.rank[sheet]
+    pi_t = recon.at_points(sheet, sheet_ref)[..., 0]
     ve_t, wz_t = np.where(recon._order[ranks, None] > 0, pi_t - [e_t, z_t], 0)
     np.add.at(rho, ranks, 1j * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * np.sum(fw * ve_t * np.conj(z_t), axis=1))

@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, boundary_faces,
-                   cell_geometry, interface_faces, jacobian_det)
+from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, cell_geometry,
+                   interface_faces, jacobian_det)
 
 # the element's monomial space Q_{1,2} x Q_{2,1}: the exponents (i, j) of the
 # x-component's monomials x^i y^j, then the y-component's (vector_monomials)
@@ -221,19 +221,9 @@ class EdgeFESpace:
         return interface_faces(self.mesh)
 
     @cached_property
-    def rim_faces(self) -> FaceTable:
-        """The mesh's leaf faces on the outer circle (boundary_faces), built once."""
-        return boundary_faces(self.mesh)
-
-    @cached_property
     def sheet_quadrature(self) -> "FaceQuadrature":
         """Quadrature and basis traces on the sheet faces (face_traces), built once."""
         return face_traces(self, self.sheet_faces)
-
-    @cached_property
-    def rim_quadrature(self) -> "FaceQuadrature":
-        """Quadrature and basis traces on the rim faces (face_traces), built once."""
-        return face_traces(self, self.rim_faces)
 
     @property
     def n_edge_dofs(self) -> int:

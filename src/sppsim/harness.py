@@ -15,15 +15,14 @@ flat key = value config file or programmatic RunConfig; outputs are plain
 CSV files plus VTK dumps.
 
 Only the half disk x >= 0 is meshed and solved.  The problem is symmetric
-under the mirror x -> -x (sheet, radial layer, rim and vertical dipole), so
+under the mirror x -> -x (sheet, radial layer, disk and vertical dipole), so
 its solution is mirror even, and no cell crosses x = 0.  The mirror-even
 edge space of a symmetric full-disk mesh, restricted to x >= 0, is then the
 plain edge space of the half mesh with the moments on x = 0 left free, and
-its Galerkin system is half the full one.  On x = 0 the weak form imposes
-the natural condition n x curl E = 0 (H_z = 0), a magnetic wall; no
-boundary term is added there, as boundary_faces selects only the edges
-with both ends on the outer circle, and no face on x = 0 has them.  E_x
-on the sheet is odd in x, so the trace at x < 0 is taken from |x|.
+its Galerkin system is half the full one.  The weak form has no boundary
+term: on x = 0, as on the outer circle behind the absorbing layer, it
+imposes the natural condition n x curl E = 0 (H_z = 0), a magnetic wall.
+E_x on the sheet is odd in x, so the trace at x < 0 is taken from |x|.
 convergence.csv and dof_cap count the full-disk mesh (_full_disk_counts).
 
 Every factorization runs with no other LU factors and only one full-size
@@ -65,7 +64,7 @@ class RunConfig:
     sigma_r: complex = 2.56e-4 + 0.160j
     a: float = 1.00
     R: float = 8 * math.pi
-    s0: float = 2.0
+    s0: float = 4.0
     cycles: int = 6
     d_reg: float = 0.15625
     d_w: float = 1.5625
@@ -157,7 +156,7 @@ def trace_grid(config: RunConfig) -> np.ndarray:
     """Symmetric sample grid on x_min <= |x| <= rho = 0.8 R, the inner radius
     of the absorbing layer."""
     half = config.samples // 2
-    right = np.linspace(config.x_min, PmlSpec(R=config.R).rho, half)
+    right = np.linspace(config.x_min, config.model().pml.rho, half)
     return np.concatenate([-right[::-1], right])
 
 

@@ -380,16 +380,15 @@ class FaceTable:
     owner is an active cell having the exact edge and ledge its local edge;
     above and below are the active cells on the y > 0 and y < 0 sides (either
     may be coarser), -1 where a side has no cell, and x_lo < x_hi the face's x
-    range.  boundary_faces fills only owner and ledge: a face on the outer
-    circle has no cell beyond it.
+    range.
     """
 
     owner: np.ndarray
     ledge: np.ndarray
-    above: np.ndarray | None = None
-    below: np.ndarray | None = None
-    x_lo: np.ndarray | None = None
-    x_hi: np.ndarray | None = None
+    above: np.ndarray
+    below: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
 
     def __len__(self) -> int:
         return len(self.owner)
@@ -443,13 +442,6 @@ def interface_faces(mesh: Mesh) -> FaceTable:
     order = np.argsort(xs.sum(axis=1), kind="stable")    # by face midpoint
     return FaceTable(owner=owner[order, 0], ledge=owner[order, 1], above=above[order],
                      below=below[order], x_lo=xs[order, 0], x_hi=xs[order, 1])
-
-
-def boundary_faces(mesh: Mesh) -> FaceTable:
-    """Active leaf faces on the outer circle, the edges with both ends on it,
-    in order of first appearance; each is owned by its one cell."""
-    _, owners = _leaf_edges(mesh, mesh.on_rim())
-    return FaceTable(owner=owners[:, 0, 0], ledge=owners[:, 0, 1])
 
 
 def cells_intersecting_disk(mesh: Mesh, center, radius: float) -> np.ndarray:

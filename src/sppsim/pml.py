@@ -38,7 +38,7 @@ class PmlSpec:
     """Outer radius and strength of the absorbing layer on 0.8 R <= r <= R."""
 
     R: float
-    s0: float = 2.0
+    s0: float
 
     def __post_init__(self):
         if not 0 < self.R < np.inf:

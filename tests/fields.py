@@ -95,10 +95,9 @@ def split_volume(space, model):
     """The condensed volume term of all active cells, in rank order, as a solve
     pair splits it: the inner cells once per shape class
     (assemble_volume_boundary) and the outer cells one by one
-    (assemble_volume).  Returns (Schur complements, Interior) and the rim term."""
+    (assemble_volume).  Returns (Schur complements, Interior)."""
     inner = inner_cells(space, model)
-    (schur_in, interior_in), rim = assemble_volume_boundary(space, model,
-                                                            space.active[inner])
+    schur_in, interior_in = assemble_volume_boundary(space, model, space.active[inner])
     schur_out, interior_out = assemble_volume(space, model, space.active[~inner])
     n, e, i = len(space.active), N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS
     schur = np.empty((n, e, e), dtype=complex)
@@ -106,15 +105,13 @@ def split_volume(space, model):
     w = np.empty((n, i, e), dtype=complex)
     schur[inner], k_ii[inner], w[inner] = schur_in, interior_in.k_ii, interior_in.w
     schur[~inner], k_ii[~inner], w[~inner] = schur_out, interior_out.k_ii, interior_out.w
-    return (schur, Interior(cids=space.active, k_ii=k_ii, w=w)), rim
+    return schur, Interior(cids=space.active, k_ii=k_ii, w=w)
 
 
 def pair_terms(space, model):
     """A solve pair's terms over all active cells in one part: the condensed
-    volume (split_volume) and the rim and sheet faces together."""
-    volume, rim = split_volume(space, model)
-    return volume, tuple(np.concatenate(part)
-                         for part in zip(rim, assemble_interface(space, model)))
+    volume (split_volume) and the sheet faces."""
+    return split_volume(space, model), assemble_interface(space, model)
 
 
 def one_part_system(space, cs, model):
@@ -131,7 +128,7 @@ def one_part_system(space, cs, model):
 
 
 def full_dof_matrix(space, model):
-    """A solve pair's Schur complements, rim and sheet terms summed over all dofs."""
+    """A solve pair's Schur complements and sheet term summed over all dofs."""
     (schur, _), faces = pair_terms(space, model)
     return (scatter_full(space, space.rank[space.active], schur)
             + scatter_full(space, *faces))
@@ -147,7 +144,7 @@ def product_reference(space, cs, model):
     """
     c = cs.matrix
     matrix = (c.T @ full_dof_matrix(space, model) @ c).tocsc()
-    w = split_volume(space, model)[0][1].w
+    w = split_volume(space, model)[1].w
     e, i, n = N_EDGE_DOFS, N_DOFS_CELL - N_EDGE_DOFS, len(space.active)
     coupling = sp.csr_matrix(
         (-w.ravel(), np.repeat(space.cell_dofs[:, None, :e], i, axis=1).ravel(),
@@ -158,26 +155,25 @@ def product_reference(space, cs, model):
 
 
 def uncondensed_matrix(space, model):
-    """The 12-dof system matrix over all dofs: volume, rim and sheet terms.
+    """The 12-dof system matrix over all dofs: volume and sheet terms.
 
     The reference that condensation is checked against, and the only
     assembly of the uncondensed system: each active cell's local matrix
     (assembly._volume_local) is scattered on all twelve of its dofs, and the
-    face terms take the tangential traces of all twelve mapped basis
+    sheet term takes the tangential traces of all twelve mapped basis
     functions (shape_eval), interior ones included.
     """
     mat = scatter_full(space, space.rank[space.active],
                        _volume_local(space, model, space.active))
-    faces = [(space.rim_faces, lambda pts: np.full(pts.shape[:2], -1j))]
-    if model.sigma_r != 0:
-        faces.append((space.sheet_faces, lambda pts: -1j * pml_mod.sheet_arrays(
-            pts.reshape(-1, 2), model.sigma_r, model.pml).reshape(pts.shape[:2])))
-    for table, coef in faces:
-        ref, phys, wds, tangent, _ = face_quadrature(space.mesh, table.owner, table.ledge)
-        tang = np.einsum("fpbi,fpi->fpb", shape_eval(space, table.owner, ref)[0], tangent)
-        local = np.einsum("fp,fpb,fpd->fbd", wds * coef(phys), tang, tang)
-        mat = mat + scatter_full(space, space.rank[table.owner], local)
-    return mat
+    if model.sigma_r == 0:
+        return mat
+    table = space.sheet_faces
+    ref, phys, wds, tangent, _ = face_quadrature(space.mesh, table.owner, table.ledge)
+    sigma_eff = pml_mod.sheet_arrays(phys.reshape(-1, 2), model.sigma_r,
+                                     model.pml).reshape(phys.shape[:2])
+    tang = np.einsum("fpbi,fpi->fpb", shape_eval(space, table.owner, ref)[0], tangent)
+    local = np.einsum("fp,fpb,fpd->fbd", -1j * wds * sigma_eff, tang, tang)
+    return mat + scatter_full(space, space.rank[table.owner], local)
 
 
 def uncondensed_constraints(space):

@@ -66,7 +66,7 @@ class TestMatrixStructure:
         assert np.array_equal(ranks, space.rank[space.sheet_faces.owner])
         assert not local.any()
         full = one_part_system(space, cs, mdl).matrix
-        vol, _ = condense(space, cs, *split_volume(space, mdl))
+        vol, _ = condense(space, cs, split_volume(space, mdl))
         assert full.nnz == vol.nnz
         assert abs(full - vol).max() < 1e-14
 
@@ -216,17 +216,12 @@ class TestLocalKernel:
         err = abs(local - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-13 * abs(ref).max(axis=(1, 2)))
 
-    @pytest.mark.parametrize("which", ["rim", "sheet"])
-    def test_face_matrices_match_einsum(self, which):
+    def test_face_matrices_match_einsum(self):
         space, _ = disk_space(2, extra_marks=1)
         mdl = model(sigma=0.01 + 0.15j)
-        if which == "rim":
-            faces = msh.boundary_faces(space.mesh)
-            coef = lambda x: np.full(x.shape[:2], -0.7j)
-        else:
-            faces = msh.interface_faces(space.mesh)
-            coef = lambda x: -1j * pml_mod.sheet_arrays(
-                x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
+        faces = msh.interface_faces(space.mesh)
+        coef = lambda x: -1j * pml_mod.sheet_arrays(
+            x.reshape(-1, 2), mdl.sigma_r, mdl.pml).reshape(x.shape[:2])
         quad = face_traces(space, faces)
         ranks, mat, slots = _face_local(space, quad, coef(quad.phys))
         cids = faces.owner
@@ -263,17 +258,17 @@ class TestReferenceKernels:
 
     def test_face_traces(self, mixed_space):
         space = mixed_space
-        for faces in (space.sheet_faces, space.rim_faces):
-            quad = face_traces(space, faces)
-            rows = np.arange(len(faces))[:, None]
-            assert np.array_equal(quad.dofs, space.cell_dofs[space.rank[faces.owner][:, None],
-                                                             quad.slots])
-            vals, _ = shape_eval(space, faces.owner, quad.ref)
-            want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)    # all twelve
-            assert rel_err(quad.traces, want[rows, :, quad.slots].transpose(0, 2, 1)) <= 1e-13
-            # every function but the face's own pair has no tangential trace
-            want[rows, :, quad.slots] = 0
-            assert np.abs(want).max() <= 1e-13 * np.abs(quad.traces).max()
+        faces = space.sheet_faces
+        quad = face_traces(space, faces)
+        rows = np.arange(len(faces))[:, None]
+        assert np.array_equal(quad.dofs, space.cell_dofs[space.rank[faces.owner][:, None],
+                                                         quad.slots])
+        vals, _ = shape_eval(space, faces.owner, quad.ref)
+        want = np.einsum("fpbi,fpi->fpb", vals, quad.tangent)    # all twelve
+        assert rel_err(quad.traces, want[rows, :, quad.slots].transpose(0, 2, 1)) <= 1e-13
+        # every function but the face's own pair has no tangential trace
+        want[rows, :, quad.slots] = 0
+        assert np.abs(want).max() <= 1e-13 * np.abs(quad.traces).max()
 
     def test_dual_rhs(self, mixed_space):
         space = mixed_space
@@ -292,7 +287,7 @@ class TestReferenceKernels:
 
     def test_dipole_rhs(self):
         space, _, dip = resolved_space(sheet_hanging=True)
-        mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R), dipole=dip)
+        mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
         cids = msh.cells_intersecting_disk(space.mesh, dip.position, dip.radius)
         phys, det, vals, _ = mapped_tables(space, cids)
         dens = dip.density(phys.reshape(-1, 2)).reshape(det.shape)
@@ -602,10 +597,10 @@ class TestSplitPair:
     def test_fixed_part_rejects_another_dipole(self):
         space, cs, dip = resolved_space()
         fixed = assemble_fixed(space, cs, SheetModel(
-            sigma_r=0.15j, pml=PmlSpec(R=R), dipole=dip))
+            sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip))
         other = DipoleSpec(height=dip.height, radius=0.5 * dip.radius)
         with pytest.raises(ValueError, match="dipole"):
-            assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R),
+            assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0),
                                             dipole=other))
 
     def test_equal_layer_cells_keep_their_own_matrices(self, monkeypatch):
@@ -716,7 +711,7 @@ class TestCondensation:
         # the inner cells once per shape class, the outer cells one by one
         inner = inner_cells(space, mdl)
         assert len(shape_classes(space, space.active[inner])[0]) < inner.sum()
-        (schur, interior), _ = split_volume(space, mdl)
+        schur, interior = split_volume(space, mdl)
         w, k_ii = interior.w, interior.k_ii
         ref = einsum_local(space, mdl, space.active)
         want = ref[:, :8, :8] - ref[:, :8, 8:] @ np.linalg.solve(ref[:, 8:, 8:], ref[:, 8:, :8])
@@ -731,16 +726,12 @@ class TestCondensation:
     def test_pair_matches_the_product_reference(self, s0):
         # cell by cell, T^T S T and -W T on the masters, against the global
         # products C^T (sum of the local matrices) C and C + coupling C
-        space, _, dip = resolved_space(sheet_hanging=True)
-        space.mesh.refine(space.rim_faces.owner[:1])   # and hanging rim owners
-        space = distribute_dofs(space.mesh)
-        cs = build_constraints(space)
+        space, cs, dip = resolved_space(sheet_hanging=True)
         blocks = np.stack([cs.cell_maps[:, 2 * e:2 * e + 2, 2 * e:2 * e + 2]
                            for e in range(4)], axis=1).reshape(-1, 2, 2)
         for half in (_T_LO, _T_HI):
             assert np.all(blocks == half, axis=(1, 2)).any()
-        for faces in (space.sheet_faces, space.rim_faces):
-            assert np.any(cs.map_index[space.rank[faces.owner]] >= 0)
+        assert np.any(cs.map_index[space.rank[space.sheet_faces.owner]] >= 0)
         mdl = SheetModel(sigma_r=0.01 + 0.15j, pml=PmlSpec(R=R, s0=s0), dipole=dip)
         fixed = assemble_fixed(space, cs,
                                dataclasses.replace(mdl, pml=PmlSpec(R=R, s0=5.0)))

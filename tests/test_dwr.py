@@ -369,7 +369,7 @@ class TestIndicators:
 
     def test_face_terms_match_a_per_face_loop(self, monkeypatch):
         # with no material, no dipole in the disk and no goal weight the cell
-        # terms vanish and eta holds the sheet and rim face terms alone; a
+        # terms vanish and eta holds the sheet face terms alone; a
         # refined cell above the sheet leaves coarse sides below its faces
         R = 8 * np.pi
         m = msh.build_disk_mesh(R, 1)
@@ -414,10 +414,7 @@ class TestIndicators:
                     n_coarse += 1
                     ref = sheet_ref_points(m, np.full(len(ref), cid), quad.phys[f, :, 0])
                 add(cid, ref, 0.5 * quad.weights[f] * sigma, np.array([1.0, 0.0]))
-        rim = space.rim_quadrature
-        for f, cid in enumerate(rim.owner):
-            add(cid, rim.ref[f], rim.weights[f], rim.tangent[f])
-        assert n_coarse > 0 and len(rim.owner) > 0
+        assert n_coarse > 0
         want = {c: 0.5 * abs(rho[c] + rho_ast[c]) for c in rho}
         scale = max(want.values())
         assert scale > 0

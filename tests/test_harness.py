@@ -263,13 +263,14 @@ class TestOneFactorization:
         the regularized dipole's field, F times the point dipole's E_inc outside
         the bump, and a layer that reflects puts its echo on the trace.
 
-        On the band mesh of the tiny configuration from initial_refines = 2
-        (21,776 dofs) the coarse cells no longer decide the fit.  Measured at
-        s0 = 2: least-squares factor 0.98694-0.00013j against F = 0.98554
-        (0.143 % off), misfit 1.90e-3 of F E_inc on |x| < 3.  A layer with the
-        coefficients times dbar (not pulled back) gives 0.277 % and 4.76e-3.
+        On the band mesh of the tiny configuration from initial_refines = 3
+        (23,288 dofs) the coarse layer cells no longer decide the fit.
+        Measured at s0 = 4: least-squares factor 0.98627-0.00002j against
+        F = 0.98554 (0.075 % off), misfit 1.27e-3 of F E_inc on |x| < 3.  A
+        layer with the coefficients times dbar (not pulled back) gives
+        0.204 % and 3.67e-3, and the layer at s0 = 2 0.298 % and 8.3e-3.
         """
-        cfg = tiny_config(initial_refines=2)
+        cfg = tiny_config(initial_refines=3)
         mesh = hn.build_initial_mesh(cfg)
         hn.band_refine(mesh, cfg.d_w, 0.25)
         space = distribute_dofs(mesh)
@@ -282,10 +283,10 @@ class TestOneFactorization:
         inc = incident_ex(xs, cfg.a, model.pml)
         form = source_form_factor(cfg.d_reg)
         fit = np.vdot(inc, trace) / np.vdot(inc, inc)
-        assert abs(fit / form - 1) <= 0.002
+        assert abs(fit / form - 1) <= 0.0015
         near = np.abs(xs) < 3
         misfit = np.linalg.norm(trace[near] - form * inc[near]) / np.linalg.norm(form * inc[near])
-        assert misfit <= 3e-3
+        assert misfit <= 2.5e-3
 
 
 
@@ -378,17 +379,18 @@ class TestRunAdaptive:
             cycles.append(cycle)
         assert cycles == [1, 2, 3]
 
-    def test_rim_quadrature_built_once_per_space(self, monkeypatch):
-        # the rim term of the matrix and the estimator's rim residuals share
-        # the space's rim quadrature; every sppsim binding of face_quadrature
-        # is counted, so no module builds a second one unseen
+    def test_sheet_quadrature_built_once_per_space(self, monkeypatch):
+        # the sheet term and load of the matrix, the sampled trace and the
+        # estimator's sheet residuals share the space's sheet quadrature;
+        # every sppsim binding of face_quadrature is counted, so no module
+        # builds a second one unseen
         original = fespace.face_quadrature
-        rims = []
+        sheets = []
 
         def counting(mesh, cids, ledges, *args, **kwargs):
             keys = mesh.edge_keys(cids)[np.arange(len(cids)), ledges]
-            if mesh.on_rim()[keys].all():           # only rim faces lie on the circle
-                rims.append(mesh.n_active())
+            if mesh.on_interface()[keys].all():     # only sheet faces lie on y = 0
+                sheets.append(mesh.n_active())
             return original(mesh, cids, ledges, *args, **kwargs)
 
         for mod in list(sys.modules.values()):
@@ -397,7 +399,7 @@ class TestRunAdaptive:
                 monkeypatch.setattr(mod, "face_quadrature", counting)
         # cycle 1 estimates, cycle 2 only solves
         hn.run_adaptive(tiny_config(cycles=2))
-        assert len(rims) == len(set(rims)) == 2
+        assert len(sheets) == len(set(sheets)) == 2
 
 AWKWARD = [-0.0, 1e-300, 3.0, -7.0, 1e22, 5e-324, 0.1, -2.5e-17, 123456789.0,
            float("inf"), float("nan")]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sppsim import mesh as msh
-from sppsim.fespace import build_constraints, distribute_dofs, face_quadrature
+from sppsim.fespace import build_constraints, distribute_dofs
 from sppsim.harness import RunConfig, band_refine, build_initial_mesh
 
 R = 8 * np.pi
@@ -149,11 +149,13 @@ class TestBuild:
         assert h1 == h2
 
     def test_boundary_midpoints_stay_on_circle(self):
+        # 3 refines split each of the 4 coarse rim edges into 8, every new
+        # vertex on the circle, so 32 leaf edges have both ends on it
         m = msh.build_disk_mesh(R, 3)
-        rim = msh.boundary_faces(m)
-        keys = m.edge_keys(rim.owner)[np.arange(len(rim)), rim.ledge]
-        for vid in keys.ravel():
-            assert np.hypot(*m.vertices[vid]) == pytest.approx(R, rel=1e-12)
+        keys = m.edge_keys(m.active_ids()).reshape(-1, 2)
+        radius = np.hypot(*m.vertices[keys].transpose(2, 0, 1))
+        rim = np.all(np.abs(radius - R) <= 1e-12 * R, axis=1)
+        assert rim.sum() == 32
 
 
 class TestRefine:
@@ -418,30 +420,6 @@ class TestInterfaceFaces:
         m = msh.build_disk_mesh(R, 1)
         faces = msh.interface_faces(m)
         assert np.all(faces.x_hi > faces.x_lo)
-
-
-class TestRimFaces:
-    @pytest.mark.parametrize("layout", ["uniform0", "uniform2", "uniform3", "local"])
-    def test_rim_rows_are_arc_edges_covering_the_half_circle(self, layout):
-        # the rim rows are the chords of the half circle's inscribed polygon
-        m = cascade_toward_rim() if layout == "local" else msh.build_disk_mesh(R, int(layout[-1]))
-        rim = msh.boundary_faces(m)
-        assert np.all(m.children[rim.owner, 0] < 0)
-        # they are the leaf edges with both ends on the circle, each once
-        keys = m.edge_keys(rim.owner)[np.arange(len(rim)), rim.ledge]
-        all_keys = m.edge_keys(m.active_ids()).reshape(-1, 2)
-        on_circle = np.abs(np.hypot(*m.vertices.T) - R) <= 1e-9 * R
-        leaf = m.edge_midpoints(all_keys) < 0
-        want = np.unique(all_keys[on_circle[all_keys].all(axis=1) & leaf], axis=0)
-        assert np.array_equal(np.unique(keys, axis=0), want) and len(keys) == len(want)
-        # their lengths sum to the polygon's perimeter, the chord 2 R sin(dt / 2)
-        # of each angle step dt between its vertices, from -pi/2 to pi/2
-        _, _, wds, _, _ = face_quadrature(m, rim.owner, rim.ledge)
-        angles = np.unique(np.arctan2(m.vertices[keys, 1], m.vertices[keys, 0]))
-        assert angles[0] == -0.5 * np.pi and angles[-1] == 0.5 * np.pi
-        assert wds.sum() == pytest.approx(np.sum(2 * R * np.sin(np.diff(angles) / 2)),
-                                          rel=1e-13)
-        assert wds.sum() < np.pi * R
 
 
 class TestVtk:

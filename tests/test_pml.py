@@ -104,4 +104,4 @@ def test_invalid_specs_rejected():
             PmlSpec(R=1.0, s0=s0)
     for R_bad in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="disk radius"):
-            PmlSpec(R=R_bad)
+            PmlSpec(R=R_bad, s0=2.0)
