@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import harness, oracle
+from . import harness, oracle, solver
 
 
 def _add_common(p, out_help="output directory"):
@@ -44,16 +44,19 @@ def _config_from(args) -> harness.RunConfig:
     return _read_input(harness.RunConfig, **clean)
 
 
-def blas_thread_note(environ=os.environ) -> str | None:
-    """Reproducibility caveat unless BLAS is pinned to one thread.
+def blas_thread_note(environ=os.environ,
+                     pinned=solver.SUPERLU_BLAS_PINNED) -> str | None:
+    """Reproducibility caveat unless SuperLU's BLAS runs one thread.
 
     SuperLU's numerical factorization (gstrf) calls the multithreaded BLAS:
     with more threads the assembled and condensed matrices, the right-hand
     side and the LU permutations stay bit-identical, but the values of the L
-    and U factors, and so the last digits of every artifact from the second
-    cycle on, do not.
+    and U factors, and so the last digits of every artifact, do not.  The
+    solver pins the BLAS of scipy's wheel itself; any other BLAS needs the
+    environment to.
     """
-    if all(environ.get(var) == "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
+    if pinned or all(environ.get(var) == "1"
+                     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
         return None
     return ("note: artifacts are byte-reproducible only with one BLAS thread "
             "(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1)")

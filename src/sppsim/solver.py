@@ -19,13 +19,22 @@ conservatively pivoted refactorization is the fallback when it stays above
 RESIDUAL_TOL.  One factorization serves the primal and the adjoint solve,
 because with M = M^T the adjoint pairing reduces to a conjugated solve with
 the same factors, and the adjoint's interior blocks are the primal's.
+
+SuperLU's numerical factorization (gstrf) calls the OpenBLAS that scipy's
+wheel bundles; with more than one thread the values of the L and U factors,
+and with them the last digits of every solution, depend on the thread
+count.  That library is pinned to one thread on import (_pin_superlu_blas).
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -42,6 +51,27 @@ REFINE_STEPS = 8
 # condensed matrix from 2,194 to 152,364 masters (one BLAS thread), with the
 # same ordering, pivots and L, U patterns as SuperLU's default
 RELAX, PANEL_SIZE = 1, 5
+
+
+def _pin_superlu_blas() -> bool:
+    """Pin the OpenBLAS in scipy's wheel to one thread; True if it was found.
+
+    numpy's BLAS is a library of its own and keeps its threads: the matrices,
+    loads and LU permutations do not depend on them.  A scipy built against
+    a conda or system BLAS has no such library, and its factors still
+    depend on the thread count (cli.blas_thread_note).
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    pinned = False
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads(1)
+            pinned = True
+    return pinned
+
+
+SUPERLU_BLAS_PINNED = _pin_superlu_blas()
 
 
 class SolverError(Exception):

@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from sppsim.cli import blas_thread_note, main
+from sppsim.solver import SUPERLU_BLAS_PINNED
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_oracle_subcommand_writes_csv(tmp_path, capsys):
@@ -89,9 +97,26 @@ def test_report_prints_the_table_that_run_printed(tmp_path, capsys):
 
 
 def test_blas_thread_note_unless_one_thread():
-    assert blas_thread_note({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}) is None
+    one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    assert blas_thread_note(one, pinned=False) is None
     for env in ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}):
-        assert "one BLAS thread" in blas_thread_note(env)
+        assert "one BLAS thread" in blas_thread_note(env, pinned=False)
+        # the solver pinned SuperLU's BLAS itself
+        assert blas_thread_note(env, pinned=True) is None
+
+
+@pytest.mark.skipif(not SUPERLU_BLAS_PINNED, reason="scipy's wheel OpenBLAS not found")
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # cycle 3's factors of the default run differ with two unpinned threads
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(SRC))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "sppsim.cli", "run", "--cycles", "3",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("config, argv, named", [
