@@ -503,14 +503,15 @@ def test_csv_layouts_have_the_bytes_of_csv_writer(tmp_path, monkeypatch, layout)
 class TestDefaultRun:
     # cycles 1-3 of the default configuration; the errors are those of the
     # scattered field solved against the sheet load of the incident field,
-    # with the layer's pulled-back coefficients on the straight-edged disk
-    PINNED = ((1, 1080, 9034, 1.0893706516867604e-3, 3.6748610658193983e-3),
-              (2, 2322, 19580, 1.0721350169214383e-3, 4.5849319518424456e-3),
-              (3, 3888, 32880, 1.7771319338838155e-3, 2.192418135648949e-3))
+    # with the layer's pulled-back coefficients at s0 = 4 on the
+    # straight-edged disk and no boundary term on the outer circle
+    PINNED = ((1, 1080, 9034, 1.0925150447797783e-3, 3.6751976958883173e-3),
+              (2, 2310, 19496, 1.0745019535650343e-3, 4.585189199731563e-3),
+              (3, 3858, 32676, 1.7835514579205394e-3, 2.200630185017507e-3))
 
     # sum and max of the eta column in the VTK files of cycles 1 and 2
-    ETA_PINNED = {1: (0.29623750536921906, 0.01173416619642413),
-                  2: (0.20311671444854115, 0.003038262114333061)}
+    ETA_PINNED = {1: (0.29638669069732126, 0.01179391399470801),
+                  2: (0.22332575243344957, 0.003046256506237826)}
 
     def test_first_three_cycles_pinned(self, tmp_path):
         records, artifacts = hn.run_adaptive(
