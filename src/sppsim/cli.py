@@ -44,8 +44,7 @@ def _config_from(args) -> harness.RunConfig:
     return _read_input(harness.RunConfig, **clean)
 
 
-def blas_thread_note(environ=os.environ,
-                     pinned=solver.SUPERLU_BLAS_PINNED) -> str | None:
+def blas_thread_note(environ=os.environ) -> str | None:
     """Reproducibility caveat unless SuperLU's BLAS runs one thread.
 
     SuperLU's numerical factorization (gstrf) calls the multithreaded BLAS:
@@ -55,8 +54,8 @@ def blas_thread_note(environ=os.environ,
     solver pins the BLAS of scipy's wheel itself; any other BLAS needs the
     environment to.
     """
-    if pinned or all(environ.get(var) == "1"
-                     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
+    if solver.superlu_blas_pinned() or all(
+            environ.get(var) == "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):
         return None
     return ("note: artifacts are byte-reproducible only with one BLAS thread "
             "(OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1)")

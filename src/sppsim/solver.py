@@ -23,12 +23,13 @@ the same factors, and the adjoint's interior blocks are the primal's.
 SuperLU's numerical factorization (gstrf) calls the OpenBLAS that scipy's
 wheel bundles; with more than one thread the values of the L and U factors,
 and with them the last digits of every solution, depend on the thread
-count.  That library is pinned to one thread on import (_pin_superlu_blas).
+count.  factorize pins that library to one thread (superlu_blas_pinned).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
 from dataclasses import dataclass
@@ -53,8 +54,9 @@ REFINE_STEPS = 8
 RELAX, PANEL_SIZE = 1, 5
 
 
-def _pin_superlu_blas() -> bool:
-    """Pin the OpenBLAS in scipy's wheel to one thread; True if it was found.
+@functools.cache
+def superlu_blas_pinned() -> bool:
+    """Pin the OpenBLAS in scipy's wheel to one thread, once; True if found.
 
     numpy's BLAS is a library of its own and keeps its threads: the matrices,
     loads and LU permutations do not depend on them.  A scipy built against
@@ -66,12 +68,10 @@ def _pin_superlu_blas() -> bool:
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads", None)
         if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             set_threads(1)
             pinned = True
     return pinned
-
-
-SUPERLU_BLAS_PINNED = _pin_superlu_blas()
 
 
 class SolverError(Exception):
@@ -105,6 +105,7 @@ class Factorization:
 
 def factorize(matrix: sp.spmatrix, safe: bool = False) -> Factorization:
     """LU factors of matrix; a complex CSC matrix is used as it is, not copied."""
+    superlu_blas_pinned()
     csc = sp.csc_matrix(matrix, dtype=complex)
     if safe:
         kwargs = {}

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from sppsim import solver
 from sppsim.cli import blas_thread_note, main
-from sppsim.solver import SUPERLU_BLAS_PINNED
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -96,16 +96,19 @@ def test_report_prints_the_table_that_run_printed(tmp_path, capsys):
     assert len(printed) == 6 and printed[-1].startswith("mean rate")
 
 
-def test_blas_thread_note_unless_one_thread():
-    one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    assert blas_thread_note(one, pinned=False) is None
-    for env in ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}):
-        assert "one BLAS thread" in blas_thread_note(env, pinned=False)
-        # the solver pinned SuperLU's BLAS itself
-        assert blas_thread_note(env, pinned=True) is None
+def test_blas_thread_note_unless_one_thread(monkeypatch):
+    monkeypatch.setattr(solver, "superlu_blas_pinned", lambda: False)
+    assert blas_thread_note({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}) is None
+    unpinned = ({}, {"OMP_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"})
+    for env in unpinned:
+        assert "one BLAS thread" in blas_thread_note(env)
+    # none once the solver has pinned SuperLU's BLAS itself
+    monkeypatch.setattr(solver, "superlu_blas_pinned", lambda: True)
+    for env in unpinned:
+        assert blas_thread_note(env) is None
 
 
-@pytest.mark.skipif(not SUPERLU_BLAS_PINNED, reason="scipy's wheel OpenBLAS not found")
+@pytest.mark.skipif(not solver.superlu_blas_pinned(), reason="scipy's wheel OpenBLAS not found")
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # cycle 3's factors of the default run differ with two unpinned threads
     outputs = []
