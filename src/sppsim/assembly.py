@@ -180,7 +180,7 @@ def _face_local(space: EdgeFESpace, quad: FaceQuadrature, coef):
     two moment functions: the owners' ranks, the local matrices (f, 2, 2)
     and the owners' slots of the face's dofs (f, 2).
 
-    coef is a scalar or (f, p) values at the points quad.phys.
+    coef is (f, p) values at the points quad.phys.
     """
     weighted = (quad.weights * coef)[:, :, None] * quad.traces
     return (space.rank[quad.owner], gemm_real(weighted.transpose(0, 2, 1), quad.traces),

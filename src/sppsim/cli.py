@@ -50,9 +50,8 @@ def blas_thread_note(environ=os.environ) -> str | None:
     SuperLU's numerical factorization (gstrf) calls the multithreaded BLAS:
     with more threads the assembled and condensed matrices, the right-hand
     side and the LU permutations stay bit-identical, but the values of the L
-    and U factors, and so the last digits of every artifact, do not.  The
-    solver pins the BLAS of scipy's wheel itself; any other BLAS needs the
-    environment to.
+    and U factors, and so the last digits of every artifact, do not, unless
+    the solver pinned that BLAS itself (solver.superlu_blas_pinned).
     """
     if solver.superlu_blas_pinned() or all(
             environ.get(var) == "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")):

@@ -19,19 +19,13 @@ conservatively pivoted refactorization is the fallback when it stays above
 RESIDUAL_TOL.  One factorization serves the primal and the adjoint solve,
 because with M = M^T the adjoint pairing reduces to a conjugated solve with
 the same factors, and the adjoint's interior blocks are the primal's.
-
-SuperLU's numerical factorization (gstrf) calls the OpenBLAS that scipy's
-wheel bundles; with more than one thread the values of the L and U factors,
-and with them the last digits of every solution, depend on the thread
-count.  factorize pins that library to one thread (superlu_blas_pinned).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import glob
-import os
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +50,13 @@ RELAX, PANEL_SIZE = 1, 5
 
 @functools.cache
 def superlu_blas_pinned() -> bool:
-    """Pin the OpenBLAS in scipy's wheel to one thread, once; True if found.
-
-    numpy's BLAS is a library of its own and keeps its threads: the matrices,
-    loads and LU permutations do not depend on them.  A scipy built against
-    a conda or system BLAS has no such library, and its factors still
-    depend on the thread count (cli.blas_thread_note).
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    """Pin the OpenBLAS of scipy's wheel, which SuperLU's gstrf calls, to one
+    thread, once: with more, the values of the L and U factors depend on the
+    thread count.  False for a scipy on another BLAS, whose factors still do
+    (cli.blas_thread_note); numpy's own BLAS keeps its threads."""
     pinned = False
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads", None)
+    for path in pathlib.Path(scipy.__file__).parents[1].glob("scipy.libs/libscipy_openblas*"):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
         if set_threads is not None:
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             set_threads(1)

@@ -248,8 +248,9 @@ class TestAdjointSolve:
 
     def test_hermitian_degenerate_case_matches_primal_on_conjugate(self):
         # a real symmetric matrix is Hermitian: the sheet-free system without
-        # its layer is real but for the rim term -i, which is dropped here
+        # its layer is real, and symmetric up to rounding
         sheet_free, _ = small_system(sigma=0.0j, s0=0.0, marks=False)
+        assert not np.any(sheet_free.matrix.data.imag)
         real = sheet_free.matrix.real
         system = dataclasses.replace(
             sheet_free, matrix=sp.csc_matrix(0.5 * (real + real.T), dtype=complex))
