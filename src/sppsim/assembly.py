@@ -437,9 +437,10 @@ def condense(space: EdgeFESpace, constraints: ConstraintSet, volume, *faces):
     volume is assemble_volume's (Schur complements, Interior) and each of
     faces a face term (_face_local); all are transformed in place
     (_on_masters), each local matrix of a cell with a hanging edge into
-    T^T S T, and scattered once.  Returns the canonical CSC matrix (n_master, n_master), without the
-    entries that sum to exactly zero, and the interior rows -W T of P (n, 4,
-    8) of the volume's cells, in their order.
+    T^T S T, and scattered once.  Returns the canonical CSC matrix
+    (n_master, n_master), without the entries that sum to exactly zero, and
+    the interior rows -W T of P (n, 4, 8) of the volume's cells, in their
+    order.
     """
     schur, interior = volume
     slots = np.broadcast_to(np.arange(N_EDGE_DOFS), (len(schur), N_EDGE_DOFS))

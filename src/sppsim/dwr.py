@@ -304,8 +304,9 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     rho_ast += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals), eps_eff, ve_vals)
 
     # the sheet term in one pass over the sheet sides, u_t from each face's
-    # moments: each side takes half of its face integral along +x (a coarse
-    # neighbor maps the owner's points into its frame)
+    # moments: each side takes half of its face integral along +x, so pi u_t
+    # is the x component of pi u (a coarse neighbor maps the owner's points
+    # into its frame)
     faces = space.sheet_faces
     quad = space.sheet_quadrature
     sigma_eff = pml_mod.sheet_arrays(quad.phys.reshape(-1, 2), model.sigma_r,
