@@ -117,7 +117,8 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                    PYTHONPATH=str(SRC))
         out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, "-m", "sppsim.cli", "run", "--cycles", "3",
-                        "--out", str(out)], env=env, check=True, capture_output=True)
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
