@@ -67,6 +67,9 @@ from .mesh import cell_diameters, cell_geometry, cells_intersecting_disk
 from .pml import PmlSpec
 
 DIPOLE_NORM = 1.0 / (np.pi / 2.0 - 2.0 / np.pi)
+# the dipole load needs every cell that meets the bump to be at most its
+# radius / DIPOLE_RESOLUTION across
+DIPOLE_RESOLUTION = 2.0
 
 
 class AssemblyError(Exception):
@@ -315,20 +318,6 @@ def assemble_interface(space: EdgeFESpace, model: SheetModel):
     return _face_local(space, quad, -1j * sigma_eff.reshape(quad.weights.shape))
 
 
-def _dipole_cells(space: EdgeFESpace, dip: DipoleSpec) -> np.ndarray:
-    """The active cells that meet the dipole's bump; AssemblyError unless they
-    resolve it."""
-    cids = cells_intersecting_disk(space.mesh, dip.position, dip.radius)
-    if len(cids) == 0:
-        raise AssemblyError("no cells near the dipole; mesh does not cover it")
-    dmax = cell_diameters(space.mesh, cids).max()
-    if dmax > 0.5 * dip.radius:
-        raise AssemblyError(
-            f"dipole regularization unresolved: cell diameter {dmax:.3g} exceeds "
-            f"half the radius {dip.radius:.3g}; refine the mesh near the dipole")
-    return cids
-
-
 def _add_cell_loads(rhs: np.ndarray, space: EdgeFESpace, cids, coef: np.ndarray,
                     table: np.ndarray):
     """rhs plus the loads (coef[k] @ table) times the dof signs of the cells
@@ -340,9 +329,18 @@ def _add_cell_loads(rhs: np.ndarray, space: EdgeFESpace, cids, coef: np.ndarray,
 
 
 def assemble_dipole_rhs(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
-    """F_i = i int j_reg . conj(phi_i), over all dofs."""
+    """F_i = i int j_reg . conj(phi_i), over all dofs; AssemblyError unless
+    the cells that meet the bump resolve it (DIPOLE_RESOLUTION)."""
     dip = model.dipole
-    cids = _dipole_cells(space, dip)
+    cids = cells_intersecting_disk(space.mesh, dip.position, dip.radius)
+    if len(cids) == 0:
+        raise AssemblyError("no cells near the dipole; mesh does not cover it")
+    dmax = cell_diameters(space.mesh, cids).max()
+    if dmax > dip.radius / DIPOLE_RESOLUTION:
+        raise AssemblyError(
+            f"dipole regularization unresolved: cell diameter {dmax:.3g} exceeds "
+            f"the radius {dip.radius:.3g} / {DIPOLE_RESOLUTION:g}; refine the mesh "
+            f"near the dipole")
     phys, jac = cell_geometry(space.mesh, cids, REF.quad_pts)
     positive_det(jac)
     n, p = len(cids), len(REF.quad_wts)
@@ -392,29 +390,18 @@ def assemble_sheet_load(space: EdgeFESpace, model: SheetModel) -> np.ndarray:
     return rhs
 
 
-# active cells per batch of the dual load, the one cell loop that runs while
-# the cycle's LU factors are alive: one batch over the 39,051 cells of cycle 7
-# of adaptive_cycles(RunConfig(cycles=8, dof_cap=10**6)) raises ru_maxrss from
-# 552 to 608 MB (MALLOC_MMAP_THRESHOLD_=131072).  The volume assembly, QuadData
-# and the indicators run without live factors and take all cells at once.
-CHUNK_CELLS = 16384
-
-
 def assemble_dual_rhs(space: EdgeFESpace, primal: FieldSolution, weight) -> np.ndarray:
     """Derivative of the goal functional int w |curl E|^2 at the discrete primal.
 
     Component i is int w (curl phi_i) conj(curl E_H); linear in conj(E_H).
     With curl phi_i = curl_ref v_i / det J the weight w det J cancels the
     det J: the load is w conj(curl E_H) per point times the reference curls.
-    curl E_H comes from evaluate_fields, chunk by chunk over the active cells.
+    curl E_H comes from one evaluate_fields pass over the active cells.
     """
-    rhs = np.zeros(space.n_dofs, dtype=complex)
-    for lo in range(0, len(space.active), CHUNK_CELLS):
-        chunk = space.active[lo:lo + CHUNK_CELLS]
-        phys, det, _, curls = evaluate_fields(space, chunk, REF.quad_pts, (primal.coeffs,))
-        coef = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape) * np.conj(curls[0])
-        _add_cell_loads(rhs, space, chunk, coef, REF.basis_at_quad[1])
-    return rhs
+    phys, det, _, curls = evaluate_fields(space, space.active, REF.quad_pts, (primal.coeffs,))
+    coef = REF.quad_wts * weight(phys.reshape(-1, 2)).reshape(det.shape) * np.conj(curls[0])
+    return _add_cell_loads(np.zeros(space.n_dofs, dtype=complex), space, space.active,
+                           coef, REF.basis_at_quad[1])
 
 
 def _on_masters(constraints: ConstraintSet, ranks, local: np.ndarray, slots):
@@ -462,8 +449,8 @@ class FixedPart:
     masters, and their interior blocks K_ii and interior rows -W T of P
     (condense).
 
-    It is built once per mesh and serves every model that shares its dipole
-    and disk radius.
+    It is built once per mesh and serves every model that shares its disk
+    radius, which sets the inner cells through rho = 0.8 R.
     """
 
     space: EdgeFESpace
@@ -472,21 +459,20 @@ class FixedPart:
     k_ii: np.ndarray           # (n_active, 4, 4) in rank order, the outer cells' unset
     rows: np.ndarray           # (n_active, 4, 8) -W T in rank order, the outer cells' unset
     outer: np.ndarray          # active cell ids left to the per-model part
-    key: tuple
+    key: float
 
 
-def _fixed_key(model: SheetModel) -> tuple:
-    return (model.dipole, model.pml.R)
+def _fixed_key(model: SheetModel) -> float:
+    return model.pml.R
 
 
 def assemble_fixed(space: EdgeFESpace, constraints: ConstraintSet,
                    model: SheetModel) -> FixedPart:
     """Assemble and condense the model-independent part of a solve pair once.
 
-    A pair solves against the sheet load, so no dipole load is built here;
-    a mesh that does not resolve the dipole is still rejected up front.
+    No load is built here, so the dipole is not read: a mesh that does not
+    resolve it serves a pair, and only assemble_dipole_rhs rejects it.
     """
-    _dipole_cells(space, model.dipole)
     inner = inner_cells(space, model)
     volume = assemble_volume_boundary(space, model, space.active[inner])
     matrix, rows = condense(space, constraints, volume)
@@ -521,8 +507,7 @@ def assemble_pair(fixed: FixedPart, model: SheetModel) -> ComplexSystem:
     model; they are condensed together once and added to the fixed part.
     """
     if _fixed_key(model) != fixed.key:
-        raise ValueError("the fixed part was built for another dipole or disk "
-                         "radius")
+        raise ValueError("the fixed part was built for another disk radius")
     space, constraints = fixed.space, fixed.constraints
     volume = assemble_volume(space, model, fixed.outer)
     varying, rows = condense(space, constraints, volume, assemble_interface(space, model))

@@ -172,7 +172,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, harness.OutputDirError) as exc:
+    # a reference that cannot be computed (a pole on the path, quadrature that
+    # does not converge) fails before any output is written
+    except (_InputError, harness.OutputDirError, oracle.OracleError) as exc:
         print(f"sppsim: error: {exc}", file=sys.stderr)
         return 2
 

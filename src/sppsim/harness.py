@@ -46,9 +46,9 @@ import numpy as np
 
 from . import dwr as dwr_mod
 from . import oracle as oracle_mod
-from .assembly import (DipoleSpec, FixedPart, SheetModel, assemble_dipole_rhs,
-                       assemble_dual_rhs, assemble_fixed, assemble_pair,
-                       assemble_sheet_load)
+from .assembly import (DIPOLE_RESOLUTION, DipoleSpec, FixedPart, SheetModel,
+                       assemble_dipole_rhs, assemble_dual_rhs, assemble_fixed,
+                       assemble_pair, assemble_sheet_load)
 from .fespace import (EdgeFESpace, FieldSolution, build_constraints, distribute_dofs,
                       moment_traces)
 from .mesh import (EDGE_CORNERS, Mesh, build_disk_mesh, cell_diameters,
@@ -72,8 +72,6 @@ class RunConfig:
     out_dir: str | None = None
     initial_refines: int = 3
     dipole_resolve_factor: float = 4.0   # target cell diameter d_reg / factor
-    marking_fraction: float = 0.15
-    level_cap: int = 12
     dof_cap: int = 300_000
     x_min: float = 0.5
     write_artifacts: bool = True
@@ -86,9 +84,6 @@ class RunConfig:
         if self.samples % 2:
             raise ValueError(f"samples must be even (half on each side of x = 0), "
                              f"got {self.samples}")
-        if not 0 <= self.marking_fraction <= 1:
-            raise ValueError(f"marking_fraction must lie in [0, 1], "
-                             f"got {self.marking_fraction}")
         if not self.d_w > 0:
             raise ValueError(f"d_w must be positive, got {self.d_w}")
         # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
@@ -100,6 +95,11 @@ class RunConfig:
         if not 0 < self.x_min < rho:
             raise ValueError(f"x_min must lie in (0, 0.8 R) = (0, {rho:g}), "
                              f"got {self.x_min}")
+        # the dipole load and incident_ex take the source in vacuum, where
+        # the layer's stretch is one
+        if not self.a + self.d_reg <= rho:
+            raise ValueError(f"the dipole's bump must lie within 0.8 R: a + d_reg "
+                             f"must be at most {rho:g}, got {self.a + self.d_reg:g}")
         # os.makedirs('') would fail only once the run has started
         if self.out_dir == "":
             raise ValueError("out_dir must not be empty")
@@ -107,13 +107,12 @@ class RunConfig:
         if self.initial_refines < 0:
             raise ValueError(f"initial_refines must be nonnegative, "
                              f"got {self.initial_refines}")
-        for key in ("level_cap", "dof_cap"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.dof_cap < 1:
+            raise ValueError(f"dof_cap must be at least 1, got {self.dof_cap}")
         # a coarser target leaves cells that assemble_dipole_rhs rejects
-        if not self.dipole_resolve_factor >= 2:
-            raise ValueError(f"dipole_resolve_factor must be at least 2, "
-                             f"got {self.dipole_resolve_factor}")
+        if not self.dipole_resolve_factor >= DIPOLE_RESOLUTION:
+            raise ValueError(f"dipole_resolve_factor must be at least "
+                             f"{DIPOLE_RESOLUTION:g}, got {self.dipole_resolve_factor}")
 
     def model(self, s0=None) -> SheetModel:
         return SheetModel(
@@ -309,8 +308,7 @@ def adaptive_cycles(config: RunConfig):
         yield cycle, space, trace, eta
         if terminal:
             return
-        marked = dwr_mod.mark(eta, mesh, weight, cycle, fraction=config.marking_fraction,
-                              level_cap=config.level_cap)
+        marked = dwr_mod.mark(eta, mesh, weight, cycle)
         del space, trace, eta
         mesh.refine(marked)
 

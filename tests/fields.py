@@ -115,11 +115,8 @@ def pair_terms(space, model):
 
 
 def one_part_system(space, cs, model):
-    """The load-free system of a solve pair condensed in one part.
-
-    It skips assemble_fixed and with it the dipole check, so a coarse mesh
-    that does not resolve the dipole serves.
-    """
+    """The load-free system of a solve pair condensed in one part, without
+    assemble_fixed's split into a fixed and a per-model part."""
     volume, faces = pair_terms(space, model)
     matrix, rows = condense(space, cs, volume, faces)
     return ComplexSystem(matrix=matrix, space=space, k_ii=volume[1].k_ii,

@@ -594,19 +594,21 @@ class TestSplitPair:
         assert np.array_equal(pair.k_ii, fresh.k_ii)
         assert np.array_equal(pair.with_load(load).rhs, fresh.with_load(load).rhs)
 
-    def test_fixed_part_rejects_another_dipole(self):
+    def test_fixed_part_rejects_another_disk_radius(self):
+        # the disk radius sets the inner cells through rho = 0.8 R; the dipole
+        # does not enter the fixed part
         space, cs, dip = resolved_space()
-        fixed = assemble_fixed(space, cs, SheetModel(
-            sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip))
-        other = DipoleSpec(height=dip.height, radius=0.5 * dip.radius)
-        with pytest.raises(ValueError, match="dipole"):
-            assemble_pair(fixed, SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0),
-                                            dipole=other))
+        mdl = SheetModel(sigma_r=0.15j, pml=PmlSpec(R=R, s0=2.0), dipole=dip)
+        other = DipoleSpec(height=2 * dip.height, radius=0.5 * dip.radius)
+        fixed = assemble_fixed(space, cs, dataclasses.replace(mdl, dipole=other))
+        assert max_rel(assemble_pair(fixed, mdl).matrix,
+                       one_part_system(space, cs, mdl).matrix) <= 1e-13
+        with pytest.raises(ValueError, match="disk radius"):
+            assemble_pair(fixed, dataclasses.replace(mdl, pml=PmlSpec(R=0.9 * R, s0=2.0)))
 
-    def test_equal_layer_cells_keep_their_own_matrices(self, monkeypatch):
+    def test_equal_layer_cells_keep_their_own_matrices(self):
         # translates of one square beyond rho have different coefficients, so
         # the pair must not share one matrix between them as a shape class would
-        monkeypatch.setattr(assembly, "_dipole_cells", lambda space, dip: None)
         mdl = model(sigma=0.01 + 0.15j)
         space = distribute_dofs(grid_mesh(6, 1, sx=4.0, sy=4.0))
         cs = build_constraints(space)

@@ -163,6 +163,19 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     (None, ["run", "--sigma", "1e300j"], "4/sigma^2"),
     (None, ["oracle", "--sigma", "1e-300j"], "4/sigma^2"),
     (None, ["oracle", "--sigma", "1e300j"], "4/sigma^2"),
+    # marking takes mark's one fraction and level cap: neither is a config key
+    ("level_cap = 12\n", ["run"], "level_cap"),
+    ("marking_fraction = 0.15\n", ["run"], "marking_fraction"),
+    # the dipole's bump must end inside the layer's inner radius 0.8 R,
+    # where the stretch is one, before any mesh is built
+    (None, ["run", "--a", "22", "--cycles", "1"], "a + d_reg"),
+    (None, ["run", "--a", "30"], "a + d_reg"),
+    (None, ["pml-study", "--a", "30", "--values", "0"], "a + d_reg"),
+    (None, ["oracle", "--a", "30"], "a + d_reg"),
+    # a real sigma puts a pole on the reference's path: the reference is
+    # computed before any output is made
+    (None, ["run", "--sigma", "0.16"], "vanishes"),
+    (None, ["oracle", "--sigma", "0.16"], "vanishes"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:

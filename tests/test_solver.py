@@ -30,8 +30,7 @@ def small_system(sigma=0.15j, s0=2.0, refines=1, marks=True):
     cs = build_constraints(space)
     mdl = SheetModel(sigma_r=sigma, pml=PmlSpec(R=R, s0=s0),
                      dipole=DipoleSpec(height=1.0, radius=0.15625))
-    # a solve pair's system, assembled in one part: this coarse mesh does not
-    # resolve the dipole, which assemble_fixed would reject
+    # a solve pair's system, assembled in one part
     rng = np.random.default_rng(9)
     rhs_full = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     return one_part_system(space, cs, mdl).with_load(rhs_full), rhs_full
