@@ -10,10 +10,12 @@ integration by parts) and the unknown exact solutions replaced by patchwise
 recoveries pi: weighted least-squares fits of an edge field on a parent
 cell, of order 3 over a clean 2x2 sibling patch and of order 2 over all
 active descendants of an irregular parent, which is cruder but safe.  A cell
-below an irregular parent takes its fit.  The patches that win a cell are
-fitted in batches of equal order and size, the primal and the adjoint
-together, and every fit is kept in the slots of the 24 order-3 monomial
-fields.  Only the differences (pi u - u) ever enter the indicators.  The
+below an irregular parent takes its fit.  Every clean patch reads one
+shared table of monomial rows, an irregular patch its own; each patch's
+real normal equations are solved once, with the real and imaginary parts
+of the primal and the adjoint as columns, and every fit is kept in the
+slots of the 24 order-3 monomial fields.  Only the differences (pi u - u)
+ever enter the indicators.  The
 face terms are one pass over the sheet sides: the trace of u comes from
 each face's two moments (fespace.moment_traces), and only pi u is evaluated
 there.
@@ -35,7 +37,7 @@ from . import pml as pml_mod
 from .assembly import SheetModel
 from .fespace import (ELEMENT_SPACE, REF, EdgeFESpace, FieldSolution, evaluate_fields,
                       sheet_ref_points, vector_monomials)
-from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, jacobian_det, jacobian_inv
+from .mesh import CHILD_OFFSETS, Mesh, cell_geometry, covariant_map, jacobian_det
 
 # the order-3 recovery space Q_{2,3} x Q_{3,2} (fespace.vector_monomials), which
 # holds the element's ELEMENT_SPACE: ORDER2_SLOTS is the column of each of its
@@ -101,7 +103,7 @@ def _active_descendants(mesh: Mesh, parents):
     found = []
     while len(inner[1]):
         group, _, offset, scale, path = (np.repeat(c, 4, axis=0) for c in inner)
-        quad = np.tile(np.arange(4), len(inner[1]))
+        quad = np.arange(4 * len(inner[1])) % 4
         cid = mesh.children[inner[1]].ravel()
         scale = 0.5 * scale
         offset = offset + scale[:, None] * quads[quad]
@@ -115,21 +117,42 @@ def _active_descendants(mesh: Mesh, parents):
     return group[order], cid[order], offset[order], scale[order]
 
 
-@lru_cache(maxsize=1)
-def _clean_patch_monomials():
-    """Order-3 monomial values (4p, 24, 2) and curls (4p, 24) at the quadrature
-    points of a parent's four children, in quadrant order, in the parent frame.
+def _component_rows(pts, space):
+    """Values (2, npts, m/2) of the x-directed and of the y-directed monomial
+    fields of space at pts, and the curls (npts, m) of all m of its fields.
 
-    The points are formed as the patch fit forms them (offset plus half the
+    Each monomial field has one nonzero component, so a fit's normal matrix
+    is block-diagonal: the x components of a field are fitted by the first
+    half of the fields alone, the y components by the second half.
+    """
+    vals, curls = vector_monomials(pts, space)
+    half = len(space[0])
+    return np.stack([vals[:, :half, 0], vals[:, half:, 1]]), curls
+
+
+@lru_cache(maxsize=1)
+def _clean_patch_table():
+    """The order-3 rows that every clean patch shares, read-only.
+
+    rows (2, 4p, 12) and curls (4p, 24) are _component_rows at the
+    quadrature points of a parent's four children, in quadrant order, in the
+    parent frame; outer (2, 4p, 144) holds each point's outer product of its
+    rows, so a patch's normal matrices are its weights times outer.  The
+    points are formed as the patch fit forms them (offset plus half the
     child point), so the table holds the fit's own floats.
     """
     offsets = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
     ppts = offsets[:, None, :] + 0.5 * REF.quad_pts
-    return vector_monomials(ppts.reshape(-1, 2), RECOVERY_SPACE)
+    rows, curls = _component_rows(ppts.reshape(-1, 2), RECOVERY_SPACE)
+    outer = (rows[..., :, None] * rows[..., None, :]).reshape(rows.shape[:2] + (-1,))
+    for t in (rows, curls, outer):
+        t.flags.writeable = False
+    return rows, curls, outer
 
 
-# member cells per batch of the patch fit: bounds the transient monomial,
-# Jacobian and weighted-row tables, which grow with the cells of a batch
+# member cells per batch of the patch fit: bounds the transient gathered
+# values, parent Jacobians and fitted values, and an irregular patch's own
+# rows, which grow with the cells of a batch
 FIT_BATCH_CELLS = 2048
 
 
@@ -141,14 +164,16 @@ class PatchReconstruction:
     above it, whose order-2 fit over all its active descendants wins (the
     later such parent in order of first appearance).  Only winning patches
     are fitted, grouped by order and member count, in batches of at most
-    FIT_BATCH_CELLS member cells (or one patch).  Every solution that the
-    QuadData registers is fitted on the same patches: the weighted normal
-    matrices are built once per group and solved against each solution's
-    right-hand side.  Each cell keeps its embedding (offset, scale) in the
-    parent's reference frame and its patch's coefficients per solution, in
-    one table over the 24 monomial fields of RECOVERY_SPACE (s, n, 24): an
-    order-2 fit fills the columns of its 12 fields (ORDER2_SLOTS) and leaves
-    the rest zero.  The differences at the standard quadrature points are
+    FIT_BATCH_CELLS member cells (or one patch).  Every clean patch reads
+    one shared table of rows (_clean_patch_table); an irregular patch forms
+    its own.  Every solution that the QuadData registers is fitted on the
+    same patches, in one real solve per patch and component whose
+    right-hand-side columns are the real and imaginary parts of each
+    solution.  Each cell keeps its embedding (offset, scale) in the parent's
+    reference frame and its patch's coefficients per solution, in one table
+    over the 24 monomial fields of RECOVERY_SPACE (s, n, 24): an order-2 fit
+    fills the columns of its 12 fields (ORDER2_SLOTS) and leaves the rest
+    zero.  The differences at the standard quadrature points are
     precomputed for every solution and active cell, dvals_quad (s, n, p, 2)
     and dcurls_quad (s, n, p).
     """
@@ -196,60 +221,71 @@ class PatchReconstruction:
                           ranks[rows], offsets[rows], scales[rows], wins[rows])
 
     def _fit(self, qd, order, m, owner, ranks, offsets, scales, wins):
-        """Fit patches of m member cells each (rows grouped by patch); store pi u - u."""
-        n_patch = len(owner) // m
+        """Fit patches of m member cells each (rows grouped by patch); store pi u - u.
+
+        A patch's rows are its monomial values at its members' quadrature
+        points, weighted by w det; its normal matrix is real and
+        block-diagonal (_component_rows), so each patch solves its two
+        blocks once, against the real and imaginary parts of every solution
+        as right-hand-side columns.  Every product is taken per patch, so a
+        patch's numbers depend neither on its batch nor on the other
+        solutions.
+        """
+        n_patch, s = len(owner) // m, len(qd.sols)
+        ppts, jac = self._parent_frame(owner, offsets, scales, REF.quad_pts)
+        w = REF.quad_wts * qd.det[ranks]                        # (cell, p)
+        w_rows = w.reshape(n_patch, 1, 1, -1)
         if order == 3:
             # the members of a clean patch are its four children in quadrant
             # order, at the same points in the parent frame for every patch
-            space, slots = RECOVERY_SPACE, np.arange(self._coeffs.shape[2])
-            mono = [np.tile(t, (n_patch,) + (1,) * (t.ndim - 1))
-                    for t in _clean_patch_monomials()]
+            slots = np.arange(self._coeffs.shape[2])
+            rows, mono_curl, outer = _clean_patch_table()
+            normal = w_rows @ outer
         else:
-            space, slots, mono = ELEMENT_SPACE, ORDER2_SLOTS, None
-        mono, mono_curl, jac = self._parent_frame(owner, offsets, scales,
-                                                  REF.quad_pts, space, mono)
-        n_cells, p, n_mono = mono_curl.shape
-        mono_curl = mono_curl.reshape(n_patch, -1, n_mono)
-        # rows (cell, point, component) of each patch, weighted by w det
-        a = np.moveaxis(mono, 3, 2).reshape(n_patch, -1, n_mono)
-        del mono
-        w = np.repeat((REF.quad_wts * qd.det[ranks]).reshape(n_patch, -1), 2, axis=1)
-        aw_t = np.swapaxes(a * w[..., None], 1, 2)
-        normal = (aw_t @ a).astype(complex)
-        jac_t = np.swapaxes(jac, 2, 3)
-        r, jac = ranks[wins], jac[wins]
+            slots = ORDER2_SLOTS
+            rows, mono_curl = _component_rows(ppts.reshape(-1, 2), ELEMENT_SPACE)
+            rows = rows.reshape(2, n_patch, -1, rows.shape[2]).swapaxes(0, 1)
+            mono_curl = mono_curl.reshape(n_patch, -1, mono_curl.shape[1])
+            normal = (np.swapaxes(rows, 2, 3) * w_rows) @ rows
+        half = rows.shape[-1]
+        # w det J^T u: u (cell, p, s, 4) pulled back into the parent frame, the
+        # 2x2 map written out; the real and imaginary parts of each solution
+        # are the columns of b (patch, component, cell p, 2s)
+        u = np.moveaxis(qd.values, 0, 2)[ranks].view(float)
+        wjac = (w[..., None, None] * jac)[:, :, None, None]
+        b = np.stack([(wjac[..., 0, i] * u[..., :2] + wjac[..., 1, i] * u[..., 2:])
+                      .reshape(n_patch, -1, 2 * s) for i in (0, 1)], axis=1)
+        del u, wjac
+        # one real solve for all solutions: against one complex solve per
+        # solution the fit moves eta by at most 1.1e-11 of its maximum (the
+        # default and the 7-cycle runs), a hundredth of the MARK_RESOLUTION
+        # grid on which mark ranks eta, and no mark moved
+        coef = np.linalg.solve(normal.reshape(n_patch, 2, half, half),
+                               np.swapaxes(rows, -1, -2) @ b)
+        del b
+        # pi u and its curl from the same rows, on the winning cells
+        hat = (rows @ coef).reshape(n_patch, 2, m, -1, s, 2).swapaxes(1, 2)
+        hat = hat[wins.reshape(n_patch, m)]
+        curl = (mono_curl @ coef.reshape(n_patch, 2 * half, 2 * s)).reshape(len(owner), -1, s, 2)
+        r, jac = ranks[wins], jac[wins, :, None, None]
         det = jacobian_det(jac)
-        jinv_t = np.swapaxes(jacobian_inv(jac, det), 2, 3)
-        for k, (u, u_curl) in enumerate(zip(qd.values, qd.curls)):
-            b = (jac_t @ u[ranks][..., None]).reshape(n_patch, -1)
-            atb = aw_t @ np.stack([b.real, b.imag], axis=-1)
-            # one complex solve: solving for the real and imaginary parts apart
-            # rounds differently, enough to flip near-tied marks
-            coeffs = np.linalg.solve(normal, atb[..., :1] + 1j * atb[..., 1:])[..., 0]
-            # pi u from the same rows, real and imaginary parts as two columns
-            parts = np.stack([coeffs.real, coeffs.imag], axis=-1)
-            hat = (a @ parts).reshape(n_cells, p, 2, 2)[wins]
-            curls = (mono_curl @ parts).reshape(n_cells, p, 2)[wins]
-            hat = hat[..., 0] + 1j * hat[..., 1]
-            self.dvals_quad[k, r] = (jinv_t @ hat[..., None])[..., 0] - u[r]
-            self.dcurls_quad[k, r] = (curls[..., 0] + 1j * curls[..., 1]) / det - u_curl[r]
-            self._coeffs[k, r[:, None], slots] = np.repeat(coeffs, m, axis=0)[wins]
+        pi_u = np.stack(covariant_map(jac, det, hat[:, 0], hat[:, 1]), axis=-2)
+        del hat
+        self.dvals_quad[:, r] = np.moveaxis(pi_u.view(complex)[..., 0], 2, 0) - qd.values[:, r]
+        curl = (curl[wins] / det).view(complex)[..., 0]
+        self.dcurls_quad[:, r] = np.moveaxis(curl, 2, 0) - qd.curls[:, r]
+        coef = coef.reshape(n_patch, 2 * half, s, 2).view(complex)[..., 0]
+        self._coeffs[:, r[:, None], slots] = np.moveaxis(np.repeat(coef, m, axis=0)[wins], 2, 0)
         self._order[r] = order
         self._parent[r] = owner[wins]
         self._offset[r] = offsets[wins]
         self._scale[r] = scales[wins]
 
-    def _parent_frame(self, parents, offsets, scales, ref_pts, space, mono=None):
-        """Monomials of space, parent Jacobians at cell reference points mapped into parents.
-
-        mono, when given, holds the monomial values and curls at those points.
-        """
+    def _parent_frame(self, parents, offsets, scales, ref_pts):
+        """Cell reference points mapped into their parents' frames (n, p, 2),
+        and the parents' Jacobians there (n, p, 2, 2)."""
         ppts = offsets[:, None, :] + scales[:, None, None] * np.asarray(ref_pts, dtype=float)
-        n, p = ppts.shape[:2]
-        mono, mono_curl = mono or vector_monomials(ppts.reshape(-1, 2), space)
-        _, jac = cell_geometry(self.space.mesh, parents, ppts)
-        n_mono = mono.shape[1]
-        return mono.reshape(n, p, n_mono, 2), mono_curl.reshape(n, p, n_mono), jac
+        return ppts, cell_geometry(self.space.mesh, parents, ppts)[1]
 
     def at_points(self, cids, ref_pts):
         """pi u (s, n, p, 2) at reference points of cells, (p, 2) shared by all
@@ -259,18 +295,30 @@ class PatchReconstruction:
         r = ranks[sel]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
         out = np.zeros((len(self.sols),) + ref_pts.shape, dtype=complex)
-        mono, _, jac = self._parent_frame(
-            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel], RECOVERY_SPACE)
-        jinv_t = jacobian_inv(jac, jacobian_det(jac)).transpose(0, 1, 3, 2)
+        ppts, jac = self._parent_frame(
+            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel])
+        det = jacobian_det(jac)
+        rows, _ = _component_rows(ppts.reshape(-1, 2), RECOVERY_SPACE)
+        half = rows.shape[2]
+        rows = rows.reshape((2,) + ppts.shape[:2] + (half,))
         for k, c in enumerate(self._coeffs[:, r]):
-            out[k, sel] = np.einsum("npij,npj->npi", jinv_t,
-                                    np.einsum("npmc,nm->npc", mono, c))
+            hat = np.einsum("cnpm,ncm->cnp", rows, c.reshape(len(r), 2, half))
+            out[k, sel] = np.stack(covariant_map(jac, det, *hat), axis=-1)
         return out
 
 
 def reconstruct(qd: QuadData) -> PatchReconstruction:
     """Patch recovery of every solution registered in qd, from one shared fit."""
     return PatchReconstruction(qd)
+
+
+def _mass(wdet, eps, v, u):
+    """sum_p wdet conj(v)_i eps_ij u_j per cell of fields (n, p, 2), written
+    out for the 2x2 stack."""
+    u0, u1 = u[..., 0], u[..., 1]
+    return np.sum(wdet * (np.conj(v[..., 0]) * (eps[..., 0, 0] * u0 + eps[..., 0, 1] * u1)
+                          + np.conj(v[..., 1]) * (eps[..., 1, 0] * u0 + eps[..., 1, 1] * u1)),
+                  axis=1)
 
 
 def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
@@ -295,13 +343,13 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     dens = model.dipole.density(flat).reshape(det.shape)
     wdet = REF.quad_wts[None, :] * det
     # primal residual: F(w chi_Q) - A(E_H, w chi_Q)
-    rho = 1j * np.einsum("np,np->n", wdet * dens, np.conj(wz_vals[:, :, 1]))
-    rho -= np.einsum("np,np->n", wdet * inv_mu * E_curl, np.conj(wz_curl))
-    rho += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(wz_vals), eps_eff, E_vals)
+    rho = 1j * np.sum(wdet * dens * np.conj(wz_vals[..., 1]), axis=1)
+    rho -= np.sum(wdet * inv_mu * E_curl * np.conj(wz_curl), axis=1)
+    rho += _mass(wdet, eps_eff, wz_vals, E_vals)
     # dual residual: D_E J(E_H)[v chi_Q] - A(v chi_Q, Z_H)
-    rho_ast = np.einsum("np,np->n", wdet * wband * ve_curl, np.conj(E_curl))
-    rho_ast -= np.einsum("np,np->n", wdet * inv_mu * ve_curl, np.conj(Z_curl))
-    rho_ast += np.einsum("np,npi,npij,npj->n", wdet + 0j, np.conj(Z_vals), eps_eff, ve_vals)
+    rho_ast = np.sum(wdet * wband * ve_curl * np.conj(E_curl), axis=1)
+    rho_ast -= np.sum(wdet * inv_mu * ve_curl * np.conj(Z_curl), axis=1)
+    rho_ast += _mass(wdet, eps_eff, Z_vals, ve_vals)
 
     # the sheet term in one pass over the sheet sides, u_t from each face's
     # moments: each side takes half of its face integral along +x, so pi u_t

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (EDGE_CORNERS, FaceTable, GeometryError, Mesh, cell_geometry,
-                   interface_faces, jacobian_det)
+                   covariant_map, interface_faces, jacobian_det)
 
 # the element's monomial space Q_{1,2} x Q_{2,1}: the exponents (i, j) of the
 # x-component's monomials x^i y^j, then the y-component's (vector_monomials)
@@ -299,10 +299,7 @@ def evaluate_fields(space: EdgeFESpace, cids, ref_pts, coeffs):
         out = gemm_real(mono[k], table)
         vals[k] = out[:, :2 * p].reshape(n, p, 2)
         curls[k] = out[:, 2 * p:]
-    # J^{-T} = adj(J)^T / det J, written out for the 2x2 stack
-    vx, vy = vals[..., 0].copy(), vals[..., 1].copy()
-    vals[..., 0] = (jac[..., 1, 1] * vx - jac[..., 1, 0] * vy) / det
-    vals[..., 1] = (jac[..., 0, 0] * vy - jac[..., 0, 1] * vx) / det
+    vals[..., 0], vals[..., 1] = covariant_map(jac, det, vals[..., 0], vals[..., 1])
     return phys, det, vals, curls / det
 
 

@@ -361,14 +361,11 @@ def jacobian_det(jac: np.ndarray) -> np.ndarray:
     return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
 
 
-def jacobian_inv(jac: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 2x2 Jacobians: the adjugate over the determinant."""
-    adj = np.empty_like(jac)
-    adj[..., 0, 0] = jac[..., 1, 1]
-    adj[..., 0, 1] = -jac[..., 0, 1]
-    adj[..., 1, 0] = -jac[..., 1, 0]
-    adj[..., 1, 1] = jac[..., 0, 0]
-    return adj / det[..., None, None]
+def covariant_map(jac: np.ndarray, det: np.ndarray, hx, hy):
+    """J^{-T} h = adj(J)^T h / det J of a field with reference-frame
+    components (hx, hy), written out for the 2x2 stack."""
+    return ((jac[..., 1, 1] * hx - jac[..., 1, 0] * hy) / det,
+            (jac[..., 0, 0] * hy - jac[..., 0, 1] * hx) / det)
 
 
 # -- face extraction ---------------------------------------------------------

@@ -310,7 +310,8 @@ def branchcut_contribution(x, a: float, sigma_r: complex,
     # cone and tau = s^2 >= 0 on the tail
     c = complex(4.0 / sigma_r**2 - 1.0)
     if abs(c - max(c.real, -1.0)) < 1e-9:
-        raise PoleOnAxisError("branch-cut denominator vanishes on the path")
+        raise PoleOnAxisError(f"branch-cut denominator vanishes on the path for sigma_r = "
+                              f"{sigma_r:g}; the reference needs Im(sigma_r) > 0")
     out = np.empty(xs.shape, dtype=complex)
     todo = np.arange(xs.size)
     last_two, levels = (None, None), (0, 1)

@@ -176,6 +176,9 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # computed before any output is made
     (None, ["run", "--sigma", "0.16"], "vanishes"),
     (None, ["oracle", "--sigma", "0.16"], "vanishes"),
+    # the message names the input and what the reference needs of it
+    (None, ["run", "--sigma", "0.16"], "sigma_r = 0.16+0j; the reference needs Im(sigma_r) > 0"),
+    (None, ["oracle", "--sigma", "0.16"], "sigma_r = 0.16+0j; the reference needs Im(sigma_r) > 0"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:
