@@ -13,12 +13,12 @@ active descendants of an irregular parent, which is cruder but safe.  A cell
 below an irregular parent takes its fit.  Every clean patch reads one
 shared table of monomial rows, an irregular patch its own; each patch's
 real normal equations are solved once, with the real and imaginary parts
-of the primal and the adjoint as columns, and every fit is kept in the
-slots of the 24 order-3 monomial fields.  Only the differences (pi u - u)
-ever enter the indicators.  The
-face terms are one pass over the sheet sides: the trace of u comes from
-each face's two moments (fespace.moment_traces), and only pi u is evaluated
-there.
+of the primal and the adjoint as columns, and every fit is kept once per
+patch, in the slots of the 24 order-3 monomial fields, where its cells read
+it through their patch's row.  Only the differences (pi u - u) ever enter
+the indicators.  The face terms are one pass over the sheet sides: the
+trace of u comes from each face's two moments (fespace.moment_traces), and
+only pi u is evaluated there.
 
 Marking combines the largest indicators by count with a forced band around
 the sheet whose threshold tightens geometrically with the cycle number, so
@@ -100,7 +100,7 @@ def _active_descendants(mesh: Mesh, parents):
     quads = np.asarray(CHILD_OFFSETS, dtype=float)
     n = len(parents)
     inner = (np.arange(n), parents, np.zeros((n, 2)), np.ones(n), np.zeros(n))
-    found = []
+    found = [[c[:0] for c in inner]]      # typed, so that no parents find no cells
     while len(inner[1]):
         group, _, offset, scale, path = (np.repeat(c, 4, axis=0) for c in inner)
         quad = np.arange(4 * len(inner[1])) % 4
@@ -169,13 +169,14 @@ class PatchReconstruction:
     its own.  Every solution that the QuadData registers is fitted on the
     same patches, in one real solve per patch and component whose
     right-hand-side columns are the real and imaginary parts of each
-    solution.  Each cell keeps its embedding (offset, scale) in the parent's
-    reference frame and its patch's coefficients per solution, in one table
-    over the 24 monomial fields of RECOVERY_SPACE (s, n, 24): an order-2 fit
-    fills the columns of its 12 fields (ORDER2_SLOTS) and leaves the rest
-    zero.  The differences at the standard quadrature points are
-    precomputed for every solution and active cell, dvals_quad (s, n, p, 2)
-    and dcurls_quad (s, n, p).
+    solution.  Each fitted patch keeps one row: its parent and its
+    coefficients per solution, in one table over the 24 monomial fields of
+    RECOVERY_SPACE (s, n_patch, 24), where an order-2 fit fills the columns
+    of its 12 fields (ORDER2_SLOTS) and leaves the rest zero.  Each cell
+    keeps its patch's row (-1: no patch) and its embedding (offset, scale)
+    in the parent's reference frame.  The differences at the standard
+    quadrature points are precomputed for every solution and active cell,
+    dvals_quad (s, n, p, 2) and dcurls_quad (s, n, p).
     """
 
     def __init__(self, qd: QuadData):
@@ -186,17 +187,13 @@ class PatchReconstruction:
         s = len(qd.sols)
         self.dvals_quad = np.zeros((s, n, p, 2), dtype=complex)
         self.dcurls_quad = np.zeros((s, n, p), dtype=complex)
-        self._order = np.zeros(n, dtype=np.int64)   # 0: no patch, difference vanishes
-        self._parent = np.zeros(n, dtype=np.int64)
+        self._patch = np.full(n, -1)    # row of _parent and _coeffs; -1: no patch
         self._offset = np.zeros((n, 2))
         self._scale = np.zeros(n)
-        self._coeffs = np.zeros((s, n, sum(map(len, RECOVERY_SPACE))), dtype=complex)
 
         # parents in order of first appearance over the active cells
         parents = mesh.parent[self.space.active]
         parents = parents[parents >= 0]
-        if len(parents) == 0:
-            return
         parents = parents[np.sort(np.unique(parents, return_index=True)[1])]
         clean = (mesh.children[mesh.children[parents], 0] < 0).all(axis=1)
         patch, cids, offsets, scales = _active_descendants(mesh, parents)
@@ -209,6 +206,10 @@ class PatchReconstruction:
         wins = key == best[ranks]
         fitted = np.zeros(len(parents), dtype=bool)
         fitted[patch[wins]] = True
+        self._parent = parents[fitted]
+        self._coeffs = np.zeros((s, len(self._parent), sum(map(len, RECOVERY_SPACE))),
+                                dtype=complex)
+        row = np.cumsum(fitted) - 1
         size = np.bincount(patch, minlength=len(parents))
         start = np.cumsum(size) - size
         orders = np.where(clean, 3, 2)
@@ -216,12 +217,13 @@ class PatchReconstruction:
             group = np.flatnonzero(fitted & (orders == order) & (size == m))
             step = max(1, FIT_BATCH_CELLS // m)
             for lo in range(0, len(group), step):
-                rows = (start[group[lo:lo + step], None] + np.arange(m)).ravel()
-                self._fit(qd, int(order), int(m), parents[patch[rows]],
-                          ranks[rows], offsets[rows], scales[rows], wins[rows])
+                cells = (start[group[lo:lo + step], None] + np.arange(m)).ravel()
+                self._fit(qd, int(order), int(m), row[patch[cells]],
+                          ranks[cells], offsets[cells], scales[cells], wins[cells])
 
-    def _fit(self, qd, order, m, owner, ranks, offsets, scales, wins):
-        """Fit patches of m member cells each (rows grouped by patch); store pi u - u.
+    def _fit(self, qd, order, m, patches, ranks, offsets, scales, wins):
+        """Fit patches of m member cells each (the cells grouped by patch,
+        patches their rows of _coeffs); store pi u - u.
 
         A patch's rows are its monomial values at its members' quadrature
         points, weighted by w det; its normal matrix is real and
@@ -231,8 +233,8 @@ class PatchReconstruction:
         patch's numbers depend neither on its batch nor on the other
         solutions.
         """
-        n_patch, s = len(owner) // m, len(qd.sols)
-        ppts, jac = self._parent_frame(owner, offsets, scales, REF.quad_pts)
+        n_patch, s = len(patches) // m, len(qd.sols)
+        ppts, jac = self._parent_frame(self._parent[patches], offsets, scales, REF.quad_pts)
         w = REF.quad_wts * qd.det[ranks]                        # (cell, p)
         w_rows = w.reshape(n_patch, 1, 1, -1)
         if order == 3:
@@ -266,7 +268,7 @@ class PatchReconstruction:
         # pi u and its curl from the same rows, on the winning cells
         hat = (rows @ coef).reshape(n_patch, 2, m, -1, s, 2).swapaxes(1, 2)
         hat = hat[wins.reshape(n_patch, m)]
-        curl = (mono_curl @ coef.reshape(n_patch, 2 * half, 2 * s)).reshape(len(owner), -1, s, 2)
+        curl = (mono_curl @ coef.reshape(n_patch, 2 * half, 2 * s)).reshape(len(patches), -1, s, 2)
         r, jac = ranks[wins], jac[wins, :, None, None]
         det = jacobian_det(jac)
         pi_u = np.stack(covariant_map(jac, det, hat[:, 0], hat[:, 1]), axis=-2)
@@ -275,9 +277,8 @@ class PatchReconstruction:
         curl = (curl[wins] / det).view(complex)[..., 0]
         self.dcurls_quad[:, r] = np.moveaxis(curl, 2, 0) - qd.curls[:, r]
         coef = coef.reshape(n_patch, 2 * half, s, 2).view(complex)[..., 0]
-        self._coeffs[:, r[:, None], slots] = np.moveaxis(np.repeat(coef, m, axis=0)[wins], 2, 0)
-        self._order[r] = order
-        self._parent[r] = owner[wins]
+        self._coeffs[:, patches[::m, None], slots] = np.moveaxis(coef, 2, 0)
+        self._patch[r] = patches[wins]
         self._offset[r] = offsets[wins]
         self._scale[r] = scales[wins]
 
@@ -291,17 +292,18 @@ class PatchReconstruction:
         """pi u (s, n, p, 2) at reference points of cells, (p, 2) shared by all
         cells or (n, p, 2) per cell; zero on cells outside every patch."""
         ranks = self.space.rank[cids]
-        sel = np.flatnonzero(self._order[ranks] > 0)
+        sel = np.flatnonzero(self._patch[ranks] >= 0)
         r = ranks[sel]
+        patches = self._patch[r]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
         out = np.zeros((len(self.sols),) + ref_pts.shape, dtype=complex)
         ppts, jac = self._parent_frame(
-            self._parent[r], self._offset[r], self._scale[r], ref_pts[sel])
+            self._parent[patches], self._offset[r], self._scale[r], ref_pts[sel])
         det = jacobian_det(jac)
         rows, _ = _component_rows(ppts.reshape(-1, 2), RECOVERY_SPACE)
         half = rows.shape[2]
         rows = rows.reshape((2,) + ppts.shape[:2] + (half,))
-        for k, c in enumerate(self._coeffs[:, r]):
+        for k, c in enumerate(self._coeffs[:, patches]):
             hat = np.einsum("cnpm,ncm->cnp", rows, c.reshape(len(r), 2, half))
             out[k, sel] = np.stack(covariant_map(jac, det, *hat), axis=-1)
         return out
@@ -372,7 +374,7 @@ def indicators(qd: QuadData, model: SheetModel, recon: PatchReconstruction,
     e_t, z_t = (np.einsum("fpk,fk->fp", traces, sol.coeffs[quad.dofs[fid]]) for sol in qd.sols)
     ranks = space.rank[sheet]
     pi_t = recon.at_points(sheet, sheet_ref)[..., 0]
-    ve_t, wz_t = np.where(recon._order[ranks, None] > 0, pi_t - [e_t, z_t], 0)
+    ve_t, wz_t = np.where(recon._patch[ranks, None] >= 0, pi_t - [e_t, z_t], 0)
     np.add.at(rho, ranks, 1j * np.sum(fw * e_t * np.conj(wz_t), axis=1))
     np.add.at(rho_ast, ranks, 1j * np.sum(fw * ve_t * np.conj(z_t), axis=1))
 

@@ -245,8 +245,10 @@ class TestReconstruction:
         rec = recover(sol)
         below_root0 = list(order2_patch_differences(sol, 0))
         assert len(below_root0) == 7
-        assert np.all(rec._order[space.rank[below_root0]] == 2)
-        assert np.all(rec._parent[space.rank[below_root0]] == 0)
+        patches = rec._patch[space.rank[below_root0]]
+        assert np.all(rec._parent[patches] == 0)
+        # an order-2 fit fills only the columns of the element's fields
+        assert not np.delete(rec._coeffs[:, patches], dwr_mod.ORDER2_SLOTS, axis=-1).any()
         assert np.max(np.abs(rec.dvals_quad)) < 1e-10
         assert np.max(np.abs(rec.dcurls_quad)) < 1e-10
         # the stored patch embeddings and coefficients reproduce it off the grid too
@@ -271,7 +273,7 @@ class TestReconstruction:
                    for c in by_inner) > 1e-3 * scale
         for cid, (dvals, dcurls) in {**by_outer, **by_inner}.items():
             r = space.rank[cid]
-            assert rec._order[r] == 2
+            assert rec._parent[rec._patch[r]] == (inner if cid in by_inner else outer)
             np.testing.assert_allclose(rec.dvals_quad[0, r], dvals, rtol=0,
                                        atol=1e-9 * scale)
             np.testing.assert_allclose(rec.dcurls_quad[0, r], dcurls, rtol=0,
@@ -317,17 +319,33 @@ class TestReconstruction:
         space, _, _ = nested_patch_space()
         sol = random_solution(space, 8)
         rec = recover(sol)
-        fitted = np.flatnonzero(rec._order > 0)
-        parents, first = np.unique(rec._parent[fitted], return_index=True)
-        orders = rec._order[fitted[first]]
-        assert sorted(set(orders.tolist())) == [2, 3]
-        for parent, order, r in zip(parents, orders, fitted[first]):
-            exps, slots = ((dwr_mod.RECOVERY_SPACE, np.arange(24)) if order == 3
+        children = space.mesh.children
+        patches = np.unique(rec._patch[rec._patch >= 0])
+        assert np.array_equal(patches, np.arange(len(rec._parent)))
+        clean = [(children[children[parent], 0] < 0).all() for parent in rec._parent]
+        assert sorted(set(clean)) == [False, True]
+        for patch, parent, order3 in zip(patches, rec._parent, clean):
+            exps, slots = ((dwr_mod.RECOVERY_SPACE, np.arange(24)) if order3
                            else (ELEMENT_SPACE, dwr_mod.ORDER2_SLOTS))
             ref = patch_lstsq(sol, parent, exps)[0]
-            stored = rec._coeffs[0, r]
+            stored = rec._coeffs[0, patch]
             assert np.linalg.norm(stored[slots] - ref) <= 1e-10 * np.linalg.norm(ref)
             assert not np.delete(stored, slots).any()
+
+    def test_clean_patch_members_read_one_coefficient_row(self):
+        # roots 1-3 are clean patches of four active children; root 0 is
+        # irregular, and its order-2 fit wins over the clean patch below it
+        m = grid_mesh(2, size=2.0)
+        m.uniform_refine(1)
+        m.refine([m.active_ids()[0]])
+        space = distribute_dofs(m)
+        rec = recover(random_solution(space, 3))
+        assert sorted(rec._parent.tolist()) == [0, 1, 2, 3]
+        assert rec._coeffs.shape[1] == len(rec._parent)
+        for root in (1, 2, 3):
+            patches = rec._patch[space.rank[m.children[root]]]
+            assert len(set(patches.tolist())) == 1
+            assert rec._parent[patches[0]] == root
 
     def test_fit_transient_memory_is_a_few_value_tables(self):
         # the fit reads the clean patches' shared table and keeps every
@@ -460,7 +478,7 @@ class TestIndicators:
             # u from the side cell itself, pi u - u only on a cell with a patch
             vals = [field_values(sol, [cid], ref[None])[0] for sol in qd.sols]
             pis = recon.at_points([cid], ref[None])[:, 0]
-            fitted = recon._order[space.rank[cid]] > 0
+            fitted = recon._patch[space.rank[cid]] >= 0
             e_t, z_t = (np.sum(v * tangent, axis=1) for v in vals)
             ve_t, wz_t = (fitted * np.sum((pi - v) * tangent, axis=1)
                           for pi, v in zip(pis, vals))
