@@ -98,18 +98,19 @@ def patch_lstsq(sol, parent, space):
     """Coefficients of one patch fit from np.linalg.lstsq, cell by cell.
 
     An independent version of the recovery's fit: the monomial fields of
-    space (an exponent table) in the parent's reference frame against the
-    field pulled back into that frame, J^T u, at the quadrature points of
-    all active cells below parent, each row weighted by the square root of
-    the quadrature weight times the cell Jacobian.  Returns the coefficients
-    and, per cell, (cid, monomial values, curls, parent Jacobians).
+    space (an exponent table) in the parent's centred frame q = 2 p - 1 on
+    [-1, 1]^2 against the field pulled back into that frame, J^T u with J
+    the Jacobian of q, half the parent's, at the quadrature points of all
+    active cells below parent, each row weighted by the square root of the
+    quadrature weight times the cell Jacobian.  Returns the coefficients
+    and, per cell, (cid, monomial values, curls, Jacobians of q).
     """
     mesh = sol.space.mesh
     rows_a, rows_b, frames = [], [], []
     for cid, offset, scale in active_below(mesh, parent):
         ppts = offset + scale * REF.quad_pts
-        mono, mono_curl = vector_monomials(ppts, space)
-        jac = cell_geometry(mesh, [parent], ppts)[1][0]
+        mono, mono_curl = vector_monomials(2 * ppts - 1, space)
+        jac = cell_geometry(mesh, [parent], ppts)[1][0] / 2
         wts = np.sqrt(REF.quad_wts * jacobian_det(cell_geometry(mesh, [cid], REF.quad_pts)[1])[0])
         pulled = np.einsum("pji,pj->pi", jac, field_values(sol, [cid], REF.quad_pts)[0])
         for comp in range(2):
@@ -346,6 +347,14 @@ class TestReconstruction:
             patches = rec._patch[space.rank[m.children[root]]]
             assert len(set(patches.tolist())) == 1
             assert rec._parent[patches[0]] == root
+
+    def test_clean_patch_normal_blocks_are_well_conditioned(self):
+        # the monomials are taken in the patch's centred frame [-1, 1]^2: with
+        # equal weights each 12x12 block has condition number 846, against
+        # 6.4e6 in the parent frame [0, 1]^2
+        rows, _, outer = dwr_mod._clean_patch_table()
+        blocks = outer.sum(axis=1).reshape(2, rows.shape[2], rows.shape[2])
+        assert np.all(np.linalg.cond(blocks) <= 1e3)
 
     def test_fit_transient_memory_is_a_few_value_tables(self):
         # the fit reads the clean patches' shared table and keeps every
