@@ -136,11 +136,10 @@ def _clean_patch_table():
 
     rows (2, 4p, 12) and curls (4p, 24) are _component_rows at the
     quadrature points of a parent's four children, in quadrant order, in the
-    patch's centred frame; outer (2, 4p, 144) holds each point's outer
-    product of its rows, so a patch's normal matrices are its weights times
-    outer.  The points are formed as _parent_frame forms them (offset plus
-    half the child point, then 2 p - 1), so the table holds the fit's own
-    floats.
+    centred frame; outer (2, 4p, 144) holds each point's outer product of
+    its rows, so a patch's normal matrices are its weights times outer.  The
+    points are formed as _parent_frame forms them, so the table holds the
+    fit's own floats.
     """
     offsets = 0.5 * np.asarray(CHILD_OFFSETS, dtype=float)
     ppts = offsets[:, None, :] + 0.5 * REF.quad_pts
@@ -208,8 +207,7 @@ class PatchReconstruction:
         fitted = np.zeros(len(parents), dtype=bool)
         fitted[patch[wins]] = True
         self._parent = parents[fitted]
-        self._coeffs = np.zeros((s, len(self._parent), sum(map(len, RECOVERY_SPACE))),
-                                dtype=complex)
+        self._coeffs = np.zeros((s, len(self._parent), sum(map(len, RECOVERY_SPACE))), complex)
         row = np.cumsum(fitted) - 1
         size = np.bincount(patch, minlength=len(parents))
         start = np.cumsum(size) - size
@@ -284,11 +282,8 @@ class PatchReconstruction:
         self._scale[r] = scales[wins]
 
     def _parent_frame(self, parents, offsets, scales, ref_pts):
-        """Cell reference points p mapped into their patches' centred frames
-        [-1, 1]^2, 2 p - 1 (n, p, 2), and the Jacobians of that frame, J / 2
-        with J the parent's (n, p, 2, 2).  The monomials are taken there: in
-        the parent frame [0, 1]^2 a clean patch's normal blocks have
-        condition number 6.4e6, in the centred frame 846."""
+        """Cell reference points p in their patches' centred frames [-1, 1]^2,
+        2 p - 1 (n, p, 2), and that frame's Jacobians J / 2 (n, p, 2, 2)."""
         ppts = offsets[:, None, :] + scales[:, None, None] * np.asarray(ref_pts, dtype=float)
         return 2 * ppts - 1, 0.5 * cell_geometry(self.space.mesh, parents, ppts)[1]
 
@@ -297,8 +292,7 @@ class PatchReconstruction:
         cells or (n, p, 2) per cell; zero on cells outside every patch."""
         ranks = self.space.rank[cids]
         sel = np.flatnonzero(self._patch[ranks] >= 0)
-        r = ranks[sel]
-        patches = self._patch[r]
+        r, patches = ranks[sel], self._patch[ranks[sel]]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
         out = np.zeros((len(self.sols),) + ref_pts.shape, dtype=complex)
         ppts, jac = self._parent_frame(

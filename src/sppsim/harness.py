@@ -84,8 +84,8 @@ class RunConfig:
         if self.samples % 2:
             raise ValueError(f"samples must be even (half on each side of x = 0), "
                              f"got {self.samples}")
-        if not self.d_w > 0:
-            raise ValueError(f"d_w must be positive, got {self.d_w}")
+        if not 0 < self.d_w < math.inf:
+            raise ValueError(f"d_w must be positive and finite, got {self.d_w}")
         # build_initial_mesh refines toward cells d_reg / factor across: forever at 0
         if not self.d_reg > 0:
             raise ValueError(f"d_reg must be positive, got {self.d_reg}")
@@ -110,8 +110,8 @@ class RunConfig:
         if self.dof_cap < 1:
             raise ValueError(f"dof_cap must be at least 1, got {self.dof_cap}")
         # a coarser target leaves cells that assemble_dipole_rhs rejects
-        if not self.dipole_resolve_factor >= DIPOLE_RESOLUTION:
-            raise ValueError(f"dipole_resolve_factor must be at least "
+        if not DIPOLE_RESOLUTION <= self.dipole_resolve_factor < math.inf:
+            raise ValueError(f"dipole_resolve_factor must be finite and at least "
                              f"{DIPOLE_RESOLUTION:g}, got {self.dipole_resolve_factor}")
 
     def model(self, s0=None) -> SheetModel:
@@ -384,8 +384,7 @@ def spectral_amplitude(trace: InterfaceTrace, k_lo: float, k_hi: float,
     complex exponential the returned amplitude equals its modulus.
     """
     sel = spectral_window(trace.x, x_lo, x_hi)
-    xs = trace.x[sel]
-    vals = trace.values[sel]
+    xs, vals = trace.x[sel], trace.values[sel]
     win = np.hanning(len(xs))
     norm = win.sum()
     ks = np.linspace(k_lo, k_hi, nk)
@@ -489,29 +488,30 @@ def load_config(path: str, **overrides) -> RunConfig:
             if not line:
                 continue
             key, sep, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in RunConfig.__dataclass_fields__:
                 raise KeyError(f"unknown config key {key!r}")
             if not sep or not raw:
                 raise ValueError(f"config key {key!r} needs a value: {key} = <value>")
+            if key in values:
+                raise ValueError(f"config key {key!r} is given twice")
             values[key] = _parse_value(key, raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# the parser of each RunConfig field, by the text of its annotation
+_PARSERS = {"complex": lambda raw: complex(raw.replace(" ", "")), "int": int, "float": float,
+            "bool": lambda raw: _BOOLEANS[raw.lower()], "str | None": str}
+
+
 def _parse_value(key: str, raw: str):
     ftype = RunConfig.__dataclass_fields__[key].type
-    if "complex" in str(ftype):
-        return complex(raw.replace(" ", ""))
-    if "int" in str(ftype):
-        return int(raw)
-    if "float" in str(ftype):
-        return float(raw)
-    if "bool" in str(ftype):
-        flag = raw.lower()
-        if flag not in ("1", "0", "true", "false", "yes", "no"):
-            raise ValueError(f"config key {key!r} needs a boolean "
-                             f"(1/0, true/false, yes/no), got {raw!r}")
-        return flag in ("1", "true", "yes")
-    return raw
+    parse = _PARSERS[ftype]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):              # KeyError: not a boolean spelling
+        spellings = " (1/0, true/false, yes/no)" if ftype == "bool" else ""
+        raise ValueError(f"config key {key!r} needs a value of type {ftype}{spellings}, "
+                         f"got {raw!r}") from None

@@ -179,6 +179,12 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the message names the input and what the reference needs of it
     (None, ["run", "--sigma", "0.16"], "sigma_r = 0.16+0j; the reference needs Im(sigma_r) > 0"),
     (None, ["oracle", "--sigma", "0.16"], "sigma_r = 0.16+0j; the reference needs Im(sigma_r) > 0"),
+    # a value that does not parse, or a key given twice, names its key
+    ("cycles = 2.0\n", ["run"], "config key 'cycles' needs a value of type int, got '2.0'"),
+    ("sigma_r = abc\n", ["run"], "config key 'sigma_r' needs a value of type complex"),
+    ("d_w = wide\n", ["oracle"], "config key 'd_w'"),
+    ("cycles = 2\ncycles = 3\n", ["run"], "config key 'cycles' is given twice"),
+    ("x_min = 0.5\nx_min = 0.5\n", ["pml-study", "--values", "0"], "config key 'x_min'"),
 ])
 def test_bad_run_input_is_one_error_line(tmp_path, capsys, config, argv, named):
     if config is not None:

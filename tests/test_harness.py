@@ -714,6 +714,8 @@ samples = 256
                                            ("d_w", 0.0),
                                            ("d_w", -1.5625),
                                            ("d_w", float("nan")),
+                                           # an infinite band weighs every cell 1
+                                           ("d_w", float("inf")),
                                            ("d_reg", 0.0),
                                            ("d_reg", -0.1),
                                            ("d_reg", float("nan")),
@@ -725,7 +727,10 @@ samples = 256
                                            ("d_reg", 0.8 * hn.RunConfig().R),
                                            ("dof_cap", 0),
                                            ("dipole_resolve_factor", 1.99),
-                                           ("dipole_resolve_factor", float("nan"))])
+                                           ("dipole_resolve_factor", float("nan")),
+                                           # a target diameter of 0: only the
+                                           # config is built, never a mesh
+                                           ("dipole_resolve_factor", float("inf"))])
     def test_out_of_range_value_rejected_by_name(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=key):
             hn.RunConfig(**{key: value})
