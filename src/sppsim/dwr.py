@@ -181,7 +181,6 @@ class PatchReconstruction:
 
     def __init__(self, qd: QuadData):
         self.space = qd.space
-        self.sols = qd.sols
         mesh = self.space.mesh
         n, p = qd.det.shape
         s = len(qd.sols)
@@ -294,7 +293,7 @@ class PatchReconstruction:
         sel = np.flatnonzero(self._patch[ranks] >= 0)
         r, patches = ranks[sel], self._patch[ranks[sel]]
         ref_pts = np.broadcast_to(ref_pts, (len(ranks),) + np.shape(ref_pts)[-2:])
-        out = np.zeros((len(self.sols),) + ref_pts.shape, dtype=complex)
+        out = np.zeros((len(self._coeffs),) + ref_pts.shape, dtype=complex)
         ppts, jac = self._parent_frame(
             self._parent[patches], self._offset[r], self._scale[r], ref_pts[sel])
         det = jacobian_det(jac)

@@ -384,7 +384,8 @@ def spectral_amplitude(trace: InterfaceTrace, k_lo: float, k_hi: float,
     complex exponential the returned amplitude equals its modulus.
     """
     sel = spectral_window(trace.x, x_lo, x_hi)
-    xs, vals = trace.x[sel], trace.values[sel]
+    xs = trace.x[sel]
+    vals = trace.values[sel]
     win = np.hanning(len(xs))
     norm = win.sum()
     ks = np.linspace(k_lo, k_hi, nk)
