@@ -360,8 +360,8 @@ class TestReconstruction:
         # the fit reads the clean patches' shared table and keeps every
         # per-patch product small: its tracemalloc peak, outputs included,
         # stays within a stated multiple of the primal and adjoint values
-        # (measured 6.7 on this mesh, against 20.3 with a per-patch copy of
-        # the shared table)
+        # (measured 6.1 on this mesh, against 6.7 with the coefficients
+        # stored per cell and 20.3 with a per-patch copy of the shared table)
         m = grid_mesh(16, size=2.0)
         m.uniform_refine(1)
         m.refine(m.active_ids()[::31])
@@ -375,7 +375,7 @@ class TestReconstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8.0 * qd.values.nbytes
+        assert peak < 7.0 * qd.values.nbytes
 
     def test_off_grid_differences_match_quadrature_differences(self):
         # the two evaluation paths of pi u - u agree for a field that no
