@@ -100,7 +100,7 @@ def _active_descendants(mesh: Mesh, parents):
     quads = np.asarray(CHILD_OFFSETS, dtype=float)
     n = len(parents)
     inner = (np.arange(n), parents, np.zeros((n, 2)), np.ones(n), np.zeros(n))
-    found = [[c[:0] for c in inner]]      # typed, so that no parents find no cells
+    found = [[c[:0] for c in inner]]      # typed and empty, for a mesh with no parents
     while len(inner[1]):
         group, _, offset, scale, path = (np.repeat(c, 4, axis=0) for c in inner)
         quad = np.arange(4 * len(inner[1])) % 4
